@@ -1,5 +1,5 @@
-"""Index certificates: constructors, the recursive realizer, the independent
-verifier, and the plane-arrangement search.
+"""Index certificates: constructors, the realizer, the independent verifier,
+and the plane-arrangement search.
 
 A certificate is a tree witnessing that an integer m is the index of a klt
 Calabi-Yau pair of a given dimension with standard coefficients:
@@ -10,11 +10,12 @@ Calabi-Yau pair of a given dimension with standard coefficients:
   product         combines factors; dimensions add, indices combine by lcm
 
 The realizer turns any m with phi(m) <= 2n into a certificate of dimension
-n - 1, by a deterministic recursion: pad with an elliptic factor while
-phi(m) < 2n, use the explicit odd-index and prime-power families when m is a
-prime or prime power, and otherwise split off the power of the largest prime
-and recurse on the coprime parts. Every split is coprime, so product indices
-are exact.
+n - 1: the core certificate of m, padded once. The core is the dimension-2
+catalogue when phi(m) <= 6, the explicit odd-index and prime-power families
+when m is a prime or prime power, and otherwise the product of the cores of
+the power of the largest prime and of its coprime cofactor. Padding opens
+the products and merges every elliptic factor into one trailing elliptic
+leaf. Every split is coprime, so product indices are exact.
 
 The verifier recomputes everything from raw data: well-formedness,
 quasi-homogeneity, exact degree zero, standard coefficients, the index, the
@@ -139,6 +140,11 @@ def certificate_index(cert: Certificate) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _monomial(nv: int, powers: dict[int, int]) -> tuple[Fraction, tuple[int, ...]]:
+    """The term prod x_j^powers[j] in nv variables, with coefficient 1."""
+    return Fraction(1), tuple(powers.get(j, 0) for j in range(nv))
+
+
 def build_index_prime(m: int) -> LogLeaf:
     """Explicit pair of index m for odd m >= 5, of dimension (m+3)/4 when
     m = 1 (mod 4) and (m+1)/4 when m = 3 (mod 4).
@@ -161,19 +167,16 @@ def build_index_prime(m: int) -> LogLeaf:
         space = Wps((4,) * (n - 2) + (2, 1, 1))
         nv = n + 1
         coord_vars = list(range(n - 2)) + [n]
-        h_terms = [(Fraction(1), tuple(1 if j == i else 0 for j in range(nv))) for i in range(n - 2)]
-        for var, exp in ((n - 2, 2), (n - 1, 4), (n, 4)):
-            h_terms.append((Fraction(1), tuple(exp if j == var else 0 for j in range(nv))))
+        h_terms = [_monomial(nv, {i: 1}) for i in range(n - 2)]
+        h_terms += [_monomial(nv, {n - 2: 2}), _monomial(nv, {n - 1: 4}), _monomial(nv, {n: 4})]
         strategy = "family_A"
     else:
         n = (m + 1) // 4
         space = Wps((4,) * (n - 2) + (3, 2, 1))
         nv = n + 1
         coord_vars = list(range(n - 1))
-        h_terms = [(Fraction(1), tuple(1 if j == i else 0 for j in range(nv))) for i in range(n - 2)]
-        h_terms.append((Fraction(1), tuple(1 if j in (n - 2, n) else 0 for j in range(nv))))
-        for var, exp in ((n - 1, 2), (n, 4)):
-            h_terms.append((Fraction(1), tuple(exp if j == var else 0 for j in range(nv))))
+        h_terms = [_monomial(nv, {i: 1}) for i in range(n - 2)]
+        h_terms += [_monomial(nv, {n - 2: 1, n: 1}), _monomial(nv, {n - 1: 2}), _monomial(nv, {n: 4})]
         strategy = "family_B"
     entries = [(c, SparsePoly.variable(nv, i)) for i in coord_vars]
     entries.append((c, SparsePoly(nv, tuple(h_terms))))
@@ -194,9 +197,7 @@ def build_prime_power(m: int, e: int) -> LogLeaf:
     nv = m + e - 2
     space = Wps((m - 1,) * (e - 1) + (1,) * (m - 1))
     entries = [(StdCoeff(m ** (i + 1)), SparsePoly.variable(nv, i)) for i in range(e)]
-    h_terms = [(Fraction(1), tuple(1 if j == i else 0 for j in range(nv))) for i in range(e - 1)]
-    for i in range(e - 1, nv):
-        h_terms.append((Fraction(1), tuple(m - 1 if j == i else 0 for j in range(nv))))
+    h_terms = [_monomial(nv, {i: 1 if i < e - 1 else m - 1}) for i in range(nv)]
     entries.append((StdCoeff(m**e), SparsePoly(nv, tuple(h_terms))))
     strategy = "hyperplane_arrangement" if m == 2 else "family_C"
     return LogLeaf(space, tuple(entries), strategy)
@@ -225,7 +226,10 @@ _P2_CONICS = (
     SparsePoly.from_terms(3, [(1, (1, 0, 1)), (-1, (0, 2, 0))]),  # x*z - y^2
 )
 
-BASE_DIM1_INDICES = (1, 2, 3, 4, 6)
+# coefficient denominators of the P^1 pairs, by index
+_P1_PAIRS = {2: (2, 2, 2, 2), 3: (3, 3, 3), 4: (2, 4, 4), 6: (2, 3, 6)}
+
+BASE_DIM1_INDICES = (1, *_P1_PAIRS)
 BASE_DIM2_INDICES = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 18)
 
 CITE_INDEX_14 = (
@@ -235,12 +239,28 @@ CITE_INDEX_14 = (
 )
 
 
-def _p1_leaf(bs: tuple[int, ...]) -> LogLeaf:
-    entries = tuple((StdCoeff(b), _P1_POINTS[i]) for i, b in enumerate(bs))
-    return LogLeaf(Wps((1, 1)), entries, "hyperplane_arrangement")
-
-
-def _plane_leaf(entries) -> LogLeaf:
+def _instantiate_plane(dim: int, combo) -> LogLeaf | None:
+    """Deterministic equations for a multiset of (b, curve degree): P^1
+    points 0, 1, oo, 2 in order, P^2 lines and conics from the fixed
+    general-position catalogue. None if the catalogue is exhausted."""
+    if dim == 1:
+        if len(combo) > len(_P1_POINTS):
+            return None
+        entries = [(StdCoeff(b), _P1_POINTS[i]) for i, (b, _) in enumerate(combo)]
+        return LogLeaf(Wps((1, 1)), tuple(entries), "hyperplane_arrangement")
+    lines = conics = 0
+    entries = []
+    for b, d in combo:
+        if d == 1:
+            if lines >= len(_P2_LINES):
+                return None
+            entries.append((StdCoeff(b), _P2_LINES[lines]))
+            lines += 1
+        else:
+            if conics >= len(_P2_CONICS):
+                return None
+            entries.append((StdCoeff(b), _P2_CONICS[conics]))
+            conics += 1
     return LogLeaf(Wps((1, 1, 1)), tuple(entries), "plane_arrangement")
 
 
@@ -255,14 +275,8 @@ def base_leaf(dim: int, m: int) -> Certificate:
     if dim == 1:
         if m == 1:
             return EllipticLeaf(1)
-        if m == 2:
-            return WpsLeaf(_p1_leaf((2, 2, 2, 2)))
-        if m == 3:
-            return WpsLeaf(_p1_leaf((3, 3, 3)))
-        if m == 4:
-            return WpsLeaf(_p1_leaf((2, 4, 4)))
-        if m == 6:
-            return WpsLeaf(_p1_leaf((2, 3, 6)))
+        if m in _P1_PAIRS:
+            return WpsLeaf(_instantiate_plane(1, [(b, 1) for b in _P1_PAIRS[m]]))
         raise ValueError(f"no dimension-1 base leaf for index {m}")
     if dim != 2:
         raise ValueError(f"base_leaf covers dimensions 1 and 2 only, got {dim!r}")
@@ -279,26 +293,9 @@ def base_leaf(dim: int, m: int) -> Certificate:
     if m == 12:
         return Product((base_leaf(1, 4), base_leaf(1, 3)))
     if m == 10:
-        return WpsLeaf(
-            _plane_leaf(
-                [
-                    (StdCoeff(2), _P2_LINES[0]),
-                    (StdCoeff(5), _P2_CONICS[0]),
-                    (StdCoeff(10), _P2_LINES[1]),
-                ]
-            )
-        )
+        return WpsLeaf(_instantiate_plane(2, ((2, 1), (5, 2), (10, 1))))
     if m == 18:
-        return WpsLeaf(
-            _plane_leaf(
-                [
-                    (StdCoeff(2), _P2_LINES[0]),
-                    (StdCoeff(3), _P2_LINES[1]),
-                    (StdCoeff(9), _P2_LINES[2]),
-                    (StdCoeff(18), _P2_LINES[3]),
-                ]
-            )
-        )
+        return WpsLeaf(_instantiate_plane(2, ((2, 1), (3, 1), (9, 1), (18, 1))))
     if m == 14:
         return CitedLeaf(2, 14, CITE_INDEX_14)
     raise ValueError(f"no dimension-2 base leaf for index {m} (needs phi(m) <= 6)")
@@ -342,28 +339,13 @@ def check_dim_inequality(m: int, e: int, variant: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _pad(cert: Certificate, k: int) -> Certificate:
-    """Product with an elliptic factor of dimension k (index unchanged)."""
-    if k == 0:
-        return cert
-    if k < 0:
-        raise RuntimeError("certificate larger than its target dimension")
-    return Product((cert, EllipticLeaf(k)))
-
-
-def _pad_to(cert: Certificate, target_dim: int) -> Certificate:
-    return _pad(cert, target_dim - certificate_dim(cert))
-
-
 def realize(n: int, m: int) -> Certificate:
     """Certificate of dimension n - 1 and index m, for any m with
-    phi(m) <= 2n and n >= 3.
+    phi(m) <= 2n and n >= 3: the core certificate of m, padded once.
 
-    Deterministic recursion on n: the dimension-2 catalogue at n = 3;
-    elliptic padding while phi(m) < 2n; the explicit families for primes and
-    prime powers; otherwise split m = m1 * m2 with m2 the power of the
-    largest prime, recurse on the coprime parts by the size of their
-    totients, and combine with a product plus padding.
+    The products of the core are opened and its elliptic factors merged
+    with the padding, so the result is a flat product of leaves with one
+    trailing elliptic leaf, or a bare leaf when only one factor is left.
     """
     if not isinstance(n, int) or n < 3:
         raise ValueError(f"realize requires n >= 3, got {n!r}")
@@ -373,67 +355,50 @@ def realize(n: int, m: int) -> Certificate:
     if phi > 2 * n:
         raise ValueError(f"phi({m}) = {phi} > 2n = {2 * n}: index out of range")
 
-    if n == 3:
-        cert = base_leaf(2, m)
-    elif phi < 2 * n:
-        # phi is 1 or even, so phi <= 2(n-1) and the smaller target works
-        cert = Product((realize(n - 1, m), EllipticLeaf(1)))
-    else:
-        cert = _pad_to(_realize_tight(n, m), n - 1)
+    factors = [f for f in _leaves(_core(m)) if not isinstance(f, EllipticLeaf)]
+    pad = n - 1 - sum(certificate_dim(f) for f in factors)
+    if pad > 0:
+        factors.append(EllipticLeaf(pad))
+    cert = factors[0] if len(factors) == 1 else Product(tuple(factors))
 
     if certificate_dim(cert) != n - 1:
         raise RuntimeError(f"realize({n}, {m}): built dimension {certificate_dim(cert)}")
     return cert
 
 
-def _realize_tight(n: int, m: int) -> Certificate:
-    """The phi(m) = 2n, n >= 4 case split. Returns a certificate of
-    dimension <= n - 1 (the caller pads)."""
+def _core(m: int) -> Certificate:
+    """Unpadded certificate of index m. Its leaves other than elliptic ones
+    fit in dimension 2 when phi(m) <= 6 and phi(m)/2 - 1 otherwise; realize
+    merges the elliptic ones into its padding.
+
+    The dimension-2 catalogue when phi(m) <= 6; the explicit families for
+    primes and prime powers; otherwise split m = m1 * m2 with m2 the power
+    of the largest prime and take the product of the coprime parts. The
+    recursion is as deep as m has prime factors.
+    """
+    if euler_phi(m) <= 6:
+        return base_leaf(2, m)
     fac = factorize(m)
-    r = fac.num_prime_factors()
-
-    if r == 1 and fac.factors[0][1] == 1:
-        # m prime, m = 2n + 1: dimension (m+3)/4 = (n+2)/2 <= n - 1
-        return WpsLeaf(build_index_prime(m))
-
-    if r == 1:
-        p, e = fac.factors[0]
+    p, e = fac.factors[-1]
+    if fac.num_prime_factors() == 1:
+        if e == 1:
+            # m >= 11: dimension at most (m+3)/4 <= (m-3)/2 = phi(m)/2 - 1
+            return WpsLeaf(build_index_prime(m))
         if not check_dim_inequality(p, e, 1):
             raise RuntimeError(f"dimension inequality failed for ({p}, {e})")
         return WpsLeaf(build_prime_power(p, e))
-
-    # r >= 2: split off the power of the largest prime
-    p, e = fac.factors[-1]
     m2 = p**e
     m1 = m // m2
-    phi1, phi2 = euler_phi(m1), euler_phi(m2)
+    if m1 == 2 and e > 1 and not check_dim_inequality(p, e, 2):
+        raise RuntimeError(f"dimension inequality failed for ({p}, {e})")
+    return Product((_core(m1), _core(m2)))
 
-    if phi1 >= 6 and phi2 >= 6:
-        c1 = realize(phi1 // 2, m1)
-        c2 = realize(phi2 // 2, m2)
-        return Product((c1, c2))
-    if phi1 >= 6:
-        c1 = realize(phi1 // 2, m1)
-        c2 = base_leaf(1, m2) if phi2 == 2 else base_leaf(2, m2)
-        return Product((c1, c2))
-    if phi1 == 1:
-        # m1 = 2, m = 2 p^e with p odd
-        if e == 1:
-            return Product((base_leaf(1, 2), WpsLeaf(build_index_prime(p))))
-        if not check_dim_inequality(p, e, 2):
-            raise RuntimeError(f"dimension inequality failed for ({p}, {e})")
-        return Product((base_leaf(1, 2), WpsLeaf(build_prime_power(p, e))))
-    if phi1 == 2:
-        c1 = base_leaf(1, m1)
-    else:  # phi1 == 4
-        c1 = base_leaf(2, m1)
-    if phi2 >= 6:
-        c2 = realize(phi2 // 2, m2)
-    elif phi2 == 4:
-        c2 = base_leaf(2, m2)
-    else:
-        c2 = base_leaf(1, m2)
-    return Product((c1, c2))
+
+def _leaves(cert: Certificate) -> list[Certificate]:
+    """The leaves of a certificate in order, with its products opened."""
+    if isinstance(cert, Product):
+        return [leaf for f in cert.factors for leaf in _leaves(f)]
+    return [cert]
 
 
 # ---------------------------------------------------------------------------
@@ -446,31 +411,6 @@ def _divisors(n: int) -> list[int]:
     for p, e in factorize(n):
         divs = [d * p**k for d in divs for k in range(e + 1)]
     return sorted(divs)
-
-
-def _instantiate_plane(dim: int, combo) -> LogLeaf | None:
-    """Deterministic equations for a multiset of (b, curve degree): P^1
-    points 0, 1, oo, 2 in order, P^2 lines and conics from the fixed
-    general-position catalogue. None if the catalogue is exhausted."""
-    if dim == 1:
-        if len(combo) > len(_P1_POINTS):
-            return None
-        entries = [(StdCoeff(b), _P1_POINTS[i]) for i, (b, _) in enumerate(combo)]
-        return LogLeaf(Wps((1, 1)), tuple(entries), "hyperplane_arrangement")
-    lines = conics = 0
-    entries = []
-    for b, d in combo:
-        if d == 1:
-            if lines >= len(_P2_LINES):
-                return None
-            entries.append((StdCoeff(b), _P2_LINES[lines]))
-            lines += 1
-        else:
-            if conics >= len(_P2_CONICS):
-                return None
-            entries.append((StdCoeff(b), _P2_CONICS[conics]))
-            conics += 1
-    return LogLeaf(Wps((1, 1, 1)), tuple(entries), "plane_arrangement")
 
 
 def search_plane_pair(dim: int, index: int, max_components: int = 4) -> LogLeaf | None:
@@ -852,7 +792,8 @@ def certificate_dumps(cert: Certificate) -> str:
 
 def certificate_loads(text: str) -> Certificate:
     try:
-        obj = json.loads(text)
+        return certificate_from_obj(json.loads(text))
     except json.JSONDecodeError as err:
         raise CertificateParseError(f"invalid JSON: {err.msg}", f"line {err.lineno} column {err.colno}") from err
-    return certificate_from_obj(obj)
+    except RecursionError as err:
+        raise CertificateParseError("nested too deeply to parse") from err

@@ -21,6 +21,7 @@ import sys
 
 from . import certify, numtheory
 from .certify import (
+    BASE_DIM1_INDICES,
     CertificateParseError,
     Product,
     base_leaf,
@@ -65,7 +66,7 @@ def _build_parser() -> _Parser:
                        help="build and verify a certificate of dimension N-1 and index M "
                             "(requires phi(M) <= 2N)")
     p.add_argument("--dim", type=int, required=True, metavar="N",
-                   help="recursion dimension N >= 3 (the certificate has dimension N-1)")
+                   help="N >= 3 (the certificate has dimension N-1)")
     p.add_argument("--index", type=int, required=True, metavar="M")
     p.add_argument("--mode", choices=("strict", "trusting"), default="trusting")
     p.add_argument("--out", metavar="FILE", help="also write the certificate JSON to FILE")
@@ -210,7 +211,7 @@ _DIM1_STATUS = {
 
 def _print_dim_table(d: int) -> None:
     if d == 1:
-        members = [1, 2, 3, 4, 6]
+        members = BASE_DIM1_INDICES
         print(f"I(1) members ({len(members)}): " + " ".join(map(str, members)))
         print("   m  phi(m)  realization")
         for m in members:

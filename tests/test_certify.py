@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 from fractions import Fraction
 from math import gcd, lcm
@@ -6,6 +7,8 @@ from math import gcd, lcm
 import pytest
 
 from cyindex.certify import (
+    BASE_DIM1_INDICES,
+    BASE_DIM2_INDICES,
     CertificateParseError,
     CitedLeaf,
     EllipticLeaf,
@@ -91,6 +94,61 @@ def test_build_prime_power_rejects():
         build_prime_power(1, 3)
     with pytest.raises(ValueError):
         build_prime_power(3, 1)
+
+
+# Pinned leaf bytes: sha256 of certificate_dumps for each builder input and
+# every catalogue entry. Any change here changes every certificate that
+# contains the leaf.
+GOLDEN_SHA256 = {
+    ("index_prime", 5): "b5276b91cf1fcc2c249c2902562afa44b2d51912219a6c7bd1aa1f182ba5fe3b",
+    ("index_prime", 7): "4ad61bd220f89d6a9fcafefb58c702eb764bb0cc756f2bba6e961091456686b8",
+    ("index_prime", 13): "9962a0d7e11e4573723c6cc0a667bdb94526e0cde7761fc68b93323f7f76a5c0",
+    ("index_prime", 401): "b97c411c33cd4a9cf10188e421098ea001affa3c3a7241f490eacc53248a940a",
+    ("index_prime", 403): "f3f1da9fcb012a5960bbbda3677cca311b5f02e540f3cf9f14e8724cb47430ee",
+    ("prime_power", 2, 3): "3b647bad3038b639d7de16215fa84b974b5688daceb62b96dc4ccbfa9dbd0196",
+    ("prime_power", 3, 2): "86b0b9fd8e1bb25702bf7475769e564d302c4ac5916132d084efd8082c2513b8",
+    ("prime_power", 5, 4): "d6f8c19f347ce093db3543afac0587e6af39a6c3ab13d0b676acc1134d655f89",
+    ("prime_power", 2, 12): "0cb99455b55a243a80038fcca0271f8501842104641c27d4d4330b116772aefc",
+    ("base", 1, 1): "0d3bc8b2370a96e026f06456b53aa8f683594202963de82765325a9915727c30",
+    ("base", 1, 2): "aaa0a80585514ecf44ba7816f0c2f11213876486c95baa5a5a78f853abcbf3ab",
+    ("base", 1, 3): "74b8db5376e5f71bed17d3b0a2fb6c5301b68f4dd40dcbba82ca6705f13834d2",
+    ("base", 1, 4): "6ce4b417532e48fc5d57be73a7822d957268f1888f90e91c6fb5e2f551565571",
+    ("base", 1, 6): "b15365a65ab060e9b9c76c2916f572655f43523fd9261e4ba524f7c009fca193",
+    ("base", 2, 1): "db2799846211aae5c07f7d6ba76ba771c17d8750b09bf897b4548a499113a96a",
+    ("base", 2, 2): "221b428719dbcf9fc3b914d01772e9ea08240061bd52c873a0174f7fea34a4a2",
+    ("base", 2, 3): "d354d6171bf03d2c49fe5c222b129e36c9af548329b0321303740bf392159da4",
+    ("base", 2, 4): "5956f243542eea962623331d1fb9dd7b246ec705275f7cdbbf44ccb4d78684b2",
+    ("base", 2, 5): "b5276b91cf1fcc2c249c2902562afa44b2d51912219a6c7bd1aa1f182ba5fe3b",
+    ("base", 2, 6): "50f6405df88bcee5fc2ec0deac27c09f5c3a97cebe68ea2860a0859dcab4d7fb",
+    ("base", 2, 7): "4ad61bd220f89d6a9fcafefb58c702eb764bb0cc756f2bba6e961091456686b8",
+    ("base", 2, 8): "3b647bad3038b639d7de16215fa84b974b5688daceb62b96dc4ccbfa9dbd0196",
+    ("base", 2, 9): "86b0b9fd8e1bb25702bf7475769e564d302c4ac5916132d084efd8082c2513b8",
+    ("base", 2, 10): "5601032b94f9bade9927b4159ed99abab4cc3e9a5b6dfc7d3bd28770881604b8",
+    ("base", 2, 12): "b05a1b88953d512a5bcc9254cdf8b8f37ad74586d8fa9db4e5ed9cd7fa65a932",
+    ("base", 2, 14): "03f0726aaa3100686090284960260cff2519f329ce8354d1613241bef377eb33",
+    ("base", 2, 18): "0c770c849f31d7baacff37a434ce9c79309d2fb6f83eb80426c83cbb48d7178c",
+}
+
+
+def _golden_cert(key):
+    kind, *args = key
+    if kind == "index_prime":
+        return WpsLeaf(build_index_prime(*args))
+    if kind == "prime_power":
+        return WpsLeaf(build_prime_power(*args))
+    return base_leaf(*args)
+
+
+def test_golden_covers_the_whole_catalogue():
+    assert {k[1:] for k in GOLDEN_SHA256 if k[0] == "base"} == {
+        (1, m) for m in BASE_DIM1_INDICES
+    } | {(2, m) for m in BASE_DIM2_INDICES}
+
+
+@pytest.mark.parametrize("key", list(GOLDEN_SHA256), ids=lambda k: "-".join(map(str, k)))
+def test_golden_leaf_bytes(key):
+    text = certificate_dumps(_golden_cert(key))
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SHA256[key]
 
 
 # -- base catalogue ----------------------------------------------------------
@@ -238,6 +296,28 @@ def test_realize_far_cases():
         assert verify_certificate(cert, "trusting").passed
 
 
+def test_realize_is_flat_with_one_trailing_elliptic_leaf():
+    for n in range(3, 41):
+        for m in indices_with_phi_at_most(2 * n):
+            cert = realize(n, m)
+            assert certificate_dim(cert) == n - 1 and certificate_index(cert) == m, (n, m)
+            if not isinstance(cert, Product):
+                continue
+            factors = cert.factors
+            assert len(factors) >= 2, (n, m)
+            assert not any(isinstance(f, Product) for f in factors), (n, m)
+            elliptic = [i for i, f in enumerate(factors) if isinstance(f, EllipticLeaf)]
+            assert elliptic in ([], [len(factors) - 1]), (n, m)
+
+
+def test_realize_far_beyond_the_recursion_limit():
+    cert = realize(2000, 1)
+    back = certificate_loads(certificate_dumps(cert))
+    assert back == cert
+    report = verify_certificate(back, "strict")
+    assert report.passed and report.dim == 1999 and report.index == 1
+
+
 def test_monotone_padding():
     inner = realize(3, 8)
     padded = Product((inner, EllipticLeaf(3)))
@@ -315,7 +395,8 @@ def _failing_names(report):
 
 A_OBJ = certificate_to_obj(realize(4, 16))  # P(1,1,1,1) arrangement leaf
 B_OBJ = certificate_to_obj(WpsLeaf(build_index_prime(13)))  # family_A
-C_OBJ = certificate_to_obj(realize(5, 15))  # nested product
+# a nested product, in the shape realize emitted before it padded once
+C_OBJ = certificate_to_obj(Product((realize(4, 15), EllipticLeaf(1))))
 D_OBJ = certificate_to_obj(base_leaf(2, 10))  # plane arrangement
 E_OBJ = certificate_to_obj(base_leaf(1, 3))  # P^1 pair
 F_OBJ = certificate_to_obj(WpsLeaf(build_prime_power(3, 2)))  # family_C

@@ -53,6 +53,13 @@ def test_realize_precondition(capsys):
     assert "phi(23) = 22" in err and "6" in err
 
 
+def test_realize_high_dimension(capsys):
+    code, out, _ = run(capsys, "realize", "--dim", "600", "--index", "1")
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert payload["report"]["dim"] == 599 and payload["report"]["index"] == 1
+
+
 def test_realize_dim_too_small(capsys):
     code, _, err = run(capsys, "realize", "--dim", "2", "--index", "3")
     assert code == EXIT_PRECONDITION
@@ -95,6 +102,28 @@ def test_verify_truncated_json(capsys, tmp_path):
     code, _, err = run(capsys, "verify", str(out_file))
     assert code == EXIT_PARSE
     assert "parse error" in err and "line 1" in err
+
+
+def _nested_products(depth):
+    """Certificate text of `depth` nested products, each beside one elliptic curve."""
+    leaf = '{"v":1,"node":"elliptic_leaf","dim":1}'
+    return '{"v":1,"node":"product","factors":[' * depth + leaf + ("," + leaf + "]}") * depth
+
+
+def test_verify_deep_file_is_a_parse_error(capsys, tmp_path):
+    out_file = tmp_path / "deep.json"
+    out_file.write_text(_nested_products(3000))
+    code, _, err = run(capsys, "verify", str(out_file))
+    assert code == EXIT_PARSE
+    assert "parse error: $:" in err
+
+
+def test_verify_moderately_deep_file(capsys, tmp_path):
+    out_file = tmp_path / "deep.json"
+    out_file.write_text(_nested_products(300))
+    code, out, _ = run(capsys, "verify", str(out_file))
+    assert code == EXIT_OK
+    assert "dim: 301" in out
 
 
 def test_verify_missing_file(capsys, tmp_path):
