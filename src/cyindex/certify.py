@@ -19,8 +19,10 @@ leaf. Every split is coprime, so product indices are exact.
 
 The verifier recomputes everything from raw data: well-formedness,
 quasi-homogeneity, exact degree zero, standard coefficients, the index, the
-klt report, and the tree arithmetic. In strict mode a cited leaf fails
-verification; in trusting mode it is accepted and listed.
+klt report, and the tree arithmetic. A cited leaf must match a registered
+citation (today only Machida-Oguiso for index 14 in dimension 2), or it
+fails in every mode. In strict mode a registered cited leaf fails too; in
+trusting mode it is accepted and listed.
 """
 
 from __future__ import annotations
@@ -237,6 +239,9 @@ CITE_INDEX_14 = (
     "index 14; the quotient is a klt Calabi-Yau surface pair with standard "
     "coefficients and index 14."
 )
+
+# the only citations the verifier accepts, by (dimension, index)
+_CITATIONS = {(2, 14): CITE_INDEX_14}
 
 
 def _instantiate_plane(dim: int, combo) -> LogLeaf | None:
@@ -603,7 +608,10 @@ def _verify_node(cert: Certificate, mode: str, path: str,
                         isinstance(dim, int) and dim >= 1 and isinstance(index, int) and index >= 1,
                         f"dim {dim}, index {index}")
             cited.append({"path": path, "dim": dim, "index": index, "cite": cite})
-            if mode == "strict":
+            if not (ok and _CITATIONS.get((dim, index)) == cite):
+                _check(rep, "cited-leaf-registered", False,
+                       f"no registered citation for index {index} in dimension {dim} with this text")
+            elif mode == "strict":
                 _check(rep, "cited-leaf-strict", False,
                        "cited leaves are not machine checked; rerun in trusting mode")
             else:
@@ -632,7 +640,8 @@ def verify_certificate(cert: Certificate, mode: str = "strict") -> VerificationR
     quasi-homogeneity, pairwise-distinct entries, well-formedness, exact
     degree zero, the index, and the full klt report. For the tree: product
     arity, dimension sums and index lcms. Check failures are recorded in
-    the report, never thrown. Strict mode fails on any cited leaf.
+    the report, never thrown. A cited leaf passes only in trusting mode and
+    only when it matches a registered citation; strict mode fails on any.
     """
     if mode not in ("strict", "trusting"):
         raise ValueError(f"mode must be 'strict' or 'trusting', got {mode!r}")

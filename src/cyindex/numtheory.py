@@ -1,9 +1,10 @@
 """Exact integer arithmetic: totients, factorizations, index-set enumeration.
 
-Everything runs on plain Python integers with deterministic trial division.
-Inputs are desk scale (a few thousand at most), so there is no probabilistic
-primality machinery; the point of this module is to be auditable by
-inspection.
+Everything runs on plain Python integers: factorizations by deterministic
+trial division, and the index-set enumeration by a search over prime powers
+on top of a sieve of Eratosthenes. Inputs are desk scale (a few thousand at
+most), so there is no probabilistic primality machinery; the point of this
+module is to be auditable by inspection.
 
 The admissible-index predicates encode the numerical constraints satisfied by
 the index of a fixed-point-free finite-order automorphism of a strict
@@ -75,27 +76,48 @@ def euler_phi(m: int) -> int:
     return result
 
 
-def _phi_sieve(limit: int) -> list[int]:
-    """phi(0..limit) by the classic divisor sieve; exact, O(limit log log limit)."""
-    phi = list(range(limit + 1))
-    for p in range(2, limit + 1):
-        if phi[p] == p:  # p prime, untouched so far
-            for mult in range(p, limit + 1, p):
-                phi[mult] -= phi[mult] // p
-    return phi
+def _primes_upto(limit: int) -> list[int]:
+    """The primes p <= limit (limit >= 1), by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * (limit + 1)
+    sieve[0] = sieve[1] = 0
+    p = 2
+    while p * p <= limit:
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
+        p += 1
+    return [p for p in range(2, limit + 1) if sieve[p]]
 
 
 def indices_with_phi_at_most(bound: int) -> list[int]:
     """The complete, finite, sorted set {m >= 1 : phi(m) <= bound}.
 
-    Completeness: phi(m) >= sqrt(m/2) for every m >= 1, so any solution
-    satisfies m <= 2*bound**2 and scanning that far misses nothing.
+    Completeness: phi is multiplicative and phi(p^e) = (p - 1) p^(e - 1), so
+    m = prod p^e has phi(m) <= bound exactly when the product of those
+    factors is at most bound. Each factor is at least p - 1, so only primes
+    p <= bound + 1 occur. The search extends every partial product by powers
+    of ever larger primes while the totient stays within bound; its work
+    grows with the size of the output, not with the largest member.
     """
     if not isinstance(bound, int) or bound < 1:
         raise ValueError(f"bound must be a positive integer, got {bound!r}")
-    limit = 2 * bound * bound
-    phi = _phi_sieve(limit)
-    return [m for m in range(1, limit + 1) if phi[m] <= bound]
+    primes = _primes_upto(bound + 1)
+    members = [1]
+    stack = [(0, 1, 1)]  # (index of the first prime still allowed, m, phi(m))
+    while stack:
+        start, m, phi = stack.pop()
+        for i in range(start, len(primes)):
+            p = primes[i]
+            f = phi * (p - 1)
+            if f > bound:
+                break  # primes increase, so every later one overshoots too
+            q = p
+            while f <= bound:
+                members.append(m * q)
+                stack.append((i + 1, m * q, f))
+                q *= p
+                f *= p
+    members.sort()
+    return members
 
 
 FREE_INDEX_KINDS = (

@@ -10,6 +10,7 @@ from cyindex.certify import (
     BASE_DIM1_INDICES,
     BASE_DIM2_INDICES,
     CertificateParseError,
+    CITE_INDEX_14,
     CitedLeaf,
     EllipticLeaf,
     Product,
@@ -350,6 +351,18 @@ def test_verify_cited_leaf_reporting():
     assert ("$", "cited-leaf-strict") in report.failing_checks()
     trusting = verify_certificate(realize(3, 14), "trusting")
     assert trusting.passed and trusting.cited_leaves
+
+
+@pytest.mark.parametrize("leaf", [
+    CitedLeaf(1, 5, "trust me"),
+    CitedLeaf(2, 14, "trust me"),
+    CitedLeaf(2, 13, CITE_INDEX_14),
+])
+@pytest.mark.parametrize("mode", ["strict", "trusting"])
+def test_verify_unregistered_citation_fails(leaf, mode):
+    report = verify_certificate(Product((leaf, EllipticLeaf(1))), mode)
+    assert not report.passed and report.dim is None
+    assert ("$.factors[0]", "cited-leaf-registered") in report.failing_checks()
 
 
 def test_verify_product_of_elliptics():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -10,7 +11,7 @@ from cyindex.cli import (
     EXIT_VERIFY_FAILED,
     main,
 )
-from cyindex.numtheory import indices_with_phi_at_most
+from cyindex.numtheory import euler_phi, indices_with_phi_at_most
 
 
 def run(capsys, *argv):
@@ -96,6 +97,29 @@ def test_verify_tampered_b(capsys, tmp_path):
     assert "degree-zero" in out
 
 
+def test_verify_lying_citation_fails_in_trusting_mode(capsys, tmp_path):
+    # 5 is not an index in dimension 1: I(1) = {1, 2, 3, 4, 6}
+    out_file = tmp_path / "lie.json"
+    out_file.write_text('{"v":1,"node":"cited_leaf","dim":1,"index":5,"cite":"trust me"}')
+    code, out, _ = run(capsys, "verify", str(out_file), "--format", "json")
+    assert code == EXIT_VERIFY_FAILED
+    report = json.loads(out)
+    assert report["passed"] is False
+    failing = [c["name"] for r in report["leaf_reports"] for c in r["checks"] if not c["passed"]]
+    assert failing == ["cited-leaf-registered"]
+
+
+def test_verify_registered_citation_report_bytes(capsys, tmp_path):
+    out_file = tmp_path / "cert.json"
+    run(capsys, "realize", "--dim", "4", "--index", "14", "--out", str(out_file))
+    code, out, _ = run(capsys, "verify", str(out_file), "--format", "json")
+    assert code == EXIT_OK
+    # the report bytes from before the citation registry existed
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "f71271b006168b5e3287f746fee60b7129a07b76384aca17324861dcc8c1dfb9"
+    )
+
+
 def test_verify_truncated_json(capsys, tmp_path):
     out_file = tmp_path / "cert.json"
     out_file.write_text('{"v": 1, "node": "prod')
@@ -158,6 +182,14 @@ def test_enumerate_json(capsys):
     code, out, _ = run(capsys, "enumerate", "--phi-bound", "4", "--format", "json")
     assert code == EXIT_OK
     assert json.loads(out) == [1, 2, 3, 4, 5, 6, 8, 10, 12]
+
+
+def test_enumerate_large_bound_json(capsys):
+    code, out, _ = run(capsys, "enumerate", "--phi-bound", "5000", "--format", "json")
+    assert code == EXIT_OK
+    members = json.loads(out)
+    assert members == indices_with_phi_at_most(5000)
+    assert all(euler_phi(m) <= 5000 for m in members)
 
 
 # -- table -------------------------------------------------------------------

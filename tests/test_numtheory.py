@@ -100,6 +100,30 @@ def test_enumeration_matches_naive_filter():
         assert indices_with_phi_at_most(bound) == naive, bound
 
 
+def phi_sieve_members(bound: int) -> list[int]:
+    """Reference enumeration: the divisor sieve of phi over 1..2*bound**2,
+    complete because phi(m) >= sqrt(m/2)."""
+    limit = 2 * bound * bound
+    phi = list(range(limit + 1))
+    for p in range(2, limit + 1):
+        if phi[p] == p:  # p prime, untouched so far
+            for mult in range(p, limit + 1, p):
+                phi[mult] -= phi[mult] // p
+    return [m for m in range(1, limit + 1) if phi[m] <= bound]
+
+
+@pytest.mark.parametrize("bound", [100, 221, 442])
+def test_enumeration_matches_reference_sieve(bound):
+    assert indices_with_phi_at_most(bound) == phi_sieve_members(bound)
+
+
+def test_enumeration_bound_1600_pinned():
+    members = indices_with_phi_at_most(1600)
+    assert len(members) == 3122 and members[-1] == 7140
+    assert all(a < b for a, b in zip(members, members[1:]))
+    assert all(euler_phi(m) <= 1600 for m in members)
+
+
 def test_enumeration_monotone_in_bound():
     prev: set[int] = set()
     for bound in range(1, 65):
