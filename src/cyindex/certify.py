@@ -33,7 +33,7 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import lcm
 
-from .numtheory import euler_phi, factorize
+from .numtheory import euler_phi, factorize, indices_with_phi_at_most
 from .sncklt import KltReport, is_klt_leaf, plane_arrangement_snc
 from .wpspairs import (
     KLT_STRATEGIES,
@@ -232,7 +232,7 @@ _P2_CONICS = (
 _P1_PAIRS = {2: (2, 2, 2, 2), 3: (3, 3, 3), 4: (2, 4, 4), 6: (2, 3, 6)}
 
 BASE_DIM1_INDICES = (1, *_P1_PAIRS)
-BASE_DIM2_INDICES = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 18)
+BASE_DIM2_INDICES = tuple(indices_with_phi_at_most(6))
 
 CITE_INDEX_14 = (
     "Machida-Oguiso, Main Theorem 3: a K3 surface admits an automorphism of "
@@ -356,6 +356,9 @@ def realize(n: int, m: int) -> Certificate:
         raise ValueError(f"realize requires n >= 3, got {n!r}")
     if not isinstance(m, int) or m < 1:
         raise ValueError(f"realize requires a positive index, got {m!r}")
+    if m > 8 * n * n:
+        # phi(m) >= sqrt(m/2) > 2n, decided without factoring a huge m
+        raise ValueError(f"{m} > 8n^2 = {8 * n * n}, so phi({m}) > 2n = {2 * n}: index out of range")
     phi = euler_phi(m)
     if phi > 2 * n:
         raise ValueError(f"phi({m}) = {phi} > 2n = {2 * n}: index out of range")

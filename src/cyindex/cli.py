@@ -4,6 +4,10 @@ Commands: realize, verify, enumerate, table, search, selftest. Output is
 deterministic (byte-identical across identical invocations); JSON uses
 sorted keys and exact integer fractions.
 
+`table` renders each row from the certificate the base catalogue builds;
+`selftest` runs the invariant corpus cyindex.selftest, which the test suite
+runs too, and it checks under -O as well.
+
 Exit codes, fixed for scriptability:
   0   success (certificate verifies / search ran / selftest green)
   1   verification failed in the requested mode
@@ -19,26 +23,26 @@ import argparse
 import json
 import sys
 
-from . import certify, numtheory
 from .certify import (
     BASE_DIM1_INDICES,
+    BASE_DIM2_INDICES,
     CertificateParseError,
+    CitedLeaf,
+    EllipticLeaf,
     Product,
+    WpsLeaf,
     base_leaf,
-    build_index_prime,
-    build_prime_power,
     certificate_dumps,
-    certificate_index,
     certificate_loads,
-    check_dim_inequality,
+    certificate_to_obj,
     logleaf_to_obj,
     realize,
     search_plane_pair,
     verify_certificate,
 )
 from .numtheory import euler_phi, indices_with_phi_at_most
+from .selftest import CHECKS
 from .sncklt import is_klt_leaf
-from .wpspairs import log_degree, pair_index
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -130,23 +134,17 @@ def _dump_json(obj) -> None:
 
 def _cmd_realize(args) -> int:
     n, m = args.dim, args.index
-    if n < 3:
-        print(f"precondition failed: dim must be >= 3, got {n}", file=sys.stderr)
+    try:
+        cert = realize(n, m)
+    except ValueError as err:
+        print(f"precondition failed: {err}", file=sys.stderr)
         return EXIT_PRECONDITION
-    if m < 1:
-        print(f"precondition failed: index must be >= 1, got {m}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    phi = euler_phi(m)
-    if phi > 2 * n:
-        print(f"precondition failed: phi({m}) = {phi} > 2*dim = {2 * n}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    cert = realize(n, m)
     report = verify_certificate(cert, args.mode)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(certificate_dumps(cert) + "\n")
     if args.format == "json":
-        _dump_json({"certificate": certify.certificate_to_obj(cert), "report": report.as_obj()})
+        _dump_json({"certificate": certificate_to_obj(cert), "report": report.as_obj()})
     else:
         print(f"certificate: dimension {n - 1}, index {m}")
         _print_report_table(report)
@@ -184,54 +182,50 @@ def _cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
-_DIM2_STATUS = {
-    1: "constructed: abelian surface",
-    2: "constructed: P1 pair x elliptic curve",
-    3: "constructed: P1 pair x elliptic curve",
-    4: "constructed: P1 pair x elliptic curve",
-    6: "constructed: P1 pair x elliptic curve",
-    5: "constructed: weighted projective plane pair",
-    7: "constructed: weighted projective plane pair",
-    8: "constructed: prime power family (2^3)",
-    9: "constructed: prime power family (3^2)",
-    10: "constructed: plane arrangement 1/2 L + 4/5 C + 9/10 L'",
-    12: "constructed: product of P1 pairs (4 x 3)",
-    18: "constructed: plane arrangement, four lines",
-    14: "cited: K3 quotient (Machida-Oguiso)",
-}
+def _describe(cert) -> str:
+    """The node kinds of a certificate in one line, with the space, klt
+    strategy and coefficients of each explicit leaf and each citation's text."""
+    match cert:
+        case WpsLeaf(leaf):
+            coeffs = " ".join(str(c) for c, _ in leaf.entries)
+            return f"wps_leaf {leaf.space} {leaf.klt_strategy} [{coeffs}]"
+        case EllipticLeaf(dim):
+            return f"elliptic_leaf dim {dim}"
+        case CitedLeaf(_, _, cite):
+            return f"cited_leaf: {cite}"
+        case Product(factors):
+            return " x ".join(_describe(f) for f in factors)
+    raise TypeError(f"not a certificate node: {cert!r}")
 
-_DIM1_STATUS = {
-    1: "elliptic curve",
-    2: "P1, 1/2(P1+P2+P3+P4)",
-    3: "P1, 2/3(P1+P2+P3)",
-    4: "P1, 1/2 P1 + 3/4(P2+P3)",
-    6: "P1, 1/2 P1 + 2/3 P2 + 5/6 P3",
-}
+
+def _realization(d: int, m: int) -> str:
+    """The row of m in dimension d, read off the base catalogue: "constructed"
+    only when the base leaf strict-verifies with dimension d and index m."""
+    if d == 2 and m not in BASE_DIM2_INDICES:
+        return "cited: K3 quotient (Machida-Oguiso, Main Theorem 3)"
+    cert = base_leaf(d, m)
+    report = verify_certificate(cert, "strict")
+    checked = report.passed and (report.dim, report.index) == (d, m)
+    return f"{'constructed' if checked else 'cited'}: {_describe(cert)}"
 
 
 def _print_dim_table(d: int) -> None:
-    if d == 1:
-        members = BASE_DIM1_INDICES
-        print(f"I(1) members ({len(members)}): " + " ".join(map(str, members)))
-        print("   m  phi(m)  realization")
-        for m in members:
-            print(f"  {m:>2}  {euler_phi(m):>6}  {_DIM1_STATUS[m]}")
-        print("  complete by the classification of curve pairs")
+    if d > 2:
+        members = indices_with_phi_at_most(2 * (d + 1))
+        print(f"I({d}) certified lower bound ({len(members)}): " + " ".join(map(str, members)))
+        print(f"  every m with phi(m) <= {2 * (d + 1)} has an explicit certificate of")
+        print(f"  dimension {d}; completeness above dimension 2 is open.")
         return
-    if d == 2:
-        members = [m for m in indices_with_phi_at_most(20) if m != 60]
-        print(f"I(2) members ({len(members)}): " + " ".join(map(str, members)))
-        print("    m  phi(m)  realization")
-        for m in members:
-            status = _DIM2_STATUS.get(m, "cited: K3 quotient (Machida-Oguiso, Main Theorem 3)")
-            print(f"  {m:>3}  {euler_phi(m):>6}  {status}")
+    members = BASE_DIM1_INDICES if d == 1 else [m for m in indices_with_phi_at_most(20) if m != 60]
+    print(f"I({d}) members ({len(members)}): " + " ".join(map(str, members)))
+    print("    m  phi(m)  realization")
+    for m in members:
+        print(f"  {m:>3}  {euler_phi(m):>6}  {_realization(d, m)}")
+    if d == 1:
+        print("  complete by the classification of curve pairs")
+    else:
         print("  rule: 60 is excluded (phi(60) = 16, but 60 is not the index of any")
         print("  K3 automorphism, Machida-Oguiso); membership above is not decided here.")
-        return
-    members = indices_with_phi_at_most(2 * (d + 1))
-    print(f"I({d}) certified lower bound ({len(members)}): " + " ".join(map(str, members)))
-    print(f"  every m with phi(m) <= {2 * (d + 1)} has an explicit certificate of")
-    print(f"  dimension {d}; completeness above dimension 2 is open.")
 
 
 def _cmd_table(args) -> int:
@@ -266,154 +260,11 @@ def _cmd_search(args) -> int:
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# selftest
-# ---------------------------------------------------------------------------
-
-
-def _selftest_totients():
-    assert euler_phi(1) == 1 and euler_phi(60) == 16 and euler_phi(12) == 4
-    from math import gcd
-
-    for a in (3, 4, 7, 9, 16, 25, 99, 128, 243, 1000):
-        for b in (5, 8, 11, 27, 49, 121, 625):
-            if gcd(a, b) == 1:
-                assert euler_phi(a * b) == euler_phi(a) * euler_phi(b), (a, b)
-    for m in range(1, 2001):
-        phi = euler_phi(m)
-        assert phi == 1 or phi % 2 == 0, m
-    prev: list[int] = []
-    for bound in range(1, 25):
-        members = indices_with_phi_at_most(bound)
-        if bound <= 12:
-            naive = [m for m in range(1, 2 * bound * bound + 1) if euler_phi(m) <= bound]
-            assert members == naive, bound
-        assert set(prev) <= set(members), bound
-        prev = members
-    assert numtheory.sylvester_bound(2) == 6 and numtheory.sylvester_bound(3) == 66
-
-
-def _selftest_degree_sweeps():
-    for m in range(5, 402, 2):
-        leaf = build_index_prime(m)
-        assert log_degree(leaf) == 0, m
-        assert pair_index(leaf) == m, m
-    for m in range(2, 13):
-        for e in range(2, 13):
-            leaf = build_prime_power(m, e)
-            assert log_degree(leaf) == 0, (m, e)
-            assert pair_index(leaf) == m**e, (m, e)
-
-
-def _selftest_inequality():
-    for m in range(2, 51):
-        for e in range(2, 51):
-            if (m, e) not in ((2, 2), (2, 3)):
-                assert check_dim_inequality(m, e, 1), (m, e)
-            if m >= 3 and (m, e) != (3, 2):
-                assert check_dim_inequality(m, e, 2), (m, e)
-    for bad, variant in (((2, 2), 1), ((2, 3), 1), ((3, 2), 2)):
-        try:
-            check_dim_inequality(*bad, variant)
-        except ValueError:
-            pass
-        else:
-            raise AssertionError(f"{bad} variant {variant} not rejected")
-
-
-def _selftest_klt():
-    for m in (2, 3, 4, 6):
-        assert is_klt_leaf(base_leaf(1, m).leaf).passed, m
-    for m in (5, 7, 9, 13, 401):
-        assert is_klt_leaf(build_index_prime(m)).passed, m
-    for m, e in ((2, 3), (3, 2), (2, 12), (5, 4)):
-        assert is_klt_leaf(build_prime_power(m, e)).passed, (m, e)
-    assert is_klt_leaf(base_leaf(2, 10).leaf).passed
-    assert is_klt_leaf(base_leaf(2, 18).leaf).passed
-    # tampered: coincident points, tangent line-conic, concurrent lines
-    from .wpspairs import LogLeaf, SparsePoly, StdCoeff, Wps
-
-    twice = LogLeaf(
-        Wps((1, 1)),
-        ((StdCoeff(2), SparsePoly.linear_form((0, 1))),
-         (StdCoeff(3), SparsePoly.linear_form((0, 2)))),
-        "hyperplane_arrangement",
-    )
-    assert not is_klt_leaf(twice).passed
-    tangent = LogLeaf(
-        Wps((1, 1, 1)),
-        ((StdCoeff(2), SparsePoly.linear_form((1, 0, 0))),
-         (StdCoeff(3), SparsePoly.from_terms(3, [(1, (1, 0, 1)), (-1, (0, 2, 0))]))),
-        "plane_arrangement",
-    )
-    assert not is_klt_leaf(tangent).passed
-    concurrent = LogLeaf(
-        Wps((1, 1, 1)),
-        ((StdCoeff(2), SparsePoly.linear_form((1, 0, 0))),
-         (StdCoeff(3), SparsePoly.linear_form((0, 1, 0))),
-         (StdCoeff(6), SparsePoly.linear_form((1, 1, 0)))),
-        "plane_arrangement",
-    )
-    assert not is_klt_leaf(concurrent).passed
-
-
-def _selftest_realize():
-    for n in range(3, 9):
-        for m in indices_with_phi_at_most(2 * n):
-            cert = realize(n, m)
-            report = verify_certificate(cert, "trusting")
-            assert report.passed and report.dim == n - 1 and report.index == m, (n, m)
-            strict = verify_certificate(cert, "strict")
-            assert strict.passed == (m != 14), (n, m)
-            _assert_coprime_products(cert)
-
-
-def _assert_coprime_products(cert):
-    from math import gcd
-
-    if isinstance(cert, Product):
-        idxs = [certificate_index(f) for f in cert.factors]
-        for i in range(len(idxs)):
-            for j in range(i + 1, len(idxs)):
-                assert gcd(idxs[i], idxs[j]) == 1, idxs
-        for f in cert.factors:
-            _assert_coprime_products(f)
-
-
-def _selftest_search():
-    hits = {m for m in range(2, 13) if search_plane_pair(1, m) is not None}
-    assert hits == {2, 3, 4, 6}, hits
-    assert search_plane_pair(2, 10) == base_leaf(2, 10).leaf
-    assert search_plane_pair(2, 18) == base_leaf(2, 18).leaf
-
-
-def _selftest_serialization():
-    cert = realize(5, 15)
-    assert certificate_loads(certificate_dumps(cert)) == cert
-    try:
-        certificate_loads("{\"v\": 1, \"node\": \"wps_leaf\"}")
-    except CertificateParseError:
-        pass
-    else:
-        raise AssertionError("missing fields not rejected")
-
-
-_SELFTESTS = (
-    ("totients and enumeration", _selftest_totients),
-    ("degree and index sweeps", _selftest_degree_sweeps),
-    ("dimension inequality", _selftest_inequality),
-    ("klt corpus", _selftest_klt),
-    ("realize round-trip (n <= 8)", _selftest_realize),
-    ("plane search ground truth", _selftest_search),
-    ("certificate serialization", _selftest_serialization),
-)
-
-
 def _cmd_selftest(_args) -> int:
-    for name, fn in _SELFTESTS:
+    for name, check in CHECKS:
         try:
-            fn()
-        except AssertionError as err:
+            check()
+        except Exception as err:  # a failed check, or a library call raising on corpus input
             print(f"FAIL: {name}: {err}")
             return EXIT_INTERNAL
         print(f"ok: {name}")

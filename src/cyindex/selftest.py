@@ -1,0 +1,190 @@
+"""The invariant corpus behind `cyindex selftest` and the acceptance tests.
+
+`CHECKS` is the ordered tuple of (name, check). Each check raises AssertionError naming the
+failing input, explicitly rather than by `assert`, so it still checks under `python -O`.
+"""
+
+from __future__ import annotations
+
+from math import gcd, lcm, prod
+
+from .certify import (
+    CertificateParseError,
+    Product,
+    base_leaf,
+    build_index_prime,
+    build_prime_power,
+    certificate_dumps,
+    certificate_index,
+    certificate_loads,
+    check_dim_inequality,
+    realize,
+    search_plane_pair,
+    verify_certificate,
+)
+from .numtheory import euler_phi, indices_with_phi_at_most, sylvester_bound
+from .sncklt import is_klt_leaf, plane_arrangement_snc
+from .wpspairs import LogLeaf, SparsePoly, StdCoeff, Wps, log_degree, pair_index
+
+
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise AssertionError(message)
+
+
+def _family_leaves():
+    """(call, leaf, index) over both family grids: odd 5 <= m <= 401, and m^e for 2 <= m, e <= 12."""
+    for m in range(5, 402, 2):
+        yield f"build_index_prime({m})", build_index_prime(m), m
+    for m in range(2, 13):
+        for e in range(2, 13):
+            yield f"build_prime_power({m}, {e})", build_prime_power(m, e), m**e
+
+
+def check_totients() -> None:
+    """Totient values, multiplicativity and parity, the enumeration against a
+    naive filter and its monotonicity, and the Sylvester bound for n = 2, 3."""
+    for m, want in ((1, 1), (12, 4), (60, 16)):
+        got = euler_phi(m)
+        _require(got == want, f"euler_phi({m}) = {got}, expected {want}")
+    for a in (3, 4, 7, 9, 16, 25, 99, 128, 243, 1000):
+        for b in (5, 8, 11, 27, 49, 121, 625):
+            if gcd(a, b) == 1 and euler_phi(a * b) != euler_phi(a) * euler_phi(b):
+                raise AssertionError(f"euler_phi({a * b}) != euler_phi({a}) * euler_phi({b})")
+    for m in range(1, 2001):
+        phi = euler_phi(m)
+        _require(phi == 1 or phi % 2 == 0, f"euler_phi({m}) = {phi} is odd")
+    prev = []
+    for bound in range(1, 25):
+        members = indices_with_phi_at_most(bound)
+        if bound <= 12:
+            naive = [m for m in range(1, 2 * bound * bound + 1) if euler_phi(m) <= bound]
+            _require(members == naive, f"indices_with_phi_at_most({bound}) = {members}, expected {naive}")
+        _require(set(prev) <= set(members), f"indices_with_phi_at_most({bound}) drops one of {prev}")
+        prev = members
+    for n, want in ((2, 6), (3, 66)):
+        got = sylvester_bound(n)
+        _require(got == want, f"sylvester_bound({n}) = {got}, expected {want}")
+
+
+def check_log_degrees() -> None:
+    """Every leaf of both family grids has log degree exactly 0."""
+    for call, leaf, _ in _family_leaves():
+        d = log_degree(leaf)
+        _require(d == 0, f"log_degree({call}) = {d}, expected 0")
+
+
+def check_pair_indices() -> None:
+    """Every leaf of both family grids has the index it was built for."""
+    for call, leaf, index in _family_leaves():
+        got = pair_index(leaf)
+        _require(got == index, f"pair_index({call}) = {got}, expected {index}")
+
+
+def check_dim_inequalities() -> None:
+    """The padding inequality on 2 <= m, e <= 50 in both variants; the excluded pairs are rejected."""
+    for m in range(2, 51):
+        for e in range(2, 51):
+            if (m, e) not in ((2, 2), (2, 3)):
+                _require(check_dim_inequality(m, e, 1), f"check_dim_inequality({m}, {e}, 1) is False")
+            if m >= 3 and (m, e) != (3, 2):
+                _require(check_dim_inequality(m, e, 2), f"check_dim_inequality({m}, {e}, 2) is False")
+    for m, e, variant in ((2, 2, 1), (2, 3, 1), (3, 2, 2)):
+        try:
+            check_dim_inequality(m, e, variant)
+        except ValueError:
+            continue
+        raise AssertionError(f"check_dim_inequality({m}, {e}, {variant}) accepts an excluded pair")
+
+
+def _not_klt_leaves():
+    """(name, leaf) for boundaries that are not simple normal crossing."""
+    line = SparsePoly.linear_form
+    conic = SparsePoly.from_terms(3, [(1, (1, 0, 1)), (-1, (0, 2, 0))])
+    p1, p2 = Wps((1, 1)), Wps((1, 1, 1))
+    cases = {
+        "two coincident points on P^1": (p1, [(2, line((0, 1))), (3, line((0, 2)))]),
+        "three points on P^1, two coincident": (p1, [(2, line((0, 1))), (3, line((0, 3))), (6, line((1, 0)))]),
+        "three concurrent lines": (p2, [(2, line((1, 0, 0))), (3, line((0, 1, 0))), (6, line((1, 1, 0)))]),
+        "a line tangent to a conic with b = 3": (p2, [(2, line((1, 0, 0))), (3, conic)]),
+        "a line tangent to a conic with b = 4": (p2, [(2, line((1, 0, 0))), (4, conic)]),
+    }
+    for name, (space, entries) in cases.items():
+        strategy = "hyperplane_arrangement" if space.dim == 1 else "plane_arrangement"
+        yield name, LogLeaf(space, tuple((StdCoeff(b), eq) for b, eq in entries), strategy)
+
+
+def check_klt() -> None:
+    """The klt checker passes every family and catalogue leaf and fails the tampered arrangements."""
+    for call, leaf, _ in _family_leaves():
+        _require(is_klt_leaf(leaf).passed, f"is_klt_leaf({call}) fails")
+    for dim, m in ((1, 2), (1, 3), (1, 4), (1, 6), (2, 10), (2, 18)):
+        _require(is_klt_leaf(base_leaf(dim, m).leaf).passed, f"is_klt_leaf(base_leaf({dim}, {m}).leaf) fails")
+    for name, leaf in _not_klt_leaves():
+        _require(not is_klt_leaf(leaf).passed, f"is_klt_leaf passes {name}")
+
+
+def check_realize() -> int:
+    """realize(n, m) for 3 <= n <= 10 and phi(m) <= 2n verifies in trusting mode with dimension
+    n - 1 and index m, in strict mode iff m != 14, with pairwise coprime factor indices.
+    Returns the number of pairs."""
+    pairs = 0
+    for n in range(3, 11):
+        for m in indices_with_phi_at_most(2 * n):
+            call = f"realize({n}, {m})"
+            cert = realize(n, m)
+            report = verify_certificate(cert, "trusting")
+            _require(report.passed, f"{call} fails trusting verification: {report.failing_checks()}")
+            _require((report.dim, report.index) == (n - 1, m),
+                     f"{call} verifies as dimension {report.dim}, index {report.index}")
+            strict = verify_certificate(cert, "strict").passed
+            _require(strict == (m != 14), f"{call} strict verification gives {strict}")
+            if isinstance(cert, Product):
+                idxs = [certificate_index(f) for f in cert.factors]
+                _require(prod(idxs) == lcm(*idxs), f"{call} has factor indices {idxs}, not pairwise coprime")
+            pairs += 1
+    _require(pairs >= 200, f"only {pairs} pairs with 3 <= n <= 10")
+    return pairs
+
+
+def check_search() -> None:
+    """On P^1 the plane search finds exactly the indices 2, 3, 4 and 6 among
+    2 <= m <= 20; on P^2 it finds the catalogue arrangements for 10 and 18,
+    which re-verify."""
+    hits = set()
+    for m in range(2, 21):
+        leaf = search_plane_pair(1, m)
+        if leaf is not None:
+            hits.add(m)
+            _require(pair_index(leaf) == m, f"search_plane_pair(1, {m}) has index {pair_index(leaf)}")
+    _require(hits == {2, 3, 4, 6}, f"search_plane_pair(1, m) finds m = {sorted(hits)}, expected 2, 3, 4, 6")
+    for m in (10, 18):
+        call = f"search_plane_pair(2, {m})"
+        leaf = search_plane_pair(2, m)
+        _require(leaf == base_leaf(2, m).leaf, f"{call} is not base_leaf(2, {m}).leaf")
+        _require(pair_index(leaf) == m, f"{call} has index {pair_index(leaf)}")
+        _require(plane_arrangement_snc(leaf.equations()), f"{call} is not simple normal crossing")
+        _require(is_klt_leaf(leaf).passed, f"is_klt_leaf({call}) fails")
+
+
+def check_serialization() -> None:
+    """A product survives dumps and loads; a leaf with missing fields is a parse error."""
+    cert = realize(5, 15)
+    _require(certificate_loads(certificate_dumps(cert)) == cert, "realize(5, 15) changes in a round trip")
+    try:
+        certificate_loads('{"v": 1, "node": "wps_leaf"}')
+    except CertificateParseError:
+        return
+    raise AssertionError("certificate_loads accepts a wps_leaf without weights, strategy or entries")
+
+
+CHECKS = (
+    ("totients and enumeration", check_totients),
+    ("log degree zero on both families", check_log_degrees),
+    ("pair index on both families", check_pair_indices),
+    ("dimension inequality", check_dim_inequalities),
+    ("klt corpus", check_klt),
+    ("realize round-trip (n <= 10)", check_realize),
+    ("plane search ground truth", check_search),
+    ("certificate serialization", check_serialization),
+)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
 
 __all__ = [
@@ -309,13 +310,13 @@ def is_well_formed(space: Wps) -> bool:
     what makes the degree grading on the class group faithful.
     """
     w = space.weights
-    for i in range(len(w)):
-        rest = w[:i] + w[i + 1 :]
-        g = 0
-        for a in rest:
-            g = gcd(g, a)
-        if g != 1:
+    # linear: rest_gcd[k] is the gcd of the last k weights, prefix that of the first i
+    rest_gcd = list(accumulate(reversed(w), gcd, initial=0))
+    prefix = 0
+    for i, a in enumerate(w):
+        if gcd(prefix, rest_gcd[len(w) - 1 - i]) != 1:
             return False
+        prefix = gcd(prefix, a)
     return True
 
 

@@ -8,21 +8,9 @@ stated wall-clock budgets, which are asserted as given.
 import time
 from math import gcd
 
-import pytest
-
-from cyindex.certify import (
-    base_leaf,
-    build_index_prime,
-    build_prime_power,
-    check_dim_inequality,
-    realize,
-    search_plane_pair,
-    verify_certificate,
-)
+from cyindex import selftest as corpus
 from cyindex.cli import main
 from cyindex.numtheory import euler_phi, indices_with_phi_at_most, sylvester_bound
-from cyindex.sncklt import is_klt_leaf, plane_arrangement_snc
-from cyindex.wpspairs import LogLeaf, SparsePoly, StdCoeff, Wps, log_degree, pair_index
 
 
 class Timer:
@@ -54,6 +42,7 @@ def test_criterion_01_totient_tables():
             got = [m for m in members if m <= 1000]
             want = [m for m in range(1, 1001) if oracle_phi[m] <= bound]
             assert got == want, bound
+        corpus.check_totients()
     _report(1, "totient tables match the brute-force oracle", t, 1.0)
 
 
@@ -77,91 +66,31 @@ def test_criterion_02_low_dimension_tables(capsys):
 
 def test_criterion_03_degree_zero_identities():
     with Timer() as t:
-        for m in range(5, 402, 2):
-            assert log_degree(build_index_prime(m)) == 0, m
-        for m in range(2, 13):
-            for e in range(2, 13):
-                assert log_degree(build_prime_power(m, e)) == 0, (m, e)
+        corpus.check_log_degrees()
     _report(3, "log degree exactly 0 on both family grids", t, 1.0)
 
 
 def test_criterion_04_index_identities():
     with Timer() as t:
-        for m in range(5, 402, 2):
-            assert pair_index(build_index_prime(m)) == m, m
-        for m in range(2, 13):
-            for e in range(2, 13):
-                assert pair_index(build_prime_power(m, e)) == m**e, (m, e)
+        corpus.check_pair_indices()
     _report(4, "pair indices match m and m^e on both grids", t, 1.0)
 
 
 def test_criterion_05_dimension_inequality():
     with Timer() as t:
-        for m in range(2, 51):
-            for e in range(2, 51):
-                if (m, e) not in ((2, 2), (2, 3)):
-                    assert check_dim_inequality(m, e, 1), (m, e)
-                if m >= 3 and (m, e) != (3, 2):
-                    assert check_dim_inequality(m, e, 2), (m, e)
-        for bad, variant in (((2, 2), 1), ((2, 3), 1), ((3, 2), 2)):
-            with pytest.raises(ValueError):
-                check_dim_inequality(*bad, variant)
+        corpus.check_dim_inequalities()
     _report(5, "padding inequality holds; excluded pairs rejected", t, 1.0)
 
 
 def test_criterion_06_klt_checks():
     with Timer() as t:
-        for m in range(5, 402, 2):
-            assert is_klt_leaf(build_index_prime(m)).passed, m
-        for m in range(2, 13):
-            for e in range(2, 13):
-                assert is_klt_leaf(build_prime_power(m, e)).passed, (m, e)
-        for m in (2, 3, 4, 6):
-            assert is_klt_leaf(base_leaf(1, m).leaf).passed, m
-        # tampered counterexamples
-        coincident = LogLeaf(
-            Wps((1, 1)),
-            (
-                (StdCoeff(2), SparsePoly.linear_form((0, 1))),
-                (StdCoeff(3), SparsePoly.linear_form((0, 3))),
-                (StdCoeff(6), SparsePoly.linear_form((1, 0))),
-            ),
-            "hyperplane_arrangement",
-        )
-        assert not is_klt_leaf(coincident).passed
-        conic = SparsePoly.from_terms(3, [(1, (1, 0, 1)), (-1, (0, 2, 0))])
-        tangent = LogLeaf(
-            Wps((1, 1, 1)),
-            ((StdCoeff(2), SparsePoly.linear_form((1, 0, 0))), (StdCoeff(4), conic)),
-            "plane_arrangement",
-        )
-        assert not is_klt_leaf(tangent).passed
-        concurrent = LogLeaf(
-            Wps((1, 1, 1)),
-            (
-                (StdCoeff(2), SparsePoly.linear_form((1, 0, 0))),
-                (StdCoeff(3), SparsePoly.linear_form((0, 1, 0))),
-                (StdCoeff(6), SparsePoly.linear_form((1, 1, 0))),
-            ),
-            "plane_arrangement",
-        )
-        assert not is_klt_leaf(concurrent).passed
+        corpus.check_klt()
     _report(6, "klt checks pass on all family leaves, fail on tampered ones", t, 10.0)
 
 
 def test_criterion_07_main_theorem_desk_scale():
     with Timer() as t:
-        pairs = 0
-        for n in range(3, 11):
-            for m in indices_with_phi_at_most(2 * n):
-                cert = realize(n, m)
-                report = verify_certificate(cert, "trusting")
-                assert report.passed, (n, m, report.failing_checks())
-                assert report.dim == n - 1 and report.index == m, (n, m)
-                strict = verify_certificate(cert, "strict")
-                assert strict.passed == (m != 14), (n, m)
-                pairs += 1
-        assert pairs >= 200
+        pairs = corpus.check_realize()
     _report(7, f"realize+verify on all {pairs} grid pairs (3 <= n <= 10)", t, 60.0)
 
 
@@ -180,18 +109,7 @@ def test_criterion_08_tamper_suite():
 
 def test_criterion_09_search_ground_truth():
     with Timer() as t:
-        hits = set()
-        for m in range(2, 21):
-            leaf = search_plane_pair(1, m)
-            if leaf is not None:
-                hits.add(m)
-                assert pair_index(leaf) == m
-        assert hits == {2, 3, 4, 6}
-        for m in (10, 18):
-            leaf = search_plane_pair(2, m)
-            assert leaf is not None and pair_index(leaf) == m
-            assert plane_arrangement_snc(leaf.equations())
-            assert is_klt_leaf(leaf).passed
+        corpus.check_search()
     _report(9, "plane searches match the classification and re-verify", t, 30.0)
 
 

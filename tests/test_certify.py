@@ -2,7 +2,7 @@ import copy
 import hashlib
 import json
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 import pytest
 
@@ -212,15 +212,6 @@ def test_inequality_examples():
         check_dim_inequality(2, 5, 2)  # variant 2 needs m >= 3
 
 
-def test_inequality_sweep():
-    for m in range(2, 51):
-        for e in range(2, 51):
-            if (m, e) not in ((2, 2), (2, 3)):
-                assert check_dim_inequality(m, e, 1), (m, e)
-            if m >= 3 and (m, e) != (3, 2):
-                assert check_dim_inequality(m, e, 2), (m, e)
-
-
 # -- realize -----------------------------------------------------------------
 
 
@@ -254,27 +245,6 @@ def test_realize_rejects_out_of_range():
 
 def test_realize_deterministic():
     assert certificate_dumps(realize(9, 27)) == certificate_dumps(realize(9, 27))
-
-
-def _walk_products(cert):
-    if isinstance(cert, Product):
-        yield cert
-        for f in cert.factors:
-            yield from _walk_products(f)
-
-
-def test_realize_products_have_coprime_children():
-    for n in range(3, 11):
-        for m in indices_with_phi_at_most(2 * n):
-            for node in _walk_products(realize(n, m)):
-                idxs = [certificate_index(f) for f in node.factors]
-                for i in range(len(idxs)):
-                    for j in range(i + 1, len(idxs)):
-                        assert gcd(idxs[i], idxs[j]) == 1, (n, m, idxs)
-                prod = 1
-                for ix in idxs:
-                    prod *= ix
-                assert prod == lcm(*idxs)
 
 
 def test_realize_far_cases():
@@ -327,20 +297,6 @@ def test_monotone_padding():
 
 
 # -- verify ------------------------------------------------------------------
-
-
-def test_verify_roundtrip_grid():
-    for n in range(3, 11):
-        for m in indices_with_phi_at_most(2 * n):
-            cert = realize(n, m)
-            report = verify_certificate(cert, "trusting")
-            assert report.passed and report.dim == n - 1 and report.index == m, (
-                n,
-                m,
-                report.failing_checks(),
-            )
-            strict = verify_certificate(cert, "strict")
-            assert strict.passed == (m != 14), (n, m)
 
 
 def test_verify_cited_leaf_reporting():

@@ -1,9 +1,15 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import cyindex.certify
+from cyindex.certify import BASE_DIM2_INDICES, base_leaf, realize, verify_certificate
 from cyindex.cli import (
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_PRECONDITION,
@@ -12,6 +18,7 @@ from cyindex.cli import (
     main,
 )
 from cyindex.numtheory import euler_phi, indices_with_phi_at_most
+from cyindex.selftest import CHECKS
 
 
 def run(capsys, *argv):
@@ -52,6 +59,16 @@ def test_realize_precondition(capsys):
     code, _, err = run(capsys, "realize", "--dim", "3", "--index", "23")
     assert code == EXIT_PRECONDITION
     assert "phi(23) = 22" in err and "6" in err
+
+
+def test_realize_huge_index_is_a_precondition_failure(capsys, monkeypatch):
+    # factoring 2^89 - 1 would take days, so realize must reject it without euler_phi
+    monkeypatch.setattr(cyindex.certify, "euler_phi", None)
+    with pytest.raises(ValueError, match="out of range"):
+        realize(3, 2**89 - 1)
+    code, out, err = run(capsys, "realize", "--dim", "3", "--index", str(2**89 - 1))
+    assert code == EXIT_PRECONDITION and out == ""
+    assert err.startswith("precondition failed: ") and "out of range" in err
 
 
 def test_realize_high_dimension(capsys):
@@ -211,6 +228,20 @@ def test_table_dim1_and_dim2(capsys):
     assert i2 == expected
     assert 66 in i2 and 60 not in i2 and 64 not in i2
     assert "Machida-Oguiso" in out
+    # the rows are rendered from the base catalogue
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "ca018566262c9bc0edb967634b2f1b00fad5826322e6da984e14c054c416003f"
+    )
+
+
+def test_table_constructed_rows_are_the_strictly_verified_base_leaves(capsys):
+    code, out, _ = run(capsys, "table", "--dims", "2")
+    assert code == EXIT_OK
+    constructed = {int(line.split()[0]) for line in out.splitlines() if "  constructed: " in line}
+    reports = {m: verify_certificate(base_leaf(2, m), "strict") for m in BASE_DIM2_INDICES}
+    verified = {m for m, r in reports.items() if r.passed and (r.dim, r.index) == (2, m)}
+    assert constructed == verified == set(BASE_DIM2_INDICES) - {14}
+    assert BASE_DIM2_INDICES == (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 18)
 
 
 def test_table_dim3_lower_bound(capsys):
@@ -267,4 +298,30 @@ def test_selftest_green(capsys):
     assert code == EXIT_OK
     lines = [l for l in out.splitlines() if l.strip()]
     assert all(l.startswith("ok: ") for l in lines)
-    assert len(lines) == 7
+    assert len(lines) == 8
+
+
+def _python_O(*args):
+    return subprocess.run([sys.executable, "-O", *args], capture_output=True, text=True,
+                          timeout=300, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+
+
+def test_selftest_green_under_O():
+    proc = _python_O("-m", "cyindex.cli", "selftest")
+    assert proc.returncode == EXIT_OK, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines() == [f"ok: {name}" for name, _ in CHECKS]
+
+
+@pytest.mark.parametrize("patch,fail", [
+    ("phi = corpus.euler_phi; corpus.euler_phi = lambda m: phi(m) + (m == 12)",
+     "FAIL: totients and enumeration: euler_phi(12) = 5, expected 4"),
+    # a P^1 leaf of log degree 2/5, on which pair_index raises ValueError
+    ("search = corpus.search_plane_pair; corpus.search_plane_pair = lambda d, m: "
+     "c._instantiate_plane(1, [(5, 1)] * 3) if (d, m) == (1, 5) else search(d, m)",
+     "FAIL: plane search ground truth: pair_index requires log degree 0, got 2/5"),
+], ids=["wrong-value", "library-raises"])
+def test_selftest_fails_under_O_with_a_message(patch, fail):
+    setup = "import sys; import cyindex.certify as c; import cyindex.selftest as corpus"
+    proc = _python_O("-c", f"{setup}; {patch}; from cyindex.cli import main; sys.exit(main(['selftest']))")
+    assert proc.returncode == EXIT_INTERNAL, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1] == fail

@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cyindex.certify import build_index_prime, build_prime_power
 from cyindex.wpspairs import (
@@ -67,6 +70,26 @@ def test_well_formed_with_two_units():
     for _ in range(50):
         weights = [random.randint(1, 9) for _ in range(random.randint(1, 4))] + [1, 1]
         assert is_well_formed(Wps(tuple(weights)))
+
+
+def _well_formed_by_definition(weights) -> bool:
+    """The quadratic reference: drop each weight in turn and take the gcd of the rest."""
+    for i in range(len(weights)):
+        g = 0
+        for a in weights[:i] + weights[i + 1 :]:
+            g = gcd(g, a)
+        if g != 1:
+            return False
+    return True
+
+
+@settings(max_examples=300, derandomize=True)
+@given(st.lists(st.one_of(st.just(1), st.integers(1, 36)), min_size=2, max_size=12))
+@example([1, 1])
+@example([6, 10, 15])
+@example([4, 4, 2, 1, 1])
+def test_well_formed_matches_the_definition(weights):
+    assert is_well_formed(Wps(tuple(weights))) == _well_formed_by_definition(tuple(weights))
 
 
 # -- degrees -----------------------------------------------------------------
