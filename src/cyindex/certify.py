@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations_with_replacement
 from math import lcm
 
 from .numtheory import euler_phi, factorize, indices_with_phi_at_most
@@ -42,8 +42,8 @@ from .wpspairs import (
     SparsePoly,
     StdCoeff,
     Wps,
+    canonical_degree,
     is_well_formed,
-    log_degree,
     pair_index,
     weighted_degree,
 )
@@ -517,6 +517,8 @@ def _check(rep: NodeReport, name: str, ok: bool, detail: str = "") -> bool:
 
 
 def _verify_wps_leaf(leaf: LogLeaf, rep: NodeReport) -> tuple[int | None, int | None]:
+    """The checks of one explicit leaf, each fact computed once, so the cost
+    is linear in the leaf's size (its entries times its variables)."""
     space = leaf.space
     _check(rep, "weights-valid", len(space.weights) >= 2 and all(a >= 1 for a in space.weights),
            str(space))
@@ -531,7 +533,7 @@ def _verify_wps_leaf(leaf: LogLeaf, rep: NodeReport) -> tuple[int | None, int | 
         if eq.nvars != nv:
             shape_ok, shape_detail = False, f"equation in {eq.nvars} variables on {space}"
             break
-        if not eq.variables():
+        if not any(any(exps) for _, exps in eq.monomials):
             shape_ok, shape_detail = False, "constant equation cuts out no divisor"
             break
     if not leaf.entries:
@@ -546,6 +548,7 @@ def _verify_wps_leaf(leaf: LogLeaf, rep: NodeReport) -> tuple[int | None, int | 
            " ".join(str(c) for c, _ in leaf.entries))
 
     qh_ok, qh_detail = shape_ok, "not evaluated (entry shape invalid)"
+    degs: list[int] = []
     if shape_ok:
         try:
             degs = [weighted_degree(eq, space) for _, eq in leaf.entries]
@@ -554,13 +557,9 @@ def _verify_wps_leaf(leaf: LogLeaf, rep: NodeReport) -> tuple[int | None, int | 
             qh_ok, qh_detail = False, str(err)
     _check(rep, "quasi-homogeneous", qh_ok, qh_detail)
 
-    distinct = True
-    eqs = [eq for _, eq in leaf.entries]
-    for i, j in combinations(range(len(eqs)), 2):
-        if eqs[i].proportional_to(eqs[j]):
-            distinct = False
-            break
-    _check(rep, "entries-distinct", distinct)
+    # proportional equations share a projective key
+    keys = {eq.projective_key() for _, eq in leaf.entries}
+    _check(rep, "entries-distinct", len(keys) == len(leaf.entries))
 
     wf = is_well_formed(space)
     _check(rep, "well-formed", wf, str(space))
@@ -568,14 +567,15 @@ def _verify_wps_leaf(leaf: LogLeaf, rep: NodeReport) -> tuple[int | None, int | 
     deg_ok = False
     deg_detail = ""
     if shape_ok and qh_ok:
-        d = log_degree(leaf)
+        # log_degree, from the degrees above
+        d = Fraction(canonical_degree(space)) + sum(
+            coeff.value() * deg for (coeff, _), deg in zip(leaf.entries, degs))
         deg_ok = d == 0
         deg_detail = f"log degree {d}"
     _check(rep, "degree-zero", deg_ok, deg_detail)
 
-    index: int | None = None
-    if wf and deg_ok:
-        index = pair_index(leaf)
+    # pair_index: on a well-formed space of degree zero, the lcm of the b values
+    index = lcm(*[coeff.b for coeff, _ in leaf.entries]) if wf and deg_ok else None
     _check(rep, "index-computed", index is not None,
            str(index) if index is not None else "preconditions failed")
 
@@ -752,7 +752,10 @@ def logleaf_from_obj(obj: dict, loc: str = "$") -> LogLeaf:
             e = _need(mono, "e", mloc)
             if not isinstance(e, list):
                 raise CertificateParseError("e must be a list", f"{mloc}.e")
-            exps = tuple(_need_int(x, f"{mloc}.e[{k}]", minimum=0) for k, x in enumerate(e))
+            if all(type(x) is int and x >= 0 for x in e):  # type(), so a bool is not an int
+                exps = tuple(e)
+            else:  # the per-exponent path, only to locate the error
+                exps = tuple(_need_int(x, f"{mloc}.e[{k}]", minimum=0) for k, x in enumerate(e))
             if len(exps) != len(weights):
                 raise CertificateParseError(
                     f"exponent vector of length {len(exps)}, expected {len(weights)}", f"{mloc}.e"

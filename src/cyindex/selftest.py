@@ -6,6 +6,7 @@ failing input, explicitly rather than by `assert`, so it still checks under `pyt
 
 from __future__ import annotations
 
+from functools import cache
 from math import gcd, lcm, prod
 
 from .certify import (
@@ -32,13 +33,14 @@ def _require(ok: bool, message: str) -> None:
         raise AssertionError(message)
 
 
-def _family_leaves():
-    """(call, leaf, index) over both family grids: odd 5 <= m <= 401, and m^e for 2 <= m, e <= 12."""
-    for m in range(5, 402, 2):
-        yield f"build_index_prime({m})", build_index_prime(m), m
-    for m in range(2, 13):
-        for e in range(2, 13):
-            yield f"build_prime_power({m}, {e})", build_prime_power(m, e), m**e
+@cache
+def _family_leaves() -> tuple[tuple[str, LogLeaf, int], ...]:
+    """(call, leaf, index) over both family grids: odd 5 <= m <= 401, and m^e for 2 <= m, e <= 12.
+    Built once per process; three checks walk them."""
+    odd = [(f"build_index_prime({m})", build_index_prime(m), m) for m in range(5, 402, 2)]
+    powers = [(f"build_prime_power({m}, {e})", build_prime_power(m, e), m**e)
+              for m in range(2, 13) for e in range(2, 13)]
+    return tuple(odd + powers)
 
 
 def check_totients() -> None:

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 
 from .wpspairs import (
     LogLeaf,
@@ -139,11 +139,25 @@ def diagonal_smooth_outside_origin(eq: SparsePoly) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _rank(rows: list[list[Fraction]]) -> int:
+def _integer_row(v: list[Fraction]) -> list[int]:
+    """v times the lcm of its denominators: an integer vector spanning the same line."""
+    d = lcm(*[x.denominator for x in v])
+    return [x.numerator * (d // x.denominator) for x in v]
+
+
+def _rank(rows: list[list[int]]) -> int:
+    """Rank of an integer matrix by fraction-free (Bareiss) elimination.
+
+    After k pivots every entry below the pivot rows is, up to sign, a
+    (k+1)-minor of the input (Sylvester's identity), so the division by the
+    previous pivot is exact and the entries stay bounded by Hadamard's
+    inequality.
+    """
     mat = [row[:] for row in rows]
     nrows = len(mat)
     ncols = len(mat[0]) if mat else 0
     rank = 0
+    prev = 1
     for col in range(ncols):
         pivot = None
         for r in range(rank, nrows):
@@ -154,10 +168,11 @@ def _rank(rows: list[list[Fraction]]) -> int:
             continue
         mat[rank], mat[pivot] = mat[pivot], mat[rank]
         prow = mat[rank]
+        p = prow[col]
         for r in range(rank + 1, nrows):
-            if mat[r][col] != 0:
-                f = mat[r][col] / prow[col]
-                mat[r] = [a - f * b for a, b in zip(mat[r], prow)]
+            a = mat[r][col]
+            mat[r] = [(p * x - a * y) // prev for x, y in zip(mat[r], prow)]
+        prev = p
         rank += 1
         if rank == nrows:
             break
@@ -173,7 +188,8 @@ def hyperplane_arrangement_snc(normals) -> bool:
     of size exactly t = min(#normals, #variables) suffices: a dependent
     subset of size <= t extends to a dependent subset of size t, and if all
     size-t subsets are independent then larger subsets cut out only the
-    origin.
+    origin. Each normal is cleared of denominators once, so every subset
+    is ranked in integer arithmetic.
     """
     vecs = [[Fraction(x) for x in v] for v in normals]
     if not vecs:
@@ -183,9 +199,10 @@ def hyperplane_arrangement_snc(normals) -> bool:
         raise ValueError("normal vectors of mixed lengths")
     if any(all(x == 0 for x in v) for v in vecs):
         raise ValueError("zero normal vector")
-    t = min(len(vecs), nv)
-    for subset in combinations(range(len(vecs)), t):
-        if _rank([vecs[i] for i in subset]) != t:
+    rows = [_integer_row(v) for v in vecs]
+    t = min(len(rows), nv)
+    for subset in combinations(range(len(rows)), t):
+        if _rank([rows[i] for i in subset]) != t:
             return False
     return True
 
@@ -606,13 +623,22 @@ def _family_frame(leaf: LogLeaf):
 
 
 def _check_linear_partials(h: SparsePoly, block: list[int]) -> tuple[bool, str]:
+    """Every block variable x_i is a monomial of H and occurs in no other,
+    so dH/dx_i is a nonzero constant. One pass over H; the first failing
+    variable in block order is reported."""
+    linear: set[int] = set()  # x_i is a monomial of H
+    elsewhere: set[int] = set()  # x_i occurs in another monomial
+    for _, exps in h.monomials:
+        nz = [j for j, e in enumerate(exps) if e]
+        if len(nz) == 1 and exps[nz[0]] == 1:
+            linear.add(nz[0])
+        else:
+            elsewhere.update(nz)
     for i in block:
-        unit = tuple(1 if j == i else 0 for j in range(h.nvars))
-        if h.coefficient(unit) == 0:
+        if i not in linear:
             return False, f"x{i} does not appear linearly in H"
-        for _, exps in h.monomials:
-            if exps[i] > 0 and exps != unit:
-                return False, f"partial of H in x{i} is not constant"
+        if i in elsewhere:
+            return False, f"partial of H in x{i} is not constant"
     return True, "" if block else "no linear block (deep stratum is everything)"
 
 

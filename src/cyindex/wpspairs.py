@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
+from operator import mul
 
 __all__ = [
     "NotQuasiHomogeneous",
@@ -158,9 +159,6 @@ class SparsePoly:
     def is_zero(self) -> bool:
         return not self.monomials
 
-    def variables(self) -> set[int]:
-        return {j for _, exps in self.monomials for j in range(self.nvars) if exps[j] > 0}
-
     def coefficient(self, exps) -> Fraction:
         exps = tuple(exps)
         for c, e in self.monomials:
@@ -182,24 +180,20 @@ class SparsePoly:
             coeffs[exps.index(1)] = c
         return coeffs
 
+    def projective_key(self) -> tuple:
+        """A hashable key that two polynomials share iff one is a nonzero
+        constant multiple of the other: nvars and the monomials divided by
+        the leading coefficient (the monomials are kept in canonical order)."""
+        if not self.monomials:
+            return (self.nvars, ())
+        lead = self.monomials[0][0]
+        if lead == 1:
+            return (self.nvars, self.monomials)
+        return (self.nvars, tuple((c / lead, e) for c, e in self.monomials))
+
     def proportional_to(self, other: "SparsePoly") -> bool:
         """True iff self = c * other for a nonzero constant c."""
-        if self.nvars != other.nvars or len(self.monomials) != len(other.monomials):
-            return False
-        if self.is_zero():
-            return other.is_zero()
-        mine = dict((e, c) for c, e in self.monomials)
-        theirs = dict((e, c) for c, e in other.monomials)
-        if set(mine) != set(theirs):
-            return False
-        ratio = None
-        for e, c in mine.items():
-            r = c / theirs[e]
-            if ratio is None:
-                ratio = r
-            elif r != ratio:
-                return False
-        return True
+        return self.projective_key() == other.projective_key()
 
     # -- algebra -----------------------------------------------------------
 
@@ -333,7 +327,7 @@ def weighted_degree(eq: SparsePoly, space: Wps) -> int:
             f"equation in {eq.nvars} variables on a space with "
             f"{len(space.weights)} weights"
         )
-    degs = {sum(a * e for a, e in zip(space.weights, exps)) for _, exps in eq.monomials}
+    degs = {sum(map(mul, space.weights, exps)) for _, exps in eq.monomials}
     if len(degs) != 1:
         raise NotQuasiHomogeneous(
             f"monomial degrees disagree: {sorted(degs)} for {eq} on {space}"

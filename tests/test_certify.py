@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import json
+from collections import Counter
 from fractions import Fraction
 from math import lcm
 
@@ -30,8 +31,11 @@ from cyindex.certify import (
     verify_certificate,
 )
 from cyindex.numtheory import euler_phi, indices_with_phi_at_most
+import cyindex.certify
+import cyindex.sncklt
+import cyindex.wpspairs
 from cyindex.sncklt import is_klt_leaf
-from cyindex.wpspairs import log_degree, pair_index
+from cyindex.wpspairs import SparsePoly, log_degree, pair_index
 
 
 # -- builders ----------------------------------------------------------------
@@ -324,6 +328,30 @@ def test_verify_unregistered_citation_fails(leaf, mode):
 def test_verify_product_of_elliptics():
     report = verify_certificate(Product((EllipticLeaf(1), EllipticLeaf(1))), "strict")
     assert report.passed and report.dim == 2 and report.index == 1
+
+
+def test_verify_leaf_work_is_linear_by_call_counts(monkeypatch):
+    """One degree per entry, one well-formedness test and no pairwise
+    comparison of entries: call counts, not clocks."""
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("weighted_degree", "is_well_formed"):
+        wrapper = counted(name, getattr(cyindex.wpspairs, name))
+        for module in (cyindex.wpspairs, cyindex.certify, cyindex.sncklt):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
+    monkeypatch.setattr(SparsePoly, "proportional_to",
+                        counted("proportional_to", SparsePoly.proportional_to))
+    leaf = build_index_prime(401)
+    report = verify_certificate(WpsLeaf(leaf), "strict")
+    assert report.passed and report.index == 401
+    assert counts == {"weighted_degree": len(leaf.entries), "is_well_formed": 1}
 
 
 def test_verify_rejects_bad_mode():

@@ -7,7 +7,16 @@ import sys
 import pytest
 
 import cyindex.certify
-from cyindex.certify import BASE_DIM2_INDICES, base_leaf, realize, verify_certificate
+from cyindex.certify import (
+    BASE_DIM2_INDICES,
+    WpsLeaf,
+    base_leaf,
+    build_index_prime,
+    build_prime_power,
+    certificate_dumps,
+    realize,
+    verify_certificate,
+)
 from cyindex.cli import (
     EXIT_INTERNAL,
     EXIT_OK,
@@ -19,6 +28,7 @@ from cyindex.cli import (
 )
 from cyindex.numtheory import euler_phi, indices_with_phi_at_most
 from cyindex.selftest import CHECKS
+from cyindex.wpspairs import LogLeaf, SparsePoly, StdCoeff, Wps
 
 
 def run(capsys, *argv):
@@ -179,6 +189,103 @@ def test_verify_json_format(capsys, tmp_path):
     assert code == EXIT_OK
     report = json.loads(out)
     assert report["passed"] is True and report["index"] == 8
+
+
+# -- verify report bytes -------------------------------------------------------
+# sha256 of `verify FILE --mode M --format json` stdout, recorded while the
+# verifier still compared every pair of entries and computed each degree three
+# times: making the checks linear in the leaf size must not move a byte.
+
+
+def _tampered(kind, m=41):
+    """The index-prime leaf of index m as JSON, with one field mutated."""
+    if kind == "unformed-weights":
+        obj = json.loads(certificate_dumps(base_leaf(1, 2)))
+        obj["weights"] = [2, 2]
+        return obj
+    obj = json.loads(certificate_dumps(WpsLeaf(build_index_prime(m))))
+    entries = obj["entries"]
+    if kind == "weight-bump":
+        obj["weights"][0] += 1
+    elif kind == "b-change":
+        entries[0]["b"] += 2
+    elif kind == "entry-duplicated":
+        entries[1]["eq"] = entries[0]["eq"]
+    elif kind == "entry-scaled-copy":  # 2 * x_0 beside x_0
+        entries[1]["eq"] = [{"c": [2 * mono["c"][0], mono["c"][1]], "e": mono["e"]}
+                            for mono in entries[0]["eq"]]
+    elif kind == "h-scaled-copy":  # -3/2 * H beside H
+        entries[0]["eq"] = [{"c": [-3 * mono["c"][0], 2 * mono["c"][1]], "e": mono["e"]}
+                            for mono in entries[-1]["eq"]]
+    elif kind == "h-linear-term-removed":  # H loses x_0, its leading monomial
+        entries[-1]["eq"] = entries[-1]["eq"][1:]
+    elif kind == "strategy-swap":
+        obj["strategy"] = "family_B" if obj["strategy"] == "family_A" else "family_A"
+    elif kind == "constant-equation":
+        entries[0]["eq"] = [{"c": [1, 1], "e": [0] * len(obj["weights"])}]
+    elif kind == "single-factor-product":
+        obj = {"v": 1, "node": "product", "factors": [obj]}
+    else:
+        raise ValueError(kind)
+    return obj
+
+
+def _vandermonde(ts, nv):
+    """len(ts) hyperplanes sum_i t^i x_i on P^(nv-1), each with coefficient 1 - 1/3."""
+    eqs = [SparsePoly.linear_form([t**i for i in range(nv)]) for t in ts]
+    return LogLeaf(Wps((1,) * nv), tuple((StdCoeff(3), eq) for eq in eqs), "hyperplane_arrangement")
+
+
+def _report_input(name):
+    if name == "index_prime-41":
+        return certificate_dumps(WpsLeaf(build_index_prime(41)))
+    if name == "prime_power-3-5":
+        return certificate_dumps(WpsLeaf(build_prime_power(3, 5)))
+    if name == "vandermonde-6-in-4":
+        return certificate_dumps(WpsLeaf(_vandermonde((10, 13, 17, 22, 28, 35), 4)))
+    return json.dumps(_tampered(name.removeprefix("tamper-")), sort_keys=True)
+
+
+# name -> (exit code, sha256 in strict mode, sha256 in trusting mode)
+REPORT_SHA256 = {
+    "index_prime-41": (0, "c47b53bdc5c10e01aa7915e083c7723693d62c0ffaa39edacd9a868b3acc14fd",
+        "4878922eb5b5035e2112140a46084bcbeb85de7147fac1244d98224cd976219b"),
+    "prime_power-3-5": (0, "0c41bbe7728666bc585a7391e69cf590dd1360a2ae25d98b3539afd80382f4a7",
+        "b8912a7db6cf5bbed57b5391a7664b6693ce9fa72171351a096d61dd04fcc1a6"),
+    "vandermonde-6-in-4": (0, "84e850d7591ade8f36bf3ee75d4c00939733a38b1cf50de988fc5bd395f02731",
+        "13fa6643e24966a21479cc3b447ed24c15826ed6c89adef6740875b0aaf5dd0e"),
+    "tamper-weight-bump": (1, "0b02ff7bfe1aecd0ed9086a02511d905598305bc3c6684d68642ab4b0a97e77f",
+        "e02dfe179c35e63ea59599cac69f7ddb6c5a105813b776450d3a7682bb74f9c6"),
+    "tamper-b-change": (1, "e89c06c399689d88a0e31d073736ff15f5deab42e31c8c5495c68d008c71eeb8",
+        "acb0ef2e7b89d04e20084a9b749c82ed0ede810a8dbc5597d919596b4809c95c"),
+    "tamper-entry-duplicated": (1, "f7ed27b3338f33794473b4a5adb417e1bbb160d40289db1c62a6139a81d4e494",
+        "65240e8bcb1764966ec3a988a6dc808532383c02d22e9f4c13c7e04b6b4a4af2"),
+    "tamper-entry-scaled-copy": (1, "f7ed27b3338f33794473b4a5adb417e1bbb160d40289db1c62a6139a81d4e494",
+        "65240e8bcb1764966ec3a988a6dc808532383c02d22e9f4c13c7e04b6b4a4af2"),
+    "tamper-h-scaled-copy": (1, "793fd41d4841b39952ae214cafdfaf9e0bb31ee35628698b0b4264b259d8fa19",
+        "13306594c4a9da42b8eedf3630c9d0d73ff562f357323a53c3ad0a5765b3aa7f"),
+    "tamper-h-linear-term-removed": (1, "872790d3bea3679b0e2b433921e67c6c59377e6852730aad30529ca943be7208",
+        "791688c5cde836536654264ab1effb5c7245c1441dd6c58eb8b6c3ac6bbfa458"),
+    "tamper-strategy-swap": (1, "3683bf526ef81157f4fa75d6f2da48e06511dd1308331c79496841e30662d4de",
+        "f808b0094774cfa261c19c12869a761b4ee99de8021f6621c0a34e8ae2e1d70c"),
+    "tamper-constant-equation": (1, "ee373ddba15b3b41ef4d5bf5fa5d326f3531c7562406d1a077d2c5d76269433b",
+        "de245f83fdd24408a96d60887ae09f79379b05e43acf284c5afa1b584e4cc919"),
+    "tamper-single-factor-product": (1, "998737a2fc77c9081d5e6a76fa6e7a7d5ba65abfe536f6360a4679269bf9b3b2",
+        "030d358988446b405cd8a7937ba7e7ef9f68f3ff41207ed198aa4a9d5c79d605"),
+    "tamper-unformed-weights": (1, "e33dabc901243250ef465f76dfd24b0e13c1d86fd53f8000011c42f45ef08fcf",
+        "b2fbbc690cc931d4f88df3190a885799406ca028d255817d3f3a478f254c2846"),
+}
+
+
+@pytest.mark.parametrize("mode", ["strict", "trusting"])
+@pytest.mark.parametrize("name", list(REPORT_SHA256))
+def test_verify_report_bytes(capsys, tmp_path, name, mode):
+    path = tmp_path / "cert.json"
+    path.write_text(_report_input(name))
+    code, out, _ = run(capsys, "verify", str(path), "--mode", mode, "--format", "json")
+    want_code, strict_sha, trusting_sha = REPORT_SHA256[name]
+    assert code == want_code
+    assert hashlib.sha256(out.encode()).hexdigest() == (strict_sha if mode == "strict" else trusting_sha)
 
 
 # -- enumerate ---------------------------------------------------------------

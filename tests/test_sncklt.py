@@ -4,6 +4,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cyindex.certify import base_leaf, build_index_prime, build_prime_power
 from cyindex.sncklt import (
@@ -12,6 +14,9 @@ from cyindex.sncklt import (
     STEP_RESIDUAL_RESTRICTION,
     STEP_RESIDUAL_SMOOTH,
     STEP_SHAPE,
+    _check_linear_partials,
+    _integer_row,
+    _rank,
     diagonal_smooth_outside_origin,
     family_snc_check,
     hyperplane_arrangement_snc,
@@ -101,6 +106,83 @@ def test_hyperplane_agrees_with_naive_oracle():
             if any(v):
                 normals.append(v)
         assert hyperplane_arrangement_snc(normals) == naive_hyperplane_snc(normals), normals
+
+
+def _fraction_rank(rows: list[list[Fraction]]) -> int:
+    """The library's rank before it went fraction-free: forward elimination
+    over Fraction, kept as the reference for the Bareiss rank."""
+    mat = [row[:] for row in rows]
+    nrows = len(mat)
+    ncols = len(mat[0]) if mat else 0
+    rank = 0
+    for col in range(ncols):
+        pivot = None
+        for r in range(rank, nrows):
+            if mat[r][col] != 0:
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        prow = mat[rank]
+        for r in range(rank + 1, nrows):
+            if mat[r][col] != 0:
+                f = mat[r][col] / prow[col]
+                mat[r] = [a - f * b for a, b in zip(mat[r], prow)]
+        rank += 1
+        if rank == nrows:
+            break
+    return rank
+
+
+_entries = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-4, 4).map(Fraction),
+    st.fractions(min_value=-9, max_value=9, max_denominator=12),
+)
+
+
+@st.composite
+def _rational_matrices(draw):
+    """Rows over a few columns, with zero rows, repeated rows and rows that
+    are rational multiples of earlier ones; often more rows than columns."""
+    ncols = draw(st.integers(1, 5))
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(("fresh", "fresh", "zero", "repeat", "multiple")))
+        if kind == "zero":
+            rows.append([Fraction(0)] * ncols)
+        elif kind != "fresh" and rows:
+            row = draw(st.sampled_from(rows))
+            scale = Fraction(1) if kind == "repeat" else draw(st.fractions(-5, 5, max_denominator=7))
+            rows.append([scale * x for x in row])
+        else:
+            rows.append(draw(st.lists(_entries, min_size=ncols, max_size=ncols)))
+    return rows
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_rational_matrices())
+@example([[Fraction(0), Fraction(0)]])
+@example([[Fraction(1, 2), Fraction(-1, 3)], [Fraction(3), Fraction(-2)], [Fraction(0), Fraction(5, 7)]])
+def test_bareiss_rank_matches_the_fraction_rank(rows):
+    ints = [_integer_row(row) for row in rows]
+    assert all(type(x) is int for row in ints for x in row)
+    assert _rank(ints) == _fraction_rank(rows)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(_rational_matrices())
+def test_bareiss_rank_matches_sympy(rows):
+    sympy = pytest.importorskip("sympy")
+    want = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in rows]).rank()
+    assert _rank([_integer_row(row) for row in rows]) == want
+
+
+def test_integer_row_spans_the_same_line():
+    row = [Fraction(1, 2), Fraction(-2, 3), Fraction(0), Fraction(5, 4)]
+    assert _integer_row(row) == [6, -8, 0, 15]
+    assert _integer_row([Fraction(3), Fraction(-6)]) == [3, -6]
 
 
 def test_prime_power_base2_arrangements():
@@ -395,6 +477,60 @@ def test_family_exponent_change_still_evaluates():
     tampered = LogLeaf(leaf.space, leaf.entries[:-1] + ((coeff, h_mod),), leaf.klt_strategy)
     report = family_snc_check(tampered)
     assert report.passed  # the degree failure is reported by the verifier, not here
+
+
+def _linear_partials_per_variable(h, block):
+    """The library's linear-partials step before it went one-pass: one scan
+    of H per block variable, kept as the reference."""
+    for i in block:
+        unit = tuple(1 if j == i else 0 for j in range(h.nvars))
+        if h.coefficient(unit) == 0:
+            return False, f"x{i} does not appear linearly in H"
+        for _, exps in h.monomials:
+            if exps[i] > 0 and exps != unit:
+                return False, f"partial of H in x{i} is not constant"
+    return True, "" if block else "no linear block (deep stratum is everything)"
+
+
+_H = poly(5, (1, (1, 0, 0, 0, 0)), (1, (0, 1, 0, 0, 0)), (2, (0, 0, 1, 0, 0)), (1, (0, 0, 0, 4, 0)),
+          (1, (0, 0, 0, 0, 4)))
+
+
+@pytest.mark.parametrize("h,block,want", [
+    (_H, [0, 1, 2], (True, "")),
+    (_H, [], (True, "no linear block (deep stratum is everything)")),
+    # x1 is missing from H
+    (poly(5, (1, (1, 0, 0, 0, 0)), (1, (0, 0, 1, 0, 0)), (1, (0, 0, 0, 4, 0))), [0, 1, 2],
+     (False, "x1 does not appear linearly in H")),
+    # x2 also occurs in x2*x3^3, so dH/dx2 is not constant
+    (poly(5, (1, (1, 0, 0, 0, 0)), (1, (0, 1, 0, 0, 0)), (1, (0, 0, 1, 0, 0)), (1, (0, 0, 1, 3, 0))),
+     [0, 1, 2], (False, "partial of H in x2 is not constant")),
+    # x1^2 but no x1: the linear term is missing, which is reported first
+    (poly(5, (1, (1, 0, 0, 0, 0)), (1, (0, 2, 0, 0, 0)), (1, (0, 0, 1, 0, 0))), [0, 1, 2],
+     (False, "x1 does not appear linearly in H")),
+    # two failures, x2 (not constant) before x3 (missing) in block order
+    (poly(5, (1, (1, 0, 0, 0, 0)), (1, (0, 1, 0, 0, 0)), (1, (0, 0, 1, 0, 0)), (1, (0, 0, 1, 0, 3))),
+     [0, 1, 2, 3], (False, "partial of H in x2 is not constant")),
+    # two failures, x3 (missing) before x4 (not constant) in block order
+    (poly(5, (1, (1, 0, 0, 0, 0)), (1, (0, 0, 0, 0, 1)), (1, (1, 0, 0, 0, 3))), [3, 4],
+     (False, "x3 does not appear linearly in H")),
+], ids=["ok", "empty-block", "missing", "not-constant", "square-only", "two-failures", "two-failures-missing-first"])
+def test_linear_partials_messages(h, block, want):
+    assert _check_linear_partials(h, block) == want
+    assert _linear_partials_per_variable(h, block) == want
+
+
+def test_linear_partials_match_the_reference_on_the_family_grids():
+    for m in range(5, 202, 2):
+        h = build_index_prime(m).entries[-1][1]
+        n = h.nvars - 1
+        for block in (list(range(n - 2)), list(range(n + 1)), [n, 0]):
+            assert _check_linear_partials(h, block) == _linear_partials_per_variable(h, block), (m, block)
+    for base in range(2, 7):
+        for e in range(2, 7):
+            h = build_prime_power(base, e).entries[-1][1]
+            for block in (list(range(e - 1)), list(range(h.nvars))):
+                assert _check_linear_partials(h, block) == _linear_partials_per_variable(h, block)
 
 
 # -- dispatch ----------------------------------------------------------------

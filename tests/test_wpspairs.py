@@ -56,6 +56,82 @@ def test_sparse_poly_invariants():
     assert merged.is_zero()
 
 
+# -- proportionality ---------------------------------------------------------
+
+
+def _proportional_pairwise(f: SparsePoly, g: SparsePoly) -> bool:
+    """The library's proportional_to before it compared projective keys: a
+    common ratio over matching exponent vectors, kept as the reference."""
+    if f.nvars != g.nvars or len(f.monomials) != len(g.monomials):
+        return False
+    if f.is_zero():
+        return g.is_zero()
+    mine = dict((e, c) for c, e in f.monomials)
+    theirs = dict((e, c) for c, e in g.monomials)
+    if set(mine) != set(theirs):
+        return False
+    ratio = None
+    for e, c in mine.items():
+        r = c / theirs[e]
+        if ratio is None:
+            ratio = r
+        elif r != ratio:
+            return False
+    return True
+
+
+_coeffs = st.one_of(st.integers(-3, 3), st.fractions(-4, 4, max_denominator=6)).filter(lambda c: c != 0)
+
+
+@st.composite
+def _polys(draw, nvars):
+    exps = draw(st.lists(st.tuples(*[st.integers(0, 2)] * nvars), max_size=4, unique=True))
+    return SparsePoly(nvars, tuple((draw(_coeffs), e) for e in exps))
+
+
+@st.composite
+def _poly_pairs(draw):
+    """Two polynomials that are often scaled copies, near copies (one
+    coefficient changed, or a monomial dropped) or in different nvars."""
+    nvars = draw(st.integers(1, 3))
+    f = draw(_polys(nvars))
+    kind = draw(st.sampled_from(("scaled", "scaled", "tweaked", "dropped", "fresh", "other-nvars")))
+    if kind == "scaled" and not f.is_zero():
+        return f, f.scaled(draw(_coeffs))
+    if kind == "tweaked" and not f.is_zero():
+        (c, e), *rest = f.monomials
+        return f, SparsePoly(nvars, ((c + 1 if c != -1 else Fraction(2), e), *rest)).scaled(draw(_coeffs))
+    if kind == "dropped" and not f.is_zero():
+        return f, SparsePoly(nvars, f.monomials[1:])
+    if kind == "other-nvars":
+        return f, draw(_polys(nvars + 1))
+    return f, draw(_polys(nvars))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_poly_pairs())
+def test_projective_key_equality_is_proportionality(pair):
+    f, g = pair
+    want = _proportional_pairwise(f, g)
+    assert (f.projective_key() == g.projective_key()) is want
+    assert f.proportional_to(g) is want
+    if want:
+        assert hash(f.projective_key()) == hash(g.projective_key())
+
+
+def test_projective_key_examples():
+    h = build_index_prime(13).entries[-1][1]
+    assert h.projective_key() == h.scaled(Fraction(-3, 2)).projective_key()
+    assert h.scaled(7).proportional_to(h.scaled(Fraction(1, 5)))
+    x0 = SparsePoly.variable(3, 0)
+    assert x0.projective_key() == SparsePoly.variable(3, 0, coeff=2).projective_key() == (3, ((1, (1, 0, 0)),))
+    assert x0.projective_key() != SparsePoly.variable(4, 0).projective_key()
+    assert x0.projective_key() != SparsePoly.variable(3, 1).projective_key()
+    zero = SparsePoly(3, ())
+    assert zero.projective_key() == (3, ()) and zero.proportional_to(SparsePoly(3, ()))
+    assert not zero.proportional_to(x0) and not x0.proportional_to(zero)
+
+
 # -- well-formedness ---------------------------------------------------------
 
 
