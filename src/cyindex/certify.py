@@ -30,7 +30,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations_with_replacement
 from math import lcm
 
 from .numtheory import euler_phi, factorize, indices_with_phi_at_most
@@ -421,6 +420,51 @@ def _divisors(n: int) -> list[int]:
     return sorted(divs)
 
 
+# On P^1 every term 1 - 1/b lies in [1/2, 1), so sum (1 - 1/b) = 2 needs 3
+# or 4 points. Four points force b = 2 each; three points need
+# 1/b1 + 1/b2 + 1/b3 = 1, whose only solutions are (3, 3, 3), (2, 4, 4) and
+# (2, 3, 6). So lcm(b) is one of these, whatever the catalogue holds.
+_P1_SEARCH_INDICES = frozenset({2, 3, 4, 6})
+
+# curves of each degree that _instantiate_plane can place, by dimension
+_PLANE_CAPACITY = {1: {1: len(_P1_POINTS)}, 2: {1: len(_P2_LINES), 2: len(_P2_CONICS)}}
+
+
+def _plane_multisets(candidates, weights, target, count, capacity):
+    """Multisets of `count` candidates (b, d) whose weights sum to `target` and
+    that hold at most capacity[d] curves of degree d, in lexicographic order of
+    their non-decreasing candidate positions (the order of
+    itertools.combinations_with_replacement)."""
+    n = len(candidates)
+    lo, hi = list(weights), list(weights)  # suffix min and max of the weights
+    for i in range(n - 2, -1, -1):
+        lo[i], hi[i] = min(lo[i], lo[i + 1]), max(hi[i], hi[i + 1])
+    combo = []
+    room = dict(capacity)
+
+    def extend(start, total):
+        left = count - len(combo)
+        if left == 0:
+            if total == target:
+                yield tuple(combo)
+            return
+        for i in range(start, n):
+            # lo[i] only grows and hi[i] only shrinks with i, so once the
+            # remaining parts overshoot or fall short, every later i does too
+            if total + left * lo[i] > target or total + left * hi[i] < target:
+                return
+            d = candidates[i][1]
+            if not room[d]:
+                continue
+            room[d] -= 1
+            combo.append(candidates[i])
+            yield from extend(i, total + weights[i])
+            combo.pop()
+            room[d] += 1
+
+    return extend(0, 0)
+
+
 def search_plane_pair(dim: int, index: int, max_components: int = 4) -> LogLeaf | None:
     """Search for a pair of the requested index on P^1 (dim 1) or P^2 (dim 2)
     whose boundary is a verified general-position arrangement.
@@ -431,23 +475,33 @@ def search_plane_pair(dim: int, index: int, max_components: int = 4) -> LogLeaf 
     component count, then lexicographically, each instantiated with the
     deterministic catalogue equations and accepted only if the
     simple-normal-crossing check passes. Absence is a value, not an error.
+
+    The degree condition is kept in integers: scaled by the index, a part
+    weighs d*(index - index//b) and the parts sum to (dim + 1)*index. A
+    depth-first search drops every subtree whose remaining parts cannot
+    reach that sum or must pass it (by suffix minima and maxima of the
+    weights), or that holds more curves of a degree than the catalogue has
+    (4 points on P^1; 6 lines and 1 conic on P^2), and the component count
+    stops at that capacity. On P^1 an index other than 2, 3, 4 or 6 is
+    answered None before it is factored. None of this changes which
+    multiset is found first; the lcm, the instantiation and the
+    simple-normal-crossing check still decide every one that is tried.
     """
     if dim not in (1, 2):
         raise ValueError(f"search_plane_pair covers dimensions 1 and 2, got {dim!r}")
     if not isinstance(index, int) or index < 1:
         raise ValueError(f"index must be a positive integer, got {index!r}")
-    target = Fraction(2) if dim == 1 else Fraction(3)
-    degrees = (1,) if dim == 1 else (1, 2)
-    candidates = sorted((b, d) for b in _divisors(index) if b >= 2 for d in degrees)
-    for count in range(1, max_components + 1):
-        for combo in combinations_with_replacement(candidates, count):
-            if sum(Fraction(b - 1, b) * d for b, d in combo) != target:
-                continue
+    if dim == 1 and index not in _P1_SEARCH_INDICES:
+        return None
+    capacity = _PLANE_CAPACITY[dim]
+    candidates = sorted((b, d) for b in _divisors(index) if b >= 2 for d in capacity)
+    weights = [d * (index - index // b) for b, d in candidates]
+    target = (dim + 1) * index
+    for count in range(1, min(max_components, sum(capacity.values())) + 1):
+        for combo in _plane_multisets(candidates, weights, target, count, capacity):
             if lcm(*[b for b, _ in combo]) != index:
                 continue
             leaf = _instantiate_plane(dim, combo)
-            if leaf is None:
-                continue
             if plane_arrangement_snc(leaf.equations()):
                 return leaf
     return None
@@ -540,10 +594,8 @@ def _verify_wps_leaf(leaf: LogLeaf, rep: NodeReport) -> tuple[int | None, int | 
         shape_detail = "no divisor entries"
     _check(rep, "entry-shape", shape_ok, shape_detail)
 
-    std_ok = all(
-        isinstance(coeff.b, int) and coeff.b >= 2 and coeff.value() == Fraction(coeff.b - 1, coeff.b)
-        for coeff, _ in leaf.entries
-    )
+    # StdCoeff fixes the value at (b - 1)/b; only b itself can be wrong
+    std_ok = all(isinstance(coeff.b, int) and coeff.b >= 2 for coeff, _ in leaf.entries)
     _check(rep, "standard-coefficients", std_ok,
            " ".join(str(c) for c, _ in leaf.entries))
 

@@ -12,6 +12,7 @@ from math import gcd, lcm, prod
 from .certify import (
     CertificateParseError,
     Product,
+    WpsLeaf,
     base_leaf,
     build_index_prime,
     build_prime_power,
@@ -24,7 +25,7 @@ from .certify import (
     verify_certificate,
 )
 from .numtheory import euler_phi, indices_with_phi_at_most, sylvester_bound
-from .sncklt import is_klt_leaf, plane_arrangement_snc
+from .sncklt import is_klt_leaf
 from .wpspairs import LogLeaf, SparsePoly, StdCoeff, Wps, log_degree, pair_index
 
 
@@ -151,8 +152,10 @@ def check_realize() -> int:
 
 def check_search() -> None:
     """On P^1 the plane search finds exactly the indices 2, 3, 4 and 6 among
-    2 <= m <= 20; on P^2 it finds the catalogue arrangements for 10 and 18,
-    which re-verify."""
+    2 <= m <= 20. On P^2 with up to 7 components it finds exactly 2, 4, 6, 8,
+    10, 12, 18, 20, 24, 30 and 42 among 2 <= m < 400; each hit strict-verifies
+    with dimension 2 and index m, and the hits for 10 and 18 are the catalogue
+    arrangements."""
     hits = set()
     for m in range(2, 21):
         leaf = search_plane_pair(1, m)
@@ -160,13 +163,22 @@ def check_search() -> None:
             hits.add(m)
             _require(pair_index(leaf) == m, f"search_plane_pair(1, {m}) has index {pair_index(leaf)}")
     _require(hits == {2, 3, 4, 6}, f"search_plane_pair(1, m) finds m = {sorted(hits)}, expected 2, 3, 4, 6")
+    hits = set()
+    for m in range(2, 400):
+        call = f"search_plane_pair(2, {m}, 7)"
+        leaf = search_plane_pair(2, m, 7)
+        if leaf is None:
+            continue
+        hits.add(m)
+        report = verify_certificate(WpsLeaf(leaf), "strict")
+        _require(report.passed, f"{call} fails strict verification: {report.failing_checks()}")
+        _require((report.dim, report.index) == (2, m),
+                 f"{call} verifies as dimension {report.dim}, index {report.index}")
+    want = {2, 4, 6, 8, 10, 12, 18, 20, 24, 30, 42}
+    _require(hits == want, f"search_plane_pair(2, m, 7) finds m = {sorted(hits)}, expected {sorted(want)}")
     for m in (10, 18):
-        call = f"search_plane_pair(2, {m})"
-        leaf = search_plane_pair(2, m)
-        _require(leaf == base_leaf(2, m).leaf, f"{call} is not base_leaf(2, {m}).leaf")
-        _require(pair_index(leaf) == m, f"{call} has index {pair_index(leaf)}")
-        _require(plane_arrangement_snc(leaf.equations()), f"{call} is not simple normal crossing")
-        _require(is_klt_leaf(leaf).passed, f"is_klt_leaf({call}) fails")
+        _require(search_plane_pair(2, m) == base_leaf(2, m).leaf,
+                 f"search_plane_pair(2, {m}) is not base_leaf(2, {m}).leaf")
 
 
 def check_serialization() -> None:

@@ -579,6 +579,113 @@ def test_search_rejects_bad_dim():
         search_plane_pair(3, 4)
 
 
+def reference_search(dim, index, max_components=4):
+    """The search as first written, kept as the reference: every multiset
+    from combinations_with_replacement, the degree sum in Fractions, and
+    over-capacity multisets dropped only when instantiation fails."""
+    from itertools import combinations_with_replacement
+
+    target = Fraction(2) if dim == 1 else Fraction(3)
+    degrees = (1,) if dim == 1 else (1, 2)
+    candidates = sorted((b, d) for b in range(2, index + 1) if index % b == 0 for d in degrees)
+    for count in range(1, max_components + 1):
+        for combo in combinations_with_replacement(candidates, count):
+            if sum(Fraction(b - 1, b) * d for b, d in combo) != target:
+                continue
+            if lcm(*[b for b, _ in combo]) != index:
+                continue
+            leaf = cyindex.certify._instantiate_plane(dim, combo)
+            if leaf is None:
+                continue
+            if cyindex.sncklt.plane_arrangement_snc(leaf.equations()):
+                return leaf
+    return None
+
+
+def _dumps_or_none(leaf):
+    return None if leaf is None else certificate_dumps(WpsLeaf(leaf))
+
+
+# (dim, indices, component counts): hits and misses, about 3 s of reference work
+SEARCH_GRID = (
+    (1, range(1, 61), range(1, 6)),
+    (2, range(1, 49), range(1, 5)),
+    (2, range(1, 43), (5,)),
+)
+
+
+def test_search_matches_the_reference_byte_for_byte():
+    hits = misses = 0
+    for dim, indices, counts in SEARCH_GRID:
+        for k in counts:
+            for m in indices:
+                want = _dumps_or_none(reference_search(dim, m, k))
+                assert _dumps_or_none(search_plane_pair(dim, m, k)) == want, (dim, m, k)
+                hits += want is not None
+                misses += want is None
+    assert (hits, misses) == (37, 497)
+
+
+def _fits_catalogue(dim, combo):
+    lines = sum(1 for _, d in combo if d == 1)
+    return lines <= (4 if dim == 1 else 6) and len(combo) - lines <= (0 if dim == 1 else 1)
+
+
+def test_search_p2_hits_match_the_oracle():
+    # the P^2 ground truth of `cyindex selftest` below 43, where the oracle stays fast
+    admissible = {m for m in range(2, 43) if any(_fits_catalogue(2, c) for c in oracle_multisets(2, m, 5))}
+    found = {m for m in range(2, 43) if search_plane_pair(2, m, 5) is not None}
+    assert admissible == found == {2, 4, 6, 8, 10, 12, 18, 20, 24, 30, 42}
+
+
+def test_search_accepts_nothing_the_snc_check_rejects(monkeypatch):
+    queries = [(1, m, 4) for m in (2, 3, 4, 6)] + [(2, m, 7) for m in (2, 4, 10, 18, 30, 42)]
+    assert all(search_plane_pair(*q) is not None for q in queries)
+    monkeypatch.setattr(cyindex.certify, "plane_arrangement_snc", lambda equations: False)
+    for q in queries:
+        assert search_plane_pair(*q) is None, q
+
+
+def test_search_instantiates_only_admissible_multisets(monkeypatch):
+    tried = []
+    instantiate = cyindex.certify._instantiate_plane
+
+    def recording(dim, combo):
+        tried.append(sorted(combo))
+        return instantiate(dim, combo)
+
+    monkeypatch.setattr(cyindex.certify, "_instantiate_plane", recording)
+    for dim, m, k in ((1, 6, 4), (1, 5, 4), (2, 10, 4), (2, 14, 6), (2, 24, 5), (2, 42, 5)):
+        tried.clear()
+        leaf = search_plane_pair(dim, m, k)
+        # the oracle admits only multisets of degree sum dim + 1 and lcm m; every catalogue
+        # arrangement is SNC, so the first admissible multiset that fits is the only one tried
+        first = [c for c in oracle_multisets(dim, m, k) if _fits_catalogue(dim, c)][:1]
+        assert tried == first, (dim, m, k)
+        assert (leaf is None) == (first == []), (dim, m, k)
+
+
+def test_search_component_count_stops_at_catalogue_capacity(monkeypatch):
+    seen = []
+    multisets = cyindex.certify._plane_multisets
+
+    def counted(candidates, weights, target, count, capacity):
+        if count > sum(capacity.values()):
+            raise AssertionError(f"component count {count} exceeds the catalogue")
+        seen.append(count)
+        return multisets(candidates, weights, target, count, capacity)
+
+    monkeypatch.setattr(cyindex.certify, "_plane_multisets", counted)
+    for dim, m, cap in ((1, 6, 4), (2, 42, 7), (2, 60, 7)):
+        seen.clear()
+        want = _dumps_or_none(search_plane_pair(dim, m, cap))
+        calls = list(seen)
+        seen.clear()
+        assert _dumps_or_none(search_plane_pair(dim, m, 10**9)) == want, (dim, m)
+        assert seen == calls, (dim, m)
+    assert calls == list(range(1, 8))  # the miss at 60 tries every count up to 7
+
+
 # -- serialization -----------------------------------------------------------
 
 

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import cyindex.certify
+import cyindex.numtheory
 from cyindex.certify import (
     BASE_DIM2_INDICES,
     WpsLeaf,
@@ -15,6 +16,7 @@ from cyindex.certify import (
     build_prime_power,
     certificate_dumps,
     realize,
+    search_plane_pair,
     verify_certificate,
 )
 from cyindex.cli import (
@@ -376,6 +378,19 @@ def test_search_none(capsys):
     code, out, _ = run(capsys, "search", "--dim", "1", "--index", "5")
     assert code == EXIT_OK
     assert out.strip() == "none"
+
+
+def test_search_p1_rejects_impossible_indices_before_factoring(capsys, monkeypatch):
+    # only 2, 3, 4 and 6 occur on P^1; trial division of a large prime would take seconds to days
+    def no_factoring(n):
+        raise AssertionError(f"factorize({n}) called")
+
+    monkeypatch.setattr(cyindex.numtheory, "factorize", no_factoring)
+    monkeypatch.setattr(cyindex.certify, "factorize", no_factoring)
+    for index in (1, 5, 12, 100000000000031, 2**89 - 1):
+        assert search_plane_pair(1, index, 10**9) is None, index
+    code, out, _ = run(capsys, "search", "--dim", "1", "--index", "100000000000031")
+    assert code == EXIT_OK and out.strip() == "none"
 
 
 # -- determinism -------------------------------------------------------------
