@@ -143,7 +143,10 @@ def certificate_index(cert: Certificate) -> int:
 
 def _monomial(nv: int, powers: dict[int, int]) -> tuple[Fraction, tuple[int, ...]]:
     """The term prod x_j^powers[j] in nv variables, with coefficient 1."""
-    return Fraction(1), tuple(powers.get(j, 0) for j in range(nv))
+    exps = [0] * nv
+    for j, p in powers.items():
+        exps[j] = p
+    return Fraction(1), tuple(exps)
 
 
 def build_index_prime(m: int) -> LogLeaf:
@@ -426,6 +429,17 @@ def _divisors(n: int) -> list[int]:
 # (2, 3, 6). So lcm(b) is one of these, whatever the catalogue holds.
 _P1_SEARCH_INDICES = frozenset({2, 3, 4, 6})
 
+# On P^2, sum d_i (1 - 1/b_i) = 3 over curves of degree d_i with b_i >= 2, and
+# each term is at least d_i/2, so the total degree D = sum d_i is at most 6.
+# Counting a curve of degree d as d copies of 1/b_i gives D unit fractions,
+# each at most 1/2, that sum to D - 3, so D >= 4. D = 4: the 14 four-term
+# Egyptian fractions of 1, with lcm 4, 6, 8, 10, 12, 18, 20, 24, 30 or 42
+# (42 from 1/2 + 1/3 + 1/7 + 1/42). D = 5: five unit fractions summing to 2,
+# which are 1/b for b in {2, 2, 2, 4, 4}, {2, 2, 2, 3, 6} or {2, 2, 3, 3, 3},
+# with lcm 4 or 6. D = 6: six halves, lcm 2. So lcm(b) is one of these,
+# whatever the catalogue holds.
+_P2_SEARCH_INDICES = frozenset({2, 4, 6, 8, 10, 12, 18, 20, 24, 30, 42})
+
 # curves of each degree that _instantiate_plane can place, by dimension
 _PLANE_CAPACITY = {1: {1: len(_P1_POINTS)}, 2: {1: len(_P2_LINES), 2: len(_P2_CONICS)}}
 
@@ -482,8 +496,9 @@ def search_plane_pair(dim: int, index: int, max_components: int = 4) -> LogLeaf 
     reach that sum or must pass it (by suffix minima and maxima of the
     weights), or that holds more curves of a degree than the catalogue has
     (4 points on P^1; 6 lines and 1 conic on P^2), and the component count
-    stops at that capacity. On P^1 an index other than 2, 3, 4 or 6 is
-    answered None before it is factored. None of this changes which
+    stops at that capacity. An index that no pair on P^1 (2, 3, 4, 6) or
+    P^2 (2, 4, 6, 8, 10, 12, 18, 20, 24, 30, 42) can have is answered None
+    before it is factored. None of this changes which
     multiset is found first; the lcm, the instantiation and the
     simple-normal-crossing check still decide every one that is tried.
     """
@@ -491,7 +506,7 @@ def search_plane_pair(dim: int, index: int, max_components: int = 4) -> LogLeaf 
         raise ValueError(f"search_plane_pair covers dimensions 1 and 2, got {dim!r}")
     if not isinstance(index, int) or index < 1:
         raise ValueError(f"index must be a positive integer, got {index!r}")
-    if dim == 1 and index not in _P1_SEARCH_INDICES:
+    if index not in (_P1_SEARCH_INDICES if dim == 1 else _P2_SEARCH_INDICES):
         return None
     capacity = _PLANE_CAPACITY[dim]
     candidates = sorted((b, d) for b in _divisors(index) if b >= 2 for d in capacity)
@@ -587,7 +602,7 @@ def _verify_wps_leaf(leaf: LogLeaf, rep: NodeReport) -> tuple[int | None, int | 
         if eq.nvars != nv:
             shape_ok, shape_detail = False, f"equation in {eq.nvars} variables on {space}"
             break
-        if not any(any(exps) for _, exps in eq.monomials):
+        if not any(eq.supports):
             shape_ok, shape_detail = False, "constant equation cuts out no divisor"
             break
     if not leaf.entries:
@@ -804,18 +819,19 @@ def logleaf_from_obj(obj: dict, loc: str = "$") -> LogLeaf:
             e = _need(mono, "e", mloc)
             if not isinstance(e, list):
                 raise CertificateParseError("e must be a list", f"{mloc}.e")
-            if all(type(x) is int and x >= 0 for x in e):  # type(), so a bool is not an int
-                exps = tuple(e)
-            else:  # the per-exponent path, only to locate the error
-                exps = tuple(_need_int(x, f"{mloc}.e[{k}]", minimum=0) for k, x in enumerate(e))
-            if len(exps) != len(weights):
-                raise CertificateParseError(
-                    f"exponent vector of length {len(exps)}, expected {len(weights)}", f"{mloc}.e"
-                )
-            terms.append((Fraction(num, den), exps))
+            terms.append((Fraction(num, den), e))
         try:
+            # SparsePoly checks the exponents; the walk below only locates a fault it found
             eq = SparsePoly(len(weights), tuple(terms))
         except ValueError as err:
+            for j, (_, e) in enumerate(terms):
+                mloc = f"{eloc}.eq[{j}].e"
+                for k, x in enumerate(e):
+                    _need_int(x, f"{mloc}[{k}]", minimum=0)
+                if len(e) != len(weights):
+                    raise CertificateParseError(
+                        f"exponent vector of length {len(e)}, expected {len(weights)}", mloc
+                    ) from err
             raise CertificateParseError(str(err), f"{eloc}.eq") from err
         entries.append((StdCoeff(b), eq))
     try:

@@ -123,8 +123,7 @@ def diagonal_smooth_outside_origin(eq: SparsePoly) -> bool:
     constants).
     """
     seen: set[int] = set()
-    for _, exps in eq.monomials:
-        nz = [j for j, e in enumerate(exps) if e > 0]
+    for nz in eq.supports:
         if len(nz) != 1:
             raise ValueError(f"non-diagonal monomial in {eq}")
         j = nz[0]
@@ -380,8 +379,7 @@ def _share_projective_root(r1, d1, r2, d2) -> bool:
 def _conic_smooth(curve: SparsePoly) -> bool:
     """Smoothness of a plane conic: nonzero determinant of its symmetric matrix."""
     m = [[Fraction(0)] * 3 for _ in range(3)]
-    for c, exps in curve.monomials:
-        nz = [j for j, e in enumerate(exps) if e > 0]
+    for (c, _), nz in zip(curve.monomials, curve.supports):
         if len(nz) == 1:
             m[nz[0]][nz[0]] = c
         else:
@@ -508,7 +506,7 @@ def _coordinate_var(eq: SparsePoly) -> int | None:
     if len(eq.monomials) != 1:
         return None
     _, exps = eq.monomials[0]
-    nz = [j for j, e in enumerate(exps) if e > 0]
+    nz = eq.supports[0]
     if len(nz) == 1 and exps[nz[0]] == 1:
         return nz[0]
     return None
@@ -534,14 +532,13 @@ def _h_support_ok(h: SparsePoly, block: set[int], residual: set[int], mixed: tup
     pure power >= 2 of a residual variable (at most one per variable), or
     the family's designated mixed monomial."""
     powers_seen: set[int] = set()
-    for _, exps in h.monomials:
-        nz = [j for j, e in enumerate(exps) if e > 0]
+    for (_, exps), nz in zip(h.monomials, h.supports):
         if mixed is not None and len(nz) == 2:
-            if tuple(nz) == tuple(sorted(mixed)) and all(exps[j] == 1 for j in nz):
+            if nz == tuple(sorted(mixed)) and all(exps[j] == 1 for j in nz):
                 continue
-            return False, f"monomial on variables {nz} outside the family pattern"
+            return False, f"monomial on variables {list(nz)} outside the family pattern"
         if len(nz) != 1:
-            return False, f"monomial on variables {nz} outside the family pattern"
+            return False, f"monomial on variables {list(nz)} outside the family pattern"
         j = nz[0]
         if exps[j] == 1 and j in block:
             continue
@@ -628,8 +625,7 @@ def _check_linear_partials(h: SparsePoly, block: list[int]) -> tuple[bool, str]:
     variable in block order is reported."""
     linear: set[int] = set()  # x_i is a monomial of H
     elsewhere: set[int] = set()  # x_i occurs in another monomial
-    for _, exps in h.monomials:
-        nz = [j for j, e in enumerate(exps) if e]
+    for (_, exps), nz in zip(h.monomials, h.supports):
         if len(nz) == 1 and exps[nz[0]] == 1:
             linear.add(nz[0])
         else:

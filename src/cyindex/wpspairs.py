@@ -21,11 +21,11 @@ coefficient, and the klt reports list this as an unchecked hypothesis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, compress
 from math import gcd, lcm
-from operator import mul
+from operator import itemgetter
 
 __all__ = [
     "NotQuasiHomogeneous",
@@ -40,6 +40,9 @@ __all__ = [
     "log_degree",
     "pair_index",
 ]
+
+
+_INT = frozenset({int})
 
 
 class NotQuasiHomogeneous(ValueError):
@@ -92,10 +95,19 @@ class StdCoeff:
 @dataclass(frozen=True)
 class SparsePoly:
     """Sparse polynomial: monomials (coefficient, exponent vector), no zeros,
-    no repeated exponent vectors, all vectors of length nvars."""
+    no repeated exponent vectors, all vectors of length nvars.
+
+    An exponent is an exact `int` >= 0 (a `bool` is rejected). The
+    constructor is the one place that checks exponent vectors; it also
+    records each monomial's support, the indices of its nonzero exponents,
+    in `supports` (aligned with `monomials`), so that readers cost
+    O(support) per monomial instead of O(nvars). `supports` takes no part
+    in equality, hashing or repr.
+    """
 
     nvars: int
     monomials: tuple[tuple[Fraction, tuple[int, ...]], ...]
+    supports: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.nvars, int) or self.nvars < 1:
@@ -103,11 +115,13 @@ class SparsePoly:
         seen = set()
         canon = []
         for coeff, exps in self.monomials:
-            coeff = Fraction(coeff)
+            if type(coeff) is not Fraction:
+                coeff = Fraction(coeff)
             exps = tuple(exps)
             if len(exps) != self.nvars:
                 raise ValueError(f"exponent vector {exps} has length != {self.nvars}")
-            if any(not isinstance(e, int) or e < 0 for e in exps):
+            # C-level passes, no Python loop over the vector: exact ints (so no bool), then signs
+            if not _INT.issuperset(map(type, exps)) or min(exps) < 0:
                 raise ValueError(f"exponents must be nonnegative integers, got {exps}")
             if coeff == 0:
                 raise ValueError("zero coefficient monomial not allowed")
@@ -115,8 +129,10 @@ class SparsePoly:
                 raise ValueError(f"repeated exponent vector {exps}")
             seen.add(exps)
             canon.append((coeff, exps))
-        canon.sort(key=lambda t: t[1], reverse=True)
+        canon.sort(key=itemgetter(1), reverse=True)
+        variables = tuple(range(self.nvars))  # built once; a range makes a new int per index > 256
         object.__setattr__(self, "monomials", tuple(canon))
+        object.__setattr__(self, "supports", tuple([tuple(compress(variables, e)) for _, e in canon]))
 
     # -- constructors ------------------------------------------------------
 
@@ -174,10 +190,10 @@ class SparsePoly:
     def linear_coefficients(self) -> list[Fraction] | None:
         """Coefficient vector if every monomial has total degree 1, else None."""
         coeffs = [Fraction(0)] * self.nvars
-        for c, exps in self.monomials:
-            if sum(exps) != 1:
+        for (c, exps), support in zip(self.monomials, self.supports):
+            if len(support) != 1 or exps[support[0]] != 1:
                 return None
-            coeffs[exps.index(1)] = c
+            coeffs[support[0]] = c
         return coeffs
 
     def projective_key(self) -> tuple:
@@ -216,7 +232,7 @@ class SparsePoly:
         """Set the named variables to 0 (drop monomials touching them)."""
         kill = set(vars_to_kill)
         mons = tuple(
-            (c, e) for c, e in self.monomials if all(e[j] == 0 for j in kill)
+            mono for mono, support in zip(self.monomials, self.supports) if kill.isdisjoint(support)
         )
         return SparsePoly(self.nvars, mons)
 
@@ -224,12 +240,12 @@ class SparsePoly:
         """Project onto the listed variables; monomials involving any other
         variable must already be absent."""
         keep = list(keep)
-        others = set(range(self.nvars)) - set(keep)
+        kept = set(keep)
         mons = []
-        for c, e in self.monomials:
-            if any(e[j] > 0 for j in others):
+        for (c, e), support in zip(self.monomials, self.supports):
+            if not kept.issuperset(support):
                 raise ValueError("restrict_to: monomial uses a dropped variable")
-            mons.append((c, tuple(e[j] for j in keep)))
+            mons.append((c, tuple(map(e.__getitem__, keep))))
         return SparsePoly(len(keep), tuple(mons))
 
     def evaluate(self, point) -> Fraction:
@@ -327,7 +343,9 @@ def weighted_degree(eq: SparsePoly, space: Wps) -> int:
             f"equation in {eq.nvars} variables on a space with "
             f"{len(space.weights)} weights"
         )
-    degs = {sum(map(mul, space.weights, exps)) for _, exps in eq.monomials}
+    w = space.weights
+    degs = {sum([w[j] * exps[j] for j in support])
+            for (_, exps), support in zip(eq.monomials, eq.supports)}
     if len(degs) != 1:
         raise NotQuasiHomogeneous(
             f"monomial degrees disagree: {sorted(degs)} for {eq} on {space}"

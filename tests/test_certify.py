@@ -676,6 +676,9 @@ def test_search_component_count_stops_at_catalogue_capacity(monkeypatch):
         return multisets(candidates, weights, target, count, capacity)
 
     monkeypatch.setattr(cyindex.certify, "_plane_multisets", counted)
+    assert search_plane_pair(2, 60, 10**9) is None and seen == []  # the P^2 guard answers 60
+    # open the guard for 60, so that the miss still enumerates every count
+    monkeypatch.setattr(cyindex.certify, "_P2_SEARCH_INDICES", cyindex.certify._P2_SEARCH_INDICES | {60})
     for dim, m, cap in ((1, 6, 4), (2, 42, 7), (2, 60, 7)):
         seen.clear()
         want = _dumps_or_none(search_plane_pair(dim, m, cap))
@@ -684,6 +687,40 @@ def test_search_component_count_stops_at_catalogue_capacity(monkeypatch):
         assert _dumps_or_none(search_plane_pair(dim, m, 10**9)) == want, (dim, m)
         assert seen == calls, (dim, m)
     assert calls == list(range(1, 8))  # the miss at 60 tries every count up to 7
+
+
+def _unit_fraction_multisets(count, total, smallest=2):
+    """Non-decreasing (b_1, ..., b_count), b_i >= smallest, with sum 1/b_i = total."""
+    if count == 0:
+        if total == 0:
+            yield ()
+        return
+    if total <= 0:
+        return
+    # 1/b <= total keeps b >= 1/total, and count/b >= total keeps b <= count/total
+    for b in range(max(smallest, -(-1 // total)), int(count / total) + 1):
+        for rest in _unit_fraction_multisets(count - 1, total - Fraction(1, b), b):
+            yield (b, *rest)
+
+
+def test_search_index_guards_match_the_unit_fraction_enumeration():
+    # a curve of degree d carries d unit fractions 1/b; on P^dim the D of them
+    # sum to D - (dim + 1), and as each is at most 1/2, D <= 2(dim + 1)
+    for dim, guard in ((1, cyindex.certify._P1_SEARCH_INDICES), (2, cyindex.certify._P2_SEARCH_INDICES)):
+        found = {}
+        for count in range(1, 2 * (dim + 1) + 3):
+            found[count] = list(_unit_fraction_multisets(count, Fraction(count - dim - 1)))
+        assert not any(found[c] for c in found if c > 2 * (dim + 1)), dim
+        assert {lcm(*bs) for sols in found.values() for bs in sols} == guard, dim
+    assert len(found[4]) == 14 and (2, 3, 7, 42) in found[4]  # the Egyptian fractions of 1
+
+
+def test_search_p2_hits_below_400_equal_the_guard(monkeypatch):
+    # with the guard open for every index below 400, the search finds exactly the guard's indices
+    monkeypatch.setattr(cyindex.certify, "_P2_SEARCH_INDICES", frozenset(range(400)))
+    hits = {m for m in range(1, 400) if search_plane_pair(2, m, 7) is not None}
+    monkeypatch.undo()
+    assert hits == cyindex.certify._P2_SEARCH_INDICES
 
 
 # -- serialization -----------------------------------------------------------
@@ -716,6 +753,59 @@ def test_parse_errors_carry_location():
     obj["entries"][0]["eq"][0]["c"] = [0, 1]
     with pytest.raises(CertificateParseError, match="zero coefficient"):
         certificate_from_obj(obj)
+
+
+def _with_h_edits(*edits):
+    """B_OBJ with edits (j, key, value) to monomial j of its H entry: key an
+    exponent position, a field name, or None to replace the monomial."""
+    obj = copy.deepcopy(B_OBJ)
+    eq = obj["entries"][3]["eq"]
+    for j, key, value in edits:
+        if key is None:
+            eq[j] = value
+        elif isinstance(key, int):
+            eq[j]["e"][key] = value
+        else:
+            eq[j][key] = value
+    return obj
+
+
+_H_EQ = B_OBJ["entries"][3]["eq"]  # five monomials in five variables
+
+
+@pytest.mark.parametrize("edits,location,message", [
+    pytest.param(((2, 4, True),), "$.entries[3].eq[2].e[4]", "expected an integer, got True", id="true"),
+    pytest.param(((2, 4, False),), "$.entries[3].eq[2].e[4]", "expected an integer, got False", id="false"),
+    pytest.param(((2, 4, -1),), "$.entries[3].eq[2].e[4]", "integer -1 below minimum 0", id="negative"),
+    pytest.param(((2, 4, 1.5),), "$.entries[3].eq[2].e[4]", "expected an integer, got 1.5", id="float"),
+    pytest.param(((2, 4, "1"),), "$.entries[3].eq[2].e[4]", "expected an integer, got '1'", id="string"),
+    pytest.param(((2, 4, None),), "$.entries[3].eq[2].e[4]", "expected an integer, got None", id="null"),
+    pytest.param(((2, 0, [1]),), "$.entries[3].eq[2].e[0]", "expected an integer, got [1]", id="list"),
+    pytest.param(((2, "e", _H_EQ[2]["e"][:4]),), "$.entries[3].eq[2].e",
+                 "exponent vector of length 4, expected 5", id="short"),
+    pytest.param(((2, "e", _H_EQ[2]["e"] + [0]),), "$.entries[3].eq[2].e",
+                 "exponent vector of length 6, expected 5", id="long"),
+    pytest.param(((3, None, copy.deepcopy(_H_EQ[2])),), "$.entries[3].eq",
+                 "repeated exponent vector (0, 0, 2, 0, 0)", id="repeated"),
+    # two faults, reported as before: the exponent before the length in one
+    # vector, and exponents and lengths in monomial order
+    pytest.param(((2, "e", [True, 0, 0, 0]),), "$.entries[3].eq[2].e[0]",
+                 "expected an integer, got True", id="bool-and-short"),
+    pytest.param(((1, 0, -1), (2, "e", _H_EQ[2]["e"] + [0])), "$.entries[3].eq[1].e[0]",
+                 "integer -1 below minimum 0", id="negative-then-long"),
+    pytest.param(((3, None, copy.deepcopy(_H_EQ[0])), (4, 0, -1)), "$.entries[3].eq[4].e[0]",
+                 "integer -1 below minimum 0", id="repeated-then-negative"),
+    # two faults whose first reported fault changed: a later monomial's c or
+    # e-is-a-list fault is now found before an earlier monomial's exponent
+    pytest.param(((1, 0, -1), (2, "c", [0, 1])), "$.entries[3].eq[2].c",
+                 "zero coefficient monomial", id="negative-then-zero-c"),
+    pytest.param(((1, 0, -1), (2, "e", 3)), "$.entries[3].eq[2].e",
+                 "e must be a list", id="negative-then-e-not-a-list"),
+])
+def test_malformed_exponents_are_located(edits, location, message):
+    with pytest.raises(CertificateParseError) as info:
+        certificate_from_obj(_with_h_edits(*edits))
+    assert (info.value.location, str(info.value)) == (location, f"{location}: {message}")
 
 
 def test_schema_shape_matches_contract():

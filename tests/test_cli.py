@@ -393,6 +393,20 @@ def test_search_p1_rejects_impossible_indices_before_factoring(capsys, monkeypat
     assert code == EXIT_OK and out.strip() == "none"
 
 
+def test_search_p2_rejects_impossible_indices_before_factoring(capsys, monkeypatch):
+    # a P^2 pair has lcm(b) <= 42; a large prime took 1 s of trial division and
+    # the primorial 223092870 (512 divisors) 44 s of search
+    def no_factoring(n):
+        raise AssertionError(f"factorize({n}) called")
+
+    monkeypatch.setattr(cyindex.numtheory, "factorize", no_factoring)
+    monkeypatch.setattr(cyindex.certify, "factorize", no_factoring)
+    for index in (1, 14, 60, 223092870, 100000000000031, 2**89 - 1):
+        assert search_plane_pair(2, index, 7) is None, index
+    code, out, _ = run(capsys, "search", "--dim", "2", "--index", "223092870", "--max-components", "7")
+    assert code == EXIT_OK and out.strip() == "none"
+
+
 # -- determinism -------------------------------------------------------------
 
 

@@ -15,6 +15,9 @@ from cyindex.sncklt import (
     STEP_RESIDUAL_SMOOTH,
     STEP_SHAPE,
     _check_linear_partials,
+    _conic_smooth,
+    _coordinate_var,
+    _h_support_ok,
     _integer_row,
     _rank,
     diagonal_smooth_outside_origin,
@@ -531,6 +534,133 @@ def test_linear_partials_match_the_reference_on_the_family_grids():
             h = build_prime_power(base, e).entries[-1][1]
             for block in (list(range(e - 1)), list(range(h.nvars))):
                 assert _check_linear_partials(h, block) == _linear_partials_per_variable(h, block)
+
+
+# -- support readers against the exponent scans they replaced ---------------
+
+
+def _nonzero(exps):
+    return [j for j, e in enumerate(exps) if e > 0]
+
+
+def _diagonal_by_scan(eq):
+    seen = set()
+    for _, exps in eq.monomials:
+        nz = _nonzero(exps)
+        if len(nz) != 1:
+            raise ValueError(f"non-diagonal monomial in {eq}")
+        if nz[0] in seen:
+            raise ValueError(f"two monomials in variable x{nz[0]} in {eq}")
+        seen.add(nz[0])
+    return seen == set(range(eq.nvars))
+
+
+def _coordinate_var_by_scan(eq):
+    if len(eq.monomials) != 1:
+        return None
+    exps = eq.monomials[0][1]
+    nz = _nonzero(exps)
+    return nz[0] if len(nz) == 1 and exps[nz[0]] == 1 else None
+
+
+def _h_support_ok_by_scan(h, block, residual, mixed):
+    powers_seen = set()
+    for _, exps in h.monomials:
+        nz = _nonzero(exps)
+        if mixed is not None and len(nz) == 2:
+            if tuple(nz) == tuple(sorted(mixed)) and all(exps[j] == 1 for j in nz):
+                continue
+            return False, f"monomial on variables {nz} outside the family pattern"
+        if len(nz) != 1:
+            return False, f"monomial on variables {nz} outside the family pattern"
+        j = nz[0]
+        if exps[j] == 1 and j in block:
+            continue
+        if exps[j] >= 2 and j in residual:
+            if j in powers_seen:
+                return False, f"two pure powers of x{j}"
+            powers_seen.add(j)
+            continue
+        return False, f"monomial x{j}^{exps[j]} outside the family pattern"
+    return True, ""
+
+
+def _conic_smooth_by_scan(curve):
+    m = [[Fraction(0)] * 3 for _ in range(3)]
+    for c, exps in curve.monomials:
+        nz = _nonzero(exps)
+        if len(nz) == 1:
+            m[nz[0]][nz[0]] = c
+        else:
+            i, j = nz
+            m[i][j] = m[j][i] = c / 2
+    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])) != 0
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as err:
+        return ("ValueError", str(err))
+
+
+@st.composite
+def _support_polys(draw):
+    """Polynomials in 1 to 5 variables whose vectors are often unit, pure
+    powers or all-zero, so the family patterns are hit as well as missed."""
+    nv = draw(st.integers(1, 5))
+    var = st.integers(0, nv - 1)
+    vectors = st.one_of(
+        st.tuples(var, st.integers(1, 3)).map(lambda t: tuple(t[1] * (i == t[0]) for i in range(nv))),
+        st.tuples(var, var).map(lambda t: tuple(int(i in t) for i in range(nv))),  # x_i*x_j or x_i
+        st.just((0,) * nv),
+        st.tuples(*[st.integers(0, 2)] * nv),
+    )
+    exps = draw(st.lists(vectors, min_size=1, max_size=5, unique=True))
+    return SparsePoly(nv, tuple((draw(st.sampled_from((1, -1, 2, Fraction(1, 3)))), e) for e in exps))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_support_polys(), st.data())
+def test_support_readers_match_the_scans(h, data):
+    nv = h.nvars
+    assert _outcome(diagonal_smooth_outside_origin, h) == _outcome(_diagonal_by_scan, h)
+    assert _coordinate_var(h) == _coordinate_var_by_scan(h)
+    variables = st.sets(st.integers(0, nv - 1))
+    block, residual = data.draw(variables), data.draw(variables)
+    mixed = data.draw(st.none() | st.tuples(st.integers(0, nv - 1), st.integers(0, nv - 1)))
+    assert _h_support_ok(h, block, residual, mixed) == _h_support_ok_by_scan(h, block, residual, mixed)
+    order = sorted(block)
+    assert _check_linear_partials(h, order) == _linear_partials_per_variable(h, order)
+
+
+_CONIC_MONOMIALS = ((2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.lists(st.integers(-2, 2), min_size=6, max_size=6).filter(any))
+@example([1, 0, 0, 0, 0, 0])
+@example([0, -1, 0, 0, 1, 0])  # x*z - y^2
+@example([1, 1, 0, 2, 0, 0])  # (x + y)^2
+def test_conic_smooth_matches_the_scan(coeffs):
+    conic = SparsePoly(3, tuple((c, e) for c, e in zip(coeffs, _CONIC_MONOMIALS) if c))
+    assert _conic_smooth(conic) == _conic_smooth_by_scan(conic)
+
+
+def test_family_shapes_match_the_scans_on_the_grids():
+    leaves = [build_index_prime(m) for m in range(5, 122, 2)]
+    leaves += [build_prime_power(b, e) for b in range(3, 7) for e in range(2, 6)]
+    for leaf in leaves:
+        for _, eq in leaf.entries:
+            assert _coordinate_var(eq) == _coordinate_var_by_scan(eq)
+        h = leaf.entries[-1][1]
+        n = h.nvars - 1
+        for block, residual, mixed in ((set(range(n - 2)), {n - 2, n - 1, n}, None),
+                                       (set(range(n - 2)), {n - 1, n}, (n - 2, n)),
+                                       (set(range(n - 2)), {n - 1, n}, (n, n - 2))):
+            assert _h_support_ok(h, block, residual, mixed) == _h_support_ok_by_scan(h, block, residual, mixed)
 
 
 # -- dispatch ----------------------------------------------------------------

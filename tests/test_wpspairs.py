@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings
@@ -54,6 +55,143 @@ def test_sparse_poly_invariants():
         SparsePoly(2, ((Fraction(1), (1, 0, 0)),))  # arity
     merged = SparsePoly.from_terms(2, [(1, (1, 0)), (2, (1, 0)), (-3, (1, 0))])
     assert merged.is_zero()
+
+
+# -- exponent validation and supports ----------------------------------------
+
+
+def _exponents_rejected_before(exps) -> bool:
+    """The constructor's exponent test before it kept supports: a generator
+    over the vector, kept as the reference (it let a bool through)."""
+    return any(not isinstance(e, int) or e < 0 for e in exps)
+
+
+def _support_scan(exps) -> tuple[int, ...]:
+    """The per-consumer support scan that `supports` replaced, kept as the reference."""
+    return tuple(j for j, e in enumerate(exps) if e > 0)
+
+
+def _degree_reference(eq: SparsePoly, space: Wps) -> set[int]:
+    """The monomial degrees as weighted_degree summed them before it read supports."""
+    return {sum(map(mul, space.weights, exps)) for _, exps in eq.monomials}
+
+
+def _linear_coefficients_by_sum(f: SparsePoly):
+    """linear_coefficients as it read total degrees before it read supports."""
+    coeffs = [Fraction(0)] * f.nvars
+    for c, exps in f.monomials:
+        if sum(exps) != 1:
+            return None
+        coeffs[exps.index(1)] = c
+    return coeffs
+
+
+def _assert_supports(f: SparsePoly):
+    assert f.supports == tuple(_support_scan(e) for _, e in f.monomials), f
+    assert f.linear_coefficients() == _linear_coefficients_by_sum(f), f
+
+
+@st.composite
+def _sparse_polys(draw, nvars=None):
+    """Polynomials whose vectors are often unit or all-zero vectors."""
+    nvars = nvars or draw(st.integers(1, 5))
+    unit = st.integers(0, nvars - 1).map(lambda j: tuple(int(i == j) for i in range(nvars)))
+    dense = st.tuples(*[st.integers(0, 3)] * nvars)
+    vectors = st.one_of(unit, st.just((0,) * nvars), dense)
+    exps = draw(st.lists(vectors, max_size=5, unique=True))
+    return SparsePoly(nvars, tuple((draw(_coeffs), e) for e in exps))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_sparse_polys(), st.data())
+def test_supports_match_the_scan_after_every_derivation(f, data):
+    nv = f.nvars
+    _assert_supports(f)
+    _assert_supports(SparsePoly.from_terms(nv, list(f.monomials) + list(f.scaled(-1).monomials[:1])))
+    _assert_supports(SparsePoly.linear_form(data.draw(st.lists(_coeffs | st.just(0), min_size=1, max_size=5))))
+    _assert_supports(SparsePoly.variable(nv, data.draw(st.integers(0, nv - 1)), 3))
+    if not f.is_zero():
+        _assert_supports(f.scaled(Fraction(-2, 3)))
+    for j in range(nv):
+        _assert_supports(f.partial(j))
+    kill = data.draw(st.sets(st.integers(0, nv - 1)))
+    killed = f.subs_zero(kill)
+    _assert_supports(killed)
+    assert killed.monomials == tuple(t for t in f.monomials if all(t[1][j] == 0 for j in kill))
+    keep = [j for j in range(nv) if j not in kill]
+    if keep:
+        restricted = killed.restrict_to(keep)
+        _assert_supports(restricted)
+        assert [e for _, e in restricted.monomials] == [tuple(e[j] for j in keep) for _, e in killed.monomials]
+    if kill and keep and any(any(e[j] for j in kill) for _, e in f.monomials):
+        with pytest.raises(ValueError, match="dropped variable"):
+            f.restrict_to(keep)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.integers(2, 5).flatmap(lambda n: st.tuples(
+    st.lists(st.sampled_from((1, 1, 2, 3)), min_size=n, max_size=n), _sparse_polys(n))))
+def test_weighted_degree_matches_the_reference(case):
+    weights, f = case
+    space = Wps(tuple(weights))
+    if f.is_zero():
+        with pytest.raises(ValueError, match="zero polynomial"):
+            weighted_degree(f, space)
+        return
+    want = _degree_reference(f, space)
+    if len(want) == 1:
+        assert weighted_degree(f, space) == want.pop()
+    else:
+        with pytest.raises(NotQuasiHomogeneous):
+            weighted_degree(f, space)
+
+
+def test_weighted_degree_of_the_family_leaves_matches_the_reference():
+    for leaf in (build_index_prime(401), build_index_prime(403), build_prime_power(5, 4)):
+        for _, eq in leaf.entries:
+            assert {weighted_degree(eq, leaf.space)} == _degree_reference(eq, leaf.space)
+            _assert_supports(eq)
+
+
+_exponent_values = st.one_of(
+    st.integers(-3, 3), st.booleans(), st.just(0.0), st.floats(-2, 2, allow_nan=False),
+    st.just("1"), st.none(), st.just(Fraction(1)), st.just([1]),
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(st.lists(_exponent_values, min_size=3, max_size=3), min_size=1, max_size=3, unique_by=repr))
+@example([[True, 0, 0]])
+@example([[False, 1, 0]])
+@example([[0, 0.0, 1]])
+@example([[0, 0, 0], [0, 2, -1]])
+def test_constructor_rejects_the_old_set_plus_bool(vectors):
+    want = any(_exponents_rejected_before(e) or any(type(x) is bool for x in e) for e in vectors)
+    # vectors of exact ints are distinct here, so a rejection can only be an exponent's
+    terms = tuple((k + 1, tuple(e)) for k, e in enumerate(vectors))
+    try:
+        SparsePoly(3, terms)
+    except ValueError as err:
+        assert want and "exponents must be nonnegative integers" in str(err), (vectors, err)
+    else:
+        assert not want, vectors
+
+
+def test_constructor_names_the_first_bad_vector():
+    with pytest.raises(ValueError, match=r"exponents must be nonnegative integers, got \(0, True\)"):
+        SparsePoly(2, ((1, (1, 0)), (1, (0, True))))
+    with pytest.raises(ValueError, match=r"got \(-1, 2\)"):
+        SparsePoly(2, ((1, (-1, 2)), (0, (1, 0))))
+
+
+def test_supports_leave_equality_hash_and_repr_alone():
+    f = build_index_prime(13).entries[-1][1]
+    g = SparsePoly(f.nvars, tuple(reversed(f.monomials)))
+    assert f == g and hash(f) == hash(g) == hash((f.nvars, f.monomials))
+    assert repr(f) == f"SparsePoly(nvars={f.nvars!r}, monomials={f.monomials!r})"
+    object.__setattr__(g, "supports", ())
+    assert f == g and hash(f) == hash(g) and repr(f) == repr(g)
+    assert f != SparsePoly(f.nvars, f.monomials[1:])
 
 
 # -- proportionality ---------------------------------------------------------
