@@ -39,7 +39,6 @@ from .sncklt import (
 from .certify import (
     Certificate,
     CertificateParseError,
-    CitedLeaf,
     EllipticLeaf,
     Product,
     VerificationReport,
@@ -85,7 +84,6 @@ __all__ = [
     "plane_arrangement_snc",
     "Certificate",
     "CertificateParseError",
-    "CitedLeaf",
     "EllipticLeaf",
     "Product",
     "VerificationReport",

@@ -6,7 +6,6 @@ Calabi-Yau pair of a given dimension with standard coefficients:
 
   wps_leaf        an explicit pair on a weighted projective space
   elliptic_leaf   an abelian factor of dimension k (index 1, empty boundary)
-  cited_leaf      existence by literature citation, not machine checked
   product         combines factors; dimensions add, indices combine by lcm
 
 The realizer turns any m with phi(m) <= 2n into a certificate of dimension
@@ -19,10 +18,8 @@ leaf. Every split is coprime, so product indices are exact.
 
 The verifier recomputes everything from raw data: well-formedness,
 quasi-homogeneity, exact degree zero, standard coefficients, the index, the
-klt report, and the tree arithmetic. A cited leaf must match a registered
-citation (today only Machida-Oguiso for index 14 in dimension 2), or it
-fails in every mode. In strict mode a registered cited leaf fails too; in
-trusting mode it is accepted and listed.
+klt report, and the tree arithmetic. Every leaf is explicit, so nothing
+is taken on trust and both verification modes run the same checks.
 """
 
 from __future__ import annotations
@@ -50,7 +47,6 @@ from .wpspairs import (
 __all__ = [
     "WpsLeaf",
     "EllipticLeaf",
-    "CitedLeaf",
     "Product",
     "Certificate",
     "certificate_dim",
@@ -73,7 +69,6 @@ __all__ = [
     "logleaf_from_obj",
     "BASE_DIM1_INDICES",
     "BASE_DIM2_INDICES",
-    "CITE_INDEX_14",
 ]
 
 
@@ -93,13 +88,6 @@ class EllipticLeaf:
 
 
 @dataclass(frozen=True)
-class CitedLeaf:
-    dim: int
-    index: int
-    cite: str
-
-
-@dataclass(frozen=True)
 class Product:
     factors: tuple["Certificate", ...]
 
@@ -107,7 +95,7 @@ class Product:
         object.__setattr__(self, "factors", tuple(self.factors))
 
 
-Certificate = WpsLeaf | EllipticLeaf | CitedLeaf | Product
+Certificate = WpsLeaf | EllipticLeaf | Product
 
 
 def certificate_dim(cert: Certificate) -> int:
@@ -115,8 +103,6 @@ def certificate_dim(cert: Certificate) -> int:
         case WpsLeaf(leaf):
             return leaf.dim
         case EllipticLeaf(dim):
-            return dim
-        case CitedLeaf(dim, _, _):
             return dim
         case Product(factors):
             return sum(certificate_dim(f) for f in factors)
@@ -129,8 +115,6 @@ def certificate_index(cert: Certificate) -> int:
             return pair_index(leaf)
         case EllipticLeaf(_):
             return 1
-        case CitedLeaf(_, index, _):
-            return index
         case Product(factors):
             return lcm(*[certificate_index(f) for f in factors])
     raise TypeError(f"not a certificate node: {cert!r}")
@@ -236,15 +220,6 @@ _P1_PAIRS = {2: (2, 2, 2, 2), 3: (3, 3, 3), 4: (2, 4, 4), 6: (2, 3, 6)}
 BASE_DIM1_INDICES = (1, *_P1_PAIRS)
 BASE_DIM2_INDICES = tuple(indices_with_phi_at_most(6))
 
-CITE_INDEX_14 = (
-    "Machida-Oguiso, Main Theorem 3: a K3 surface admits an automorphism of "
-    "index 14; the quotient is a klt Calabi-Yau surface pair with standard "
-    "coefficients and index 14."
-)
-
-# the only citations the verifier accepts, by (dimension, index)
-_CITATIONS = {(2, 14): CITE_INDEX_14}
-
 
 def _instantiate_plane(dim: int, combo) -> LogLeaf | None:
     """Deterministic equations for a multiset of (b, curve degree): P^1
@@ -276,8 +251,11 @@ def base_leaf(dim: int, m: int) -> Certificate:
 
     Dimension 1 realizes {1, 2, 3, 4, 6}: an elliptic curve for m = 1 and
     the four P^1 pairs otherwise. Dimension 2 realizes every m with
-    phi(m) <= 6; index 14 is the one citation (K3 quotient), everything
-    else is constructed and machine checked.
+    phi(m) <= 6, each by an explicit, machine-checked certificate. Index 14
+    is the pair on P(3,1,1) with coefficients 6/7, 13/14 and 1/2 on
+    {x0 = 0}, {x1 = 0} and {x0 + x1^3 + x2^3 = 0}, of degrees 3, 1 and 3:
+    log degree -5 + 18/7 + 13/14 + 3/2 = 0, and the one singular point
+    [1:0:0] lies only on {x1 = 0}.
     """
     if dim == 1:
         if m == 1:
@@ -304,7 +282,11 @@ def base_leaf(dim: int, m: int) -> Certificate:
     if m == 18:
         return WpsLeaf(_instantiate_plane(2, ((2, 1), (3, 1), (9, 1), (18, 1))))
     if m == 14:
-        return CitedLeaf(2, 14, CITE_INDEX_14)
+        h = SparsePoly(3, (_monomial(3, {0: 1}), _monomial(3, {1: 3}), _monomial(3, {2: 3})))
+        entries = ((StdCoeff(7), SparsePoly.variable(3, 0)),
+                   (StdCoeff(14), SparsePoly.variable(3, 1)),
+                   (StdCoeff(2), h))
+        return WpsLeaf(LogLeaf(Wps((3, 1, 1)), entries, "family_C"))
     raise ValueError(f"no dimension-2 base leaf for index {m} (needs phi(m) <= 6)")
 
 
@@ -560,7 +542,6 @@ class VerificationReport:
     index: int | None
     passed: bool
     leaf_reports: list[NodeReport]
-    cited_leaves: list[dict]
 
     def failing_checks(self) -> list[tuple[str, str]]:
         return [
@@ -575,7 +556,6 @@ class VerificationReport:
             "dim": self.dim,
             "index": self.index,
             "passed": self.passed,
-            "cited_leaves": self.cited_leaves,
             "leaf_reports": [r.as_obj() for r in self.leaf_reports],
         }
 
@@ -659,8 +639,8 @@ def _verify_wps_leaf(leaf: LogLeaf, rep: NodeReport) -> tuple[int | None, int | 
             index if rep.passed else None)
 
 
-def _verify_node(cert: Certificate, mode: str, path: str,
-                 reports: list[NodeReport], cited: list[dict]) -> tuple[int | None, int | None]:
+def _verify_node(cert: Certificate, path: str,
+                 reports: list[NodeReport]) -> tuple[int | None, int | None]:
     match cert:
         case WpsLeaf(leaf):
             rep = NodeReport(path, "wps_leaf")
@@ -671,22 +651,6 @@ def _verify_node(cert: Certificate, mode: str, path: str,
             reports.append(rep)
             ok = _check(rep, "elliptic-dim", isinstance(dim, int) and dim >= 1, str(dim))
             return (dim, 1) if ok else (None, None)
-        case CitedLeaf(dim, index, cite):
-            rep = NodeReport(path, "cited_leaf")
-            reports.append(rep)
-            ok = _check(rep, "cited-fields",
-                        isinstance(dim, int) and dim >= 1 and isinstance(index, int) and index >= 1,
-                        f"dim {dim}, index {index}")
-            cited.append({"path": path, "dim": dim, "index": index, "cite": cite})
-            if not (ok and _CITATIONS.get((dim, index)) == cite):
-                _check(rep, "cited-leaf-registered", False,
-                       f"no registered citation for index {index} in dimension {dim} with this text")
-            elif mode == "strict":
-                _check(rep, "cited-leaf-strict", False,
-                       "cited leaves are not machine checked; rerun in trusting mode")
-            else:
-                _check(rep, "cited-leaf-trusted", True, cite)
-            return (dim, index) if rep.passed else (None, None)
         case Product(factors):
             rep = NodeReport(path, "product")
             reports.append(rep)
@@ -694,7 +658,7 @@ def _verify_node(cert: Certificate, mode: str, path: str,
             dims: list[int | None] = []
             idxs: list[int | None] = []
             for i, f in enumerate(factors):
-                d, ix = _verify_node(f, mode, f"{path}.factors[{i}]", reports, cited)
+                d, ix = _verify_node(f, f"{path}.factors[{i}]", reports)
                 dims.append(d)
                 idxs.append(ix)
             if rep.passed and all(d is not None for d in dims) and all(ix is not None for ix in idxs):
@@ -710,16 +674,16 @@ def verify_certificate(cert: Certificate, mode: str = "strict") -> VerificationR
     quasi-homogeneity, pairwise-distinct entries, well-formedness, exact
     degree zero, the index, and the full klt report. For the tree: product
     arity, dimension sums and index lcms. Check failures are recorded in
-    the report, never thrown. A cited leaf passes only in trusting mode and
-    only when it matches a registered citation; strict mode fails on any.
+    the report, never thrown. Every leaf is explicit, so "strict" and
+    "trusting" run the same checks; the mode is validated and echoed in the
+    report.
     """
     if mode not in ("strict", "trusting"):
         raise ValueError(f"mode must be 'strict' or 'trusting', got {mode!r}")
     reports: list[NodeReport] = []
-    cited: list[dict] = []
-    dim, index = _verify_node(cert, mode, "$", reports, cited)
+    dim, index = _verify_node(cert, "$", reports)
     passed = all(r.passed for r in reports) and dim is not None and index is not None
-    return VerificationReport(mode, dim, index, passed, reports, cited)
+    return VerificationReport(mode, dim, index, passed, reports)
 
 
 # ---------------------------------------------------------------------------
@@ -761,8 +725,6 @@ def certificate_to_obj(cert: Certificate) -> dict:
             return logleaf_to_obj(leaf)
         case EllipticLeaf(dim):
             return {"v": 1, "node": "elliptic_leaf", "dim": dim}
-        case CitedLeaf(dim, index, cite):
-            return {"v": 1, "node": "cited_leaf", "dim": dim, "index": index, "cite": cite}
         case Product(factors):
             return {"v": 1, "node": "product", "factors": [certificate_to_obj(f) for f in factors]}
     raise TypeError(f"not a certificate node: {cert!r}")
@@ -851,13 +813,6 @@ def certificate_from_obj(obj, loc: str = "$") -> Certificate:
         return WpsLeaf(logleaf_from_obj(obj, loc))
     if node == "elliptic_leaf":
         return EllipticLeaf(_need_int(_need(obj, "dim", loc), f"{loc}.dim", minimum=1))
-    if node == "cited_leaf":
-        dim = _need_int(_need(obj, "dim", loc), f"{loc}.dim", minimum=1)
-        index = _need_int(_need(obj, "index", loc), f"{loc}.index", minimum=1)
-        cite = _need(obj, "cite", loc)
-        if not isinstance(cite, str) or not cite:
-            raise CertificateParseError("cite must be a nonempty string", f"{loc}.cite")
-        return CitedLeaf(dim, index, cite)
     if node == "product":
         factors_obj = _need(obj, "factors", loc)
         if not isinstance(factors_obj, list):

@@ -128,20 +128,17 @@ def check_klt() -> None:
 
 
 def check_realize() -> int:
-    """realize(n, m) for 3 <= n <= 10 and phi(m) <= 2n verifies in trusting mode with dimension
-    n - 1 and index m, in strict mode iff m != 14, with pairwise coprime factor indices.
-    Returns the number of pairs."""
+    """realize(n, m) for 3 <= n <= 10 and phi(m) <= 2n strict-verifies for every pair, with
+    dimension n - 1, index m and pairwise coprime factor indices. Returns the number of pairs."""
     pairs = 0
     for n in range(3, 11):
         for m in indices_with_phi_at_most(2 * n):
             call = f"realize({n}, {m})"
             cert = realize(n, m)
-            report = verify_certificate(cert, "trusting")
-            _require(report.passed, f"{call} fails trusting verification: {report.failing_checks()}")
+            report = verify_certificate(cert, "strict")
+            _require(report.passed, f"{call} fails strict verification: {report.failing_checks()}")
             _require((report.dim, report.index) == (n - 1, m),
                      f"{call} verifies as dimension {report.dim}, index {report.index}")
-            strict = verify_certificate(cert, "strict").passed
-            _require(strict == (m != 14), f"{call} strict verification gives {strict}")
             if isinstance(cert, Product):
                 idxs = [certificate_index(f) for f in cert.factors]
                 _require(prod(idxs) == lcm(*idxs), f"{call} has factor indices {idxs}, not pairwise coprime")

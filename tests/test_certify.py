@@ -11,8 +11,6 @@ from cyindex.certify import (
     BASE_DIM1_INDICES,
     BASE_DIM2_INDICES,
     CertificateParseError,
-    CITE_INDEX_14,
-    CitedLeaf,
     EllipticLeaf,
     Product,
     WpsLeaf,
@@ -32,6 +30,7 @@ from cyindex.certify import (
 )
 from cyindex.numtheory import euler_phi, indices_with_phi_at_most
 import cyindex.certify
+import cyindex.cli
 import cyindex.sncklt
 import cyindex.wpspairs
 from cyindex.sncklt import is_klt_leaf
@@ -130,7 +129,7 @@ GOLDEN_SHA256 = {
     ("base", 2, 9): "86b0b9fd8e1bb25702bf7475769e564d302c4ac5916132d084efd8082c2513b8",
     ("base", 2, 10): "5601032b94f9bade9927b4159ed99abab4cc3e9a5b6dfc7d3bd28770881604b8",
     ("base", 2, 12): "b05a1b88953d512a5bcc9254cdf8b8f37ad74586d8fa9db4e5ed9cd7fa65a932",
-    ("base", 2, 14): "03f0726aaa3100686090284960260cff2519f329ce8354d1613241bef377eb33",
+    ("base", 2, 14): "99ce9b7fe36771647a6698754ea5bb824c2abf018b46bb132d2a75730f367be9",
     ("base", 2, 18): "0c770c849f31d7baacff37a434ce9c79309d2fb6f83eb80426c83cbb48d7178c",
 }
 
@@ -176,15 +175,20 @@ def test_base_dim1_catalogue():
 
 
 def test_base_dim2_catalogue():
-    for m in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 18):
+    assert BASE_DIM2_INDICES == (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 18)
+    for m in BASE_DIM2_INDICES:
         cert = base_leaf(2, m)
         assert certificate_dim(cert) == 2 and certificate_index(cert) == m
         report = verify_certificate(cert, "strict")
         assert report.passed, (m, report.failing_checks())
-    cert14 = base_leaf(2, 14)
-    assert isinstance(cert14, CitedLeaf)
-    assert verify_certificate(cert14, "trusting").passed
-    assert not verify_certificate(cert14, "strict").passed
+        assert (report.dim, report.index) == (2, m)
+    # index 14: 6/7 {x0 = 0} + 13/14 {x1 = 0} + 1/2 {x0 + x1^3 + x2^3 = 0} on P(3,1,1)
+    leaf = base_leaf(2, 14).leaf
+    assert leaf.space.weights == (3, 1, 1) and leaf.klt_strategy == "family_C"
+    assert [c.b for c, _ in leaf.entries] == [7, 14, 2]
+    assert [sorted(eq.monomials) for _, eq in leaf.entries] == [
+        [(1, (1, 0, 0))], [(1, (0, 1, 0))], [(1, (0, 0, 3)), (1, (0, 3, 0)), (1, (1, 0, 0))]]
+    assert log_degree(leaf) == 0 and is_klt_leaf(leaf).passed
     with pytest.raises(ValueError):
         base_leaf(2, 11)  # phi(11) = 10 > 6
     with pytest.raises(ValueError):
@@ -304,25 +308,33 @@ def test_monotone_padding():
 
 
 def test_verify_cited_leaf_reporting():
-    report = verify_certificate(realize(3, 14), "strict")
-    assert not report.passed
-    assert len(report.cited_leaves) == 1
-    assert report.cited_leaves[0]["index"] == 14
-    assert ("$", "cited-leaf-strict") in report.failing_checks()
+    # index 14 is an explicit leaf: both modes pass it with the same checks,
+    # and a report has no field for cited leaves
+    strict = verify_certificate(realize(3, 14), "strict")
     trusting = verify_certificate(realize(3, 14), "trusting")
-    assert trusting.passed and trusting.cited_leaves
+    assert strict.passed and (strict.dim, strict.index) == (2, 14)
+    assert [r.kind for r in strict.leaf_reports] == ["wps_leaf"]
+    assert {**strict.as_obj(), "mode": "trusting"} == trusting.as_obj()
+    assert set(strict.as_obj()) == {"mode", "dim", "index", "passed", "leaf_reports"}
 
 
 @pytest.mark.parametrize("leaf", [
-    CitedLeaf(1, 5, "trust me"),
-    CitedLeaf(2, 14, "trust me"),
-    CitedLeaf(2, 13, CITE_INDEX_14),
+    {"dim": 1, "index": 5, "cite": "trust me"},  # 5 is not an index in dimension 1
+    {"dim": 2, "index": 14, "cite": "trust me"},
+    {"dim": 2, "index": 13, "cite": "Machida-Oguiso, Main Theorem 3"},
 ])
 @pytest.mark.parametrize("mode", ["strict", "trusting"])
-def test_verify_unregistered_citation_fails(leaf, mode):
-    report = verify_certificate(Product((leaf, EllipticLeaf(1))), mode)
-    assert not report.passed and report.dim is None
-    assert ("$.factors[0]", "cited-leaf-registered") in report.failing_checks()
+def test_verify_unregistered_citation_fails(capsys, tmp_path, leaf, mode):
+    # no citation is registered: a cited_leaf file, bare or as a factor, is a
+    # parse error at its node in both modes
+    cited = {"v": 1, "node": "cited_leaf", **leaf}
+    product = {"v": 1, "node": "product", "factors": [cited, {"v": 1, "node": "elliptic_leaf", "dim": 1}]}
+    for obj, location in ((cited, "$.node"), (product, "$.factors[0].node")):
+        path = tmp_path / "cited.json"
+        path.write_text(json.dumps(obj))
+        assert cyindex.cli.main(["verify", str(path), "--mode", mode, "--format", "json"]) == cyindex.cli.EXIT_PARSE
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"parse error: {location}: unknown node kind 'cited_leaf'\n")
 
 
 def test_verify_product_of_elliptics():
@@ -568,7 +580,7 @@ def test_search_2_18_finds_four_lines():
 
 
 def test_search_2_14_has_no_plane_solution():
-    # the dimension-2 index 14 is cited, not constructed: no arrangement on
+    # the dimension-2 index 14 lives on P(3,1,1), not P^2: no arrangement on
     # P^2 with denominators dividing 14 reaches degree 3 with lcm 14
     assert oracle_multisets(2, 14, 6) == []
     assert search_plane_pair(2, 14, 6) is None
@@ -815,5 +827,6 @@ def test_schema_shape_matches_contract():
     assert obj["strategy"] == "hyperplane_arrangement"
     assert {"b", "eq"} <= set(obj["entries"][0].keys())
     assert {"c", "e"} == set(obj["entries"][0]["eq"][0].keys())
-    text = certificate_dumps(realize(3, 14))
-    assert json.loads(text)["node"] == "cited_leaf"
+    obj = json.loads(certificate_dumps(realize(3, 14)))
+    assert obj["node"] == "wps_leaf" and obj["weights"] == [3, 1, 1] and obj["strategy"] == "family_C"
+    assert set(obj) == {"v", "node", "weights", "strategy", "entries"}

@@ -56,10 +56,31 @@ def test_realize_ok(capsys, tmp_path):
 
 def test_realize_strict_14(capsys):
     code, out, _ = run(capsys, "realize", "--dim", "3", "--index", "14", "--mode", "strict")
-    assert code == EXIT_VERIFY_FAILED
+    assert code == EXIT_OK
     payload = json.loads(out)
-    assert payload["report"]["passed"] is False
-    assert payload["report"]["cited_leaves"]
+    assert payload["report"]["passed"] is True
+    assert (payload["report"]["dim"], payload["report"]["index"]) == (2, 14)
+    assert payload["certificate"]["node"] == "wps_leaf"
+    assert "cited_leaves" not in payload["report"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("realize", "--dim", "4", "--index", "14", "--format", "json"),
+    ("realize", "--dim", "6", "--index", "42", "--format", "table"),
+    ("verify", "TAMPERED", "--format", "json"),
+    ("verify", "TAMPERED", "--format", "table"),
+], ids=["realize-json", "realize-table", "verify-failing-json", "verify-failing-table"])
+def test_strict_and_trusting_reports_differ_only_in_mode(capsys, tmp_path, argv):
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(_tampered("b-change")))
+    argv = [str(path) if a == "TAMPERED" else a for a in argv]
+    code_s, strict, _ = run(capsys, *argv, "--mode", "strict")
+    code_t, trusting, _ = run(capsys, *argv, "--mode", "trusting")
+    assert code_s == code_t == (EXIT_OK if argv[0] == "realize" else EXIT_VERIFY_FAILED)
+    mode_s, mode_t = (('"mode": "strict"', '"mode": "trusting"') if argv[-1] == "json"
+                      else ("(mode strict)", "(mode trusting)"))
+    assert strict.count(mode_s) == trusting.count(mode_t) == 1
+    assert strict.replace(mode_s, mode_t) == trusting
 
 
 def test_realize_trusting_14(capsys):
@@ -126,26 +147,16 @@ def test_verify_tampered_b(capsys, tmp_path):
     assert "degree-zero" in out
 
 
-def test_verify_lying_citation_fails_in_trusting_mode(capsys, tmp_path):
-    # 5 is not an index in dimension 1: I(1) = {1, 2, 3, 4, 6}
-    out_file = tmp_path / "lie.json"
-    out_file.write_text('{"v":1,"node":"cited_leaf","dim":1,"index":5,"cite":"trust me"}')
-    code, out, _ = run(capsys, "verify", str(out_file), "--format", "json")
-    assert code == EXIT_VERIFY_FAILED
-    report = json.loads(out)
-    assert report["passed"] is False
-    failing = [c["name"] for r in report["leaf_reports"] for c in r["checks"] if not c["passed"]]
-    assert failing == ["cited-leaf-registered"]
-
-
 def test_verify_registered_citation_report_bytes(capsys, tmp_path):
+    # index 14 is now the explicit P(3,1,1) leaf padded by one elliptic curve
     out_file = tmp_path / "cert.json"
     run(capsys, "realize", "--dim", "4", "--index", "14", "--out", str(out_file))
     code, out, _ = run(capsys, "verify", str(out_file), "--format", "json")
     assert code == EXIT_OK
-    # the report bytes from before the citation registry existed
+    report = json.loads(out)
+    assert [r["kind"] for r in report["leaf_reports"]] == ["product", "wps_leaf", "elliptic_leaf"]
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "f71271b006168b5e3287f746fee60b7129a07b76384aca17324861dcc8c1dfb9"
+        "307578bd3c4648175847dcb10e03b2c1db3df9007bbccabb1965247275af76fa"
     )
 
 
@@ -250,32 +261,32 @@ def _report_input(name):
 
 # name -> (exit code, sha256 in strict mode, sha256 in trusting mode)
 REPORT_SHA256 = {
-    "index_prime-41": (0, "c47b53bdc5c10e01aa7915e083c7723693d62c0ffaa39edacd9a868b3acc14fd",
-        "4878922eb5b5035e2112140a46084bcbeb85de7147fac1244d98224cd976219b"),
-    "prime_power-3-5": (0, "0c41bbe7728666bc585a7391e69cf590dd1360a2ae25d98b3539afd80382f4a7",
-        "b8912a7db6cf5bbed57b5391a7664b6693ce9fa72171351a096d61dd04fcc1a6"),
-    "vandermonde-6-in-4": (0, "84e850d7591ade8f36bf3ee75d4c00939733a38b1cf50de988fc5bd395f02731",
-        "13fa6643e24966a21479cc3b447ed24c15826ed6c89adef6740875b0aaf5dd0e"),
-    "tamper-weight-bump": (1, "0b02ff7bfe1aecd0ed9086a02511d905598305bc3c6684d68642ab4b0a97e77f",
-        "e02dfe179c35e63ea59599cac69f7ddb6c5a105813b776450d3a7682bb74f9c6"),
-    "tamper-b-change": (1, "e89c06c399689d88a0e31d073736ff15f5deab42e31c8c5495c68d008c71eeb8",
-        "acb0ef2e7b89d04e20084a9b749c82ed0ede810a8dbc5597d919596b4809c95c"),
-    "tamper-entry-duplicated": (1, "f7ed27b3338f33794473b4a5adb417e1bbb160d40289db1c62a6139a81d4e494",
-        "65240e8bcb1764966ec3a988a6dc808532383c02d22e9f4c13c7e04b6b4a4af2"),
-    "tamper-entry-scaled-copy": (1, "f7ed27b3338f33794473b4a5adb417e1bbb160d40289db1c62a6139a81d4e494",
-        "65240e8bcb1764966ec3a988a6dc808532383c02d22e9f4c13c7e04b6b4a4af2"),
-    "tamper-h-scaled-copy": (1, "793fd41d4841b39952ae214cafdfaf9e0bb31ee35628698b0b4264b259d8fa19",
-        "13306594c4a9da42b8eedf3630c9d0d73ff562f357323a53c3ad0a5765b3aa7f"),
-    "tamper-h-linear-term-removed": (1, "872790d3bea3679b0e2b433921e67c6c59377e6852730aad30529ca943be7208",
-        "791688c5cde836536654264ab1effb5c7245c1441dd6c58eb8b6c3ac6bbfa458"),
-    "tamper-strategy-swap": (1, "3683bf526ef81157f4fa75d6f2da48e06511dd1308331c79496841e30662d4de",
-        "f808b0094774cfa261c19c12869a761b4ee99de8021f6621c0a34e8ae2e1d70c"),
-    "tamper-constant-equation": (1, "ee373ddba15b3b41ef4d5bf5fa5d326f3531c7562406d1a077d2c5d76269433b",
-        "de245f83fdd24408a96d60887ae09f79379b05e43acf284c5afa1b584e4cc919"),
-    "tamper-single-factor-product": (1, "998737a2fc77c9081d5e6a76fa6e7a7d5ba65abfe536f6360a4679269bf9b3b2",
-        "030d358988446b405cd8a7937ba7e7ef9f68f3ff41207ed198aa4a9d5c79d605"),
-    "tamper-unformed-weights": (1, "e33dabc901243250ef465f76dfd24b0e13c1d86fd53f8000011c42f45ef08fcf",
-        "b2fbbc690cc931d4f88df3190a885799406ca028d255817d3f3a478f254c2846"),
+    "index_prime-41": (0, "63ece4a12dd619b69b7c1d6d67753b78018feee1afb8bd15864b43e8777a05f0",
+        "cdd45b1189f714bca91c2993117feead4a425f0f4c7e9db0282db5635f6492fd"),
+    "prime_power-3-5": (0, "198580584647ee793f0e8734f922484f0166a214eb91dae8fede1e2622178de0",
+        "d38d4d2974a8d9b194105ed0191b356a6b1a5e5533612be273dd4ac393d7ac3e"),
+    "vandermonde-6-in-4": (0, "a2cbaf44b9d6325334a6df2a1912f7a7a5aec81da79ee5cd28c443facd7f6086",
+        "b46dd3dde18c43841ab52048f4d48457d2d7c42bbae22debe7e68ac197a87296"),
+    "tamper-weight-bump": (1, "0e916f8adc2d2123d956afde59329f99ac0cf86c63fe08d20c496abddbda8ed8",
+        "10325104f548930d4f74f1eebc020b4ccc0da2976f53a5cb5e10315dde316ca0"),
+    "tamper-b-change": (1, "e1a684a9c37b1fa103a3652f4f540be30848fb8415758ce5610f82679012f61f",
+        "b754c9dfe2afc2ef88a24460ea94c80459478d28d670bbdbda64d109ba74340c"),
+    "tamper-entry-duplicated": (1, "f642d4a598f8c708f2a3220469d6bb638a40e83133bb81235bfa32c5c4450a27",
+        "43968890e45c18c73d1683995597c1ff940f3dea6782b72c9f016ecf20539814"),
+    "tamper-entry-scaled-copy": (1, "f642d4a598f8c708f2a3220469d6bb638a40e83133bb81235bfa32c5c4450a27",
+        "43968890e45c18c73d1683995597c1ff940f3dea6782b72c9f016ecf20539814"),
+    "tamper-h-scaled-copy": (1, "d2bed5d7a21943c96d6dd0d2185bbe3a8975ce954290c3653f88352ba1ce23da",
+        "fb0db4c57269cba2b08ad9e51839be34c8b2a1325489e68f1ac8be8af483c7bf"),
+    "tamper-h-linear-term-removed": (1, "74d18436ab9c5db7e8e5bc050096abe1d52de9919e969451f89d6251db1156e5",
+        "a81bd6696350d7993b20b9af9992f77823a51d739047fd240d7fce4c875c5282"),
+    "tamper-strategy-swap": (1, "6bb92ca98e2de001cc4f07cfcfd8ed0b89aafd2ca415d62d8fc61219531cf36e",
+        "cdcae8397dab9d10694609fdc74667848a4e7e0438f1667198b337aa3be2505d"),
+    "tamper-constant-equation": (1, "34f9fa2cf936880ba383a55c4ad23a6c1ff9965ed90a9aa7a35ebe4ad739d462",
+        "129c3ba9125d4a20dd042ba80e0dd1334aabe0dfb34280213e8272ad3290b769"),
+    "tamper-single-factor-product": (1, "6aaf6ac9d2c9330e9f9851f82c65222a9bb58eb1a87e3e8fe136377a67d0ed74",
+        "ea5904fb44d1cd490c0f081f02f3876f1aa9c23673b1afa32cc3ee88de52b8e9"),
+    "tamper-unformed-weights": (1, "05ddf1ca1dd6f3a038c4e9d2f6184dd4e8633fade8219b0b65301b0d5825094f",
+        "08323c27382ae533259a421661a42163ee1a60c360e6a1f78da8648a860a9a05"),
 }
 
 
@@ -337,9 +348,9 @@ def test_table_dim1_and_dim2(capsys):
     assert i2 == expected
     assert 66 in i2 and 60 not in i2 and 64 not in i2
     assert "Machida-Oguiso" in out
-    # the rows are rendered from the base catalogue
+    # the rows are rendered from the base catalogue and the plane search
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "ca018566262c9bc0edb967634b2f1b00fad5826322e6da984e14c054c416003f"
+        "4c21865e84bb59f84426d223d29bb39bf744eaaf6ef65e2ea59f26bc93704e0e"
     )
 
 
@@ -348,9 +359,28 @@ def test_table_constructed_rows_are_the_strictly_verified_base_leaves(capsys):
     assert code == EXIT_OK
     constructed = {int(line.split()[0]) for line in out.splitlines() if "  constructed: " in line}
     reports = {m: verify_certificate(base_leaf(2, m), "strict") for m in BASE_DIM2_INDICES}
+    for m in _members_line(out, "I(2) members"):
+        leaf = None if m in BASE_DIM2_INDICES else search_plane_pair(2, m, 7)
+        if leaf is not None:
+            reports[m] = verify_certificate(WpsLeaf(leaf), "strict")
     verified = {m for m, r in reports.items() if r.passed and (r.dim, r.index) == (2, m)}
-    assert constructed == verified == set(BASE_DIM2_INDICES) - {14}
+    assert constructed == verified == set(BASE_DIM2_INDICES) | {20, 24, 30, 42}
     assert BASE_DIM2_INDICES == (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 18)
+
+
+def test_table_pins_the_17_constructed_dimension_2_rows(capsys):
+    # the 13 base catalogue rows and the plane search hits 20, 24, 30 and 42;
+    # the other 23 of the 40 rows are cited
+    code, out, _ = run(capsys, "table", "--dims", "2")
+    assert code == EXIT_OK
+    rows = {int(line.split()[0]): line.split(None, 2)[2] for line in out.splitlines()[2:-2]}
+    assert sorted(rows) == _members_line(out, "I(2) members")
+    constructed = sorted(m for m, row in rows.items() if row.startswith("constructed: "))
+    assert constructed == [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 18, 20, 24, 30, 42]
+    assert rows[14] == "constructed: wps_leaf P(3,1,1) family_C [6/7 13/14 1/2]"
+    assert rows[42] == "constructed: wps_leaf P(1,1,1) plane_arrangement [1/2 2/3 6/7 41/42]"
+    cited = [m for m, row in rows.items() if row == "cited: K3 quotient (Machida-Oguiso, Main Theorem 3)"]
+    assert len(cited) == 23 and len(constructed) + len(cited) == len(rows) == 40
 
 
 def test_table_dim3_lower_bound(capsys):
@@ -435,6 +465,7 @@ def test_selftest_green(capsys):
     lines = [l for l in out.splitlines() if l.strip()]
     assert all(l.startswith("ok: ") for l in lines)
     assert len(lines) == 8
+    assert "ok: realize round-trip (n <= 10)" in lines
 
 
 def _python_O(*args):
@@ -455,7 +486,13 @@ def test_selftest_green_under_O():
     ("search = corpus.search_plane_pair; corpus.search_plane_pair = lambda d, m: "
      "c._instantiate_plane(1, [(5, 1)] * 3) if (d, m) == (1, 5) else search(d, m)",
      "FAIL: plane search ground truth: pair_index requires log degree 0, got 2/5"),
-], ids=["wrong-value", "library-raises"])
+    # realize(n, 14) padded by a zero-dimensional elliptic factor: the realize
+    # check names the first failing pair and its failing checks
+    ("realize = corpus.realize; corpus.realize = lambda n, m: "
+     "c.Product((c.base_leaf(2, 14), c.EllipticLeaf(n - 3))) if m == 14 else realize(n, m)",
+     "FAIL: realize round-trip (n <= 10): realize(3, 14) fails strict verification: "
+     "[('$.factors[1]', 'elliptic-dim')]"),
+], ids=["wrong-value", "library-raises", "realize-fails"])
 def test_selftest_fails_under_O_with_a_message(patch, fail):
     setup = "import sys; import cyindex.certify as c; import cyindex.selftest as corpus"
     proc = _python_O("-c", f"{setup}; {patch}; from cyindex.cli import main; sys.exit(main(['selftest']))")
