@@ -147,6 +147,16 @@ def test_verify_tampered_b(capsys, tmp_path):
     assert "degree-zero" in out
 
 
+def test_verify_lying_citation_fails_in_trusting_mode(capsys, tmp_path):
+    # 5 is not an index in dimension 1: I(1) = {1, 2, 3, 4, 6}. No node kind
+    # takes a citation, so trusting mode rejects the file before any report
+    out_file = tmp_path / "lie.json"
+    out_file.write_text('{"v":1,"node":"cited_leaf","dim":1,"index":5,"cite":"trust me"}')
+    code, out, err = run(capsys, "verify", str(out_file), "--mode", "trusting", "--format", "json")
+    assert code == EXIT_PARSE
+    assert (out, err) == ("", "parse error: $.node: unknown node kind 'cited_leaf'\n")
+
+
 def test_verify_registered_citation_report_bytes(capsys, tmp_path):
     # index 14 is now the explicit P(3,1,1) leaf padded by one elliptic curve
     out_file = tmp_path / "cert.json"
