@@ -115,13 +115,20 @@ def _not_klt_leaves():
     for name, (space, entries) in cases.items():
         strategy = "hyperplane_arrangement" if space.dim == 1 else "plane_arrangement"
         yield name, LogLeaf(space, tuple((StdCoeff(b), eq) for b, eq in entries), strategy)
+    x0 = SparsePoly.variable(3, 0)
+    h = build_prime_power(3, 2).entries[-1]  # 8/9 on x0 + x1^2 + x2^2
+    no_x2 = SparsePoly.from_terms(3, [(1, (1, 0, 0)), (1, (0, 2, 0))])  # tangent to {x0 = 0} at [0:0:1]
+    yield "a repeated coordinate hyperplane", LogLeaf(
+        Wps((2, 1, 1)), ((StdCoeff(3), x0), (StdCoeff(9), x0), h), "family_C")
+    yield "a diagonal H missing a variable", LogLeaf(
+        Wps((2, 1, 1)), ((StdCoeff(2), x0), (StdCoeff(3), no_x2)), "family_A")
 
 
 def check_klt() -> None:
-    """The klt checker passes every family and catalogue leaf and fails the tampered arrangements."""
+    """The klt checker passes every family and catalogue leaf and fails the non-SNC boundaries."""
     for call, leaf, _ in _family_leaves():
         _require(is_klt_leaf(leaf).passed, f"is_klt_leaf({call}) fails")
-    for dim, m in ((1, 2), (1, 3), (1, 4), (1, 6), (2, 10), (2, 18)):
+    for dim, m in ((1, 2), (1, 3), (1, 4), (1, 6), (2, 10), (2, 14), (2, 18)):
         _require(is_klt_leaf(base_leaf(dim, m).leaf).passed, f"is_klt_leaf(base_leaf({dim}, {m}).leaf) fails")
     for name, leaf in _not_klt_leaves():
         _require(not is_klt_leaf(leaf).passed, f"is_klt_leaf passes {name}")

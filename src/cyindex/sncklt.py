@@ -4,21 +4,18 @@ Every checker here certifies the stronger statement that the boundary
 divisor of the affine cone has simple normal crossing support away from the
 origin; since all coefficients are standard (hence < 1), this implies the
 pair is Kawamata log terminal. None of the checkers decides kltness in
-general: each validates one specific reduction shape, in exact rational
-arithmetic, and reports its steps so the reasoning can be replayed.
+general: each validates one specific shape, in exact rational arithmetic,
+and reports its steps so the reasoning can be replayed.
 
-The three family strategies re-execute a two-step reduction:
-
-  step 1   every coordinate-hyperplane variable in the "linear block"
-           appears linearly, with constant nonzero partial, in the one
-           mixed equation H; away from the deep stratum (the common zero of
-           the block variables) the arrangement is then normal crossing,
-           because H keeps a unit partial in a direction not cut out.
-  step 2   on the deep stratum only a small residual configuration is left:
-           the residual hypersurface must be smooth outside the origin, and
-           so must its restriction to the distinguished coordinate
-           hyperplane. Both checks are combinatorial gradient arguments on
-           diagonal forms (family_B carries one closed-form mixed gradient).
+family_A and family_C leaves are checked by one criterion,
+coordinate_diagonal: distinct coordinate hyperplanes plus one diagonal form
+sum_j c_j x_j^{k_j} with a term in every variable are SNC outside the
+origin (the proof is in its docstring). family_B carries the mixed
+monomial x_{n-2}x_n and keeps a two-step reduction: its linear block has
+constant nonzero partials in H, so only the deep stratum of the block is
+left, where the residual and its restriction to {x_{n-2} = 0} must be
+smooth outside the origin (one closed-form mixed gradient, one diagonal
+form).
 
 Arrangement strategies are checked directly: hyperplanes by exact rank of
 normal-vector subsets, plane curves by resultants of sheared equations
@@ -45,11 +42,13 @@ from .wpspairs import (
 __all__ = [
     "KltStep",
     "KltReport",
+    "coordinate_diagonal",
     "diagonal_smooth_outside_origin",
     "hyperplane_arrangement_snc",
     "plane_arrangement_snc",
     "family_snc_check",
     "is_klt_leaf",
+    "STEP_COORDINATE_DIAGONAL",
     "STEP_SHAPE",
     "STEP_LINEAR_PARTIALS",
     "STEP_RESIDUAL_SMOOTH",
@@ -61,6 +60,7 @@ __all__ = [
 ]
 
 # Step description strings are part of the report format; keep them stable.
+STEP_COORDINATE_DIAGONAL = "distinct coordinate hyperplanes plus one diagonal form in every variable"
 STEP_SHAPE = "shape matches declared strategy"
 STEP_LINEAR_PARTIALS = "linear-block variables appear linearly in H with constant nonzero partials"
 STEP_RESIDUAL_SMOOTH = "residual hypersurface smooth outside the origin"
@@ -125,10 +125,10 @@ def diagonal_smooth_outside_origin(eq: SparsePoly) -> bool:
     seen: set[int] = set()
     for nz in eq.supports:
         if len(nz) != 1:
-            raise ValueError(f"non-diagonal monomial in {eq}")
+            raise ValueError(f"non-diagonal monomial on variables {list(nz)}")
         j = nz[0]
         if j in seen:
-            raise ValueError(f"two monomials in variable x{j} in {eq}")
+            raise ValueError(f"two monomials in variable x{j}")
         seen.add(j)
     return seen == set(range(eq.nvars))
 
@@ -497,7 +497,7 @@ def plane_arrangement_snc(curves) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# family reductions
+# family checks
 # ---------------------------------------------------------------------------
 
 
@@ -516,9 +516,6 @@ def _split_entries(leaf: LogLeaf):
     coords: list[int] = []
     others: list[SparsePoly] = []
     for _, eq in leaf.entries:
-        if eq.is_zero():
-            others.append(eq)
-            continue
         j = _coordinate_var(eq)
         if j is None:
             others.append(eq)
@@ -527,22 +524,54 @@ def _split_entries(leaf: LogLeaf):
     return coords, others
 
 
-def _h_support_ok(h: SparsePoly, block: set[int], residual: set[int], mixed: tuple[int, ...] | None) -> tuple[bool, str]:
-    """Every monomial of H must be a block variable appearing linearly, a
-    pure power >= 2 of a residual variable (at most one per variable), or
-    the family's designated mixed monomial."""
+def coordinate_diagonal(leaf: LogLeaf) -> tuple[bool, str]:
+    """Distinct coordinate hyperplanes {x_j = 0} plus exactly one other
+    entry H = sum_j c_j x_j^{k_j}, with one term in every variable, are
+    simple normal crossing outside the origin of the affine cone.
+
+    Proof: at a point p != 0 the components through p are some {x_j = 0},
+    whose differentials dx_j are independent, and possibly {H = 0}. Some
+    x_i(p) != 0, so {x_i = 0} misses p, and dH/dx_i(p) = c_i k_i
+    x_i(p)^{k_i - 1} != 0: dH(p) lies outside the span of the coordinate
+    differentials through p. So H is smooth at p and meets them
+    transversally.
+
+    The diagonal shape is read by diagonal_smooth_outside_origin. Details
+    name variable indices, never H, so they stay short on large leaves.
+    """
+    coords, others = _split_entries(leaf)
+    if len(others) != 1:
+        return False, f"expected exactly one non-coordinate entry, found {len(others)}"
+    h = others[0]
+    if any(eq.nvars != h.nvars for _, eq in leaf.entries):
+        return False, "entries in different numbers of variables"
+    ordered = sorted(coords)
+    repeated = next((a for a, b in zip(ordered, ordered[1:]) if a == b), None)
+    if repeated is not None:
+        return False, f"coordinate hyperplane x{repeated} appears twice"
+    try:
+        if diagonal_smooth_outside_origin(h):
+            return True, f"{len(coords)} coordinate hyperplanes and H diagonal in all {h.nvars} variables"
+    except ValueError as err:
+        return False, str(err)
+    missing = min(set(range(h.nvars)).difference(nz[0] for nz in h.supports))
+    return False, f"H has no term in x{missing}"
+
+
+def _h_support_ok(h: SparsePoly, n: int) -> tuple[bool, str]:
+    """The family_B pattern: every monomial of H is x_i for i < n-2
+    (linear), the mixed monomial x_{n-2}x_n, or a pure power >= 2 of
+    x_{n-1} or x_n (at most one each)."""
     powers_seen: set[int] = set()
     for (_, exps), nz in zip(h.monomials, h.supports):
-        if mixed is not None and len(nz) == 2:
-            if nz == tuple(sorted(mixed)) and all(exps[j] == 1 for j in nz):
-                continue
-            return False, f"monomial on variables {list(nz)} outside the family pattern"
+        if nz == (n - 2, n) and exps[n - 2] == exps[n] == 1:
+            continue
         if len(nz) != 1:
             return False, f"monomial on variables {list(nz)} outside the family pattern"
         j = nz[0]
-        if exps[j] == 1 and j in block:
+        if exps[j] == 1 and j < n - 2:
             continue
-        if exps[j] >= 2 and j in residual:
+        if exps[j] >= 2 and j >= n - 1:
             if j in powers_seen:
                 return False, f"two pure powers of x{j}"
             powers_seen.add(j)
@@ -551,72 +580,24 @@ def _h_support_ok(h: SparsePoly, block: set[int], residual: set[int], mixed: tup
     return True, ""
 
 
-def _family_frame(leaf: LogLeaf):
-    """Validate entry structure against the declared family; return
-    (ok, detail, info). info holds block/residual/distinguished indices and
-    the H equation, or {'delegate': normals} for the all-linear degeneration
-    of family_C."""
+def _family_b_frame(leaf: LogLeaf) -> tuple[str, SparsePoly | None]:
+    """(detail, H) if the leaf has the family_B shape: coordinate
+    hyperplanes x_0, ..., x_{n-2} plus one H in the family_B pattern;
+    (why, None) otherwise."""
     coords, others = _split_entries(leaf)
     if len(others) != 1:
-        return False, f"expected exactly one non-coordinate entry, found {len(others)}", None
+        return f"expected exactly one non-coordinate entry, found {len(others)}", None
     h = others[0]
     if h.is_zero():
-        return False, "non-coordinate entry is the zero polynomial", None
-    nv = h.nvars
-    strategy = leaf.klt_strategy
-
-    if strategy == "family_A":
-        n = nv - 1
-        if n < 2:
-            return False, "too few variables for the odd-index families", None
-        expected = sorted(list(range(n - 2)) + [n])
-        if sorted(coords) != expected:
-            return False, f"coordinate entries {sorted(coords)} != {expected}", None
-        block = set(range(n - 2))
-        residual = (n - 2, n - 1, n)
-        ok, why = _h_support_ok(h, block, set(residual), None)
-        if not ok:
-            return False, why, None
-        return True, "", {"h": h, "block": sorted(block), "residual": residual, "distinguished": n}
-
-    if strategy == "family_B":
-        n = nv - 1
-        if n < 2:
-            return False, "too few variables for the odd-index families", None
-        expected = list(range(n - 1))
-        if sorted(coords) != expected:
-            return False, f"coordinate entries {sorted(coords)} != {expected}", None
-        block = set(range(n - 2))
-        residual = (n - 2, n - 1, n)
-        ok, why = _h_support_ok(h, block, {n - 1, n}, (n - 2, n))
-        if not ok:
-            return False, why, None
-        return True, "", {"h": h, "block": sorted(block), "residual": residual,
-                          "distinguished": n - 2, "mixed": (n - 2, n)}
-
-    # family_C
-    e = len(coords)
-    if e < 2 or sorted(coords) != list(range(e)):
-        return False, f"coordinate entries {sorted(coords)} != [0..e-1]", None
-    if e == nv:
-        # prime power with base 2: everything is a hyperplane
-        if h.linear_coefficients() is None:
-            return False, "all-coordinate leaf whose extra entry is not linear", None
-        normals = []
-        for _, eq in leaf.entries:
-            lin = eq.linear_coefficients()
-            if lin is None:
-                return False, "non-linear entry in the degenerate family_C shape", None
-            normals.append(lin)
-        return True, "degenerate: hyperplane arrangement", {"delegate": normals}
-    if e > nv - 1:
-        return False, "coordinate entries exceed the ambient variables", None
-    block = set(range(e - 1))
-    residual = tuple(range(e - 1, nv))
-    ok, why = _h_support_ok(h, block, set(residual), None)
-    if not ok:
-        return False, why, None
-    return True, "", {"h": h, "block": sorted(block), "residual": residual, "distinguished": e - 1}
+        return "non-coordinate entry is the zero polynomial", None
+    n = h.nvars - 1
+    if n < 2:
+        return "too few variables for the odd-index families", None
+    expected = list(range(n - 1))
+    if sorted(coords) != expected:
+        return f"coordinate entries {sorted(coords)} != {expected}", None
+    ok, why = _h_support_ok(h, n)
+    return why, h if ok else None
 
 
 def _check_linear_partials(h: SparsePoly, block: list[int]) -> tuple[bool, str]:
@@ -658,49 +639,34 @@ def _family_b_residual_smooth(residual: SparsePoly) -> tuple[bool, str]:
 
 
 def family_snc_check(leaf: LogLeaf) -> KltReport:
-    """Re-execute the two-step SNC reduction for a family-tagged leaf."""
+    """SNC check for a family-tagged leaf.
+
+    family_A and family_C are one step, coordinate_diagonal. family_B
+    re-executes its two-step reduction on the residual (x_{n-2}, x_{n-1},
+    x_n): the block x_0, ..., x_{n-3} has constant partials, the residual
+    a*x_{n-2}x_n + b*x_{n-1}^j + c*x_n^k is smooth outside the origin, and
+    so is its restriction to the hyperplane x_{n-2} = 0.
+    """
     strategy = leaf.klt_strategy
     if strategy not in _FAMILIES:
         raise ValueError(f"family_snc_check requires a family strategy, got {strategy!r}")
-    steps: list[KltStep] = []
-    ok, detail, info = _family_frame(leaf)
-    steps.append(KltStep(STEP_SHAPE, ok, detail))
-    if not ok:
+    if strategy != "family_B":
+        step = KltStep(STEP_COORDINATE_DIAGONAL, *coordinate_diagonal(leaf))
+        return _report(strategy, [step], (UNCHECKED_IRREDUCIBILITY,))
+
+    detail, h = _family_b_frame(leaf)
+    steps = [KltStep(STEP_SHAPE, h is not None, detail)]
+    if h is None:
         return _report(strategy, steps, (UNCHECKED_IRREDUCIBILITY,))
-
-    if "delegate" in info:
-        arr = hyperplane_arrangement_snc(info["delegate"])
-        steps.append(KltStep(STEP_HYPERPLANES, arr, "degenerate residual: all entries are hyperplanes"))
-        return _report(strategy, steps, (UNCHECKED_IRREDUCIBILITY,))
-
-    h: SparsePoly = info["h"]
-    block: list[int] = info["block"]
-    residual_vars = list(info["residual"])
-
-    ok1, detail1 = _check_linear_partials(h, block)
-    steps.append(KltStep(STEP_LINEAR_PARTIALS, ok1, detail1))
-
-    residual = h.subs_zero(block).restrict_to(residual_vars)
-    if strategy == "family_B":
-        ok2, detail2 = _family_b_residual_smooth(residual)
-    else:
-        try:
-            ok2 = diagonal_smooth_outside_origin(residual)
-            detail2 = str(residual)
-        except ValueError as err:
-            ok2, detail2 = False, str(err)
-    steps.append(KltStep(STEP_RESIDUAL_SMOOTH, ok2, detail2))
-
-    dist_local = residual_vars.index(info["distinguished"])
-    keep = [j for j in range(len(residual_vars)) if j != dist_local]
-    restricted = residual.subs_zero([dist_local]).restrict_to(keep)
-    try:
-        ok3 = diagonal_smooth_outside_origin(restricted)
-        detail3 = str(restricted)
-    except ValueError as err:
-        ok3, detail3 = False, str(err)
-    steps.append(KltStep(STEP_RESIDUAL_RESTRICTION, ok3, detail3))
-
+    n = h.nvars - 1
+    block = list(range(n - 2))
+    steps.append(KltStep(STEP_LINEAR_PARTIALS, *_check_linear_partials(h, block)))
+    residual = h.subs_zero(block).restrict_to([n - 2, n - 1, n])
+    steps.append(KltStep(STEP_RESIDUAL_SMOOTH, *_family_b_residual_smooth(residual)))
+    # the shape leaves b*y^j + c*z^k here: diagonal, so this cannot raise
+    restricted = residual.subs_zero([0]).restrict_to([1, 2])
+    ok = diagonal_smooth_outside_origin(restricted)
+    steps.append(KltStep(STEP_RESIDUAL_RESTRICTION, ok, str(restricted)))
     return _report(strategy, steps, (UNCHECKED_IRREDUCIBILITY,))
 
 
@@ -712,7 +678,7 @@ def family_snc_check(leaf: LogLeaf) -> KltReport:
 def is_klt_leaf(leaf: LogLeaf) -> KltReport:
     """Certify kltness of a leaf according to its declared strategy.
 
-    Families go through the two-step reduction; arrangement strategies are
+    Families go through family_snc_check; arrangement strategies are
     checked directly on the entry equations. In every passing case the
     final recorded step is the singularity-theoretic implication actually
     used: SNC support with coefficients < 1 outside the origin implies klt.

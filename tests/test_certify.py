@@ -33,7 +33,7 @@ import cyindex.certify
 import cyindex.cli
 import cyindex.sncklt
 import cyindex.wpspairs
-from cyindex.sncklt import is_klt_leaf
+from cyindex.sncklt import STEP_RESIDUAL_SMOOTH, is_klt_leaf
 from cyindex.wpspairs import SparsePoly, log_degree, pair_index
 
 
@@ -432,7 +432,7 @@ _case(
     lambda: _mutate(A_OBJ, ["entries", 1, "eq"], copy.deepcopy(A_OBJ["entries"][0]["eq"])),
     "entries-distinct",
 )
-_case("A-strategy-swap", lambda: _mutate(A_OBJ, ["strategy"], "family_A"), "klt")
+_case("A-strategy-swap", lambda: _mutate(A_OBJ, ["strategy"], "family_B"), "klt")
 _case(
     "A-h-monomial-exponent",
     lambda: _mutate(A_OBJ, ["entries", 4, "eq", 3, "e"], [0, 0, 0, 2]),
@@ -487,7 +487,20 @@ _case(
     lambda: _delete(F_OBJ, ["entries", _h_entry_index(F_OBJ), "eq", 0]),
     "klt",
 )
-_case("F-strategy-swap", lambda: _mutate(F_OBJ, ["strategy"], "family_A"), "klt")
+_case("F-strategy-swap", lambda: _mutate(F_OBJ, ["strategy"], "family_B"), "klt")
+# H := x0 + x1*x2 on P(2,1,1): still quasi-homogeneous of degree 2, so the
+# log degree stays 0, but {x0 = 0} and {H = 0} are tangent at [0:0:1]
+_case(
+    "F-h-mixed-monomial",
+    lambda: _mutate(F_OBJ, ["entries", _h_entry_index(F_OBJ), "eq"],
+                    [{"c": [1, 1], "e": [1, 0, 0]}, {"c": [1, 1], "e": [0, 1, 1]}]),
+    "klt",
+)
+_case(
+    "F-coordinate-duplicated",
+    lambda: _mutate(F_OBJ, ["entries", 1, "eq"], copy.deepcopy(F_OBJ["entries"][0]["eq"])),
+    "klt",
+)
 _case(
     "A-constant-equation",
     lambda: _mutate(A_OBJ, ["entries", 0, "eq"], [{"c": [1, 1], "e": [0, 0, 0, 0]}]),
@@ -514,12 +527,16 @@ def test_tamper_originals_all_pass():
 
 
 def test_tamper_h_monomial_removed_names_the_residual_step():
-    obj = _delete(B_OBJ, ["entries", _h_entry_index(B_OBJ), "eq", 0])
+    # family_B keeps its residual steps: without the pure power x_{n-1}^2, H
+    # no longer involves x_{n-1} and the residual gradient vanishes on a line
+    obj = certificate_to_obj(WpsLeaf(build_index_prime(15)))
+    h = obj["entries"][_h_entry_index(obj)]["eq"]
+    h[:] = [mono for mono in h if mono["e"] != [0, 0, 0, 2, 0]]
     report = _verify_obj(obj)
-    leaf_reports = [r for r in report.leaf_reports if r.klt is not None]
-    assert leaf_reports
-    failed_steps = [s.description for s in leaf_reports[0].klt.steps if not s.passed]
-    assert failed_steps  # the residual smoothness step is on record
+    assert _failing_names(report) == {"klt"}
+    (leaf_report,) = report.leaf_reports
+    failed = [(s.description, s.detail) for s in leaf_report.klt.steps if not s.passed]
+    assert failed[0] == (STEP_RESIDUAL_SMOOTH, "pure y power missing: gradient vanishes along a line")
 
 
 # -- search ------------------------------------------------------------------

@@ -157,8 +157,8 @@ def test_verify_lying_citation_fails_in_trusting_mode(capsys, tmp_path):
     assert (out, err) == ("", "parse error: $.node: unknown node kind 'cited_leaf'\n")
 
 
-def test_verify_registered_citation_report_bytes(capsys, tmp_path):
-    # index 14 is now the explicit P(3,1,1) leaf padded by one elliptic curve
+def test_verify_index_14_report_bytes(capsys, tmp_path):
+    # index 14 is the explicit P(3,1,1) family_C leaf padded by one elliptic curve
     out_file = tmp_path / "cert.json"
     run(capsys, "realize", "--dim", "4", "--index", "14", "--out", str(out_file))
     code, out, _ = run(capsys, "verify", str(out_file), "--format", "json")
@@ -166,7 +166,7 @@ def test_verify_registered_citation_report_bytes(capsys, tmp_path):
     report = json.loads(out)
     assert [r["kind"] for r in report["leaf_reports"]] == ["product", "wps_leaf", "elliptic_leaf"]
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "307578bd3c4648175847dcb10e03b2c1db3df9007bbccabb1965247275af76fa"
+        "5d36dd48a817025239917f933463d30df150ca05a45127d3d7071310948a4504"
     )
 
 
@@ -215,9 +215,10 @@ def test_verify_json_format(capsys, tmp_path):
 
 
 # -- verify report bytes -------------------------------------------------------
-# sha256 of `verify FILE --mode M --format json` stdout, recorded while the
-# verifier still compared every pair of entries and computed each degree three
-# times: making the checks linear in the leaf size must not move a byte.
+# sha256 of `verify FILE --mode M --format json` stdout. Re-recorded when
+# family_A and family_C leaves moved to the one coordinate-diagonal klt step:
+# against the two-step reduction, each report kept its exit code and changed
+# only in the klt steps of those leaves.
 
 
 def _tampered(kind, m=41):
@@ -271,30 +272,30 @@ def _report_input(name):
 
 # name -> (exit code, sha256 in strict mode, sha256 in trusting mode)
 REPORT_SHA256 = {
-    "index_prime-41": (0, "63ece4a12dd619b69b7c1d6d67753b78018feee1afb8bd15864b43e8777a05f0",
-        "cdd45b1189f714bca91c2993117feead4a425f0f4c7e9db0282db5635f6492fd"),
-    "prime_power-3-5": (0, "198580584647ee793f0e8734f922484f0166a214eb91dae8fede1e2622178de0",
-        "d38d4d2974a8d9b194105ed0191b356a6b1a5e5533612be273dd4ac393d7ac3e"),
+    "index_prime-41": (0, "0dcfbe678b4ffd9dc3f9d32c8b77e01f0729756646c58a666bb45b1d0b33be18",
+        "571d0fdb25aa4dd0bdf4b22517df30e08e0e8afd0f6b666c5f483134c77eedad"),
+    "prime_power-3-5": (0, "9513c39c5f7b6b1db5b9d85b196f2e63dda8d48ce2e6dd9333c3ac152f9627c6",
+        "6281ada97034509e4608aa994e85b436ffb76ebd2dd503990076cbe801f473bc"),
     "vandermonde-6-in-4": (0, "a2cbaf44b9d6325334a6df2a1912f7a7a5aec81da79ee5cd28c443facd7f6086",
         "b46dd3dde18c43841ab52048f4d48457d2d7c42bbae22debe7e68ac197a87296"),
-    "tamper-weight-bump": (1, "0e916f8adc2d2123d956afde59329f99ac0cf86c63fe08d20c496abddbda8ed8",
-        "10325104f548930d4f74f1eebc020b4ccc0da2976f53a5cb5e10315dde316ca0"),
-    "tamper-b-change": (1, "e1a684a9c37b1fa103a3652f4f540be30848fb8415758ce5610f82679012f61f",
-        "b754c9dfe2afc2ef88a24460ea94c80459478d28d670bbdbda64d109ba74340c"),
-    "tamper-entry-duplicated": (1, "f642d4a598f8c708f2a3220469d6bb638a40e83133bb81235bfa32c5c4450a27",
-        "43968890e45c18c73d1683995597c1ff940f3dea6782b72c9f016ecf20539814"),
-    "tamper-entry-scaled-copy": (1, "f642d4a598f8c708f2a3220469d6bb638a40e83133bb81235bfa32c5c4450a27",
-        "43968890e45c18c73d1683995597c1ff940f3dea6782b72c9f016ecf20539814"),
-    "tamper-h-scaled-copy": (1, "d2bed5d7a21943c96d6dd0d2185bbe3a8975ce954290c3653f88352ba1ce23da",
-        "fb0db4c57269cba2b08ad9e51839be34c8b2a1325489e68f1ac8be8af483c7bf"),
-    "tamper-h-linear-term-removed": (1, "74d18436ab9c5db7e8e5bc050096abe1d52de9919e969451f89d6251db1156e5",
-        "a81bd6696350d7993b20b9af9992f77823a51d739047fd240d7fce4c875c5282"),
+    "tamper-weight-bump": (1, "d1d9dddbbb3ebe158014dcd7bed9913344c170275a83c29ca32fafb2a44ddb7b",
+        "b4f04ba4527f3f73cd687c895f5e2423d21bbeeaef49a69f4d8b7cfd795447fb"),
+    "tamper-b-change": (1, "2e3a1819c1518408ad5f516e0a30ce64a90904fec5fe17ce40651e8e467cd68e",
+        "127041dba7e55c618ccb6967015437970ee156bbd78d1fd745c25f278719e9e0"),
+    "tamper-entry-duplicated": (1, "08fd5227bb3a5dd857e86eed072aa90fbcc5fad07523d0c7ebcf0abe77ab8f73",
+        "b91ddaf9bf184ac467dbdb5281558527d5a4d2916ca7f0b0ca06771fcfe0ced9"),
+    "tamper-entry-scaled-copy": (1, "08fd5227bb3a5dd857e86eed072aa90fbcc5fad07523d0c7ebcf0abe77ab8f73",
+        "b91ddaf9bf184ac467dbdb5281558527d5a4d2916ca7f0b0ca06771fcfe0ced9"),
+    "tamper-h-scaled-copy": (1, "75b2777d891680d2ebcb353161262133758b96e36818cb4c96f4790d6911817d",
+        "ab44825abadf4b552d3949025abb282c474d348718e07395e170ccc0c83a70ae"),
+    "tamper-h-linear-term-removed": (1, "45ffba01543ecffd982d2a063cf6bca4189991686244f329a10ec341c421f99c",
+        "7aa1fcd8240800e1884b77ca1c4e9ac5d1394664a7ab604676dd1f051140fa23"),
     "tamper-strategy-swap": (1, "6bb92ca98e2de001cc4f07cfcfd8ed0b89aafd2ca415d62d8fc61219531cf36e",
         "cdcae8397dab9d10694609fdc74667848a4e7e0438f1667198b337aa3be2505d"),
-    "tamper-constant-equation": (1, "34f9fa2cf936880ba383a55c4ad23a6c1ff9965ed90a9aa7a35ebe4ad739d462",
-        "129c3ba9125d4a20dd042ba80e0dd1334aabe0dfb34280213e8272ad3290b769"),
-    "tamper-single-factor-product": (1, "6aaf6ac9d2c9330e9f9851f82c65222a9bb58eb1a87e3e8fe136377a67d0ed74",
-        "ea5904fb44d1cd490c0f081f02f3876f1aa9c23673b1afa32cc3ee88de52b8e9"),
+    "tamper-constant-equation": (1, "9613a7e00a596bbc2375a41fbd92360b646482a79b10ca50081418ceaac1612d",
+        "051dbee74dd74bdd45fbcc31a48410765da9be91c68fba060e1b6767f0001d86"),
+    "tamper-single-factor-product": (1, "57ef69004101ea3ca1af1bb31d7d50641b504ef04e61bcf7f855cf9784b48d3e",
+        "b949f907aa0ebe9d51d38416412080bfb41074c453c35e6032e5dac59c55abd4"),
     "tamper-unformed-weights": (1, "05ddf1ca1dd6f3a038c4e9d2f6184dd4e8633fade8219b0b65301b0d5825094f",
         "08323c27382ae533259a421661a42163ee1a60c360e6a1f78da8648a860a9a05"),
 }

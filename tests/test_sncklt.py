@@ -7,12 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cyindex.certify import base_leaf, build_index_prime, build_prime_power
+from cyindex.certify import base_leaf, build_index_prime, build_prime_power, realize
+from cyindex.selftest import _family_leaves
 from cyindex.sncklt import (
+    STEP_COORDINATE_DIAGONAL,
     STEP_KLT,
-    STEP_LINEAR_PARTIALS,
-    STEP_RESIDUAL_RESTRICTION,
-    STEP_RESIDUAL_SMOOTH,
     STEP_SHAPE,
     _check_linear_partials,
     _conic_smooth,
@@ -20,6 +19,7 @@ from cyindex.sncklt import (
     _h_support_ok,
     _integer_row,
     _rank,
+    coordinate_diagonal,
     diagonal_smooth_outside_origin,
     family_snc_check,
     hyperplane_arrangement_snc,
@@ -422,13 +422,7 @@ def test_plane_checker_agrees_with_sampler_on_200_random_arrangements():
 def test_family_a_passes_for_prime_13():
     report = family_snc_check(build_index_prime(13))
     assert report.passed
-    assert [s.description for s in report.steps] == [
-        STEP_SHAPE,
-        STEP_LINEAR_PARTIALS,
-        STEP_RESIDUAL_SMOOTH,
-        STEP_RESIDUAL_RESTRICTION,
-        STEP_KLT,
-    ]
+    assert [s.description for s in report.steps] == [STEP_COORDINATE_DIAGONAL, STEP_KLT]
     assert "irreducibility of non-coordinate divisors" in report.unchecked_hypotheses
 
 
@@ -438,14 +432,15 @@ def test_family_b_passes_for_7():
     assert report.strategy == "family_B"
 
 
-def test_family_c_passes_and_base2_delegates():
+def test_family_c_passes_and_base2_retagged_passes():
     assert family_snc_check(build_prime_power(3, 4)).passed
     leaf = build_prime_power(2, 4)
-    # builder tags base-2 leaves as hyperplane arrangements; retagging as
-    # family_C must reach the same verdict through the degenerate path
+    # builder tags base-2 leaves as hyperplane arrangements; retagged as
+    # family_C, H = x0 + x1 + x2 + x3 is a diagonal form of exponent 1
     retagged = LogLeaf(leaf.space, leaf.entries, "family_C")
     report = family_snc_check(retagged)
     assert report.passed
+    assert [s.description for s in report.steps] == [STEP_COORDINATE_DIAGONAL, STEP_KLT]
 
 
 def test_family_shape_mismatch_reported():
@@ -456,17 +451,17 @@ def test_family_shape_mismatch_reported():
     assert report.steps[0].description == STEP_SHAPE and not report.steps[0].passed
 
 
-def test_family_missing_last_variable_fails_step_two():
-    # drop x_n^4 from H: quasi-homogeneity and degree still hold, but the
-    # residual misses a variable and the z-axis becomes singular
+def test_family_missing_last_variable_fails_the_diagonal_step():
+    # drop x_n^4 from H: quasi-homogeneity and degree still hold, but H has
+    # no term in x_n, and {x_n = 0} and {H = 0} are tangent along the x_n-axis
     leaf = build_index_prime(13)
     coeff, h = leaf.entries[-1]
     h_missing = SparsePoly(h.nvars, tuple(t for t in h.monomials if t[1] != (0, 0, 0, 0, 4)))
     tampered = LogLeaf(leaf.space, leaf.entries[:-1] + ((coeff, h_missing),), leaf.klt_strategy)
     report = family_snc_check(tampered)
     assert not report.passed
-    failed = [s.description for s in report.steps if not s.passed]
-    assert failed == [STEP_RESIDUAL_SMOOTH]
+    assert [(s.description, s.passed, s.detail) for s in report.steps] == [
+        (STEP_COORDINATE_DIAGONAL, False, "H has no term in x4")]
 
 
 def test_family_exponent_change_still_evaluates():
@@ -480,6 +475,157 @@ def test_family_exponent_change_still_evaluates():
     tampered = LogLeaf(leaf.space, leaf.entries[:-1] + ((coeff, h_mod),), leaf.klt_strategy)
     report = family_snc_check(tampered)
     assert report.passed  # the degree failure is reported by the verifier, not here
+
+
+# -- coordinate_diagonal against the reduction it replaced -------------------
+
+
+def _reference_family_ac(leaf):
+    """The two-step reduction that checked family_A and family_C leaves
+    before coordinate_diagonal, kept as the reference: a family shape frame,
+    constant linear partials on the block, a diagonal residual smooth
+    outside the origin and its restriction to the distinguished hyperplane;
+    family_C with every entry a hyperplane went to the arrangement check.
+    True iff every step passed."""
+    coords, others = [], []
+    for _, eq in leaf.entries:
+        j = _coordinate_var_by_scan(eq)
+        if j is None:
+            others.append(eq)
+        else:
+            coords.append(j)
+    if len(others) != 1 or others[0].is_zero():
+        return False
+    h = others[0]
+    nv = h.nvars
+    if leaf.klt_strategy == "family_A":
+        n = nv - 1
+        if n < 2 or sorted(coords) != sorted(list(range(n - 2)) + [n]):
+            return False
+        block, residual, distinguished = list(range(n - 2)), [n - 2, n - 1, n], n
+    else:
+        e = len(coords)
+        if e < 2 or sorted(coords) != list(range(e)):
+            return False
+        if e == nv:
+            normals = [eq.linear_coefficients() for _, eq in leaf.entries]
+            return None not in normals and hyperplane_arrangement_snc(normals)
+        if e > nv - 1:
+            return False
+        block, residual, distinguished = list(range(e - 1)), list(range(e - 1, nv)), e - 1
+    if not _h_support_ok_by_scan(h, set(block), set(residual), None)[0]:
+        return False
+    if not _linear_partials_per_variable(h, block)[0]:
+        return False
+    rest = h.subs_zero(block).restrict_to(residual)
+    local = residual.index(distinguished)
+    restricted = rest.subs_zero([local]).restrict_to([j for j in range(len(residual)) if j != local])
+    try:
+        return _diagonal_by_scan(rest) and _diagonal_by_scan(restricted)
+    except ValueError:
+        return False
+
+
+def test_coordinate_diagonal_passes_what_the_reference_passes_on_the_grids():
+    leaves = [leaf for _, leaf, _ in _family_leaves()] + [base_leaf(2, 14).leaf]
+    for leaf in leaves:
+        own = "family_C" if leaf.klt_strategy == "hyperplane_arrangement" else leaf.klt_strategy
+        for strategy in ("family_A", "family_C"):
+            retagged = _retag(leaf, strategy)
+            want = _reference_family_ac(retagged)
+            assert want or strategy != own, leaf  # the reference passes each leaf under its own tag
+            if want:
+                assert family_snc_check(retagged).passed, (strategy, leaf.space)
+
+
+@st.composite
+def _family_shaped_leaves(draw):
+    """Leaves in N <= 5 variables near the family_A and family_C shapes:
+    the coordinate entries are often exactly a family's and sometimes
+    arbitrary (repeated, missing, extra); each variable of H mostly follows
+    the family pattern (linear on the block, a power >= 2 beyond it) and is
+    otherwise absent or of another exponent; a mixed monomial sometimes
+    joins H."""
+    nv = draw(st.integers(2, 5))
+    strategy = draw(st.sampled_from(("family_A", "family_C")))
+    n = nv - 1
+    if strategy == "family_A":
+        shaped, block = list(range(n - 2)) + [n], n - 2
+    else:
+        e = draw(st.integers(1, nv))
+        shaped, block = list(range(e)), (e - 1 if e < nv else nv)
+    coords = draw(st.just(shaped) | st.lists(st.integers(0, nv - 1), max_size=nv + 1))
+    terms = []
+    for j in range(nv):
+        pattern = 1 if j < block else draw(st.integers(2, 4))
+        k = pattern if draw(st.integers(0, 9)) < 8 else draw(st.integers(0, 3))
+        if k:
+            coeff = draw(st.sampled_from((1, -1, 3, Fraction(1, 2))))
+            terms.append((coeff, tuple(k * (i == j) for i in range(nv))))
+    if draw(st.integers(0, 9)) == 0:
+        i, j = draw(st.lists(st.integers(0, nv - 1), min_size=2, max_size=2, unique=True))
+        terms.append((1, tuple(int(v in (i, j)) for v in range(nv))))
+    h = SparsePoly.from_terms(nv, terms)
+    entries = [(StdCoeff(2), SparsePoly.variable(nv, j)) for j in coords] + [(StdCoeff(3), h)]
+    return LogLeaf(Wps((1,) * nv), tuple(entries), strategy)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_family_shaped_leaves())
+def test_coordinate_diagonal_passes_what_the_reference_passes_on_small_leaves(leaf):
+    ok, _ = coordinate_diagonal(leaf)
+    if _reference_family_ac(leaf):
+        assert ok
+    normals = [eq.linear_coefficients() for _, eq in leaf.entries]
+    if ok and None not in normals:  # all hyperplanes: the rank criterion agrees
+        assert hyperplane_arrangement_snc(normals)
+
+
+def _retag(leaf, strategy):
+    return LogLeaf(leaf.space, leaf.entries, strategy)
+
+
+@pytest.mark.parametrize("leaf", [realize(4, 16).leaf, build_prime_power(3, 2)],
+                         ids=["realize-4-16", "prime-power-3-2"])
+def test_coordinate_diagonal_widens_the_reference(leaf):
+    # the family_A frame wanted coordinates x_0..x_{n-3}, x_n; these shapes
+    # are coordinate hyperplanes plus a diagonal H, which is all the proof uses
+    assert not _reference_family_ac(_retag(leaf, "family_A"))
+    assert family_snc_check(_retag(leaf, "family_A")).passed
+
+
+_P211 = build_prime_power(3, 2)  # x0, x1 and H = x0 + x1^2 + x2^2 on P(2,1,1)
+_X0 = poly(3, (1, (1, 0, 0)))
+
+
+def _with_h(leaf, h):
+    return LogLeaf(leaf.space, leaf.entries[:-1] + ((leaf.entries[-1][0], h),), leaf.klt_strategy)
+
+
+@pytest.mark.parametrize("leaf,detail", [
+    # family_B's H has the mixed monomial x_{n-2}x_n
+    (_retag(build_index_prime(15), "family_A"), "non-diagonal monomial on variables [2, 4]"),
+    (_with_h(_P211, poly(3, (1, (1, 0, 0)), (1, (0, 2, 0)), (1, (0, 1, 0)), (1, (0, 0, 2)))),
+     "two monomials in variable x1"),
+    (_with_h(_P211, poly(3, (1, (1, 0, 0)), (1, (0, 0, 2)))), "H has no term in x1"),
+    (LogLeaf(_P211.space, ((StdCoeff(3), _X0), (StdCoeff(9), _X0.scaled(2)), _P211.entries[-1]), "family_C"),
+     "coordinate hyperplane x0 appears twice"),
+    (_retag(LogLeaf(Wps((1, 1, 1)), tuple((StdCoeff(3), SparsePoly.variable(3, j)) for j in range(3)),
+                    "hyperplane_arrangement"), "family_C"),
+     "expected exactly one non-coordinate entry, found 0"),
+    (LogLeaf(Wps((1, 1)), ((StdCoeff(2), poly(2, (1, (1, 0)))), (StdCoeff(2), poly(3, (1, (1, 0, 0)), (1, (0, 1, 1))))),
+             "family_A"), "entries in different numbers of variables"),
+], ids=["mixed-monomial", "two-powers", "missing-variable", "repeated-coordinate", "no-h", "mixed-nvars"])
+def test_coordinate_diagonal_failure_details(leaf, detail):
+    assert coordinate_diagonal(leaf) == (False, detail)
+
+
+def test_coordinate_diagonal_detail_is_bounded_on_a_large_leaf():
+    report = family_snc_check(_retag(build_index_prime(2003), "family_A"))  # family_B, n = 501
+    (step,) = report.steps
+    assert (step.description, step.passed) == (STEP_COORDINATE_DIAGONAL, False)
+    assert step.detail == "non-diagonal monomial on variables [499, 501]"
+    assert len(step.detail) < 200
 
 
 def _linear_partials_per_variable(h, block):
@@ -548,9 +694,9 @@ def _diagonal_by_scan(eq):
     for _, exps in eq.monomials:
         nz = _nonzero(exps)
         if len(nz) != 1:
-            raise ValueError(f"non-diagonal monomial in {eq}")
+            raise ValueError(f"non-diagonal monomial on variables {nz}")
         if nz[0] in seen:
-            raise ValueError(f"two monomials in variable x{nz[0]} in {eq}")
+            raise ValueError(f"two monomials in variable x{nz[0]}")
         seen.add(nz[0])
     return seen == set(range(eq.nvars))
 
@@ -628,11 +774,9 @@ def test_support_readers_match_the_scans(h, data):
     nv = h.nvars
     assert _outcome(diagonal_smooth_outside_origin, h) == _outcome(_diagonal_by_scan, h)
     assert _coordinate_var(h) == _coordinate_var_by_scan(h)
-    variables = st.sets(st.integers(0, nv - 1))
-    block, residual = data.draw(variables), data.draw(variables)
-    mixed = data.draw(st.none() | st.tuples(st.integers(0, nv - 1), st.integers(0, nv - 1)))
-    assert _h_support_ok(h, block, residual, mixed) == _h_support_ok_by_scan(h, block, residual, mixed)
-    order = sorted(block)
+    n = nv - 1
+    assert _h_support_ok(h, n) == _h_support_ok_by_scan(h, set(range(n - 2)), {n - 1, n}, (n - 2, n))
+    order = sorted(data.draw(st.sets(st.integers(0, nv - 1))))
     assert _check_linear_partials(h, order) == _linear_partials_per_variable(h, order)
 
 
@@ -657,10 +801,7 @@ def test_family_shapes_match_the_scans_on_the_grids():
             assert _coordinate_var(eq) == _coordinate_var_by_scan(eq)
         h = leaf.entries[-1][1]
         n = h.nvars - 1
-        for block, residual, mixed in ((set(range(n - 2)), {n - 2, n - 1, n}, None),
-                                       (set(range(n - 2)), {n - 1, n}, (n - 2, n)),
-                                       (set(range(n - 2)), {n - 1, n}, (n, n - 2))):
-            assert _h_support_ok(h, block, residual, mixed) == _h_support_ok_by_scan(h, block, residual, mixed)
+        assert _h_support_ok(h, n) == _h_support_ok_by_scan(h, set(range(n - 2)), {n - 1, n}, (n - 2, n))
 
 
 # -- dispatch ----------------------------------------------------------------
