@@ -30,7 +30,7 @@ from fractions import Fraction
 from math import lcm
 
 from .numtheory import euler_phi, factorize, indices_with_phi_at_most
-from .sncklt import KltReport, is_klt_leaf, plane_arrangement_snc
+from .sncklt import KltReport, is_klt_leaf
 from .wpspairs import (
     KLT_STRATEGIES,
     LogLeaf,
@@ -469,8 +469,9 @@ def search_plane_pair(dim: int, index: int, max_components: int = 4) -> LogLeaf 
     d = 1 on P^1 and d in {1, 2} on P^2, subject to
     sum (1 - 1/b) d = 2 resp. 3 and lcm(b) = index; candidates are tried by
     component count, then lexicographically, each instantiated with the
-    deterministic catalogue equations and accepted only if the
-    simple-normal-crossing check passes. Absence is a value, not an error.
+    deterministic catalogue equations and accepted only if is_klt_leaf,
+    the verifier's own klt check, passes it (hyperplane ranks on P^1,
+    resultants on P^2). Absence is a value, not an error.
 
     The degree condition is kept in integers: scaled by the index, a part
     weighs d*(index - index//b) and the parts sum to (dim + 1)*index. A
@@ -481,8 +482,8 @@ def search_plane_pair(dim: int, index: int, max_components: int = 4) -> LogLeaf 
     stops at that capacity. An index that no pair on P^1 (2, 3, 4, 6) or
     P^2 (2, 4, 6, 8, 10, 12, 18, 20, 24, 30, 42) can have is answered None
     before it is factored. None of this changes which
-    multiset is found first; the lcm, the instantiation and the
-    simple-normal-crossing check still decide every one that is tried.
+    multiset is found first; the lcm, the instantiation and the klt check
+    still decide every one that is tried.
     """
     if dim not in (1, 2):
         raise ValueError(f"search_plane_pair covers dimensions 1 and 2, got {dim!r}")
@@ -499,7 +500,7 @@ def search_plane_pair(dim: int, index: int, max_components: int = 4) -> LogLeaf 
             if lcm(*[b for b, _ in combo]) != index:
                 continue
             leaf = _instantiate_plane(dim, combo)
-            if plane_arrangement_snc(leaf.equations()):
+            if is_klt_leaf(leaf).passed:
                 return leaf
     return None
 

@@ -122,6 +122,13 @@ def _not_klt_leaves():
         Wps((2, 1, 1)), ((StdCoeff(3), x0), (StdCoeff(9), x0), h), "family_C")
     yield "a diagonal H missing a variable", LogLeaf(
         Wps((2, 1, 1)), ((StdCoeff(2), x0), (StdCoeff(3), no_x2)), "family_A")
+    # x0 + x1*x3 + x2^2 + x3^4 on P(4,3,2,1) without one monomial stays quasi-homogeneous, but
+    # H then misses x1 resp. x2 and is tangent to the coordinate hyperplanes on that axis
+    leaf = build_index_prime(11)
+    *coords, (c, h) = leaf.entries
+    for name, support in (("x1*x3", (1, 3)), ("x2^2", (2,))):
+        kept = SparsePoly(h.nvars, tuple(t for t, nz in zip(h.monomials, h.supports) if nz != support))
+        yield f"a family_B H without {name}", LogLeaf(leaf.space, (*coords, (c, kept)), "family_B")
 
 
 def check_klt() -> None:

@@ -7,15 +7,11 @@ pair is Kawamata log terminal. None of the checkers decides kltness in
 general: each validates one specific shape, in exact rational arithmetic,
 and reports its steps so the reasoning can be replayed.
 
-family_A and family_C leaves are checked by one criterion,
-coordinate_diagonal: distinct coordinate hyperplanes plus one diagonal form
-sum_j c_j x_j^{k_j} with a term in every variable are SNC outside the
-origin (the proof is in its docstring). family_B carries the mixed
-monomial x_{n-2}x_n and keeps a two-step reduction: its linear block has
-constant nonzero partials in H, so only the deep stratum of the block is
-left, where the residual and its restriction to {x_{n-2} = 0} must be
-smooth outside the origin (one closed-form mixed gradient, one diagonal
-form).
+Each family leaf is one criterion, whose proof is in its docstring, and
+one klt step. family_A and family_C use coordinate_diagonal (coordinate
+hyperplanes plus one diagonal form in every variable), family_B uses
+family_b_pattern (coordinate hyperplanes x_0..x_{n-2} plus one H that is
+the linear block, x_{n-2}x_n and pure powers of x_{n-1} and x_n).
 
 Arrangement strategies are checked directly: hyperplanes by exact rank of
 normal-vector subsets, plane curves by resultants of sheared equations
@@ -43,16 +39,15 @@ __all__ = [
     "KltStep",
     "KltReport",
     "coordinate_diagonal",
+    "family_b_pattern",
     "diagonal_smooth_outside_origin",
     "hyperplane_arrangement_snc",
     "plane_arrangement_snc",
     "family_snc_check",
     "is_klt_leaf",
     "STEP_COORDINATE_DIAGONAL",
+    "STEP_FAMILY_B_PATTERN",
     "STEP_SHAPE",
-    "STEP_LINEAR_PARTIALS",
-    "STEP_RESIDUAL_SMOOTH",
-    "STEP_RESIDUAL_RESTRICTION",
     "STEP_HYPERPLANES",
     "STEP_PLANE",
     "STEP_KLT",
@@ -61,17 +56,15 @@ __all__ = [
 
 # Step description strings are part of the report format; keep them stable.
 STEP_COORDINATE_DIAGONAL = "distinct coordinate hyperplanes plus one diagonal form in every variable"
+STEP_FAMILY_B_PATTERN = (
+    "coordinate hyperplanes x_0..x_{n-2} plus one H = sum of x_i (i < n-2), x_{n-2}x_n, x_{n-1}^j and x_n^k"
+)
 STEP_SHAPE = "shape matches declared strategy"
-STEP_LINEAR_PARTIALS = "linear-block variables appear linearly in H with constant nonzero partials"
-STEP_RESIDUAL_SMOOTH = "residual hypersurface smooth outside the origin"
-STEP_RESIDUAL_RESTRICTION = "residual restriction to the distinguished hyperplane smooth outside the origin"
 STEP_HYPERPLANES = "hyperplane arrangement simple normal crossing outside the origin"
 STEP_PLANE = "plane arrangement simple normal crossing outside the origin"
 STEP_KLT = "SNC support with all coefficients < 1 outside the origin implies klt"
 
 UNCHECKED_IRREDUCIBILITY = "irreducibility of non-coordinate divisors"
-
-_FAMILIES = ("family_A", "family_B", "family_C")
 
 
 @dataclass(frozen=True)
@@ -512,16 +505,22 @@ def _coordinate_var(eq: SparsePoly) -> int | None:
     return None
 
 
-def _split_entries(leaf: LogLeaf):
-    coords: list[int] = []
-    others: list[SparsePoly] = []
-    for _, eq in leaf.entries:
-        j = _coordinate_var(eq)
-        if j is None:
-            others.append(eq)
-        else:
-            coords.append(j)
-    return coords, others
+def _frame(leaf: LogLeaf) -> tuple[list[int], SparsePoly | None, str]:
+    """(coords, H, "") if the leaf is distinct coordinate hyperplanes
+    {x_j = 0} plus exactly one other entry H, all in one number of
+    variables; (coords, None, why) otherwise. coords is sorted."""
+    eqs = leaf.equations()
+    coords = sorted(j for j in map(_coordinate_var, eqs) if j is not None)
+    others = [eq for eq in eqs if _coordinate_var(eq) is None]
+    if len(others) != 1:
+        return coords, None, f"expected exactly one non-coordinate entry, found {len(others)}"
+    h = others[0]
+    if any(eq.nvars != h.nvars for eq in eqs):
+        return coords, None, "entries in different numbers of variables"
+    repeated = next((a for a, b in zip(coords, coords[1:]) if a == b), None)
+    if repeated is not None:
+        return coords, None, f"coordinate hyperplane x{repeated} appears twice"
+    return coords, h, ""
 
 
 def coordinate_diagonal(leaf: LogLeaf) -> tuple[bool, str]:
@@ -539,16 +538,9 @@ def coordinate_diagonal(leaf: LogLeaf) -> tuple[bool, str]:
     The diagonal shape is read by diagonal_smooth_outside_origin. Details
     name variable indices, never H, so they stay short on large leaves.
     """
-    coords, others = _split_entries(leaf)
-    if len(others) != 1:
-        return False, f"expected exactly one non-coordinate entry, found {len(others)}"
-    h = others[0]
-    if any(eq.nvars != h.nvars for _, eq in leaf.entries):
-        return False, "entries in different numbers of variables"
-    ordered = sorted(coords)
-    repeated = next((a for a, b in zip(ordered, ordered[1:]) if a == b), None)
-    if repeated is not None:
-        return False, f"coordinate hyperplane x{repeated} appears twice"
+    coords, h, why = _frame(leaf)
+    if h is None:
+        return False, why
     try:
         if diagonal_smooth_outside_origin(h):
             return True, f"{len(coords)} coordinate hyperplanes and H diagonal in all {h.nvars} variables"
@@ -558,121 +550,91 @@ def coordinate_diagonal(leaf: LogLeaf) -> tuple[bool, str]:
     return False, f"H has no term in x{missing}"
 
 
-def _h_support_ok(h: SparsePoly, n: int) -> tuple[bool, str]:
-    """The family_B pattern: every monomial of H is x_i for i < n-2
-    (linear), the mixed monomial x_{n-2}x_n, or a pure power >= 2 of
-    x_{n-1} or x_n (at most one each)."""
-    powers_seen: set[int] = set()
-    for (_, exps), nz in zip(h.monomials, h.supports):
-        if nz == (n - 2, n) and exps[n - 2] == exps[n] == 1:
-            continue
-        if len(nz) != 1:
-            return False, f"monomial on variables {list(nz)} outside the family pattern"
-        j = nz[0]
-        if exps[j] == 1 and j < n - 2:
-            continue
-        if exps[j] >= 2 and j >= n - 1:
-            if j in powers_seen:
-                return False, f"two pure powers of x{j}"
-            powers_seen.add(j)
-            continue
-        return False, f"monomial x{j}^{exps[j]} outside the family pattern"
-    return True, ""
+def family_b_pattern(leaf: LogLeaf) -> tuple[bool, str]:
+    """The coordinate hyperplanes {x_0 = 0}, ..., {x_{n-2} = 0} plus one
+    H = sum_{i < n-2} a_i x_i + a x_{n-2}x_n + b x_{n-1}^j + c x_n^k, its
+    monomials filling these slots one for one with j, k >= 2, are simple
+    normal crossing outside the origin of the affine cone.
 
+    Proof: take p != 0 with H(p) = 0. If some block coordinate x_i(p) != 0
+    (i < n-2), then {x_i = 0} misses p and dH/dx_i = a_i != 0, so dH(p)
+    lies outside the span of the coordinate differentials through p.
+    Otherwise dH(p) modulo the block differentials is
+    (a x_n, j b x_{n-1}^{j-1}, a x_{n-2} + k c x_n^{k-1}). If
+    x_{n-2}(p) != 0, this vanishes only when x_n = 0, which then forces
+    x_{n-2} = 0: a contradiction. If x_{n-2}(p) = 0, its last two entries
+    vanish only at x_{n-1} = x_n = 0, that is at p = 0.
 
-def _family_b_frame(leaf: LogLeaf) -> tuple[str, SparsePoly | None]:
-    """(detail, H) if the leaf has the family_B shape: coordinate
-    hyperplanes x_0, ..., x_{n-2} plus one H in the family_B pattern;
-    (why, None) otherwise."""
-    coords, others = _split_entries(leaf)
-    if len(others) != 1:
-        return f"expected exactly one non-coordinate entry, found {len(others)}", None
-    h = others[0]
-    if h.is_zero():
-        return "non-coordinate entry is the zero polynomial", None
+    Details name variable indices, never H, so they stay short on large
+    leaves.
+    """
+    coords, h, why = _frame(leaf)
+    if h is None:
+        return False, why
     n = h.nvars - 1
     if n < 2:
-        return "too few variables for the odd-index families", None
+        return False, "too few variables for the family_B pattern"
     expected = list(range(n - 1))
-    if sorted(coords) != expected:
-        return f"coordinate entries {sorted(coords)} != {expected}", None
-    ok, why = _h_support_ok(h, n)
-    return why, h if ok else None
-
-
-def _check_linear_partials(h: SparsePoly, block: list[int]) -> tuple[bool, str]:
-    """Every block variable x_i is a monomial of H and occurs in no other,
-    so dH/dx_i is a nonzero constant. One pass over H; the first failing
-    variable in block order is reported."""
-    linear: set[int] = set()  # x_i is a monomial of H
-    elsewhere: set[int] = set()  # x_i occurs in another monomial
+    if coords != expected:
+        j = min(set(expected).symmetric_difference(coords))
+        return False, f"coordinate hyperplanes differ from x0..x{n - 2} at x{j}"
+    linear: set[int] = set()  # exponent vectors are distinct, so a slot fills at most once
+    powers: set[int] = set()
+    mixed = False
     for (_, exps), nz in zip(h.monomials, h.supports):
-        if len(nz) == 1 and exps[nz[0]] == 1:
-            linear.add(nz[0])
+        j = nz[0] if len(nz) == 1 else None
+        if nz == (n - 2, n) and exps[n - 2] == exps[n] == 1:
+            mixed = True
+        elif j is None:
+            return False, f"monomial on variables {list(nz)} outside the family_B pattern"
+        elif exps[j] == 1 and j < n - 2:
+            linear.add(j)
+        elif exps[j] >= 2 and j >= n - 1 and j not in powers:
+            powers.add(j)
+        elif j in powers:
+            return False, f"two pure powers of x{j}"
         else:
-            elsewhere.update(nz)
-    for i in block:
-        if i not in linear:
-            return False, f"x{i} does not appear linearly in H"
-        if i in elsewhere:
-            return False, f"partial of H in x{i} is not constant"
-    return True, "" if block else "no linear block (deep stratum is everything)"
+            return False, f"monomial x{j}^{exps[j]} outside the family_B pattern"
+    if len(linear) != n - 2:
+        return False, f"x{min(set(range(n - 2)).difference(linear))} does not appear linearly in H"
+    if not mixed:
+        return False, f"mixed monomial x{n - 2}*x{n} missing from H"
+    for j in (n - 1, n):
+        if j not in powers:
+            return False, f"no pure power of x{j} in H"
+    return True, f"{n - 1} coordinate hyperplanes and H in the family_B pattern in {h.nvars} variables"
 
 
-def _family_b_residual_smooth(residual: SparsePoly) -> tuple[bool, str]:
-    """Closed-form gradient analysis for a*x*z + b*y^j + c*z^k in local
-    variables (x, y, z) = residual coordinates: the gradient
-    (a*z, j*b*y^(j-1), a*x + k*c*z^(k-1)) vanishes only at the origin iff
-    both the mixed term and the y power are present."""
-    mixed = Fraction(0)
-    ypow = Fraction(0)
-    for c, (ex, ey, ez) in residual.monomials:
-        if ex == 1 and ez == 1 and ey == 0:
-            mixed = c
-        elif ey >= 2 and ex == 0 and ez == 0:
-            ypow = c
-    if mixed == 0:
-        return False, "mixed monomial x*z missing: gradient vanishes along a line"
-    if ypow == 0:
-        return False, "pure y power missing: gradient vanishes along a line"
-    return True, "gradient (a*z, j*b*y^(j-1), a*x + k*c*z^(k-1)) vanishes only at the origin"
+# one criterion per family: the step description it reports and its check
+_FAMILIES = {
+    "family_A": (STEP_COORDINATE_DIAGONAL, coordinate_diagonal),
+    "family_B": (STEP_FAMILY_B_PATTERN, family_b_pattern),
+    "family_C": (STEP_COORDINATE_DIAGONAL, coordinate_diagonal),
+}
 
 
 def family_snc_check(leaf: LogLeaf) -> KltReport:
-    """SNC check for a family-tagged leaf.
-
-    family_A and family_C are one step, coordinate_diagonal. family_B
-    re-executes its two-step reduction on the residual (x_{n-2}, x_{n-1},
-    x_n): the block x_0, ..., x_{n-3} has constant partials, the residual
-    a*x_{n-2}x_n + b*x_{n-1}^j + c*x_n^k is smooth outside the origin, and
-    so is its restriction to the hyperplane x_{n-2} = 0.
-    """
+    """SNC check for a family-tagged leaf: one criterion per family,
+    coordinate_diagonal for family_A and family_C and family_b_pattern for
+    family_B, each with its proof in its docstring."""
     strategy = leaf.klt_strategy
     if strategy not in _FAMILIES:
         raise ValueError(f"family_snc_check requires a family strategy, got {strategy!r}")
-    if strategy != "family_B":
-        step = KltStep(STEP_COORDINATE_DIAGONAL, *coordinate_diagonal(leaf))
-        return _report(strategy, [step], (UNCHECKED_IRREDUCIBILITY,))
-
-    detail, h = _family_b_frame(leaf)
-    steps = [KltStep(STEP_SHAPE, h is not None, detail)]
-    if h is None:
-        return _report(strategy, steps, (UNCHECKED_IRREDUCIBILITY,))
-    n = h.nvars - 1
-    block = list(range(n - 2))
-    steps.append(KltStep(STEP_LINEAR_PARTIALS, *_check_linear_partials(h, block)))
-    residual = h.subs_zero(block).restrict_to([n - 2, n - 1, n])
-    steps.append(KltStep(STEP_RESIDUAL_SMOOTH, *_family_b_residual_smooth(residual)))
-    # the shape leaves b*y^j + c*z^k here: diagonal, so this cannot raise
-    restricted = residual.subs_zero([0]).restrict_to([1, 2])
-    ok = diagonal_smooth_outside_origin(restricted)
-    steps.append(KltStep(STEP_RESIDUAL_RESTRICTION, ok, str(restricted)))
-    return _report(strategy, steps, (UNCHECKED_IRREDUCIBILITY,))
+    description, check = _FAMILIES[strategy]
+    return _report(strategy, [KltStep(description, *check(leaf))], (UNCHECKED_IRREDUCIBILITY,))
 
 
 # ---------------------------------------------------------------------------
 # dispatch
 # ---------------------------------------------------------------------------
+
+
+def _first_nonlinear(eq: SparsePoly) -> str:
+    """Why eq is no hyperplane, by variable indices only, so it stays short."""
+    for (_, exps), nz in zip(eq.monomials, eq.supports):
+        if len(nz) != 1 or exps[nz[0]] != 1:
+            return f"monomial on variables {list(nz)}"
+    return "zero polynomial"
 
 
 def is_klt_leaf(leaf: LogLeaf) -> KltReport:
@@ -689,16 +651,13 @@ def is_klt_leaf(leaf: LogLeaf) -> KltReport:
 
     steps: list[KltStep] = []
     if strategy == "hyperplane_arrangement":
-        normals = []
-        shape_ok, shape_detail = True, ""
-        for _, eq in leaf.entries:
-            lin = eq.linear_coefficients() if not eq.is_zero() else None
-            if lin is None:
-                shape_ok, shape_detail = False, f"entry {eq} is not a hyperplane"
-                break
-            normals.append(lin)
-        steps.append(KltStep(STEP_SHAPE, shape_ok, shape_detail))
-        if shape_ok:
+        eqs = leaf.equations()
+        normals = [None if eq.is_zero() else eq.linear_coefficients() for eq in eqs]
+        if None in normals:
+            i = normals.index(None)
+            steps.append(KltStep(STEP_SHAPE, False, f"entry {i} is not a hyperplane: {_first_nonlinear(eqs[i])}"))
+        else:
+            steps.append(KltStep(STEP_SHAPE, True))
             steps.append(KltStep(STEP_HYPERPLANES, hyperplane_arrangement_snc(normals)))
         return _report(strategy, steps, ())
 

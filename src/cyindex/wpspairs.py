@@ -182,11 +182,6 @@ class SparsePoly:
                 return c
         return Fraction(0)
 
-    def total_degree(self) -> int:
-        if self.is_zero():
-            raise ValueError("total degree of the zero polynomial")
-        return max(sum(e) for _, e in self.monomials)
-
     def linear_coefficients(self) -> list[Fraction] | None:
         """Coefficient vector if every monomial has total degree 1, else None."""
         coeffs = [Fraction(0)] * self.nvars

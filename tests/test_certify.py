@@ -33,8 +33,8 @@ import cyindex.certify
 import cyindex.cli
 import cyindex.sncklt
 import cyindex.wpspairs
-from cyindex.sncklt import STEP_RESIDUAL_SMOOTH, is_klt_leaf
-from cyindex.wpspairs import SparsePoly, log_degree, pair_index
+from cyindex.sncklt import STEP_FAMILY_B_PATTERN, KltReport, is_klt_leaf
+from cyindex.wpspairs import SparsePoly, log_degree, pair_index, weighted_degree
 
 
 # -- builders ----------------------------------------------------------------
@@ -526,9 +526,9 @@ def test_tamper_originals_all_pass():
     assert _verify_obj(C_OBJ, "strict").passed
 
 
-def test_tamper_h_monomial_removed_names_the_residual_step():
-    # family_B keeps its residual steps: without the pure power x_{n-1}^2, H
-    # no longer involves x_{n-1} and the residual gradient vanishes on a line
+def test_tamper_h_monomial_removed_names_the_pattern_step():
+    # without the pure power x_{n-1}^2, H no longer involves x_{n-1} and is
+    # tangent to the coordinate hyperplanes along the x_{n-1}-axis
     obj = certificate_to_obj(WpsLeaf(build_index_prime(15)))
     h = obj["entries"][_h_entry_index(obj)]["eq"]
     h[:] = [mono for mono in h if mono["e"] != [0, 0, 0, 2, 0]]
@@ -536,14 +536,14 @@ def test_tamper_h_monomial_removed_names_the_residual_step():
     assert _failing_names(report) == {"klt"}
     (leaf_report,) = report.leaf_reports
     failed = [(s.description, s.detail) for s in leaf_report.klt.steps if not s.passed]
-    assert failed[0] == (STEP_RESIDUAL_SMOOTH, "pure y power missing: gradient vanishes along a line")
+    assert failed == [(STEP_FAMILY_B_PATTERN, "no pure power of x3 in H")]
 
 
 # -- search ------------------------------------------------------------------
 
 
 def _multiset(leaf):
-    return sorted((c.b, eq.total_degree()) for c, eq in leaf.entries)
+    return sorted((c.b, weighted_degree(eq, leaf.space)) for c, eq in leaf.entries)
 
 
 def oracle_multisets(dim, index, max_components):
@@ -670,7 +670,7 @@ def test_search_p2_hits_match_the_oracle():
 def test_search_accepts_nothing_the_snc_check_rejects(monkeypatch):
     queries = [(1, m, 4) for m in (2, 3, 4, 6)] + [(2, m, 7) for m in (2, 4, 10, 18, 30, 42)]
     assert all(search_plane_pair(*q) is not None for q in queries)
-    monkeypatch.setattr(cyindex.certify, "plane_arrangement_snc", lambda equations: False)
+    monkeypatch.setattr(cyindex.certify, "is_klt_leaf", lambda leaf: KltReport(False, leaf.klt_strategy, (), ()))
     for q in queries:
         assert search_plane_pair(*q) is None, q
 

@@ -216,9 +216,10 @@ def test_verify_json_format(capsys, tmp_path):
 
 # -- verify report bytes -------------------------------------------------------
 # sha256 of `verify FILE --mode M --format json` stdout. Re-recorded when
-# family_A and family_C leaves moved to the one coordinate-diagonal klt step:
-# against the two-step reduction, each report kept its exit code and changed
-# only in the klt steps of those leaves.
+# family_A and family_C leaves moved to the one coordinate-diagonal klt step,
+# and tamper-strategy-swap again when family_B moved to its one pattern step:
+# against the reductions they replaced, each report kept its exit code and
+# changed only in its klt steps.
 
 
 def _tampered(kind, m=41):
@@ -290,8 +291,8 @@ REPORT_SHA256 = {
         "ab44825abadf4b552d3949025abb282c474d348718e07395e170ccc0c83a70ae"),
     "tamper-h-linear-term-removed": (1, "45ffba01543ecffd982d2a063cf6bca4189991686244f329a10ec341c421f99c",
         "7aa1fcd8240800e1884b77ca1c4e9ac5d1394664a7ab604676dd1f051140fa23"),
-    "tamper-strategy-swap": (1, "6bb92ca98e2de001cc4f07cfcfd8ed0b89aafd2ca415d62d8fc61219531cf36e",
-        "cdcae8397dab9d10694609fdc74667848a4e7e0438f1667198b337aa3be2505d"),
+    "tamper-strategy-swap": (1, "aea996d615da04472ee56acc0fe28a495b5f8a7b7d3d9b9109c7ceeddd1429ab",
+        "27f8359d813a33e9bfa3a667a338ec766d8f94588cca9dc7fe4734a01f6b1980"),
     "tamper-constant-equation": (1, "9613a7e00a596bbc2375a41fbd92360b646482a79b10ca50081418ceaac1612d",
         "051dbee74dd74bdd45fbcc31a48410765da9be91c68fba060e1b6767f0001d86"),
     "tamper-single-factor-product": (1, "57ef69004101ea3ca1af1bb31d7d50641b504ef04e61bcf7f855cf9784b48d3e",

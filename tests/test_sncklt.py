@@ -11,16 +11,16 @@ from cyindex.certify import base_leaf, build_index_prime, build_prime_power, rea
 from cyindex.selftest import _family_leaves
 from cyindex.sncklt import (
     STEP_COORDINATE_DIAGONAL,
+    STEP_FAMILY_B_PATTERN,
     STEP_KLT,
     STEP_SHAPE,
-    _check_linear_partials,
     _conic_smooth,
     _coordinate_var,
-    _h_support_ok,
     _integer_row,
     _rank,
     coordinate_diagonal,
     diagonal_smooth_outside_origin,
+    family_b_pattern,
     family_snc_check,
     hyperplane_arrangement_snc,
     is_klt_leaf,
@@ -430,6 +430,7 @@ def test_family_b_passes_for_7():
     report = family_snc_check(build_index_prime(7))
     assert report.passed
     assert report.strategy == "family_B"
+    assert [s.description for s in report.steps] == [STEP_FAMILY_B_PATTERN, STEP_KLT]
 
 
 def test_family_c_passes_and_base2_retagged_passes():
@@ -444,11 +445,13 @@ def test_family_c_passes_and_base2_retagged_passes():
 
 
 def test_family_shape_mismatch_reported():
+    # family_A's coordinates x0, x1, x4 on P(4, 4, 2, 1, 1) are not family_B's x0, x1, x2
     leaf = build_index_prime(13)
     retagged = LogLeaf(leaf.space, leaf.entries, "family_B")
     report = family_snc_check(retagged)
     assert not report.passed
-    assert report.steps[0].description == STEP_SHAPE and not report.steps[0].passed
+    assert [(s.description, s.passed, s.detail) for s in report.steps] == [
+        (STEP_FAMILY_B_PATTERN, False, "coordinate hyperplanes differ from x0..x2 at x2")]
 
 
 def test_family_missing_last_variable_fails_the_diagonal_step():
@@ -465,9 +468,9 @@ def test_family_missing_last_variable_fails_the_diagonal_step():
 
 
 def test_family_exponent_change_still_evaluates():
-    # raising the x_{n-1} exponent breaks degree bookkeeping upstream but the
-    # residual is still a diagonal form covering all variables: the SNC steps
-    # themselves pass
+    # raising the x_{n-1} exponent breaks degree bookkeeping upstream but H
+    # is still a diagonal form covering all variables: the SNC step itself
+    # passes
     leaf = build_index_prime(13)
     coeff, h = leaf.entries[-1]
     terms = [(c, e if e != (0, 0, 0, 4, 0) else (0, 0, 0, 5, 0)) for c, e in h.monomials]
@@ -641,45 +644,194 @@ def _linear_partials_per_variable(h, block):
     return True, "" if block else "no linear block (deep stratum is everything)"
 
 
-_H = poly(5, (1, (1, 0, 0, 0, 0)), (1, (0, 1, 0, 0, 0)), (2, (0, 0, 1, 0, 0)), (1, (0, 0, 0, 4, 0)),
-          (1, (0, 0, 0, 0, 4)))
+# -- family_b_pattern against the reduction it replaced ----------------------
 
 
-@pytest.mark.parametrize("h,block,want", [
-    (_H, [0, 1, 2], (True, "")),
-    (_H, [], (True, "no linear block (deep stratum is everything)")),
-    # x1 is missing from H
-    (poly(5, (1, (1, 0, 0, 0, 0)), (1, (0, 0, 1, 0, 0)), (1, (0, 0, 0, 4, 0))), [0, 1, 2],
-     (False, "x1 does not appear linearly in H")),
-    # x2 also occurs in x2*x3^3, so dH/dx2 is not constant
-    (poly(5, (1, (1, 0, 0, 0, 0)), (1, (0, 1, 0, 0, 0)), (1, (0, 0, 1, 0, 0)), (1, (0, 0, 1, 3, 0))),
-     [0, 1, 2], (False, "partial of H in x2 is not constant")),
-    # x1^2 but no x1: the linear term is missing, which is reported first
-    (poly(5, (1, (1, 0, 0, 0, 0)), (1, (0, 2, 0, 0, 0)), (1, (0, 0, 1, 0, 0))), [0, 1, 2],
-     (False, "x1 does not appear linearly in H")),
-    # two failures, x2 (not constant) before x3 (missing) in block order
-    (poly(5, (1, (1, 0, 0, 0, 0)), (1, (0, 1, 0, 0, 0)), (1, (0, 0, 1, 0, 0)), (1, (0, 0, 1, 0, 3))),
-     [0, 1, 2, 3], (False, "partial of H in x2 is not constant")),
-    # two failures, x3 (missing) before x4 (not constant) in block order
-    (poly(5, (1, (1, 0, 0, 0, 0)), (1, (0, 0, 0, 0, 1)), (1, (1, 0, 0, 0, 3))), [3, 4],
-     (False, "x3 does not appear linearly in H")),
+def _reference_family_b(leaf):
+    """The four-step reduction that checked family_B leaves before
+    family_b_pattern, kept as the reference: the shape frame (coordinate
+    entries exactly x_0..x_{n-2}, H in the family pattern), constant linear
+    partials on the block x_0..x_{n-3}, the residual
+    a*x*z + b*y^j + c*z^k in (x, y, z) = (x_{n-2}, x_{n-1}, x_n) with its
+    mixed term and its y power, and the restriction of the residual to
+    {x = 0} diagonal in both remaining variables. True iff every step
+    passed."""
+    coords, others = [], []
+    for _, eq in leaf.entries:
+        j = _coordinate_var_by_scan(eq)
+        if j is None:
+            others.append(eq)
+        else:
+            coords.append(j)
+    if len(others) != 1 or others[0].is_zero():
+        return False
+    h = others[0]
+    n = h.nvars - 1
+    if n < 2 or sorted(coords) != list(range(n - 1)):
+        return False
+    block = list(range(n - 2))
+    if not _h_support_ok_by_scan(h, set(block), {n - 1, n}, (n - 2, n))[0]:
+        return False
+    if not _linear_partials_per_variable(h, block)[0]:
+        return False
+    residual = h.subs_zero(block).restrict_to([n - 2, n - 1, n])
+    if residual.coefficient((1, 0, 1)) == 0:
+        return False
+    if not any(ey >= 2 and ex == ez == 0 for _, (ex, ey, ez) in residual.monomials):
+        return False
+    return _diagonal_by_scan(residual.subs_zero([0]).restrict_to([1, 2]))
+
+
+def test_family_b_pattern_matches_the_reference_on_the_grids():
+    leaves = [leaf for _, leaf, _ in _family_leaves()] + [base_leaf(2, 14).leaf]
+    passed = 0
+    for leaf in leaves:
+        report = family_snc_check(_retag(leaf, "family_B"))
+        assert report.passed == _reference_family_b(_retag(leaf, "family_B")), leaf.space
+        if report.passed:
+            assert [s.description for s in report.steps] == [STEP_FAMILY_B_PATTERN, STEP_KLT]
+        passed += report.passed
+    assert passed == 99  # the family_B leaves, m = 7, 11, ..., 399, and no other
+
+
+@st.composite
+def _family_b_shaped_leaves(draw):
+    """Leaves in N <= 6 variables near the family_B shape, every entry in N
+    variables: the coordinate entries are often exactly x_0..x_{n-2} and
+    sometimes arbitrary (repeated, missing, extra); each slot of H (a block
+    variable linearly, x_{n-2}x_n, a power of x_{n-1}, a power of x_n) is
+    mostly filled and otherwise empty or of other exponents; a stray
+    monomial, often a pure power, sometimes joins H."""
+    nv = draw(st.integers(2, 6))
+    n = nv - 1
+    coords = draw(st.just(list(range(n - 1))) | st.lists(st.integers(0, nv - 1), max_size=nv + 1))
+    slots = [{i: 1} for i in range(n - 2)]
+    if n >= 2:
+        slots += [{n - 2: 1, n: 1}, {n - 1: draw(st.integers(2, 4))}, {n: draw(st.integers(2, 4))}]
+    exponents = []
+    for slot in slots:
+        fate = draw(st.integers(0, 11))
+        if fate == 10:
+            continue
+        if fate == 11:
+            j = draw(st.sampled_from(sorted(slot)))
+            slot = {**slot, j: draw(st.integers(0, 3))}
+        exponents.append(tuple(slot.get(i, 0) for i in range(nv)))
+    if draw(st.integers(0, 4)) == 0 or not exponents:
+        power = st.tuples(st.integers(0, nv - 1), st.integers(1, 3)).map(
+            lambda t: tuple(t[1] * (i == t[0]) for i in range(nv)))
+        exponents.append(draw(power | st.tuples(*[st.integers(0, 2)] * nv)))
+    coeffs = st.sampled_from((1, -1, 3, Fraction(1, 2)))
+    h = SparsePoly.from_terms(nv, [(draw(coeffs), e) for e in exponents])
+    entries = [(StdCoeff(2), SparsePoly.variable(nv, j)) for j in coords] + [(StdCoeff(3), h)]
+    return LogLeaf(Wps((1,) * nv), tuple(entries), "family_B")
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(_family_b_shaped_leaves())
+def test_family_b_pattern_matches_the_reference_on_small_leaves(leaf):
+    assert family_b_pattern(leaf)[0] == _reference_family_b(leaf)
+
+
+def test_family_b_pattern_matches_the_reference_on_one_monomial_mutants():
+    # H of the two smallest family_B leaves with one monomial dropped, or one pure
+    # power x_j^e (e <= 3) or one product x_i*x_j added
+    for leaf in (build_index_prime(7), build_index_prime(15)):
+        h = leaf.entries[-1][1]
+        nv = h.nvars
+        mutants = [tuple(t for t in h.monomials if t is not drop) for drop in h.monomials]
+        added = {tuple(e * (i == j) for i in range(nv)) for j in range(nv) for e in (1, 2, 3)}
+        added |= {tuple(int(i in (j, k)) for i in range(nv)) for j, k in combinations(range(nv), 2)}
+        present = {e for _, e in h.monomials}
+        mutants += [h.monomials + ((Fraction(1), e),) for e in sorted(added - present)]
+        passed = 0
+        for monomials in mutants:
+            tampered = _with_h(leaf, SparsePoly(nv, monomials))
+            assert family_b_pattern(tampered)[0] == _reference_family_b(tampered), monomials
+            passed += _reference_family_b(tampered)
+        assert passed == 0  # every slot is needed, and no monomial fits beside a full pattern
+
+
+def test_family_b_pattern_detail_is_bounded_on_a_large_leaf():
+    leaf = build_index_prime(4003)  # n = 1001
+    coeff, h = leaf.entries[-1]
+    no_mixed = SparsePoly(h.nvars, tuple(t for t, nz in zip(h.monomials, h.supports) if nz != (999, 1001)))
+    (step,) = family_snc_check(_with_h(leaf, no_mixed)).steps
+    assert (step.description, step.passed) == (STEP_FAMILY_B_PATTERN, False)
+    assert step.detail == "mixed monomial x999*x1001 missing from H"
+    assert len(step.detail) < 80 and str(h) not in step.detail
+
+
+def test_hyperplane_shape_detail_is_bounded_on_a_large_leaf():
+    leaf = _retag(build_index_prime(4001), "hyperplane_arrangement")  # family_A, n = 1001
+    (step,) = is_klt_leaf(leaf).steps
+    assert (step.description, step.passed) == (STEP_SHAPE, False)
+    assert step.detail == "entry 1000 is not a hyperplane: monomial on variables [999]"
+    assert len(step.detail) < 80
+
+
+def _linear_partials_per_variable(h, block):
+    """The library's linear-partials step before it went one-pass: one scan
+    of H per block variable, kept as the reference."""
+    for i in block:
+        unit = tuple(1 if j == i else 0 for j in range(h.nvars))
+        if h.coefficient(unit) == 0:
+            return False, f"x{i} does not appear linearly in H"
+        for _, exps in h.monomials:
+            if exps[i] > 0 and exps != unit:
+                return False, f"partial of H in x{i} is not constant"
+    return True, "" if block else "no linear block (deep stratum is everything)"
+
+
+_B15 = build_index_prime(15)  # x0, x1, x2 and H = x0 + x1 + x2*x4 + x3^2 + x4^4 on P(4, 4, 3, 2, 1)
+
+
+def _b15_with(drop=(), add=()):
+    """_B15 with the H monomials of the listed supports dropped and the listed exponent vectors added."""
+    h = _B15.entries[-1][1]
+    kept = [t for t, nz in zip(h.monomials, h.supports) if nz not in drop]
+    return _with_h(_B15, SparsePoly(5, tuple(kept) + tuple((Fraction(1), e) for e in add)))
+
+
+@pytest.mark.parametrize("leaf,want", [
+    (_B15, (True, "3 coordinate hyperplanes and H in the family_B pattern in 5 variables")),
+    (build_index_prime(7), (True, "1 coordinate hyperplanes and H in the family_B pattern in 3 variables")),
+    (_b15_with(drop=[(1,)]), (False, "x1 does not appear linearly in H")),
+    # x1 also occurs in x1*x2, so dH/dx1 is not constant
+    (_b15_with(add=[(0, 1, 1, 0, 0)]), (False, "monomial on variables [1, 2] outside the family_B pattern")),
+    # x1^2 but no x1
+    (_b15_with(drop=[(1,)], add=[(0, 2, 0, 0, 0)]), (False, "monomial x1^2 outside the family_B pattern")),
+    # x0 missing and x1 in x1*x3: a monomial outside the pattern is reported before an empty slot
+    (_b15_with(drop=[(0,)], add=[(0, 1, 0, 1, 0)]), (False, "monomial on variables [1, 3] outside the family_B pattern")),
+    # x0 and x1 missing: the lower variable is reported
+    (_b15_with(drop=[(0,), (1,)]), (False, "x0 does not appear linearly in H")),
 ], ids=["ok", "empty-block", "missing", "not-constant", "square-only", "two-failures", "two-failures-missing-first"])
-def test_linear_partials_messages(h, block, want):
-    assert _check_linear_partials(h, block) == want
-    assert _linear_partials_per_variable(h, block) == want
+def test_linear_partials_messages(leaf, want):
+    # the linear block x_0..x_{n-3} of family_b_pattern: each variable once, linearly, and nowhere else
+    assert family_b_pattern(leaf) == want
+    assert _reference_family_b(leaf) == want[0]
 
 
 def test_linear_partials_match_the_reference_on_the_family_grids():
-    for m in range(5, 202, 2):
-        h = build_index_prime(m).entries[-1][1]
-        n = h.nvars - 1
-        for block in (list(range(n - 2)), list(range(n + 1)), [n, 0]):
-            assert _check_linear_partials(h, block) == _linear_partials_per_variable(h, block), (m, block)
-    for base in range(2, 7):
-        for e in range(2, 7):
-            h = build_prime_power(base, e).entries[-1][1]
-            for block in (list(range(e - 1)), list(range(h.nvars))):
-                assert _check_linear_partials(h, block) == _linear_partials_per_variable(h, block)
+    # each family_B leaf of the grid with a block variable x_i dropped from H,
+    # squared, or times x_{n-1}: dH/dx_i is then zero or not constant
+    for m in range(15, 202, 4):
+        leaf = build_index_prime(m)
+        h = leaf.entries[-1][1]
+        nv = h.nvars
+        n = nv - 1
+        for i in (0, n - 3):
+            kept = tuple(t for t, nz in zip(h.monomials, h.supports) if nz != (i,))
+            squared = tuple(2 * (j == i) for j in range(nv))
+            times = tuple(int(j in (i, n - 1)) for j in range(nv))
+            for extra, detail in (
+                ((), f"x{i} does not appear linearly in H"),
+                (((1, squared),), f"monomial x{i}^2 outside the family_B pattern"),
+                (((1, times),), f"monomial on variables [{i}, {n - 1}] outside the family_B pattern"),
+            ):
+                tampered = _with_h(leaf, SparsePoly(nv, kept + extra))
+                assert family_b_pattern(tampered) == (False, detail), (m, i)
+                assert _reference_family_b(tampered) is False
 
 
 # -- support readers against the exponent scans they replaced ---------------
@@ -769,15 +921,10 @@ def _support_polys(draw):
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
-@given(_support_polys(), st.data())
-def test_support_readers_match_the_scans(h, data):
-    nv = h.nvars
+@given(_support_polys())
+def test_support_readers_match_the_scans(h):
     assert _outcome(diagonal_smooth_outside_origin, h) == _outcome(_diagonal_by_scan, h)
     assert _coordinate_var(h) == _coordinate_var_by_scan(h)
-    n = nv - 1
-    assert _h_support_ok(h, n) == _h_support_ok_by_scan(h, set(range(n - 2)), {n - 1, n}, (n - 2, n))
-    order = sorted(data.draw(st.sets(st.integers(0, nv - 1))))
-    assert _check_linear_partials(h, order) == _linear_partials_per_variable(h, order)
 
 
 _CONIC_MONOMIALS = ((2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1))
@@ -799,9 +946,6 @@ def test_family_shapes_match_the_scans_on_the_grids():
     for leaf in leaves:
         for _, eq in leaf.entries:
             assert _coordinate_var(eq) == _coordinate_var_by_scan(eq)
-        h = leaf.entries[-1][1]
-        n = h.nvars - 1
-        assert _h_support_ok(h, n) == _h_support_ok_by_scan(h, set(range(n - 2)), {n - 1, n}, (n - 2, n))
 
 
 # -- dispatch ----------------------------------------------------------------
