@@ -614,16 +614,18 @@ def _verify_wps_leaf(leaf: LogLeaf, rep: NodeReport) -> tuple[int | None, int | 
 
     deg_ok = False
     deg_detail = ""
+    lcm_b = lcm(*[coeff.b for coeff, _ in leaf.entries])
     if shape_ok and qh_ok:
-        # log_degree, from the degrees above
-        d = Fraction(canonical_degree(space)) + sum(
-            coeff.value() * deg for (coeff, _), deg in zip(leaf.entries, degs))
-        deg_ok = d == 0
-        deg_detail = f"log degree {d}"
+        # log_degree from the degrees above, in integers: with L = lcm(b),
+        # L deg(K + B) = L deg K + sum deg_i (L - L/b_i)
+        num = lcm_b * canonical_degree(space) + sum(
+            deg * (lcm_b - lcm_b // coeff.b) for (coeff, _), deg in zip(leaf.entries, degs))
+        deg_ok = num == 0
+        deg_detail = f"log degree {Fraction(num, lcm_b)}"
     _check(rep, "degree-zero", deg_ok, deg_detail)
 
     # pair_index: on a well-formed space of degree zero, the lcm of the b values
-    index = lcm(*[coeff.b for coeff, _ in leaf.entries]) if wf and deg_ok else None
+    index = lcm_b if wf and deg_ok else None
     _check(rep, "index-computed", index is not None,
            str(index) if index is not None else "preconditions failed")
 

@@ -103,7 +103,8 @@ def check_dim_inequalities() -> None:
 def _not_klt_leaves():
     """(name, leaf) for boundaries that are not simple normal crossing."""
     line = SparsePoly.linear_form
-    conic = SparsePoly.from_terms(3, [(1, (1, 0, 1)), (-1, (0, 2, 0))])
+    conic = SparsePoly.from_terms(3, [(1, (1, 0, 1)), (-1, (0, 2, 0))])  # x0*x2 - x1^2
+    nodal = SparsePoly.from_terms(3, [(1, (0, 2, 1)), (-1, (3, 0, 0)), (-1, (2, 0, 1))])
     p1, p2 = Wps((1, 1)), Wps((1, 1, 1))
     cases = {
         "two coincident points on P^1": (p1, [(2, line((0, 1))), (3, line((0, 2)))]),
@@ -111,6 +112,9 @@ def _not_klt_leaves():
         "three concurrent lines": (p2, [(2, line((1, 0, 0))), (3, line((0, 1, 0))), (6, line((1, 1, 0)))]),
         "a line tangent to a conic with b = 3": (p2, [(2, line((1, 0, 0))), (3, conic)]),
         "a line tangent to a conic with b = 4": (p2, [(2, line((1, 0, 0))), (4, conic)]),
+        "a nodal cubic": (p2, [(2, nodal)]),
+        # {x1 = 0} and {x1 + x2 = 0} are transversal to the conic and meet on it at [1:0:0]
+        "two lines meeting on a conic": (p2, [(2, line((0, 1, 0))), (3, line((0, 1, 1))), (6, conic)]),
     }
     for name, (space, entries) in cases.items():
         strategy = "hyperplane_arrangement" if space.dim == 1 else "plane_arrangement"

@@ -16,7 +16,9 @@ the linear block, x_{n-2}x_n and pure powers of x_{n-1} and x_n).
 Arrangement strategies are checked directly: hyperplanes by exact rank of
 normal-vector subsets, plane curves by resultants of sheared equations
 (squarefree tests for transversality, gcd tests against triple points).
-The resultant route is conservative: a shared resultant root that cannot be
+Both run exactly in integers after clearing each equation's denominators,
+which changes no zero set, rank, resultant root or gcd degree. The
+resultant route is conservative: a shared resultant root that cannot be
 certified harmless causes rejection, never acceptance.
 """
 
@@ -25,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb, lcm
+from math import comb, gcd, lcm
 
 from .wpspairs import (
     LogLeaf,
@@ -105,6 +107,14 @@ def _report(strategy: str, steps: list[KltStep], unchecked: tuple[str, ...]) -> 
 # ---------------------------------------------------------------------------
 
 
+def _monomial_on(nz: tuple[int, ...]) -> str:
+    """A monomial named by its support, bounded for details: every variable
+    of a support of at most 2, else the first two and the support size."""
+    if len(nz) <= 2:
+        return f"monomial on variables {list(nz)}"
+    return f"monomial on {len(nz)} variables [{nz[0]}, {nz[1]}, ...]"
+
+
 def diagonal_smooth_outside_origin(eq: SparsePoly) -> bool:
     """For a diagonal form sum_j c_j x_j^{k_j}: is the zero set smooth away
     from the origin?
@@ -118,7 +128,7 @@ def diagonal_smooth_outside_origin(eq: SparsePoly) -> bool:
     seen: set[int] = set()
     for nz in eq.supports:
         if len(nz) != 1:
-            raise ValueError(f"non-diagonal monomial on variables {list(nz)}")
+            raise ValueError(f"non-diagonal {_monomial_on(nz)}")
         j = nz[0]
         if j in seen:
             raise ValueError(f"two monomials in variable x{j}")
@@ -200,205 +210,158 @@ def hyperplane_arrangement_snc(normals) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# dense univariate rational polynomials (internal, for resultants)
-# ---------------------------------------------------------------------------
-# Represented as lists of Fractions, index = power, no trailing zeros.
-
-
-def _q_trim(p: list[Fraction]) -> list[Fraction]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _q_deg(p: list[Fraction]) -> int:
-    return len(p) - 1
-
-
-def _q_add(a, b):
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
-    return _q_trim(out)
-
-
-def _q_sub(a, b):
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] -= c
-    return _q_trim(out)
-
-
-def _q_mul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return _q_trim(out)
-
-
-def _q_deriv(a):
-    return _q_trim([a[i] * i for i in range(1, len(a))])
-
-
-def _q_rem(a, b):
-    a = a[:]
-    db, lb = _q_deg(b), b[-1]
-    while _q_deg(a) >= db:
-        f = a[-1] / lb
-        shift = _q_deg(a) - db
-        for i, c in enumerate(b):
-            a[i + shift] -= f * c
-        _q_trim(a)
-    return a
-
-
-def _q_gcd(a, b):
-    a, b = a[:], b[:]
-    while b:
-        a, b = b, _q_rem(a, b)
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
-
-
-def _det_polys(mat: list[list[list[Fraction]]]) -> list[Fraction]:
-    """Determinant of a small matrix with polynomial entries, by expansion."""
-    n = len(mat)
-    if n == 1:
-        return mat[0][0]
-    acc: list[Fraction] = []
-    for j in range(n):
-        head = mat[0][j]
-        if not head:
-            continue
-        minor = [row[:j] + row[j + 1 :] for row in mat[1:]]
-        term = _q_mul(head, _det_polys(minor))
-        acc = _q_add(acc, term) if j % 2 == 0 else _q_sub(acc, term)
-    return acc
-
-
-# ---------------------------------------------------------------------------
 # plane arrangements (lines / conics / cubics on P^2, points on P^1)
 # ---------------------------------------------------------------------------
+# Everything below runs over the integers. A polynomial in x is a list of
+# ints, index = power, no trailing zeros; a form F of degree d in (x, y, z)
+# is (rows, d) with rows[b][a] the coefficient of x^a y^b z^(d-a-b), rows
+# (and each row) without trailing zeros, so rows[b] is the coefficient of
+# y^b dehomogenized at z = 1.
 
 
 _P2 = Wps((1, 1, 1))
 
 
-def _shear_x(curve: SparsePoly, k: int) -> SparsePoly:
-    """Substitute x -> x + k*y in a 3-variable polynomial."""
-    if k == 0:
-        return curve
-    terms = []
-    for coeff, (a, b, c) in curve.monomials:
-        for i in range(a + 1):
-            terms.append((coeff * comb(a, i) * k ** (a - i), (i, b + a - i, c)))
-    return SparsePoly.from_terms(3, terms)
+def _trim(p: list) -> list:
+    while p and not p[-1]:
+        p.pop()
+    return p
 
 
-def _y_coeff_polys(curve: SparsePoly) -> list[list[Fraction]]:
-    """Coefficients of the powers of y, as dense polynomials in x at z = 1."""
-    dy = max((e[1] for _, e in curve.monomials), default=-1)
-    if dy < 0:
+def _mul(a: list[int], b: list[int]) -> list[int]:
+    """Product in Z[x]; Z has no zero divisors, so it needs no trim."""
+    if not a or not b:
         return []
-    dx = max(e[0] for _, e in curve.monomials)
-    coeffs = [[Fraction(0)] * (dx + 1) for _ in range(dy + 1)]
-    for c, (a, b, _) in curve.monomials:
-        coeffs[b][a] += c
-    return [_q_trim(p) for p in coeffs]
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
+    return out
 
 
-def _resultant_y(f: SparsePoly, g: SparsePoly) -> tuple[list[Fraction], int]:
-    """Resultant of two homogeneous 3-variable polynomials with respect to y,
-    dehomogenized at z = 1.
+def _det(mat: list[list[list[int]]]) -> list[int]:
+    """Determinant of a small matrix over Z[x], by expansion along the first row."""
+    if len(mat) <= 1:
+        return mat[0][0] if mat else [1]
+    acc: list[int] = []
+    for j, head in enumerate(mat[0]):
+        if head:
+            term = _mul(head, _det([row[:j] + row[j + 1 :] for row in mat[1:]]))
+            acc += [0] * (len(term) - len(acc))
+            for i, c in enumerate(term):
+                acc[i] += -c if j % 2 else c
+    return _trim(acc)
 
-    Returns (R, D): R as a dense polynomial in x and D the degree of the
+
+def _primitive(p: list[int]) -> list[int]:
+    g = gcd(*p)
+    return [c // g for c in p]
+
+
+def _gcd_degree(a: list[int], b: list[int]) -> int:
+    """Degree over Q of gcd(a, b), a != 0, by a primitive pseudo-remainder
+    sequence over Z.
+
+    Each inner step replaces a by lc(b) a - lc(a) x^s b, which cancels the
+    leading term of a. When deg a < deg b, a = lc(b)^k a_0 - q b for some q,
+    which is lc(b)^k times the Euclidean remainder of a_0 by b, so
+    gcd(a_0, b) = gcd(b, a) over Q. Dividing each remainder by its content
+    keeps the numbers small and changes no degree; by Gauss's lemma the
+    degrees are those over Q.
+    """
+    a, b = _primitive(a), _primitive(b)
+    while b:
+        lb, db = b[-1], len(b) - 1
+        while len(a) > db:
+            la, s = a[-1], len(a) - 1 - db
+            a = [lb * c for c in a]
+            for i, c in enumerate(b):
+                a[i + s] -= la * c
+            _trim(a)
+        a, b = b, _primitive(a)
+    return len(a) - 1
+
+
+def _integer_terms(curve: SparsePoly) -> list[tuple[int, tuple[int, ...]]]:
+    """curve times the lcm of its denominators, as (int coefficient,
+    exponent vector) pairs. A nonzero constant multiple has the same zero
+    set, singular points, tangents and intersections, and it scales every
+    resultant below by a nonzero constant: Res_y(c f, d g) = c^q d^p Res_y(f, g)."""
+    coeffs = _integer_row([c for c, _ in curve.monomials])
+    return [(c, e) for c, (_, e) in zip(coeffs, curve.monomials)]
+
+
+def _sheared(terms, d: int, k: int) -> tuple[list[list[int]], int]:
+    """The form of degree d after x -> x + k y, as (rows, d)."""
+    rows = [[0] * (d + 1) for _ in range(d + 1)]
+    for c, (a, b, _) in terms:
+        for i in range(a + 1):
+            rows[b + a - i][i] += c * comb(a, i) * k ** (a - i)
+    return _trim([_trim(row) for row in rows]), d
+
+
+def _resultant_y(f, g) -> tuple[list[int], int]:
+    """Resultant of two forms (rows, degree) with respect to y, by the
+    Sylvester determinant over Z[x]; dehomogenized at z = 1.
+
+    Returns (R, D): R as a polynomial in x and D the degree of the
     resultant as a binary form in (x, z); D - deg(R) is the multiplicity of
     the root at (1:0).
     """
-    fc, gc = _y_coeff_polys(f), _y_coeff_polys(g)
+    (fc, fd), (gc, gd) = f, g
     p, q = len(fc) - 1, len(gc) - 1
-    P = weighted_degree(f, _P2)
-    Q = weighted_degree(g, _P2)
-    if p < 0 or q < 0:
-        raise ValueError("resultant of a zero polynomial")
-    D = q * P + p * Q - p * q
-    if p == 0 and q == 0:
-        return [Fraction(1)], D  # no dependence on y: disjoint in the chart
-    size = p + q
-    mat: list[list[list[Fraction]]] = []
-    for r in range(q):
-        row = [[] for _ in range(size)]
-        for i, cp in enumerate(reversed(fc)):  # fc[p], ..., fc[0]
-            row[r + i] = cp
-        mat.append(row)
-    for r in range(p):
-        row = [[] for _ in range(size)]
-        for i, cp in enumerate(reversed(gc)):
-            row[r + i] = cp
-        mat.append(row)
-    return _det_polys(mat), D
+    mat = [[[]] * r + fc[::-1] + [[]] * (q - 1 - r) for r in range(q)]
+    mat += [[[]] * r + gc[::-1] + [[]] * (p - 1 - r) for r in range(p)]
+    return _det(mat), q * fd + p * gd - p * q
 
 
-def _binary_squarefree(r: list[Fraction], d: int) -> bool:
+def _binary_squarefree(r: list[int], d: int) -> bool:
     """Is the binary form (r dehomogenized at z = 1, full degree d) squarefree?"""
     if not r:
         return False
-    if d - _q_deg(r) > 1:
+    if d - (len(r) - 1) > 1:
         return False  # root at (1:0) with multiplicity >= 2
-    return _q_deg(_q_gcd(r, _q_deriv(r))) <= 0
+    return _gcd_degree(r, [i * c for i, c in enumerate(r)][1:]) <= 0
 
 
 def _share_projective_root(r1, d1, r2, d2) -> bool:
     if not r1 or not r2:
         return True  # zero resultant: treat as shared (conservative)
-    if d1 - _q_deg(r1) >= 1 and d2 - _q_deg(r2) >= 1:
+    if d1 - (len(r1) - 1) >= 1 and d2 - (len(r2) - 1) >= 1:
         return True  # both vanish at (1:0)
-    return _q_deg(_q_gcd(r1, r2)) >= 1
+    return _gcd_degree(r1, r2) >= 1
 
 
-def _conic_smooth(curve: SparsePoly) -> bool:
-    """Smoothness of a plane conic: nonzero determinant of its symmetric matrix."""
-    m = [[Fraction(0)] * 3 for _ in range(3)]
-    for (c, _), nz in zip(curve.monomials, curve.supports):
-        if len(nz) == 1:
-            m[nz[0]][nz[0]] = c
-        else:
-            i, j = nz
-            m[i][j] = m[j][i] = c / 2
-    det = (
+def _conic_smooth(terms) -> bool:
+    """Smoothness of a plane conic with integer coefficients: its symmetric
+    matrix M is singular iff the integer matrix 2M is, det 2M = 8 det M."""
+    m = [[0] * 3 for _ in range(3)]
+    for c, e in terms:
+        i, j = [v for v in range(3) for _ in range(e[v])]
+        m[i][j] += c
+        m[j][i] += c
+    return (
         m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
         - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
         + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
-    return det != 0
+    ) != 0
 
 
-def _cubic_smooth_certified(sheared: SparsePoly) -> bool:
+def _cubic_smooth_certified(rows: list[list[int]]) -> bool:
     """Gradient common-zero test for a sheared plane cubic, via resultants.
 
     The shear makes the y-partial y-regular of degree 2 with constant
     leading coefficient, so the resultants of (F_y, F_x) and (F_y, F_z)
     project every common gradient zero faithfully. Certifies smoothness
     when those two resultants share no projective root; anything unclear is
-    rejected, never accepted.
+    rejected, never accepted. The partials are read off the rows: F_x, F_y
+    and F_z scale the coefficient of x^a y^b z^(3-a-b) by a, b and 3-a-b.
     """
-    fy = sheared.partial(1)
-    fx = sheared.partial(0)
-    fz = sheared.partial(2)
-    if fx.is_zero() or fz.is_zero():
+    fy = _trim([[b * c for c in row] for b, row in enumerate(rows)][1:]), 2
+    fx = _trim([[a * c for a, c in enumerate(row)][1:] for row in rows]), 2
+    fz = _trim([_trim([(3 - a - b) * c for a, c in enumerate(row)]) for b, row in enumerate(rows)]), 2
+    if not fx[0] or not fz[0]:
         return False  # cone over a binary cubic: singular
     r1, d1 = _resultant_y(fy, fx)
     r2, d2 = _resultant_y(fy, fz)
@@ -418,6 +381,8 @@ def plane_arrangement_snc(curves) -> bool:
     share no projective root). A 2-variable input is a point configuration
     on P^1 and degenerates to a pairwise-distinct-points check.
 
+    Each curve is cleared of denominators, sheared and split into
+    y-coefficients once, so every test runs exactly in integers.
     Conservative by design: any uncertifiable situation returns False.
     """
     curves = list(curves)
@@ -447,30 +412,27 @@ def plane_arrangement_snc(curves) -> bool:
         if d > 3:
             raise ValueError(f"curve of degree {d} > 3: {c}")
         degrees.append(d)
+    terms = [_integer_terms(c) for c in curves]
 
     # deterministic shear x -> x + k*y: smallest k making every leading
     # y-coefficient (the value at (k:1:0)) nonzero
-    shear_k = None
-    for k in range(0, 101):
-        if all(c.evaluate((k, 1, 0)) != 0 for c in curves):
-            shear_k = k
-            break
+    shear_k = next((k for k in range(101) if all(sum(c * k**a for c, (a, _, z) in t if z == 0) for t in terms)),
+                   None)
     if shear_k is None:
         return False  # some curve contains the line z = 0; cannot certify
-    sheared = [_shear_x(c, shear_k) for c in curves]
+    sheared = [_sheared(t, d, shear_k) for t, d in zip(terms, degrees)]
 
     # (a) smoothness
-    for orig, sh, d in zip(curves, sheared, degrees):
-        if d == 2 and not _conic_smooth(orig):
+    for t, (rows, d) in zip(terms, sheared):
+        if d == 2 and not _conic_smooth(t):
             return False
-        if d == 3 and not _cubic_smooth_certified(sh):
+        if d == 3 and not _cubic_smooth_certified(rows):
             return False
 
     # (b) pairwise transversality
-    res: dict[tuple[int, int], tuple[list[Fraction], int]] = {}
+    res: dict[tuple[int, int], tuple[list[int], int]] = {}
     for i, j in combinations(range(len(curves)), 2):
-        r, dd = _resultant_y(sheared[i], sheared[j])
-        res[(i, j)] = (r, dd)
+        r, dd = res[(i, j)] = _resultant_y(sheared[i], sheared[j])
         if not r:
             return False  # shared component
         if not _binary_squarefree(r, dd):
@@ -586,7 +548,7 @@ def family_b_pattern(leaf: LogLeaf) -> tuple[bool, str]:
         if nz == (n - 2, n) and exps[n - 2] == exps[n] == 1:
             mixed = True
         elif j is None:
-            return False, f"monomial on variables {list(nz)} outside the family_B pattern"
+            return False, f"{_monomial_on(nz)} outside the family_B pattern"
         elif exps[j] == 1 and j < n - 2:
             linear.add(j)
         elif exps[j] >= 2 and j >= n - 1 and j not in powers:
@@ -633,7 +595,7 @@ def _first_nonlinear(eq: SparsePoly) -> str:
     """Why eq is no hyperplane, by variable indices only, so it stays short."""
     for (_, exps), nz in zip(eq.monomials, eq.supports):
         if len(nz) != 1 or exps[nz[0]] != 1:
-            return f"monomial on variables {list(nz)}"
+            return _monomial_on(nz)
     return "zero polynomial"
 
 

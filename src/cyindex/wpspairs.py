@@ -60,7 +60,7 @@ class Wps:
         if len(self.weights) < 2:
             raise ValueError("a weighted projective space needs at least 2 weights")
         for a in self.weights:
-            if not isinstance(a, int) or a < 1:
+            if type(a) is not int or a < 1:  # exact ints, so no bool
                 raise ValueError(f"weights must be positive integers, got {a!r}")
 
     @property
@@ -97,7 +97,7 @@ class SparsePoly:
     """Sparse polynomial: monomials (coefficient, exponent vector), no zeros,
     no repeated exponent vectors, all vectors of length nvars.
 
-    An exponent is an exact `int` >= 0 (a `bool` is rejected). The
+    nvars (>= 1) and every exponent (>= 0) are exact `int`s, never a `bool`. The
     constructor is the one place that checks exponent vectors; it also
     records each monomial's support, the indices of its nonzero exponents,
     in `supports` (aligned with `monomials`), so that readers cost
@@ -110,7 +110,7 @@ class SparsePoly:
     supports: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not isinstance(self.nvars, int) or self.nvars < 1:
+        if type(self.nvars) is not int or self.nvars < 1:  # exact int, so no bool
             raise ValueError(f"nvars must be a positive integer, got {self.nvars!r}")
         seen = set()
         canon = []
@@ -214,15 +214,6 @@ class SparsePoly:
             raise ValueError("scaling a divisor equation by zero")
         return SparsePoly(self.nvars, tuple((coeff * c, e) for coeff, e in self.monomials))
 
-    def partial(self, j: int) -> "SparsePoly":
-        terms = []
-        for coeff, exps in self.monomials:
-            if exps[j] > 0:
-                new = list(exps)
-                new[j] -= 1
-                terms.append((coeff * exps[j], tuple(new)))
-        return SparsePoly.from_terms(self.nvars, terms)
-
     def subs_zero(self, vars_to_kill) -> "SparsePoly":
         """Set the named variables to 0 (drop monomials touching them)."""
         kill = set(vars_to_kill)
@@ -242,18 +233,6 @@ class SparsePoly:
                 raise ValueError("restrict_to: monomial uses a dropped variable")
             mons.append((c, tuple(map(e.__getitem__, keep))))
         return SparsePoly(len(keep), tuple(mons))
-
-    def evaluate(self, point) -> Fraction:
-        point = [Fraction(p) for p in point]
-        if len(point) != self.nvars:
-            raise ValueError("point arity mismatch")
-        total = Fraction(0)
-        for c, exps in self.monomials:
-            term = c
-            for x, e in zip(point, exps):
-                term *= x**e
-            total += term
-        return total
 
     def __str__(self) -> str:
         if self.is_zero():

@@ -2,21 +2,29 @@ import cmath
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cyindex.certify import base_leaf, build_index_prime, build_prime_power, realize
-from cyindex.selftest import _family_leaves
+from cyindex.selftest import _family_leaves, _not_klt_leaves
 from cyindex.sncklt import (
     STEP_COORDINATE_DIAGONAL,
     STEP_FAMILY_B_PATTERN,
     STEP_KLT,
     STEP_SHAPE,
     _conic_smooth,
+    _cubic_smooth_certified,
+    _gcd_degree,
+    _mul,
+    _resultant_y,
+    _sheared,
+    _trim,
     _coordinate_var,
     _integer_row,
+    _integer_terms,
     _rank,
     coordinate_diagonal,
     diagonal_smooth_outside_origin,
@@ -26,7 +34,7 @@ from cyindex.sncklt import (
     is_klt_leaf,
     plane_arrangement_snc,
 )
-from cyindex.wpspairs import LogLeaf, SparsePoly, StdCoeff, Wps
+from cyindex.wpspairs import LogLeaf, SparsePoly, StdCoeff, Wps, weighted_degree
 
 
 def poly(nvars, *terms):
@@ -248,6 +256,15 @@ def test_singular_cubic_rejected():
     assert plane_arrangement_snc([nodal]) is False
 
 
+def test_selftest_corpus_reaches_the_cubic_and_triple_point_branches():
+    cases = dict(_not_klt_leaves())
+    nodal, triple = cases["a nodal cubic"], cases["two lines meeting on a conic"]
+    (curve,) = nodal.equations()
+    assert _cubic_smooth_certified(_sheared(_integer_terms(curve), 3, 1)[0]) is False
+    assert [plane_arrangement_snc(pair) for pair in combinations(triple.equations(), 2)] == [True] * 3
+    assert not is_klt_leaf(nodal).passed and not is_klt_leaf(triple).passed
+
+
 def test_p1_mode_distinct_points():
     pts = [SparsePoly.linear_form((0, 1)), SparsePoly.linear_form((-1, 1)), SparsePoly.linear_form((1, 0))]
     assert plane_arrangement_snc(pts) is True
@@ -414,6 +431,291 @@ def test_plane_checker_agrees_with_sampler_on_200_random_arrangements():
         assert got == want, (case, [str(c) for c in curves], got, want)
         agreements += 1
     assert agreements == 200
+
+
+# -- plane arrangements: the Fraction implementation as reference ------------
+# The library's plane check before it went to integers: Fraction polynomials,
+# Euclid gcds and a Sylvester determinant per pair. Kept as the reference the
+# integer check must agree with, outcome for outcome.
+
+
+def _q_trim(p):
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _q_add(a, b, sign=1):
+    out = [Fraction(0)] * max(len(a), len(b))
+    for i, c in enumerate(a):
+        out[i] += c
+    for i, c in enumerate(b):
+        out[i] += sign * c
+    return _q_trim(out)
+
+
+def _q_mul(a, b):
+    if not a or not b:
+        return []
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca == 0:
+            continue
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return _q_trim(out)
+
+
+def _q_rem(a, b):
+    a = a[:]
+    db, lb = len(b) - 1, b[-1]
+    while len(a) - 1 >= db:
+        f = a[-1] / lb
+        shift = len(a) - 1 - db
+        for i, c in enumerate(b):
+            a[i + shift] -= f * c
+        _q_trim(a)
+    return a
+
+
+def _q_gcd_degree(a, b):
+    a, b = a[:], b[:]
+    while b:
+        a, b = b, _q_rem(a, b)
+    return len(a) - 1
+
+
+def _q_det(mat):
+    n = len(mat)
+    if n == 1:
+        return mat[0][0]
+    acc = []
+    for j in range(n):
+        head = mat[0][j]
+        if not head:
+            continue
+        minor = [row[:j] + row[j + 1 :] for row in mat[1:]]
+        acc = _q_add(acc, _q_mul(head, _q_det(minor)), -1 if j % 2 else 1)
+    return acc
+
+
+def _q_partial(curve, j):
+    terms = []
+    for coeff, exps in curve.monomials:
+        if exps[j] > 0:
+            new = list(exps)
+            new[j] -= 1
+            terms.append((coeff * exps[j], tuple(new)))
+    return SparsePoly.from_terms(curve.nvars, terms)
+
+
+def _q_evaluate(curve, point):
+    point = [Fraction(p) for p in point]
+    total = Fraction(0)
+    for c, exps in curve.monomials:
+        term = c
+        for x, e in zip(point, exps):
+            term *= x**e
+        total += term
+    return total
+
+
+def _q_shear_x(curve, k):
+    if k == 0:
+        return curve
+    terms = []
+    for coeff, (a, b, c) in curve.monomials:
+        for i in range(a + 1):
+            terms.append((coeff * comb(a, i) * k ** (a - i), (i, b + a - i, c)))
+    return SparsePoly.from_terms(3, terms)
+
+
+def _q_y_coeff_polys(curve):
+    dy = max((e[1] for _, e in curve.monomials), default=-1)
+    if dy < 0:
+        return []
+    dx = max(e[0] for _, e in curve.monomials)
+    coeffs = [[Fraction(0)] * (dx + 1) for _ in range(dy + 1)]
+    for c, (a, b, _) in curve.monomials:
+        coeffs[b][a] += c
+    return [_q_trim(p) for p in coeffs]
+
+
+def _q_resultant_y(f, g):
+    fc, gc = _q_y_coeff_polys(f), _q_y_coeff_polys(g)
+    p, q = len(fc) - 1, len(gc) - 1
+    P = weighted_degree(f, Wps((1, 1, 1)))
+    Q = weighted_degree(g, Wps((1, 1, 1)))
+    if p < 0 or q < 0:
+        raise ValueError("resultant of a zero polynomial")
+    D = q * P + p * Q - p * q
+    if p == 0 and q == 0:
+        return [Fraction(1)], D
+    size = p + q
+    mat = []
+    for r in range(q):
+        row = [[] for _ in range(size)]
+        for i, cp in enumerate(reversed(fc)):
+            row[r + i] = cp
+        mat.append(row)
+    for r in range(p):
+        row = [[] for _ in range(size)]
+        for i, cp in enumerate(reversed(gc)):
+            row[r + i] = cp
+        mat.append(row)
+    return _q_det(mat), D
+
+
+def _q_binary_squarefree(r, d):
+    if not r:
+        return False
+    if d - (len(r) - 1) > 1:
+        return False
+    return _q_gcd_degree(r, _q_trim([r[i] * i for i in range(1, len(r))])) <= 0
+
+
+def _q_share_projective_root(r1, d1, r2, d2):
+    if not r1 or not r2:
+        return True
+    if d1 - (len(r1) - 1) >= 1 and d2 - (len(r2) - 1) >= 1:
+        return True
+    return _q_gcd_degree(r1, r2) >= 1
+
+
+def _q_cubic_smooth_certified(sheared):
+    fy, fx, fz = (_q_partial(sheared, j) for j in (1, 0, 2))
+    if fx.is_zero() or fz.is_zero():
+        return False
+    r1, d1 = _q_resultant_y(fy, fx)
+    r2, d2 = _q_resultant_y(fy, fz)
+    if not r1 or not r2:
+        return False
+    return not _q_share_projective_root(r1, d1, r2, d2)
+
+
+def _reference_plane_snc(curves):
+    """plane_arrangement_snc as it was, in Fraction arithmetic."""
+    curves = list(curves)
+    if not curves:
+        return True
+    nv = curves[0].nvars
+    if any(c.nvars != nv for c in curves):
+        raise ValueError("curves in a mixed number of variables")
+    if any(c.is_zero() for c in curves):
+        return False
+    if nv == 2:
+        if any(c.linear_coefficients() is None for c in curves):
+            return False
+        return not any(a.proportional_to(b) for a, b in combinations(curves, 2))
+    if nv != 3:
+        raise ValueError("plane arrangements live in 3 variables (or 2 for P^1)")
+    degrees = []
+    for c in curves:
+        d = weighted_degree(c, Wps((1, 1, 1)))
+        if d > 3:
+            raise ValueError(f"curve of degree {d} > 3: {c}")
+        degrees.append(d)
+    shear_k = next((k for k in range(101) if all(_q_evaluate(c, (k, 1, 0)) != 0 for c in curves)), None)
+    if shear_k is None:
+        return False
+    sheared = [_q_shear_x(c, shear_k) for c in curves]
+    for orig, sh, d in zip(curves, sheared, degrees):
+        if d == 2 and not _conic_smooth_by_scan(orig):
+            return False
+        if d == 3 and not _q_cubic_smooth_certified(sh):
+            return False
+    res = {}
+    for i, j in combinations(range(len(curves)), 2):
+        r, dd = res[(i, j)] = _q_resultant_y(sheared[i], sheared[j])
+        if not r or not _q_binary_squarefree(r, dd):
+            return False
+    for tri in combinations(range(len(curves)), 3):
+        pivot = min(tri, key=lambda i: (degrees[i], i))
+        a, b = [i for i in tri if i != pivot]
+        if _q_share_projective_root(*res[tuple(sorted((pivot, a)))], *res[tuple(sorted((pivot, b)))]):
+            return False
+    return True
+
+
+_FORMS = {d: [(a, b, d - a - b) for a in range(d, -1, -1) for b in range(d - a, -1, -1)] for d in range(5)}
+_CURVE_COEFFS = (0, 0, 0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-4, 3), Fraction(5, 7))
+
+
+def _plane_curve(rng, homogeneous=True):
+    """A nonzero form of degree 1 to 3 (rarely 0) in 3 variables, with many
+    zero and small rational coefficients, so that tangencies, shared points
+    and singular curves are common; unless homogeneous, sometimes a quartic
+    or a stray monomial of another degree, for the ValueErrors."""
+    d = rng.choice((0, 1, 1, 2, 2, 2, 3, 3, 3) + (() if homogeneous else (4,)))
+    terms = [(rng.choice(_CURVE_COEFFS), e) for e in _FORMS[d]]
+    if not homogeneous and rng.random() < 0.1:
+        terms.append((1, rng.choice(_FORMS[(d + 1) % 4])))
+    curve = SparsePoly.from_terms(3, [t for t in terms if t[0]])
+    return curve if not curve.is_zero() else SparsePoly.single(3, _FORMS[d][-1], rng.choice(_CURVE_COEFFS[4:]))
+
+
+def _plane_arrangement(rng):
+    """1 to 4 curves (up to 5 with an added one); sometimes a rational
+    multiple of the first curve is added, sometimes every curve is made to
+    pass through (0:0:1) and a line through it is added, so that shared
+    components and triple points are common."""
+    homogeneous = rng.random() < 0.95
+    curves = [_plane_curve(rng, homogeneous) for _ in range(rng.randint(1, 4))]
+    kind = rng.randint(0, 5)
+    if kind == 0:
+        curves.append(curves[0].scaled(rng.choice(_CURVE_COEFFS[4:])))
+    elif kind == 1:
+        through = [SparsePoly(3, tuple(t for t, nz in zip(c.monomials, c.supports) if nz != (2,))) for c in curves]
+        curves = [c for c in through if not c.is_zero()] + [SparsePoly.linear_form((1, rng.choice(_CURVE_COEFFS), 0))]
+    rng.shuffle(curves)
+    return curves
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_plane_check_agrees_with_the_fraction_reference(rng):
+    # 10 arrangements per example, 2,000 in all: drawing each one through
+    # hypothesis would cost more than both checks together
+    for _ in range(10):
+        curves = _plane_arrangement(rng)
+        assert _outcome(plane_arrangement_snc, curves) == _outcome(_reference_plane_snc, curves), [
+            str(c) for c in curves]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(0, 3))
+def test_integer_resultants_and_gcd_degrees_match_sympy(rng, k):
+    # for two curves sheared by x -> x + k y: the integer y-resultant is a nonzero
+    # rational multiple of sympy's, and the gcd degrees of the squarefree test match
+    sympy = pytest.importorskip("sympy")
+    x, y = sympy.symbols("x y")
+    curves = [_plane_curve(rng) for _ in range(2)]
+    r, _ = _resultant_y(*[_sheared(_integer_terms(c), weighted_degree(c, Wps((1, 1, 1))), k) for c in curves])
+    sym = [sum(sympy.Rational(c.numerator, c.denominator) * (x + k * y) ** a * y**b for c, (a, b, _) in curve.monomials)
+           for curve in curves]
+    want = sympy.Poly(sympy.resultant(*sym, y), x)
+    if want.is_zero:
+        assert r == []
+        return
+    coeffs = want.all_coeffs()[::-1]
+    assert len(r) == len(coeffs) and all(ri * coeffs[-1] == ci * r[-1] for ri, ci in zip(r, coeffs))
+    assert _gcd_degree(r, [i * c for i, c in enumerate(r)][1:]) == sympy.gcd(want, want.diff(x)).degree()
+
+
+_small_polys = st.lists(st.integers(-3, 3), max_size=4).map(lambda p: _trim(list(p)))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_small_polys, _small_polys, _small_polys)
+def test_gcd_degree_matches_sympy(u, v, w):
+    # u*w and v*w share w, so the gcd is often nontrivial
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    a, b = _mul(u, w), _mul(v, w)
+    if not a:
+        return
+    want = sympy.Poly(a[::-1], x).gcd(sympy.Poly(b[::-1] or [0], x)).degree()
+    assert _gcd_degree(a, b) == want
 
 
 # -- family checks -----------------------------------------------------------
@@ -762,6 +1064,21 @@ def test_family_b_pattern_detail_is_bounded_on_a_large_leaf():
     assert len(step.detail) < 80 and str(h) not in step.detail
 
 
+@pytest.mark.parametrize("strategy,detail", [
+    ("family_B", "monomial on 1002 variables [0, 1, ...] outside the family_B pattern"),
+    ("family_A", "non-diagonal monomial on 1002 variables [0, 1, ...]"),
+    ("hyperplane_arrangement", "entry 1000 is not a hyperplane: monomial on 1002 variables [0, 1, ...]"),
+])
+def test_monomial_details_are_bounded_on_a_large_support(strategy, detail):
+    # build_index_prime(4003) (n = 1001) with one more monomial in all 1002 variables
+    leaf = build_index_prime(4003)
+    h = leaf.entries[-1][1]
+    wide = SparsePoly(h.nvars, h.monomials + ((Fraction(1), (1,) * h.nvars),))
+    (step,) = is_klt_leaf(_retag(_with_h(leaf, wide), strategy)).steps
+    assert (step.passed, step.detail) == (False, detail)
+    assert len(step.detail) < 80
+
+
 def test_hyperplane_shape_detail_is_bounded_on_a_large_leaf():
     leaf = _retag(build_index_prime(4001), "hyperplane_arrangement")  # family_A, n = 1001
     (step,) = is_klt_leaf(leaf).steps
@@ -846,7 +1163,8 @@ def _diagonal_by_scan(eq):
     for _, exps in eq.monomials:
         nz = _nonzero(exps)
         if len(nz) != 1:
-            raise ValueError(f"non-diagonal monomial on variables {nz}")
+            shown = f"on variables {nz}" if len(nz) <= 2 else f"on {len(nz)} variables [{nz[0]}, {nz[1]}, ...]"
+            raise ValueError(f"non-diagonal monomial {shown}")
         if nz[0] in seen:
             raise ValueError(f"two monomials in variable x{nz[0]}")
         seen.add(nz[0])
@@ -937,7 +1255,7 @@ _CONIC_MONOMIALS = ((2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1
 @example([1, 1, 0, 2, 0, 0])  # (x + y)^2
 def test_conic_smooth_matches_the_scan(coeffs):
     conic = SparsePoly(3, tuple((c, e) for c, e in zip(coeffs, _CONIC_MONOMIALS) if c))
-    assert _conic_smooth(conic) == _conic_smooth_by_scan(conic)
+    assert _conic_smooth(_integer_terms(conic)) == _conic_smooth_by_scan(conic)
 
 
 def test_family_shapes_match_the_scans_on_the_grids():
