@@ -16,16 +16,16 @@ from cyindex.sncklt import (
     STEP_KLT,
     STEP_SHAPE,
     _conic_smooth,
+    _coordinate_var,
     _cubic_smooth_certified,
     _gcd_degree,
+    _integer_row,
+    _integer_terms,
     _mul,
+    _rank,
     _resultant_y,
     _sheared,
     _trim,
-    _coordinate_var,
-    _integer_row,
-    _integer_terms,
-    _rank,
     coordinate_diagonal,
     diagonal_smooth_outside_origin,
     family_b_pattern,
