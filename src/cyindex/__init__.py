@@ -30,7 +30,6 @@ from .wpspairs import (
 from .sncklt import (
     KltReport,
     KltStep,
-    diagonal_smooth_outside_origin,
     family_snc_check,
     hyperplane_arrangement_snc,
     is_klt_leaf,
@@ -77,7 +76,6 @@ __all__ = [
     "weighted_degree",
     "KltReport",
     "KltStep",
-    "diagonal_smooth_outside_origin",
     "family_snc_check",
     "hyperplane_arrangement_snc",
     "is_klt_leaf",

@@ -177,8 +177,8 @@ def build_prime_power(m: int, e: int) -> LogLeaf:
     On P((m-1)^(e-1), 1^(m-1)): coefficient (m^(i+1)-1)/m^(i+1) on the
     coordinate hyperplane x_i for 0 <= i <= e-1, and (m^e-1)/m^e on
     H = {x_0 + ... + x_{e-2} + x_{e-1}^(m-1) + ... + x_{e+m-3}^(m-1)}.
-    Exact log degree 0; pair index m^e. For m = 2 every entry is a
-    hyperplane and the klt check is the arrangement criterion.
+    Exact log degree 0; pair index m^e. H is a Fermat sum, so the leaf is
+    family_C for every m; for m = 2 it is the sum of all variables.
     """
     if not isinstance(m, int) or not isinstance(e, int) or m < 2 or e < 2:
         raise ValueError(f"build_prime_power requires m, e >= 2, got ({m!r}, {e!r})")
@@ -187,8 +187,7 @@ def build_prime_power(m: int, e: int) -> LogLeaf:
     entries = [(StdCoeff(m ** (i + 1)), SparsePoly.variable(nv, i)) for i in range(e)]
     h_terms = [_monomial(nv, {i: 1 if i < e - 1 else m - 1}) for i in range(nv)]
     entries.append((StdCoeff(m**e), SparsePoly(nv, tuple(h_terms))))
-    strategy = "hyperplane_arrangement" if m == 2 else "family_C"
-    return LogLeaf(space, tuple(entries), strategy)
+    return LogLeaf(space, tuple(entries), "family_C")
 
 
 # ---------------------------------------------------------------------------

@@ -101,7 +101,8 @@ def check_dim_inequalities() -> None:
 
 
 def _not_klt_leaves():
-    """(name, leaf) for boundaries that are not simple normal crossing."""
+    """(name, leaf) for leaves the klt checker must reject: boundaries that are not simple
+    normal crossing, an SNC leaf whose tag names another shape, and a constant entry."""
     line = SparsePoly.linear_form
     conic = SparsePoly.from_terms(3, [(1, (1, 0, 1)), (-1, (0, 2, 0))])  # x0*x2 - x1^2
     nodal = SparsePoly.from_terms(3, [(1, (0, 2, 1)), (-1, (3, 0, 0)), (-1, (2, 0, 1))])
@@ -115,6 +116,7 @@ def _not_klt_leaves():
         "a nodal cubic": (p2, [(2, nodal)]),
         # {x1 = 0} and {x1 + x2 = 0} are transversal to the conic and meet on it at [1:0:0]
         "two lines meeting on a conic": (p2, [(2, line((0, 1, 0))), (3, line((0, 1, 1))), (6, conic)]),
+        "a degree-0 curve": (p2, [(2, SparsePoly.from_terms(3, [(5, (0, 0, 0))])), (3, line((1, 0, 0)))]),
     }
     for name, (space, entries) in cases.items():
         strategy = "hyperplane_arrangement" if space.dim == 1 else "plane_arrangement"
@@ -133,6 +135,12 @@ def _not_klt_leaves():
     for name, support in (("x1*x3", (1, 3)), ("x2^2", (2,))):
         kept = SparsePoly(h.nvars, tuple(t for t, nz in zip(h.monomials, h.supports) if nz != support))
         yield f"a family_B H without {name}", LogLeaf(leaf.space, (*coords, (c, kept)), "family_B")
+    # x0*x2 + x1^2 + x2^4 on P(3,2,1) is the chain x0 -> x2 beside x1^2; on {x2 = 0} it is x1^2,
+    # tangent to {x2 = 0} along the x0-axis
+    seven = build_index_prime(7)
+    yield "a chain with a coordinate hyperplane off its head", LogLeaf(
+        seven.space, (*seven.entries, (StdCoeff(7), SparsePoly.variable(3, 2))), "family_B")
+    yield "a family_A tag on an H with a chain", LogLeaf(seven.space, seven.entries, "family_A")
 
 
 def check_klt() -> None:

@@ -7,19 +7,20 @@ pair is Kawamata log terminal. None of the checkers decides kltness in
 general: each validates one specific shape, in exact rational arithmetic,
 and reports its steps so the reasoning can be replayed.
 
-Each family leaf is one criterion, whose proof is in its docstring, and
-one klt step. family_A and family_C use coordinate_diagonal (coordinate
-hyperplanes plus one diagonal form in every variable), family_B uses
-family_b_pattern (coordinate hyperplanes x_0..x_{n-2} plus one H that is
-the linear block, x_{n-2}x_n and pure powers of x_{n-1} and x_n).
+Every family leaf is one criterion, coordinate_chains, whose proof is in its
+docstring, and one klt step: distinct coordinate hyperplanes plus one H
+that is a sum of Kreuzer-Skarke chains in disjoint variables, each boundary
+coordinate the head of its chain. The tag names the shape: family_B leaves
+have a chain of length >= 2, family_A and family_C leaves only Fermat
+terms.
 
 Arrangement strategies are checked directly: hyperplanes by exact rank of
-normal-vector subsets, plane curves by resultants of sheared equations
-(squarefree tests for transversality, gcd tests against triple points).
-Both run exactly in integers after clearing each equation's denominators,
-which changes no zero set, rank, resultant root or gcd degree. The
-resultant route is conservative: a shared resultant root that cannot be
-certified harmless causes rejection, never acceptance.
+normal-vector subsets, within a fixed work budget, and plane curves by
+resultants of sheared equations (squarefree tests for transversality, gcd
+tests against triple points). Both run exactly in integers after clearing
+each equation's denominators, which changes no zero set, rank, resultant
+root or gcd degree. The resultant route is conservative: a shared resultant
+root that cannot be certified harmless causes rejection, never acceptance.
 """
 
 from __future__ import annotations
@@ -40,15 +41,12 @@ from .wpspairs import (
 __all__ = [
     "KltStep",
     "KltReport",
-    "coordinate_diagonal",
-    "family_b_pattern",
-    "diagonal_smooth_outside_origin",
+    "coordinate_chains",
     "hyperplane_arrangement_snc",
     "plane_arrangement_snc",
     "family_snc_check",
     "is_klt_leaf",
-    "STEP_COORDINATE_DIAGONAL",
-    "STEP_FAMILY_B_PATTERN",
+    "STEP_CHAINS",
     "STEP_SHAPE",
     "STEP_HYPERPLANES",
     "STEP_PLANE",
@@ -57,10 +55,7 @@ __all__ = [
 ]
 
 # Step description strings are part of the report format; keep them stable.
-STEP_COORDINATE_DIAGONAL = "distinct coordinate hyperplanes plus one diagonal form in every variable"
-STEP_FAMILY_B_PATTERN = (
-    "coordinate hyperplanes x_0..x_{n-2} plus one H = sum of x_i (i < n-2), x_{n-2}x_n, x_{n-1}^j and x_n^k"
-)
+STEP_CHAINS = "distinct coordinate hyperplanes plus one H that is a sum of chains, each coordinate a chain head"
 STEP_SHAPE = "shape matches declared strategy"
 STEP_HYPERPLANES = "hyperplane arrangement simple normal crossing outside the origin"
 STEP_PLANE = "plane arrangement simple normal crossing outside the origin"
@@ -100,40 +95,6 @@ def _report(strategy: str, steps: list[KltStep], unchecked: tuple[str, ...]) -> 
     if passed:
         steps = steps + [KltStep(STEP_KLT, True)]
     return KltReport(passed, strategy, tuple(steps), unchecked)
-
-
-# ---------------------------------------------------------------------------
-# diagonal forms
-# ---------------------------------------------------------------------------
-
-
-def _monomial_on(nz: tuple[int, ...]) -> str:
-    """A monomial named by its support, bounded for details: every variable
-    of a support of at most 2, else the first two and the support size."""
-    if len(nz) <= 2:
-        return f"monomial on variables {list(nz)}"
-    return f"monomial on {len(nz)} variables [{nz[0]}, {nz[1]}, ...]"
-
-
-def diagonal_smooth_outside_origin(eq: SparsePoly) -> bool:
-    """For a diagonal form sum_j c_j x_j^{k_j}: is the zero set smooth away
-    from the origin?
-
-    The gradient is (c_j k_j x_j^{k_j - 1}), so its common zero locus is
-    contained in {0} iff every ambient variable carries a term. That
-    combinatorial criterion is what is checked; no root finding.
-    Rejects non-diagonal input (two terms in one variable, mixed monomials,
-    constants).
-    """
-    seen: set[int] = set()
-    for nz in eq.supports:
-        if len(nz) != 1:
-            raise ValueError(f"non-diagonal {_monomial_on(nz)}")
-        j = nz[0]
-        if j in seen:
-            raise ValueError(f"two monomials in variable x{j}")
-        seen.add(j)
-    return seen == set(range(eq.nvars))
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +142,12 @@ def _rank(rows: list[list[int]]) -> int:
     return rank
 
 
+# Entry updates the hyperplane check may spend: C(k, t) subsets of t rows,
+# each ranked in about t * t * nv updates. The largest arrangement in the
+# benchmark corpus, 12 normals in 6 variables, needs 924 * 216 = 199,584.
+_HYPERPLANE_WORK_BUDGET = 10**7
+
+
 def hyperplane_arrangement_snc(normals) -> bool:
     """Is the arrangement of hyperplanes (given by their normal vectors)
     simple normal crossing outside the origin?
@@ -192,6 +159,11 @@ def hyperplane_arrangement_snc(normals) -> bool:
     size-t subsets are independent then larger subsets cut out only the
     origin. Each normal is cleared of denominators once, so every subset
     is ranked in integer arithmetic.
+
+    Deciding this is NP-hard in general (full spark), so the work is
+    bounded: if C(k, t) * t * t * nv exceeds _HYPERPLANE_WORK_BUDGET, a
+    ValueError naming the resource budget is raised before any subset is
+    ranked.
     """
     vecs = [[Fraction(x) for x in v] for v in normals]
     if not vecs:
@@ -201,9 +173,12 @@ def hyperplane_arrangement_snc(normals) -> bool:
         raise ValueError("normal vectors of mixed lengths")
     if any(all(x == 0 for x in v) for v in vecs):
         raise ValueError("zero normal vector")
+    k, t = len(vecs), min(len(vecs), nv)
+    if comb(k, t) * t * t * nv > _HYPERPLANE_WORK_BUDGET:
+        raise ValueError(f"resource budget: ranking C({k}, {t}) subsets in {nv} variables "
+                         f"exceeds {_HYPERPLANE_WORK_BUDGET} entry updates")
     rows = [_integer_row(v) for v in vecs]
-    t = min(len(rows), nv)
-    for subset in combinations(range(len(rows)), t):
+    for subset in combinations(range(k), t):
         if _rank([rows[i] for i in subset]) != t:
             return False
     return True
@@ -371,7 +346,7 @@ def _cubic_smooth_certified(rows: list[list[int]]) -> bool:
 
 
 def plane_arrangement_snc(curves) -> bool:
-    """Is an arrangement of plane curves (degree <= 3, homogeneous, in 3
+    """Is an arrangement of plane curves (degree 1 to 3, homogeneous, in 3
     variables) simple normal crossing outside the origin of its cone?
 
     Checks: (a) every curve smooth (lines trivially, conics by determinant,
@@ -383,7 +358,9 @@ def plane_arrangement_snc(curves) -> bool:
 
     Each curve is cleared of denominators, sheared and split into
     y-coefficients once, so every test runs exactly in integers.
-    Conservative by design: any uncertifiable situation returns False.
+    Conservative by design: any uncertifiable situation returns False. A
+    nonzero constant (degree 0, no curve at all) or a curve of degree > 3
+    raises ValueError.
     """
     curves = list(curves)
     if not curves:
@@ -407,10 +384,12 @@ def plane_arrangement_snc(curves) -> bool:
         raise ValueError("plane arrangements live in 3 variables (or 2 for P^1)")
 
     degrees = []
-    for c in curves:
+    for i, c in enumerate(curves):
         d = weighted_degree(c, _P2)  # also enforces homogeneity
         if d > 3:
             raise ValueError(f"curve of degree {d} > 3: {c}")
+        if d == 0:
+            raise ValueError(f"entry {i} is a nonzero constant, which cuts out no curve")
         degrees.append(d)
     terms = [_integer_terms(c) for c in curves]
 
@@ -485,105 +464,115 @@ def _frame(leaf: LogLeaf) -> tuple[list[int], SparsePoly | None, str]:
     return coords, h, ""
 
 
-def coordinate_diagonal(leaf: LogLeaf) -> tuple[bool, str]:
+def _monomial_on(nz: tuple[int, ...]) -> str:
+    """A monomial named by its support, bounded for details: every variable
+    of a support of at most 2, else the first two and the support size."""
+    if len(nz) <= 2:
+        return f"monomial on variables {list(nz)}"
+    return f"monomial on {len(nz)} variables [{nz[0]}, {nz[1]}, ...]"
+
+
+def coordinate_chains(leaf: LogLeaf) -> tuple[bool, str]:
     """Distinct coordinate hyperplanes {x_j = 0} plus exactly one other
-    entry H = sum_j c_j x_j^{k_j}, with one term in every variable, are
-    simple normal crossing outside the origin of the affine cone.
+    entry H are simple normal crossing outside the origin of the affine cone
+    when H is a sum of chains in disjoint variables and every boundary
+    coordinate is the head of its chain.
 
-    Proof: at a point p != 0 the components through p are some {x_j = 0},
-    whose differentials dx_j are independent, and possibly {H = 0}. Some
-    x_i(p) != 0, so {x_i = 0} misses p, and dH/dx_i(p) = c_i k_i
-    x_i(p)^{k_i - 1} != 0: dH(p) lies outside the span of the coordinate
-    differentials through p. So H is smooth at p and meets them
-    transversally.
+    A chain is c_1 x_1^a_1 x_2 + ... + c_{k-1} x_{k-1}^a_{k-1} x_k + c_k x_k^a_k
+    with all a_i >= 1, and a_k >= 2 if k >= 2; its head is x_1, the one
+    variable no monomial points to. k = 1 is a Fermat term x^a. So every
+    monomial is x_i^a (based at i) or x_i^a x_j (based at i, pointing to
+    j), each variable is the base of exactly one monomial and the target of
+    at most one, and following the pointers ends at a pure power. A loop,
+    where the pointers close up, is rejected, conservatively.
 
-    The diagonal shape is read by diagonal_smooth_outside_origin. Details
+    Proof: a diagonal scaling of the variables makes every c_i = 1, since
+    the exponent matrix of a chain is triangular with nonzero diagonal.
+    (1) A chain F is quasi-smooth. Let q != 0 and s the least index with
+    x_s(q) != 0. At any t with x_t(q) != 0 and x_{t-1}(q) = 0 (or t = 1):
+    if t = k, dF/dx_k(q) = a_k x_k^(a_k - 1) != 0. Otherwise dF/dx_t(q) =
+    a_t x_t^(a_t - 1) x_{t+1} is nonzero unless x_{t+1}(q) = 0, and then
+    dF/dx_{t+1}(q) = x_t^a_t + a_{t+1} x_{t+1}^(a_{t+1} - 1) x_{t+2} (or
+    x_t^a_t + a_k x_k^(a_k - 1) if t + 1 = k) is x_t^a_t != 0 when
+    t + 1 = k (as a_k >= 2) or a_{t+1} >= 2. The remaining case a_{t+1} = 1
+    gives a nonzero partial unless x_{t+2}(q) = -x_t^a_t != 0, which puts
+    t + 2 in the position of t. Starting at t = s, the gradient of F is
+    nonzero at q.
+    (2) At p != 0 the gradient of H splits by chain; take a chain on which
+    p is nonzero. Only its head can be a boundary coordinate. If the head
+    is off the boundary or nonzero at p, (1) gives a nonzero partial of H
+    at p in a variable whose hyperplane is no boundary component through
+    p. If the head x_1 is a boundary coordinate with x_1(p) = 0, the
+    partials of H in x_2, ..., x_k at p are those of the shorter chain
+    x_2^a_2 x_3 + ... + x_k^a_k, which is nonzero at p, so (1) gives a
+    nonzero partial off the boundary. Either way dH(p) lies outside the
+    span of the coordinate differentials through p: H is smooth at p and
+    meets them transversally.
+
+    The tag names the shape: family_B leaves need a chain of length >= 2,
+    family_A and family_C leaves must have none. Each monomial of H is read
+    once and each variable visited once, so the check is linear in H. Details
     name variable indices, never H, so they stay short on large leaves.
     """
     coords, h, why = _frame(leaf)
     if h is None:
         return False, why
-    try:
-        if diagonal_smooth_outside_origin(h):
-            return True, f"{len(coords)} coordinate hyperplanes and H diagonal in all {h.nvars} variables"
-    except ValueError as err:
-        return False, str(err)
-    missing = min(set(range(h.nvars)).difference(nz[0] for nz in h.supports))
-    return False, f"H has no term in x{missing}"
-
-
-def family_b_pattern(leaf: LogLeaf) -> tuple[bool, str]:
-    """The coordinate hyperplanes {x_0 = 0}, ..., {x_{n-2} = 0} plus one
-    H = sum_{i < n-2} a_i x_i + a x_{n-2}x_n + b x_{n-1}^j + c x_n^k, its
-    monomials filling these slots one for one with j, k >= 2, are simple
-    normal crossing outside the origin of the affine cone.
-
-    Proof: take p != 0 with H(p) = 0. If some block coordinate x_i(p) != 0
-    (i < n-2), then {x_i = 0} misses p and dH/dx_i = a_i != 0, so dH(p)
-    lies outside the span of the coordinate differentials through p.
-    Otherwise dH(p) modulo the block differentials is
-    (a x_n, j b x_{n-1}^{j-1}, a x_{n-2} + k c x_n^{k-1}). If
-    x_{n-2}(p) != 0, this vanishes only when x_n = 0, which then forces
-    x_{n-2} = 0: a contradiction. If x_{n-2}(p) = 0, its last two entries
-    vanish only at x_{n-1} = x_n = 0, that is at p = 0.
-
-    Details name variable indices, never H, so they stay short on large
-    leaves.
-    """
-    coords, h, why = _frame(leaf)
-    if h is None:
-        return False, why
-    n = h.nvars - 1
-    if n < 2:
-        return False, "too few variables for the family_B pattern"
-    expected = list(range(n - 1))
-    if coords != expected:
-        j = min(set(expected).symmetric_difference(coords))
-        return False, f"coordinate hyperplanes differ from x0..x{n - 2} at x{j}"
-    linear: set[int] = set()  # exponent vectors are distinct, so a slot fills at most once
-    powers: set[int] = set()
-    mixed = False
-    for (_, exps), nz in zip(h.monomials, h.supports):
-        j = nz[0] if len(nz) == 1 else None
-        if nz == (n - 2, n) and exps[n - 2] == exps[n] == 1:
-            mixed = True
-        elif j is None:
-            return False, f"{_monomial_on(nz)} outside the family_B pattern"
-        elif exps[j] == 1 and j < n - 2:
-            linear.add(j)
-        elif exps[j] >= 2 and j >= n - 1 and j not in powers:
-            powers.add(j)
-        elif j in powers:
-            return False, f"two pure powers of x{j}"
+    powers: dict[int, int] = {}  # variable -> exponent of its pure power
+    links: dict[int, list[tuple[int, int, int]]] = {}  # variable -> (monomial, other variable, own exponent)
+    for k, ((_, exps), nz) in enumerate(zip(h.monomials, h.supports)):
+        if len(nz) == 1:
+            if nz[0] in powers:
+                return False, f"two pure powers of x{nz[0]}"
+            powers[nz[0]] = exps[nz[0]]
+        elif len(nz) == 2 and 1 in (exps[nz[0]], exps[nz[1]]):
+            i, j = nz
+            links.setdefault(i, []).append((k, j, exps[i]))
+            links.setdefault(j, []).append((k, i, exps[j]))
         else:
-            return False, f"monomial x{j}^{exps[j]} outside the family_B pattern"
-    if len(linear) != n - 2:
-        return False, f"x{min(set(range(n - 2)).difference(linear))} does not appear linearly in H"
-    if not mixed:
-        return False, f"mixed monomial x{n - 2}*x{n} missing from H"
-    for j in (n - 1, n):
-        if j not in powers:
-            return False, f"no pure power of x{j} in H"
-    return True, f"{n - 1} coordinate hyperplanes and H in the family_B pattern in {h.nvars} variables"
+            return False, f"{_monomial_on(nz)} is neither x_i^a nor x_i^a*x_j"
+    # walk each chain of length >= 2 from its pure power to its head
+    seen = set(powers)
+    targets: set[int] = set()
+    chain = None  # (tail, length) of the first chain of length >= 2
+    for tail in sorted(powers.keys() & links.keys()):
+        var, via, length = tail, None, 1
+        while onward := [link for link in links.get(var, ()) if link[0] != via]:
+            if len(onward) > 1:
+                return False, f"the chain through x{var} branches"
+            via, base, exponent = onward[0]
+            if exponent != 1 or base in seen:
+                return False, f"x{var if exponent != 1 else base} is the base of two monomials"
+            targets.add(var)
+            seen.add(base)
+            var, length = base, length + 1
+        if powers[tail] < 2:
+            return False, f"the chain ending in x{tail} has length {length} but tail exponent 1"
+        chain = chain or (tail, length)
+    if len(seen) < h.nvars:
+        j = min(set(range(h.nvars)).difference(seen))
+        if j not in links:
+            return False, f"H has no term in x{j}"
+        return False, f"x{j} is on no chain ending in a pure power"
+    inner = [j for j in coords if j in targets]
+    if inner:
+        return False, f"coordinate hyperplane x{inner[0]} is not a chain head"
+    if leaf.klt_strategy == "family_B" and chain is None:
+        return False, "family_B needs a chain of length >= 2 in H, but H is a Fermat sum"
+    if leaf.klt_strategy != "family_B" and chain is not None:
+        return False, f"{leaf.klt_strategy} needs a Fermat sum H, but x{chain[0]} ends a chain of length {chain[1]}"
+    return True, f"{len(coords)} coordinate hyperplanes and H a sum of {len(powers)} chains in {h.nvars} variables"
 
 
-# one criterion per family: the step description it reports and its check
-_FAMILIES = {
-    "family_A": (STEP_COORDINATE_DIAGONAL, coordinate_diagonal),
-    "family_B": (STEP_FAMILY_B_PATTERN, family_b_pattern),
-    "family_C": (STEP_COORDINATE_DIAGONAL, coordinate_diagonal),
-}
+_FAMILY_TAGS = ("family_A", "family_B", "family_C")
 
 
 def family_snc_check(leaf: LogLeaf) -> KltReport:
-    """SNC check for a family-tagged leaf: one criterion per family,
-    coordinate_diagonal for family_A and family_C and family_b_pattern for
-    family_B, each with its proof in its docstring."""
-    strategy = leaf.klt_strategy
-    if strategy not in _FAMILIES:
-        raise ValueError(f"family_snc_check requires a family strategy, got {strategy!r}")
-    description, check = _FAMILIES[strategy]
-    return _report(strategy, [KltStep(description, *check(leaf))], (UNCHECKED_IRREDUCIBILITY,))
+    """SNC check for a family-tagged leaf: one criterion, coordinate_chains,
+    for all three tags, with its proof in its docstring."""
+    if leaf.klt_strategy not in _FAMILY_TAGS:
+        raise ValueError(f"family_snc_check requires a family strategy, got {leaf.klt_strategy!r}")
+    step = KltStep(STEP_CHAINS, *coordinate_chains(leaf))
+    return _report(leaf.klt_strategy, [step], (UNCHECKED_IRREDUCIBILITY,))
 
 
 # ---------------------------------------------------------------------------
@@ -608,7 +597,7 @@ def is_klt_leaf(leaf: LogLeaf) -> KltReport:
     used: SNC support with coefficients < 1 outside the origin implies klt.
     """
     strategy = leaf.klt_strategy
-    if strategy in _FAMILIES:
+    if strategy in _FAMILY_TAGS:
         return family_snc_check(leaf)
 
     steps: list[KltStep] = []
@@ -620,7 +609,10 @@ def is_klt_leaf(leaf: LogLeaf) -> KltReport:
             steps.append(KltStep(STEP_SHAPE, False, f"entry {i} is not a hyperplane: {_first_nonlinear(eqs[i])}"))
         else:
             steps.append(KltStep(STEP_SHAPE, True))
-            steps.append(KltStep(STEP_HYPERPLANES, hyperplane_arrangement_snc(normals)))
+            try:
+                steps.append(KltStep(STEP_HYPERPLANES, hyperplane_arrangement_snc(normals)))
+            except ValueError as err:
+                steps.append(KltStep(STEP_HYPERPLANES, False, str(err)))
         return _report(strategy, steps, ())
 
     if strategy == "plane_arrangement":

@@ -33,7 +33,7 @@ import cyindex.certify
 import cyindex.cli
 import cyindex.sncklt
 import cyindex.wpspairs
-from cyindex.sncklt import STEP_FAMILY_B_PATTERN, KltReport, is_klt_leaf
+from cyindex.sncklt import STEP_CHAINS, KltReport, is_klt_leaf
 from cyindex.wpspairs import SparsePoly, log_degree, pair_index, weighted_degree
 
 
@@ -72,7 +72,9 @@ def test_build_prime_power_23():
     assert leaf.space.weights == (1, 1, 1)
     assert sorted(c.b for c, _ in leaf.entries) == [2, 4, 8, 8]
     assert pair_index(leaf) == 8 and leaf.dim == 2
-    assert leaf.klt_strategy == "hyperplane_arrangement"
+    # H = x0 + x1 + x2 is a Fermat sum, so base 2 takes the family_C path too
+    assert leaf.klt_strategy == "family_C"
+    assert str(leaf.entries[-1][1]) == "x0 + x1 + x2"
 
 
 def test_build_prime_power_32():
@@ -102,17 +104,18 @@ def test_build_prime_power_rejects():
 
 # Pinned leaf bytes: sha256 of certificate_dumps for each builder input and
 # every catalogue entry. Any change here changes every certificate that
-# contains the leaf.
+# contains the leaf. Re-recorded for prime_power-2-3, prime_power-2-12 and
+# base-2-8 when base-2 prime powers became family_C: only "strategy" changed.
 GOLDEN_SHA256 = {
     ("index_prime", 5): "b5276b91cf1fcc2c249c2902562afa44b2d51912219a6c7bd1aa1f182ba5fe3b",
     ("index_prime", 7): "4ad61bd220f89d6a9fcafefb58c702eb764bb0cc756f2bba6e961091456686b8",
     ("index_prime", 13): "9962a0d7e11e4573723c6cc0a667bdb94526e0cde7761fc68b93323f7f76a5c0",
     ("index_prime", 401): "b97c411c33cd4a9cf10188e421098ea001affa3c3a7241f490eacc53248a940a",
     ("index_prime", 403): "f3f1da9fcb012a5960bbbda3677cca311b5f02e540f3cf9f14e8724cb47430ee",
-    ("prime_power", 2, 3): "3b647bad3038b639d7de16215fa84b974b5688daceb62b96dc4ccbfa9dbd0196",
+    ("prime_power", 2, 3): "19449f20c328903b606080517bc42162f6d5e31b9d9985a6393d8f0a7f91a54a",
     ("prime_power", 3, 2): "86b0b9fd8e1bb25702bf7475769e564d302c4ac5916132d084efd8082c2513b8",
     ("prime_power", 5, 4): "d6f8c19f347ce093db3543afac0587e6af39a6c3ab13d0b676acc1134d655f89",
-    ("prime_power", 2, 12): "0cb99455b55a243a80038fcca0271f8501842104641c27d4d4330b116772aefc",
+    ("prime_power", 2, 12): "6f494d0e77084292153113adb1d449137e31d2a983bd49fa83e37c209c5fd91f",
     ("base", 1, 1): "0d3bc8b2370a96e026f06456b53aa8f683594202963de82765325a9915727c30",
     ("base", 1, 2): "aaa0a80585514ecf44ba7816f0c2f11213876486c95baa5a5a78f853abcbf3ab",
     ("base", 1, 3): "74b8db5376e5f71bed17d3b0a2fb6c5301b68f4dd40dcbba82ca6705f13834d2",
@@ -125,7 +128,7 @@ GOLDEN_SHA256 = {
     ("base", 2, 5): "b5276b91cf1fcc2c249c2902562afa44b2d51912219a6c7bd1aa1f182ba5fe3b",
     ("base", 2, 6): "50f6405df88bcee5fc2ec0deac27c09f5c3a97cebe68ea2860a0859dcab4d7fb",
     ("base", 2, 7): "4ad61bd220f89d6a9fcafefb58c702eb764bb0cc756f2bba6e961091456686b8",
-    ("base", 2, 8): "3b647bad3038b639d7de16215fa84b974b5688daceb62b96dc4ccbfa9dbd0196",
+    ("base", 2, 8): "19449f20c328903b606080517bc42162f6d5e31b9d9985a6393d8f0a7f91a54a",
     ("base", 2, 9): "86b0b9fd8e1bb25702bf7475769e564d302c4ac5916132d084efd8082c2513b8",
     ("base", 2, 10): "5601032b94f9bade9927b4159ed99abab4cc3e9a5b6dfc7d3bd28770881604b8",
     ("base", 2, 12): "b05a1b88953d512a5bcc9254cdf8b8f37ad74586d8fa9db4e5ed9cd7fa65a932",
@@ -536,7 +539,7 @@ def test_tamper_h_monomial_removed_names_the_pattern_step():
     assert _failing_names(report) == {"klt"}
     (leaf_report,) = report.leaf_reports
     failed = [(s.description, s.detail) for s in leaf_report.klt.steps if not s.passed]
-    assert failed == [(STEP_FAMILY_B_PATTERN, "no pure power of x3 in H")]
+    assert failed == [(STEP_CHAINS, "H has no term in x3")]
 
 
 # -- search ------------------------------------------------------------------
@@ -841,7 +844,7 @@ def test_schema_shape_matches_contract():
     obj = certificate_to_obj(realize(4, 16))
     assert obj["v"] == 1 and obj["node"] == "wps_leaf"
     assert obj["weights"] == [1, 1, 1, 1]
-    assert obj["strategy"] == "hyperplane_arrangement"
+    assert obj["strategy"] == "family_C"
     assert {"b", "eq"} <= set(obj["entries"][0].keys())
     assert {"c", "e"} == set(obj["entries"][0]["eq"][0].keys())
     obj = json.loads(certificate_dumps(realize(3, 14)))

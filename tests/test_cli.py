@@ -166,7 +166,7 @@ def test_verify_index_14_report_bytes(capsys, tmp_path):
     report = json.loads(out)
     assert [r["kind"] for r in report["leaf_reports"]] == ["product", "wps_leaf", "elliptic_leaf"]
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "5d36dd48a817025239917f933463d30df150ca05a45127d3d7071310948a4504"
+        "711a61299a6dc24e41c48e72e0ae190eb894a049f54734907b18a31f1d73f566"
     )
 
 
@@ -217,8 +217,9 @@ def test_verify_json_format(capsys, tmp_path):
 # -- verify report bytes -------------------------------------------------------
 # sha256 of `verify FILE --mode M --format json` stdout. Re-recorded when
 # family_A and family_C leaves moved to the one coordinate-diagonal klt step,
-# and tamper-strategy-swap again when family_B moved to its one pattern step:
-# against the reductions they replaced, each report kept its exit code and
+# tamper-strategy-swap again when family_B moved to its one pattern step, and
+# every family report when all three tags moved to the one chain step:
+# against the checks they replaced, each report kept its exit code and
 # changed only in its klt steps.
 
 
@@ -273,30 +274,30 @@ def _report_input(name):
 
 # name -> (exit code, sha256 in strict mode, sha256 in trusting mode)
 REPORT_SHA256 = {
-    "index_prime-41": (0, "0dcfbe678b4ffd9dc3f9d32c8b77e01f0729756646c58a666bb45b1d0b33be18",
-        "571d0fdb25aa4dd0bdf4b22517df30e08e0e8afd0f6b666c5f483134c77eedad"),
-    "prime_power-3-5": (0, "9513c39c5f7b6b1db5b9d85b196f2e63dda8d48ce2e6dd9333c3ac152f9627c6",
-        "6281ada97034509e4608aa994e85b436ffb76ebd2dd503990076cbe801f473bc"),
+    "index_prime-41": (0, "3cb95e5c42cac15118c2ffd1a546ed227b96cd3ece655ec793d22a86e2399d4e",
+        "0567fbee74975a74689c1b478a58f683d52d74ea1521ad24f45d1c6f8250184b"),
+    "prime_power-3-5": (0, "bf2a4d966d2e08097d5c2b99dd430a2d8766a0ee2f167d85196e6d24b6f1de23",
+        "1bef1337bb54bb583e4b51bb44f2007145af55f4eec968759fd4df14c4fc8f1e"),
     "vandermonde-6-in-4": (0, "a2cbaf44b9d6325334a6df2a1912f7a7a5aec81da79ee5cd28c443facd7f6086",
         "b46dd3dde18c43841ab52048f4d48457d2d7c42bbae22debe7e68ac197a87296"),
-    "tamper-weight-bump": (1, "d1d9dddbbb3ebe158014dcd7bed9913344c170275a83c29ca32fafb2a44ddb7b",
-        "b4f04ba4527f3f73cd687c895f5e2423d21bbeeaef49a69f4d8b7cfd795447fb"),
-    "tamper-b-change": (1, "2e3a1819c1518408ad5f516e0a30ce64a90904fec5fe17ce40651e8e467cd68e",
-        "127041dba7e55c618ccb6967015437970ee156bbd78d1fd745c25f278719e9e0"),
-    "tamper-entry-duplicated": (1, "08fd5227bb3a5dd857e86eed072aa90fbcc5fad07523d0c7ebcf0abe77ab8f73",
-        "b91ddaf9bf184ac467dbdb5281558527d5a4d2916ca7f0b0ca06771fcfe0ced9"),
-    "tamper-entry-scaled-copy": (1, "08fd5227bb3a5dd857e86eed072aa90fbcc5fad07523d0c7ebcf0abe77ab8f73",
-        "b91ddaf9bf184ac467dbdb5281558527d5a4d2916ca7f0b0ca06771fcfe0ced9"),
-    "tamper-h-scaled-copy": (1, "75b2777d891680d2ebcb353161262133758b96e36818cb4c96f4790d6911817d",
-        "ab44825abadf4b552d3949025abb282c474d348718e07395e170ccc0c83a70ae"),
-    "tamper-h-linear-term-removed": (1, "45ffba01543ecffd982d2a063cf6bca4189991686244f329a10ec341c421f99c",
-        "7aa1fcd8240800e1884b77ca1c4e9ac5d1394664a7ab604676dd1f051140fa23"),
-    "tamper-strategy-swap": (1, "aea996d615da04472ee56acc0fe28a495b5f8a7b7d3d9b9109c7ceeddd1429ab",
-        "27f8359d813a33e9bfa3a667a338ec766d8f94588cca9dc7fe4734a01f6b1980"),
-    "tamper-constant-equation": (1, "9613a7e00a596bbc2375a41fbd92360b646482a79b10ca50081418ceaac1612d",
-        "051dbee74dd74bdd45fbcc31a48410765da9be91c68fba060e1b6767f0001d86"),
-    "tamper-single-factor-product": (1, "57ef69004101ea3ca1af1bb31d7d50641b504ef04e61bcf7f855cf9784b48d3e",
-        "b949f907aa0ebe9d51d38416412080bfb41074c453c35e6032e5dac59c55abd4"),
+    "tamper-weight-bump": (1, "f81180fe21f6f4d890b842f0a49511a601e6392f60f4cfe799abf3da4f076166",
+        "d822609f4b89edf763802f3f0bd7960698a74cd746e0b1101b27e1b114a8c0e5"),
+    "tamper-b-change": (1, "67b9c52beec8e2b5cd6a1bcf1a813b4b8a274eb506031b5d8f5e17bc979eaede",
+        "ae9aeefde41fab69e45caf5f175200d275e5efc222ca49270370b6c2cd4f6d40"),
+    "tamper-entry-duplicated": (1, "b8c72a8817fd2a4cfd41b90627af5b771e79fc531b06afb7619cab499fa99889",
+        "187dccf498b61fcb59c608238fabc85ab216b312c0e1766231176690207e1f72"),
+    "tamper-entry-scaled-copy": (1, "b8c72a8817fd2a4cfd41b90627af5b771e79fc531b06afb7619cab499fa99889",
+        "187dccf498b61fcb59c608238fabc85ab216b312c0e1766231176690207e1f72"),
+    "tamper-h-scaled-copy": (1, "a9043e89ee2634729da1b93cdd6a6262ad5f0d08c84060925bd01d4f776c6896",
+        "31836a65babb6c54e6bbc041f6c26d104925916c667dd9c221cf74d5245da379"),
+    "tamper-h-linear-term-removed": (1, "b2a3b13f0c73081c96a0ac9ea58810f8a9e76ef41972035ca200f15c48b86a8f",
+        "3c7af0e93df8976a7cbbe0af4d62d354e4e3c396ea97384544034f34a06d80b2"),
+    "tamper-strategy-swap": (1, "ff080999eb833a7c2a67f163e94d4638f0898a6ff6b316bcbbe7df4dd01942fd",
+        "e3bc9aa957c1f92e4057223506fdfbaad3ccf4ab123b216b837ddd7770000b95"),
+    "tamper-constant-equation": (1, "9a6aba4c6c1a32d995a0152e4350b4b2987a3f8b372258549b698a8ae91c47e6",
+        "c09b4b61155d59647280723ef33a0879f4eca1f4c77d1bdfd8cb9ffba35d6ab3"),
+    "tamper-single-factor-product": (1, "b1ed917387d0dc79584b5dd7c0684dfa8dc62e08f43e7f55ab40f7c035cb9a57",
+        "fd9eb50e689c3bbc8af0e64f6453bafc15e6f3fd1e632062142d282e242c5219"),
     "tamper-unformed-weights": (1, "05ddf1ca1dd6f3a038c4e9d2f6184dd4e8633fade8219b0b65301b0d5825094f",
         "08323c27382ae533259a421661a42163ee1a60c360e6a1f78da8648a860a9a05"),
 }
@@ -360,9 +361,10 @@ def test_table_dim1_and_dim2(capsys):
     assert i2 == expected
     assert 66 in i2 and 60 not in i2 and 64 not in i2
     assert "Machida-Oguiso" in out
-    # the rows are rendered from the base catalogue and the plane search
+    # the rows are rendered from the base catalogue and the plane search; row 8
+    # names family_C since base-2 prime powers took the family path
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "4c21865e84bb59f84426d223d29bb39bf744eaaf6ef65e2ea59f26bc93704e0e"
+        "b3562a4e4d257b57c5f8c243bc72734cb5c00eb08ebc3a9b2a5f814d0bc55b7b"
     )
 
 

@@ -10,10 +10,13 @@ from hypothesis import strategies as st
 
 from cyindex.certify import base_leaf, build_index_prime, build_prime_power, realize
 from cyindex.selftest import _family_leaves, _not_klt_leaves
+import cyindex.sncklt
 from cyindex.sncklt import (
-    STEP_COORDINATE_DIAGONAL,
-    STEP_FAMILY_B_PATTERN,
+    _HYPERPLANE_WORK_BUDGET,
+    STEP_CHAINS,
+    STEP_HYPERPLANES,
     STEP_KLT,
+    STEP_PLANE,
     STEP_SHAPE,
     _conic_smooth,
     _coordinate_var,
@@ -26,9 +29,7 @@ from cyindex.sncklt import (
     _resultant_y,
     _sheared,
     _trim,
-    coordinate_diagonal,
-    diagonal_smooth_outside_origin,
-    family_b_pattern,
+    coordinate_chains,
     family_snc_check,
     hyperplane_arrangement_snc,
     is_klt_leaf,
@@ -41,23 +42,30 @@ def poly(nvars, *terms):
     return SparsePoly.from_terms(nvars, [(c, e) for c, e in terms])
 
 
-# -- diagonal forms ----------------------------------------------------------
+# -- diagonal forms: H a sum of Fermat terms, the chains of length 1 ---------
+
+
+def _chain_leaf(h, coords=(), strategy="family_C"):
+    """The coordinate hyperplanes x_j (j in coords) plus H on P^(nv-1), all with b = 2."""
+    entries = [(StdCoeff(2), SparsePoly.variable(h.nvars, j)) for j in coords] + [(StdCoeff(2), h)]
+    return LogLeaf(Wps((1,) * h.nvars), tuple(entries), strategy)
 
 
 def test_diagonal_examples():
-    assert diagonal_smooth_outside_origin(
-        poly(3, (1, (2, 0, 0)), (1, (0, 4, 0)), (1, (0, 0, 4)))
-    )
-    assert not diagonal_smooth_outside_origin(poly(3, (1, (2, 0, 0)), (1, (0, 4, 0))))
+    diagonal = poly(3, (1, (2, 0, 0)), (1, (0, 4, 0)), (1, (0, 0, 4)))
+    assert coordinate_chains(_chain_leaf(diagonal, (0, 1, 2))) == (
+        True, "3 coordinate hyperplanes and H a sum of 3 chains in 3 variables")
+    assert coordinate_chains(_chain_leaf(poly(3, (1, (2, 0, 0)), (1, (0, 4, 0))))) == (
+        False, "H has no term in x2")
     fermat = poly(4, (1, (4, 0, 0, 0)), (1, (0, 4, 0, 0)), (1, (0, 0, 4, 0)), (1, (0, 0, 0, 4)))
-    assert diagonal_smooth_outside_origin(fermat)
+    assert coordinate_chains(_chain_leaf(fermat, (3,), "family_A"))[0]
 
 
 def test_diagonal_rejects_mixed():
-    with pytest.raises(ValueError):
-        diagonal_smooth_outside_origin(poly(3, (1, (1, 0, 1)), (1, (0, 2, 0))))
-    with pytest.raises(ValueError):
-        diagonal_smooth_outside_origin(poly(2, (1, (2, 0)), (1, (3, 0))))
+    # x0*x2 + x1^2: x0*x2 leads to no pure power, so it is no chain
+    assert coordinate_chains(_chain_leaf(poly(3, (1, (1, 0, 1)), (1, (0, 2, 0))))) == (
+        False, "x0 is on no chain ending in a pure power")
+    assert coordinate_chains(_chain_leaf(poly(2, (1, (2, 0)), (1, (3, 0))))) == (False, "two pure powers of x0")
 
 
 # -- hyperplane arrangements -------------------------------------------------
@@ -104,6 +112,39 @@ def test_hyperplane_examples():
 def test_hyperplane_rejects_zero_normal():
     with pytest.raises(ValueError):
         hyperplane_arrangement_snc([(0, 0, 0)])
+
+
+def _forty_normals_in_twenty_variables():
+    """40 hyperplanes sum_i t^i x_i on P^19: C(40, 20) ~ 1.4e11 subsets to rank."""
+    eqs = [SparsePoly.linear_form([t**i for i in range(20)]) for t in range(2, 42)]
+    return LogLeaf(Wps((1,) * 20), tuple((StdCoeff(3), eq) for eq in eqs), "hyperplane_arrangement")
+
+
+def test_hyperplane_budget_fails_the_step_before_ranking(monkeypatch):
+    def no_ranking(*_):
+        raise AssertionError("a subset was enumerated")
+
+    monkeypatch.setattr(cyindex.sncklt, "combinations", no_ranking)
+    monkeypatch.setattr(cyindex.sncklt, "_rank", no_ranking)
+    report = is_klt_leaf(_forty_normals_in_twenty_variables())
+    assert not report.passed
+    assert [(s.description, s.passed, s.detail) for s in report.steps] == [
+        (STEP_SHAPE, True, ""),
+        (STEP_HYPERPLANES, False,
+         f"resource budget: ranking C(40, 20) subsets in 20 variables exceeds {_HYPERPLANE_WORK_BUDGET} entry updates"),
+    ]
+
+
+def test_hyperplane_budget_admits_the_largest_benchmark_arrangement():
+    # 12 Vandermonde normals in 6 variables, the largest arrangement the benchmark
+    # corpus builds, uses a fiftieth of the budget
+    assert _HYPERPLANE_WORK_BUDGET // (comb(12, 6) * 6**3) >= 50
+    normals = [[t**i for i in range(6)] for t in range(10, 22)]
+    assert hyperplane_arrangement_snc(normals) is True
+    # C(201, 200) = 201 subsets of 200 normals in 200 variables are over budget
+    # too: the count of subsets alone does not bound the work
+    with pytest.raises(ValueError, match="resource budget"):
+        hyperplane_arrangement_snc([[int(i == j) for j in range(200)] for i in range(200)] + [[1] * 200])
 
 
 def test_hyperplane_agrees_with_naive_oracle():
@@ -244,6 +285,16 @@ def test_degree_cap():
     quartic = poly(3, (1, (4, 0, 0)), (1, (0, 4, 0)), (1, (0, 0, 4)))
     with pytest.raises(ValueError):
         plane_arrangement_snc([quartic])
+
+
+def test_degree_zero_curve_rejected():
+    # the constant 5 cuts out nothing, so it carries no coefficient
+    five, x0 = poly(3, (5, (0, 0, 0))), poly(3, (1, (1, 0, 0)))
+    with pytest.raises(ValueError, match="entry 0 is a nonzero constant"):
+        plane_arrangement_snc([five, x0])
+    leaf = LogLeaf(Wps((1, 1, 1)), ((StdCoeff(2), five), (StdCoeff(3), x0)), "plane_arrangement")
+    assert [(s.description, s.passed, s.detail) for s in is_klt_leaf(leaf).steps] == [
+        (STEP_PLANE, False, "entry 0 is a nonzero constant, which cuts out no curve")]
 
 
 def test_smooth_cubic_accepted():
@@ -594,7 +645,8 @@ def _q_cubic_smooth_certified(sheared):
 
 
 def _reference_plane_snc(curves):
-    """plane_arrangement_snc as it was, in Fraction arithmetic."""
+    """plane_arrangement_snc as it was, in Fraction arithmetic, with its
+    rejection of a constant entry."""
     curves = list(curves)
     if not curves:
         return True
@@ -610,10 +662,12 @@ def _reference_plane_snc(curves):
     if nv != 3:
         raise ValueError("plane arrangements live in 3 variables (or 2 for P^1)")
     degrees = []
-    for c in curves:
+    for i, c in enumerate(curves):
         d = weighted_degree(c, Wps((1, 1, 1)))
         if d > 3:
             raise ValueError(f"curve of degree {d} > 3: {c}")
+        if d == 0:
+            raise ValueError(f"entry {i} is a nonzero constant, which cuts out no curve")
         degrees.append(d)
     shear_k = next((k for k in range(101) if all(_q_evaluate(c, (k, 1, 0)) != 0 for c in curves)), None)
     if shear_k is None:
@@ -724,7 +778,7 @@ def test_gcd_degree_matches_sympy(u, v, w):
 def test_family_a_passes_for_prime_13():
     report = family_snc_check(build_index_prime(13))
     assert report.passed
-    assert [s.description for s in report.steps] == [STEP_COORDINATE_DIAGONAL, STEP_KLT]
+    assert [s.description for s in report.steps] == [STEP_CHAINS, STEP_KLT]
     assert "irreducibility of non-coordinate divisors" in report.unchecked_hypotheses
 
 
@@ -732,28 +786,29 @@ def test_family_b_passes_for_7():
     report = family_snc_check(build_index_prime(7))
     assert report.passed
     assert report.strategy == "family_B"
-    assert [s.description for s in report.steps] == [STEP_FAMILY_B_PATTERN, STEP_KLT]
+    assert [s.description for s in report.steps] == [STEP_CHAINS, STEP_KLT]
 
 
 def test_family_c_passes_and_base2_retagged_passes():
     assert family_snc_check(build_prime_power(3, 4)).passed
     leaf = build_prime_power(2, 4)
-    # builder tags base-2 leaves as hyperplane arrangements; retagged as
-    # family_C, H = x0 + x1 + x2 + x3 is a diagonal form of exponent 1
-    retagged = LogLeaf(leaf.space, leaf.entries, "family_C")
-    report = family_snc_check(retagged)
+    # H = x0 + x1 + x2 + x3 is a sum of four Fermat terms of exponent 1, and
+    # the same hyperplanes pass as an arrangement
+    assert leaf.klt_strategy == "family_C"
+    report = family_snc_check(leaf)
     assert report.passed
-    assert [s.description for s in report.steps] == [STEP_COORDINATE_DIAGONAL, STEP_KLT]
+    assert [s.description for s in report.steps] == [STEP_CHAINS, STEP_KLT]
+    assert is_klt_leaf(LogLeaf(leaf.space, leaf.entries, "hyperplane_arrangement")).passed
 
 
 def test_family_shape_mismatch_reported():
-    # family_A's coordinates x0, x1, x4 on P(4, 4, 2, 1, 1) are not family_B's x0, x1, x2
+    # family_A's H on P(4, 4, 2, 1, 1) is a Fermat sum: SNC, but not the family_B shape
     leaf = build_index_prime(13)
     retagged = LogLeaf(leaf.space, leaf.entries, "family_B")
     report = family_snc_check(retagged)
     assert not report.passed
     assert [(s.description, s.passed, s.detail) for s in report.steps] == [
-        (STEP_FAMILY_B_PATTERN, False, "coordinate hyperplanes differ from x0..x2 at x2")]
+        (STEP_CHAINS, False, "family_B needs a chain of length >= 2 in H, but H is a Fermat sum")]
 
 
 def test_family_missing_last_variable_fails_the_diagonal_step():
@@ -766,12 +821,12 @@ def test_family_missing_last_variable_fails_the_diagonal_step():
     report = family_snc_check(tampered)
     assert not report.passed
     assert [(s.description, s.passed, s.detail) for s in report.steps] == [
-        (STEP_COORDINATE_DIAGONAL, False, "H has no term in x4")]
+        (STEP_CHAINS, False, "H has no term in x4")]
 
 
 def test_family_exponent_change_still_evaluates():
     # raising the x_{n-1} exponent breaks degree bookkeeping upstream but H
-    # is still a diagonal form covering all variables: the SNC step itself
+    # is still a Fermat sum covering all variables: the SNC step itself
     # passes
     leaf = build_index_prime(13)
     coeff, h = leaf.entries[-1]
@@ -782,12 +837,13 @@ def test_family_exponent_change_still_evaluates():
     assert report.passed  # the degree failure is reported by the verifier, not here
 
 
-# -- coordinate_diagonal against the reduction it replaced -------------------
+# -- coordinate-diagonal leaves (family_A and family_C) against the old reduction
 
 
 def _reference_family_ac(leaf):
     """The two-step reduction that checked family_A and family_C leaves
-    before coordinate_diagonal, kept as the reference: a family shape frame,
+    before one criterion did, kept as the reference that coordinate_chains
+    must dominate: a family shape frame,
     constant linear partials on the block, a diagonal residual smooth
     outside the origin and its restriction to the distinguished hyperplane;
     family_C with every entry a hyperplane went to the arrangement check.
@@ -834,11 +890,10 @@ def _reference_family_ac(leaf):
 def test_coordinate_diagonal_passes_what_the_reference_passes_on_the_grids():
     leaves = [leaf for _, leaf, _ in _family_leaves()] + [base_leaf(2, 14).leaf]
     for leaf in leaves:
-        own = "family_C" if leaf.klt_strategy == "hyperplane_arrangement" else leaf.klt_strategy
         for strategy in ("family_A", "family_C"):
             retagged = _retag(leaf, strategy)
             want = _reference_family_ac(retagged)
-            assert want or strategy != own, leaf  # the reference passes each leaf under its own tag
+            assert want or strategy != leaf.klt_strategy, leaf  # the reference passes each leaf under its own tag
             if want:
                 assert family_snc_check(retagged).passed, (strategy, leaf.space)
 
@@ -878,7 +933,7 @@ def _family_shaped_leaves(draw):
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(_family_shaped_leaves())
 def test_coordinate_diagonal_passes_what_the_reference_passes_on_small_leaves(leaf):
-    ok, _ = coordinate_diagonal(leaf)
+    ok, _ = coordinate_chains(leaf)
     if _reference_family_ac(leaf):
         assert ok
     normals = [eq.linear_coefficients() for _, eq in leaf.entries]
@@ -909,9 +964,9 @@ def _with_h(leaf, h):
 
 @pytest.mark.parametrize("leaf,detail", [
     # family_B's H has the mixed monomial x_{n-2}x_n
-    (_retag(build_index_prime(15), "family_A"), "non-diagonal monomial on variables [2, 4]"),
+    (_retag(build_index_prime(15), "family_A"), "family_A needs a Fermat sum H, but x4 ends a chain of length 2"),
     (_with_h(_P211, poly(3, (1, (1, 0, 0)), (1, (0, 2, 0)), (1, (0, 1, 0)), (1, (0, 0, 2)))),
-     "two monomials in variable x1"),
+     "two pure powers of x1"),
     (_with_h(_P211, poly(3, (1, (1, 0, 0)), (1, (0, 0, 2)))), "H has no term in x1"),
     (LogLeaf(_P211.space, ((StdCoeff(3), _X0), (StdCoeff(9), _X0.scaled(2)), _P211.entries[-1]), "family_C"),
      "coordinate hyperplane x0 appears twice"),
@@ -922,14 +977,14 @@ def _with_h(leaf, h):
              "family_A"), "entries in different numbers of variables"),
 ], ids=["mixed-monomial", "two-powers", "missing-variable", "repeated-coordinate", "no-h", "mixed-nvars"])
 def test_coordinate_diagonal_failure_details(leaf, detail):
-    assert coordinate_diagonal(leaf) == (False, detail)
+    assert coordinate_chains(leaf) == (False, detail)
 
 
 def test_coordinate_diagonal_detail_is_bounded_on_a_large_leaf():
     report = family_snc_check(_retag(build_index_prime(2003), "family_A"))  # family_B, n = 501
     (step,) = report.steps
-    assert (step.description, step.passed) == (STEP_COORDINATE_DIAGONAL, False)
-    assert step.detail == "non-diagonal monomial on variables [499, 501]"
+    assert (step.description, step.passed) == (STEP_CHAINS, False)
+    assert step.detail == "family_A needs a Fermat sum H, but x501 ends a chain of length 2"
     assert len(step.detail) < 200
 
 
@@ -946,12 +1001,13 @@ def _linear_partials_per_variable(h, block):
     return True, "" if block else "no linear block (deep stratum is everything)"
 
 
-# -- family_b_pattern against the reduction it replaced ----------------------
+# -- family_B leaves against the old reduction -------------------------------
 
 
 def _reference_family_b(leaf):
-    """The four-step reduction that checked family_B leaves before
-    family_b_pattern, kept as the reference: the shape frame (coordinate
+    """The four-step reduction that checked family_B leaves before one
+    criterion did, kept as the reference that coordinate_chains must
+    dominate: the shape frame (coordinate
     entries exactly x_0..x_{n-2}, H in the family pattern), constant linear
     partials on the block x_0..x_{n-3}, the residual
     a*x*z + b*y^j + c*z^k in (x, y, z) = (x_{n-2}, x_{n-1}, x_n) with its
@@ -989,11 +1045,13 @@ def test_family_b_pattern_matches_the_reference_on_the_grids():
     passed = 0
     for leaf in leaves:
         report = family_snc_check(_retag(leaf, "family_B"))
-        assert report.passed == _reference_family_b(_retag(leaf, "family_B")), leaf.space
+        assert report.passed or not _reference_family_b(_retag(leaf, "family_B")), leaf.space
         if report.passed:
-            assert [s.description for s in report.steps] == [STEP_FAMILY_B_PATTERN, STEP_KLT]
+            assert [s.description for s in report.steps] == [STEP_CHAINS, STEP_KLT]
         passed += report.passed
-    assert passed == 99  # the family_B leaves, m = 7, 11, ..., 399, and no other
+    # the family_B leaves, m = 7, 11, ..., 399, and no other: every other grid
+    # H is a Fermat sum, so here the two match
+    assert passed == 99
 
 
 @st.composite
@@ -1031,8 +1089,12 @@ def _family_b_shaped_leaves(draw):
 
 @settings(max_examples=400, derandomize=True, deadline=None)
 @given(_family_b_shaped_leaves())
-def test_family_b_pattern_matches_the_reference_on_small_leaves(leaf):
-    assert family_b_pattern(leaf)[0] == _reference_family_b(leaf)
+def test_family_b_chains_cover_the_reference_on_small_leaves(leaf):
+    ok, _ = coordinate_chains(leaf)
+    if _reference_family_b(leaf):
+        assert ok
+    elif ok and leaf.entries[0][1].nvars <= 4:
+        assert _snc_by_groebner(leaf)  # a leaf only the chain criterion accepts is SNC
 
 
 def test_family_b_pattern_matches_the_reference_on_one_monomial_mutants():
@@ -1049,9 +1111,11 @@ def test_family_b_pattern_matches_the_reference_on_one_monomial_mutants():
         passed = 0
         for monomials in mutants:
             tampered = _with_h(leaf, SparsePoly(nv, monomials))
-            assert family_b_pattern(tampered)[0] == _reference_family_b(tampered), monomials
-            passed += _reference_family_b(tampered)
-        assert passed == 0  # every slot is needed, and no monomial fits beside a full pattern
+            ok, _ = coordinate_chains(tampered)
+            assert ok or not _reference_family_b(tampered), monomials
+            passed += ok
+        # every monomial is needed, and none fits beside a full chain sum: here the two match
+        assert passed == 0
 
 
 def test_family_b_pattern_detail_is_bounded_on_a_large_leaf():
@@ -1059,16 +1123,17 @@ def test_family_b_pattern_detail_is_bounded_on_a_large_leaf():
     coeff, h = leaf.entries[-1]
     no_mixed = SparsePoly(h.nvars, tuple(t for t, nz in zip(h.monomials, h.supports) if nz != (999, 1001)))
     (step,) = family_snc_check(_with_h(leaf, no_mixed)).steps
-    assert (step.description, step.passed) == (STEP_FAMILY_B_PATTERN, False)
-    assert step.detail == "mixed monomial x999*x1001 missing from H"
+    assert (step.description, step.passed) == (STEP_CHAINS, False)
+    assert step.detail == "H has no term in x999"
     assert len(step.detail) < 80 and str(h) not in step.detail
 
 
 @pytest.mark.parametrize("strategy,detail", [
-    ("family_B", "monomial on 1002 variables [0, 1, ...] outside the family_B pattern"),
-    ("family_A", "non-diagonal monomial on 1002 variables [0, 1, ...]"),
+    ("family_B", "monomial on 1002 variables [0, 1, ...] is neither x_i^a nor x_i^a*x_j"),
+    ("family_A", "monomial on 1002 variables [0, 1, ...] is neither x_i^a nor x_i^a*x_j"),
     ("hyperplane_arrangement", "entry 1000 is not a hyperplane: monomial on 1002 variables [0, 1, ...]"),
-])
+], ids=["family_B-monomial on 1002 variables [0, 1, ...]", "family_A-non-diagonal monomial on 1002 variables [0, 1, ...]",
+        "hyperplane_arrangement-entry 1000 is not a hyperplane: monomial on 1002 variables [0, 1, ...]"])
 def test_monomial_details_are_bounded_on_a_large_support(strategy, detail):
     # build_index_prime(4003) (n = 1001) with one more monomial in all 1002 variables
     leaf = build_index_prime(4003)
@@ -1110,28 +1175,35 @@ def _b15_with(drop=(), add=()):
     return _with_h(_B15, SparsePoly(5, tuple(kept) + tuple((Fraction(1), e) for e in add)))
 
 
-@pytest.mark.parametrize("leaf,want", [
-    (_B15, (True, "3 coordinate hyperplanes and H in the family_B pattern in 5 variables")),
-    (build_index_prime(7), (True, "1 coordinate hyperplanes and H in the family_B pattern in 3 variables")),
-    (_b15_with(drop=[(1,)]), (False, "x1 does not appear linearly in H")),
-    # x1 also occurs in x1*x2, so dH/dx1 is not constant
-    (_b15_with(add=[(0, 1, 1, 0, 0)]), (False, "monomial on variables [1, 2] outside the family_B pattern")),
-    # x1^2 but no x1
-    (_b15_with(drop=[(1,)], add=[(0, 2, 0, 0, 0)]), (False, "monomial x1^2 outside the family_B pattern")),
-    # x0 missing and x1 in x1*x3: a monomial outside the pattern is reported before an empty slot
-    (_b15_with(drop=[(0,)], add=[(0, 1, 0, 1, 0)]), (False, "monomial on variables [1, 3] outside the family_B pattern")),
+@pytest.mark.parametrize("leaf,want,reference", [
+    (_B15, (True, "3 coordinate hyperplanes and H a sum of 4 chains in 5 variables"), True),
+    (build_index_prime(7), (True, "1 coordinate hyperplanes and H a sum of 2 chains in 3 variables"), True),
+    (_b15_with(drop=[(1,)]), (False, "H has no term in x1"), False),
+    # x1 also occurs in x1*x2, so dH/dx1 is not constant: walking from the pure power x1
+    # through x1*x2 and x2*x4 reaches x4, the base of x4^4 already
+    (_b15_with(add=[(0, 1, 1, 0, 0)]), (False, "x4 is the base of two monomials"), False),
+    # x1^2 but no x1: a Fermat term whose head x1 is a coordinate, which the reference
+    # rejected and the chain proof covers
+    (_b15_with(drop=[(1,)], add=[(0, 2, 0, 0, 0)]), (True, "3 coordinate hyperplanes and H a sum of 4 chains in 5 variables"),
+     False),
+    # x0 missing and x1 in x1*x3: x3 is the base of x3^2 and of x1*x3
+    (_b15_with(drop=[(0,)], add=[(0, 1, 0, 1, 0)]), (False, "x3 is the base of two monomials"), False),
     # x0 and x1 missing: the lower variable is reported
-    (_b15_with(drop=[(0,), (1,)]), (False, "x0 does not appear linearly in H")),
+    (_b15_with(drop=[(0,), (1,)]), (False, "H has no term in x0"), False),
 ], ids=["ok", "empty-block", "missing", "not-constant", "square-only", "two-failures", "two-failures-missing-first"])
-def test_linear_partials_messages(leaf, want):
-    # the linear block x_0..x_{n-3} of family_b_pattern: each variable once, linearly, and nowhere else
-    assert family_b_pattern(leaf) == want
-    assert _reference_family_b(leaf) == want[0]
+def test_linear_partials_messages(leaf, want, reference):
+    # mutants of the linear block x_0..x_{n-3} of the family_B shape
+    assert coordinate_chains(leaf) == want
+    assert _reference_family_b(leaf) == reference
+    if want[0] and not reference:
+        assert _snc_by_groebner(leaf)
 
 
-def test_linear_partials_match_the_reference_on_the_family_grids():
+def test_linear_block_mutants_against_the_reference_on_the_family_grids():
     # each family_B leaf of the grid with a block variable x_i dropped from H,
-    # squared, or times x_{n-1}: dH/dx_i is then zero or not constant
+    # squared, or times x_{n-1}. The reference rejects all three; the chain
+    # criterion rejects only the drop, since x_i^2 is a Fermat term and
+    # x_i*x_{n-1} + x_{n-1}^2 a chain, each with its head x_i a coordinate.
     for m in range(15, 202, 4):
         leaf = build_index_prime(m)
         h = leaf.entries[-1][1]
@@ -1141,14 +1213,139 @@ def test_linear_partials_match_the_reference_on_the_family_grids():
             kept = tuple(t for t, nz in zip(h.monomials, h.supports) if nz != (i,))
             squared = tuple(2 * (j == i) for j in range(nv))
             times = tuple(int(j in (i, n - 1)) for j in range(nv))
-            for extra, detail in (
-                ((), f"x{i} does not appear linearly in H"),
-                (((1, squared),), f"monomial x{i}^2 outside the family_B pattern"),
-                (((1, times),), f"monomial on variables [{i}, {n - 1}] outside the family_B pattern"),
+            for extra, want in (
+                ((), (False, f"H has no term in x{i}")),
+                (((1, squared),), (True, f"{n - 1} coordinate hyperplanes and H a sum of {n} chains in {nv} variables")),
+                (((1, times),), (True, f"{n - 1} coordinate hyperplanes and H a sum of {n - 1} chains in {nv} variables")),
             ):
                 tampered = _with_h(leaf, SparsePoly(nv, kept + extra))
-                assert family_b_pattern(tampered) == (False, detail), (m, i)
+                assert coordinate_chains(tampered) == want, (m, i)
                 assert _reference_family_b(tampered) is False
+                if want[0] and m == 15:
+                    assert _snc_by_groebner(tampered)
+
+
+# -- coordinate_chains against a Groebner-basis SNC oracle --------------------
+
+
+def _only_origin(polys, xs):
+    """Do the polynomials vanish together only at 0 (or nowhere)? By a
+    Groebner basis: the ideal must be zero-dimensional with every x_i
+    nilpotent, and x_i^D lies in it for D the product of the leading pure
+    powers, which bounds the dimension of the quotient."""
+    sympy = pytest.importorskip("sympy")
+    basis = sympy.groebner(polys, *xs, order="grevlex")
+    if basis.exprs == [1]:
+        return True
+    if not basis.is_zero_dimensional:
+        return False
+    leads = [sympy.Poly(g, *xs).monoms(order="grevlex")[0] for g in basis.exprs]
+    bound = 1
+    for i in range(len(xs)):
+        bound *= min(m[i] for m in leads if m[i] == sum(m) > 0)
+    return all(basis.reduce(x**bound)[1] == 0 for x in xs)
+
+
+def _snc_by_groebner(leaf):
+    """Oracle for coordinate hyperplanes plus one H: SNC outside the origin
+    iff for every set U of boundary coordinates, x_U, H and the partials of
+    H in the variables outside U vanish together only at 0."""
+    sympy = pytest.importorskip("sympy")
+    coords = [j for _, eq in leaf.entries if (j := _coordinate_var_by_scan(eq)) is not None]
+    (h,) = [eq for _, eq in leaf.entries if _coordinate_var_by_scan(eq) is None]
+    xs = sympy.symbols(f"x0:{h.nvars}")
+    expr = sum(sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*[x**e for x, e in zip(xs, exps)])
+               for c, exps in h.monomials)
+    for size in range(len(coords) + 1):
+        for u in combinations(coords, size):
+            rest = [sympy.diff(expr, xs[j]) for j in range(h.nvars) if j not in u]
+            if not _only_origin([xs[j] for j in u] + [expr] + rest, xs):
+                return False
+    return True
+
+
+@st.composite
+def _chain_leaves(draw):
+    """(leaf, clean) in 2 to 4 variables: H a sum of chains over a random
+    split of the shuffled variables, each link exponent 1 to 3 and each tail
+    exponent 1 to 3 (1 is legal only for a chain of length 1), plus a
+    boundary of random coordinates that often includes non-heads, a tag that
+    usually names the shape, and sometimes one exponent of one monomial
+    changed. clean means no tail exponent 1 ends a longer chain, every
+    coordinate is a head, the tag names the shape and nothing was mutated,
+    which is when coordinate_chains must accept."""
+    nv = draw(st.integers(2, 4))
+    order = draw(st.permutations(range(nv)))
+    cuts = sorted(draw(st.sets(st.integers(1, nv - 1))))
+    blocks = [order[a:b] for a, b in zip([0] + cuts, cuts + [nv])]
+    exponents, heads, clean, chained = [], set(), True, False
+    for block in blocks:
+        heads.add(block[0])
+        chained |= len(block) > 1
+        for i, j in zip(block, block[1:]):
+            exponents.append(tuple(draw(st.integers(1, 3)) * (v == i) + (v == j) for v in range(nv)))
+        tail = draw(st.integers(1, 3))
+        clean &= tail >= 2 or len(block) == 1
+        exponents.append(tuple(tail * (v == block[-1]) for v in range(nv)))
+    coords = draw(st.sets(st.integers(0, nv - 1)))
+    clean &= coords <= heads
+    strategy = draw(st.sampled_from(["family_B" if chained else "family_A"] * 4 + ["family_A", "family_B"]))
+    clean &= (strategy == "family_B") == chained
+    if draw(st.integers(0, 3)) == 0:
+        k, v = draw(st.integers(0, len(exponents) - 1)), draw(st.integers(0, nv - 1))
+        mutant = list(exponents[k])
+        mutant[v] = draw(st.integers(0, 3).filter(lambda e: e != mutant[v]))
+        if any(mutant) and tuple(mutant) not in exponents:
+            exponents[k], clean = tuple(mutant), False
+    coeffs = st.sampled_from((1, -1, 2, Fraction(1, 3)))
+    h = SparsePoly.from_terms(nv, [(draw(coeffs), e) for e in exponents])
+    if _coordinate_var(h) is not None:  # H = c*x_j is itself a coordinate entry
+        h, clean = SparsePoly.from_terms(nv, [(1, tuple(2 * (v == 0) for v in range(nv)))] + [
+            (1, e) for e in exponents if e != tuple(2 * (v == 0) for v in range(nv))]), False
+    entries = [(StdCoeff(2), SparsePoly.variable(nv, j)) for j in sorted(coords)] + [(StdCoeff(3), h)]
+    return LogLeaf(Wps((1,) * nv), tuple(entries), strategy), clean
+
+
+@settings(max_examples=250, derandomize=True, deadline=None)
+@given(_chain_leaves())
+@example((_retag(build_index_prime(7), "family_B"), True))
+@example((_chain_leaf(poly(3, (1, (1, 1, 0)), (1, (0, 1, 1)), (1, (0, 0, 2))), (0,), "family_B"), True))
+@example((_chain_leaf(poly(2, (1, (1, 1)), (1, (0, 1))), (0,), "family_B"), False))
+@example((_chain_leaf(poly(3, (1, (3, 1, 0)), (1, (0, 2, 1)), (1, (1, 0, 2))), (0,), "family_B"), False))
+def test_coordinate_chains_accepts_only_snc_leaves(case):
+    # the examples: family_B on P(3,2,1); x0*x1 + x1*x2 + x2^2 with exponent-1 links;
+    # x0*x1 + x1, whose tail exponent is 1; the loop x0^3*x1 + x1^2*x2 + x2^2*x0
+    leaf, clean = case
+    ok, detail = coordinate_chains(leaf)
+    if clean:
+        assert ok, detail
+    if ok:
+        assert _snc_by_groebner(leaf)
+
+
+@pytest.mark.parametrize("h,coords,strategy,detail", [
+    (poly(3, (1, (0, 0, 2)), (1, (0, 1, 1)), (1, (0, 2, 1)), (1, (2, 1, 0))), (), "family_B",
+     "the chain through x2 branches"),
+    (poly(2, (1, (2, 1)), (1, (3, 0)), (1, (0, 2))), (), "family_B", "x0 is the base of two monomials"),
+    (poly(3, (1, (1, 1, 0)), (1, (0, 1, 1)), (1, (0, 0, 1))), (), "family_B",
+     "the chain ending in x2 has length 3 but tail exponent 1"),
+    (poly(3, (1, (3, 1, 0)), (1, (0, 2, 1)), (1, (1, 0, 2))), (), "family_B", "x0 is on no chain ending in a pure power"),
+    (poly(3, (1, (1, 0, 1)), (1, (0, 2, 0)), (1, (0, 0, 4))), (0, 2), "family_B",
+     "coordinate hyperplane x2 is not a chain head"),
+    (poly(3, (1, (1, 1, 1)), (1, (0, 2, 0)), (1, (0, 0, 4))), (), "family_B",
+     "monomial on 3 variables [0, 1, ...] is neither x_i^a nor x_i^a*x_j"),
+    (poly(3, (1, (2, 2, 0)), (1, (0, 0, 2))), (), "family_C", "monomial on variables [0, 1] is neither x_i^a nor x_i^a*x_j"),
+], ids=["branch", "base-twice", "linear-tail", "loop", "non-head", "three-variables", "no-linear-end"])
+def test_coordinate_chains_failure_details(h, coords, strategy, detail):
+    assert coordinate_chains(_chain_leaf(h, coords, strategy)) == (False, detail)
+
+
+def test_a_strategy_swap_fails_the_chain_step():
+    # family_A and family_B leaves are SNC under either tag; the tag must name the shape
+    for m in range(41, 62, 2):
+        leaf = build_index_prime(m)
+        swapped = _retag(leaf, "family_B" if leaf.klt_strategy == "family_A" else "family_A")
+        assert is_klt_leaf(leaf).passed and not is_klt_leaf(swapped).passed, m
 
 
 # -- support readers against the exponent scans they replaced ---------------
@@ -1241,7 +1438,9 @@ def _support_polys(draw):
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(_support_polys())
 def test_support_readers_match_the_scans(h):
-    assert _outcome(diagonal_smooth_outside_origin, h) == _outcome(_diagonal_by_scan, h)
+    # a Fermat sum H in every variable is what the diagonal scan accepts
+    if h.nvars > 1 and _coordinate_var(h) is None:
+        assert coordinate_chains(_chain_leaf(h))[0] == (_outcome(_diagonal_by_scan, h) is True)
     assert _coordinate_var(h) == _coordinate_var_by_scan(h)
 
 
