@@ -39,6 +39,8 @@ from .wpspairs import (
     StdCoeff,
     Wps,
     canonical_degree,
+    dense_exponents,
+    exponent_pairs,
     is_well_formed,
     pair_index,
     weighted_degree,
@@ -125,12 +127,9 @@ def certificate_index(cert: Certificate) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _monomial(nv: int, powers: dict[int, int]) -> tuple[Fraction, tuple[int, ...]]:
-    """The term prod x_j^powers[j] in nv variables, with coefficient 1."""
-    exps = [0] * nv
-    for j, p in powers.items():
-        exps[j] = p
-    return Fraction(1), tuple(exps)
+def _monomial(*pairs: tuple[int, int]) -> tuple[Fraction, tuple[tuple[int, int], ...]]:
+    """The term prod x_j^p over the (j, p) pairs, given by increasing j, with coefficient 1."""
+    return Fraction(1), pairs
 
 
 def build_index_prime(m: int) -> LogLeaf:
@@ -155,19 +154,19 @@ def build_index_prime(m: int) -> LogLeaf:
         space = Wps((4,) * (n - 2) + (2, 1, 1))
         nv = n + 1
         coord_vars = list(range(n - 2)) + [n]
-        h_terms = [_monomial(nv, {i: 1}) for i in range(n - 2)]
-        h_terms += [_monomial(nv, {n - 2: 2}), _monomial(nv, {n - 1: 4}), _monomial(nv, {n: 4})]
+        h_terms = [_monomial((i, 1)) for i in range(n - 2)]
+        h_terms += [_monomial((n - 2, 2)), _monomial((n - 1, 4)), _monomial((n, 4))]
         strategy = "family_A"
     else:
         n = (m + 1) // 4
         space = Wps((4,) * (n - 2) + (3, 2, 1))
         nv = n + 1
         coord_vars = list(range(n - 1))
-        h_terms = [_monomial(nv, {i: 1}) for i in range(n - 2)]
-        h_terms += [_monomial(nv, {n - 2: 1, n: 1}), _monomial(nv, {n - 1: 2}), _monomial(nv, {n: 4})]
+        h_terms = [_monomial((i, 1)) for i in range(n - 2)]
+        h_terms += [_monomial((n - 2, 1), (n, 1)), _monomial((n - 1, 2)), _monomial((n, 4))]
         strategy = "family_B"
     entries = [(c, SparsePoly.variable(nv, i)) for i in coord_vars]
-    entries.append((c, SparsePoly(nv, tuple(h_terms))))
+    entries.append((c, SparsePoly.from_pairs(nv, h_terms)))
     return LogLeaf(space, tuple(entries), strategy)
 
 
@@ -185,8 +184,8 @@ def build_prime_power(m: int, e: int) -> LogLeaf:
     nv = m + e - 2
     space = Wps((m - 1,) * (e - 1) + (1,) * (m - 1))
     entries = [(StdCoeff(m ** (i + 1)), SparsePoly.variable(nv, i)) for i in range(e)]
-    h_terms = [_monomial(nv, {i: 1 if i < e - 1 else m - 1}) for i in range(nv)]
-    entries.append((StdCoeff(m**e), SparsePoly(nv, tuple(h_terms))))
+    h_terms = [_monomial((i, 1 if i < e - 1 else m - 1)) for i in range(nv)]
+    entries.append((StdCoeff(m**e), SparsePoly.from_pairs(nv, h_terms)))
     return LogLeaf(space, tuple(entries), "family_C")
 
 
@@ -281,7 +280,7 @@ def base_leaf(dim: int, m: int) -> Certificate:
     if m == 18:
         return WpsLeaf(_instantiate_plane(2, ((2, 1), (3, 1), (9, 1), (18, 1))))
     if m == 14:
-        h = SparsePoly(3, (_monomial(3, {0: 1}), _monomial(3, {1: 3}), _monomial(3, {2: 3})))
+        h = SparsePoly.from_pairs(3, (_monomial((0, 1)), _monomial((1, 3)), _monomial((2, 3))))
         entries = ((StdCoeff(7), SparsePoly.variable(3, 0)),
                    (StdCoeff(14), SparsePoly.variable(3, 1)),
                    (StdCoeff(2), h))
@@ -567,7 +566,8 @@ def _check(rep: NodeReport, name: str, ok: bool, detail: str = "") -> bool:
 
 def _verify_wps_leaf(leaf: LogLeaf, rep: NodeReport) -> tuple[int | None, int | None]:
     """The checks of one explicit leaf, each fact computed once, so the cost
-    is linear in the leaf's size (its entries times its variables)."""
+    is linear in the leaf's size: its weights plus the (variable, exponent)
+    pairs of its equations."""
     space = leaf.space
     _check(rep, "weights-valid", len(space.weights) >= 2 and all(a >= 1 for a in space.weights),
            str(space))
@@ -582,7 +582,7 @@ def _verify_wps_leaf(leaf: LogLeaf, rep: NodeReport) -> tuple[int | None, int | 
         if eq.nvars != nv:
             shape_ok, shape_detail = False, f"equation in {eq.nvars} variables on {space}"
             break
-        if not any(eq.supports):
+        if not eq.terms[0][1]:  # the constant monomial sorts last, so it comes first only alone
             shape_ok, shape_detail = False, "constant equation cuts out no divisor"
             break
     if not leaf.entries:
@@ -714,7 +714,7 @@ def logleaf_to_obj(leaf: LogLeaf) -> dict:
         "entries": [
             {
                 "b": coeff.b,
-                "eq": [{"c": _frac_to_obj(c), "e": list(e)} for c, e in eq.monomials],
+                "eq": [{"c": _frac_to_obj(c), "e": dense_exponents(eq.nvars, pairs)} for c, pairs in eq.terms],
             }
             for coeff, eq in leaf.entries
         ],
@@ -761,6 +761,8 @@ def logleaf_from_obj(obj: dict, loc: str = "$") -> LogLeaf:
     entries_obj = _need(obj, "entries", loc)
     if not isinstance(entries_obj, list):
         raise CertificateParseError("entries must be a list", f"{loc}.entries")
+    nv = len(weights)
+    variables = tuple(range(nv))
     entries = []
     for i, ent in enumerate(entries_obj):
         eloc = f"{loc}.entries[{i}]"
@@ -769,6 +771,7 @@ def logleaf_from_obj(obj: dict, loc: str = "$") -> LogLeaf:
         if not isinstance(eq_obj, list) or not eq_obj:
             raise CertificateParseError("eq must be a nonempty monomial list", f"{eloc}.eq")
         terms = []
+        bad = None  # the first monomial whose exponents break a rule
         for j, mono in enumerate(eq_obj):
             mloc = f"{eloc}.eq[{j}]"
             c = _need(mono, "c", mloc)
@@ -783,19 +786,21 @@ def logleaf_from_obj(obj: dict, loc: str = "$") -> LogLeaf:
             e = _need(mono, "e", mloc)
             if not isinstance(e, list):
                 raise CertificateParseError("e must be a list", f"{mloc}.e")
-            terms.append((Fraction(num, den), e))
+            # one scan turns the dense vector into pairs; a fault is located after every c is checked
+            pairs = exponent_pairs(e, variables) if len(e) == nv else None
+            if pairs is None and bad is None:
+                bad = j
+            terms.append((Fraction(num, den), pairs))
+        if bad is not None:
+            e, mloc = eq_obj[bad]["e"], f"{eloc}.eq[{bad}].e"
+            for k, x in enumerate(e):
+                _need_int(x, f"{mloc}[{k}]", minimum=0)
+            if len(e) != nv:
+                raise CertificateParseError(f"exponent vector of length {len(e)}, expected {nv}", mloc)
+            raise CertificateParseError(f"exponents must be nonnegative integers, got {tuple(e)}", f"{eloc}.eq")
         try:
-            # SparsePoly checks the exponents; the walk below only locates a fault it found
-            eq = SparsePoly(len(weights), tuple(terms))
+            eq = SparsePoly.from_pairs(nv, terms)  # checks for a repeated vector
         except ValueError as err:
-            for j, (_, e) in enumerate(terms):
-                mloc = f"{eloc}.eq[{j}].e"
-                for k, x in enumerate(e):
-                    _need_int(x, f"{mloc}[{k}]", minimum=0)
-                if len(e) != len(weights):
-                    raise CertificateParseError(
-                        f"exponent vector of length {len(e)}, expected {len(weights)}", mloc
-                    ) from err
             raise CertificateParseError(str(err), f"{eloc}.eq") from err
         entries.append((StdCoeff(b), eq))
     try:

@@ -132,8 +132,8 @@ def _not_klt_leaves():
     # H then misses x1 resp. x2 and is tangent to the coordinate hyperplanes on that axis
     leaf = build_index_prime(11)
     *coords, (c, h) = leaf.entries
-    for name, support in (("x1*x3", (1, 3)), ("x2^2", (2,))):
-        kept = SparsePoly(h.nvars, tuple(t for t, nz in zip(h.monomials, h.supports) if nz != support))
+    for name, pairs in (("x1*x3", ((1, 1), (3, 1))), ("x2^2", ((2, 2),))):
+        kept = SparsePoly.from_pairs(h.nvars, [t for t in h.terms if t[1] != pairs])
         yield f"a family_B H without {name}", LogLeaf(leaf.space, (*coords, (c, kept)), "family_B")
     # x0*x2 + x1^2 + x2^4 on P(3,2,1) is the chain x0 -> x2 beside x1^2; on {x2 = 0} it is x1^2,
     # tangent to {x2 = 0} along the x0-axis

@@ -35,6 +35,7 @@ from .wpspairs import (
     NotQuasiHomogeneous,
     SparsePoly,
     Wps,
+    dense_exponents,
     weighted_degree,
 )
 
@@ -258,13 +259,13 @@ def _gcd_degree(a: list[int], b: list[int]) -> int:
     return len(a) - 1
 
 
-def _integer_terms(curve: SparsePoly) -> list[tuple[int, tuple[int, ...]]]:
-    """curve times the lcm of its denominators, as (int coefficient,
+def _integer_terms(curve: SparsePoly) -> list[tuple[int, list[int]]]:
+    """curve times the lcm of its denominators, as (int coefficient, dense
     exponent vector) pairs. A nonzero constant multiple has the same zero
     set, singular points, tangents and intersections, and it scales every
     resultant below by a nonzero constant: Res_y(c f, d g) = c^q d^p Res_y(f, g)."""
-    coeffs = _integer_row([c for c, _ in curve.monomials])
-    return [(c, e) for c, (_, e) in zip(coeffs, curve.monomials)]
+    coeffs = _integer_row([c for c, _ in curve.terms])
+    return [(c, dense_exponents(curve.nvars, pairs)) for c, (_, pairs) in zip(coeffs, curve.terms)]
 
 
 def _sheared(terms, d: int, k: int) -> tuple[list[list[int]], int]:
@@ -387,7 +388,7 @@ def plane_arrangement_snc(curves) -> bool:
     for i, c in enumerate(curves):
         d = weighted_degree(c, _P2)  # also enforces homogeneity
         if d > 3:
-            raise ValueError(f"curve of degree {d} > 3: {c}")
+            raise ValueError(f"entry {i} is a curve of degree {d} > 3")
         if d == 0:
             raise ValueError(f"entry {i} is a nonzero constant, which cuts out no curve")
         degrees.append(d)
@@ -437,12 +438,11 @@ def plane_arrangement_snc(curves) -> bool:
 
 def _coordinate_var(eq: SparsePoly) -> int | None:
     """Index j if eq is c * x_j (a coordinate hyperplane), else None."""
-    if len(eq.monomials) != 1:
+    if len(eq.terms) != 1:
         return None
-    _, exps = eq.monomials[0]
-    nz = eq.supports[0]
-    if len(nz) == 1 and exps[nz[0]] == 1:
-        return nz[0]
+    _, pairs = eq.terms[0]
+    if len(pairs) == 1 and pairs[0][1] == 1:
+        return pairs[0][0]
     return None
 
 
@@ -464,11 +464,12 @@ def _frame(leaf: LogLeaf) -> tuple[list[int], SparsePoly | None, str]:
     return coords, h, ""
 
 
-def _monomial_on(nz: tuple[int, ...]) -> str:
+def _monomial_on(pairs: tuple[tuple[int, int], ...]) -> str:
     """A monomial named by its support, bounded for details: every variable
     of a support of at most 2, else the first two and the support size."""
+    nz = [v for v, _ in pairs]
     if len(nz) <= 2:
-        return f"monomial on variables {list(nz)}"
+        return f"monomial on variables {nz}"
     return f"monomial on {len(nz)} variables [{nz[0]}, {nz[1]}, ...]"
 
 
@@ -519,17 +520,18 @@ def coordinate_chains(leaf: LogLeaf) -> tuple[bool, str]:
         return False, why
     powers: dict[int, int] = {}  # variable -> exponent of its pure power
     links: dict[int, list[tuple[int, int, int]]] = {}  # variable -> (monomial, other variable, own exponent)
-    for k, ((_, exps), nz) in enumerate(zip(h.monomials, h.supports)):
-        if len(nz) == 1:
-            if nz[0] in powers:
-                return False, f"two pure powers of x{nz[0]}"
-            powers[nz[0]] = exps[nz[0]]
-        elif len(nz) == 2 and 1 in (exps[nz[0]], exps[nz[1]]):
-            i, j = nz
-            links.setdefault(i, []).append((k, j, exps[i]))
-            links.setdefault(j, []).append((k, i, exps[j]))
+    for k, (_, pairs) in enumerate(h.terms):
+        if len(pairs) == 1:
+            (i, a), = pairs
+            if i in powers:
+                return False, f"two pure powers of x{i}"
+            powers[i] = a
+        elif len(pairs) == 2 and (pairs[0][1] == 1 or pairs[1][1] == 1):
+            (i, a), (j, b) = pairs
+            links.setdefault(i, []).append((k, j, a))
+            links.setdefault(j, []).append((k, i, b))
         else:
-            return False, f"{_monomial_on(nz)} is neither x_i^a nor x_i^a*x_j"
+            return False, f"{_monomial_on(pairs)} is neither x_i^a nor x_i^a*x_j"
     # walk each chain of length >= 2 from its pure power to its head
     seen = set(powers)
     targets: set[int] = set()
@@ -582,9 +584,9 @@ def family_snc_check(leaf: LogLeaf) -> KltReport:
 
 def _first_nonlinear(eq: SparsePoly) -> str:
     """Why eq is no hyperplane, by variable indices only, so it stays short."""
-    for (_, exps), nz in zip(eq.monomials, eq.supports):
-        if len(nz) != 1 or exps[nz[0]] != 1:
-            return _monomial_on(nz)
+    for _, pairs in eq.terms:
+        if len(pairs) != 1 or pairs[0][1] != 1:
+            return _monomial_on(pairs)
     return "zero polynomial"
 
 

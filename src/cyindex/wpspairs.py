@@ -2,9 +2,16 @@
 
 A weighted projective space P(a_0, ..., a_N) is recorded by its positive
 integer weights; divisors on it are cut out by quasi-homogeneous sparse
-polynomials. All degree bookkeeping is exact: coefficients are
-`fractions.Fraction`, weighted degrees are integers, and the degree of
-K_X + B is a Fraction with no rounding anywhere.
+polynomials. A `SparsePoly` stores each monomial as its (variable, exponent)
+pairs with positive exponents, so that building, checking, hashing and
+reading an equation cost O(support) per monomial, however many variables
+the space has. Dense exponent vectors, one entry per variable, are made only
+at the edges: the dense constructor and the `monomials` view, the schema v1
+codec (`exponent_pairs`, `dense_exponents`) and the 3-variable plane check.
+
+All degree bookkeeping is exact: coefficients are `fractions.Fraction`,
+weighted degrees are integers, and the degree of K_X + B is a Fraction with
+no rounding anywhere.
 
 The index of a degree-zero pair with standard coefficients 1 - 1/b is read
 off as the lcm of the b values. This is valid because the divisor class
@@ -21,17 +28,18 @@ coefficient, and the klt reports list this as an unchecked hypothesis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress
 from math import gcd, lcm
-from operator import itemgetter
 
 __all__ = [
     "NotQuasiHomogeneous",
     "Wps",
     "StdCoeff",
     "SparsePoly",
+    "exponent_pairs",
+    "dense_exponents",
     "LogLeaf",
     "KLT_STRATEGIES",
     "is_well_formed",
@@ -92,54 +100,157 @@ class StdCoeff:
         return f"{self.b - 1}/{self.b}"
 
 
-@dataclass(frozen=True)
-class SparsePoly:
-    """Sparse polynomial: monomials (coefficient, exponent vector), no zeros,
-    no repeated exponent vectors, all vectors of length nvars.
+def _check_nvars(nvars) -> None:
+    if type(nvars) is not int or nvars < 1:  # exact int, so no bool
+        raise ValueError(f"nvars must be a positive integer, got {nvars!r}")
 
-    nvars (>= 1) and every exponent (>= 0) are exact `int`s, never a `bool`. The
-    constructor is the one place that checks exponent vectors; it also
-    records each monomial's support, the indices of its nonzero exponents,
-    in `supports` (aligned with `monomials`), so that readers cost
-    O(support) per monomial instead of O(nvars). `supports` takes no part
-    in equality, hashing or repr.
+
+def exponent_pairs(exps, variables: tuple[int, ...]) -> tuple[tuple[int, int], ...] | None:
+    """The (variable, exponent) pairs of the nonzero entries of a dense
+    exponent vector, or None unless every entry is an exact `int` >= 0.
+
+    `variables` is tuple(range(n)) for some n >= len(exps), built once by the
+    caller. The vector is passed over twice at C level (entry types, then
+    nonzero positions); the rest reads the support alone, where any
+    negative entry is.
+    """
+    if not _INT.issuperset(map(type, exps)):  # exact ints, so no bool
+        return None
+    support = list(compress(variables, exps))
+    values = list(map(exps.__getitem__, support))
+    if values and min(values) < 0:
+        return None
+    return tuple(zip(support, values))
+
+
+def dense_exponents(nvars: int, pairs) -> list[int]:
+    """The dense exponent vector of length nvars with the given (variable, exponent) pairs."""
+    exps = [0] * nvars
+    for v, x in pairs:
+        exps[v] = x
+    return exps
+
+
+def _dense_order(term) -> list[tuple[int, int]]:
+    """Sort key of a (coefficient, pairs) term whose descending order is the
+    descending lexicographic order of the dense exponent vectors.
+
+    Take the first place where the pair lists of two monomials differ. If
+    both have a pair for the same variable there, the dense vectors first
+    differ in that variable, by those exponents. If one pair has the smaller
+    variable v, the other vector is 0 at v, so the vector with the pair at v
+    is larger, and its key (-v, .) is larger too. If one list is a proper
+    prefix of the other, the longer one has a positive entry where the
+    shorter has 0, and the longer key is the larger.
+    """
+    return [(-v, x) for v, x in term[1]]
+
+
+def _sorted(terms: list) -> list:
+    """terms in canonical order, sorted in place."""
+    if len(terms) > 1:
+        terms.sort(key=_dense_order, reverse=True)
+    return terms
+
+
+def _set_fields(poly: "SparsePoly", nvars: int, terms) -> None:
+    object.__setattr__(poly, "nvars", nvars)
+    object.__setattr__(poly, "terms", tuple(terms))
+
+
+@dataclass(frozen=True, init=False, repr=False)
+class SparsePoly:
+    """Sparse polynomial in nvars variables, stored as `terms`: one
+    (coefficient, pairs) per monomial, where pairs lists its (variable,
+    exponent) with increasing variables and every exponent >= 1. No
+    coefficient is zero and no monomial repeats.
+
+    Equality, hashing and the canonical order are defined on this form, so
+    every reader costs O(support) per monomial, whatever nvars is. The terms
+    are sorted in descending lexicographic order of the dense exponent
+    vectors (see `_dense_order`), the order certificates are written in.
+
+    `SparsePoly(nvars, monomials)` takes dense (coefficient, exponent vector)
+    monomials and `from_pairs` takes pairs. Both check the same rules: nvars
+    (>= 1) and every exponent (>= 0) are exact `int`s, never a `bool`, every
+    vector has length nvars, and no vector repeats. `monomials` is the dense
+    form, derived on demand at O(nvars) per monomial.
     """
 
     nvars: int
-    monomials: tuple[tuple[Fraction, tuple[int, ...]], ...]
-    supports: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    terms: tuple[tuple[Fraction, tuple[tuple[int, int], ...]], ...]
 
-    def __post_init__(self):
-        if type(self.nvars) is not int or self.nvars < 1:  # exact int, so no bool
-            raise ValueError(f"nvars must be a positive integer, got {self.nvars!r}")
+    def __init__(self, nvars: int, monomials):
+        _check_nvars(nvars)
+        variables = tuple(range(nvars))  # built once; a range makes a new int per index > 256
         seen = set()
-        canon = []
-        for coeff, exps in self.monomials:
+        terms = []
+        for coeff, exps in monomials:
             if type(coeff) is not Fraction:
                 coeff = Fraction(coeff)
             exps = tuple(exps)
-            if len(exps) != self.nvars:
-                raise ValueError(f"exponent vector {exps} has length != {self.nvars}")
-            # C-level passes, no Python loop over the vector: exact ints (so no bool), then signs
-            if not _INT.issuperset(map(type, exps)) or min(exps) < 0:
+            if len(exps) != nvars:
+                raise ValueError(f"exponent vector {exps} has length != {nvars}")
+            pairs = exponent_pairs(exps, variables)
+            if pairs is None:
                 raise ValueError(f"exponents must be nonnegative integers, got {exps}")
             if coeff == 0:
                 raise ValueError("zero coefficient monomial not allowed")
-            if exps in seen:
+            if pairs in seen:
                 raise ValueError(f"repeated exponent vector {exps}")
-            seen.add(exps)
-            canon.append((coeff, exps))
-        canon.sort(key=itemgetter(1), reverse=True)
-        variables = tuple(range(self.nvars))  # built once; a range makes a new int per index > 256
-        object.__setattr__(self, "monomials", tuple(canon))
-        object.__setattr__(self, "supports", tuple([tuple(compress(variables, e)) for _, e in canon]))
+            seen.add(pairs)
+            terms.append((coeff, pairs))
+        _set_fields(self, nvars, _sorted(terms))
+
+    @classmethod
+    def from_pairs(cls, nvars: int, terms) -> "SparsePoly":
+        """Build from (coefficient, pairs) terms, pairs being (variable,
+        exponent) with increasing variables below nvars and exponents >= 1,
+        all exact ints. The same checks as the dense constructor, in the same
+        order, at O(support) per monomial."""
+        _check_nvars(nvars)
+        seen = set()
+        checked = []
+        for coeff, pairs in terms:
+            if type(coeff) is not Fraction:
+                coeff = Fraction(coeff)
+            mono, prev = [], -1
+            for v, x in pairs:
+                if type(v) is not int or type(x) is not int or not prev < v < nvars or x < 1:
+                    raise ValueError(f"bad exponent pair {(v, x)!r}: pairs need increasing int "
+                                     f"variables below {nvars} and int exponents >= 1")
+                mono.append((v, x))
+                prev = v
+            pairs = tuple(mono)
+            if coeff == 0:
+                raise ValueError("zero coefficient monomial not allowed")
+            if pairs in seen:
+                raise ValueError(f"repeated exponent vector {tuple(dense_exponents(nvars, pairs))}")
+            seen.add(pairs)
+            checked.append((coeff, pairs))
+        return cls._canonical(nvars, _sorted(checked))
+
+    @classmethod
+    def _canonical(cls, nvars: int, terms) -> "SparsePoly":
+        """From terms already checked and in canonical order."""
+        poly = object.__new__(cls)
+        _set_fields(poly, nvars, terms)
+        return poly
+
+    @property
+    def monomials(self) -> tuple[tuple[Fraction, tuple[int, ...]], ...]:
+        """The monomials as (coefficient, dense exponent vector), in canonical order."""
+        return tuple([(c, tuple(dense_exponents(self.nvars, pairs))) for c, pairs in self.terms])
+
+    def __repr__(self) -> str:
+        return f"SparsePoly.from_pairs({self.nvars!r}, {self.terms!r})"
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def from_terms(cls, nvars: int, terms) -> "SparsePoly":
-        """Build from an iterable of (coefficient, exponent vector), merging
-        duplicates and dropping zero sums."""
+        """Build from an iterable of (coefficient, dense exponent vector),
+        merging duplicates and dropping zero sums."""
         acc: dict[tuple[int, ...], Fraction] = {}
         for coeff, exps in terms:
             exps = tuple(exps)
@@ -153,54 +264,48 @@ class SparsePoly:
 
     @classmethod
     def variable(cls, nvars: int, j: int, coeff=1) -> "SparsePoly":
-        exps = [0] * nvars
-        exps[j] = 1
-        return cls.single(nvars, exps, coeff)
+        return cls.from_pairs(nvars, ((coeff, ((j, 1),)),))
 
     @classmethod
     def linear_form(cls, coeffs) -> "SparsePoly":
         """sum coeffs[j] * x_j, skipping zero coefficients."""
         coeffs = list(coeffs)
-        n = len(coeffs)
-        terms = []
-        for j, c in enumerate(coeffs):
-            if c != 0:
-                exps = [0] * n
-                exps[j] = 1
-                terms.append((Fraction(c), tuple(exps)))
-        return cls(n, tuple(terms))
+        return cls.from_pairs(len(coeffs), [(c, ((j, 1),)) for j, c in enumerate(coeffs) if c != 0])
 
     # -- queries -----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.monomials
+        return not self.terms
 
     def coefficient(self, exps) -> Fraction:
+        """The coefficient of the monomial with the dense exponent vector exps."""
         exps = tuple(exps)
-        for c, e in self.monomials:
-            if e == exps:
-                return c
+        if len(exps) == self.nvars:
+            pairs = tuple((j, x) for j, x in enumerate(exps) if x != 0)
+            for c, p in self.terms:
+                if p == pairs:
+                    return c
         return Fraction(0)
 
     def linear_coefficients(self) -> list[Fraction] | None:
         """Coefficient vector if every monomial has total degree 1, else None."""
         coeffs = [Fraction(0)] * self.nvars
-        for (c, exps), support in zip(self.monomials, self.supports):
-            if len(support) != 1 or exps[support[0]] != 1:
+        for c, pairs in self.terms:
+            if len(pairs) != 1 or pairs[0][1] != 1:
                 return None
-            coeffs[support[0]] = c
+            coeffs[pairs[0][0]] = c
         return coeffs
 
     def projective_key(self) -> tuple:
         """A hashable key that two polynomials share iff one is a nonzero
-        constant multiple of the other: nvars and the monomials divided by
-        the leading coefficient (the monomials are kept in canonical order)."""
-        if not self.monomials:
+        constant multiple of the other: nvars and the terms divided by the
+        leading coefficient (the terms are kept in canonical order)."""
+        if not self.terms:
             return (self.nvars, ())
-        lead = self.monomials[0][0]
+        lead = self.terms[0][0]
         if lead == 1:
-            return (self.nvars, self.monomials)
-        return (self.nvars, tuple((c / lead, e) for c, e in self.monomials))
+            return (self.nvars, self.terms)
+        return (self.nvars, tuple((c / lead, p) for c, p in self.terms))
 
     def proportional_to(self, other: "SparsePoly") -> bool:
         """True iff self = c * other for a nonzero constant c."""
@@ -212,38 +317,34 @@ class SparsePoly:
         c = Fraction(c)
         if c == 0:
             raise ValueError("scaling a divisor equation by zero")
-        return SparsePoly(self.nvars, tuple((coeff * c, e) for coeff, e in self.monomials))
+        return SparsePoly._canonical(self.nvars, [(coeff * c, p) for coeff, p in self.terms])
 
     def subs_zero(self, vars_to_kill) -> "SparsePoly":
         """Set the named variables to 0 (drop monomials touching them)."""
         kill = set(vars_to_kill)
-        mons = tuple(
-            mono for mono, support in zip(self.monomials, self.supports) if kill.isdisjoint(support)
-        )
-        return SparsePoly(self.nvars, mons)
+        return SparsePoly._canonical(
+            self.nvars, [t for t in self.terms if kill.isdisjoint([v for v, _ in t[1]])])
 
     def restrict_to(self, keep) -> "SparsePoly":
         """Project onto the listed variables; monomials involving any other
         variable must already be absent."""
         keep = list(keep)
-        kept = set(keep)
+        positions: dict[int, list[int]] = {}  # old variable -> its places in keep
+        for i, v in enumerate(keep):
+            positions.setdefault(v, []).append(i)
         mons = []
-        for (c, e), support in zip(self.monomials, self.supports):
-            if not kept.issuperset(support):
+        for c, pairs in self.terms:
+            if any(v not in positions for v, _ in pairs):
                 raise ValueError("restrict_to: monomial uses a dropped variable")
-            mons.append((c, tuple(map(e.__getitem__, keep))))
-        return SparsePoly(len(keep), tuple(mons))
+            mons.append((c, sorted((i, x) for v, x in pairs for i in positions[v])))
+        return SparsePoly.from_pairs(len(keep), mons)
 
     def __str__(self) -> str:
         if self.is_zero():
             return "0"
         parts = []
-        for c, exps in self.monomials:
-            factors = [
-                f"x{j}" if e == 1 else f"x{j}^{e}"
-                for j, e in enumerate(exps)
-                if e > 0
-            ]
+        for c, pairs in self.terms:
+            factors = [f"x{j}" if e == 1 else f"x{j}^{e}" for j, e in pairs]
             mono = "*".join(factors) if factors else "1"
             if c == 1 and factors:
                 parts.append(mono)
@@ -318,8 +419,7 @@ def weighted_degree(eq: SparsePoly, space: Wps) -> int:
             f"{len(space.weights)} weights"
         )
     w = space.weights
-    degs = {sum([w[j] * exps[j] for j in support])
-            for (_, exps), support in zip(eq.monomials, eq.supports)}
+    degs = {sum([w[v] * x for v, x in pairs]) for _, pairs in eq.terms}
     if len(degs) != 1:
         raise NotQuasiHomogeneous(
             f"monomial degrees disagree: {sorted(degs)} for {eq} on {space}"

@@ -67,6 +67,19 @@ def test_build_index_prime_rejects():
             build_index_prime(bad)
 
 
+def test_build_and_strict_verify_never_read_dense_vectors(monkeypatch):
+    # build_index_prime(16001) lives in dimension 4001. Stored as dense vectors its
+    # entries would hold about 32 million exponent slots; as pairs they hold about 8,000.
+    def dense_view(self):
+        raise AssertionError("the dense monomials view was read")
+
+    monkeypatch.setattr(SparsePoly, "monomials", property(dense_view))
+    leaf = build_index_prime(16001)
+    report = verify_certificate(WpsLeaf(leaf), "strict")
+    assert report.passed and (report.dim, report.index) == (4001, 16001)
+    assert sum(len(pairs) for _, eq in leaf.entries for _, pairs in eq.terms) < 16001
+
+
 def test_build_prime_power_23():
     leaf = build_prime_power(2, 3)
     assert leaf.space.weights == (1, 1, 1)
@@ -517,6 +530,13 @@ def test_tamper_detected_with_named_check(build, expected_check):
     report = _verify_obj(obj)
     assert not report.passed
     assert expected_check in _failing_names(report), sorted(_failing_names(report))
+
+
+def test_a_constant_monomial_beside_another_is_shaped_but_not_quasi_homogeneous():
+    # 1 + x0: only an equation whose every monomial is constant cuts out nothing
+    obj = _mutate(A_OBJ, ["entries", 0, "eq"], [{"c": [1, 1], "e": [0, 0, 0, 0]}, {"c": [1, 1], "e": [1, 0, 0, 0]}])
+    failing = _failing_names(_verify_obj(obj))
+    assert "quasi-homogeneous" in failing and "entry-shape" not in failing, sorted(failing)
 
 
 def test_tamper_suite_is_large_enough():

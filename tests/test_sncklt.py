@@ -42,6 +42,11 @@ def poly(nvars, *terms):
     return SparsePoly.from_terms(nvars, [(c, e) for c, e in terms])
 
 
+def _without_supports(f, drop):
+    """f without its monomials whose support, the tuple of their variables, is in drop."""
+    return SparsePoly.from_pairs(f.nvars, [t for t in f.terms if tuple(v for v, _ in t[1]) not in drop])
+
+
 # -- diagonal forms: H a sum of Fermat terms, the chains of length 1 ---------
 
 
@@ -295,6 +300,17 @@ def test_degree_zero_curve_rejected():
     leaf = LogLeaf(Wps((1, 1, 1)), ((StdCoeff(2), five), (StdCoeff(3), x0)), "plane_arrangement")
     assert [(s.description, s.passed, s.detail) for s in is_klt_leaf(leaf).steps] == [
         (STEP_PLANE, False, "entry 0 is a nonzero constant, which cuts out no curve")]
+
+
+def test_degree_cap_detail_is_bounded_on_a_large_curve():
+    # a line and one degree-40 curve with all 861 monomials of degree 40
+    curve = SparsePoly(3, tuple((1, e) for e in [(a, b, 40 - a - b) for a in range(41) for b in range(41 - a)]))
+    assert len(curve.terms) == 861
+    leaf = LogLeaf(Wps((1, 1, 1)), ((StdCoeff(2), poly(3, (1, (1, 0, 0)))), (StdCoeff(3), curve)),
+                   "plane_arrangement")
+    (step,) = is_klt_leaf(leaf).steps
+    assert (step.description, step.passed, step.detail) == (STEP_PLANE, False, "entry 1 is a curve of degree 40 > 3")
+    assert len(step.detail) < 80
 
 
 def test_smooth_cubic_accepted():
@@ -665,7 +681,7 @@ def _reference_plane_snc(curves):
     for i, c in enumerate(curves):
         d = weighted_degree(c, Wps((1, 1, 1)))
         if d > 3:
-            raise ValueError(f"curve of degree {d} > 3: {c}")
+            raise ValueError(f"entry {i} is a curve of degree {d} > 3")
         if d == 0:
             raise ValueError(f"entry {i} is a nonzero constant, which cuts out no curve")
         degrees.append(d)
@@ -719,7 +735,7 @@ def _plane_arrangement(rng):
     if kind == 0:
         curves.append(curves[0].scaled(rng.choice(_CURVE_COEFFS[4:])))
     elif kind == 1:
-        through = [SparsePoly(3, tuple(t for t, nz in zip(c.monomials, c.supports) if nz != (2,))) for c in curves]
+        through = [_without_supports(c, [(2,)]) for c in curves]
         curves = [c for c in through if not c.is_zero()] + [SparsePoly.linear_form((1, rng.choice(_CURVE_COEFFS), 0))]
     rng.shuffle(curves)
     return curves
@@ -1103,7 +1119,8 @@ def test_family_b_pattern_matches_the_reference_on_one_monomial_mutants():
     for leaf in (build_index_prime(7), build_index_prime(15)):
         h = leaf.entries[-1][1]
         nv = h.nvars
-        mutants = [tuple(t for t in h.monomials if t is not drop) for drop in h.monomials]
+        mons = h.monomials  # one view, so that `is` picks out one monomial
+        mutants = [tuple(t for t in mons if t is not drop) for drop in mons]
         added = {tuple(e * (i == j) for i in range(nv)) for j in range(nv) for e in (1, 2, 3)}
         added |= {tuple(int(i in (j, k)) for i in range(nv)) for j, k in combinations(range(nv), 2)}
         present = {e for _, e in h.monomials}
@@ -1121,7 +1138,7 @@ def test_family_b_pattern_matches_the_reference_on_one_monomial_mutants():
 def test_family_b_pattern_detail_is_bounded_on_a_large_leaf():
     leaf = build_index_prime(4003)  # n = 1001
     coeff, h = leaf.entries[-1]
-    no_mixed = SparsePoly(h.nvars, tuple(t for t, nz in zip(h.monomials, h.supports) if nz != (999, 1001)))
+    no_mixed = _without_supports(h, [(999, 1001)])
     (step,) = family_snc_check(_with_h(leaf, no_mixed)).steps
     assert (step.description, step.passed) == (STEP_CHAINS, False)
     assert step.detail == "H has no term in x999"
@@ -1171,8 +1188,8 @@ _B15 = build_index_prime(15)  # x0, x1, x2 and H = x0 + x1 + x2*x4 + x3^2 + x4^4
 def _b15_with(drop=(), add=()):
     """_B15 with the H monomials of the listed supports dropped and the listed exponent vectors added."""
     h = _B15.entries[-1][1]
-    kept = [t for t, nz in zip(h.monomials, h.supports) if nz not in drop]
-    return _with_h(_B15, SparsePoly(5, tuple(kept) + tuple((Fraction(1), e) for e in add)))
+    kept = _without_supports(h, drop).monomials
+    return _with_h(_B15, SparsePoly(5, kept + tuple((Fraction(1), e) for e in add)))
 
 
 @pytest.mark.parametrize("leaf,want,reference", [
@@ -1210,7 +1227,7 @@ def test_linear_block_mutants_against_the_reference_on_the_family_grids():
         nv = h.nvars
         n = nv - 1
         for i in (0, n - 3):
-            kept = tuple(t for t, nz in zip(h.monomials, h.supports) if nz != (i,))
+            kept = _without_supports(h, [(i,)]).monomials
             squared = tuple(2 * (j == i) for j in range(nv))
             times = tuple(int(j in (i, n - 1)) for j in range(nv))
             for extra, want in (

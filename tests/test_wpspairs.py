@@ -1,13 +1,14 @@
 import random
 from fractions import Fraction
 from math import gcd
-from operator import mul
+from dataclasses import FrozenInstanceError
+from operator import itemgetter, mul
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cyindex.certify import build_index_prime, build_prime_power
+from cyindex.certify import base_leaf, build_index_prime, build_prime_power
 from cyindex.wpspairs import (
     LogLeaf,
     NotQuasiHomogeneous,
@@ -15,6 +16,7 @@ from cyindex.wpspairs import (
     StdCoeff,
     Wps,
     canonical_degree,
+    dense_exponents,
     is_well_formed,
     log_degree,
     pair_index,
@@ -69,7 +71,7 @@ def test_sparse_poly_invariants():
     assert merged.is_zero()
 
 
-# -- exponent validation and supports ----------------------------------------
+# -- exponent validation and the stored pairs ---------------------------------
 
 
 def _exponents_rejected_before(exps) -> bool:
@@ -79,7 +81,7 @@ def _exponents_rejected_before(exps) -> bool:
 
 
 def _support_scan(exps) -> tuple[int, ...]:
-    """The per-consumer support scan that `supports` replaced, kept as the reference."""
+    """The per-consumer support scan that stored supports replaced, kept as the reference."""
     return tuple(j for j, e in enumerate(exps) if e > 0)
 
 
@@ -99,7 +101,12 @@ def _linear_coefficients_by_sum(f: SparsePoly):
 
 
 def _assert_supports(f: SparsePoly):
-    assert f.supports == tuple(_support_scan(e) for _, e in f.monomials), f
+    """f's pairs are the support scans of its dense vectors with their exponents,
+    in the order the dense constructor gives, and f equals the dense build."""
+    assert [p for _, p in f.terms] == [tuple((j, e[j]) for j in _support_scan(e)) for _, e in f.monomials], f
+    assert f.monomials == _reference_dense_poly(f.nvars, f.monomials), f
+    dense = SparsePoly(f.nvars, f.monomials)
+    assert (dense.terms, hash(dense)) == (f.terms, hash(f)), f
     assert f.linear_coefficients() == _linear_coefficients_by_sum(f), f
 
 
@@ -194,14 +201,144 @@ def test_constructor_names_the_first_bad_vector():
         SparsePoly(2, ((1, (-1, 2)), (0, (1, 0))))
 
 
-def test_supports_leave_equality_hash_and_repr_alone():
+def test_equality_hash_and_repr_read_the_pairs():
     f = build_index_prime(13).entries[-1][1]
     g = SparsePoly(f.nvars, tuple(reversed(f.monomials)))
-    assert f == g and hash(f) == hash(g) == hash((f.nvars, f.monomials))
-    assert repr(f) == f"SparsePoly(nvars={f.nvars!r}, monomials={f.monomials!r})"
-    object.__setattr__(g, "supports", ())
-    assert f == g and hash(f) == hash(g) and repr(f) == repr(g)
+    assert f == g and hash(f) == hash(g) == hash((f.nvars, f.terms))
+    assert repr(f) == f"SparsePoly.from_pairs({f.nvars!r}, {f.terms!r})" and eval(repr(f)) == f
     assert f != SparsePoly(f.nvars, f.monomials[1:])
+    with pytest.raises(FrozenInstanceError):
+        f.terms = ()
+
+
+# -- the pairs against the dense constructor they replaced --------------------
+
+
+def _reference_dense_poly(nvars, monomials):
+    """SparsePoly's constructor from when it stored dense exponent vectors,
+    kept as the reference: its canonical monomials, or the error it raised."""
+    if type(nvars) is not int or nvars < 1:
+        raise ValueError(f"nvars must be a positive integer, got {nvars!r}")
+    seen = set()
+    canon = []
+    for coeff, exps in monomials:
+        if type(coeff) is not Fraction:
+            coeff = Fraction(coeff)
+        exps = tuple(exps)
+        if len(exps) != nvars:
+            raise ValueError(f"exponent vector {exps} has length != {nvars}")
+        if not frozenset({int}).issuperset(map(type, exps)) or min(exps) < 0:
+            raise ValueError(f"exponents must be nonnegative integers, got {exps}")
+        if coeff == 0:
+            raise ValueError("zero coefficient monomial not allowed")
+        if exps in seen:
+            raise ValueError(f"repeated exponent vector {exps}")
+        seen.add(exps)
+        canon.append((coeff, exps))
+    canon.sort(key=itemgetter(1), reverse=True)
+    return tuple(canon)
+
+
+def _outcome(build, *args):
+    try:
+        return build(*args)
+    except Exception as err:  # noqa: BLE001 -- the exception type and message are compared
+        return type(err), str(err)
+
+
+@st.composite
+def _dense_inputs(draw):
+    """nvars (sometimes a bool, 0 or negative) and dense monomials whose
+    coefficients and exponents are sometimes zero, a bool, negative or a
+    float, whose vectors sometimes have the wrong length, and which
+    sometimes repeat a vector."""
+    odd = st.integers(0, 5).map(lambda k: k == 0)  # a rare fault
+    nvars = draw(st.sampled_from((True, False, 0, -1))) if draw(odd) else draw(st.integers(1, 4))
+    n = nvars if type(nvars) is int and nvars > 0 else 2
+    value = st.one_of(st.integers(-2, 3), st.booleans(), st.sampled_from((0.0, 1.0, 2.5)))
+    mons = []
+    for _ in range(draw(st.integers(0, 5))):
+        coeff = draw(st.sampled_from((0, True, 0.5)) if draw(odd) else _coeffs)
+        if draw(odd):
+            exps = draw(st.lists(value, min_size=max(n - 1, 1), max_size=n + 1))
+        else:
+            exps = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        if mons and draw(odd):
+            exps = list(draw(st.sampled_from(mons))[1])
+        mons.append((coeff, tuple(exps) if draw(st.booleans()) else exps))
+    return nvars, mons
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(_dense_inputs(), _dense_inputs())
+@example((3, [(1, (0, 0, 2)), (2, (0, 0, 2))]), (3, []))
+@example((2, [(1, (1, 0)), (1, (0, True))]), (2, [(1, (0, 1)), (1, (1, 0))]))
+@example((2, [(0, (1, 0)), (1, (0, -1))]), (2, [(1, (0, 0.0))]))
+def test_constructor_matches_the_dense_reference(first, second):
+    polys = []
+    for nvars, mons in (first, second):
+        want = _outcome(_reference_dense_poly, nvars, mons)
+        got = _outcome(SparsePoly, nvars, mons)
+        if isinstance(got, SparsePoly):
+            assert got.monomials == want, (nvars, mons)
+            assert got == SparsePoly(nvars, list(reversed(mons))) and hash(got) == hash(SparsePoly(nvars, mons[::-1]))
+            _assert_supports(got)
+            polys.append((got, (nvars, want)))
+        else:
+            assert got == want, (nvars, mons)
+    if len(polys) == 2:
+        (f, f_ref), (g, g_ref) = polys
+        assert (f == g) is (f_ref == g_ref)
+        assert f != g or hash(f) == hash(g)
+
+
+@st.composite
+def _pair_terms(draw):
+    """nvars and (coefficient, pairs) terms with distinct supports."""
+    nvars = draw(st.integers(1, 6))
+    supports = draw(st.lists(st.sets(st.integers(0, nvars - 1), max_size=3), max_size=5,
+                             unique_by=lambda v: tuple(sorted(v))))
+    return nvars, [(draw(_coeffs), tuple((v, draw(st.integers(1, 4))) for v in sorted(vs))) for vs in supports]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_pair_terms())
+def test_pairs_build_the_polynomial_the_dense_vectors_build(case):
+    nvars, terms = case
+    f = SparsePoly.from_pairs(nvars, terms)
+    dense = SparsePoly(nvars, [(c, dense_exponents(nvars, p)) for c, p in terms])
+    assert f == dense and hash(f) == hash(dense) and f.terms == dense.terms
+    _assert_supports(f)
+
+
+@pytest.mark.parametrize("pairs", [((1, 1), (0, 1)), ((0, 1), (0, 2)), ((3, 1),), ((-1, 1),), ((0, 0),),
+                                   ((0, -1),), ((0, True),), ((True, 1),), ((0, 1.0),)],
+                         ids=["unsorted", "repeated-variable", "variable-too-large", "negative-variable",
+                              "zero-exponent", "negative-exponent", "bool-exponent", "bool-variable", "float-exponent"])
+def test_from_pairs_rejects_bad_pairs(pairs):
+    with pytest.raises(ValueError, match="pairs need increasing int variables below 3"):
+        SparsePoly.from_pairs(3, ((1, pairs),))
+
+
+def test_from_pairs_checks_coefficients_and_repeats_like_the_dense_constructor():
+    with pytest.raises(ValueError, match="zero coefficient monomial not allowed"):
+        SparsePoly.from_pairs(3, ((0, ((0, 1),)),))
+    with pytest.raises(ValueError, match=r"repeated exponent vector \(0, 0, 2\)"):
+        SparsePoly.from_pairs(3, ((1, ((2, 2),)), (2, [(2, 2)])))
+    with pytest.raises(ValueError, match="nvars must be a positive integer, got True"):
+        SparsePoly.from_pairs(True, ())
+
+
+def test_builders_make_the_polynomials_the_dense_constructor_makes():
+    leaves = [build_index_prime(m) for m in (5, 7, 13, 15, 401, 403)]
+    leaves += [build_prime_power(m, e) for m, e in ((2, 2), (2, 12), (3, 2), (5, 4), (12, 12))]
+    leaves += [base_leaf(1, 6).leaf, base_leaf(2, 10).leaf, base_leaf(2, 14).leaf]
+    eqs = [eq for leaf in leaves for _, eq in leaf.entries]
+    eqs += [SparsePoly.linear_form((0, 3, Fraction(-1, 2), 0)), SparsePoly.variable(5, 4, coeff=-2)]
+    for eq in eqs:
+        dense = SparsePoly(eq.nvars, eq.monomials)
+        assert eq == dense and hash(eq) == hash(dense) and eq.terms == dense.terms, eq
+        _assert_supports(eq)
 
 
 # -- proportionality ---------------------------------------------------------
@@ -272,7 +409,7 @@ def test_projective_key_examples():
     assert h.projective_key() == h.scaled(Fraction(-3, 2)).projective_key()
     assert h.scaled(7).proportional_to(h.scaled(Fraction(1, 5)))
     x0 = SparsePoly.variable(3, 0)
-    assert x0.projective_key() == SparsePoly.variable(3, 0, coeff=2).projective_key() == (3, ((1, (1, 0, 0)),))
+    assert x0.projective_key() == SparsePoly.variable(3, 0, coeff=2).projective_key() == (3, ((1, ((0, 1),)),))
     assert x0.projective_key() != SparsePoly.variable(4, 0).projective_key()
     assert x0.projective_key() != SparsePoly.variable(3, 1).projective_key()
     zero = SparsePoly(3, ())
