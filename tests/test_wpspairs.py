@@ -1,7 +1,7 @@
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from math import gcd
-from dataclasses import FrozenInstanceError
 from operator import itemgetter, mul
 
 import pytest
