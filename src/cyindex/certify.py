@@ -38,6 +38,7 @@ from .wpspairs import (
     SparsePoly,
     StdCoeff,
     Wps,
+    _sorted,
     canonical_degree,
     dense_exponents,
     exponent_pairs,
@@ -67,7 +68,6 @@ __all__ = [
     "certificate_from_obj",
     "certificate_dumps",
     "certificate_loads",
-    "logleaf_to_obj",
     "logleaf_from_obj",
     "BASE_DIM1_INDICES",
     "BASE_DIM2_INDICES",
@@ -564,6 +564,18 @@ def _check(rep: NodeReport, name: str, ok: bool, detail: str = "") -> bool:
     return bool(ok)
 
 
+def _distinct_up_to_scaling(equations: list[SparsePoly]) -> bool:
+    """True iff no two equations are proportional. Proportional equations
+    have the same monomials, so they are keyed first on their variable
+    count and pairs, int tuples that hash in C; only equations sharing that
+    key compare projective keys, whose Fractions hash in Python."""
+    by_support: dict[tuple, list[SparsePoly]] = {}
+    for eq in equations:
+        by_support.setdefault((eq.nvars, tuple([pairs for _, pairs in eq.terms])), []).append(eq)
+    return all(len(same) == 1 or len({eq.projective_key() for eq in same}) == len(same)
+               for same in by_support.values())
+
+
 def _verify_wps_leaf(leaf: LogLeaf, rep: NodeReport) -> tuple[int | None, int | None]:
     """The checks of one explicit leaf, each fact computed once, so the cost
     is linear in the leaf's size: its weights plus the (variable, exponent)
@@ -604,9 +616,7 @@ def _verify_wps_leaf(leaf: LogLeaf, rep: NodeReport) -> tuple[int | None, int | 
             qh_ok, qh_detail = False, str(err)
     _check(rep, "quasi-homogeneous", qh_ok, qh_detail)
 
-    # proportional equations share a projective key
-    keys = {eq.projective_key() for _, eq in leaf.entries}
-    _check(rep, "entries-distinct", len(keys) == len(leaf.entries))
+    _check(rep, "entries-distinct", _distinct_up_to_scaling([eq for _, eq in leaf.entries]))
 
     wf = is_well_formed(space)
     _check(rep, "well-formed", wf, str(space))
@@ -651,7 +661,7 @@ def _verify_node(cert: Certificate, path: str,
         case EllipticLeaf(dim):
             rep = NodeReport(path, "elliptic_leaf")
             reports.append(rep)
-            ok = _check(rep, "elliptic-dim", isinstance(dim, int) and dim >= 1, str(dim))
+            ok = _check(rep, "elliptic-dim", type(dim) is int and dim >= 1, str(dim))  # exact int, so no bool
             return (dim, 1) if ok else (None, None)
         case Product(factors):
             rep = NodeReport(path, "product")
@@ -701,35 +711,57 @@ class CertificateParseError(ValueError):
         self.location = location
 
 
-def _frac_to_obj(c: Fraction) -> list[int]:
-    return [c.numerator, c.denominator]
+# json.dumps(value, sort_keys=True, separators=(",", ":")), for what the writer does not format itself
+_json_text = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
-def logleaf_to_obj(leaf: LogLeaf) -> dict:
-    return {
-        "v": 1,
-        "node": "wps_leaf",
-        "weights": list(leaf.space.weights),
-        "strategy": leaf.klt_strategy,
-        "entries": [
-            {
-                "b": coeff.b,
-                "eq": [{"c": _frac_to_obj(c), "e": dense_exponents(eq.nvars, pairs)} for c, pairs in eq.terms],
-            }
-            for coeff, eq in leaf.entries
-        ],
-    }
+def _leaf_text(leaf: LogLeaf) -> str:
+    """The schema v1 text of a leaf, written from its (variable, exponent)
+    pairs. Keys come in sorted order, and every number is written as
+    json.dumps writes an int: weights, exponents and Fraction parts are
+    exact ints, and "%d" writes an int subclass b by its int value. A dense
+    exponent vector is its exponents with slices of one run of "0," between
+    them."""
+    zeros = ""
+    entries = []
+    for coeff, eq in leaf.entries:
+        nv = eq.nvars  # the space's weight count on every leaf that verifies
+        if len(zeros) != 2 * nv:
+            zeros = "0," * nv
+        monos = []
+        for c, pairs in eq.terms:
+            parts, at = [], 0
+            for v, x in pairs:
+                parts.append(zeros[: 2 * (v - at)])
+                parts.append(f"{x},")
+                at = v + 1
+            parts.append(zeros[: 2 * (nv - at)])
+            monos.append(f'{{"c":[{c.numerator},{c.denominator}],"e":[{"".join(parts)[:-1]}]}}')
+        entries.append('{"b":%d,"eq":[%s]}' % (coeff.b, ",".join(monos)))
+    return '{"entries":[%s],"node":"wps_leaf","strategy":%s,"v":1,"weights":[%s]}' % (
+        ",".join(entries), _json_text(leaf.klt_strategy), ",".join(map(str, leaf.space.weights)))
+
+
+def _node_text(cert: Certificate) -> str:
+    match cert:
+        case WpsLeaf(leaf):
+            return _leaf_text(leaf)
+        case EllipticLeaf(dim):
+            return '{"dim":%s,"node":"elliptic_leaf","v":1}' % _json_text(dim)
+        case Product(factors):
+            return '{"factors":[%s],"node":"product","v":1}' % ",".join(map(_node_text, factors))
+    raise TypeError(f"not a certificate node: {cert!r}")
+
+
+def certificate_dumps(cert: Certificate) -> str:
+    """The schema v1 text of a certificate: the bytes json.dumps writes with
+    sorted keys and compact separators, written in one pass."""
+    return _node_text(cert)
 
 
 def certificate_to_obj(cert: Certificate) -> dict:
-    match cert:
-        case WpsLeaf(leaf):
-            return logleaf_to_obj(leaf)
-        case EllipticLeaf(dim):
-            return {"v": 1, "node": "elliptic_leaf", "dim": dim}
-        case Product(factors):
-            return {"v": 1, "node": "product", "factors": [certificate_to_obj(f) for f in factors]}
-    raise TypeError(f"not a certificate node: {cert!r}")
+    """The schema v1 object of a certificate, as json.loads reads its text."""
+    return json.loads(certificate_dumps(cert))
 
 
 def _need(obj: dict, key: str, loc: str):
@@ -748,12 +780,41 @@ def _need_int(value, loc: str, minimum: int | None = None) -> int:
     return value
 
 
+def _entry_fields(ent, loc: str) -> tuple[int, list]:
+    """b and the monomial list of an entry object, or the parse error of
+    its first fault."""
+    b = _need_int(_need(ent, "b", loc), f"{loc}.b", minimum=2)
+    eq_obj = _need(ent, "eq", loc)
+    if not isinstance(eq_obj, list) or not eq_obj:
+        raise CertificateParseError("eq must be a nonempty monomial list", f"{loc}.eq")
+    return b, eq_obj
+
+
+def _monomial_fields(mono, loc: str) -> tuple[int, int, list]:
+    """Numerator, denominator and exponent list of a monomial object, or the
+    parse error of its first fault."""
+    c = _need(mono, "c", loc)
+    if not isinstance(c, list) or len(c) != 2:
+        raise CertificateParseError("c must be [numerator, denominator]", f"{loc}.c")
+    num = _need_int(c[0], f"{loc}.c[0]")
+    den = _need_int(c[1], f"{loc}.c[1]")
+    if den == 0:
+        raise CertificateParseError("zero denominator", f"{loc}.c")
+    if num == 0:
+        raise CertificateParseError("zero coefficient monomial", f"{loc}.c")
+    e = _need(mono, "e", loc)
+    if not isinstance(e, list):
+        raise CertificateParseError("e must be a list", f"{loc}.e")
+    return num, den, e
+
+
 def logleaf_from_obj(obj: dict, loc: str = "$") -> LogLeaf:
     weights = _need(obj, "weights", loc)
     if not isinstance(weights, list) or len(weights) < 2:
         raise CertificateParseError("weights must be a list of at least 2 integers", f"{loc}.weights")
-    weights = [_need_int(w, f"{loc}.weights[{i}]") for i, w in enumerate(weights)]
-    if any(w < 1 for w in weights):
+    if not {int}.issuperset(map(type, weights)):  # locate the fault only when there is one
+        weights = [_need_int(w, f"{loc}.weights[{i}]") for i, w in enumerate(weights)]
+    if min(weights) < 1:
         raise CertificateParseError("weights must be positive", f"{loc}.weights")
     strategy = _need(obj, "strategy", loc)
     if strategy not in KLT_STRATEGIES:
@@ -765,43 +826,40 @@ def logleaf_from_obj(obj: dict, loc: str = "$") -> LogLeaf:
     variables = tuple(range(nv))
     entries = []
     for i, ent in enumerate(entries_obj):
-        eloc = f"{loc}.entries[{i}]"
-        b = _need_int(_need(ent, "b", eloc), f"{eloc}.b", minimum=2)
-        eq_obj = _need(ent, "eq", eloc)
-        if not isinstance(eq_obj, list) or not eq_obj:
-            raise CertificateParseError("eq must be a nonempty monomial list", f"{eloc}.eq")
+        # one exact-type test accepts a sound entry or monomial; only one that
+        # fails it is walked, with its location, for its first fault
+        if not (type(ent) is dict and type(b := ent.get("b")) is int and b >= 2
+                and type(eq_obj := ent.get("eq")) is list and eq_obj):
+            b, eq_obj = _entry_fields(ent, f"{loc}.entries[{i}]")
         terms = []
         bad = None  # the first monomial whose exponents break a rule
         for j, mono in enumerate(eq_obj):
-            mloc = f"{eloc}.eq[{j}]"
-            c = _need(mono, "c", mloc)
-            if not isinstance(c, list) or len(c) != 2:
-                raise CertificateParseError("c must be [numerator, denominator]", f"{mloc}.c")
-            num = _need_int(c[0], f"{mloc}.c[0]")
-            den = _need_int(c[1], f"{mloc}.c[1]")
-            if den == 0:
-                raise CertificateParseError("zero denominator", f"{mloc}.c")
-            if num == 0:
-                raise CertificateParseError("zero coefficient monomial", f"{mloc}.c")
-            e = _need(mono, "e", mloc)
-            if not isinstance(e, list):
-                raise CertificateParseError("e must be a list", f"{mloc}.e")
+            if not (type(mono) is dict and type(c := mono.get("c")) is list and len(c) == 2
+                    and type(num := c[0]) is int and type(den := c[1]) is int and num and den
+                    and type(e := mono.get("e")) is list):
+                num, den, e = _monomial_fields(mono, f"{loc}.entries[{i}].eq[{j}]")
             # one scan turns the dense vector into pairs; a fault is located after every c is checked
             pairs = exponent_pairs(e, variables) if len(e) == nv else None
             if pairs is None and bad is None:
                 bad = j
             terms.append((Fraction(num, den), pairs))
         if bad is not None:
+            eloc = f"{loc}.entries[{i}]"
             e, mloc = eq_obj[bad]["e"], f"{eloc}.eq[{bad}].e"
             for k, x in enumerate(e):
                 _need_int(x, f"{mloc}[{k}]", minimum=0)
             if len(e) != nv:
                 raise CertificateParseError(f"exponent vector of length {len(e)}, expected {nv}", mloc)
             raise CertificateParseError(f"exponents must be nonnegative integers, got {tuple(e)}", f"{eloc}.eq")
-        try:
-            eq = SparsePoly.from_pairs(nv, terms)  # checks for a repeated vector
-        except ValueError as err:
-            raise CertificateParseError(str(err), f"{eloc}.eq") from err
+        seen = set()
+        for _, pairs in terms:
+            if pairs in seen:
+                raise CertificateParseError(f"repeated exponent vector {tuple(dense_exponents(nv, pairs))}",
+                                            f"{loc}.entries[{i}].eq")
+            seen.add(pairs)
+        # exponent_pairs makes only valid pairs, and no coefficient is zero:
+        # from_pairs would have nothing left to check
+        eq = SparsePoly._canonical(nv, _sorted(terms))
         entries.append((StdCoeff(b), eq))
     try:
         return LogLeaf(Wps(tuple(weights)), tuple(entries), strategy)
@@ -829,10 +887,6 @@ def certificate_from_obj(obj, loc: str = "$") -> Certificate:
         )
         return Product(factors)
     raise CertificateParseError(f"unknown node kind {node!r}", f"{loc}.node")
-
-
-def certificate_dumps(cert: Certificate) -> str:
-    return json.dumps(certificate_to_obj(cert), sort_keys=True, separators=(",", ":"))
 
 
 def certificate_loads(text: str) -> Certificate:

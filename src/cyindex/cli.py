@@ -22,6 +22,7 @@ Exit codes, fixed for scriptability:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -36,7 +37,6 @@ from .certify import (
     certificate_dumps,
     certificate_loads,
     certificate_to_obj,
-    logleaf_to_obj,
     realize,
     search_plane_pair,
     verify_certificate,
@@ -61,7 +61,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _build_parser() -> _Parser:
+@functools.cache
+def _parser() -> _Parser:
+    """The command line parser, built on first use; parse_args does not change it."""
     parser = _Parser(prog="cyindex", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -252,7 +254,7 @@ def _cmd_search(args) -> int:
     if leaf is None:
         print("none")
         return EXIT_OK
-    print(json.dumps(logleaf_to_obj(leaf), sort_keys=True, separators=(",", ":")))
+    print(certificate_dumps(WpsLeaf(leaf)))
     return EXIT_OK
 
 
@@ -282,7 +284,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)

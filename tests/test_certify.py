@@ -6,6 +6,8 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyindex.certify import (
     BASE_DIM1_INDICES,
@@ -34,7 +36,17 @@ import cyindex.cli
 import cyindex.sncklt
 import cyindex.wpspairs
 from cyindex.sncklt import STEP_CHAINS, KltReport, is_klt_leaf
-from cyindex.wpspairs import SparsePoly, log_degree, pair_index, weighted_degree
+from cyindex.wpspairs import (
+    KLT_STRATEGIES,
+    LogLeaf,
+    SparsePoly,
+    StdCoeff,
+    Wps,
+    dense_exponents,
+    log_degree,
+    pair_index,
+    weighted_degree,
+)
 
 
 # -- builders ----------------------------------------------------------------
@@ -356,6 +368,46 @@ def test_verify_unregistered_citation_fails(capsys, tmp_path, leaf, mode):
 def test_verify_product_of_elliptics():
     report = verify_certificate(Product((EllipticLeaf(1), EllipticLeaf(1))), "strict")
     assert report.passed and report.dim == 2 and report.index == 1
+
+
+def test_elliptic_dim_must_be_an_exact_int():
+    # the loader rejects a bool dimension, so the verifier must not pass it either
+    cert = Product((base_leaf(1, 3), EllipticLeaf(True)))
+    report = verify_certificate(cert, "strict")
+    assert not report.passed and (report.dim, report.index) == (None, None)
+    assert report.failing_checks() == [("$.factors[1]", "elliptic-dim")]
+    assert report.leaf_reports[-1].checks == [("elliptic-dim", False, "True")]
+    with pytest.raises(CertificateParseError, match=r"^\$\.factors\[1\]\.dim: expected an integer, got True$"):
+        certificate_loads(certificate_dumps(cert))
+
+
+_SUPPORTS = [(), ((0, 1),), ((1, 1),), ((0, 2),), ((0, 1), (1, 1)), ((2, 3),), ((1, 2), (2, 1))]
+_NONZERO = st.integers(-3, 3).filter(bool)
+
+
+@st.composite
+def _equation_lists(draw):
+    """Equations in 3 or 4 variables, some of them scaled copies of earlier
+    ones and some with an earlier support and fresh coefficients."""
+    eqs = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["new", "scaled", "same-support"])) if eqs else "new"
+        if kind == "new":
+            support = draw(st.lists(st.sampled_from(_SUPPORTS), min_size=1, max_size=3, unique=True))
+            eqs.append(SparsePoly.from_pairs(draw(st.integers(3, 4)), [(draw(_NONZERO), p) for p in support]))
+        elif kind == "scaled":
+            eqs.append(draw(st.sampled_from(eqs)).scaled(Fraction(draw(_NONZERO), draw(st.integers(1, 3)))))
+        else:
+            base = draw(st.sampled_from(eqs))
+            eqs.append(SparsePoly.from_pairs(base.nvars, [(draw(_NONZERO), p) for _, p in base.terms]))
+    return draw(st.permutations(eqs))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_equation_lists())
+def test_entries_distinct_agrees_with_the_projective_keys(eqs):
+    want = len({eq.projective_key() for eq in eqs}) == len(eqs)
+    assert cyindex.certify._distinct_up_to_scaling(eqs) is want
 
 
 def test_verify_leaf_work_is_linear_by_call_counts(monkeypatch):
@@ -783,6 +835,98 @@ def test_serialization_roundtrip():
         assert certificate_loads(certificate_dumps(cert)) == cert
 
 
+def _reference_to_obj(cert):
+    """The schema v1 object of a certificate, built as dicts and dense
+    exponent lists: the byte-identity reference of the one-pass writer."""
+    match cert:
+        case WpsLeaf(leaf):
+            return {
+                "v": 1,
+                "node": "wps_leaf",
+                "weights": list(leaf.space.weights),
+                "strategy": leaf.klt_strategy,
+                "entries": [
+                    {
+                        "b": coeff.b,
+                        "eq": [{"c": [c.numerator, c.denominator], "e": dense_exponents(eq.nvars, pairs)}
+                               for c, pairs in eq.terms],
+                    }
+                    for coeff, eq in leaf.entries
+                ],
+            }
+        case EllipticLeaf(dim):
+            return {"v": 1, "node": "elliptic_leaf", "dim": dim}
+        case Product(factors):
+            return {"v": 1, "node": "product", "factors": [_reference_to_obj(f) for f in factors]}
+    raise TypeError(f"not a certificate node: {cert!r}")
+
+
+def _reference_dumps(cert):
+    return json.dumps(_reference_to_obj(cert), sort_keys=True, separators=(",", ":"))
+
+
+@st.composite
+def _equations(draw, nvars):
+    """A polynomial in nvars variables with up to 4 monomials: random pairs,
+    possibly the constant monomial, and signed multi-digit coefficients."""
+    monos = draw(st.lists(
+        st.lists(st.tuples(st.integers(0, nvars - 1), st.integers(1, 10**6)),
+                 max_size=min(nvars, 4), unique_by=lambda p: p[0]).map(sorted).map(tuple),
+        min_size=1, max_size=4, unique=True))
+    coeffs = st.builds(Fraction, st.integers(-10**12, 10**12).filter(bool), st.integers(1, 10**12))
+    return SparsePoly.from_pairs(nvars, [(draw(coeffs), p) for p in monos])
+
+
+@st.composite
+def _wps_leaves(draw):
+    """Leaves whose equations have 1 to 60 variables: usually one per
+    weight, sometimes not, as a certificate that fails its entry-shape check
+    can still be written."""
+    nvars = draw(st.integers(1, 60))
+    arity = nvars if nvars >= 2 and draw(st.booleans()) else draw(st.integers(2, 5))
+    weights = draw(st.lists(st.integers(1, 10**4), min_size=arity, max_size=arity))
+    entries = [(StdCoeff(draw(st.integers(2, 10**9))), draw(_equations(nvars)))
+               for _ in range(draw(st.integers(0, 4)))]
+    return WpsLeaf(LogLeaf(Wps(tuple(weights)), tuple(entries), draw(st.sampled_from(KLT_STRATEGIES))))
+
+
+_CERTIFICATES = st.recursive(
+    _wps_leaves() | st.builds(EllipticLeaf, st.integers(-3, 10**20) | st.booleans()),
+    lambda children: st.lists(children, max_size=3).map(lambda fs: Product(tuple(fs))),
+    max_leaves=5,
+)
+
+
+def _loadable(cert):
+    match cert:
+        case WpsLeaf(leaf):
+            return all(eq.nvars == len(leaf.space.weights) and eq.terms for _, eq in leaf.entries)
+        case EllipticLeaf(dim):
+            return type(dim) is int and dim >= 1
+        case Product(factors):
+            return all(map(_loadable, factors))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_CERTIFICATES)
+def test_writer_matches_the_reference_bytes(cert):
+    text = certificate_dumps(cert)
+    assert text == _reference_dumps(cert)
+    assert certificate_to_obj(cert) == _reference_to_obj(cert)
+    if _loadable(cert):
+        assert certificate_loads(text) == cert
+    else:
+        with pytest.raises(CertificateParseError):
+            certificate_loads(text)
+
+
+def test_writer_matches_the_reference_on_realized_certificates():
+    certs = [realize(n, m) for n in range(3, 21) for m in indices_with_phi_at_most(2 * n)]
+    certs += [WpsLeaf(build_index_prime(1999)), WpsLeaf(build_prime_power(7, 4))]
+    for cert in certs:
+        assert certificate_dumps(cert) == _reference_dumps(cert)
+
+
 def test_serialization_deterministic():
     cert = realize(6, 36)
     assert certificate_dumps(cert) == certificate_dumps(realize(6, 36))
@@ -807,9 +951,13 @@ def test_parse_errors_carry_location():
         certificate_from_obj(obj)
 
 
+_DELETE = object()
+
+
 def _with_h_edits(*edits):
     """B_OBJ with edits (j, key, value) to monomial j of its H entry: key an
-    exponent position, a field name, or None to replace the monomial."""
+    exponent position, a field name, or None to replace the monomial; the
+    value _DELETE removes the field."""
     obj = copy.deepcopy(B_OBJ)
     eq = obj["entries"][3]["eq"]
     for j, key, value in edits:
@@ -817,6 +965,8 @@ def _with_h_edits(*edits):
             eq[j] = value
         elif isinstance(key, int):
             eq[j]["e"][key] = value
+        elif value is _DELETE:
+            del eq[j][key]
         else:
             eq[j][key] = value
     return obj
@@ -853,11 +1003,35 @@ _H_EQ = B_OBJ["entries"][3]["eq"]  # five monomials in five variables
                  "zero coefficient monomial", id="negative-then-zero-c"),
     pytest.param(((1, 0, -1), (2, "e", 3)), "$.entries[3].eq[2].e",
                  "e must be a list", id="negative-then-e-not-a-list"),
+    # one fault in each part of a monomial that the one-test accept path skips
+    pytest.param(((2, None, [1, 1]),), "$.entries[3].eq[2]", "expected an object", id="not-an-object"),
+    pytest.param(((2, "c", _DELETE),), "$.entries[3].eq[2]", "missing field 'c'", id="c-missing"),
+    pytest.param(((2, "c", 1),), "$.entries[3].eq[2].c", "c must be [numerator, denominator]", id="c-not-a-list"),
+    pytest.param(((2, "c", [1, 1, 1]),), "$.entries[3].eq[2].c", "c must be [numerator, denominator]",
+                 id="c-of-length-3"),
+    pytest.param(((2, "c", [True, 1]),), "$.entries[3].eq[2].c[0]", "expected an integer, got True",
+                 id="c-bool-numerator"),
+    pytest.param(((2, "c", [1, False]),), "$.entries[3].eq[2].c[1]", "expected an integer, got False",
+                 id="c-bool-denominator"),
+    pytest.param(((2, "c", [1, 0]),), "$.entries[3].eq[2].c", "zero denominator", id="c-zero-denominator"),
+    pytest.param(((2, "c", [0, 1]),), "$.entries[3].eq[2].c", "zero coefficient monomial", id="c-zero-numerator"),
+    pytest.param(((2, "e", _DELETE),), "$.entries[3].eq[2]", "missing field 'e'", id="e-missing"),
+    pytest.param(((2, "e", {"0": 1}),), "$.entries[3].eq[2].e", "e must be a list", id="e-not-a-list"),
 ])
 def test_malformed_exponents_are_located(edits, location, message):
     with pytest.raises(CertificateParseError) as info:
         certificate_from_obj(_with_h_edits(*edits))
     assert (info.value.location, str(info.value)) == (location, f"{location}: {message}")
+
+
+def test_int_subclass_coefficients_load_as_their_values():
+    # an object handed to certificate_from_obj may hold int subclasses; they
+    # take the walked path and give the same certificate as exact ints
+    class Int(int):
+        pass
+
+    obj = _with_h_edits((2, "c", [Int(1), Int(1)]))
+    assert certificate_from_obj(obj) == certificate_from_obj(B_OBJ)
 
 
 def test_schema_shape_matches_contract():

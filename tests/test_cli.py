@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import cyindex.certify
+import cyindex.cli
 import cyindex.numtheory
 from cyindex.certify import (
     BASE_DIM2_INDICES,
@@ -416,6 +417,7 @@ def test_search_found(capsys):
     assert code == EXIT_OK
     leaf = json.loads(out)
     assert leaf["node"] == "wps_leaf" and leaf["strategy"] == "plane_arrangement"
+    assert out == certificate_dumps(WpsLeaf(search_plane_pair(2, 10))) + "\n"
 
 
 def test_search_none(capsys):
@@ -468,6 +470,26 @@ def test_output_byte_identical(capsys, argv):
     code2, out2, _ = run(capsys, *argv)
     assert code1 == code2 == EXIT_OK
     assert out1 == out2
+
+
+def test_one_parser_serves_every_call(capsys, tmp_path):
+    # a usage error, --help and a verify in one process, each through the
+    # parser built by the first call: the same exit code and bytes as a call
+    # that builds its own
+    path = tmp_path / "cert.json"
+    path.write_text(certificate_dumps(realize(4, 16)))
+    calls = [
+        (("realize", "--dim", "x", "--index", "16"), EXIT_USAGE),
+        (("--help",), EXIT_OK),
+        (("verify", str(path)), EXIT_OK),
+    ]
+    cyindex.cli._parser.cache_clear()
+    shared = [run(capsys, *argv) for argv, _ in calls]
+    assert cyindex.cli._parser.cache_info().misses == 1
+    for (argv, code), got in zip(calls, shared):
+        assert got[0] == code
+        cyindex.cli._parser.cache_clear()
+        assert run(capsys, *argv) == got
 
 
 # -- selftest ----------------------------------------------------------------
