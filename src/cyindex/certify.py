@@ -701,6 +701,12 @@ def verify_certificate(cert: Certificate, mode: str = "strict") -> VerificationR
 # ---------------------------------------------------------------------------
 # serialization (schema v1)
 # ---------------------------------------------------------------------------
+# Dense exponent vectors exist only in the text. The writer makes the text in
+# one pass from the (variable, exponent) pairs, with the bytes of json.dumps
+# with sorted keys and compact separators. The reader accepts each sound
+# entry and monomial by one exact-type test and scans each vector once into
+# pairs; only what fails the test is walked field by field, with locations,
+# so that the first fault is reported where it is.
 
 
 class CertificateParseError(ValueError):
@@ -755,7 +761,9 @@ def _node_text(cert: Certificate) -> str:
 
 def certificate_dumps(cert: Certificate) -> str:
     """The schema v1 text of a certificate: the bytes json.dumps writes with
-    sorted keys and compact separators, written in one pass."""
+    sorted keys and compact separators, written in one pass. Products recurse
+    through _node_text, so a wrapper bound to this name (bench/tracing.py)
+    sees one call per certificate."""
     return _node_text(cert)
 
 

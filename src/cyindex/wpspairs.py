@@ -7,7 +7,8 @@ pairs with positive exponents, so that building, checking, hashing and
 reading an equation cost O(support) per monomial, however many variables
 the space has. Dense exponent vectors, one entry per variable, are made only
 at the edges: the dense constructor and the `monomials` view, the schema v1
-codec (`exponent_pairs`, `dense_exponents`) and the 3-variable plane check.
+codec (`exponent_pairs` on load; `cyindex.certify` writes the text from the
+pairs) and the 3-variable plane check.
 
 All degree bookkeeping is exact: coefficients are `fractions.Fraction`,
 weighted degrees are integers, and the degree of K_X + B is a Fraction with

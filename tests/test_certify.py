@@ -879,9 +879,9 @@ def _equations(draw, nvars):
 
 @st.composite
 def _wps_leaves(draw):
-    """Leaves whose equations have 1 to 60 variables: usually one per
-    weight, sometimes not, as a certificate that fails its entry-shape check
-    can still be written."""
+    """Leaves whose equations have 1 to 60 variables, one per weight about
+    half the time: a certificate that fails its entry-shape check can still
+    be written."""
     nvars = draw(st.integers(1, 60))
     arity = nvars if nvars >= 2 and draw(st.booleans()) else draw(st.integers(2, 5))
     weights = draw(st.lists(st.integers(1, 10**4), min_size=arity, max_size=arity))
@@ -900,7 +900,7 @@ _CERTIFICATES = st.recursive(
 def _loadable(cert):
     match cert:
         case WpsLeaf(leaf):
-            return all(eq.nvars == len(leaf.space.weights) and eq.terms for _, eq in leaf.entries)
+            return all(eq.nvars == len(leaf.space.weights) for _, eq in leaf.entries)
         case EllipticLeaf(dim):
             return type(dim) is int and dim >= 1
         case Product(factors):
@@ -1021,6 +1021,22 @@ _H_EQ = B_OBJ["entries"][3]["eq"]  # five monomials in five variables
 def test_malformed_exponents_are_located(edits, location, message):
     with pytest.raises(CertificateParseError) as info:
         certificate_from_obj(_with_h_edits(*edits))
+    assert (info.value.location, str(info.value)) == (location, f"{location}: {message}")
+
+
+@pytest.mark.parametrize("weights,location,message", [
+    pytest.param([2, True, 1, 1, 1], "$.weights[1]", "expected an integer, got True", id="bool"),
+    pytest.param([2, 2, "1", 1, 1], "$.weights[2]", "expected an integer, got '1'", id="string"),
+    pytest.param([2, 2, 1, 1.0, 1], "$.weights[3]", "expected an integer, got 1.0", id="float"),
+    pytest.param([2, 2, 1, 1, 0], "$.weights", "weights must be positive", id="zero"),
+    pytest.param([2, 2, 1, 1, -1], "$.weights", "weights must be positive", id="negative"),
+    pytest.param([4], "$.weights", "weights must be a list of at least 2 integers", id="one"),
+])
+def test_malformed_weights_are_located(weights, location, message):
+    obj = copy.deepcopy(B_OBJ)
+    obj["weights"] = weights
+    with pytest.raises(CertificateParseError) as info:
+        certificate_from_obj(obj)
     assert (info.value.location, str(info.value)) == (location, f"{location}: {message}")
 
 
