@@ -9,12 +9,15 @@ Calabi-Yau pair of a given dimension with standard coefficients:
   product         combines factors; dimensions add, indices combine by lcm
 
 The realizer turns any m with phi(m) <= 2n into a certificate of dimension
-n - 1: the core certificate of m, padded once. The core is the dimension-2
-catalogue when phi(m) <= 6, the explicit odd-index and prime-power families
-when m is a prime or prime power, and otherwise the product of the cores of
-the power of the largest prime and of its coprime cofactor. Padding opens
-the products and merges every elliptic factor into one trailing elliptic
-leaf. Every split is coprime, so product indices are exact.
+n - 1: the core of m, a flat list of explicit leaves, padded by one
+trailing elliptic leaf. The core is empty for 1, a P^1 pair for 2, 3, 4
+and 6, an explicit plane or chain leaf for 10, 14 and 18, the odd-index or
+prime-power family leaf for every other prime or prime power, and otherwise
+the cores of the power of the largest prime and of its coprime cofactor,
+joined. Every split is coprime, so product indices are exact. The
+dimension-2 catalogue is realize(3, m), and every explicit leaf other than
+a plane arrangement is built by one constructor: coordinate hyperplanes
+plus one H.
 
 The verifier recomputes everything from raw data: well-formedness,
 quasi-homogeneity, exact degree zero, standard coefficients, the index, the
@@ -127,9 +130,16 @@ def certificate_index(cert: Certificate) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _monomial(*pairs: tuple[int, int]) -> tuple[Fraction, tuple[tuple[int, int], ...]]:
-    """The term prod x_j^p over the (j, p) pairs, given by increasing j, with coefficient 1."""
-    return Fraction(1), pairs
+def _chain_leaf(weights, coords, h_b: int, h_terms, strategy: str) -> LogLeaf:
+    """The leaf on P(weights) with coefficient (b-1)/b on {x_j = 0} for each
+    (j, b) in coords, then (h_b-1)/h_b on H: the sum, with coefficient 1, of
+    the monomials prod x_v^p given by h_terms as tuples of (v, p) pairs with
+    increasing v. Every explicit leaf that is not a plane arrangement is built
+    here: coordinate hyperplanes plus one H."""
+    nv = len(weights)
+    entries = [(StdCoeff(b), SparsePoly.variable(nv, j)) for j, b in coords]
+    entries.append((StdCoeff(h_b), SparsePoly.from_pairs(nv, [(Fraction(1), pairs) for pairs in h_terms])))
+    return LogLeaf(Wps(tuple(weights)), tuple(entries), strategy)
 
 
 def build_index_prime(m: int) -> LogLeaf:
@@ -148,26 +158,16 @@ def build_index_prime(m: int) -> LogLeaf:
     """
     if not isinstance(m, int) or m < 5 or m % 2 == 0:
         raise ValueError(f"build_index_prime requires an odd integer >= 5, got {m!r}")
-    c = StdCoeff(m)
     if m % 4 == 1:
         n = (m + 3) // 4
-        space = Wps((4,) * (n - 2) + (2, 1, 1))
-        nv = n + 1
-        coord_vars = list(range(n - 2)) + [n]
-        h_terms = [_monomial((i, 1)) for i in range(n - 2)]
-        h_terms += [_monomial((n - 2, 2)), _monomial((n - 1, 4)), _monomial((n, 4))]
-        strategy = "family_A"
+        tail, coords, strategy = (2, 1, 1), [*range(n - 2), n], "family_A"
+        h_tail = [((n - 2, 2),), ((n - 1, 4),), ((n, 4),)]
     else:
         n = (m + 1) // 4
-        space = Wps((4,) * (n - 2) + (3, 2, 1))
-        nv = n + 1
-        coord_vars = list(range(n - 1))
-        h_terms = [_monomial((i, 1)) for i in range(n - 2)]
-        h_terms += [_monomial((n - 2, 1), (n, 1)), _monomial((n - 1, 2)), _monomial((n, 4))]
-        strategy = "family_B"
-    entries = [(c, SparsePoly.variable(nv, i)) for i in coord_vars]
-    entries.append((c, SparsePoly.from_pairs(nv, h_terms)))
-    return LogLeaf(space, tuple(entries), strategy)
+        tail, coords, strategy = (3, 2, 1), range(n - 1), "family_B"
+        h_tail = [((n - 2, 1), (n, 1)), ((n - 1, 2),), ((n, 4),)]
+    h_terms = [((i, 1),) for i in range(n - 2)] + h_tail
+    return _chain_leaf((4,) * (n - 2) + tail, [(j, m) for j in coords], m, h_terms, strategy)
 
 
 def build_prime_power(m: int, e: int) -> LogLeaf:
@@ -181,12 +181,9 @@ def build_prime_power(m: int, e: int) -> LogLeaf:
     """
     if not isinstance(m, int) or not isinstance(e, int) or m < 2 or e < 2:
         raise ValueError(f"build_prime_power requires m, e >= 2, got ({m!r}, {e!r})")
-    nv = m + e - 2
-    space = Wps((m - 1,) * (e - 1) + (1,) * (m - 1))
-    entries = [(StdCoeff(m ** (i + 1)), SparsePoly.variable(nv, i)) for i in range(e)]
-    h_terms = [_monomial((i, 1 if i < e - 1 else m - 1)) for i in range(nv)]
-    entries.append((StdCoeff(m**e), SparsePoly.from_pairs(nv, h_terms)))
-    return LogLeaf(space, tuple(entries), "family_C")
+    h_terms = [((i, 1 if i < e - 1 else m - 1),) for i in range(m + e - 2)]
+    return _chain_leaf((m - 1,) * (e - 1) + (1,) * (m - 1), [(i, m ** (i + 1)) for i in range(e)],
+                       m**e, h_terms, "family_C")
 
 
 # ---------------------------------------------------------------------------
@@ -249,11 +246,8 @@ def base_leaf(dim: int, m: int) -> Certificate:
 
     Dimension 1 realizes {1, 2, 3, 4, 6}: an elliptic curve for m = 1 and
     the four P^1 pairs otherwise. Dimension 2 realizes every m with
-    phi(m) <= 6, each by an explicit, machine-checked certificate. Index 14
-    is the pair on P(3,1,1) with coefficients 6/7, 13/14 and 1/2 on
-    {x0 = 0}, {x1 = 0} and {x0 + x1^3 + x2^3 = 0}, of degrees 3, 1 and 3:
-    log degree -5 + 18/7 + 13/14 + 3/2 = 0, and the one singular point
-    [1:0:0] lies only on {x1 = 0}.
+    phi(m) <= 6 by realize(3, m), each by an explicit, machine-checked
+    certificate.
     """
     if dim == 1:
         if m == 1:
@@ -263,29 +257,9 @@ def base_leaf(dim: int, m: int) -> Certificate:
         raise ValueError(f"no dimension-1 base leaf for index {m}")
     if dim != 2:
         raise ValueError(f"base_leaf covers dimensions 1 and 2 only, got {dim!r}")
-    if m == 1:
-        return EllipticLeaf(2)
-    if m in (2, 3, 4, 6):
-        return Product((base_leaf(1, m), EllipticLeaf(1)))
-    if m in (5, 7):
-        return WpsLeaf(build_index_prime(m))
-    if m == 8:
-        return WpsLeaf(build_prime_power(2, 3))
-    if m == 9:
-        return WpsLeaf(build_prime_power(3, 2))
-    if m == 12:
-        return Product((base_leaf(1, 4), base_leaf(1, 3)))
-    if m == 10:
-        return WpsLeaf(_instantiate_plane(2, ((2, 1), (5, 2), (10, 1))))
-    if m == 18:
-        return WpsLeaf(_instantiate_plane(2, ((2, 1), (3, 1), (9, 1), (18, 1))))
-    if m == 14:
-        h = SparsePoly.from_pairs(3, (_monomial((0, 1)), _monomial((1, 3)), _monomial((2, 3))))
-        entries = ((StdCoeff(7), SparsePoly.variable(3, 0)),
-                   (StdCoeff(14), SparsePoly.variable(3, 1)),
-                   (StdCoeff(2), h))
-        return WpsLeaf(LogLeaf(Wps((3, 1, 1)), entries, "family_C"))
-    raise ValueError(f"no dimension-2 base leaf for index {m} (needs phi(m) <= 6)")
+    if m not in BASE_DIM2_INDICES:
+        raise ValueError(f"no dimension-2 base leaf for index {m} (needs phi(m) <= 6)")
+    return realize(3, m)
 
 
 # ---------------------------------------------------------------------------
@@ -328,10 +302,7 @@ def check_dim_inequality(m: int, e: int, variant: int) -> bool:
 
 def realize(n: int, m: int) -> Certificate:
     """Certificate of dimension n - 1 and index m, for any m with
-    phi(m) <= 2n and n >= 3: the core certificate of m, padded once.
-
-    The products of the core are opened and its elliptic factors merged
-    with the padding, so the result is a flat product of leaves with one
+    phi(m) <= 2n and n >= 3: the leaves of the core of m, padded by one
     trailing elliptic leaf, or a bare leaf when only one factor is left.
     """
     if not isinstance(n, int) or n < 3:
@@ -345,7 +316,7 @@ def realize(n: int, m: int) -> Certificate:
     if phi > 2 * n:
         raise ValueError(f"phi({m}) = {phi} > 2n = {2 * n}: index out of range")
 
-    factors = [f for f in _leaves(_core(m)) if not isinstance(f, EllipticLeaf)]
+    factors = _core(m)
     pad = n - 1 - sum(certificate_dim(f) for f in factors)
     if pad > 0:
         factors.append(EllipticLeaf(pad))
@@ -356,39 +327,50 @@ def realize(n: int, m: int) -> Certificate:
     return cert
 
 
-def _core(m: int) -> Certificate:
-    """Unpadded certificate of index m. Its leaves other than elliptic ones
-    fit in dimension 2 when phi(m) <= 6 and phi(m)/2 - 1 otherwise; realize
-    merges the elliptic ones into its padding.
+# the boundaries (b, curve degree) of the plane leaves of indices 10 and 18
+_PLANE_CORES = {10: ((2, 1), (5, 2), (10, 1)), 18: ((2, 1), (3, 1), (9, 1), (18, 1))}
 
-    The dimension-2 catalogue when phi(m) <= 6; the explicit families for
-    primes and prime powers; otherwise split m = m1 * m2 with m2 the power
-    of the largest prime and take the product of the coprime parts. The
-    recursion is as deep as m has prime factors.
+
+def _core(m: int) -> list[WpsLeaf]:
+    """The leaves of index m, with pairwise coprime indices whose lcm is m.
+    Their dimensions sum to at most 2 when phi(m) <= 6 and to at most
+    phi(m)/2 - 1 otherwise, so realize pads them for every n with
+    phi(m) <= 2n and n >= 3.
+
+    No leaf for 1; the P^1 pair for 2, 3, 4 and 6; the explicit leaves for 10,
+    14 and 18; the explicit families for every other prime and prime power;
+    otherwise split m = m1 * m2 with m2 the power of the largest prime and
+    join the leaves of the coprime parts. The recursion is as deep as m has
+    prime factors.
     """
-    if euler_phi(m) <= 6:
-        return base_leaf(2, m)
+    if m == 1:
+        return []
+    if m in _P1_PAIRS:
+        return [base_leaf(1, m)]
+    if m in _PLANE_CORES:
+        return [WpsLeaf(_instantiate_plane(2, _PLANE_CORES[m]))]
+    if m == 14:
+        # on P(3,1,1), 6/7, 13/14 and 1/2 on {x0 = 0}, {x1 = 0} and
+        # {x0 + x1^3 + x2^3 = 0}, of degrees 3, 1 and 3: log degree
+        # -5 + 18/7 + 13/14 + 3/2 = 0, and the one singular point [1:0:0]
+        # lies only on {x1 = 0}
+        return [WpsLeaf(_chain_leaf((3, 1, 1), [(0, 7), (1, 14)], 2,
+                                    [((0, 1),), ((1, 3),), ((2, 3),)], "family_C"))]
     fac = factorize(m)
     p, e = fac.factors[-1]
     if fac.num_prime_factors() == 1:
         if e == 1:
-            # m >= 11: dimension at most (m+3)/4 <= (m-3)/2 = phi(m)/2 - 1
-            return WpsLeaf(build_index_prime(m))
-        if not check_dim_inequality(p, e, 1):
+            # m >= 5: dimension (m+3)/4 <= 2 for m <= 7, and at most (m-3)/2 = phi(m)/2 - 1 from 11 on
+            return [WpsLeaf(build_index_prime(m))]
+        # 8 and 9 have dimension 2; (2, 3) is excluded from the inequality
+        if m - m // p > 6 and not check_dim_inequality(p, e, 1):
             raise RuntimeError(f"dimension inequality failed for ({p}, {e})")
-        return WpsLeaf(build_prime_power(p, e))
+        return [WpsLeaf(build_prime_power(p, e))]
     m2 = p**e
     m1 = m // m2
     if m1 == 2 and e > 1 and not check_dim_inequality(p, e, 2):
         raise RuntimeError(f"dimension inequality failed for ({p}, {e})")
-    return Product((_core(m1), _core(m2)))
-
-
-def _leaves(cert: Certificate) -> list[Certificate]:
-    """The leaves of a certificate in order, with its products opened."""
-    if isinstance(cert, Product):
-        return [leaf for f in cert.factors for leaf in _leaves(f)]
-    return [cert]
+    return _core(m1) + _core(m2)
 
 
 # ---------------------------------------------------------------------------
@@ -609,11 +591,14 @@ def _verify_wps_leaf(leaf: LogLeaf, rep: NodeReport) -> tuple[int | None, int | 
     qh_ok, qh_detail = shape_ok, "not evaluated (entry shape invalid)"
     degs: list[int] = []
     if shape_ok:
-        try:
-            degs = [weighted_degree(eq, space) for _, eq in leaf.entries]
+        for i, (_, eq) in enumerate(leaf.entries):
+            try:
+                degs.append(weighted_degree(eq, space))
+            except NotQuasiHomogeneous as err:
+                qh_ok, qh_detail = False, f"entry {i}: {err}"
+                break
+        else:
             qh_detail = f"degrees {degs}"
-        except NotQuasiHomogeneous as err:
-            qh_ok, qh_detail = False, str(err)
     _check(rep, "quasi-homogeneous", qh_ok, qh_detail)
 
     _check(rep, "entries-distinct", _distinct_up_to_scaling([eq for _, eq in leaf.entries]))

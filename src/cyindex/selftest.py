@@ -10,6 +10,8 @@ from functools import cache
 from math import gcd, lcm, prod
 
 from .certify import (
+    BASE_DIM1_INDICES,
+    BASE_DIM2_INDICES,
     CertificateParseError,
     Product,
     WpsLeaf,
@@ -144,11 +146,16 @@ def _not_klt_leaves():
 
 
 def check_klt() -> None:
-    """The klt checker passes every family and catalogue leaf and fails the non-SNC boundaries."""
+    """The klt checker passes every family leaf and every wps leaf of both catalogues, and fails
+    the non-SNC boundaries."""
     for call, leaf, _ in _family_leaves():
         _require(is_klt_leaf(leaf).passed, f"is_klt_leaf({call}) fails")
-    for dim, m in ((1, 2), (1, 3), (1, 4), (1, 6), (2, 10), (2, 14), (2, 18)):
-        _require(is_klt_leaf(base_leaf(dim, m).leaf).passed, f"is_klt_leaf(base_leaf({dim}, {m}).leaf) fails")
+    for dim, indices in ((1, BASE_DIM1_INDICES), (2, BASE_DIM2_INDICES)):
+        for m in indices:
+            cert = base_leaf(dim, m)  # a leaf or a flat product of leaves
+            for i, f in enumerate(cert.factors if isinstance(cert, Product) else (cert,)):
+                if isinstance(f, WpsLeaf):
+                    _require(is_klt_leaf(f.leaf).passed, f"is_klt_leaf fails on factor {i} of base_leaf({dim}, {m})")
     for name, leaf in _not_klt_leaves():
         _require(not is_klt_leaf(leaf).passed, f"is_klt_leaf passes {name}")
 

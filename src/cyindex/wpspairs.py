@@ -409,8 +409,9 @@ def is_well_formed(space: Wps) -> bool:
 def weighted_degree(eq: SparsePoly, space: Wps) -> int:
     """The common weighted degree sum_j a_j e_j of eq's monomials.
 
-    Raises NotQuasiHomogeneous if two monomials disagree, ValueError on the
-    zero polynomial or an arity mismatch.
+    Raises NotQuasiHomogeneous if two monomials disagree, naming the least
+    and greatest monomial degree and how many distinct degrees there are;
+    ValueError on the zero polynomial or an arity mismatch.
     """
     if eq.is_zero():
         raise ValueError("the zero polynomial has no weighted degree")
@@ -422,8 +423,9 @@ def weighted_degree(eq: SparsePoly, space: Wps) -> int:
     w = space.weights
     degs = {sum([w[v] * x for v, x in pairs]) for _, pairs in eq.terms}
     if len(degs) != 1:
+        # bounded whatever the size of eq: neither eq nor the space is printed
         raise NotQuasiHomogeneous(
-            f"monomial degrees disagree: {sorted(degs)} for {eq} on {space}"
+            f"monomial degrees disagree: {len(degs)} distinct degrees from {min(degs)} to {max(degs)}"
         )
     return degs.pop()
 

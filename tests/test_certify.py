@@ -3,7 +3,7 @@ import hashlib
 import json
 from collections import Counter
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -317,6 +317,18 @@ def test_realize_is_flat_with_one_trailing_elliptic_leaf():
             assert elliptic in ([], [len(factors) - 1]), (n, m)
 
 
+def test_padding_lemma_at_the_least_dimension_for_phi_up_to_1000():
+    # n0 = max(3, phi(m)/2) is the least n the theorem allows for m
+    indices = indices_with_phi_at_most(1000)
+    assert len(indices) == 1941
+    for m in indices:
+        n0 = max(3, euler_phi(m) // 2)
+        cert = realize(n0, m)
+        assert certificate_dim(cert) == n0 - 1 and certificate_index(cert) == m, (n0, m)
+        idxs = [certificate_index(f) for f in cert.factors] if isinstance(cert, Product) else [m]
+        assert lcm(*idxs) == prod(idxs), (n0, m, idxs)
+
+
 def test_realize_far_beyond_the_recursion_limit():
     cert = realize(2000, 1)
     back = certificate_loads(certificate_dumps(cert))
@@ -589,6 +601,16 @@ def test_a_constant_monomial_beside_another_is_shaped_but_not_quasi_homogeneous(
     obj = _mutate(A_OBJ, ["entries", 0, "eq"], [{"c": [1, 1], "e": [0, 0, 0, 0]}, {"c": [1, 1], "e": [1, 0, 0, 0]}])
     failing = _failing_names(_verify_obj(obj))
     assert "quasi-homogeneous" in failing and "entry-shape" not in failing, sorted(failing)
+
+
+def test_quasi_homogeneous_detail_is_bounded_on_a_large_leaf():
+    # a weight bump on the dimension-1001 index-prime leaf breaks only H, entry 1000
+    obj = certificate_to_obj(WpsLeaf(build_index_prime(4001)))
+    obj["weights"][0] += 1
+    report = _verify_obj(obj, "strict")
+    [detail] = [d for name, ok, d in report.leaf_reports[0].checks if name == "quasi-homogeneous" and not ok]
+    assert detail == "entry 1000: monomial degrees disagree: 2 distinct degrees from 4 to 5"
+    assert len(detail) <= 100
 
 
 def test_tamper_suite_is_large_enough():

@@ -27,6 +27,7 @@ from cyindex.cli import (
     EXIT_PRECONDITION,
     EXIT_USAGE,
     EXIT_VERIFY_FAILED,
+    ENUMERATION_BUDGET,
     main,
 )
 from cyindex.numtheory import euler_phi, indices_with_phi_at_most
@@ -221,7 +222,9 @@ def test_verify_json_format(capsys, tmp_path):
 # tamper-strategy-swap again when family_B moved to its one pattern step, and
 # every family report when all three tags moved to the one chain step:
 # against the checks they replaced, each report kept its exit code and
-# changed only in its klt steps.
+# changed only in its klt steps. tamper-weight-bump was re-recorded when the
+# quasi-homogeneous detail became bounded: it names the entry and the range
+# and count of its monomial degrees instead of printing the equation.
 
 
 def _tampered(kind, m=41):
@@ -281,8 +284,8 @@ REPORT_SHA256 = {
         "1bef1337bb54bb583e4b51bb44f2007145af55f4eec968759fd4df14c4fc8f1e"),
     "vandermonde-6-in-4": (0, "a2cbaf44b9d6325334a6df2a1912f7a7a5aec81da79ee5cd28c443facd7f6086",
         "b46dd3dde18c43841ab52048f4d48457d2d7c42bbae22debe7e68ac197a87296"),
-    "tamper-weight-bump": (1, "f81180fe21f6f4d890b842f0a49511a601e6392f60f4cfe799abf3da4f076166",
-        "d822609f4b89edf763802f3f0bd7960698a74cd746e0b1101b27e1b114a8c0e5"),
+    "tamper-weight-bump": (1, "0e50cb796aa75de9c96a491df94e3506c29ff3a32ca04cd1180012e5592bc766",
+        "eec331a08a6302b30ffa24eca7f215c37b686d3da875fe1f1b711223ae856fcc"),
     "tamper-b-change": (1, "67b9c52beec8e2b5cd6a1bcf1a813b4b8a274eb506031b5d8f5e17bc979eaede",
         "ae9aeefde41fab69e45caf5f175200d275e5efc222ca49270370b6c2cd4f6d40"),
     "tamper-entry-duplicated": (1, "b8c72a8817fd2a4cfd41b90627af5b771e79fc531b06afb7619cab499fa99889",
@@ -327,6 +330,33 @@ def test_enumerate_bound_2(capsys):
 def test_enumerate_bound_zero_usage_error(capsys):
     code, _, err = run(capsys, "enumerate", "--phi-bound", "0")
     assert code == EXIT_USAGE
+
+
+def _refuse_to_enumerate(bound):
+    raise AssertionError(f"enumerated phi(m) <= {bound}")
+
+
+@pytest.mark.parametrize("argv, what", [
+    (("enumerate", "--phi-bound", "1000001"), "--phi-bound 1000001 needs phi(m) <= 1000001"),
+    (("table", "--dims", "1,500000,2"), "--dims 500000 needs phi(m) <= 1000002"),
+])
+def test_enumeration_above_the_budget_is_a_usage_error(capsys, monkeypatch, argv, what):
+    # the enumeration is never run: the budget is checked before anything is listed or printed
+    monkeypatch.setattr(cyindex.cli, "indices_with_phi_at_most", _refuse_to_enumerate)
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE and out == ""
+    assert what in err and "above the enumeration budget phi(m) <= 1000000" in err, err
+
+
+@pytest.mark.parametrize("argv", [
+    ("enumerate", "--phi-bound", "1000000"),
+    ("table", "--dims", "499999"),
+])
+def test_enumeration_at_the_budget_runs(capsys, monkeypatch, argv):
+    bounds = []
+    monkeypatch.setattr(cyindex.cli, "indices_with_phi_at_most", lambda bound: bounds.append(bound) or [1])
+    code, _, _ = run(capsys, *argv)
+    assert code == EXIT_OK and bounds == [ENUMERATION_BUDGET] == [10**6]
 
 
 def test_enumerate_json(capsys):
