@@ -1,14 +1,15 @@
 """Run bench/run.py on two checkouts pair by pair and write a BENCH_*.json.
 
-    python3 tools/bench_pairs.py --parent DIR --change DIR --pairs 5 --out BENCH_15.json
+    python3 tools/bench_pairs.py --parent DIR --parent-sha REV --change DIR \
+        --change-sha REV --pairs 10 --out BENCH_15.json
 
-DIR is the root of a source checkout of each side (for example made by
-`git archive <rev> | tar -x -C DIR`). For each workload of BENCHMARK.json
-and each seed 1..pairs, the two sides run `bench/run.py --workload W --seed S
---trace 0` one after the other, alternating which side goes first. Each
-record is the run's last JSON line plus its output digest; the summary
-holds the median and quartiles of every end-to-end metric per side. Runs
-are sequential, one process at a time.
+Each DIR is the root of a source checkout of that side's committed files,
+for example made by `git archive REV | tar -x -C DIR`. For each workload of
+BENCHMARK.json and each seed 1..pairs, the two sides run `bench/run.py
+--workload W --seed S --trace 0` one after the other, alternating which
+side goes first. Each record is the run's last JSON line plus its output
+digest; the summary holds the median and quartiles of every end-to-end
+metric per side. Runs are sequential, one process at a time.
 """
 
 from __future__ import annotations
@@ -22,11 +23,6 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-
-
-def _rev(checkout: Path) -> str | None:
-    proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout, capture_output=True, text=True)
-    return proc.stdout.strip() if proc.returncode == 0 else None
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -53,10 +49,8 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True, type=Path, help="checkout of the parent")
     parser.add_argument("--change", required=True, type=Path, help="checkout of the change")
     parser.add_argument("--pairs", type=int, default=5, help="pairs per workload (seeds 1..pairs)")
-    parser.add_argument("--workloads", default=None,
-                        help="comma separated workloads, default every one in BENCHMARK.json")
-    parser.add_argument("--parent-sha", default=None, help="recorded as parent_sha")
-    parser.add_argument("--change-sha", default=None, help="recorded as change_sha")
+    parser.add_argument("--parent-sha", required=True, help="the parent's commit, recorded as parent_sha")
+    parser.add_argument("--change-sha", required=True, help="the change's commit, recorded as change_sha")
     parser.add_argument("--host", default=platform.processor() or platform.machine(),
                         help="a description of the host, recorded as host")
     parser.add_argument("--out", required=True, type=Path)
@@ -64,18 +58,18 @@ def main(argv=None) -> int:
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
-    workloads = args.workloads.split(",") if args.workloads else [w["name"] for w in bench["workloads"]]
+    workloads = [w["name"] for w in bench["workloads"]]
     metrics = [m["name"] for m in bench["end_to_end"]]
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     result = {
         "what": "end-to-end metrics of bench/run.py for the parent and this change, run pair by pair",
-        "harness": f"python3 bench/run.py --workload W --seed S --trace 0, {seconds:g} s per run as "
-                   "BENCHMARK.json sets; each record is that run's last JSON line, and the digest "
-                   "is the run's 'digest' line",
+        "harness": f"python3 bench/run.py --workload W --seed S --seconds {seconds:g} --trace 0, "
+                   "the run length BENCHMARK.json sets; each record is that run's last JSON line, "
+                   "and the digest is the run's 'digest' line",
         "host": args.host,
         "python": platform.python_version(),
-        "parent_sha": args.parent_sha or _rev(sides["parent"]),
-        "change_sha": args.change_sha or _rev(sides["change"]),
+        "parent_sha": args.parent_sha,
+        "change_sha": args.change_sha,
         "order": "parent and change alternate which runs first, pair by pair",
         "workloads": {},
     }
