@@ -361,7 +361,8 @@ def plane_arrangement_snc(curves) -> bool:
     y-coefficients once, so every test runs exactly in integers.
     Conservative by design: any uncertifiable situation returns False. A
     nonzero constant (degree 0, no curve at all) or a curve of degree > 3
-    raises ValueError.
+    raises ValueError, and a non-homogeneous curve NotQuasiHomogeneous;
+    each message names the entry index.
     """
     curves = list(curves)
     if not curves:
@@ -386,7 +387,10 @@ def plane_arrangement_snc(curves) -> bool:
 
     degrees = []
     for i, c in enumerate(curves):
-        d = weighted_degree(c, _P2)  # also enforces homogeneity
+        try:
+            d = weighted_degree(c, _P2)  # also enforces homogeneity
+        except NotQuasiHomogeneous as err:
+            raise NotQuasiHomogeneous(f"entry {i}: {err}") from None
         if d > 3:
             raise ValueError(f"entry {i} is a curve of degree {d} > 3")
         if d == 0:

@@ -337,26 +337,29 @@ def _refuse_to_enumerate(bound):
 
 
 @pytest.mark.parametrize("argv, what", [
-    (("enumerate", "--phi-bound", "1000001"), "--phi-bound 1000001 needs phi(m) <= 1000001"),
-    (("table", "--dims", "1,500000,2"), "--dims 500000 needs phi(m) <= 1000002"),
+    (("enumerate", "--phi-bound", "1000001"), "--phi-bound 1000001 enumerates phi(m) up to bounds totalling 1000001"),
+    (("table", "--dims", "1,500000,2"), "--dims 1,500000,2 enumerates phi(m) up to bounds totalling 1000002"),
+    # each listed dimension is charged, so repeating one within the budget is over it
+    (("table", "--dims", "250000,250000"), "--dims 250000,250000 enumerates phi(m) up to bounds totalling 1000004"),
 ])
 def test_enumeration_above_the_budget_is_a_usage_error(capsys, monkeypatch, argv, what):
     # the enumeration is never run: the budget is checked before anything is listed or printed
     monkeypatch.setattr(cyindex.cli, "indices_with_phi_at_most", _refuse_to_enumerate)
     code, out, err = run(capsys, *argv)
     assert code == EXIT_USAGE and out == ""
-    assert what in err and "above the enumeration budget phi(m) <= 1000000" in err, err
+    assert what in err and "above the enumeration budget of 1000000" in err, err
 
 
-@pytest.mark.parametrize("argv", [
-    ("enumerate", "--phi-bound", "1000000"),
-    ("table", "--dims", "499999"),
+@pytest.mark.parametrize("argv, want", [
+    (("enumerate", "--phi-bound", "1000000"), [10**6]),
+    (("table", "--dims", "499999"), [10**6]),
+    (("table", "--dims", "249999,249999"), [500000, 500000]),
 ])
-def test_enumeration_at_the_budget_runs(capsys, monkeypatch, argv):
+def test_enumeration_at_the_budget_runs(capsys, monkeypatch, argv, want):
     bounds = []
     monkeypatch.setattr(cyindex.cli, "indices_with_phi_at_most", lambda bound: bounds.append(bound) or [1])
     code, _, _ = run(capsys, *argv)
-    assert code == EXIT_OK and bounds == [ENUMERATION_BUDGET] == [10**6]
+    assert code == EXIT_OK and bounds == want and sum(want) == ENUMERATION_BUDGET == 10**6
 
 
 def test_enumerate_json(capsys):

@@ -35,7 +35,7 @@ from cyindex.sncklt import (
     is_klt_leaf,
     plane_arrangement_snc,
 )
-from cyindex.wpspairs import LogLeaf, SparsePoly, StdCoeff, Wps, weighted_degree
+from cyindex.wpspairs import LogLeaf, NotQuasiHomogeneous, SparsePoly, StdCoeff, Wps, weighted_degree
 
 
 def poly(nvars, *terms):
@@ -311,6 +311,16 @@ def test_degree_cap_detail_is_bounded_on_a_large_curve():
     (step,) = is_klt_leaf(leaf).steps
     assert (step.description, step.passed, step.detail) == (STEP_PLANE, False, "entry 1 is a curve of degree 40 > 3")
     assert len(step.detail) < 80
+
+
+def test_non_homogeneous_curve_detail_names_the_entry():
+    # entry 1 is x0^2 + x1, whose monomials have degrees 2 and 1
+    x0, bad = poly(3, (1, (1, 0, 0))), poly(3, (1, (2, 0, 0)), (1, (0, 1, 0)))
+    with pytest.raises(NotQuasiHomogeneous, match="^entry 1: "):
+        plane_arrangement_snc([x0, bad])
+    leaf = LogLeaf(Wps((1, 1, 1)), ((StdCoeff(2), x0), (StdCoeff(3), bad)), "plane_arrangement")
+    assert [(s.description, s.passed, s.detail) for s in is_klt_leaf(leaf).steps] == [
+        (STEP_PLANE, False, "entry 1: monomial degrees disagree: 2 distinct degrees from 1 to 2")]
 
 
 def test_smooth_cubic_accepted():
@@ -679,7 +689,10 @@ def _reference_plane_snc(curves):
         raise ValueError("plane arrangements live in 3 variables (or 2 for P^1)")
     degrees = []
     for i, c in enumerate(curves):
-        d = weighted_degree(c, Wps((1, 1, 1)))
+        try:
+            d = weighted_degree(c, Wps((1, 1, 1)))
+        except NotQuasiHomogeneous as err:
+            raise NotQuasiHomogeneous(f"entry {i}: {err}") from None
         if d > 3:
             raise ValueError(f"entry {i} is a curve of degree {d} > 3")
         if d == 0:

@@ -1,21 +1,23 @@
 """Run bench/run.py on two checkouts pair by pair and write a BENCH_*.json.
 
     python3 tools/bench_pairs.py --parent DIR --parent-sha REV --change DIR \
-        --change-sha REV --pairs 10 --out BENCH_15.json
+        --change-sha REV --out BENCH_15.json
 
 Each DIR is the root of a source checkout of that side's committed files,
 for example made by `git archive REV | tar -x -C DIR`. For each workload of
-BENCHMARK.json and each seed 1..pairs, the two sides run `bench/run.py
+BENCHMARK.json and each seed 1..10, the two sides run `bench/run.py
 --workload W --seed S --trace 0` one after the other, alternating which
-side goes first. Each record is the run's last JSON line plus its output
-digest; the summary holds the median and quartiles of every end-to-end
-metric per side. Runs are sequential, one process at a time.
+side goes first; ten pairs are what a claimed gain needs. Each record is
+the run's last JSON line plus its output digest; the summary holds the
+median and quartiles of every end-to-end metric per side. Runs are sequential, one process at a time. The host is
+recorded as the processor (or machine) type and the CPU count.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import statistics
 import subprocess
@@ -23,6 +25,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -48,11 +51,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, type=Path, help="checkout of the parent")
     parser.add_argument("--change", required=True, type=Path, help="checkout of the change")
-    parser.add_argument("--pairs", type=int, default=5, help="pairs per workload (seeds 1..pairs)")
     parser.add_argument("--parent-sha", required=True, help="the parent's commit, recorded as parent_sha")
     parser.add_argument("--change-sha", required=True, help="the change's commit, recorded as change_sha")
-    parser.add_argument("--host", default=platform.processor() or platform.machine(),
-                        help="a description of the host, recorded as host")
     parser.add_argument("--out", required=True, type=Path)
     args = parser.parse_args(argv)
 
@@ -66,7 +66,7 @@ def main(argv=None) -> int:
         "harness": f"python3 bench/run.py --workload W --seed S --seconds {seconds:g} --trace 0, "
                    "the run length BENCHMARK.json sets; each record is that run's last JSON line, "
                    "and the digest is the run's 'digest' line",
-        "host": args.host,
+        "host": f"{platform.processor() or platform.machine()}, {os.cpu_count()} CPUs",
         "python": platform.python_version(),
         "parent_sha": args.parent_sha,
         "change_sha": args.change_sha,
@@ -75,7 +75,7 @@ def main(argv=None) -> int:
     }
     for workload in workloads:
         pairs = []
-        for seed in range(1, args.pairs + 1):
+        for seed in range(1, PAIRS + 1):
             order = ("parent", "change") if seed % 2 else ("change", "parent")
             pair = {"seed": seed, "first": order[0]}
             for side in order:
