@@ -10,14 +10,14 @@ Calabi-Yau pair of a given dimension with standard coefficients:
 
 The realizer turns any m with phi(m) <= 2n into a certificate of dimension
 n - 1: the core of m, a flat list of explicit leaves, padded by one
-trailing elliptic leaf. The core is empty for 1, a P^1 pair for 2, 3, 4
-and 6, an explicit plane or chain leaf for 10, 14 and 18, the odd-index or
-prime-power family leaf for every other prime or prime power, and otherwise
-the cores of the power of the largest prime and of its coprime cofactor,
-joined. Every split is coprime, so product indices are exact. The
-dimension-2 catalogue is realize(3, m), and every explicit leaf other than
-a plane arrangement is built by one constructor: coordinate hyperplanes
-plus one H.
+trailing elliptic leaf. The core is empty for 1, one leaf of the table
+_EXPLICIT for 2, 3, 4, 6, 10, 14 and 18, the odd-index or prime-power
+family leaf for every other prime or prime power, and otherwise the cores
+of the power of the largest prime and of its coprime cofactor, joined.
+Every split is coprime, so product indices are exact. The dimension-2
+catalogue is realize(3, m). Every leaf is built by one constructor,
+coordinate hyperplanes plus one H, and passes one klt criterion, the chain
+test; arrangements come only from input files and the plane search.
 
 The verifier recomputes everything from raw data: well-formedness,
 quasi-homogeneity, exact degree zero, standard coefficients, the index, the
@@ -28,6 +28,7 @@ is taken on trust and both verification modes run the same checks.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -134,8 +135,8 @@ def _chain_leaf(weights, coords, h_b: int, h_terms, strategy: str) -> LogLeaf:
     """The leaf on P(weights) with coefficient (b-1)/b on {x_j = 0} for each
     (j, b) in coords, then (h_b-1)/h_b on H: the sum, with coefficient 1, of
     the monomials prod x_v^p given by h_terms as tuples of (v, p) pairs with
-    increasing v. Every explicit leaf that is not a plane arrangement is built
-    here: coordinate hyperplanes plus one H."""
+    increasing v. Every leaf that realize and base_leaf emit is built here:
+    coordinate hyperplanes plus one H, which the chain criterion checks."""
     nv = len(weights)
     entries = [(StdCoeff(b), SparsePoly.variable(nv, j)) for j, b in coords]
     entries.append((StdCoeff(h_b), SparsePoly.from_pairs(nv, [(Fraction(1), pairs) for pairs in h_terms])))
@@ -190,70 +191,40 @@ def build_prime_power(m: int, e: int) -> LogLeaf:
 # base catalogue (dimensions 1 and 2)
 # ---------------------------------------------------------------------------
 
-# P^1 points 0, 1, oo, 2, in that order, as linear forms in (x0, x1) with
-# affine coordinate t = x1/x0.
-_P1_POINTS = (
-    SparsePoly.linear_form((0, 1)),
-    SparsePoly.linear_form((-1, 1)),
-    SparsePoly.linear_form((1, 0)),
-    SparsePoly.linear_form((-2, 1)),
-)
+# The explicit leaves of the core as _chain_leaf arguments (weights, (j, b)
+# coordinates, H's b, H): on P^1 and P^2 the coordinate hyperplanes plus the
+# sum of the variables, or plus x0^2 + x1^2 (two points) for index 2.
+_EXPLICIT = {m: WpsLeaf(_chain_leaf(*row)) for m, row in {
+    2: ((1, 1), [(0, 2), (1, 2)], 2, [((0, 2),), ((1, 2),)], "family_A"),
+    3: ((1, 1), [(0, 3), (1, 3)], 3, [((0, 1),), ((1, 1),)], "family_A"),
+    4: ((1, 1), [(0, 2), (1, 4)], 4, [((0, 1),), ((1, 1),)], "family_A"),
+    6: ((1, 1), [(0, 2), (1, 3)], 6, [((0, 1),), ((1, 1),)], "family_A"),
+    10: ((1, 1, 1), [(0, 2), (1, 5), (2, 5)], 10, [((0, 1),), ((1, 1),), ((2, 1),)], "family_A"),
+    18: ((1, 1, 1), [(0, 2), (1, 3), (2, 9)], 18, [((0, 1),), ((1, 1),), ((2, 1),)], "family_A"),
+    # on P(3,1,1), 6/7, 13/14 and 1/2 on {x0 = 0}, {x1 = 0} and
+    # {x0 + x1^3 + x2^3 = 0}, of degrees 3, 1 and 3: log degree
+    # -5 + 18/7 + 13/14 + 3/2 = 0, and the one singular point [1:0:0]
+    # lies only on {x1 = 0}
+    14: ((3, 1, 1), [(0, 7), (1, 14)], 2, [((0, 1),), ((1, 3),), ((2, 3),)], "family_C"),
+}.items()}
 
-# P^2 catalogue: lines y = j*x + T_j*z with slopes 0..5 and triangular-number
-# intercepts; any three are non-concurrent and every line meets the conic
-# x*z - y^2 transversally off it.
-_P2_LINES = tuple(
-    SparsePoly.linear_form((-j, 1, -t)) for j, t in zip(range(6), (0, 1, 3, 6, 10, 15))
-)
-_P2_CONICS = (
-    SparsePoly.from_terms(3, [(1, (1, 0, 1)), (-1, (0, 2, 0))]),  # x*z - y^2
-)
-
-# coefficient denominators of the P^1 pairs, by index
-_P1_PAIRS = {2: (2, 2, 2, 2), 3: (3, 3, 3), 4: (2, 4, 4), 6: (2, 3, 6)}
-
-BASE_DIM1_INDICES = (1, *_P1_PAIRS)
+BASE_DIM1_INDICES = (1, *(m for m, cert in _EXPLICIT.items() if cert.leaf.dim == 1))
 BASE_DIM2_INDICES = tuple(indices_with_phi_at_most(6))
-
-
-def _instantiate_plane(dim: int, combo) -> LogLeaf | None:
-    """Deterministic equations for a multiset of (b, curve degree): P^1
-    points 0, 1, oo, 2 in order, P^2 lines and conics from the fixed
-    general-position catalogue. None if the catalogue is exhausted."""
-    if dim == 1:
-        if len(combo) > len(_P1_POINTS):
-            return None
-        entries = [(StdCoeff(b), _P1_POINTS[i]) for i, (b, _) in enumerate(combo)]
-        return LogLeaf(Wps((1, 1)), tuple(entries), "hyperplane_arrangement")
-    lines = conics = 0
-    entries = []
-    for b, d in combo:
-        if d == 1:
-            if lines >= len(_P2_LINES):
-                return None
-            entries.append((StdCoeff(b), _P2_LINES[lines]))
-            lines += 1
-        else:
-            if conics >= len(_P2_CONICS):
-                return None
-            entries.append((StdCoeff(b), _P2_CONICS[conics]))
-            conics += 1
-    return LogLeaf(Wps((1, 1, 1)), tuple(entries), "plane_arrangement")
 
 
 def base_leaf(dim: int, m: int) -> Certificate:
     """The explicit catalogue for dimensions 1 and 2.
 
     Dimension 1 realizes {1, 2, 3, 4, 6}: an elliptic curve for m = 1 and
-    the four P^1 pairs otherwise. Dimension 2 realizes every m with
+    the P^1 leaves of _EXPLICIT otherwise. Dimension 2 realizes every m with
     phi(m) <= 6 by realize(3, m), each by an explicit, machine-checked
     certificate.
     """
     if dim == 1:
         if m == 1:
             return EllipticLeaf(1)
-        if m in _P1_PAIRS:
-            return WpsLeaf(_instantiate_plane(1, [(b, 1) for b in _P1_PAIRS[m]]))
+        if m in BASE_DIM1_INDICES:
+            return _EXPLICIT[m]
         raise ValueError(f"no dimension-1 base leaf for index {m}")
     if dim != 2:
         raise ValueError(f"base_leaf covers dimensions 1 and 2 only, got {dim!r}")
@@ -327,35 +298,22 @@ def realize(n: int, m: int) -> Certificate:
     return cert
 
 
-# the boundaries (b, curve degree) of the plane leaves of indices 10 and 18
-_PLANE_CORES = {10: ((2, 1), (5, 2), (10, 1)), 18: ((2, 1), (3, 1), (9, 1), (18, 1))}
-
-
 def _core(m: int) -> list[WpsLeaf]:
     """The leaves of index m, with pairwise coprime indices whose lcm is m.
     Their dimensions sum to at most 2 when phi(m) <= 6 and to at most
     phi(m)/2 - 1 otherwise, so realize pads them for every n with
     phi(m) <= 2n and n >= 3.
 
-    No leaf for 1; the P^1 pair for 2, 3, 4 and 6; the explicit leaves for 10,
-    14 and 18; the explicit families for every other prime and prime power;
+    No leaf for 1; the explicit leaf of _EXPLICIT for 2, 3, 4, 6, 10, 14 and
+    18; the explicit families for every other prime and prime power;
     otherwise split m = m1 * m2 with m2 the power of the largest prime and
     join the leaves of the coprime parts. The recursion is as deep as m has
     prime factors.
     """
     if m == 1:
         return []
-    if m in _P1_PAIRS:
-        return [base_leaf(1, m)]
-    if m in _PLANE_CORES:
-        return [WpsLeaf(_instantiate_plane(2, _PLANE_CORES[m]))]
-    if m == 14:
-        # on P(3,1,1), 6/7, 13/14 and 1/2 on {x0 = 0}, {x1 = 0} and
-        # {x0 + x1^3 + x2^3 = 0}, of degrees 3, 1 and 3: log degree
-        # -5 + 18/7 + 13/14 + 3/2 = 0, and the one singular point [1:0:0]
-        # lies only on {x1 = 0}
-        return [WpsLeaf(_chain_leaf((3, 1, 1), [(0, 7), (1, 14)], 2,
-                                    [((0, 1),), ((1, 3),), ((2, 3),)], "family_C"))]
+    if m in _EXPLICIT:
+        return [_EXPLICIT[m]]
     fac = factorize(m)
     p, e = fac.factors[-1]
     if fac.num_prime_factors() == 1:
@@ -383,6 +341,51 @@ def _divisors(n: int) -> list[int]:
     for p, e in factorize(n):
         divs = [d * p**k for d in divs for k in range(e + 1)]
     return sorted(divs)
+
+
+# P^1 points 0, 1, oo, 2, in that order, as linear forms in (x0, x1) with
+# affine coordinate t = x1/x0.
+_P1_POINTS = (
+    SparsePoly.linear_form((0, 1)),
+    SparsePoly.linear_form((-1, 1)),
+    SparsePoly.linear_form((1, 0)),
+    SparsePoly.linear_form((-2, 1)),
+)
+
+# P^2 catalogue: lines y = j*x + T_j*z with slopes 0..5 and triangular-number
+# intercepts; any three are non-concurrent and every line meets the conic
+# x*z - y^2 transversally off it.
+_P2_LINES = tuple(
+    SparsePoly.linear_form((-j, 1, -t)) for j, t in zip(range(6), (0, 1, 3, 6, 10, 15))
+)
+_P2_CONICS = (
+    SparsePoly.from_terms(3, [(1, (1, 0, 1)), (-1, (0, 2, 0))]),  # x*z - y^2
+)
+
+
+def _instantiate_plane(dim: int, combo) -> LogLeaf | None:
+    """Deterministic equations for a multiset of (b, curve degree): P^1
+    points 0, 1, oo, 2 in order, P^2 lines and conics from the fixed
+    general-position catalogue. None if the catalogue is exhausted."""
+    if dim == 1:
+        if len(combo) > len(_P1_POINTS):
+            return None
+        entries = [(StdCoeff(b), _P1_POINTS[i]) for i, (b, _) in enumerate(combo)]
+        return LogLeaf(Wps((1, 1)), tuple(entries), "hyperplane_arrangement")
+    lines = conics = 0
+    entries = []
+    for b, d in combo:
+        if d == 1:
+            if lines >= len(_P2_LINES):
+                return None
+            entries.append((StdCoeff(b), _P2_LINES[lines]))
+            lines += 1
+        else:
+            if conics >= len(_P2_CONICS):
+                return None
+            entries.append((StdCoeff(b), _P2_CONICS[conics]))
+            conics += 1
+    return LogLeaf(Wps((1, 1, 1)), tuple(entries), "plane_arrangement")
 
 
 # On P^1 every term 1 - 1/b lies in [1/2, 1), so sum (1 - 1/b) = 2 needs 3
@@ -558,6 +561,11 @@ def _distinct_up_to_scaling(equations: list[SparsePoly]) -> bool:
                for same in by_support.values())
 
 
+def _bounded_int(x: int) -> str:
+    """x up to 64 bits, else its bit length: short, and within the int-to-str digit limit."""
+    return str(x) if x.bit_length() <= 64 else f"{'-' * (x < 0)}<{x.bit_length()}-bit integer>"
+
+
 def _verify_wps_leaf(leaf: LogLeaf, rep: NodeReport) -> tuple[int | None, int | None]:
     """The checks of one explicit leaf, each fact computed once, so the cost
     is linear in the leaf's size: its weights plus the (variable, exponent)
@@ -615,13 +623,16 @@ def _verify_wps_leaf(leaf: LogLeaf, rep: NodeReport) -> tuple[int | None, int | 
         num = lcm_b * canonical_degree(space) + sum(
             deg * (lcm_b - lcm_b // coeff.b) for (coeff, _), deg in zip(leaf.entries, degs))
         deg_ok = num == 0
-        deg_detail = f"log degree {Fraction(num, lcm_b)}"
+        deg = Fraction(num, lcm_b)
+        deg_detail = f"log degree {_bounded_int(deg.numerator)}"
+        if deg.denominator != 1:
+            deg_detail += f"/{_bounded_int(deg.denominator)}"
     _check(rep, "degree-zero", deg_ok, deg_detail)
 
     # pair_index: on a well-formed space of degree zero, the lcm of the b values
     index = lcm_b if wf and deg_ok else None
     _check(rep, "index-computed", index is not None,
-           str(index) if index is not None else "preconditions failed")
+           _bounded_int(index) if index is not None else "preconditions failed")
 
     klt_ok = False
     try:
@@ -884,8 +895,14 @@ def certificate_from_obj(obj, loc: str = "$") -> Certificate:
 
 def certificate_loads(text: str) -> Certificate:
     try:
-        return certificate_from_obj(json.loads(text))
+        obj = json.loads(text)
     except json.JSONDecodeError as err:
         raise CertificateParseError(f"invalid JSON: {err.msg}", f"line {err.lineno} column {err.colno}") from err
+    except ValueError as err:  # the other ValueError json.loads raises: an int over the int-to-str digit limit
+        raise CertificateParseError(f"invalid JSON: an integer has more than {sys.get_int_max_str_digits()} digits") from err
+    except RecursionError as err:
+        raise CertificateParseError("nested too deeply to parse") from err
+    try:
+        return certificate_from_obj(obj)
     except RecursionError as err:
         raise CertificateParseError("nested too deeply to parse") from err

@@ -170,7 +170,7 @@ def _cmd_verify(args) -> int:
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         print(f"parse error: cannot read {args.file}: {err}", file=sys.stderr)
         return EXIT_PARSE
     try:

@@ -184,8 +184,7 @@ def check_search() -> None:
     """On P^1 the plane search finds exactly the indices 2, 3, 4 and 6 among
     2 <= m <= 20. On P^2 with up to 7 components it finds exactly 2, 4, 6, 8,
     10, 12, 18, 20, 24, 30 and 42 among 2 <= m < 400; each hit strict-verifies
-    with dimension 2 and index m, and the hits for 10 and 18 are the catalogue
-    arrangements."""
+    with dimension 2 and index m."""
     hits = set()
     for m in range(2, 21):
         leaf = search_plane_pair(1, m)
@@ -206,9 +205,6 @@ def check_search() -> None:
                  f"{call} verifies as dimension {report.dim}, index {report.index}")
     want = {2, 4, 6, 8, 10, 12, 18, 20, 24, 30, 42}
     _require(hits == want, f"search_plane_pair(2, m, 7) finds m = {sorted(hits)}, expected {sorted(want)}")
-    for m in (10, 18):
-        _require(search_plane_pair(2, m) == base_leaf(2, m).leaf,
-                 f"search_plane_pair(2, {m}) is not base_leaf(2, {m}).leaf")
 
 
 def check_serialization() -> None:

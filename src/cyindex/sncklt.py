@@ -52,7 +52,6 @@ __all__ = [
     "STEP_HYPERPLANES",
     "STEP_PLANE",
     "STEP_KLT",
-    "UNCHECKED_IRREDUCIBILITY",
 ]
 
 # Step description strings are part of the report format; keep them stable.
@@ -61,8 +60,6 @@ STEP_SHAPE = "shape matches declared strategy"
 STEP_HYPERPLANES = "hyperplane arrangement simple normal crossing outside the origin"
 STEP_PLANE = "plane arrangement simple normal crossing outside the origin"
 STEP_KLT = "SNC support with all coefficients < 1 outside the origin implies klt"
-
-UNCHECKED_IRREDUCIBILITY = "irreducibility of non-coordinate divisors"
 
 
 @dataclass(frozen=True)
@@ -80,22 +77,20 @@ class KltReport:
     passed: bool
     strategy: str
     steps: tuple[KltStep, ...]
-    unchecked_hypotheses: tuple[str, ...]
 
     def as_obj(self) -> dict:
         return {
             "passed": self.passed,
             "strategy": self.strategy,
             "steps": [s.as_obj() for s in self.steps],
-            "unchecked_hypotheses": list(self.unchecked_hypotheses),
         }
 
 
-def _report(strategy: str, steps: list[KltStep], unchecked: tuple[str, ...]) -> KltReport:
+def _report(strategy: str, steps: list[KltStep]) -> KltReport:
     passed = all(s.passed for s in steps)
     if passed:
         steps = steps + [KltStep(STEP_KLT, True)]
-    return KltReport(passed, strategy, tuple(steps), unchecked)
+    return KltReport(passed, strategy, tuple(steps))
 
 
 # ---------------------------------------------------------------------------
@@ -513,6 +508,11 @@ def coordinate_chains(leaf: LogLeaf) -> tuple[bool, str]:
     nonzero partial off the boundary. Either way dH(p) lies outside the
     span of the coordinate differentials through p: H is smooth at p and
     meets them transversally.
+    (3) H need not be irreducible. By (2) the cone over H is smooth outside
+    the origin, so its components are disjoint there, and each one meets
+    the coordinate hyperplanes transversally. Every component carries the
+    same coefficient (b-1)/b, so the support is SNC, the log degree is the
+    sum over the components, and lcm(b) does not change.
 
     The tag names the shape: family_B leaves need a chain of length >= 2,
     family_A and family_C leaves must have none. Each monomial of H is read
@@ -578,7 +578,7 @@ def family_snc_check(leaf: LogLeaf) -> KltReport:
     if leaf.klt_strategy not in _FAMILY_TAGS:
         raise ValueError(f"family_snc_check requires a family strategy, got {leaf.klt_strategy!r}")
     step = KltStep(STEP_CHAINS, *coordinate_chains(leaf))
-    return _report(leaf.klt_strategy, [step], (UNCHECKED_IRREDUCIBILITY,))
+    return _report(leaf.klt_strategy, [step])
 
 
 # ---------------------------------------------------------------------------
@@ -619,7 +619,7 @@ def is_klt_leaf(leaf: LogLeaf) -> KltReport:
                 steps.append(KltStep(STEP_HYPERPLANES, hyperplane_arrangement_snc(normals)))
             except ValueError as err:
                 steps.append(KltStep(STEP_HYPERPLANES, False, str(err)))
-        return _report(strategy, steps, ())
+        return _report(strategy, steps)
 
     if strategy == "plane_arrangement":
         try:
@@ -627,6 +627,6 @@ def is_klt_leaf(leaf: LogLeaf) -> KltReport:
             steps.append(KltStep(STEP_PLANE, ok))
         except (NotQuasiHomogeneous, ValueError) as err:
             steps.append(KltStep(STEP_PLANE, False, str(err)))
-        return _report(strategy, steps, ())
+        return _report(strategy, steps)
 
     raise ValueError(f"unknown klt strategy {strategy!r}")

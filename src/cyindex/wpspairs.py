@@ -21,10 +21,11 @@ graded by weighted degree: m(K_X + B) is then linearly trivial iff its
 degree vanishes and mB is integral. Well-formedness is therefore a hard
 precondition of `pair_index`, not an optional nicety.
 
-Irreducibility of divisor equations is deliberately not checked anywhere;
-the degree, coefficient and normal-crossing computations are insensitive to
-an equation factoring into distinct components carrying the same
-coefficient, and the klt reports list this as an unchecked hypothesis.
+Divisor equations need not be irreducible. Where the klt check passes, the
+cone over each equation is smooth outside the origin, so its components are
+disjoint there and meet the other divisors transversally; all carry its
+1 - 1/b, so the support is SNC, the log degree adds up over the components
+and the lcm of the b values does not change.
 """
 
 from __future__ import annotations
@@ -319,26 +320,6 @@ class SparsePoly:
         if c == 0:
             raise ValueError("scaling a divisor equation by zero")
         return SparsePoly._canonical(self.nvars, [(coeff * c, p) for coeff, p in self.terms])
-
-    def subs_zero(self, vars_to_kill) -> "SparsePoly":
-        """Set the named variables to 0 (drop monomials touching them)."""
-        kill = set(vars_to_kill)
-        return SparsePoly._canonical(
-            self.nvars, [t for t in self.terms if kill.isdisjoint([v for v, _ in t[1]])])
-
-    def restrict_to(self, keep) -> "SparsePoly":
-        """Project onto the listed variables; monomials involving any other
-        variable must already be absent."""
-        keep = list(keep)
-        positions: dict[int, list[int]] = {}  # old variable -> its places in keep
-        for i, v in enumerate(keep):
-            positions.setdefault(v, []).append(i)
-        mons = []
-        for c, pairs in self.terms:
-            if any(v not in positions for v, _ in pairs):
-                raise ValueError("restrict_to: monomial uses a dropped variable")
-            mons.append((c, sorted((i, x) for v, x in pairs for i in positions[v])))
-        return SparsePoly.from_pairs(len(keep), mons)
 
     def __str__(self) -> str:
         if self.is_zero():

@@ -30,7 +30,7 @@ from cyindex.certify import (
     search_plane_pair,
     verify_certificate,
 )
-from cyindex.numtheory import euler_phi, indices_with_phi_at_most
+from cyindex.numtheory import euler_phi, indices_with_phi_at_most, sylvester_bound
 import cyindex.certify
 import cyindex.cli
 import cyindex.sncklt
@@ -120,6 +120,28 @@ def test_build_prime_power_22_matches_p1_pair():
     assert pair_index(leaf) == 4
 
 
+@pytest.mark.parametrize("k", range(2, 8))
+def test_sylvester_extremal_leaf_is_a_chain_leaf(k):
+    # with s = s_k in Sylvester's sequence 2, 3, 7, 43, ...: on
+    # P(1, 2s-3, (2s-2)^(k-1)), (2s-4)/(2s-3) on {x1 = 0}, 1 - 1/s_(i-2) on
+    # {x_i = 0} for 2 <= i <= k, and 1 - 1/s_(k-1) on
+    # H = x0 x1 + x0^(2s-2) + x2 + ... + xk, the chain x1 -> x0 beside
+    # Fermat terms; the Esser-Totaro-Wang candidate of the largest index
+    seq = [2]
+    while len(seq) <= k:
+        seq.append(seq[-1] * (seq[-1] - 1) + 1)
+    s = seq[k]
+    h_terms = [((0, 1), (1, 1)), ((0, 2 * s - 2),)] + [((i, 1),) for i in range(2, k + 1)]
+    leaf = cyindex.certify._chain_leaf((1, 2 * s - 3) + (2 * s - 2,) * (k - 1),
+                                       [(1, 2 * s - 3)] + [(i, seq[i - 2]) for i in range(2, k + 1)],
+                                       seq[k - 1], h_terms, "family_B")
+    report = verify_certificate(WpsLeaf(leaf), "strict")
+    assert report.passed, report.failing_checks()
+    assert (report.dim, report.index) == (k, sylvester_bound(k + 1))
+    if k <= 4:
+        assert report.index == (66, 3486, 6521466)[k - 2]
+
+
 def test_build_prime_power_rejects():
     with pytest.raises(ValueError):
         build_prime_power(1, 3)
@@ -127,10 +149,15 @@ def test_build_prime_power_rejects():
         build_prime_power(3, 1)
 
 
-# Pinned leaf bytes: sha256 of certificate_dumps for each builder input and
-# every catalogue entry. Any change here changes every certificate that
-# contains the leaf. Re-recorded for prime_power-2-3, prime_power-2-12 and
-# base-2-8 when base-2 prime powers became family_C: only "strategy" changed.
+# Pinned leaf bytes: sha256 of certificate_dumps for each builder input,
+# every catalogue entry and the plane search hits that serve as arrangement
+# fixtures. Any change here changes every certificate that contains the
+# leaf. Re-recorded for prime_power-2-3, prime_power-2-12 and base-2-8 when
+# base-2 prime powers became family_C: only "strategy" changed. Re-recorded
+# for base-1-{2,3,4,6} and base-2-{2,3,4,6,10,12,18} when the P^1 pairs and
+# the plane leaves of 10 and 18 became chain leaves; the search entries keep
+# the hashes those catalogue entries had before, so the arrangements the
+# search finds are byte-identical to the old catalogue leaves.
 GOLDEN_SHA256 = {
     ("index_prime", 5): "b5276b91cf1fcc2c249c2902562afa44b2d51912219a6c7bd1aa1f182ba5fe3b",
     ("index_prime", 7): "4ad61bd220f89d6a9fcafefb58c702eb764bb0cc756f2bba6e961091456686b8",
@@ -142,23 +169,29 @@ GOLDEN_SHA256 = {
     ("prime_power", 5, 4): "d6f8c19f347ce093db3543afac0587e6af39a6c3ab13d0b676acc1134d655f89",
     ("prime_power", 2, 12): "6f494d0e77084292153113adb1d449137e31d2a983bd49fa83e37c209c5fd91f",
     ("base", 1, 1): "0d3bc8b2370a96e026f06456b53aa8f683594202963de82765325a9915727c30",
-    ("base", 1, 2): "aaa0a80585514ecf44ba7816f0c2f11213876486c95baa5a5a78f853abcbf3ab",
-    ("base", 1, 3): "74b8db5376e5f71bed17d3b0a2fb6c5301b68f4dd40dcbba82ca6705f13834d2",
-    ("base", 1, 4): "6ce4b417532e48fc5d57be73a7822d957268f1888f90e91c6fb5e2f551565571",
-    ("base", 1, 6): "b15365a65ab060e9b9c76c2916f572655f43523fd9261e4ba524f7c009fca193",
+    ("base", 1, 2): "070383b90896ce8ca803794b688470672a80f085886901b90f077228b52dfe77",
+    ("base", 1, 3): "3ef7d1092d4bafea811619ac7dce2c6d9e59cef9d6494a6b008da55cfb182d2a",
+    ("base", 1, 4): "1d194dc63052a47fd6367376e7eee560af99b84f92fa15756da178f8ce17598a",
+    ("base", 1, 6): "6fa4f5abef258412097906cf665422ba57fecf547aeac01fb3895406966bbdbb",
     ("base", 2, 1): "db2799846211aae5c07f7d6ba76ba771c17d8750b09bf897b4548a499113a96a",
-    ("base", 2, 2): "221b428719dbcf9fc3b914d01772e9ea08240061bd52c873a0174f7fea34a4a2",
-    ("base", 2, 3): "d354d6171bf03d2c49fe5c222b129e36c9af548329b0321303740bf392159da4",
-    ("base", 2, 4): "5956f243542eea962623331d1fb9dd7b246ec705275f7cdbbf44ccb4d78684b2",
+    ("base", 2, 2): "3b31dbfb53a220b72af84da6c268362ae6ef45f126a4568d67472b41e7853f38",
+    ("base", 2, 3): "99d9ab27be28f7601a2e679ffbfba8727b182dfa8e64166034aee0af485cafff",
+    ("base", 2, 4): "3d709ccaf38e76dd310e664dbc6d8ce0e06527cad58f899748d783269ca08ccc",
     ("base", 2, 5): "b5276b91cf1fcc2c249c2902562afa44b2d51912219a6c7bd1aa1f182ba5fe3b",
-    ("base", 2, 6): "50f6405df88bcee5fc2ec0deac27c09f5c3a97cebe68ea2860a0859dcab4d7fb",
+    ("base", 2, 6): "ba5aeb2ab5447f8adc2564fe1d68ee0237492b6f4e5b383f2cd40f263558ed0a",
     ("base", 2, 7): "4ad61bd220f89d6a9fcafefb58c702eb764bb0cc756f2bba6e961091456686b8",
     ("base", 2, 8): "19449f20c328903b606080517bc42162f6d5e31b9d9985a6393d8f0a7f91a54a",
     ("base", 2, 9): "86b0b9fd8e1bb25702bf7475769e564d302c4ac5916132d084efd8082c2513b8",
-    ("base", 2, 10): "5601032b94f9bade9927b4159ed99abab4cc3e9a5b6dfc7d3bd28770881604b8",
-    ("base", 2, 12): "b05a1b88953d512a5bcc9254cdf8b8f37ad74586d8fa9db4e5ed9cd7fa65a932",
+    ("base", 2, 10): "eb5b16c826c241f98cf0c93b3cff1b30117bf6bc954c672cf47ac07cd8805142",
+    ("base", 2, 12): "acbd88dd07e0b1188b8575a255f5eb84740933bfe1f773054d9a3aba46fae6d1",
     ("base", 2, 14): "99ce9b7fe36771647a6698754ea5bb824c2abf018b46bb132d2a75730f367be9",
-    ("base", 2, 18): "0c770c849f31d7baacff37a434ce9c79309d2fb6f83eb80426c83cbb48d7178c",
+    ("base", 2, 18): "c9eae9bb3e0d54837046055aa09bf0c7db524c7095df4a54d6419542c1193195",
+    ("search", 1, 2): "aaa0a80585514ecf44ba7816f0c2f11213876486c95baa5a5a78f853abcbf3ab",
+    ("search", 1, 3): "74b8db5376e5f71bed17d3b0a2fb6c5301b68f4dd40dcbba82ca6705f13834d2",
+    ("search", 1, 4): "6ce4b417532e48fc5d57be73a7822d957268f1888f90e91c6fb5e2f551565571",
+    ("search", 1, 6): "b15365a65ab060e9b9c76c2916f572655f43523fd9261e4ba524f7c009fca193",
+    ("search", 2, 10): "5601032b94f9bade9927b4159ed99abab4cc3e9a5b6dfc7d3bd28770881604b8",
+    ("search", 2, 18): "0c770c849f31d7baacff37a434ce9c79309d2fb6f83eb80426c83cbb48d7178c",
 }
 
 
@@ -168,6 +201,8 @@ def _golden_cert(key):
         return WpsLeaf(build_index_prime(*args))
     if kind == "prime_power":
         return WpsLeaf(build_prime_power(*args))
+    if kind == "search":
+        return WpsLeaf(search_plane_pair(*args))
     return base_leaf(*args)
 
 
@@ -221,14 +256,6 @@ def test_base_dim2_catalogue():
         base_leaf(2, 11)  # phi(11) = 10 > 6
     with pytest.raises(ValueError):
         base_leaf(3, 1)
-
-
-def test_base_dim2_10_and_18_are_plane_arrangements():
-    for m in (10, 18):
-        leaf = base_leaf(2, m).leaf
-        assert leaf.klt_strategy == "plane_arrangement"
-        assert log_degree(leaf) == 0 and pair_index(leaf) == m
-        assert is_klt_leaf(leaf).passed
 
 
 # -- dimension inequality ----------------------------------------------------
@@ -325,8 +352,12 @@ def test_padding_lemma_at_the_least_dimension_for_phi_up_to_1000():
         n0 = max(3, euler_phi(m) // 2)
         cert = realize(n0, m)
         assert certificate_dim(cert) == n0 - 1 and certificate_index(cert) == m, (n0, m)
-        idxs = [certificate_index(f) for f in cert.factors] if isinstance(cert, Product) else [m]
+        factors = cert.factors if isinstance(cert, Product) else (cert,)
+        idxs = [certificate_index(f) for f in factors]
         assert lcm(*idxs) == prod(idxs), (n0, m, idxs)
+        # every leaf is a chain leaf, checked by the one family criterion
+        assert all(f.leaf.klt_strategy in ("family_A", "family_B", "family_C")
+                   for f in factors if isinstance(f, WpsLeaf)), (n0, m)
 
 
 def test_realize_far_beyond_the_recursion_limit():
@@ -482,12 +513,14 @@ def _failing_names(report):
     return {name for _, name in report.failing_checks()}
 
 
-A_OBJ = certificate_to_obj(realize(4, 16))  # P(1,1,1,1) arrangement leaf
+A_OBJ = certificate_to_obj(realize(4, 16))  # family_C on P(1,1,1,1): four coordinates plus their sum
 B_OBJ = certificate_to_obj(WpsLeaf(build_index_prime(13)))  # family_A
-# a nested product, in the shape realize emitted before it padded once
-C_OBJ = certificate_to_obj(Product((realize(4, 15), EllipticLeaf(1))))
-D_OBJ = certificate_to_obj(base_leaf(2, 10))  # plane arrangement
-E_OBJ = certificate_to_obj(base_leaf(1, 3))  # P^1 pair
+# a nested product of a P^1 point arrangement and the index-5 leaf, in the
+# shape realize emitted before it padded once
+C_OBJ = certificate_to_obj(Product((Product((WpsLeaf(search_plane_pair(1, 3)), WpsLeaf(build_index_prime(5)))),
+                                        EllipticLeaf(1))))
+D_OBJ = certificate_to_obj(WpsLeaf(search_plane_pair(2, 10)))  # plane arrangement
+E_OBJ = certificate_to_obj(WpsLeaf(search_plane_pair(1, 3)))  # P^1 point arrangement
 F_OBJ = certificate_to_obj(WpsLeaf(build_prime_power(3, 2)))  # family_C
 
 
@@ -674,14 +707,18 @@ def test_search_dim1_ground_truth():
             assert oracle_multisets(1, m, 4) == []
 
 
-def test_search_dim1_matches_base_catalogue():
-    for m in (2, 3, 4, 6):
-        assert search_plane_pair(1, m) == base_leaf(1, m).leaf
+def test_search_dim1_finds_the_catalogue_points():
+    # the four solutions of sum (1 - 1/b) = 2 on P^1, placed at the catalogue points 0, 1, oo, 2
+    for m, bs in {2: (2, 2, 2, 2), 3: (3, 3, 3), 4: (2, 4, 4), 6: (2, 3, 6)}.items():
+        leaf = search_plane_pair(1, m)
+        assert leaf == cyindex.certify._instantiate_plane(1, [(b, 1) for b in bs])
+        assert leaf.klt_strategy == "hyperplane_arrangement" and is_klt_leaf(leaf).passed
 
 
 def test_search_2_10_finds_the_conic_arrangement():
     leaf = search_plane_pair(2, 10, 4)
-    assert leaf == base_leaf(2, 10).leaf
+    assert leaf.klt_strategy == "plane_arrangement"
+    assert log_degree(leaf) == 0 and pair_index(leaf) == 10 and is_klt_leaf(leaf).passed
     assert _multiset(leaf) == [(2, 1), (5, 2), (10, 1)]
     # the oracle confirms this is the unique minimal-count solution
     assert oracle_multisets(2, 10, 3) == [[(2, 1), (5, 2), (10, 1)]]
@@ -689,7 +726,8 @@ def test_search_2_10_finds_the_conic_arrangement():
 
 def test_search_2_18_finds_four_lines():
     leaf = search_plane_pair(2, 18, 4)
-    assert leaf == base_leaf(2, 18).leaf
+    assert leaf.klt_strategy == "plane_arrangement"
+    assert log_degree(leaf) == 0 and pair_index(leaf) == 18 and is_klt_leaf(leaf).passed
     assert _multiset(leaf) == [(2, 1), (3, 1), (9, 1), (18, 1)]
 
 
@@ -767,7 +805,7 @@ def test_search_p2_hits_match_the_oracle():
 def test_search_accepts_nothing_the_snc_check_rejects(monkeypatch):
     queries = [(1, m, 4) for m in (2, 3, 4, 6)] + [(2, m, 7) for m in (2, 4, 10, 18, 30, 42)]
     assert all(search_plane_pair(*q) is not None for q in queries)
-    monkeypatch.setattr(cyindex.certify, "is_klt_leaf", lambda leaf: KltReport(False, leaf.klt_strategy, (), ()))
+    monkeypatch.setattr(cyindex.certify, "is_klt_leaf", lambda leaf: KltReport(False, leaf.klt_strategy, ()))
     for q in queries:
         assert search_plane_pair(*q) is None, q
 
@@ -853,7 +891,8 @@ def test_search_p2_hits_below_400_equal_the_guard(monkeypatch):
 
 
 def test_serialization_roundtrip():
-    for cert in (realize(4, 16), realize(5, 15), realize(3, 14), base_leaf(2, 18)):
+    for cert in (realize(4, 16), realize(5, 15), realize(3, 14), base_leaf(2, 18),
+                 WpsLeaf(search_plane_pair(2, 10))):
         assert certificate_loads(certificate_dumps(cert)) == cert
 
 

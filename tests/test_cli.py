@@ -160,7 +160,8 @@ def test_verify_lying_citation_fails_in_trusting_mode(capsys, tmp_path):
 
 
 def test_verify_index_14_report_bytes(capsys, tmp_path):
-    # index 14 is the explicit P(3,1,1) family_C leaf padded by one elliptic curve
+    # index 14 is the explicit P(3,1,1) family_C leaf padded by one elliptic
+    # curve; re-recorded when the klt report lost its unchecked_hypotheses key
     out_file = tmp_path / "cert.json"
     run(capsys, "realize", "--dim", "4", "--index", "14", "--out", str(out_file))
     code, out, _ = run(capsys, "verify", str(out_file), "--format", "json")
@@ -168,8 +169,44 @@ def test_verify_index_14_report_bytes(capsys, tmp_path):
     report = json.loads(out)
     assert [r["kind"] for r in report["leaf_reports"]] == ["product", "wps_leaf", "elliptic_leaf"]
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "711a61299a6dc24e41c48e72e0ae190eb894a049f54734907b18a31f1d73f566"
+        "e737fea7e7f5556709babac546a76ad8473a4eb16c1ce8f1812c077d71949e43"
     )
+
+
+@pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="no limit on int-to-str digits")
+def test_verify_integer_over_the_digit_limit_is_a_parse_error(capsys, tmp_path):
+    # json.loads refuses the literal with a plain ValueError, not a JSONDecodeError
+    digits = sys.get_int_max_str_digits() + 1
+    out_file = tmp_path / "huge.json"
+    out_file.write_text('{"entries":[],"node":"wps_leaf","strategy":"family_A","v":1,"weights":[1,%s]}'
+                        % ("9" * digits))
+    code, out, err = run(capsys, "verify", str(out_file))
+    assert code == EXIT_PARSE and out == ""
+    assert err == f"parse error: $: invalid JSON: an integer has more than {digits - 1} digits\n"
+
+
+def test_verify_degree_zero_detail_is_bounded_for_huge_b(capsys, tmp_path):
+    # two coprime 4,001-digit b values on the points x0 and x1 of P^1: the log
+    # degree -(b1 + b2)/(b1 b2) has an 8,001-digit denominator, which str() refuses
+    b1 = 10**4000
+    entries = [{"b": b, "eq": [{"c": [1, 1], "e": e}]} for b, e in ((b1, [1, 0]), (b1 + 1, [0, 1]))]
+    obj = {"entries": entries, "node": "wps_leaf", "strategy": "hyperplane_arrangement", "v": 1, "weights": [1, 1]}
+    out_file = tmp_path / "bigb.json"
+    out_file.write_text(json.dumps(obj))
+    code, out, _ = run(capsys, "verify", str(out_file), "--format", "json")
+    assert code == EXIT_VERIFY_FAILED
+    checks = {c["name"]: c for c in json.loads(out)["leaf_reports"][0]["checks"]}
+    assert not checks["degree-zero"]["passed"]
+    assert checks["degree-zero"]["detail"] == "log degree -<13289-bit integer>/<26576-bit integer>"
+    assert len(checks["degree-zero"]["detail"]) <= 100
+
+
+def test_verify_file_that_is_not_utf8(capsys, tmp_path):
+    out_file = tmp_path / "cert.json"
+    out_file.write_bytes(b'\xff\xfe{"v": 1}')
+    code, out, err = run(capsys, "verify", str(out_file))
+    assert code == EXIT_PARSE and out == ""
+    assert err.startswith(f"parse error: cannot read {out_file}: 'utf-8' codec can't decode byte 0xff")
 
 
 def test_verify_truncated_json(capsys, tmp_path):
@@ -224,7 +261,12 @@ def test_verify_json_format(capsys, tmp_path):
 # against the checks they replaced, each report kept its exit code and
 # changed only in its klt steps. tamper-weight-bump was re-recorded when the
 # quasi-homogeneous detail became bounded: it names the entry and the range
-# and count of its monomial degrees instead of printing the equation.
+# and count of its monomial degrees instead of printing the equation. Every
+# entry was re-recorded when the klt report lost its unchecked_hypotheses
+# key: against the parent, each report kept its exit code and equals the old
+# report with that key deleted, except tamper-unformed-weights, whose input
+# base_leaf(1, 2) became the chain leaf x0, x1, x0^2 + x1^2 (it still fails
+# well-formed and index-computed only).
 
 
 def _tampered(kind, m=41):
@@ -278,32 +320,32 @@ def _report_input(name):
 
 # name -> (exit code, sha256 in strict mode, sha256 in trusting mode)
 REPORT_SHA256 = {
-    "index_prime-41": (0, "3cb95e5c42cac15118c2ffd1a546ed227b96cd3ece655ec793d22a86e2399d4e",
-        "0567fbee74975a74689c1b478a58f683d52d74ea1521ad24f45d1c6f8250184b"),
-    "prime_power-3-5": (0, "bf2a4d966d2e08097d5c2b99dd430a2d8766a0ee2f167d85196e6d24b6f1de23",
-        "1bef1337bb54bb583e4b51bb44f2007145af55f4eec968759fd4df14c4fc8f1e"),
-    "vandermonde-6-in-4": (0, "a2cbaf44b9d6325334a6df2a1912f7a7a5aec81da79ee5cd28c443facd7f6086",
-        "b46dd3dde18c43841ab52048f4d48457d2d7c42bbae22debe7e68ac197a87296"),
-    "tamper-weight-bump": (1, "0e50cb796aa75de9c96a491df94e3506c29ff3a32ca04cd1180012e5592bc766",
-        "eec331a08a6302b30ffa24eca7f215c37b686d3da875fe1f1b711223ae856fcc"),
-    "tamper-b-change": (1, "67b9c52beec8e2b5cd6a1bcf1a813b4b8a274eb506031b5d8f5e17bc979eaede",
-        "ae9aeefde41fab69e45caf5f175200d275e5efc222ca49270370b6c2cd4f6d40"),
-    "tamper-entry-duplicated": (1, "b8c72a8817fd2a4cfd41b90627af5b771e79fc531b06afb7619cab499fa99889",
-        "187dccf498b61fcb59c608238fabc85ab216b312c0e1766231176690207e1f72"),
-    "tamper-entry-scaled-copy": (1, "b8c72a8817fd2a4cfd41b90627af5b771e79fc531b06afb7619cab499fa99889",
-        "187dccf498b61fcb59c608238fabc85ab216b312c0e1766231176690207e1f72"),
-    "tamper-h-scaled-copy": (1, "a9043e89ee2634729da1b93cdd6a6262ad5f0d08c84060925bd01d4f776c6896",
-        "31836a65babb6c54e6bbc041f6c26d104925916c667dd9c221cf74d5245da379"),
-    "tamper-h-linear-term-removed": (1, "b2a3b13f0c73081c96a0ac9ea58810f8a9e76ef41972035ca200f15c48b86a8f",
-        "3c7af0e93df8976a7cbbe0af4d62d354e4e3c396ea97384544034f34a06d80b2"),
-    "tamper-strategy-swap": (1, "ff080999eb833a7c2a67f163e94d4638f0898a6ff6b316bcbbe7df4dd01942fd",
-        "e3bc9aa957c1f92e4057223506fdfbaad3ccf4ab123b216b837ddd7770000b95"),
-    "tamper-constant-equation": (1, "9a6aba4c6c1a32d995a0152e4350b4b2987a3f8b372258549b698a8ae91c47e6",
-        "c09b4b61155d59647280723ef33a0879f4eca1f4c77d1bdfd8cb9ffba35d6ab3"),
-    "tamper-single-factor-product": (1, "b1ed917387d0dc79584b5dd7c0684dfa8dc62e08f43e7f55ab40f7c035cb9a57",
-        "fd9eb50e689c3bbc8af0e64f6453bafc15e6f3fd1e632062142d282e242c5219"),
-    "tamper-unformed-weights": (1, "05ddf1ca1dd6f3a038c4e9d2f6184dd4e8633fade8219b0b65301b0d5825094f",
-        "08323c27382ae533259a421661a42163ee1a60c360e6a1f78da8648a860a9a05"),
+    "index_prime-41": (0, "5a368343941091a30e54149b6c6ae0689c02b027bfe2b2c7d0b602d83c2ddcca",
+        "f13acaec69ecbe6c4b3b88afbc38bf4a6d29558124fa52a0dd848f4d6c154411"),
+    "prime_power-3-5": (0, "0a4ba1abbaae6f4163ce164d88194352f767d3242e01e955329e685a92e4f33d",
+        "d165d7c019cc6cf9f3a51b906faef34553daf19636e51ba3e2a6e9a903e1bfcc"),
+    "vandermonde-6-in-4": (0, "b7fc6a31cef6f3031f4e0d0fe0ec609cfd356c6d7087e2b33de724deceb6e091",
+        "26ca4d9fcd08fc130ba64afb74e770a2a288e6086cbd722aff9922a8c1cdc808"),
+    "tamper-weight-bump": (1, "2650d39c9213518bcc868201d64f8b567e2c6c9028ac2e14cb22af95fd25f34e",
+        "c577da9950e294450a0eb7dc7481f2273f8ec4cd83c8890dd3093d2121c36138"),
+    "tamper-b-change": (1, "dd92f2227d1146d8a8e26f92d75f49a0b68d6178eb4eed3b05a6691149a827f1",
+        "a3ce360be73a55784828ecf17d0cbec121a1559aede79fdef4c3978da5278439"),
+    "tamper-entry-duplicated": (1, "7cfa6e869dfbccd40be5b7ed9ab60e4e95290622b11a9427cde48cb15e076fbe",
+        "55babe02546d8706b3f35928d0b77f6d35d94c417e7638656acc617a2de8dbb3"),
+    "tamper-entry-scaled-copy": (1, "7cfa6e869dfbccd40be5b7ed9ab60e4e95290622b11a9427cde48cb15e076fbe",
+        "55babe02546d8706b3f35928d0b77f6d35d94c417e7638656acc617a2de8dbb3"),
+    "tamper-h-scaled-copy": (1, "be0bd7115d12469a130bb90e05647dece70aecfc440a86bf9b3835700bce3fd8",
+        "ec94a4ac7f2ba055d9830942a2e9a00f2882ef9c69adf6ff41a7f6a4817b21ea"),
+    "tamper-h-linear-term-removed": (1, "f60cee3a789b88485b0d3ed6a40ecdd981a8c597739f86719fc2712a91d0d41a",
+        "d80e42d6db88598f0dd759c682933fe3c316f5e5ca79def17c1002f5a983c1df"),
+    "tamper-strategy-swap": (1, "b0ba425ac4829e993436305b42ea5fb695a2cc3373e64e5c6d6f944297b35e52",
+        "82963103d1ff3f947dfbc4f77f97ce82e44c361f1183dda53cc78d3c892b3359"),
+    "tamper-constant-equation": (1, "f8997d020e9cae2ce1ede88f398a01ef170f6e568efe1de3d849719d1c28f985",
+        "1909b95929fd1786d66fdc79866766875187335dc1aabf2cb3a6dd456c553f2c"),
+    "tamper-single-factor-product": (1, "357d916b31e89d3a86adf6957141e9e4123eab1ab245d3a7bebada2ba15ac52e",
+        "256e316f975cd3b7f3599f575762910f6484bc03bf5342c61dcbf1c154a39c9c"),
+    "tamper-unformed-weights": (1, "c26b542c40435c1a07ea40bbbb003fdc2d5685e3aed1583ea35aa8e9b745ce12",
+        "edb22c0d090127dffd8b5357016861b97d271ba583cb3dfa9da5d5d11b0e4759"),
 }
 
 
@@ -396,9 +438,11 @@ def test_table_dim1_and_dim2(capsys):
     assert 66 in i2 and 60 not in i2 and 64 not in i2
     assert "Machida-Oguiso" in out
     # the rows are rendered from the base catalogue and the plane search; row 8
-    # names family_C since base-2 prime powers took the family path
+    # names family_C since base-2 prime powers took the family path, and the
+    # rows 2, 3, 4 and 6 of both tables and 10, 12 and 18 of dimension 2 name
+    # family_A since the P^1 pairs and the plane leaves became chain leaves
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "b3562a4e4d257b57c5f8c243bc72734cb5c00eb08ebc3a9b2a5f814d0bc55b7b"
+        "c3bc6438d3cf84b7007b6b4b2fe061d04995fe67752accbf3372ba85dfbec129"
     )
 
 
