@@ -8,7 +8,6 @@ realized in dimension n - 1 (n >= 3).
 """
 
 from .numtheory import (
-    Factorization,
     admissible_free_index,
     euler_phi,
     factorize,
@@ -50,7 +49,6 @@ from .certify import (
     certificate_from_obj,
     certificate_index,
     certificate_loads,
-    certificate_to_obj,
     check_dim_inequality,
     realize,
     search_plane_pair,
@@ -58,7 +56,6 @@ from .certify import (
 )
 
 __all__ = [
-    "Factorization",
     "admissible_free_index",
     "euler_phi",
     "factorize",
@@ -94,7 +91,6 @@ __all__ = [
     "certificate_from_obj",
     "certificate_index",
     "certificate_loads",
-    "certificate_to_obj",
     "check_dim_inequality",
     "realize",
     "search_plane_pair",

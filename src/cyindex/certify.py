@@ -42,6 +42,7 @@ from .wpspairs import (
     SparsePoly,
     StdCoeff,
     Wps,
+    _bounded_int,
     _sorted,
     canonical_degree,
     dense_exponents,
@@ -68,7 +69,6 @@ __all__ = [
     "NodeReport",
     "VerificationReport",
     "CertificateParseError",
-    "certificate_to_obj",
     "certificate_from_obj",
     "certificate_dumps",
     "certificate_loads",
@@ -289,13 +289,11 @@ def realize(n: int, m: int) -> Certificate:
 
     factors = _core(m)
     pad = n - 1 - sum(certificate_dim(f) for f in factors)
+    if pad < 0:
+        raise RuntimeError(f"realize({n}, {m}): the core has dimension {n - 1 - pad} > {n - 1}")
     if pad > 0:
         factors.append(EllipticLeaf(pad))
-    cert = factors[0] if len(factors) == 1 else Product(tuple(factors))
-
-    if certificate_dim(cert) != n - 1:
-        raise RuntimeError(f"realize({n}, {m}): built dimension {certificate_dim(cert)}")
-    return cert
+    return factors[0] if len(factors) == 1 else Product(tuple(factors))
 
 
 def _core(m: int) -> list[WpsLeaf]:
@@ -315,8 +313,8 @@ def _core(m: int) -> list[WpsLeaf]:
     if m in _EXPLICIT:
         return [_EXPLICIT[m]]
     fac = factorize(m)
-    p, e = fac.factors[-1]
-    if fac.num_prime_factors() == 1:
+    p, e = fac[-1]
+    if len(fac) == 1:
         if e == 1:
             # m >= 5: dimension (m+3)/4 <= 2 for m <= 7, and at most (m-3)/2 = phi(m)/2 - 1 from 11 on
             return [WpsLeaf(build_index_prime(m))]
@@ -561,9 +559,15 @@ def _distinct_up_to_scaling(equations: list[SparsePoly]) -> bool:
                for same in by_support.values())
 
 
-def _bounded_int(x: int) -> str:
-    """x up to 64 bits, else its bit length: short, and within the int-to-str digit limit."""
-    return str(x) if x.bit_length() <= 64 else f"{'-' * (x < 0)}<{x.bit_length()}-bit integer>"
+def _listed(items, fmt, sep: str, most: int = 16) -> str:
+    """fmt of the first `most` items joined by sep, then their count when
+    there are more: a verifier detail bounded for any leaf, as fmt is."""
+    text = sep.join([fmt(x) for x in items[:most]])
+    return text if len(items) <= most else f"{text}{sep}... ({len(items)} in all)"
+
+
+def _space_text(space: Wps) -> str:
+    return f"P({_listed(space.weights, _bounded_int, ',')})"
 
 
 def _verify_wps_leaf(leaf: LogLeaf, rep: NodeReport) -> tuple[int | None, int | None]:
@@ -572,7 +576,7 @@ def _verify_wps_leaf(leaf: LogLeaf, rep: NodeReport) -> tuple[int | None, int | 
     pairs of its equations."""
     space = leaf.space
     _check(rep, "weights-valid", len(space.weights) >= 2 and all(a >= 1 for a in space.weights),
-           str(space))
+           _space_text(space))
 
     nv = len(space.weights)
     shape_ok = bool(leaf.entries)
@@ -582,7 +586,7 @@ def _verify_wps_leaf(leaf: LogLeaf, rep: NodeReport) -> tuple[int | None, int | 
             shape_ok, shape_detail = False, "zero divisor equation"
             break
         if eq.nvars != nv:
-            shape_ok, shape_detail = False, f"equation in {eq.nvars} variables on {space}"
+            shape_ok, shape_detail = False, f"equation in {eq.nvars} variables on {_space_text(space)}"
             break
         if not eq.terms[0][1]:  # the constant monomial sorts last, so it comes first only alone
             shape_ok, shape_detail = False, "constant equation cuts out no divisor"
@@ -594,7 +598,7 @@ def _verify_wps_leaf(leaf: LogLeaf, rep: NodeReport) -> tuple[int | None, int | 
     # StdCoeff fixes the value at (b - 1)/b; only b itself can be wrong
     std_ok = all(isinstance(coeff.b, int) and coeff.b >= 2 for coeff, _ in leaf.entries)
     _check(rep, "standard-coefficients", std_ok,
-           " ".join(str(c) for c, _ in leaf.entries))
+           _listed(leaf.entries, lambda ent: f"{_bounded_int(ent[0].b - 1)}/{_bounded_int(ent[0].b)}", " "))
 
     qh_ok, qh_detail = shape_ok, "not evaluated (entry shape invalid)"
     degs: list[int] = []
@@ -606,13 +610,13 @@ def _verify_wps_leaf(leaf: LogLeaf, rep: NodeReport) -> tuple[int | None, int | 
                 qh_ok, qh_detail = False, f"entry {i}: {err}"
                 break
         else:
-            qh_detail = f"degrees {degs}"
+            qh_detail = f"degrees [{_listed(degs, _bounded_int, ', ')}]"
     _check(rep, "quasi-homogeneous", qh_ok, qh_detail)
 
     _check(rep, "entries-distinct", _distinct_up_to_scaling([eq for _, eq in leaf.entries]))
 
     wf = is_well_formed(space)
-    _check(rep, "well-formed", wf, str(space))
+    _check(rep, "well-formed", wf, _space_text(space))
 
     deg_ok = False
     deg_detail = ""
@@ -657,7 +661,8 @@ def _verify_node(cert: Certificate, path: str,
         case EllipticLeaf(dim):
             rep = NodeReport(path, "elliptic_leaf")
             reports.append(rep)
-            ok = _check(rep, "elliptic-dim", type(dim) is int and dim >= 1, str(dim))  # exact int, so no bool
+            ok = _check(rep, "elliptic-dim", type(dim) is int and dim >= 1,  # exact int, so no bool
+                        _bounded_int(dim) if type(dim) is int else str(dim))
             return (dim, 1) if ok else (None, None)
         case Product(factors):
             rep = NodeReport(path, "product")
@@ -761,11 +766,6 @@ def certificate_dumps(cert: Certificate) -> str:
     through _node_text, so a wrapper bound to this name (bench/tracing.py)
     sees one call per certificate."""
     return _node_text(cert)
-
-
-def certificate_to_obj(cert: Certificate) -> dict:
-    """The schema v1 object of a certificate, as json.loads reads its text."""
-    return json.loads(certificate_dumps(cert))
 
 
 def _need(obj: dict, key: str, loc: str):
@@ -875,7 +875,7 @@ def certificate_from_obj(obj, loc: str = "$") -> Certificate:
     if not isinstance(obj, dict):
         raise CertificateParseError("expected an object", loc)
     v = _need(obj, "v", loc)
-    if v != 1:
+    if type(v) is not int or v != 1:  # exact int, so neither true nor 1.0
         raise CertificateParseError(f"unsupported schema version {v!r}", f"{loc}.v")
     node = _need(obj, "node", loc)
     if node == "wps_leaf":

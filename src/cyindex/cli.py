@@ -2,7 +2,8 @@
 
 Commands: realize, verify, enumerate, table, search, selftest. Output is
 deterministic (byte-identical across identical invocations); JSON uses
-sorted keys and exact integer fractions.
+sorted keys and exact integer fractions; `realize` embeds the certificate
+as the compact text that --out writes.
 
 `table` renders each row from the certificate the base catalogue or, for
 the other dimension-2 rows, the plane search builds, and calls it
@@ -36,7 +37,6 @@ from .certify import (
     base_leaf,
     certificate_dumps,
     certificate_loads,
-    certificate_to_obj,
     realize,
     search_plane_pair,
     verify_certificate,
@@ -111,10 +111,23 @@ def _parser() -> _Parser:
 # ---------------------------------------------------------------------------
 
 
+def _printable(x: int | None) -> int | str | None:
+    """x, or `<N-bit integer>` when it is past the int-to-str digit limit."""
+    try:
+        str(x)
+    except ValueError:
+        return f"<{x.bit_length()}-bit integer>"
+    return x
+
+
+def _report_obj(report) -> dict:
+    return {**report.as_obj(), "dim": _printable(report.dim), "index": _printable(report.index)}
+
+
 def _print_report_table(report) -> None:
     print(f"verification: {'PASSED' if report.passed else 'FAILED'} (mode {report.mode})")
-    print(f"dim: {report.dim}")
-    print(f"index: {report.index}")
+    print(f"dim: {_printable(report.dim)}")
+    print(f"index: {_printable(report.index)}")
     total = sum(len(r.checks) for r in report.leaf_reports)
     failed = report.failing_checks()
     print(f"checks: {total - len(failed)} passed, {len(failed)} failed")
@@ -155,11 +168,15 @@ def _cmd_realize(args) -> int:
         print(f"precondition failed: {err}", file=sys.stderr)
         return EXIT_PRECONDITION
     report = verify_certificate(cert, args.mode)
+    text = certificate_dumps(cert)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(certificate_dumps(cert) + "\n")
+            fh.write(text + "\n")
     if args.format == "json":
-        _dump_json({"certificate": certificate_to_obj(cert), "report": report.as_obj()})
+        # {"certificate": ..., "report": ...}: the text written above, and the
+        # report as json.dumps(..., indent=2) indents it inside the payload
+        report_text = json.dumps(_report_obj(report), sort_keys=True, indent=2).replace("\n", "\n  ")
+        print(f'{{\n  "certificate": {text},\n  "report": {report_text}\n}}')
     else:
         print(f"certificate: dimension {n - 1}, index {m}")
         _print_report_table(report)
@@ -180,7 +197,7 @@ def _cmd_verify(args) -> int:
         return EXIT_PARSE
     report = verify_certificate(cert, args.mode)
     if args.format == "json":
-        _dump_json(report.as_obj())
+        _dump_json(_report_obj(report))
     else:
         _print_report_table(report)
     return EXIT_OK if report.passed else EXIT_VERIFY_FAILED

@@ -14,10 +14,7 @@ Lefschetz formula and the cyclotomic bound on abelian varieties).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 __all__ = [
-    "Factorization",
     "factorize",
     "euler_phi",
     "indices_with_phi_at_most",
@@ -27,27 +24,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """Prime factorization ((p1, e1), ..., (pr, er)), primes strictly increasing."""
-
-    factors: tuple[tuple[int, int], ...]
-
-    def value(self) -> int:
-        v = 1
-        for p, e in self.factors:
-            v *= p**e
-        return v
-
-    def num_prime_factors(self) -> int:
-        return len(self.factors)
-
-    def __iter__(self):
-        return iter(self.factors)
-
-
-def factorize(m: int) -> Factorization:
-    """Deterministic trial-division factorization; factorize(1) is empty."""
+def factorize(m: int) -> tuple[tuple[int, int], ...]:
+    """Deterministic trial-division factorization: the pairs (p, e) with
+    primes strictly increasing; factorize(1) is empty."""
     if not isinstance(m, int) or m < 1:
         raise ValueError(f"factorize requires a positive integer, got {m!r}")
     factors = []
@@ -63,7 +42,7 @@ def factorize(m: int) -> Factorization:
         p += 1 if p == 2 else 2
     if rest > 1:
         factors.append((rest, 1))
-    return Factorization(tuple(factors))
+    return tuple(factors)
 
 
 def euler_phi(m: int) -> int:

@@ -35,6 +35,7 @@ from .wpspairs import (
     NotQuasiHomogeneous,
     SparsePoly,
     Wps,
+    _bounded_int,
     dense_exponents,
     weighted_degree,
 )
@@ -387,7 +388,7 @@ def plane_arrangement_snc(curves) -> bool:
         except NotQuasiHomogeneous as err:
             raise NotQuasiHomogeneous(f"entry {i}: {err}") from None
         if d > 3:
-            raise ValueError(f"entry {i} is a curve of degree {d} > 3")
+            raise ValueError(f"entry {i} is a curve of degree {_bounded_int(d)} > 3")
         if d == 0:
             raise ValueError(f"entry {i} is a nonzero constant, which cuts out no curve")
         degrees.append(d)

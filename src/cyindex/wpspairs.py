@@ -55,6 +55,11 @@ __all__ = [
 _INT = frozenset({int})
 
 
+def _bounded_int(x: int) -> str:
+    """x up to 64 bits, else its bit length: short, and within the int-to-str digit limit."""
+    return str(x) if x.bit_length() <= 64 else f"{'-' * (x < 0)}<{x.bit_length()}-bit integer>"
+
+
 class NotQuasiHomogeneous(ValueError):
     """A divisor equation whose monomials disagree in weighted degree."""
 
@@ -406,7 +411,8 @@ def weighted_degree(eq: SparsePoly, space: Wps) -> int:
     if len(degs) != 1:
         # bounded whatever the size of eq: neither eq nor the space is printed
         raise NotQuasiHomogeneous(
-            f"monomial degrees disagree: {len(degs)} distinct degrees from {min(degs)} to {max(degs)}"
+            f"monomial degrees disagree: {len(degs)} distinct degrees "
+            f"from {_bounded_int(min(degs))} to {_bounded_int(max(degs))}"
         )
     return degs.pop()
 

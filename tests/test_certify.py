@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import json
+import sys
 from collections import Counter
 from fractions import Fraction
 from math import lcm, prod
@@ -24,13 +25,13 @@ from cyindex.certify import (
     certificate_from_obj,
     certificate_index,
     certificate_loads,
-    certificate_to_obj,
     check_dim_inequality,
     realize,
     search_plane_pair,
     verify_certificate,
 )
 from cyindex.numtheory import euler_phi, indices_with_phi_at_most, sylvester_bound
+import cyindex
 import cyindex.certify
 import cyindex.cli
 import cyindex.sncklt
@@ -120,8 +121,7 @@ def test_build_prime_power_22_matches_p1_pair():
     assert pair_index(leaf) == 4
 
 
-@pytest.mark.parametrize("k", range(2, 8))
-def test_sylvester_extremal_leaf_is_a_chain_leaf(k):
+def _sylvester_leaf(k):
     # with s = s_k in Sylvester's sequence 2, 3, 7, 43, ...: on
     # P(1, 2s-3, (2s-2)^(k-1)), (2s-4)/(2s-3) on {x1 = 0}, 1 - 1/s_(i-2) on
     # {x_i = 0} for 2 <= i <= k, and 1 - 1/s_(k-1) on
@@ -132,10 +132,14 @@ def test_sylvester_extremal_leaf_is_a_chain_leaf(k):
         seq.append(seq[-1] * (seq[-1] - 1) + 1)
     s = seq[k]
     h_terms = [((0, 1), (1, 1)), ((0, 2 * s - 2),)] + [((i, 1),) for i in range(2, k + 1)]
-    leaf = cyindex.certify._chain_leaf((1, 2 * s - 3) + (2 * s - 2,) * (k - 1),
+    return cyindex.certify._chain_leaf((1, 2 * s - 3) + (2 * s - 2,) * (k - 1),
                                        [(1, 2 * s - 3)] + [(i, seq[i - 2]) for i in range(2, k + 1)],
                                        seq[k - 1], h_terms, "family_B")
-    report = verify_certificate(WpsLeaf(leaf), "strict")
+
+
+@pytest.mark.parametrize("k", range(2, 8))
+def test_sylvester_extremal_leaf_is_a_chain_leaf(k):
+    report = verify_certificate(WpsLeaf(_sylvester_leaf(k)), "strict")
     assert report.passed, report.failing_checks()
     assert (report.dim, report.index) == (k, sylvester_bound(k + 1))
     if k <= 4:
@@ -513,15 +517,20 @@ def _failing_names(report):
     return {name for _, name in report.failing_checks()}
 
 
-A_OBJ = certificate_to_obj(realize(4, 16))  # family_C on P(1,1,1,1): four coordinates plus their sum
-B_OBJ = certificate_to_obj(WpsLeaf(build_index_prime(13)))  # family_A
+def _obj(cert):
+    """The schema v1 object of a certificate, as json.loads reads its text."""
+    return json.loads(certificate_dumps(cert))
+
+
+A_OBJ = _obj(realize(4, 16))  # family_C on P(1,1,1,1): four coordinates plus their sum
+B_OBJ = _obj(WpsLeaf(build_index_prime(13)))  # family_A
 # a nested product of a P^1 point arrangement and the index-5 leaf, in the
 # shape realize emitted before it padded once
-C_OBJ = certificate_to_obj(Product((Product((WpsLeaf(search_plane_pair(1, 3)), WpsLeaf(build_index_prime(5)))),
-                                        EllipticLeaf(1))))
-D_OBJ = certificate_to_obj(WpsLeaf(search_plane_pair(2, 10)))  # plane arrangement
-E_OBJ = certificate_to_obj(WpsLeaf(search_plane_pair(1, 3)))  # P^1 point arrangement
-F_OBJ = certificate_to_obj(WpsLeaf(build_prime_power(3, 2)))  # family_C
+C_OBJ = _obj(Product((Product((WpsLeaf(search_plane_pair(1, 3)), WpsLeaf(build_index_prime(5)))),
+                      EllipticLeaf(1))))
+D_OBJ = _obj(WpsLeaf(search_plane_pair(2, 10)))  # plane arrangement
+E_OBJ = _obj(WpsLeaf(search_plane_pair(1, 3)))  # P^1 point arrangement
+F_OBJ = _obj(WpsLeaf(build_prime_power(3, 2)))  # family_C
 
 
 def _h_entry_index(obj):
@@ -638,12 +647,61 @@ def test_a_constant_monomial_beside_another_is_shaped_but_not_quasi_homogeneous(
 
 def test_quasi_homogeneous_detail_is_bounded_on_a_large_leaf():
     # a weight bump on the dimension-1001 index-prime leaf breaks only H, entry 1000
-    obj = certificate_to_obj(WpsLeaf(build_index_prime(4001)))
+    obj = _obj(WpsLeaf(build_index_prime(4001)))
     obj["weights"][0] += 1
     report = _verify_obj(obj, "strict")
     [detail] = [d for name, ok, d in report.leaf_reports[0].checks if name == "quasi-homogeneous" and not ok]
     assert detail == "entry 1000: monomial degrees disagree: 2 distinct degrees from 4 to 5"
     assert len(detail) <= 100
+
+
+@pytest.mark.parametrize("cert", [
+    WpsLeaf(build_index_prime(4001)),  # 1,002 weights and 1,001 entries
+    WpsLeaf(_sylvester_leaf(14)),  # weights of 11,080 bits, index of 22,159
+    WpsLeaf(_sylvester_leaf(15)),  # past the int-to-str digit limit in every integer it names
+], ids=["index-prime-4001", "sylvester-14", "sylvester-15"])
+def test_verifier_details_are_bounded(cert):
+    report = verify_certificate(cert, "strict")
+    assert report.passed and report.index == certificate_index(cert)
+    details = {name: d for name, _, d in report.leaf_reports[0].checks}
+    assert max(map(len, details.values())) <= 500, {k: len(d) for k, d in details.items()}
+    if cert.leaf.dim == 1001:
+        assert details["weights-valid"] == details["well-formed"] == "P(" + "4," * 16 + "... (1002 in all))"
+        assert details["standard-coefficients"] == "4000/4001 " * 16 + "... (1001 in all)"
+        assert details["quasi-homogeneous"] == "degrees [" + "4, " * 16 + "... (1001 in all)]"
+    else:
+        assert details["index-computed"] == f"<{report.index.bit_length()}-bit integer>"
+
+
+@pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="no limit on int-to-str digits")
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_verify_prints_an_index_past_the_digit_limit_by_its_bit_length(capsys, tmp_path, fmt):
+    # the k = 14 Sylvester leaf passes, and its 22,159-bit index has more
+    # decimal digits than Python converts by default
+    path = tmp_path / "sylvester14.json"
+    path.write_text(certificate_dumps(WpsLeaf(_sylvester_leaf(14))) + "\n")
+    code = cyindex.cli.main(["verify", str(path), "--format", fmt])
+    out = capsys.readouterr().out
+    assert code == 0
+    if fmt == "json":
+        assert json.loads(out)["index"] == "<22159-bit integer>"
+    else:
+        assert "\nindex: <22159-bit integer>\n" in out
+
+
+def test_non_homogeneous_detail_is_bounded_for_huge_weights():
+    # x0 + x1 on P(1, 2^20000): the degrees 1 and 2^20000 disagree, and the
+    # larger has more decimal digits than str() converts by default
+    leaf = LogLeaf(Wps((1, 2**20000)), ((StdCoeff(2), SparsePoly.variable(2, 0)),
+                                        (StdCoeff(2), SparsePoly.linear_form((1, 1)))), "family_A")
+    report = verify_certificate(WpsLeaf(leaf), "strict")
+    [detail] = [d for name, ok, d in report.leaf_reports[0].checks if name == "quasi-homogeneous" and not ok]
+    assert detail == "entry 1: monomial degrees disagree: 2 distinct degrees from 1 to <20001-bit integer>"
+
+
+def test_elliptic_dim_detail_is_bounded():
+    report = verify_certificate(EllipticLeaf(2**20000), "strict")
+    assert report.passed and report.leaf_reports[0].checks == [("elliptic-dim", True, "<20001-bit integer>")]
 
 
 def test_tamper_suite_is_large_enough():
@@ -659,7 +717,7 @@ def test_tamper_originals_all_pass():
 def test_tamper_h_monomial_removed_names_the_pattern_step():
     # without the pure power x_{n-1}^2, H no longer involves x_{n-1} and is
     # tangent to the coordinate hyperplanes along the x_{n-1}-axis
-    obj = certificate_to_obj(WpsLeaf(build_index_prime(15)))
+    obj = _obj(WpsLeaf(build_index_prime(15)))
     h = obj["entries"][_h_entry_index(obj)]["eq"]
     h[:] = [mono for mono in h if mono["e"] != [0, 0, 0, 2, 0]]
     report = _verify_obj(obj)
@@ -973,7 +1031,7 @@ def _loadable(cert):
 def test_writer_matches_the_reference_bytes(cert):
     text = certificate_dumps(cert)
     assert text == _reference_dumps(cert)
-    assert certificate_to_obj(cert) == _reference_to_obj(cert)
+    assert json.loads(text) == _reference_to_obj(cert)
     if _loadable(cert):
         assert certificate_loads(text) == cert
     else:
@@ -998,6 +1056,13 @@ def test_parse_errors_carry_location():
         certificate_loads("{not json")
     with pytest.raises(CertificateParseError, match=r"\$\.v"):
         certificate_loads('{"v": 2, "node": "elliptic_leaf", "dim": 1}')
+    # the version is the exact integer 1, at the top and inside products
+    for v in ("true", "1.0"):
+        with pytest.raises(CertificateParseError, match=r"^\$\.v: unsupported schema version"):
+            certificate_loads('{"v": %s, "node": "elliptic_leaf", "dim": 1}' % v)
+        with pytest.raises(CertificateParseError, match=r"^\$\.factors\[1\]\.v: unsupported schema version"):
+            certificate_loads('{"v": 1, "node": "product", "factors": [%s, {"v": %s, "node": "elliptic_leaf", "dim": 1}]}'
+                              % ('{"v": 1, "node": "elliptic_leaf", "dim": 1}', v))
     with pytest.raises(CertificateParseError, match="node"):
         certificate_loads('{"v": 1, "node": "mystery"}')
     with pytest.raises(CertificateParseError, match="dim"):
@@ -1111,8 +1176,14 @@ def test_int_subclass_coefficients_load_as_their_values():
     assert certificate_from_obj(obj) == certificate_from_obj(B_OBJ)
 
 
+def test_the_removed_wrappers_are_not_exported():
+    assert "certificate_to_obj" not in cyindex.__all__ and "Factorization" not in cyindex.__all__
+    assert not hasattr(cyindex.certify, "certificate_to_obj")
+    assert not hasattr(cyindex.numtheory, "Factorization")
+
+
 def test_schema_shape_matches_contract():
-    obj = certificate_to_obj(realize(4, 16))
+    obj = _obj(realize(4, 16))
     assert obj["v"] == 1 and obj["node"] == "wps_leaf"
     assert obj["weights"] == [1, 1, 1, 1]
     assert obj["strategy"] == "family_C"

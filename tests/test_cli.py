@@ -56,6 +56,27 @@ def test_realize_ok(capsys, tmp_path):
     assert stored == payload["certificate"]
 
 
+def test_realize_json_embeds_the_certificate_text_it_writes(capsys, tmp_path):
+    out_file = tmp_path / "cert.json"
+    code, out, _ = run(capsys, "realize", "--dim", "6", "--index", "42", "--out", str(out_file))
+    assert code == EXIT_OK
+    text = certificate_dumps(realize(6, 42))
+    lines = out.split("\n")
+    assert lines[:2] == ["{", f'  "certificate": {text},']
+    assert out_file.read_text() == text + "\n"
+    # the report block is the report as json.dumps indents it inside the payload
+    report = json.dumps(verify_certificate(realize(6, 42), "trusting").as_obj(), sort_keys=True, indent=2)
+    assert "\n".join(lines[2:]) == '  "report": ' + report.replace("\n", "\n  ") + "\n}\n"
+
+
+def test_realize_json_output_grows_with_the_certificate(capsys):
+    # one line per exponent made this 10.7 MB; the compact certificate is 1.04 MB
+    code, out, _ = run(capsys, "realize", "--dim", "1000", "--index", "1999")
+    assert code == EXIT_OK
+    assert len(out.encode()) <= 1_100_000
+    assert json.loads(out)["report"]["index"] == 1999
+
+
 def test_realize_strict_14(capsys):
     code, out, _ = run(capsys, "realize", "--dim", "3", "--index", "14", "--mode", "strict")
     assert code == EXIT_OK
@@ -185,6 +206,26 @@ def test_verify_integer_over_the_digit_limit_is_a_parse_error(capsys, tmp_path):
     assert err == f"parse error: $: invalid JSON: an integer has more than {digits - 1} digits\n"
 
 
+@pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="no limit on int-to-str digits")
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_verify_prints_a_dimension_past_the_digit_limit_by_its_bit_length(capsys, tmp_path, fmt):
+    # two elliptic factors whose dimensions are each at the digit limit: their
+    # sum, the certificate's dimension, has one digit more
+    dim = 10 ** sys.get_int_max_str_digits() - 1
+    factor = '{"dim":%d,"node":"elliptic_leaf","v":1}' % dim
+    out_file = tmp_path / "wide.json"
+    out_file.write_text('{"factors":[%s,%s],"node":"product","v":1}' % (factor, factor))
+    code, out, _ = run(capsys, "verify", str(out_file), "--format", fmt)
+    assert code == EXIT_OK
+    want = f"<{(2 * dim).bit_length()}-bit integer>"
+    if fmt == "json":
+        report = json.loads(out)
+        assert (report["dim"], report["index"]) == (want, 1)
+        assert report["leaf_reports"][1]["checks"][0]["detail"] == f"<{dim.bit_length()}-bit integer>"
+    else:
+        assert f"\ndim: {want}\nindex: 1\n" in out
+
+
 def test_verify_degree_zero_detail_is_bounded_for_huge_b(capsys, tmp_path):
     # two coprime 4,001-digit b values on the points x0 and x1 of P^1: the log
     # degree -(b1 + b2)/(b1 b2) has an 8,001-digit denominator, which str() refuses
@@ -237,6 +278,15 @@ def test_verify_moderately_deep_file(capsys, tmp_path):
     code, out, _ = run(capsys, "verify", str(out_file))
     assert code == EXIT_OK
     assert "dim: 301" in out
+
+
+@pytest.mark.parametrize("v", ["true", "1.0"])
+def test_verify_schema_version_must_be_the_integer_1(capsys, tmp_path, v):
+    out_file = tmp_path / "cert.json"
+    out_file.write_text('{"v": %s, "node": "elliptic_leaf", "dim": 1}' % v)
+    code, out, err = run(capsys, "verify", str(out_file))
+    assert code == EXIT_PARSE and out == ""
+    assert err == f"parse error: $.v: unsupported schema version {json.loads(v)!r}\n"
 
 
 def test_verify_missing_file(capsys, tmp_path):

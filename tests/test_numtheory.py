@@ -1,4 +1,4 @@
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -22,9 +22,9 @@ def phi_by_counting(m: int) -> int:
 
 
 def test_factorize_examples():
-    assert factorize(1).factors == ()
-    assert factorize(12).factors == ((2, 2), (3, 1))
-    assert factorize(66).factors == ((2, 1), (3, 1), (11, 1))
+    assert factorize(1) == ()
+    assert factorize(12) == ((2, 2), (3, 1))
+    assert factorize(66) == ((2, 1), (3, 1), (11, 1))
 
 
 def test_factorize_rejects_zero():
@@ -36,7 +36,7 @@ def test_factorize_rejects_zero():
 @given(st.integers(1, 100_000))
 def test_factorize_reconstructs_and_is_canonical(m):
     fac = factorize(m)
-    assert fac.value() == m
+    assert prod(p**e for p, e in fac) == m
     primes = [p for p, _ in fac]
     assert primes == sorted(primes) and len(set(primes)) == len(primes)
     assert all(e >= 1 for _, e in fac)

@@ -4,12 +4,13 @@ the base catalogue emit, one line each.
     python3 tools/output_digests.py > digests.txt
 
 Lines are `realize N M CERT REPORT` for each 3 <= n <= 60 and each m with
-phi(m) <= 2n, then `base D M CERT REPORT` for each entry of the dimension-1
-and dimension-2 catalogues. CERT is the sha256 of `certificate_dumps`, and
-REPORT the sha256 of the strict verification report as JSON with sorted
-keys. The package is imported from the `src` directory beside this file, so
-running the tool in two checkouts and diffing the outputs shows exactly
-which outputs a change alters.
+phi(m) <= 2n, then `base 1 M CERT REPORT` for each entry of the
+dimension-1 catalogue. The dimension-2 catalogue is realize(3, m) by
+definition, so the `realize 3 M` lines stand for it. CERT is the sha256 of
+`certificate_dumps`, and REPORT the sha256 of the strict verification
+report as JSON with sorted keys. The package is imported from the `src`
+directory beside this file, so running the tool in two checkouts and
+diffing the outputs shows exactly which outputs a change alters.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from cyindex.certify import (  # noqa: E402
     BASE_DIM1_INDICES,
-    BASE_DIM2_INDICES,
     base_leaf,
     certificate_dumps,
     realize,
@@ -43,9 +43,8 @@ def main() -> int:
     for n in range(3, 61):
         for m in indices_with_phi_at_most(2 * n):
             print(_line(f"realize {n} {m}", realize(n, m)))
-    for dim, indices in ((1, BASE_DIM1_INDICES), (2, BASE_DIM2_INDICES)):
-        for m in indices:
-            print(_line(f"base {dim} {m}", base_leaf(dim, m)))
+    for m in BASE_DIM1_INDICES:
+        print(_line(f"base 1 {m}", base_leaf(1, m)))
     return 0
 
 
