@@ -8,7 +8,6 @@ realized in dimension n - 1 (n >= 3).
 """
 
 from .numtheory import (
-    admissible_free_index,
     euler_phi,
     factorize,
     indices_with_phi_at_most,
@@ -56,7 +55,6 @@ from .certify import (
 )
 
 __all__ = [
-    "admissible_free_index",
     "euler_phi",
     "factorize",
     "indices_with_phi_at_most",

@@ -245,8 +245,9 @@ def check_dim_inequality(m: int, e: int, variant: int) -> bool:
       variant 1:  m + e - 3 <= n - 1   for (m, e) not in {(2,2), (2,3)}
       variant 2:  m + e - 3 <= n - 3   for m >= 3 and (m, e) != (3, 2)
 
-    True on the whole precondition domain; the realizer asserts it before
-    padding. Excluded pairs are rejected with the reason.
+    True on the whole precondition domain: the lemma behind _core's
+    dimension bound, which realize's padding check guards. Excluded pairs
+    are rejected with the reason.
     """
     if not isinstance(m, int) or not isinstance(e, int) or m < 2 or e < 2:
         raise ValueError(f"check_dim_inequality requires m, e >= 2, got ({m!r}, {e!r})")
@@ -315,18 +316,13 @@ def _core(m: int) -> list[WpsLeaf]:
     fac = factorize(m)
     p, e = fac[-1]
     if len(fac) == 1:
-        if e == 1:
-            # m >= 5: dimension (m+3)/4 <= 2 for m <= 7, and at most (m-3)/2 = phi(m)/2 - 1 from 11 on
-            return [WpsLeaf(build_index_prime(m))]
-        # 8 and 9 have dimension 2; (2, 3) is excluded from the inequality
-        if m - m // p > 6 and not check_dim_inequality(p, e, 1):
-            raise RuntimeError(f"dimension inequality failed for ({p}, {e})")
-        return [WpsLeaf(build_prime_power(p, e))]
-    m2 = p**e
-    m1 = m // m2
-    if m1 == 2 and e > 1 and not check_dim_inequality(p, e, 2):
-        raise RuntimeError(f"dimension inequality failed for ({p}, {e})")
-    return _core(m1) + _core(m2)
+        # A prime m >= 5 has dimension (m+3)/4 <= 2 for m <= 7 and at most
+        # (m-3)/2 = phi(m)/2 - 1 from 11 on. A prime power has dimension 2
+        # for 8 and 9; above, check_dim_inequality is the lemma behind its
+        # bound: variant 1 for p^e alone, variant 2 for 2 * p^e with p >= 3,
+        # whose one exception 18 is in _EXPLICIT.
+        return [WpsLeaf(build_index_prime(m) if e == 1 else build_prime_power(p, e))]
+    return _core(m // p**e) + _core(p**e)
 
 
 # ---------------------------------------------------------------------------
@@ -361,29 +357,22 @@ _P2_CONICS = (
 )
 
 
-def _instantiate_plane(dim: int, combo) -> LogLeaf | None:
+# the catalogue curves of each degree, by dimension, and how many
+# _instantiate_plane can place
+_PLANE_CURVES = {1: {1: _P1_POINTS}, 2: {1: _P2_LINES, 2: _P2_CONICS}}
+_PLANE_CAPACITY = {dim: {d: len(c) for d, c in curves.items()} for dim, curves in _PLANE_CURVES.items()}
+
+
+def _instantiate_plane(dim: int, combo) -> LogLeaf:
     """Deterministic equations for a multiset of (b, curve degree): P^1
     points 0, 1, oo, 2 in order, P^2 lines and conics from the fixed
-    general-position catalogue. None if the catalogue is exhausted."""
-    if dim == 1:
-        if len(combo) > len(_P1_POINTS):
-            return None
-        entries = [(StdCoeff(b), _P1_POINTS[i]) for i, (b, _) in enumerate(combo)]
-        return LogLeaf(Wps((1, 1)), tuple(entries), "hyperplane_arrangement")
-    lines = conics = 0
-    entries = []
-    for b, d in combo:
-        if d == 1:
-            if lines >= len(_P2_LINES):
-                return None
-            entries.append((StdCoeff(b), _P2_LINES[lines]))
-            lines += 1
-        else:
-            if conics >= len(_P2_CONICS):
-                return None
-            entries.append((StdCoeff(b), _P2_CONICS[conics]))
-            conics += 1
-    return LogLeaf(Wps((1, 1, 1)), tuple(entries), "plane_arrangement")
+    general-position catalogue. A multiset with more curves of a degree
+    than the catalogue holds raises StopIteration; _plane_multisets yields
+    none."""
+    curves = {d: iter(forms) for d, forms in _PLANE_CURVES[dim].items()}
+    entries = [(StdCoeff(b), next(curves[d])) for b, d in combo]
+    return LogLeaf(Wps((1,) * (dim + 1)), tuple(entries),
+                   "hyperplane_arrangement" if dim == 1 else "plane_arrangement")
 
 
 # On P^1 every term 1 - 1/b lies in [1/2, 1), so sum (1 - 1/b) = 2 needs 3
@@ -402,9 +391,6 @@ _P1_SEARCH_INDICES = frozenset({2, 3, 4, 6})
 # with lcm 4 or 6. D = 6: six halves, lcm 2. So lcm(b) is one of these,
 # whatever the catalogue holds.
 _P2_SEARCH_INDICES = frozenset({2, 4, 6, 8, 10, 12, 18, 20, 24, 30, 42})
-
-# curves of each degree that _instantiate_plane can place, by dimension
-_PLANE_CAPACITY = {1: {1: len(_P1_POINTS)}, 2: {1: len(_P2_LINES), 2: len(_P2_CONICS)}}
 
 
 def _plane_multisets(candidates, weights, target, count, capacity):

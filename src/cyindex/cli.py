@@ -16,8 +16,12 @@ Exit codes, fixed for scriptability:
   1   verification failed
   2   precondition failure (for example phi(m) > 2n)
   3   selftest failure
-  64  usage error (also enumerations whose bounds total more than 10^6)
+  64  usage error (also enumerations whose bounds total more than 10^6,
+      and a realize --out file that cannot be written)
   65  parse error in an input file (reported with a location)
+
+A reader that closes stdout early ends the command by SIGPIPE (status 141
+in a shell), as it ends other Unix filters.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import signal
 import sys
 
 from .certify import (
@@ -170,8 +175,11 @@ def _cmd_realize(args) -> int:
     report = verify_certificate(cert, args.mode)
     text = certificate_dumps(cert)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as err:
+            raise _UsageError(f"cannot write {args.out}: {err.strerror or err}")
     if args.format == "json":
         # {"certificate": ..., "report": ...}: the text written above, and the
         # report as json.dumps(..., indent=2) indents it inside the payload
@@ -332,6 +340,10 @@ def main(argv=None) -> int:
 
 
 def console_main() -> None:
+    # a closed stdout ends the process by SIGPIPE, not by a traceback and
+    # exit 1, which would read as a failed verification
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

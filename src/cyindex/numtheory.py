@@ -5,11 +5,6 @@ trial division, and the index-set enumeration by a search over prime powers
 on top of a sieve of Eratosthenes. Inputs are desk scale (a few thousand at
 most), so there is no probabilistic primality machinery; the point of this
 module is to be auditable by inspection.
-
-The admissible-index predicates encode the numerical constraints satisfied by
-the index of a fixed-point-free finite-order automorphism of a strict
-Calabi-Yau, holomorphic symplectic, or abelian variety (via the holomorphic
-Lefschetz formula and the cyclotomic bound on abelian varieties).
 """
 
 from __future__ import annotations
@@ -18,9 +13,7 @@ __all__ = [
     "factorize",
     "euler_phi",
     "indices_with_phi_at_most",
-    "admissible_free_index",
     "sylvester_bound",
-    "FREE_INDEX_KINDS",
 ]
 
 
@@ -97,40 +90,6 @@ def indices_with_phi_at_most(bound: int) -> list[int]:
                 f *= p
     members.sort()
     return members
-
-
-FREE_INDEX_KINDS = (
-    "strict_cy_even",
-    "strict_cy_odd",
-    "holomorphic_symplectic",
-    "abelian",
-)
-
-
-def admissible_free_index(kind: str, n: int, m: int) -> bool:
-    """Can m be the index of a fixed-point-free automorphism of an n-fold?
-
-    strict_cy_even        1 + zeta_m^(-1) = 0 forces m = 2
-    strict_cy_odd         1 - zeta_m^(-1) = 0 forces m = 1
-    holomorphic_symplectic  n/2 = -1 (mod m), hence m <= n/2 + 1
-    abelian               phi(m) <= 2n (cyclotomic polynomial divides the
-                          minimal polynomial of the action on H^1)
-    """
-    if kind not in FREE_INDEX_KINDS:
-        raise ValueError(f"unknown kind {kind!r}; expected one of {FREE_INDEX_KINDS}")
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"dimension must be a positive integer, got {n!r}")
-    if not isinstance(m, int) or m < 1:
-        raise ValueError(f"index must be a positive integer, got {m!r}")
-    if kind in ("strict_cy_even", "holomorphic_symplectic") and n % 2 != 0:
-        raise ValueError(f"kind {kind!r} requires even dimension, got n={n}")
-    if kind == "strict_cy_even":
-        return m == 2
-    if kind == "strict_cy_odd":
-        return m == 1
-    if kind == "holomorphic_symplectic":
-        return (n // 2) % m == (-1) % m
-    return euler_phi(m) <= 2 * n
 
 
 def sylvester_bound(n: int) -> int:

@@ -266,10 +266,6 @@ class SparsePoly:
         return cls(nvars, mons)
 
     @classmethod
-    def single(cls, nvars: int, exps, coeff=1) -> "SparsePoly":
-        return cls(nvars, ((Fraction(coeff), tuple(exps)),))
-
-    @classmethod
     def variable(cls, nvars: int, j: int, coeff=1) -> "SparsePoly":
         return cls.from_pairs(nvars, ((coeff, ((j, 1),)),))
 

@@ -364,6 +364,16 @@ def test_padding_lemma_at_the_least_dimension_for_phi_up_to_1000():
                    for f in factors if isinstance(f, WpsLeaf)), (n0, m)
 
 
+def test_realize_refuses_a_core_wider_than_the_padding(monkeypatch):
+    # realize's pad check is the one guard of the padding lemma: a core of
+    # two dimension-2 leaves cannot fit in dimension n - 1 = 2
+    leaves = [base_leaf(2, 10), base_leaf(2, 18)]
+    assert [certificate_dim(leaf) for leaf in leaves] == [2, 2]
+    monkeypatch.setattr(cyindex.certify, "_core", lambda m: list(leaves))
+    with pytest.raises(RuntimeError, match="dimension 4 > 2"):
+        realize(3, 10)
+
+
 def test_realize_far_beyond_the_recursion_limit():
     cert = realize(2000, 1)
     back = certificate_loads(certificate_dumps(cert))
@@ -804,7 +814,7 @@ def test_search_rejects_bad_dim():
 def reference_search(dim, index, max_components=4):
     """The search as first written, kept as the reference: every multiset
     from combinations_with_replacement, the degree sum in Fractions, and
-    over-capacity multisets dropped only when instantiation fails."""
+    over-capacity multisets dropped by counting their curves of each degree."""
     from itertools import combinations_with_replacement
 
     target = Fraction(2) if dim == 1 else Fraction(3)
@@ -814,11 +824,9 @@ def reference_search(dim, index, max_components=4):
         for combo in combinations_with_replacement(candidates, count):
             if sum(Fraction(b - 1, b) * d for b, d in combo) != target:
                 continue
-            if lcm(*[b for b, _ in combo]) != index:
+            if lcm(*[b for b, _ in combo]) != index or not _fits_catalogue(dim, combo):
                 continue
             leaf = cyindex.certify._instantiate_plane(dim, combo)
-            if leaf is None:
-                continue
             if cyindex.sncklt.plane_arrangement_snc(leaf.equations()):
                 return leaf
     return None
@@ -909,6 +917,14 @@ def test_search_component_count_stops_at_catalogue_capacity(monkeypatch):
         assert _dumps_or_none(search_plane_pair(dim, m, 10**9)) == want, (dim, m)
         assert seen == calls, (dim, m)
     assert calls == list(range(1, 8))  # the miss at 60 tries every count up to 7
+
+
+def test_instantiate_plane_raises_past_the_catalogue():
+    # five P^1 points when the catalogue holds four: no truncated leaf
+    with pytest.raises(StopIteration):
+        cyindex.certify._instantiate_plane(1, [(2, 1)] * 5)
+    with pytest.raises(StopIteration):
+        cyindex.certify._instantiate_plane(2, [(2, 2)] * 2)
 
 
 def _unit_fraction_multisets(count, total, smallest=2):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
 
@@ -142,6 +143,30 @@ def test_realize_dim_too_small(capsys):
 def test_realize_usage_error(capsys):
     code, _, err = run(capsys, "realize", "--dim", "four", "--index", "16")
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("target,reason", [("missing/cert.json", "No such file or directory"),
+                                           ("", "Is a directory")], ids=["missing-dir", "directory"])
+def test_realize_out_to_an_unwritable_path_is_a_usage_error(capsys, tmp_path, target, reason):
+    path = tmp_path / target
+    code, out, err = run(capsys, "realize", "--dim", "4", "--index", "16", "--out", str(path))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"usage error: cannot write {path}: {reason}\n"
+
+
+@pytest.mark.parametrize("argv", [("enumerate", "--phi-bound", "100000"),
+                                  ("realize", "--dim", "1000", "--index", "1999")])
+def test_a_closed_stdout_is_not_a_failed_verification(argv):
+    proc = subprocess.Popen([sys.executable, "-m", "cyindex.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    # ended by SIGPIPE like other Unix filters, not by a traceback and exit 1
+    assert proc.wait(timeout=120) == -signal.SIGPIPE
+    assert "Traceback" not in err
 
 
 # -- verify ------------------------------------------------------------------

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyindex.numtheory import (
-    admissible_free_index,
     euler_phi,
     factorize,
     indices_with_phi_at_most,
@@ -135,45 +134,6 @@ def test_enumeration_monotone_in_bound():
 def test_enumeration_rejects_zero():
     with pytest.raises(ValueError):
         indices_with_phi_at_most(0)
-
-
-# -- admissible indices ------------------------------------------------------
-
-
-def test_strict_cy_predicates():
-    assert admissible_free_index("strict_cy_odd", 3, 1) is True
-    assert admissible_free_index("strict_cy_odd", 3, 2) is False
-    assert admissible_free_index("strict_cy_even", 4, 2) is True
-    assert admissible_free_index("strict_cy_even", 4, 1) is False
-    assert admissible_free_index("strict_cy_even", 4, 3) is False
-
-
-def test_holomorphic_symplectic_predicate():
-    # n/2 = -1 (mod m)
-    assert admissible_free_index("holomorphic_symplectic", 4, 3) is True
-    assert admissible_free_index("holomorphic_symplectic", 4, 1) is True
-    assert admissible_free_index("holomorphic_symplectic", 4, 2) is False
-    assert admissible_free_index("holomorphic_symplectic", 8, 5) is True
-    with pytest.raises(ValueError):
-        admissible_free_index("holomorphic_symplectic", 5, 2)
-
-
-def test_holomorphic_symplectic_implies_small_index():
-    for n in range(2, 41, 2):
-        for m in range(1, 4 * n):
-            if admissible_free_index("holomorphic_symplectic", n, m):
-                assert m <= n // 2 + 1
-
-
-def test_abelian_predicate():
-    assert admissible_free_index("abelian", 1, 5) is False  # phi(5) = 4 > 2
-    assert admissible_free_index("abelian", 2, 5) is True
-    assert admissible_free_index("abelian", 1, 6) is True
-
-
-def test_unknown_kind_rejected():
-    with pytest.raises(ValueError):
-        admissible_free_index("nonsense", 2, 2)
 
 
 # -- sylvester bound ---------------------------------------------------------

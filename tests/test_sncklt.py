@@ -735,7 +735,7 @@ def _plane_curve(rng, homogeneous=True):
     if not homogeneous and rng.random() < 0.1:
         terms.append((1, rng.choice(_FORMS[(d + 1) % 4])))
     curve = SparsePoly.from_terms(3, [t for t in terms if t[0]])
-    return curve if not curve.is_zero() else SparsePoly.single(3, _FORMS[d][-1], rng.choice(_CURVE_COEFFS[4:]))
+    return curve if not curve.is_zero() else SparsePoly(3, [(rng.choice(_CURVE_COEFFS[4:]), _FORMS[d][-1])])
 
 
 def _plane_arrangement(rng):
