@@ -42,6 +42,7 @@ from .wpspairs import (
     SparsePoly,
     StdCoeff,
     Wps,
+    _ONE,
     _bounded_int,
     _sorted,
     canonical_degree,
@@ -139,7 +140,7 @@ def _chain_leaf(weights, coords, h_b: int, h_terms, strategy: str) -> LogLeaf:
     coordinate hyperplanes plus one H, which the chain criterion checks."""
     nv = len(weights)
     entries = [(StdCoeff(b), SparsePoly.variable(nv, j)) for j, b in coords]
-    entries.append((StdCoeff(h_b), SparsePoly.from_pairs(nv, [(Fraction(1), pairs) for pairs in h_terms])))
+    entries.append((StdCoeff(h_b), SparsePoly.from_pairs(nv, [(_ONE, pairs) for pairs in h_terms])))
     return LogLeaf(Wps(tuple(weights)), tuple(entries), strategy)
 
 
@@ -561,18 +562,19 @@ def _verify_wps_leaf(leaf: LogLeaf, rep: NodeReport) -> tuple[int | None, int | 
     is linear in the leaf's size: its weights plus the (variable, exponent)
     pairs of its equations."""
     space = leaf.space
-    _check(rep, "weights-valid", len(space.weights) >= 2 and all(a >= 1 for a in space.weights),
-           _space_text(space))
+    w = space.weights
+    space_text = _space_text(space)
+    _check(rep, "weights-valid", len(w) >= 2 and min(w) >= 1, space_text)
 
-    nv = len(space.weights)
+    nv = len(w)
     shape_ok = bool(leaf.entries)
     shape_detail = ""
     for coeff, eq in leaf.entries:
-        if eq.is_zero():
+        if not eq.terms:
             shape_ok, shape_detail = False, "zero divisor equation"
             break
         if eq.nvars != nv:
-            shape_ok, shape_detail = False, f"equation in {eq.nvars} variables on {_space_text(space)}"
+            shape_ok, shape_detail = False, f"equation in {_bounded_int(eq.nvars)} variables on {space_text}"
             break
         if not eq.terms[0][1]:  # the constant monomial sorts last, so it comes first only alone
             shape_ok, shape_detail = False, "constant equation cuts out no divisor"
@@ -602,7 +604,7 @@ def _verify_wps_leaf(leaf: LogLeaf, rep: NodeReport) -> tuple[int | None, int | 
     _check(rep, "entries-distinct", _distinct_up_to_scaling([eq for _, eq in leaf.entries]))
 
     wf = is_well_formed(space)
-    _check(rep, "well-formed", wf, _space_text(space))
+    _check(rep, "well-formed", wf, space_text)
 
     deg_ok = False
     deg_detail = ""
@@ -633,7 +635,7 @@ def _verify_wps_leaf(leaf: LogLeaf, rep: NodeReport) -> tuple[int | None, int | 
         klt_detail = str(err)
     _check(rep, "klt", klt_ok, klt_detail)
 
-    return (space.dim if len(space.weights) >= 2 else None,
+    return (space.dim if len(w) >= 2 else None,
             index if rep.passed else None)
 
 
@@ -814,13 +816,19 @@ def logleaf_from_obj(obj: dict, loc: str = "$") -> LogLeaf:
         raise CertificateParseError("entries must be a list", f"{loc}.entries")
     nv = len(weights)
     variables = tuple(range(nv))
+    stds: dict[int, StdCoeff] = {}  # one StdCoeff per distinct b
     entries = []
     for i, ent in enumerate(entries_obj):
         # one exact-type test accepts a sound entry or monomial; only one that
         # fails it is walked, with its location, for its first fault
-        if not (type(ent) is dict and type(b := ent.get("b")) is int and b >= 2
+        if (type(ent) is dict and type(b := ent.get("b")) is int and b >= 2
                 and type(eq_obj := ent.get("eq")) is list and eq_obj):
+            coeff = stds.get(b)
+            if coeff is None:
+                coeff = stds[b] = StdCoeff(b)
+        else:
             b, eq_obj = _entry_fields(ent, f"{loc}.entries[{i}]")
+            coeff = StdCoeff(b)
         terms = []
         bad = None  # the first monomial whose exponents break a rule
         for j, mono in enumerate(eq_obj):
@@ -832,7 +840,7 @@ def logleaf_from_obj(obj: dict, loc: str = "$") -> LogLeaf:
             pairs = exponent_pairs(e, variables) if len(e) == nv else None
             if pairs is None and bad is None:
                 bad = j
-            terms.append((Fraction(num, den), pairs))
+            terms.append((_ONE if num == 1 == den else Fraction(num, den), pairs))
         if bad is not None:
             eloc = f"{loc}.entries[{i}]"
             e, mloc = eq_obj[bad]["e"], f"{eloc}.eq[{bad}].e"
@@ -841,16 +849,16 @@ def logleaf_from_obj(obj: dict, loc: str = "$") -> LogLeaf:
             if len(e) != nv:
                 raise CertificateParseError(f"exponent vector of length {len(e)}, expected {nv}", mloc)
             raise CertificateParseError(f"exponents must be nonnegative integers, got {tuple(e)}", f"{eloc}.eq")
-        seen = set()
-        for _, pairs in terms:
-            if pairs in seen:
-                raise CertificateParseError(f"repeated exponent vector {tuple(dense_exponents(nv, pairs))}",
-                                            f"{loc}.entries[{i}].eq")
-            seen.add(pairs)
+        if len({pairs for _, pairs in terms}) != len(terms):
+            seen = set()  # walk for the first repeat only when there is one
+            for _, pairs in terms:
+                if pairs in seen:
+                    raise CertificateParseError(f"repeated exponent vector {tuple(dense_exponents(nv, pairs))}",
+                                                f"{loc}.entries[{i}].eq")
+                seen.add(pairs)
         # exponent_pairs makes only valid pairs, and no coefficient is zero:
         # from_pairs would have nothing left to check
-        eq = SparsePoly._canonical(nv, _sorted(terms))
-        entries.append((StdCoeff(b), eq))
+        entries.append((coeff, SparsePoly._canonical(nv, _sorted(terms))))
     try:
         return LogLeaf(Wps(tuple(weights)), tuple(entries), strategy)
     except ValueError as err:

@@ -451,8 +451,14 @@ def _frame(leaf: LogLeaf) -> tuple[list[int], SparsePoly | None, str]:
     {x_j = 0} plus exactly one other entry H, all in one number of
     variables; (coords, None, why) otherwise. coords is sorted."""
     eqs = leaf.equations()
-    coords = sorted(j for j in map(_coordinate_var, eqs) if j is not None)
-    others = [eq for eq in eqs if _coordinate_var(eq) is None]
+    coords, others = [], []
+    for eq in eqs:
+        j = _coordinate_var(eq)
+        if j is None:
+            others.append(eq)
+        else:
+            coords.append(j)
+    coords.sort()
     if len(others) != 1:
         return coords, None, f"expected exactly one non-coordinate entry, found {len(others)}"
     h = others[0]
@@ -556,7 +562,8 @@ def coordinate_chains(leaf: LogLeaf) -> tuple[bool, str]:
             return False, f"the chain ending in x{tail} has length {length} but tail exponent 1"
         chain = chain or (tail, length)
     if len(seen) < h.nvars:
-        j = min(set(range(h.nvars)).difference(seen))
+        # seen holds variables below nvars, so the least one missing is at most len(seen)
+        j = min(set(range(len(seen) + 1)).difference(seen))
         if j not in links:
             return False, f"H has no term in x{j}"
         return False, f"x{j} is on no chain ending in a pure power"

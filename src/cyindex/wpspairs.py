@@ -53,6 +53,7 @@ __all__ = [
 
 
 _INT = frozenset({int})
+_ONE = Fraction(1)  # shared: Fraction is immutable, and most coefficients are 1
 
 
 def _bounded_int(x: int) -> str:
@@ -266,8 +267,18 @@ class SparsePoly:
         return cls(nvars, mons)
 
     @classmethod
-    def variable(cls, nvars: int, j: int, coeff=1) -> "SparsePoly":
-        return cls.from_pairs(nvars, ((coeff, ((j, 1),)),))
+    def variable(cls, nvars: int, j: int, coeff=_ONE) -> "SparsePoly":
+        """coeff * x_j: from_pairs of the one pair (j, 1), with its checks,
+        messages and order, made without the loop over terms."""
+        _check_nvars(nvars)
+        if type(coeff) is not Fraction:
+            coeff = Fraction(coeff)
+        if type(j) is not int or not -1 < j < nvars:
+            raise ValueError(f"bad exponent pair {(j, 1)!r}: pairs need increasing int "
+                             f"variables below {nvars} and int exponents >= 1")
+        if coeff == 0:
+            raise ValueError("zero coefficient monomial not allowed")
+        return cls._canonical(nvars, ((coeff, ((j, 1),)),))
 
     @classmethod
     def linear_form(cls, coeffs) -> "SparsePoly":
@@ -403,7 +414,13 @@ def weighted_degree(eq: SparsePoly, space: Wps) -> int:
             f"{len(space.weights)} weights"
         )
     w = space.weights
-    degs = {sum([w[v] * x for v, x in pairs]) for _, pairs in eq.terms}
+    degs = set()
+    for _, pairs in eq.terms:
+        if len(pairs) == 1:  # most monomials: read off the one pair, with no list to sum
+            (v, x), = pairs
+            degs.add(w[v] * x)
+        else:
+            degs.add(sum([w[v] * x for v, x in pairs]))
     if len(degs) != 1:
         # bounded whatever the size of eq: neither eq nor the space is printed
         raise NotQuasiHomogeneous(

@@ -44,6 +44,7 @@ from cyindex.wpspairs import (
     StdCoeff,
     Wps,
     dense_exponents,
+    exponent_pairs,
     log_degree,
     pair_index,
     weighted_degree,
@@ -709,6 +710,16 @@ def test_non_homogeneous_detail_is_bounded_for_huge_weights():
     assert detail == "entry 1: monomial degrees disagree: 2 distinct degrees from 1 to <20001-bit integer>"
 
 
+def test_entry_shape_detail_bounds_the_variable_count():
+    # x0 on P(1, 1), but in 10^5000 variables: more decimal digits than str()
+    # converts by default
+    leaf = LogLeaf(Wps((1, 1)), ((StdCoeff(2), SparsePoly.variable(10**5000, 0)),), "family_A")
+    report = verify_certificate(WpsLeaf(leaf), "strict")
+    assert not report.passed
+    [detail] = [d for name, ok, d in report.leaf_reports[0].checks if name == "entry-shape" and not ok]
+    assert detail == "equation in <16610-bit integer> variables on P(1,1)"
+
+
 def test_elliptic_dim_detail_is_bounded():
     report = verify_certificate(EllipticLeaf(2**20000), "strict")
     assert report.passed and report.leaf_reports[0].checks == [("elliptic-dim", True, "<20001-bit integer>")]
@@ -1190,6 +1201,135 @@ def test_int_subclass_coefficients_load_as_their_values():
 
     obj = _with_h_edits((2, "c", [Int(1), Int(1)]))
     assert certificate_from_obj(obj) == certificate_from_obj(B_OBJ)
+
+
+def _reference_logleaf_from_obj(obj: dict, loc: str = "$") -> LogLeaf:
+    """The v1 leaf reader as it was before its per-entry costs were cut: a
+    new Fraction per monomial, exponent_pairs per vector, a seen set per
+    entry and a StdCoeff per entry. The reference of the reader's results
+    and errors."""
+    certify = cyindex.certify
+    weights = certify._need(obj, "weights", loc)
+    if not isinstance(weights, list) or len(weights) < 2:
+        raise CertificateParseError("weights must be a list of at least 2 integers", f"{loc}.weights")
+    if not {int}.issuperset(map(type, weights)):
+        weights = [certify._need_int(w, f"{loc}.weights[{i}]") for i, w in enumerate(weights)]
+    if min(weights) < 1:
+        raise CertificateParseError("weights must be positive", f"{loc}.weights")
+    strategy = certify._need(obj, "strategy", loc)
+    if strategy not in KLT_STRATEGIES:
+        raise CertificateParseError(f"unknown strategy {strategy!r}", f"{loc}.strategy")
+    entries_obj = certify._need(obj, "entries", loc)
+    if not isinstance(entries_obj, list):
+        raise CertificateParseError("entries must be a list", f"{loc}.entries")
+    nv = len(weights)
+    variables = tuple(range(nv))
+    entries = []
+    for i, ent in enumerate(entries_obj):
+        if not (type(ent) is dict and type(b := ent.get("b")) is int and b >= 2
+                and type(eq_obj := ent.get("eq")) is list and eq_obj):
+            b, eq_obj = certify._entry_fields(ent, f"{loc}.entries[{i}]")
+        terms = []
+        bad = None
+        for j, mono in enumerate(eq_obj):
+            if not (type(mono) is dict and type(c := mono.get("c")) is list and len(c) == 2
+                    and type(num := c[0]) is int and type(den := c[1]) is int and num and den
+                    and type(e := mono.get("e")) is list):
+                num, den, e = certify._monomial_fields(mono, f"{loc}.entries[{i}].eq[{j}]")
+            pairs = exponent_pairs(e, variables) if len(e) == nv else None
+            if pairs is None and bad is None:
+                bad = j
+            terms.append((Fraction(num, den), pairs))
+        if bad is not None:
+            eloc = f"{loc}.entries[{i}]"
+            e, mloc = eq_obj[bad]["e"], f"{eloc}.eq[{bad}].e"
+            for k, x in enumerate(e):
+                certify._need_int(x, f"{mloc}[{k}]", minimum=0)
+            if len(e) != nv:
+                raise CertificateParseError(f"exponent vector of length {len(e)}, expected {nv}", mloc)
+            raise CertificateParseError(f"exponents must be nonnegative integers, got {tuple(e)}", f"{eloc}.eq")
+        seen = set()
+        for _, pairs in terms:
+            if pairs in seen:
+                raise CertificateParseError(f"repeated exponent vector {tuple(dense_exponents(nv, pairs))}",
+                                            f"{loc}.entries[{i}].eq")
+            seen.add(pairs)
+        eq = SparsePoly._canonical(nv, cyindex.wpspairs._sorted(terms))
+        entries.append((StdCoeff(b), eq))
+    try:
+        return LogLeaf(Wps(tuple(weights)), tuple(entries), strategy)
+    except ValueError as err:
+        raise CertificateParseError(str(err), loc) from err
+
+
+class _Int(int):
+    """An int subclass: only an object handed to the reader, never JSON text, holds one."""
+
+
+@st.composite
+def _mutated_leaf_objs(draw):
+    """The v1 object of a generated leaf, most of them loadable (one weight
+    per variable), with at most one field changed: an
+    exponent made a bool, a float, negative or an int subclass, a vector
+    made shorter or longer, a monomial repeated, a coefficient made [1, 1],
+    [2, 2], [-3, 6] or int subclasses, b or a weight made an int subclass,
+    or b made true."""
+    nvars = draw(st.integers(2, 12))
+    entries = [(StdCoeff(draw(st.integers(2, 30))), draw(_equations(nvars))) for _ in range(draw(st.integers(0, 4)))]
+    leaf = LogLeaf(Wps(tuple(draw(st.lists(st.integers(1, 9), min_size=nvars, max_size=nvars)))), tuple(entries),
+                   draw(st.sampled_from(KLT_STRATEGIES)))
+    obj = json.loads(certificate_dumps(WpsLeaf(leaf) if draw(st.integers(0, 3)) else draw(_wps_leaves())))
+    kind = draw(st.sampled_from(["none", "exp-true", "exp-false", "exp-float", "exp-negative", "exp-int",
+                                 "exp-short", "exp-long", "repeat", "c-1-1", "c-2-2", "c-minus-3-6",
+                                 "c-int", "b-int", "b-true", "weight-int"]))
+    if kind == "weight-int":
+        k = draw(st.integers(0, len(obj["weights"]) - 1))
+        obj["weights"][k] = _Int(obj["weights"][k])
+    if kind in ("none", "weight-int") or not obj["entries"]:
+        return obj
+    ent = draw(st.sampled_from(obj["entries"]))
+    if kind in ("b-int", "b-true"):
+        ent["b"] = _Int(ent["b"]) if kind == "b-int" else True
+        return obj
+    mono = draw(st.sampled_from(ent["eq"]))
+    e = mono["e"]
+    k = draw(st.integers(0, len(e) - 1))
+    if kind == "repeat":
+        c = draw(st.sampled_from([mono["c"], [1, 1], [-5, 2]]))
+        ent["eq"].insert(draw(st.integers(0, len(ent["eq"]))), {"c": list(c), "e": list(e)})
+    elif kind == "exp-short":
+        del e[k]
+    elif kind == "exp-long":
+        e.insert(k, draw(st.integers(0, 2)))
+    elif kind.startswith("exp-"):
+        e[k] = {"exp-true": True, "exp-false": False, "exp-float": float(e[k]),
+                "exp-negative": -draw(st.integers(1, 3)), "exp-int": _Int(e[k])}[kind]
+    else:
+        mono["c"] = {"c-1-1": [1, 1], "c-2-2": [2, 2], "c-minus-3-6": [-3, 6],
+                     "c-int": [_Int(x) for x in mono["c"]]}[kind]
+    return obj
+
+
+def _read(reader, obj):
+    """The leaf reader returns, or the location and message of its parse error."""
+    try:
+        return reader(copy.deepcopy(obj))
+    except CertificateParseError as err:
+        return err.location, str(err)
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(_mutated_leaf_objs())
+def test_the_leaf_reader_matches_the_reference_reader(obj):
+    assert _read(cyindex.certify.logleaf_from_obj, obj) == _read(_reference_logleaf_from_obj, obj)
+
+
+def test_the_leaf_reader_matches_the_reference_on_realized_and_tampered_leaves():
+    objs = [_obj(WpsLeaf(leaf)) for leaf in (build_index_prime(401), build_prime_power(7, 3), base_leaf(2, 14).leaf,
+                                              search_plane_pair(2, 10))]
+    objs += [obj for obj in (case.values[0]() for case in TAMPER_CASES) if obj.get("node") == "wps_leaf"]
+    for obj in objs:
+        assert _read(cyindex.certify.logleaf_from_obj, obj) == _read(_reference_logleaf_from_obj, obj)
 
 
 def test_the_removed_wrappers_are_not_exported():

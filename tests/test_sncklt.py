@@ -1371,6 +1371,18 @@ def test_coordinate_chains_failure_details(h, coords, strategy, detail):
     assert coordinate_chains(_chain_leaf(h, coords, strategy)) == (False, detail)
 
 
+def test_coordinate_chains_finds_the_first_missing_variable_without_scanning_nvars():
+    # H = x0^2 + x1^2 in 10^100 variables: the least variable off every chain
+    # is found among the len(seen) + 1 smallest, never in range(nvars)
+    nvars = 10**100
+    h = SparsePoly.from_pairs(nvars, [(1, ((0, 2),)), (1, ((1, 2),))])
+    leaf = LogLeaf(Wps((1, 1)), ((StdCoeff(2), SparsePoly.variable(nvars, 1)), (StdCoeff(2), h)), "family_C")
+    assert coordinate_chains(leaf) == (False, "H has no term in x2")
+    # the same detail as on a space small enough to scan
+    small = poly(4, (1, (2, 0, 0, 0)), (1, (0, 2, 0, 0)), (1, (0, 0, 0, 2)))
+    assert coordinate_chains(_chain_leaf(small, (1,))) == (False, "H has no term in x2")
+
+
 def test_a_strategy_swap_fails_the_chain_step():
     # family_A and family_B leaves are SNC under either tag; the tag must name the shape
     for m in range(41, 62, 2):

@@ -350,6 +350,35 @@ def test_from_pairs_checks_coefficients_and_repeats_like_the_dense_constructor()
         SparsePoly.from_pairs(True, ())
 
 
+class _Int(int):
+    pass
+
+
+_ODD_VALUES = st.one_of(st.integers(-2, 5), st.booleans(), st.none(), st.floats(allow_nan=False),
+                        st.sampled_from([_Int(1), "1", 10**30, Fraction(1, 2), Fraction(0)]))
+
+
+@pytest.mark.parametrize("nvars,j,coeff", [
+    (3, 0, 1), (3, 2, Fraction(-2, 3)), (1, 0, 5), (3, 1, 1.5), (10**30, 10**29, -1),
+    (3, True, 1), (3, False, 1), (3, -1, 1), (3, 3, 1), (3, 10**30, 1), (3, 1.0, 1), (3, "1", 1),
+    (3, _Int(1), 1), (3, None, 1),
+    (0, 0, 1), (True, 0, 1), (False, 0, 1), (-1, 0, 1), (2.0, 0, 1), (_Int(2), 0, 1),
+    (3, 0, 0), (3, 0, Fraction(0)), (3, 0, 0.0), (3, 0, "x"), (3, 0, None),
+    (0, True, 0), (3, 5, 0), (3, 5, "x"),
+])
+def test_variable_matches_from_pairs(nvars, j, coeff):
+    got = _outcome(SparsePoly.variable, nvars, j, coeff)
+    assert got == _outcome(SparsePoly.from_pairs, nvars, ((coeff, ((j, 1),)),))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_ODD_VALUES, _ODD_VALUES, _ODD_VALUES)
+def test_variable_matches_from_pairs_on_any_values(nvars, j, coeff):
+    got = _outcome(SparsePoly.variable, nvars, j, coeff)
+    assert got == _outcome(SparsePoly.from_pairs, nvars, ((coeff, ((j, 1),)),))
+    assert _outcome(SparsePoly.variable, nvars, j) == _outcome(SparsePoly.from_pairs, nvars, ((1, ((j, 1),)),))
+
+
 def test_builders_make_the_polynomials_the_dense_constructor_makes():
     leaves = [build_index_prime(m) for m in (5, 7, 13, 15, 401, 403)]
     leaves += [build_prime_power(m, e) for m, e in ((2, 2), (2, 12), (3, 2), (5, 4), (12, 12))]
