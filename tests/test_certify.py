@@ -1204,10 +1204,9 @@ def test_int_subclass_coefficients_load_as_their_values():
 
 
 def _reference_logleaf_from_obj(obj: dict, loc: str = "$") -> LogLeaf:
-    """The v1 leaf reader as it was before its per-entry costs were cut: a
-    new Fraction per monomial, exponent_pairs per vector, a seen set per
-    entry and a StdCoeff per entry. The reference of the reader's results
-    and errors."""
+    """The v1 leaf reader written plainly, with a new Fraction per monomial
+    and a seen set and a StdCoeff per entry: the reference of the reader's
+    results, error locations and messages."""
     certify = cyindex.certify
     weights = certify._need(obj, "weights", loc)
     if not isinstance(weights, list) or len(weights) < 2:
