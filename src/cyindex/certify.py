@@ -43,9 +43,12 @@ from .wpspairs import (
     StdCoeff,
     Wps,
     _ONE,
+    _bounded_fraction,
     _bounded_int,
+    _distinct_up_to_scaling,
+    _listed,
+    _scaled_log_degree,
     _sorted,
-    canonical_degree,
     dense_exponents,
     exponent_pairs,
     is_well_formed,
@@ -534,36 +537,13 @@ def _check(rep: NodeReport, name: str, ok: bool, detail: str = "") -> bool:
     return bool(ok)
 
 
-def _distinct_up_to_scaling(equations: list[SparsePoly]) -> bool:
-    """True iff no two equations are proportional. Proportional equations
-    have the same monomials, so they are keyed first on their variable
-    count and pairs, int tuples that hash in C; only equations sharing that
-    key compare projective keys, whose Fractions hash in Python."""
-    by_support: dict[tuple, list[SparsePoly]] = {}
-    for eq in equations:
-        by_support.setdefault((eq.nvars, tuple([pairs for _, pairs in eq.terms])), []).append(eq)
-    return all(len(same) == 1 or len({eq.projective_key() for eq in same}) == len(same)
-               for same in by_support.values())
-
-
-def _listed(items, fmt, sep: str, most: int = 16) -> str:
-    """fmt of the first `most` items joined by sep, then their count when
-    there are more: a verifier detail bounded for any leaf, as fmt is."""
-    text = sep.join([fmt(x) for x in items[:most]])
-    return text if len(items) <= most else f"{text}{sep}... ({len(items)} in all)"
-
-
-def _space_text(space: Wps) -> str:
-    return f"P({_listed(space.weights, _bounded_int, ',')})"
-
-
 def _verify_wps_leaf(leaf: LogLeaf, rep: NodeReport) -> tuple[int | None, int | None]:
     """The checks of one explicit leaf, each fact computed once, so the cost
     is linear in the leaf's size: its weights plus the (variable, exponent)
     pairs of its equations."""
     space = leaf.space
     w = space.weights
-    space_text = _space_text(space)
+    space_text = str(space)
     _check(rep, "weights-valid", len(w) >= 2 and min(w) >= 1, space_text)
 
     nv = len(w)
@@ -586,7 +566,7 @@ def _verify_wps_leaf(leaf: LogLeaf, rep: NodeReport) -> tuple[int | None, int | 
     # StdCoeff fixes the value at (b - 1)/b; only b itself can be wrong
     std_ok = all(isinstance(coeff.b, int) and coeff.b >= 2 for coeff, _ in leaf.entries)
     _check(rep, "standard-coefficients", std_ok,
-           _listed(leaf.entries, lambda ent: f"{_bounded_int(ent[0].b - 1)}/{_bounded_int(ent[0].b)}", " "))
+           _listed([coeff for coeff, _ in leaf.entries], str, " "))
 
     qh_ok, qh_detail = shape_ok, "not evaluated (entry shape invalid)"
     degs: list[int] = []
@@ -608,21 +588,15 @@ def _verify_wps_leaf(leaf: LogLeaf, rep: NodeReport) -> tuple[int | None, int | 
 
     deg_ok = False
     deg_detail = ""
-    lcm_b = lcm(*[coeff.b for coeff, _ in leaf.entries])
     if shape_ok and qh_ok:
-        # log_degree from the degrees above, in integers: with L = lcm(b),
-        # L deg(K + B) = L deg K + sum deg_i (L - L/b_i)
-        num = lcm_b * canonical_degree(space) + sum(
-            deg * (lcm_b - lcm_b // coeff.b) for (coeff, _), deg in zip(leaf.entries, degs))
+        # log_degree from the degrees above; scale is lcm(b), set whenever deg_ok is
+        num, scale = _scaled_log_degree(space, leaf.entries, degs)
         deg_ok = num == 0
-        deg = Fraction(num, lcm_b)
-        deg_detail = f"log degree {_bounded_int(deg.numerator)}"
-        if deg.denominator != 1:
-            deg_detail += f"/{_bounded_int(deg.denominator)}"
+        deg_detail = f"log degree {_bounded_fraction(Fraction(num, scale))}"
     _check(rep, "degree-zero", deg_ok, deg_detail)
 
     # pair_index: on a well-formed space of degree zero, the lcm of the b values
-    index = lcm_b if wf and deg_ok else None
+    index = scale if wf and deg_ok else None
     _check(rep, "index-computed", index is not None,
            _bounded_int(index) if index is not None else "preconditions failed")
 

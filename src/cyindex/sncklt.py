@@ -36,6 +36,7 @@ from .wpspairs import (
     SparsePoly,
     Wps,
     _bounded_int,
+    _distinct_up_to_scaling,
     dense_exponents,
     weighted_degree,
 )
@@ -370,14 +371,8 @@ def plane_arrangement_snc(curves) -> bool:
         return False
 
     if nv == 2:
-        # points on P^1: all entries must be (distinct) linear forms
-        for c in curves:
-            if c.linear_coefficients() is None:
-                return False
-        for a, b in combinations(curves, 2):
-            if a.proportional_to(b):
-                return False
-        return True
+        # points on P^1: all entries must be distinct linear forms
+        return all(c.linear_coefficients() is not None for c in curves) and _distinct_up_to_scaling(curves)
     if nv != 3:
         raise ValueError("plane arrangements live in 3 variables (or 2 for P^1)")
 

@@ -11,8 +11,9 @@ codec (`exponent_pairs` on load; `cyindex.certify` writes the text from the
 pairs) and the 3-variable plane check.
 
 All degree bookkeeping is exact: coefficients are `fractions.Fraction`,
-weighted degrees are integers, and the degree of K_X + B is a Fraction with
-no rounding anywhere.
+weighted degrees are integers, and the degree of K_X + B is computed in
+integers over lcm(b), by the one formula the verifier in `cyindex.certify`
+uses (`_scaled_log_degree`), with no rounding anywhere.
 
 The index of a degree-zero pair with standard coefficients 1 - 1/b is read
 off as the lcm of the b values. This is valid because the divisor class
@@ -61,6 +62,25 @@ def _bounded_int(x: int) -> str:
     return str(x) if x.bit_length() <= 64 else f"{'-' * (x < 0)}<{x.bit_length()}-bit integer>"
 
 
+def _shown(x) -> str:
+    """An argument in a message: an int through _bounded_int, anything else (bool, float,
+    str, ...) by its repr."""
+    return _bounded_int(x) if type(x) is int else repr(x)
+
+
+def _bounded_fraction(q: Fraction) -> str:
+    """str(q), each part through _bounded_int."""
+    text = _bounded_int(q.numerator)
+    return text if q.denominator == 1 else f"{text}/{_bounded_int(q.denominator)}"
+
+
+def _listed(items, fmt, sep: str, most: int = 16) -> str:
+    """fmt of the first `most` items joined by sep, then their count when
+    there are more: text bounded for any leaf, as fmt is."""
+    text = sep.join([fmt(x) for x in items[:most]])
+    return text if len(items) <= most else f"{text}{sep}... ({len(items)} in all)"
+
+
 class NotQuasiHomogeneous(ValueError):
     """A divisor equation whose monomials disagree in weighted degree."""
 
@@ -77,14 +97,14 @@ class Wps:
             raise ValueError("a weighted projective space needs at least 2 weights")
         for a in self.weights:
             if type(a) is not int or a < 1:  # exact ints, so no bool
-                raise ValueError(f"weights must be positive integers, got {a!r}")
+                raise ValueError(f"weights must be positive integers, got {_shown(a)}")
 
     @property
     def dim(self) -> int:
         return len(self.weights) - 1
 
     def __str__(self) -> str:
-        return "P(" + ",".join(str(a) for a in self.weights) + ")"
+        return f"P({_listed(self.weights, _bounded_int, ',')})"
 
 
 @dataclass(frozen=True)
@@ -99,18 +119,18 @@ class StdCoeff:
 
     def __post_init__(self):
         if not isinstance(self.b, int) or self.b < 2:
-            raise ValueError(f"standard coefficient needs integer b >= 2, got {self.b!r}")
+            raise ValueError(f"standard coefficient needs integer b >= 2, got {_shown(self.b)}")
 
     def value(self) -> Fraction:
         return Fraction(self.b - 1, self.b)
 
     def __str__(self) -> str:
-        return f"{self.b - 1}/{self.b}"
+        return f"{_bounded_int(self.b - 1)}/{_bounded_int(self.b)}"
 
 
 def _check_nvars(nvars) -> None:
     if type(nvars) is not int or nvars < 1:  # exact int, so no bool
-        raise ValueError(f"nvars must be a positive integer, got {nvars!r}")
+        raise ValueError(f"nvars must be a positive integer, got {_shown(nvars)}")
 
 
 def exponent_pairs(exps, variables: tuple[int, ...]) -> tuple[tuple[int, int], ...] | None:
@@ -225,8 +245,8 @@ class SparsePoly:
             mono, prev = [], -1
             for v, x in pairs:
                 if type(v) is not int or type(x) is not int or not prev < v < nvars or x < 1:
-                    raise ValueError(f"bad exponent pair {(v, x)!r}: pairs need increasing int "
-                                     f"variables below {nvars} and int exponents >= 1")
+                    raise ValueError(f"bad exponent pair ({_shown(v)}, {_shown(x)}): pairs need increasing "
+                                     f"int variables below {_bounded_int(nvars)} and int exponents >= 1")
                 mono.append((v, x))
                 prev = v
             pairs = tuple(mono)
@@ -274,8 +294,8 @@ class SparsePoly:
         if type(coeff) is not Fraction:
             coeff = Fraction(coeff)
         if type(j) is not int or not -1 < j < nvars:
-            raise ValueError(f"bad exponent pair {(j, 1)!r}: pairs need increasing int "
-                             f"variables below {nvars} and int exponents >= 1")
+            raise ValueError(f"bad exponent pair ({_shown(j)}, 1): pairs need increasing int "
+                             f"variables below {_bounded_int(nvars)} and int exponents >= 1")
         if coeff == 0:
             raise ValueError("zero coefficient monomial not allowed")
         return cls._canonical(nvars, ((coeff, ((j, 1),)),))
@@ -290,16 +310,6 @@ class SparsePoly:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def coefficient(self, exps) -> Fraction:
-        """The coefficient of the monomial with the dense exponent vector exps."""
-        exps = tuple(exps)
-        if len(exps) == self.nvars:
-            pairs = tuple((j, x) for j, x in enumerate(exps) if x != 0)
-            for c, p in self.terms:
-                if p == pairs:
-                    return c
-        return Fraction(0)
 
     def linear_coefficients(self) -> list[Fraction] | None:
         """Coefficient vector if every monomial has total degree 1, else None."""
@@ -410,7 +420,7 @@ def weighted_degree(eq: SparsePoly, space: Wps) -> int:
         raise ValueError("the zero polynomial has no weighted degree")
     if eq.nvars != len(space.weights):
         raise ValueError(
-            f"equation in {eq.nvars} variables on a space with "
+            f"equation in {_bounded_int(eq.nvars)} variables on a space with "
             f"{len(space.weights)} weights"
         )
     w = space.weights
@@ -435,12 +445,31 @@ def canonical_degree(space: Wps) -> int:
     return -sum(space.weights)
 
 
+def _distinct_up_to_scaling(equations: list[SparsePoly]) -> bool:
+    """True iff no two equations are proportional. Proportional equations
+    have the same monomials, so they are keyed first on their variable
+    count and pairs, int tuples that hash in C; only equations sharing that
+    key compare projective keys, whose Fractions hash in Python."""
+    by_support: dict[tuple, list[SparsePoly]] = {}
+    for eq in equations:
+        by_support.setdefault((eq.nvars, tuple([pairs for _, pairs in eq.terms])), []).append(eq)
+    return all(len(same) == 1 or len({eq.projective_key() for eq in same}) == len(same)
+               for same in by_support.values())
+
+
+def _scaled_log_degree(space: Wps, entries, degrees) -> tuple[int, int]:
+    """(L deg(K_X + B), L) with L = lcm(b), in integers, given the weighted
+    degree of each entry's equation: with coefficients 1 - 1/b_i,
+    L deg(K_X + B) = L deg K_X + sum deg_i (L - L/b_i)."""
+    scale = lcm(*[coeff.b for coeff, _ in entries])
+    return scale * canonical_degree(space) + sum(
+        deg * (scale - scale // coeff.b) for (coeff, _), deg in zip(entries, degrees)), scale
+
+
 def log_degree(leaf: LogLeaf) -> Fraction:
     """Exact degree of K_X + B: canonical degree plus sum of coeff * deg(eq)."""
-    total = Fraction(canonical_degree(leaf.space))
-    for coeff, eq in leaf.entries:
-        total += coeff.value() * weighted_degree(eq, leaf.space)
-    return total
+    return Fraction(*_scaled_log_degree(
+        leaf.space, leaf.entries, [weighted_degree(eq, leaf.space) for _, eq in leaf.entries]))
 
 
 def pair_index(leaf: LogLeaf) -> int:
@@ -455,5 +484,5 @@ def pair_index(leaf: LogLeaf) -> int:
         raise ValueError(f"pair_index requires a well-formed space, got {leaf.space}")
     d = log_degree(leaf)
     if d != 0:
-        raise ValueError(f"pair_index requires log degree 0, got {d}")
-    return lcm(*[c.b for c, _ in leaf.entries]) if leaf.entries else 1
+        raise ValueError(f"pair_index requires log degree 0, got {_bounded_fraction(d)}")
+    return lcm(*[c.b for c, _ in leaf.entries])

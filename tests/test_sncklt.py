@@ -1,7 +1,7 @@
 import cmath
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import comb
 
 import pytest
@@ -347,6 +347,15 @@ def test_p1_mode_distinct_points():
     pts = [SparsePoly.linear_form((0, 1)), SparsePoly.linear_form((-1, 1)), SparsePoly.linear_form((1, 0))]
     assert plane_arrangement_snc(pts) is True
     assert plane_arrangement_snc(pts + [SparsePoly.linear_form((0, 2))]) is False
+    # every multiset of at most 4 forms, with proportional repeats and a nonlinear form,
+    # against the pairwise check of the reference
+    forms = [SparsePoly.linear_form(v) for v in ((1, 0), (0, 1), (1, 1), (1, -1), (2, 0), (Fraction(-1, 3), 0),
+                                                  (3, 3))]
+    forms.append(SparsePoly.from_pairs(2, [(1, ((0, 2),))]))  # x0^2
+    for k in range(5):
+        for curves in combinations_with_replacement(forms, k):
+            assert _outcome(plane_arrangement_snc, curves) == _outcome(_reference_plane_snc, curves), [
+                str(c) for c in curves]
 
 
 # -- plane arrangements: floating point sampler oracle -----------------------
@@ -1023,7 +1032,7 @@ def _linear_partials_per_variable(h, block):
     of H per block variable, kept as the reference."""
     for i in block:
         unit = tuple(1 if j == i else 0 for j in range(h.nvars))
-        if h.coefficient(unit) == 0:
+        if all(pairs != ((i, 1),) for _, pairs in h.terms):
             return False, f"x{i} does not appear linearly in H"
         for _, exps in h.monomials:
             if exps[i] > 0 and exps != unit:
@@ -1063,7 +1072,7 @@ def _reference_family_b(leaf):
     if not _linear_partials_per_variable(h, block)[0]:
         return False
     residual = restrict_to(subs_zero(h, block), [n - 2, n - 1, n])
-    if residual.coefficient((1, 0, 1)) == 0:
+    if all(pairs != ((0, 1), (2, 1)) for _, pairs in residual.terms):
         return False
     if not any(ey >= 2 and ex == ez == 0 for _, (ex, ey, ez) in residual.monomials):
         return False
@@ -1188,7 +1197,7 @@ def _linear_partials_per_variable(h, block):
     of H per block variable, kept as the reference."""
     for i in block:
         unit = tuple(1 if j == i else 0 for j in range(h.nvars))
-        if h.coefficient(unit) == 0:
+        if all(pairs != ((i, 1),) for _, pairs in h.terms):
             return False, f"x{i} does not appear linearly in H"
         for _, exps in h.monomials:
             if exps[i] > 0 and exps != unit:

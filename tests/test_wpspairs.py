@@ -1,14 +1,23 @@
 import random
+import re
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import itemgetter, mul
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cyindex.certify import base_leaf, build_index_prime, build_prime_power, search_plane_pair
+from cyindex.certify import (
+    WpsLeaf,
+    base_leaf,
+    build_index_prime,
+    build_prime_power,
+    certificate_index,
+    search_plane_pair,
+)
+from cyindex.selftest import _family_leaves
 from cyindex.wpspairs import (
     LogLeaf,
     NotQuasiHomogeneous,
@@ -607,3 +616,135 @@ def test_log_degree_permutation_bit_identical():
         rotated = entries[rotation:] + entries[:rotation]
         other = LogLeaf(leaf.space, tuple(rotated), leaf.klt_strategy)
         assert log_degree(other) == log_degree(leaf) == 0
+
+
+# -- one log degree: the integer formula against the Fraction sum --------------
+
+
+def _reference_log_degree(leaf: LogLeaf) -> Fraction:
+    """log_degree as it was, a sum of Fractions, kept as the reference for
+    the integer formula over lcm(b) that the library and the verifier share."""
+    total = Fraction(canonical_degree(leaf.space))
+    for coeff, eq in leaf.entries:
+        total += coeff.value() * weighted_degree(eq, leaf.space)
+    return total
+
+
+def _reference_pair_index(leaf: LogLeaf) -> int:
+    if not is_well_formed(leaf.space):
+        raise ValueError(f"pair_index requires a well-formed space, got {leaf.space}")
+    d = _reference_log_degree(leaf)
+    if d != 0:
+        raise ValueError(f"pair_index requires log degree 0, got {d}")
+    return lcm(*[c.b for c, _ in leaf.entries]) if leaf.entries else 1
+
+
+def _assert_degree_and_index_match_the_reference(leaf: LogLeaf):
+    assert _outcome(log_degree, leaf) == _outcome(_reference_log_degree, leaf), leaf
+    assert _outcome(pair_index, leaf) == _outcome(_reference_pair_index, leaf), leaf
+
+
+_SMALL_GRID_LEAVES = [build_index_prime(m) for m in (5, 7, 9, 13, 15, 21)] + [
+    build_prime_power(m, e) for m, e in ((2, 2), (2, 3), (3, 2), (4, 3), (5, 2), (6, 2))]
+
+
+@st.composite
+def _changed_leaves(draw):
+    """A family leaf of degree zero, or one with an entry dropped, a b
+    changed, the weights scaled by 2 or 3 (a space that is not
+    well-formed, with every equation still quasi-homogeneous), a
+    non-quasi-homogeneous or wrong-arity equation added, or no entries."""
+    leaf = draw(st.sampled_from(_SMALL_GRID_LEAVES))
+    entries, weights = list(leaf.entries), leaf.space.weights
+    change = draw(st.sampled_from(("none", "drop", "b", "scale", "inhomogeneous", "arity", "empty")))
+    k = draw(st.integers(0, len(entries) - 1))
+    if change == "drop":
+        del entries[k]
+    elif change == "b":
+        entries[k] = (StdCoeff(draw(st.integers(2, 40))), entries[k][1])
+    elif change == "scale":
+        weights = tuple(draw(st.sampled_from((2, 3))) * a for a in weights)
+    elif change == "inhomogeneous":
+        nv = len(weights)
+        entries.insert(k, (StdCoeff(2), SparsePoly.from_pairs(nv, [(1, ((0, 1),)), (1, ((0, 1), (nv - 1, 1)))])))
+    elif change == "arity":
+        entries.insert(k, (StdCoeff(2), SparsePoly.variable(len(weights) + 1, 0)))
+    elif change == "empty":
+        entries = []
+    return LogLeaf(Wps(weights), tuple(entries), leaf.klt_strategy)
+
+
+@st.composite
+def _random_leaves(draw):
+    """Small weights and a few monomial entries: mostly of nonzero degree,
+    sometimes of degree zero, sometimes on a space that is not well-formed."""
+    weights = tuple(draw(st.lists(st.integers(1, 6), min_size=2, max_size=4)))
+    nv = len(weights)
+    entries = []
+    for _ in range(draw(st.integers(0, 4))):
+        exps = draw(st.lists(st.integers(0, 3), min_size=nv, max_size=nv))
+        pairs = tuple((v, x) for v, x in enumerate(exps) if x) or ((0, 1),)
+        entries.append((StdCoeff(draw(st.integers(2, 12))), SparsePoly.from_pairs(nv, [(draw(_coeffs), pairs)])))
+    return LogLeaf(Wps(weights), tuple(entries), "family_A")
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(st.one_of(_changed_leaves(), _random_leaves()))
+def test_log_degree_and_pair_index_match_the_fraction_reference(leaf):
+    _assert_degree_and_index_match_the_reference(leaf)
+
+
+def test_log_degree_and_pair_index_match_the_fraction_reference_on_the_family_grids():
+    for _, leaf, index in _family_leaves():
+        _assert_degree_and_index_match_the_reference(leaf)
+        assert (log_degree(leaf), pair_index(leaf)) == (0, index)
+
+
+# -- bounded text --------------------------------------------------------------
+
+
+def test_space_and_coefficient_text_are_bounded():
+    assert str(Wps((2**70,) * 20)) == "P(" + "<71-bit integer>," * 16 + "... (20 in all))"
+    assert str(Wps((1, 2) * 8)) == "P(" + ",".join(["1,2"] * 8) + ")"
+    assert str(StdCoeff(2**70)) == "<70-bit integer>/<71-bit integer>"
+    assert str(StdCoeff(9)) == "8/9"
+
+
+def test_pair_index_messages_are_bounded():
+    x0 = SparsePoly.variable(3, 0)
+    not_well_formed = LogLeaf(Wps((1, 2**20000, 2**20000)), ((StdCoeff(2), x0),), "family_A")
+    with pytest.raises(ValueError, match=re.escape(
+            "requires a well-formed space, got P(1,<20001-bit integer>,<20001-bit integer>)")):
+        pair_index(not_well_formed)
+    nonzero = LogLeaf(Wps((1, 1, 2**20000)), ((StdCoeff(2), x0),), "family_A")
+    with pytest.raises(ValueError, match=re.escape("requires log degree 0, got -<20002-bit integer>/2")):
+        pair_index(nonzero)
+
+
+_HUGE = 10**5000  # more decimal digits than str() converts by default
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: certificate_index(WpsLeaf(LogLeaf(
+        Wps((1, 1)), ((StdCoeff(2), SparsePoly.variable(_HUGE, 0)),), "family_A"))),
+     "equation in <16610-bit integer> variables on a space with 2 weights"),
+    (lambda: SparsePoly.variable(_HUGE, -1),
+     "bad exponent pair (-1, 1): pairs need increasing int variables below <16610-bit integer>"),
+    (lambda: SparsePoly.from_pairs(_HUGE, [(1, ((-1, 1),))]),
+     "bad exponent pair (-1, 1): pairs need increasing int variables below <16610-bit integer>"),
+    (lambda: SparsePoly.from_pairs(3, [(1, ((0, -_HUGE),))]),
+     "bad exponent pair (0, -<16610-bit integer>): pairs need increasing int variables below 3"),
+    (lambda: SparsePoly.variable(-_HUGE, 0), "nvars must be a positive integer, got -<16610-bit integer>"),
+    (lambda: Wps((-_HUGE, 1)), "weights must be positive integers, got -<16610-bit integer>"),
+    (lambda: StdCoeff(-_HUGE), "standard coefficient needs integer b >= 2, got -<16610-bit integer>"),
+    # anything but an int keeps its repr
+    (lambda: Wps((1.5, 1)), "got 1.5"),
+    (lambda: Wps((True, 1)), "got True"),
+    (lambda: StdCoeff("3"), "got '3'"),
+    (lambda: SparsePoly.variable(3, "1"), "bad exponent pair ('1', 1)"),
+    (lambda: SparsePoly.from_pairs(2.0, ()), "got 2.0"),
+], ids=["certificate-index-arity", "variable-pair", "from-pairs-pair", "from-pairs-exponent", "nvars",
+        "weight", "std-coeff", "float-weight", "bool-weight", "str-b", "str-variable", "float-nvars"])
+def test_library_messages_bound_huge_integers(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

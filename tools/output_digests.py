@@ -10,10 +10,20 @@ dimension-1 catalogue. The dimension-2 catalogue is realize(3, m) by
 definition, so the `realize 3 M` lines stand for it. Then
 `search D M K CERT REPORT` for each hit of search_plane_pair(D, M, K) with
 D in (1, 2), 2 <= M < 400 and K in (4, 7), the CLI default and the
-table's value, and last `table 1,2 SHA` for the stdout of
+table's value, and `table 1,2 SHA` for the stdout of
 `cyindex table --dims 1,2`. CERT is the sha256 of `certificate_dumps`,
 REPORT the sha256 of the strict verification report as JSON with sorted
-keys, and SHA the sha256 of the table. The package is imported from the
+keys, and SHA the sha256 of the table.
+
+Then the library functions that restate the verifier's leaf facts:
+`lib LABEL FACTS TEXT` for every leaf of the selftest family grids
+(`build_index_prime(M)`, `build_prime_power(M, E)`), of the explicit table
+(`explicit M`) and of the search hits above (`search D M K`). FACTS is the
+sha256 of `log_degree` and `pair_index` (or the exception each raises),
+TEXT that of the space and the coefficients as text; the text of a space
+is bounded, so it lists at most 16 weights. Last `plane P1 FORMS VERDICT`
+for `plane_arrangement_snc` on each multiset of at most 4 of the forms
+on P^1 named in `_P1_FORMS`. The package is imported from the
 `src` directory beside this file, so running the tool in two checkouts and
 diffing the outputs shows exactly which outputs a change alters.
 """
@@ -25,11 +35,13 @@ import io
 import json
 import sys
 from contextlib import redirect_stdout
+from itertools import combinations_with_replacement
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from cyindex.certify import (  # noqa: E402
+    _EXPLICIT,
     BASE_DIM1_INDICES,
     WpsLeaf,
     base_leaf,
@@ -40,6 +52,18 @@ from cyindex.certify import (  # noqa: E402
 )
 from cyindex.cli import main as cli_main  # noqa: E402
 from cyindex.numtheory import indices_with_phi_at_most  # noqa: E402
+from cyindex.selftest import _family_leaves  # noqa: E402
+from cyindex.sncklt import plane_arrangement_snc  # noqa: E402
+from cyindex.wpspairs import SparsePoly, log_degree, pair_index  # noqa: E402
+
+_P1_FORMS = {
+    "x0": SparsePoly.linear_form((1, 0)),
+    "x1": SparsePoly.linear_form((0, 1)),
+    "x0+x1": SparsePoly.linear_form((1, 1)),
+    "x0-x1": SparsePoly.linear_form((1, -1)),
+    "2x0": SparsePoly.linear_form((2, 0)),
+    "x0^2": SparsePoly.from_pairs(2, [(1, ((0, 2),))]),
+}
 
 
 def _sha(text: str) -> str:
@@ -51,22 +75,47 @@ def _line(label: str, cert) -> str:
     return f"{label} {_sha(certificate_dumps(cert))} {_sha(report)}"
 
 
+def _outcome(fn, *args) -> str:
+    try:
+        return str(fn(*args))
+    except Exception as err:  # the exception is part of the digested behaviour
+        return f"{type(err).__name__}: {err}"
+
+
+def _lib_line(label: str, leaf) -> str:
+    facts = f"{_outcome(log_degree, leaf)}|{_outcome(pair_index, leaf)}"
+    text = f"{leaf.space}|{' '.join(str(c) for c, _ in leaf.entries)}"
+    return f"lib {label} {_sha(facts)} {_sha(text)}"
+
+
 def main() -> int:
     for n in range(3, 61):
         for m in indices_with_phi_at_most(2 * n):
             print(_line(f"realize {n} {m}", realize(n, m)))
     for m in BASE_DIM1_INDICES:
         print(_line(f"base 1 {m}", base_leaf(1, m)))
+    hits = []
     for d in (1, 2):
         for m in range(2, 400):
             for k in (4, 7):
                 leaf = search_plane_pair(d, m, k)
                 if leaf is not None:
+                    hits.append((f"search {d} {m} {k}", leaf))
                     print(_line(f"search {d} {m} {k}", WpsLeaf(leaf)))
     table = io.StringIO()
     with redirect_stdout(table):
         cli_main(["table", "--dims", "1,2"])
     print(f"table 1,2 {_sha(table.getvalue())}")
+    for call, leaf, _ in _family_leaves():
+        print(_lib_line(call.replace(" ", ""), leaf))
+    for m, cert in _EXPLICIT.items():
+        print(_lib_line(f"explicit {m}", cert.leaf))
+    for label, leaf in hits:
+        print(_lib_line(label, leaf))
+    for k in range(5):
+        for names in combinations_with_replacement(_P1_FORMS, k):
+            verdict = _outcome(plane_arrangement_snc, [_P1_FORMS[n] for n in names])
+            print(f"plane P1 {','.join(names) or '-'} {verdict}")
     return 0
 
 
