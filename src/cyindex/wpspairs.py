@@ -210,7 +210,7 @@ class SparsePoly:
 
     def __init__(self, nvars: int, monomials):
         _check_nvars(nvars)
-        variables = tuple(range(nvars))  # built once; a range makes a new int per index > 256
+        variables = None
         seen = set()
         terms = []
         for coeff, exps in monomials:
@@ -218,7 +218,11 @@ class SparsePoly:
                 coeff = Fraction(coeff)
             exps = tuple(exps)
             if len(exps) != nvars:
-                raise ValueError(f"exponent vector {exps} has length != {nvars}")
+                raise ValueError(f"exponent vector {exps} has length != {_bounded_int(nvars)}")
+            if variables is None:
+                # built once, and only after a vector of length nvars bounds its size by the
+                # input; a range makes a new int per index > 256
+                variables = tuple(range(nvars))
             pairs = exponent_pairs(exps, variables)
             if pairs is None:
                 raise ValueError(f"exponents must be nonnegative integers, got {exps}")

@@ -7,7 +7,7 @@ from fractions import Fraction
 from math import lcm, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cyindex.certify import (
@@ -490,6 +490,132 @@ def test_verify_leaf_work_is_linear_by_call_counts(monkeypatch):
     report = verify_certificate(WpsLeaf(leaf), "strict")
     assert report.passed and report.index == 401
     assert counts == {"weighted_degree": len(leaf.entries), "is_well_formed": 1}
+
+
+# -- the leaf-verdict memo ------------------------------------------------------
+# each test clears the memo first, so the order tests run in does not matter
+
+
+def test_verify_reports_the_same_bytes_from_the_memo(monkeypatch):
+    verdicts = cyindex.certify._leaf_verdict
+    certs = [certificate_loads(certificate_dumps(realize(n, m)))
+             for n in range(3, 11) for m in indices_with_phi_at_most(2 * n)]
+    cold = []
+    for cert in certs:
+        verdicts.cache_clear()
+        cold.append(verify_certificate(cert).as_obj())
+    hits = verdicts.cache_info().hits
+    warm = [[verify_certificate(cert) for _ in range(2)][-1].as_obj() for cert in certs]
+    assert verdicts.cache_info().hits >= hits + len(certs)
+    monkeypatch.setattr(cyindex.certify, "_leaf_verdict", verdicts.__wrapped__)
+    direct = [verify_certificate(cert).as_obj() for cert in certs]
+    assert cold == warm == direct
+
+
+_SMALL_LEAVES = [cert.leaf for cert in cyindex.certify._EXPLICIT.values()] + [
+    build_index_prime(m) for m in (5, 7, 13, 15)] + [build_prime_power(2, 3), build_prime_power(3, 2)]
+
+
+def _with_entry(leaf, i, coeff, eq):
+    entries = list(leaf.entries)
+    entries[i] = (coeff, eq)
+    return LogLeaf(leaf.space, tuple(entries), leaf.klt_strategy)
+
+
+@st.composite
+def _leaf_and_one_field_changed(draw):
+    """A small family leaf and a copy that differs in one field: one b, one
+    coefficient (1 -> 2), one exponent, one weight or the strategy."""
+    leaf = draw(st.sampled_from(_SMALL_LEAVES))
+    changed = draw(st.sampled_from(["b", "coefficient", "exponent", "weight", "strategy"]))
+    if changed == "weight":
+        w = list(leaf.space.weights)
+        w[draw(st.integers(0, len(w) - 1))] += draw(st.integers(1, 3))
+        return leaf, LogLeaf(Wps(tuple(w)), leaf.entries, leaf.klt_strategy)
+    if changed == "strategy":
+        strategy = draw(st.sampled_from([s for s in KLT_STRATEGIES if s != leaf.klt_strategy]))
+        return leaf, LogLeaf(leaf.space, leaf.entries, strategy)
+    i = draw(st.integers(0, len(leaf.entries) - 1))
+    coeff, eq = leaf.entries[i]
+    if changed == "b":
+        return leaf, _with_entry(leaf, i, StdCoeff(coeff.b + draw(st.integers(1, 3))), eq)
+    terms = list(eq.terms)
+    k = draw(st.integers(0, len(terms) - 1))
+    c, pairs = terms[k]
+    if changed == "coefficient":
+        assert c == 1
+        terms[k] = (2 * c, pairs)
+    else:
+        v = draw(st.integers(0, len(pairs) - 1))
+        pairs = pairs[:v] + ((pairs[v][0], pairs[v][1] + 1),) + pairs[v + 1:]
+        assume(all(pairs != p for _, p in terms))
+        terms[k] = (c, pairs)
+    return leaf, _with_entry(leaf, i, coeff, SparsePoly.from_pairs(eq.nvars, terms))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_leaf_and_one_field_changed())
+def test_the_memo_tells_apart_leaves_that_differ_in_one_field(pair):
+    verdicts = cyindex.certify._leaf_verdict
+    leaf, changed = pair
+    assert changed != leaf
+    verdicts.cache_clear()
+    cold = verify_certificate(WpsLeaf(changed)).as_obj()
+    verdicts.cache_clear()
+    verify_certificate(WpsLeaf(leaf))
+    assert verify_certificate(WpsLeaf(changed)).as_obj() == cold
+
+
+def test_a_memo_hit_does_no_leaf_work(monkeypatch):
+    verdicts = cyindex.certify._leaf_verdict
+    verdicts.cache_clear()
+    leaf = build_index_prime(13)
+    want = verify_certificate(WpsLeaf(leaf)).as_obj()
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name, home in (("weighted_degree", cyindex.wpspairs), ("is_klt_leaf", cyindex.sncklt)):
+        wrapper = counted(name, getattr(home, name))
+        for module in (cyindex.wpspairs, cyindex.certify, cyindex.sncklt):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
+    copy = certificate_loads(certificate_dumps(WpsLeaf(leaf)))
+    assert copy.leaf == leaf and copy.leaf is not leaf
+    assert verify_certificate(copy).as_obj() == want
+    assert counts == {}
+    verdicts.cache_clear()
+    assert verify_certificate(copy).as_obj() == want
+    assert counts == {"weighted_degree": len(leaf.entries), "is_klt_leaf": 1}
+
+
+def test_the_memo_holds_at_most_128_leaves_of_at_most_64_monomials():
+    verdicts = cyindex.certify._leaf_verdict
+    chain_leaf = cyindex.certify._chain_leaf
+    verdicts.cache_clear()
+    for b in range(2, 302):  # 300 distinct small leaves
+        verify_certificate(WpsLeaf(chain_leaf((1, 1), [(0, b)], 2, [((0, 1),), ((1, 1),)], "family_A")))
+    assert verdicts.cache_info().currsize <= 128
+    h = [((j, 1),) for j in range(33)]  # 33 monomials
+    verdicts.cache_clear()
+    verify_certificate(WpsLeaf(chain_leaf((1,) * 33, [(j, 2) for j in range(32)], 2, h, "family_A")))
+    assert verdicts.cache_info().currsize == 0  # 65 monomials in all: checked afresh
+    verify_certificate(WpsLeaf(chain_leaf((1,) * 33, [(j, 2) for j in range(31)], 2, h, "family_A")))
+    assert verdicts.cache_info().currsize == 1  # 64 in all: held
+
+
+def test_an_unhashable_leaf_is_verified_without_the_memo():
+    cyindex.certify._leaf_verdict.cache_clear()
+    leaf = cyindex.certify._EXPLICIT[14].leaf
+    listed = LogLeaf(leaf.space, tuple((c, SparsePoly._canonical(eq.nvars, [list(t) for t in eq.terms]))
+                                       for c, eq in leaf.entries), leaf.klt_strategy)
+    with pytest.raises(TypeError):
+        hash(listed)
+    assert verify_certificate(WpsLeaf(listed)).as_obj() == verify_certificate(WpsLeaf(leaf)).as_obj()
 
 
 def test_verify_rejects_bad_mode():

@@ -1192,19 +1192,6 @@ def test_hyperplane_shape_detail_is_bounded_on_a_large_leaf():
     assert len(step.detail) < 80
 
 
-def _linear_partials_per_variable(h, block):
-    """The library's linear-partials step before it went one-pass: one scan
-    of H per block variable, kept as the reference."""
-    for i in block:
-        unit = tuple(1 if j == i else 0 for j in range(h.nvars))
-        if all(pairs != ((i, 1),) for _, pairs in h.terms):
-            return False, f"x{i} does not appear linearly in H"
-        for _, exps in h.monomials:
-            if exps[i] > 0 and exps != unit:
-                return False, f"partial of H in x{i} is not constant"
-    return True, "" if block else "no linear block (deep stratum is everything)"
-
-
 _B15 = build_index_prime(15)  # x0, x1, x2 and H = x0 + x1 + x2*x4 + x3^2 + x4^4 on P(4, 4, 3, 2, 1)
 
 

@@ -734,6 +734,7 @@ _HUGE = 10**5000  # more decimal digits than str() converts by default
      "bad exponent pair (-1, 1): pairs need increasing int variables below <16610-bit integer>"),
     (lambda: SparsePoly.from_pairs(3, [(1, ((0, -_HUGE),))]),
      "bad exponent pair (0, -<16610-bit integer>): pairs need increasing int variables below 3"),
+    (lambda: SparsePoly(_HUGE, [(1, (1,))]), "exponent vector (1,) has length != <16610-bit integer>"),
     (lambda: SparsePoly.variable(-_HUGE, 0), "nvars must be a positive integer, got -<16610-bit integer>"),
     (lambda: Wps((-_HUGE, 1)), "weights must be positive integers, got -<16610-bit integer>"),
     (lambda: StdCoeff(-_HUGE), "standard coefficient needs integer b >= 2, got -<16610-bit integer>"),
@@ -743,8 +744,13 @@ _HUGE = 10**5000  # more decimal digits than str() converts by default
     (lambda: StdCoeff("3"), "got '3'"),
     (lambda: SparsePoly.variable(3, "1"), "bad exponent pair ('1', 1)"),
     (lambda: SparsePoly.from_pairs(2.0, ()), "got 2.0"),
-], ids=["certificate-index-arity", "variable-pair", "from-pairs-pair", "from-pairs-exponent", "nvars",
+], ids=["certificate-index-arity", "variable-pair", "from-pairs-pair", "from-pairs-exponent", "dense-length", "nvars",
         "weight", "std-coeff", "float-weight", "bool-weight", "str-b", "str-variable", "float-nvars"])
 def test_library_messages_bound_huge_integers(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
+
+
+@pytest.mark.parametrize("nvars", [2**63, _HUGE], ids=["2**63", "10**5000"])
+def test_dense_constructor_with_no_monomials_is_zero_for_any_nvars(nvars):
+    assert SparsePoly(nvars, []) == SparsePoly.from_pairs(nvars, [])

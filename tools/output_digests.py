@@ -4,8 +4,10 @@ line each.
 
     python3 tools/output_digests.py > digests.txt
 
-Lines are `realize N M CERT REPORT` for each 3 <= n <= 60 and each m with
-phi(m) <= 2n, then `base 1 M CERT REPORT` for each entry of the
+Lines are `realize N M CERT REPORT RELOADED` for each 3 <= n <= 60 and
+each m with phi(m) <= 2n, RELOADED being the sha256 of the strict report of
+`certificate_loads(certificate_dumps(cert))`, verified after the original,
+so that its small leaves come from the verifier's leaf-verdict memo; then `base 1 M CERT REPORT` for each entry of the
 dimension-1 catalogue. The dimension-2 catalogue is realize(3, m) by
 definition, so the `realize 3 M` lines stand for it. Then
 `search D M K CERT REPORT` for each hit of search_plane_pair(D, M, K) with
@@ -46,6 +48,7 @@ from cyindex.certify import (  # noqa: E402
     WpsLeaf,
     base_leaf,
     certificate_dumps,
+    certificate_loads,
     realize,
     search_plane_pair,
     verify_certificate,
@@ -70,9 +73,12 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def _report_sha(cert) -> str:
+    return _sha(json.dumps(verify_certificate(cert, "strict").as_obj(), sort_keys=True))
+
+
 def _line(label: str, cert) -> str:
-    report = json.dumps(verify_certificate(cert, "strict").as_obj(), sort_keys=True)
-    return f"{label} {_sha(certificate_dumps(cert))} {_sha(report)}"
+    return f"{label} {_sha(certificate_dumps(cert))} {_report_sha(cert)}"
 
 
 def _outcome(fn, *args) -> str:
@@ -91,7 +97,9 @@ def _lib_line(label: str, leaf) -> str:
 def main() -> int:
     for n in range(3, 61):
         for m in indices_with_phi_at_most(2 * n):
-            print(_line(f"realize {n} {m}", realize(n, m)))
+            cert = realize(n, m)
+            line = _line(f"realize {n} {m}", cert)  # the original first, then its reloaded copy
+            print(f"{line} {_report_sha(certificate_loads(certificate_dumps(cert)))}")
     for m in BASE_DIM1_INDICES:
         print(_line(f"base 1 {m}", base_leaf(1, m)))
     hits = []
