@@ -7,8 +7,8 @@ line each.
 Lines are `realize N M CERT REPORT RELOADED` for each 3 <= n <= 60 and
 each m with phi(m) <= 2n, RELOADED being the sha256 of the strict report of
 `certificate_loads(certificate_dumps(cert))`, verified after the original,
-so that its small leaves come from the verifier's leaf-verdict memo; then `base 1 M CERT REPORT` for each entry of the
-dimension-1 catalogue. The dimension-2 catalogue is realize(3, m) by
+so that its small leaves come from the verifier's leaf-verdict memo; then
+`base 1 M CERT REPORT` for each entry of the dimension-1 catalogue. The dimension-2 catalogue is realize(3, m) by
 definition, so the `realize 3 M` lines stand for it. Then
 `search D M K CERT REPORT` for each hit of search_plane_pair(D, M, K) with
 D in (1, 2), 2 <= M < 400 and K in (4, 7), the CLI default and the
