@@ -43,6 +43,7 @@ from .certify import (
     base_leaf,
     build_index_prime,
     build_prime_power,
+    build_sylvester,
     certificate_dim,
     certificate_dumps,
     certificate_from_obj,
@@ -84,6 +85,7 @@ __all__ = [
     "base_leaf",
     "build_index_prime",
     "build_prime_power",
+    "build_sylvester",
     "certificate_dim",
     "certificate_dumps",
     "certificate_from_obj",

@@ -1,10 +1,12 @@
 import copy
 import hashlib
 import json
+import re
 import sys
 from collections import Counter
 from fractions import Fraction
 from math import lcm, prod
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -20,6 +22,7 @@ from cyindex.certify import (
     base_leaf,
     build_index_prime,
     build_prime_power,
+    build_sylvester,
     certificate_dim,
     certificate_dumps,
     certificate_from_obj,
@@ -122,29 +125,19 @@ def test_build_prime_power_22_matches_p1_pair():
     assert pair_index(leaf) == 4
 
 
-def _sylvester_leaf(k):
-    # with s = s_k in Sylvester's sequence 2, 3, 7, 43, ...: on
-    # P(1, 2s-3, (2s-2)^(k-1)), (2s-4)/(2s-3) on {x1 = 0}, 1 - 1/s_(i-2) on
-    # {x_i = 0} for 2 <= i <= k, and 1 - 1/s_(k-1) on
-    # H = x0 x1 + x0^(2s-2) + x2 + ... + xk, the chain x1 -> x0 beside
-    # Fermat terms; the Esser-Totaro-Wang candidate of the largest index
-    seq = [2]
-    while len(seq) <= k:
-        seq.append(seq[-1] * (seq[-1] - 1) + 1)
-    s = seq[k]
-    h_terms = [((0, 1), (1, 1)), ((0, 2 * s - 2),)] + [((i, 1),) for i in range(2, k + 1)]
-    return cyindex.certify._chain_leaf((1, 2 * s - 3) + (2 * s - 2,) * (k - 1),
-                                       [(1, 2 * s - 3)] + [(i, seq[i - 2]) for i in range(2, k + 1)],
-                                       seq[k - 1], h_terms, "family_B")
-
-
 @pytest.mark.parametrize("k", range(2, 8))
 def test_sylvester_extremal_leaf_is_a_chain_leaf(k):
-    report = verify_certificate(WpsLeaf(_sylvester_leaf(k)), "strict")
+    report = verify_certificate(WpsLeaf(build_sylvester(k)), "strict")
     assert report.passed, report.failing_checks()
     assert (report.dim, report.index) == (k, sylvester_bound(k + 1))
     if k <= 4:
         assert report.index == (66, 3486, 6521466)[k - 2]
+
+
+@pytest.mark.parametrize("k", [1, 0, -2, 2.0, "3", None])
+def test_build_sylvester_rejects(k):
+    with pytest.raises(ValueError, match=re.escape(f"got {k!r}")):
+        build_sylvester(k)
 
 
 def test_build_prime_power_rejects():
@@ -794,8 +787,8 @@ def test_quasi_homogeneous_detail_is_bounded_on_a_large_leaf():
 
 @pytest.mark.parametrize("cert", [
     WpsLeaf(build_index_prime(4001)),  # 1,002 weights and 1,001 entries
-    WpsLeaf(_sylvester_leaf(14)),  # weights of 11,080 bits, index of 22,159
-    WpsLeaf(_sylvester_leaf(15)),  # past the int-to-str digit limit in every integer it names
+    WpsLeaf(build_sylvester(14)),  # weights of 11,080 bits, index of 22,159
+    WpsLeaf(build_sylvester(15)),  # past the int-to-str digit limit in every integer it names
 ], ids=["index-prime-4001", "sylvester-14", "sylvester-15"])
 def test_verifier_details_are_bounded(cert):
     report = verify_certificate(cert, "strict")
@@ -816,7 +809,7 @@ def test_verify_prints_an_index_past_the_digit_limit_by_its_bit_length(capsys, t
     # the k = 14 Sylvester leaf passes, and its 22,159-bit index has more
     # decimal digits than Python converts by default
     path = tmp_path / "sylvester14.json"
-    path.write_text(certificate_dumps(WpsLeaf(_sylvester_leaf(14))) + "\n")
+    path.write_text(certificate_dumps(WpsLeaf(build_sylvester(14))) + "\n")
     code = cyindex.cli.main(["verify", str(path), "--format", fmt])
     out = capsys.readouterr().out
     assert code == 0
@@ -1473,3 +1466,177 @@ def test_schema_shape_matches_contract():
     obj = json.loads(certificate_dumps(realize(3, 14)))
     assert obj["node"] == "wps_leaf" and obj["weights"] == [3, 1, 1] and obj["strategy"] == "family_C"
     assert set(obj) == {"v", "node", "weights", "strategy", "entries"}
+
+
+# -- the reader memo -----------------------------------------------------------
+# each test clears the memo first, so the order tests run in does not matter
+
+_read_leaf_text = cyindex.certify._read_leaf_text
+_HEAD, _TAIL = cyindex.certify._PRODUCT_HEAD, cyindex.certify._PRODUCT_TAIL
+_EXPLICIT_2 = cyindex.certify._EXPLICIT[2]
+
+
+def _outcome(text):
+    """What certificate_loads makes of a text: the certificate, or the
+    exception's type, message and location."""
+    try:
+        return certificate_loads(text)
+    except Exception as err:  # noqa: BLE001 - the outcome is compared, whatever it is
+        return type(err), str(err), getattr(err, "location", None)
+
+
+def _general_outcome(text):
+    with mock.patch.object(cyindex.certify, "_flat_factors", lambda text: None):
+        return _outcome(text)
+
+
+def _product_text(*pieces):
+    return _HEAD + ",".join(pieces) + _TAIL
+
+
+def _b_leaf(b):
+    """A small P^1 leaf whose text grows by one character per digit of b."""
+    return cyindex.certify._chain_leaf((1, 1), [(0, b)], 2, [((0, 1),), ((1, 1),)], "family_A")
+
+
+def test_the_reader_memo_reads_the_same_certificates_and_reports(monkeypatch):
+    certs = [realize(n, m) for n in range(3, 41) for m in indices_with_phi_at_most(2 * n)]
+    texts = [certificate_dumps(cert) for cert in certs]
+    cold = []
+    for text in texts:
+        _read_leaf_text.cache_clear()
+        cold.append(certificate_loads(text))
+    hits = _read_leaf_text.cache_info().hits
+    warm = [[certificate_loads(text) for _ in range(2)][-1] for text in texts]
+    assert _read_leaf_text.cache_info().hits >= hits + sum(isinstance(cert, Product) for cert in certs)
+    monkeypatch.setattr(cyindex.certify, "_flat_factors", lambda text: None)
+    general = [certificate_loads(text) for text in texts]
+    assert cold == warm == general == certs
+    reports = [[verify_certificate(cert).as_obj() for cert in side] for side in (cold, warm, general)]
+    assert reports[0] == reports[1] == reports[2]
+
+
+_EDIT_CERTS = [realize(n, m) for n, m in ((3, 6), (4, 10), (10, 30), (12, 35), (20, 66), (30, 210), (40, 120))]
+assert all(isinstance(cert, Product) and len(cert.factors) >= 2 for cert in _EDIT_CERTS)
+
+
+@st.composite
+def _one_edit(draw):
+    """A realized product text and a copy with one edit: one character
+    replaced, inserted or deleted, two factors swapped, a space after a
+    comma, or one factor nested in a one-factor product."""
+    cert = draw(st.sampled_from(_EDIT_CERTS))
+    text = certificate_dumps(cert)
+    pieces = [cyindex.certify._node_text(f) for f in cert.factors]
+    edit = draw(st.sampled_from(["replace", "insert", "delete", "swap", "space", "nest"]))
+    at = draw(st.integers(0, len(text) - 1))
+    char = draw(st.sampled_from('0123456789{}[],:" ebnv'))
+    if edit == "replace":
+        return text, text[:at] + char + text[at + 1:]
+    if edit == "insert":
+        return text, text[:at] + char + text[at:]
+    if edit == "delete":
+        return text, text[:at] + text[at + 1:]
+    if edit == "space":
+        at = draw(st.sampled_from([i for i, c in enumerate(text) if c == ","]))
+        return text, text[:at + 1] + " " + text[at + 1:]
+    i, j = draw(st.lists(st.integers(0, len(pieces) - 1), min_size=2, max_size=2, unique=True))
+    if edit == "swap":
+        pieces[i], pieces[j] = pieces[j], pieces[i]
+    else:
+        pieces[i] = _product_text(pieces[i])
+    return text, _product_text(*pieces)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_one_edit())
+def test_one_edit_reads_as_on_the_general_path(pair):
+    text, edited = pair
+    _read_leaf_text.cache_clear()
+    assert certificate_loads(text) == _general_outcome(text)
+    assert _outcome(edited) == _general_outcome(edited)
+
+
+def test_the_reader_memo_holds_only_the_writers_text():
+    text = cyindex.certify._node_text(_EXPLICIT_2)
+    digits = sys.get_int_max_str_digits()
+    _read_leaf_text.cache_clear()
+    assert _read_leaf_text(text, digits) == _EXPLICIT_2
+    reordered = json.dumps(dict(reversed(json.loads(text).items())), separators=(",", ":"))
+    for other in (text.replace(",", ", "), text[:-1] + ',"x":1}', reordered, text.replace('"c":[1,1]', '"c":[2,2]')):
+        assert other != text and certificate_from_obj(json.loads(other)) == _EXPLICIT_2
+        assert _read_leaf_text(other, digits) is None
+        assert certificate_loads(_product_text(other, '{"dim":1,"node":"elliptic_leaf","v":1}')) == Product(
+            (_EXPLICIT_2, EllipticLeaf(1)))
+
+
+@pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="no limit on int-to-str digits")
+def test_a_memo_hit_keeps_the_digit_limit():
+    text = certificate_dumps(Product((WpsLeaf(_b_leaf(10**699 + 1)), EllipticLeaf(1))))
+    assert len(text) < cyindex.certify._MEMO_MAX_CHARS
+    _read_leaf_text.cache_clear()
+    assert certificate_loads(text) == _general_outcome(text)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        want = _general_outcome(text)
+        assert want[0] is CertificateParseError and "more than 640 digits" in want[1]
+        assert _outcome(text) == want
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_the_reader_reads_bytes_on_the_general_path():
+    _read_leaf_text.cache_clear()
+    text = certificate_dumps(realize(10, 30))
+    want = certificate_loads(text)
+    assert certificate_loads(text.encode()) == certificate_loads(bytearray(text.encode())) == want
+
+
+def test_the_reader_memo_holds_at_most_128_leaf_texts():
+    _read_leaf_text.cache_clear()
+    for b in range(2, 302):  # 300 distinct small leaf texts
+        certificate_loads(certificate_dumps(Product((WpsLeaf(_b_leaf(b)), EllipticLeaf(1)))))
+    assert _read_leaf_text.cache_info().currsize <= 128
+
+
+def test_the_reader_memo_holds_leaf_texts_of_at_most_4096_characters():
+    gate = cyindex.certify._MEMO_MAX_CHARS
+    base = len(cyindex.certify._leaf_text(_b_leaf(10))) - 2
+    for size, held in ((gate, 1), (gate + 1, 0)):
+        leaf = WpsLeaf(_b_leaf(10 ** (size - base - 1)))
+        assert len(cyindex.certify._node_text(leaf)) == size
+        cert = Product((leaf, EllipticLeaf(1)))
+        _read_leaf_text.cache_clear()
+        assert certificate_loads(certificate_dumps(cert)) == cert
+        assert _read_leaf_text.cache_info().currsize == held
+
+
+def test_the_reader_memo_never_holds_an_elliptic_factor():
+    _read_leaf_text.cache_clear()
+    certs = [realize(n, 2) for n in range(3, 41)]  # one leaf, 38 padding dimensions
+    assert [certificate_loads(certificate_dumps(cert)) for cert in certs] == certs
+    assert _read_leaf_text.cache_info().currsize == 1
+
+
+def _counted(monkeypatch, name):
+    calls = []
+    fn = getattr(cyindex.certify, name)
+    monkeypatch.setattr(cyindex.certify, name, lambda *args: calls.append(args) or fn(*args))
+    return calls
+
+
+def test_a_leading_oversize_leaf_sends_the_text_to_the_general_path_unread(monkeypatch):
+    _read_leaf_text.cache_clear()
+    cert = Product((WpsLeaf(build_index_prime(401)), _EXPLICIT_2, EllipticLeaf(3)))
+    calls = _counted(monkeypatch, "_read_leaf_text")
+    assert certificate_loads(certificate_dumps(cert)) == cert
+    assert calls == []
+
+
+def test_a_nested_product_sends_the_text_to_the_general_path_unread(monkeypatch):
+    _read_leaf_text.cache_clear()
+    pieces = [cyindex.certify._node_text(f) for f in (Product((_EXPLICIT_2,)), EllipticLeaf(2))]
+    calls = _counted(monkeypatch, "_read_piece")
+    assert certificate_loads(_product_text(*pieces)) == Product((Product((_EXPLICIT_2,)), EllipticLeaf(2)))
+    assert calls == [] and _read_leaf_text.cache_info().currsize == 0

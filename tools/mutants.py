@@ -1,0 +1,148 @@
+"""Run tier-1 against one-line source mutants and print which the tests kill.
+
+    python3 tools/mutants.py            # every mutant
+    python3 tools/mutants.py NAME ...   # the named ones
+
+Each mutant replaces one line of a file under src/ with another. For each,
+the tree beside this file (without .git and caches) is copied to a
+temporary directory, the replacement is applied there, and tier-1 runs
+there with `-x -q`. A mutant is killed when tier-1 fails and survives when
+it passes. Some survivors are equivalent: no leaf the loader or the library
+can build tells them apart from the program. Those are listed with the
+reason, and the tool exits 1 only if a mutant that is not listed survives.
+Every replacement is checked to match its file exactly once before any
+mutant runs. One mutant takes up to one tier-1 run, a few minutes.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TIER1 = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    file: str
+    old: str
+    new: str
+    equivalent: str | None = None  # why no test can kill it, if none can
+
+
+CERTIFY = "src/cyindex/certify.py"
+
+MUTANTS = [
+    # the verifier's checks of a leaf
+    Mutant("weights-valid", CERTIFY,
+           '_check(rep, "weights-valid", len(w) >= 2 and min(w) >= 1, space_text)',
+           '_check(rep, "weights-valid", len(w) >= 2 and min(w) >= 0, space_text)',
+           equivalent="Wps rejects a weight below 1 at construction, so no leaf has one"),
+    Mutant("standard-coefficients", CERTIFY,
+           "std_ok = all(isinstance(coeff.b, int) and coeff.b >= 2 for coeff, _ in leaf.entries)",
+           "std_ok = all(isinstance(coeff.b, int) and coeff.b >= 1 for coeff, _ in leaf.entries)",
+           equivalent="StdCoeff rejects b below 2 at construction, so no entry has b = 1"),
+    Mutant("entries-distinct", CERTIFY,
+           '_check(rep, "entries-distinct", _distinct_up_to_scaling([eq for _, eq in leaf.entries]))',
+           '_check(rep, "entries-distinct", True)'),
+    Mutant("index-computed", CERTIFY,
+           "index = scale if wf and deg_ok else None",
+           "index = scale if deg_ok else None"),
+    # the leaf-verdict memo's key, simulated by mapping each key to the first
+    # leaf seen with it; the map outlives cache_clear
+    Mutant("verdict-key-space-strategy", CERTIFY,
+           "checks, rep.klt, result = _leaf_verdict(leaf)",
+           "checks, rep.klt, result = _leaf_verdict(_leaf_verdict.__dict__.setdefault("
+           "(leaf.space, leaf.klt_strategy), leaf))"),
+    Mutant("verdict-key-no-strategy", CERTIFY,
+           "checks, rep.klt, result = _leaf_verdict(leaf)",
+           "checks, rep.klt, result = _leaf_verdict(_leaf_verdict.__dict__.setdefault("
+           "(leaf.space, leaf.entries), leaf))"),
+    # the reader's fast path and memo
+    Mutant("reader-text-test", CERTIFY,
+           "return node if _node_text(node) == piece else None",
+           "return node"),
+    Mutant("reader-digits-key", CERTIFY,
+           "node = _read_leaf_text(piece, digits)",
+           "node = _read_leaf_text(piece, 0)"),
+    Mutant("reader-accepts-product", CERTIFY,
+           """if piece.startswith('{"entries":'):""",
+           """if piece.startswith(('{"entries":', '{"factors":')):"""),
+    Mutant("reader-gate-ge", CERTIFY,
+           "if cut - start > _MEMO_MAX_CHARS:",
+           "if cut - start >= _MEMO_MAX_CHARS:"),
+    Mutant("reader-str-type", CERTIFY,
+           "if type(text) is str and text.startswith(_PRODUCT_HEAD) and text.endswith(_PRODUCT_TAIL):",
+           "if text.startswith(_PRODUCT_HEAD) and text.endswith(_PRODUCT_TAIL):"),
+    Mutant("reader-dim-prefix", CERTIFY,
+           """elif piece.startswith('{"dim":'):""",
+           "elif True:"),
+    Mutant("reader-holds-elliptic", CERTIFY,
+           "node = _read_piece(piece)  # up to hundreds of padding dimensions, which would push the leaves out",
+           "node = _read_leaf_text(piece, digits)"),
+]
+
+
+def _mutated(tree: Path, mutant: Mutant) -> str:
+    """The mutant's file in `tree` with its one line replaced."""
+    text = (tree / mutant.file).read_text()
+    count = text.count(mutant.old)
+    if count != 1:
+        raise SystemExit(f"mutant {mutant.name}: {mutant.old!r} occurs {count} times in {mutant.file}, not once")
+    return text.replace(mutant.old, mutant.new)
+
+
+def _copy(dest: Path) -> None:
+    shutil.copytree(ROOT, dest, ignore=shutil.ignore_patterns(
+        ".git", "__pycache__", ".pytest_cache", ".hypothesis", ".bench_work", ".benchmarks"))
+
+
+def run(mutant: Mutant, scratch: Path) -> str:
+    """'killed by TEST' or 'survived', after tier-1 on a mutated copy."""
+    tree = scratch / mutant.name
+    _copy(tree)
+    (tree / mutant.file).write_text(_mutated(tree, mutant))
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    proc = subprocess.run(TIER1, cwd=tree, env=env, capture_output=True, text=True)
+    shutil.rmtree(tree)
+    if proc.returncode == 0:
+        return "survived"
+    failed = re.search(r"^(?:FAILED|ERROR) (\S+)", proc.stdout, re.MULTILINE)
+    return f"killed by {failed.group(1) if failed else f'exit {proc.returncode}'}"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
+    args = parser.parse_args(argv)
+    known = {m.name: m for m in MUTANTS}
+    unknown = [name for name in args.names if name not in known]
+    if unknown:
+        parser.error(f"unknown mutants: {', '.join(unknown)}")
+    chosen = [known[name] for name in args.names] or MUTANTS
+    for mutant in chosen:  # fail loudly before any run if a line has moved
+        _mutated(ROOT, mutant)
+    unlisted = 0
+    with tempfile.TemporaryDirectory() as scratch:
+        for mutant in chosen:
+            verdict = run(mutant, Path(scratch))
+            if verdict == "survived" and mutant.equivalent:
+                verdict += f" (equivalent: {mutant.equivalent})"
+            elif verdict == "survived":
+                unlisted += 1
+            print(f"{mutant.name}: {verdict}", flush=True)
+    print(f"{len(chosen)} mutants, {unlisted} unlisted survivors")
+    return 1 if unlisted else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
