@@ -32,19 +32,23 @@ at most 128 leaves, least recently used first out. It is keyed on the leaf
 itself, which is everything the checks read, so a report is the same bytes
 whether it came from the memo or not. Bigger leaves are checked afresh.
 
-The reader keeps small leaves the same way. A flat product written exactly
-as the writer writes it is cut into its factors' texts, and each leaf text
-of at most 4,096 characters is parsed once per process and digit limit
-(_read_leaf_text): at most 128 texts, least recently used first out.
-Elliptic factors are read afresh, and so is every other text, by the one
-general path that makes every error and location. A text is read through
-the memo only if it is the writer's text of what it reads as, so it is the
-product of those factors on the general path too (certificate_loads).
+The reader reads the writer's own text without json.loads. A leaf text,
+bare or a factor of a flat product written exactly as the writer writes
+it, is cut with str operations, and only the nonzero entries of its dense
+vectors are read (_scan_leaf); an elliptic text is read by its one number.
+A node is kept only if the writer writes exactly that text for it, so the
+general path reads the text as the same node (_read_piece). Each leaf
+factor text of at most 4,096 characters is also held, once per process and
+digit limit (_read_leaf_text): at most 128 texts, least recently used first
+out. Every other text goes to the one general path, json.loads and the
+field-by-field reader, which makes every error and location
+(certificate_loads).
 """
 
 from __future__ import annotations
 
 import json
+import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -766,6 +770,19 @@ class CertificateParseError(ValueError):
 _json_text = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
+# The text of a leaf is _LEAF_HEAD, its entries joined by ",", _LEAF_STRATEGY,
+# its strategy as a JSON string, _LEAF_WEIGHTS, its weights joined by ",",
+# and "]}"; that of an elliptic leaf is its dim between _ELLIPTIC_HEAD and
+# _ELLIPTIC_TAIL; that of a product is its factors' texts, joined by ",",
+# between _PRODUCT_HEAD and _PRODUCT_TAIL.
+_LEAF_HEAD = '{"entries":['
+_LEAF_STRATEGY = '],"node":"wps_leaf","strategy":'
+_LEAF_WEIGHTS = ',"v":1,"weights":['
+_ELLIPTIC_HEAD, _ELLIPTIC_TAIL = '{"dim":', ',"node":"elliptic_leaf","v":1}'
+_PRODUCT_HEAD = '{"factors":['
+_PRODUCT_TAIL = '],"node":"product","v":1}'
+
+
 def _leaf_text(leaf: LogLeaf) -> str:
     """The schema v1 text of a leaf, written from its (variable, exponent)
     pairs. Keys come in sorted order, and every number is written as
@@ -789,13 +806,8 @@ def _leaf_text(leaf: LogLeaf) -> str:
             parts.append(zeros[: 2 * (nv - at)])
             monos.append(f'{{"c":[{c.numerator},{c.denominator}],"e":[{"".join(parts)[:-1]}]}}')
         entries.append('{"b":%d,"eq":[%s]}' % (coeff.b, ",".join(monos)))
-    return '{"entries":[%s],"node":"wps_leaf","strategy":%s,"v":1,"weights":[%s]}' % (
-        ",".join(entries), _json_text(leaf.klt_strategy), ",".join(map(str, leaf.space.weights)))
-
-
-# The text of a product is its factors' texts, joined by ",", between these.
-_PRODUCT_HEAD = '{"factors":['
-_PRODUCT_TAIL = '],"node":"product","v":1}'
+    return "".join((_LEAF_HEAD, ",".join(entries), _LEAF_STRATEGY, _json_text(leaf.klt_strategy),
+                    _LEAF_WEIGHTS, ",".join(map(str, leaf.space.weights)), "]}"))
 
 
 def _node_text(cert: Certificate) -> str:
@@ -803,7 +815,7 @@ def _node_text(cert: Certificate) -> str:
         case WpsLeaf(leaf):
             return _leaf_text(leaf)
         case EllipticLeaf(dim):
-            return '{"dim":%s,"node":"elliptic_leaf","v":1}' % _json_text(dim)
+            return _ELLIPTIC_HEAD + _json_text(dim) + _ELLIPTIC_TAIL
         case Product(factors):
             return _PRODUCT_HEAD + ",".join(map(_node_text, factors)) + _PRODUCT_TAIL
     raise TypeError(f"not a certificate node: {cert!r}")
@@ -948,22 +960,96 @@ def certificate_from_obj(obj, loc: str = "$") -> Certificate:
     raise CertificateParseError(f"unknown node kind {node!r}", f"{loc}.node")
 
 
-# A leaf text of at most this many characters is read through the reader
-# memo. In theorem_sweep (seed 1, 16 passes) 2,363 of 2,500 leaf reads cover
-# 46 distinct texts of at most 4,096 characters, about 45 KB in all; a 16 KB
+# A leaf text of at most this many characters is held by the reader memo.
+# In theorem_sweep (seed 1, 16 passes) 2,363 of 2,500 leaf reads cover 46
+# distinct texts of at most 4,096 characters, about 45 KB in all; a 16 KB
 # gate would hold 253 KB and a 64 KB gate 851 KB, and held big leaves cost
 # peak RSS. build_index_prime(97), of 50 monomials, writes 4,023 characters.
 _MEMO_MAX_CHARS = 4096
 
+# at a position in a dense exponent vector: the run of zero entries and
+# commas there, then the next entry, which is empty at the closing bracket
+_ZEROS_THEN_ENTRY = re.compile(r"[0,]*([^,\]]*)")
+
+
+def _scan_leaf(text: str) -> LogLeaf | None:
+    """The leaf a wps_leaf text cut like the writer's holds, read with str
+    operations instead of json.loads; None where the cuts are not found.
+    Only the nonzero entries of a dense vector are read: one compiled
+    pattern skips each run of zeros, and a variable's index is the running
+    count of commas before its entry.
+
+    The leaf is built by Wps, StdCoeff, SparsePoly.from_pairs in
+    len(weights) variables and LogLeaf, and every equation has a monomial,
+    so it is a leaf the general path can return. What only the text's form
+    decides (key order, number spelling, vector length, reduced
+    coefficients) is not checked here; _read_piece does that by writing the
+    leaf back. Raises only ValueError, an int over the int-to-str digit
+    limit included, and ZeroDivisionError, for a zero denominator."""
+    if not text.startswith(_LEAF_HEAD) or not text.endswith("]}"):
+        return None
+    tail = text.rfind(_LEAF_STRATEGY)
+    weights_at = text.find(_LEAF_WEIGHTS, tail)
+    if tail < 0 or weights_at < 0:
+        return None
+    strategy = text[tail + len(_LEAF_STRATEGY) + 1:weights_at - 1]  # inside its quotes
+    weights = tuple(map(int, text[weights_at + len(_LEAF_WEIGHTS):-2].split(",")))
+    nv = len(weights)
+    stds: dict[int, StdCoeff] = {}  # one StdCoeff per distinct b
+    entries = []
+    pos = len(_LEAF_HEAD)
+    while pos < tail:  # one entry: {"b":B,"eq":[monomial,...]}
+        at = text.find(',"eq":[', pos)
+        if at < 0 or not text.startswith('{"b":', pos):
+            return None
+        b = int(text[pos + 5:at])
+        coeff = stds.get(b)
+        if coeff is None:
+            coeff = stds[b] = StdCoeff(b)
+        pos, terms = at + 7, []
+        while True:  # one monomial: {"c":[N,D],"e":[vector]}
+            comma = text.find(",", pos)
+            at = text.find('],"e":[', comma)
+            if comma < 0 or at < 0 or not text.startswith('{"c":[', pos):
+                return None
+            num, den = int(text[pos + 6:comma]), int(text[comma + 1:at])
+            pos, pairs, var = at + 7, [], 0
+            while True:
+                at, end = _ZEROS_THEN_ENTRY.match(text, pos).span(1)
+                var += text.count(",", pos, at)
+                pos = end
+                if at == end:
+                    break
+                pairs.append((var, int(text[at:end])))
+            terms.append((_ONE if num == 1 == den else Fraction(num, den), pairs))
+            if not text.startswith("]},", pos):
+                break
+            pos += 3
+        entries.append((coeff, SparsePoly.from_pairs(nv, terms)))
+        pos += 5  # past ']}]},' to the next entry, or past the ']}]}' before the tail
+    return LogLeaf(Wps(weights), tuple(entries), strategy)
+
 
 def _read_piece(piece: str) -> Certificate | None:
-    """The node a factor's text reads as, if the text is exactly what the
-    writer writes for that node; otherwise None, for the general path to
-    read and report."""
+    """The node a leaf or elliptic leaf text reads as, if the text is
+    exactly what the writer writes for that node; otherwise None, for the
+    general path to read and report. No json.loads runs.
+
+    Sound because _scan_leaf and the elliptic test (an int dim >= 1) build
+    only nodes the general path can return, and the one proof obligation,
+    that such a node's writer text reads back as that node on the general
+    path, is the codec's round trip (test_writer_matches_the_reference_bytes
+    pins it). So when the writer's text of the node is `piece`, the general
+    path returns the same node for `piece`."""
     try:
-        node = certificate_from_obj(json.loads(piece))
-        return node if _node_text(node) == piece else None
-    except (ValueError, RecursionError):  # ValueError covers CertificateParseError and JSONDecodeError
+        if piece.startswith(_ELLIPTIC_HEAD) and piece.endswith(_ELLIPTIC_TAIL):
+            dim = int(piece[len(_ELLIPTIC_HEAD):-len(_ELLIPTIC_TAIL)])
+            node = EllipticLeaf(dim) if dim >= 1 else None
+        else:
+            leaf = _scan_leaf(piece)
+            node = None if leaf is None else WpsLeaf(leaf)
+        return node if node is not None and _node_text(node) == piece else None
+    except (ValueError, ZeroDivisionError):
         return None
 
 
@@ -978,26 +1064,27 @@ def _flat_factors(text: str) -> list[Certificate] | None:
     """The factors of a product text written as the writer writes it, or None.
 
     The text between _PRODUCT_HEAD and _PRODUCT_TAIL is cut before each
-    ',{"entries":' or ',{"dim":' that follows a '}'. Each cut is looked for
-    within _MEMO_MAX_CHARS of the piece's start only, so a text with a bigger
-    piece costs one bounded scan before it goes to the general path. A leaf
-    piece is read through _read_leaf_text, an elliptic piece afresh; any
-    other piece, and any piece that reads as None, gives None.
+    "," + _LEAF_HEAD or "," + _ELLIPTIC_HEAD that follows a "}". The next
+    place of each separator is looked for once and kept until a cut passes
+    it, so the search reads the text once. A leaf piece of at most
+    _MEMO_MAX_CHARS is read through _read_leaf_text, a bigger one and an
+    elliptic piece by _read_piece unheld; any other piece, and any piece
+    that reads as None, gives None.
     """
     digits = sys.get_int_max_str_digits()
     start, end = len(_PRODUCT_HEAD), len(text) - len(_PRODUCT_TAIL)
+    leaf_cut = dim_cut = -1  # the next cut before a leaf piece and before an elliptic one, or end
     factors = []
     while True:
-        stop = min(end, start + _MEMO_MAX_CHARS + len('},{"entries":'))
-        cuts = [at + 1 for at in (text.find('},{"entries":', start, stop), text.find('},{"dim":', start, stop))
-                if at >= 0]
-        cut = min(cuts, default=end)
-        if cut - start > _MEMO_MAX_CHARS:
-            return None
+        if leaf_cut < start:
+            leaf_cut = text.find("}," + _LEAF_HEAD, start, end) + 1 or end
+        if dim_cut < start:
+            dim_cut = text.find("}," + _ELLIPTIC_HEAD, start, end) + 1 or end
+        cut = min(leaf_cut, dim_cut)
         piece = text[start:cut]
-        if piece.startswith('{"entries":'):
-            node = _read_leaf_text(piece, digits)
-        elif piece.startswith('{"dim":'):
+        if piece.startswith(_LEAF_HEAD):
+            node = _read_leaf_text(piece, digits) if cut - start <= _MEMO_MAX_CHARS else _read_piece(piece)
+        elif piece.startswith(_ELLIPTIC_HEAD):
             node = _read_piece(piece)  # up to hundreds of padding dimensions, which would push the leaves out
         else:
             return None
@@ -1013,24 +1100,32 @@ def certificate_loads(text: str) -> Certificate:
     """The certificate a schema v1 text holds, or CertificateParseError with
     the location of the first fault.
 
-    A flat product written exactly as the writer writes it is read factor by
-    factor (_flat_factors), each leaf text of at most _MEMO_MAX_CHARS through
-    a memo of _MEMO_LEAVES texts, so a core leaf that a sweep reads again and
-    again is parsed once per process. Sound: if the text is
-    _PRODUCT_HEAD + ",".join(p_i) + _PRODUCT_TAIL and each p_i is _node_text
-    of f_i = certificate_from_obj(json.loads(p_i)), a leaf or an elliptic
-    leaf, then json.loads(text) is {"factors": [json.loads(p_i), ...],
-    "node": "product", "v": 1}, and the general path returns Product(f) too.
-    Such a p_i nests at most 6 levels, with no whitespace and no unknown
-    keys, so the general path meets no recursion limit that the piece did
-    not; a hit reuses a value read under the same digit limit. Every other
-    text, bytes included, is read by the general path, which makes every
-    error and location.
+    A str, less one trailing newline as `cyindex realize --out` writes it,
+    is read without json.loads when it is the writer's text: a flat product
+    factor by factor (_flat_factors, each leaf text of at most
+    _MEMO_MAX_CHARS through a memo of _MEMO_LEAVES texts), and any other
+    text as one piece (_read_piece). Sound: json.loads ignores trailing
+    whitespace; _read_piece returns a node only when its text is the
+    writer's text of that node, which the general path reads back as the
+    node; and if the text is _PRODUCT_HEAD + ",".join(p_i) + _PRODUCT_TAIL
+    with each p_i the writer's text of a leaf or elliptic leaf f_i, then
+    json.loads(text) is {"factors": [json.loads(p_i), ...], "node":
+    "product", "v": 1}, and the general path returns Product(f) too. Such a
+    p_i nests at most 6 levels, with no whitespace and no unknown keys, so
+    the general path meets no recursion limit that the piece did not; a
+    memo hit reuses a value read under the same digit limit. Every other
+    text, bytes included, is read whole, newline and all, by the general
+    path, which makes every error and location.
     """
-    if type(text) is str and text.startswith(_PRODUCT_HEAD) and text.endswith(_PRODUCT_TAIL):
-        factors = _flat_factors(text)
-        if factors is not None:
-            return Product(factors)
+    if type(text) is str:
+        body = text[:-1] if text.endswith("\n") else text  # as `cyindex realize --out` writes it
+        if body.startswith(_PRODUCT_HEAD) and body.endswith(_PRODUCT_TAIL):
+            factors = _flat_factors(body)
+            node = None if factors is None else Product(factors)
+        else:
+            node = _read_piece(body)
+        if node is not None:
+            return node
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as err:

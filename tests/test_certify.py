@@ -1626,12 +1626,13 @@ def _counted(monkeypatch, name):
     return calls
 
 
-def test_a_leading_oversize_leaf_sends_the_text_to_the_general_path_unread(monkeypatch):
+def test_a_leading_oversize_leaf_is_read_unheld(monkeypatch):
     _read_leaf_text.cache_clear()
     cert = Product((WpsLeaf(build_index_prime(401)), _EXPLICIT_2, EllipticLeaf(3)))
     calls = _counted(monkeypatch, "_read_leaf_text")
-    assert certificate_loads(certificate_dumps(cert)) == cert
-    assert calls == []
+    with mock.patch.object(cyindex.certify.json, "loads", _no_json_loads):
+        assert certificate_loads(certificate_dumps(cert)) == cert
+    assert [piece for piece, _ in calls] == [cyindex.certify._node_text(_EXPLICIT_2)]
 
 
 def test_a_nested_product_sends_the_text_to_the_general_path_unread(monkeypatch):
@@ -1640,3 +1641,169 @@ def test_a_nested_product_sends_the_text_to_the_general_path_unread(monkeypatch)
     calls = _counted(monkeypatch, "_read_piece")
     assert certificate_loads(_product_text(*pieces)) == Product((Product((_EXPLICIT_2,)), EllipticLeaf(2)))
     assert calls == [] and _read_leaf_text.cache_info().currsize == 0
+
+
+# -- the leaf scanner ----------------------------------------------------------
+# each test clears the memo first, as above
+
+
+def _no_json_loads(*args, **kwargs):
+    raise AssertionError("json.loads ran")
+
+
+def _general_path_outcome(text):
+    """What certificate_loads makes of a text with every fast path closed."""
+    with mock.patch.object(cyindex.certify, "_read_piece", lambda piece: None), \
+            mock.patch.object(cyindex.certify, "_flat_factors", lambda text: None):
+        return _outcome(text)
+
+
+def _vandermonde_leaf(nv, ts):
+    """Linear forms with coefficients t^i, multi-digit and of both signs."""
+    eqs = [SparsePoly.linear_form([(-t) ** i for i in range(nv)]) for t in ts]
+    return LogLeaf(Wps((1,) * nv), tuple((StdCoeff(2 + i), eq) for i, eq in enumerate(eqs)), "hyperplane_arrangement")
+
+
+_SCAN_LEAVES = [
+    _EXPLICIT_2.leaf,
+    base_leaf(2, 14).leaf,
+    build_index_prime(13),
+    build_index_prime(97),
+    build_index_prime(401),
+    build_prime_power(3, 4),
+    build_sylvester(3),
+    search_plane_pair(2, 10),
+    _vandermonde_leaf(4, (3, 11, 25)),
+    LogLeaf(Wps((2, 3)), ((StdCoeff(5), SparsePoly.from_pairs(
+        2, [(Fraction(-3, 2), ((0, 3),)), (Fraction(7, 10**9), ((1, 2),))])),), "family_C"),
+    LogLeaf(Wps((1, 1)), (), "family_A"),
+]
+assert any(len(cyindex.certify._leaf_text(leaf)) > 4096 for leaf in _SCAN_LEAVES)
+assert any(sum(len(eq.terms) for _, eq in leaf.entries) > 64 for leaf in _SCAN_LEAVES)
+
+
+def _writer_text(obj):
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+@st.composite
+def _one_leaf_edit(draw):
+    """A bare leaf text and a copy with one edit: a character replaced,
+    inserted or deleted; a leading zero, a '+' or a space before a number;
+    a digit made the Unicode digit one; a coefficient [1,1] made [2,2]; two
+    monomials of an equation swapped; a monomial duplicated; or a vector
+    one entry shorter or longer."""
+    leaf = draw(st.sampled_from(_SCAN_LEAVES))
+    text = cyindex.certify._leaf_text(leaf)
+    edit = draw(st.sampled_from(["replace", "insert", "delete", "zero", "plus", "space", "unicode", "c22",
+                                 "swap", "duplicate", "shorter", "longer"]))
+    numbers = [m.start() for m in re.finditer(r"(?<![0-9])-?[0-9]", text)]
+    if edit in ("replace", "insert", "delete"):
+        at = draw(st.integers(0, len(text) - 1))
+        char = draw(st.sampled_from('0123456789{}[],:" -+.ebnv\u0661'))
+        return text, text[:at] + {"replace": char, "insert": char + text[at], "delete": ""}[edit] + text[at + 1:]
+    if edit in ("zero", "plus", "space"):
+        at = draw(st.sampled_from(numbers))
+        return text, text[:at] + {"zero": "0", "plus": "+", "space": " "}[edit] + text[at:]
+    if edit == "unicode":
+        at = draw(st.sampled_from([i for i, c in enumerate(text) if c == "1"]))
+        return text, text[:at] + "\u0661" + text[at + 1:]
+    if edit == "c22":
+        ones = [m.start() for m in re.finditer(re.escape('"c":[1,1]'), text)] or [0]
+        at = draw(st.sampled_from(ones))
+        return text, text[:at] + text[at:].replace('"c":[1,1]', '"c":[2,2]', 1)
+    obj = json.loads(text)
+    assume(obj["entries"])
+    eq = draw(st.sampled_from(obj["entries"]))["eq"]
+    i = draw(st.integers(0, len(eq) - 1))
+    if edit == "swap":
+        assume(len(eq) >= 2)
+        j = draw(st.integers(0, len(eq) - 1).filter(lambda j: j != i))
+        eq[i], eq[j] = eq[j], eq[i]
+    elif edit == "duplicate":
+        eq.insert(draw(st.integers(0, len(eq))), copy.deepcopy(eq[i]))
+    else:
+        e = eq[i]["e"]
+        k = draw(st.integers(0, len(e) - (edit == "shorter")))
+        if edit == "shorter":
+            del e[k]
+        else:
+            e.insert(k, draw(st.sampled_from([0, 0, 1, 3])))
+    return text, _writer_text(obj)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(_one_leaf_edit())
+def test_one_leaf_edit_reads_as_on_the_general_path(pair):
+    text, edited = pair
+    _read_leaf_text.cache_clear()
+    assume(edited != text)
+    assert certificate_loads(text) == _general_path_outcome(text)
+    assert _outcome(edited) == _general_path_outcome(edited)
+
+
+def test_the_scanner_reads_every_sample_leaf_without_json_loads():
+    _read_leaf_text.cache_clear()
+    with mock.patch.object(cyindex.certify.json, "loads", _no_json_loads):
+        for leaf in _SCAN_LEAVES:
+            assert certificate_loads(cyindex.certify._leaf_text(leaf)) == WpsLeaf(leaf)
+
+
+def test_builder_leaves_and_oversize_pieces_are_read_without_json_loads():
+    _read_leaf_text.cache_clear()
+    ms = [5, 7, 9, 13, 15, 41, 97, 101, 399, 401, 1001, 1901, 1997, 1999, 2001]
+    leaves = [WpsLeaf(build_index_prime(m)) for m in ms]
+    cert = realize(400, 3 * 401)  # the index-3 leaf, build_index_prime(401) and padding
+    assert len(cyindex.certify._node_text(cert.factors[1])) > cyindex.certify._MEMO_MAX_CHARS
+    texts = [certificate_dumps(c) for c in leaves + [cert]]
+    with mock.patch.object(cyindex.certify.json, "loads", _no_json_loads):
+        assert [certificate_loads(text) for text in texts] == leaves + [cert]
+
+
+def test_a_file_that_realize_writes_takes_the_fast_path(tmp_path, capsys):
+    _read_leaf_text.cache_clear()
+    path = tmp_path / "cert.json"
+    assert cyindex.cli.main(["realize", "--dim", "30", "--index", "60", "--out", str(path)]) == 0
+    capsys.readouterr()
+    text = path.read_text(encoding="utf-8")
+    assert text == certificate_dumps(realize(30, 60)) + "\n"
+    with mock.patch.object(cyindex.certify.json, "loads", _no_json_loads):
+        assert certificate_loads(text) == realize(30, 60)
+        assert certificate_loads(certificate_dumps(_EXPLICIT_2) + "\n") == _EXPLICIT_2
+
+
+@pytest.mark.parametrize("suffix", ["\n", "\n\n", " ", "\t", "\r\n", "\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u2028"])
+def test_only_whitespace_json_allows_follows_a_text(suffix):
+    _read_leaf_text.cache_clear()
+    for cert in (_EXPLICIT_2, realize(10, 30), EllipticLeaf(2)):
+        text = certificate_dumps(cert) + suffix
+        want = _general_path_outcome(text)
+        assert _outcome(text) == want
+        assert (want == cert) == (suffix.strip(" \t\r\n") == "")
+
+
+@pytest.mark.parametrize("dim", ["0", "-1", "01", "+1", "1.0", "true", "\u0661", "2 "])
+def test_an_elliptic_piece_reads_as_on_the_general_path(dim):
+    _read_leaf_text.cache_clear()
+    piece = '{"dim":%s,"node":"elliptic_leaf","v":1}' % dim
+    for text in (piece, _product_text(cyindex.certify._node_text(_EXPLICIT_2), piece)):
+        assert _outcome(text) == _general_path_outcome(text)
+
+
+@pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="no limit on int-to-str digits")
+def test_the_scanner_keeps_the_digit_limit():
+    wide = cyindex.certify._chain_leaf((1,) * 40, [(0, 10**699 + 1)], 2, [((i, 1),) for i in range(40)], "family_A")
+    texts = [certificate_dumps(WpsLeaf(_b_leaf(10**699 + 1))),
+             certificate_dumps(Product((WpsLeaf(wide), EllipticLeaf(1))))]
+    assert len(cyindex.certify._leaf_text(wide)) > cyindex.certify._MEMO_MAX_CHARS
+    limit = sys.get_int_max_str_digits()
+    for text in texts:
+        _read_leaf_text.cache_clear()
+        assert certificate_loads(text) == _general_path_outcome(text)
+        sys.set_int_max_str_digits(640)
+        try:
+            want = _general_path_outcome(text)
+            assert want[0] is CertificateParseError and "more than 640 digits" in want[1]
+            assert _outcome(text) == want
+        finally:
+            sys.set_int_max_str_digits(limit)

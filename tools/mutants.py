@@ -69,26 +69,45 @@ MUTANTS = [
            "(leaf.space, leaf.entries), leaf))"),
     # the reader's fast path and memo
     Mutant("reader-text-test", CERTIFY,
-           "return node if _node_text(node) == piece else None",
+           "return node if node is not None and _node_text(node) == piece else None",
            "return node"),
     Mutant("reader-digits-key", CERTIFY,
-           "node = _read_leaf_text(piece, digits)",
-           "node = _read_leaf_text(piece, 0)"),
+           "node = _read_leaf_text(piece, digits) if",
+           "node = _read_leaf_text(piece, 0) if"),
     Mutant("reader-accepts-product", CERTIFY,
-           """if piece.startswith('{"entries":'):""",
-           """if piece.startswith(('{"entries":', '{"factors":')):"""),
+           "if piece.startswith(_LEAF_HEAD):",
+           "if piece.startswith((_LEAF_HEAD, _PRODUCT_HEAD)):"),
     Mutant("reader-gate-ge", CERTIFY,
-           "if cut - start > _MEMO_MAX_CHARS:",
-           "if cut - start >= _MEMO_MAX_CHARS:"),
+           "if cut - start <= _MEMO_MAX_CHARS else",
+           "if cut - start < _MEMO_MAX_CHARS else"),
     Mutant("reader-str-type", CERTIFY,
-           "if type(text) is str and text.startswith(_PRODUCT_HEAD) and text.endswith(_PRODUCT_TAIL):",
-           "if text.startswith(_PRODUCT_HEAD) and text.endswith(_PRODUCT_TAIL):"),
+           "    if type(text) is str:",
+           "    if True:"),
     Mutant("reader-dim-prefix", CERTIFY,
-           """elif piece.startswith('{"dim":'):""",
+           "elif piece.startswith(_ELLIPTIC_HEAD):",
            "elif True:"),
     Mutant("reader-holds-elliptic", CERTIFY,
            "node = _read_piece(piece)  # up to hundreds of padding dimensions, which would push the leaves out",
            "node = _read_leaf_text(piece, digits)"),
+    Mutant("reader-any-trailing-space", CERTIFY,
+           'body = text[:-1] if text.endswith("\\n") else text',
+           "body = text.rstrip()"),
+    Mutant("reader-cut-not-advanced", CERTIFY,
+           "if leaf_cut < start:",
+           "if leaf_cut < 0:"),
+    # the leaf scanner, whose leaf _read_piece keeps only after the write-back test
+    Mutant("scan-nvars-from-vector", CERTIFY,
+           "entries.append((coeff, SparsePoly.from_pairs(nv, terms)))",
+           "entries.append((coeff, SparsePoly.from_pairs(var + 1, terms)))"),
+    Mutant("scan-canonical", CERTIFY,
+           "entries.append((coeff, SparsePoly.from_pairs(nv, terms)))",
+           "entries.append((coeff, SparsePoly._canonical(nv, terms)))"),
+    Mutant("scan-count-not-running", CERTIFY,
+           'var += text.count(",", pos, at)',
+           'var = text.count(",", pos, at)'),
+    Mutant("scan-elliptic-dim-zero", CERTIFY,
+           "node = EllipticLeaf(dim) if dim >= 1 else None",
+           "node = EllipticLeaf(dim)"),
 ]
 
 

@@ -10,6 +10,13 @@ each m with phi(m) <= 2n, RELOADED being the sha256 of the strict report of
 so that its small leaves come from the verifier's leaf-verdict memo; then
 `base 1 M CERT REPORT` for each entry of the dimension-1 catalogue. The dimension-2 catalogue is realize(3, m) by
 definition, so the `realize 3 M` lines stand for it. Then
+`reload LABEL REPORT REDUMP` for bare builder leaves read back from their
+own text: `build_index_prime(M)` for every odd 5 <= M <= 401 and for 997,
+1999 and 2001, `build_prime_power(M, E)` for 2 <= M <= 11 and 2 <= E <= 6,
+`build_sylvester(K)` for 2 <= K <= 5 and each leaf of the explicit table;
+REPORT is the sha256 of the strict report of
+`certificate_loads(certificate_dumps(leaf))` and REDUMP that of its
+`certificate_dumps`. Then
 `search D M K CERT REPORT` for each hit of search_plane_pair(D, M, K) with
 D in (1, 2), 2 <= M < 400 and K in (4, 7), the CLI default and the
 table's value, and `table 1,2 SHA` for the stdout of
@@ -47,6 +54,9 @@ from cyindex.certify import (  # noqa: E402
     BASE_DIM1_INDICES,
     WpsLeaf,
     base_leaf,
+    build_index_prime,
+    build_prime_power,
+    build_sylvester,
     certificate_dumps,
     certificate_loads,
     realize,
@@ -81,6 +91,11 @@ def _line(label: str, cert) -> str:
     return f"{label} {_sha(certificate_dumps(cert))} {_report_sha(cert)}"
 
 
+def _reload_line(label: str, leaf) -> str:
+    back = certificate_loads(certificate_dumps(WpsLeaf(leaf)))
+    return f"reload {label} {_report_sha(back)} {_sha(certificate_dumps(back))}"
+
+
 def _outcome(fn, *args) -> str:
     try:
         return str(fn(*args))
@@ -102,6 +117,15 @@ def main() -> int:
             print(f"{line} {_report_sha(certificate_loads(certificate_dumps(cert)))}")
     for m in BASE_DIM1_INDICES:
         print(_line(f"base 1 {m}", base_leaf(1, m)))
+    for m in [*range(5, 402, 2), 997, 1999, 2001]:
+        print(_reload_line(f"index_prime {m}", build_index_prime(m)))
+    for m in range(2, 12):
+        for e in range(2, 7):
+            print(_reload_line(f"prime_power {m} {e}", build_prime_power(m, e)))
+    for k in range(2, 6):
+        print(_reload_line(f"sylvester {k}", build_sylvester(k)))
+    for m, cert in _EXPLICIT.items():
+        print(_reload_line(f"explicit {m}", cert.leaf))
     hits = []
     for d in (1, 2):
         for m in range(2, 400):
