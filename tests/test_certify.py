@@ -1682,10 +1682,6 @@ assert any(len(cyindex.certify._leaf_text(leaf)) > 4096 for leaf in _SCAN_LEAVES
 assert any(sum(len(eq.terms) for _, eq in leaf.entries) > 64 for leaf in _SCAN_LEAVES)
 
 
-def _writer_text(obj):
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
 @st.composite
 def _one_leaf_edit(draw):
     """A bare leaf text and a copy with one edit: a character replaced,
@@ -1729,7 +1725,7 @@ def _one_leaf_edit(draw):
             del e[k]
         else:
             e.insert(k, draw(st.sampled_from([0, 0, 1, 3])))
-    return text, _writer_text(obj)
+    return text, json.dumps(obj, sort_keys=True, separators=(",", ":"))  # the writer's form
 
 
 @settings(max_examples=400, derandomize=True, deadline=None)
