@@ -32,17 +32,17 @@ at most 128 leaves, least recently used first out. It is keyed on the leaf
 itself, which is everything the checks read, so a report is the same bytes
 whether it came from the memo or not. Bigger leaves are checked afresh.
 
-The reader reads the writer's own text without json.loads. A leaf text,
-bare or a factor of a flat product written exactly as the writer writes
-it, is cut with str operations, and only the nonzero entries of its dense
-vectors are read (_scan_leaf); an elliptic text is read by its one number.
-A node is kept only if the writer writes exactly that text for it, so the
-general path reads the text as the same node (_read_piece). Each leaf
-factor text of at most 4,096 characters is also held, once per process and
-digit limit (_read_leaf_text): at most 128 texts, least recently used first
-out. Every other text goes to the one general path, json.loads and the
-field-by-field reader, which makes every error and location
-(certificate_loads).
+The reader reads the writer's own text without json.loads. A flat
+product is cut into its pieces by one compiled pattern (_flat_factors). A
+leaf text, bare or such a piece, is cut with str operations, and only the
+nonzero entries of its dense vectors are read (_scan_leaf); an elliptic
+text is read by its one number. A node is kept only if the writer writes
+exactly that text for it, so the general path reads the text as the same
+node (_read_piece). Each leaf factor text of at most 4,096 characters is
+also held, once per process and digit limit (_read_leaf_text): at most 128
+texts, least recently used first out. Every other text goes to the one
+general path, json.loads and one field-by-field walk, which makes every
+error and location (certificate_loads, logleaf_from_obj).
 """
 
 from __future__ import annotations
@@ -70,8 +70,6 @@ from .wpspairs import (
     _distinct_up_to_scaling,
     _listed,
     _scaled_log_degree,
-    _sorted,
-    dense_exponents,
     exponent_pairs,
     is_well_formed,
     pair_index,
@@ -752,10 +750,10 @@ def verify_certificate(cert: Certificate, mode: str = "strict") -> VerificationR
 # ---------------------------------------------------------------------------
 # Dense exponent vectors exist only in the text. The writer makes the text in
 # one pass from the (variable, exponent) pairs, with the bytes of json.dumps
-# with sorted keys and compact separators. The reader accepts each sound
-# entry and monomial by one exact-type test and scans each vector once into
-# pairs; only what fails the test is walked field by field, with locations,
-# so that the first fault is reported where it is.
+# with sorted keys and compact separators. The general reader is one walk
+# over the object, field by field, that reports the first fault where it is;
+# it scans each vector once into pairs and builds each equation with
+# SparsePoly.from_pairs.
 
 
 class CertificateParseError(ValueError):
@@ -845,40 +843,11 @@ def _need_int(value, loc: str, minimum: int | None = None) -> int:
     return value
 
 
-def _entry_fields(ent, loc: str) -> tuple[int, list]:
-    """b and the monomial list of an entry object, or the parse error of
-    its first fault."""
-    b = _need_int(_need(ent, "b", loc), f"{loc}.b", minimum=2)
-    eq_obj = _need(ent, "eq", loc)
-    if not isinstance(eq_obj, list) or not eq_obj:
-        raise CertificateParseError("eq must be a nonempty monomial list", f"{loc}.eq")
-    return b, eq_obj
-
-
-def _monomial_fields(mono, loc: str) -> tuple[int, int, list]:
-    """Numerator, denominator and exponent list of a monomial object, or the
-    parse error of its first fault."""
-    c = _need(mono, "c", loc)
-    if not isinstance(c, list) or len(c) != 2:
-        raise CertificateParseError("c must be [numerator, denominator]", f"{loc}.c")
-    num = _need_int(c[0], f"{loc}.c[0]")
-    den = _need_int(c[1], f"{loc}.c[1]")
-    if den == 0:
-        raise CertificateParseError("zero denominator", f"{loc}.c")
-    if num == 0:
-        raise CertificateParseError("zero coefficient monomial", f"{loc}.c")
-    e = _need(mono, "e", loc)
-    if not isinstance(e, list):
-        raise CertificateParseError("e must be a list", f"{loc}.e")
-    return num, den, e
-
-
 def logleaf_from_obj(obj: dict, loc: str = "$") -> LogLeaf:
     weights = _need(obj, "weights", loc)
     if not isinstance(weights, list) or len(weights) < 2:
         raise CertificateParseError("weights must be a list of at least 2 integers", f"{loc}.weights")
-    if not {int}.issuperset(map(type, weights)):  # locate the fault only when there is one
-        weights = [_need_int(w, f"{loc}.weights[{i}]") for i, w in enumerate(weights)]
+    weights = [_need_int(w, f"{loc}.weights[{i}]") for i, w in enumerate(weights)]
     if min(weights) < 1:
         raise CertificateParseError("weights must be positive", f"{loc}.weights")
     strategy = _need(obj, "strategy", loc)
@@ -889,49 +858,44 @@ def logleaf_from_obj(obj: dict, loc: str = "$") -> LogLeaf:
         raise CertificateParseError("entries must be a list", f"{loc}.entries")
     nv = len(weights)
     variables = tuple(range(nv))
-    stds: dict[int, StdCoeff] = {}  # one StdCoeff per distinct b
     entries = []
     for i, ent in enumerate(entries_obj):
-        # one exact-type test accepts a sound entry or monomial; only one that
-        # fails it is walked, with its location, for its first fault
-        if (type(ent) is dict and type(b := ent.get("b")) is int and b >= 2
-                and type(eq_obj := ent.get("eq")) is list and eq_obj):
-            coeff = stds.get(b)
-            if coeff is None:
-                coeff = stds[b] = StdCoeff(b)
-        else:
-            b, eq_obj = _entry_fields(ent, f"{loc}.entries[{i}]")
-            coeff = StdCoeff(b)
+        eloc = f"{loc}.entries[{i}]"
+        b = _need_int(_need(ent, "b", eloc), f"{eloc}.b", minimum=2)
+        eq_obj = _need(ent, "eq", eloc)
+        if not isinstance(eq_obj, list) or not eq_obj:
+            raise CertificateParseError("eq must be a nonempty monomial list", f"{eloc}.eq")
         terms = []
-        bad = None  # the first monomial whose exponents break a rule
+        bad = None  # the first monomial whose exponents break a rule, located after every c is checked
         for j, mono in enumerate(eq_obj):
-            if not (type(mono) is dict and type(c := mono.get("c")) is list and len(c) == 2
-                    and type(num := c[0]) is int and type(den := c[1]) is int and num and den
-                    and type(e := mono.get("e")) is list):
-                num, den, e = _monomial_fields(mono, f"{loc}.entries[{i}].eq[{j}]")
-            # one scan turns the dense vector into pairs; a fault is located after every c is checked
-            pairs = exponent_pairs(e, variables) if len(e) == nv else None
+            mloc = f"{eloc}.eq[{j}]"
+            c = _need(mono, "c", mloc)
+            if not isinstance(c, list) or len(c) != 2:
+                raise CertificateParseError("c must be [numerator, denominator]", f"{mloc}.c")
+            num, den = _need_int(c[0], f"{mloc}.c[0]"), _need_int(c[1], f"{mloc}.c[1]")
+            if den == 0:
+                raise CertificateParseError("zero denominator", f"{mloc}.c")
+            if num == 0:
+                raise CertificateParseError("zero coefficient monomial", f"{mloc}.c")
+            e = _need(mono, "e", mloc)
+            if not isinstance(e, list):
+                raise CertificateParseError("e must be a list", f"{mloc}.e")
+            pairs = exponent_pairs(e, variables) if len(e) == nv else None  # one scan into pairs
             if pairs is None and bad is None:
                 bad = j
             terms.append((_ONE if num == 1 == den else Fraction(num, den), pairs))
         if bad is not None:
-            eloc = f"{loc}.entries[{i}]"
             e, mloc = eq_obj[bad]["e"], f"{eloc}.eq[{bad}].e"
             for k, x in enumerate(e):
                 _need_int(x, f"{mloc}[{k}]", minimum=0)
             if len(e) != nv:
                 raise CertificateParseError(f"exponent vector of length {len(e)}, expected {nv}", mloc)
             raise CertificateParseError(f"exponents must be nonnegative integers, got {tuple(e)}", f"{eloc}.eq")
-        if len({pairs for _, pairs in terms}) != len(terms):
-            seen = set()  # walk for the first repeat only when there is one
-            for _, pairs in terms:
-                if pairs in seen:
-                    raise CertificateParseError(f"repeated exponent vector {tuple(dense_exponents(nv, pairs))}",
-                                                f"{loc}.entries[{i}].eq")
-                seen.add(pairs)
-        # exponent_pairs makes only valid pairs, and no coefficient is zero:
-        # from_pairs would have nothing left to check
-        entries.append((coeff, SparsePoly._canonical(nv, _sorted(terms))))
+        try:  # the pairs are valid and no coefficient is zero, so only a repeated vector is left to raise
+            eq = SparsePoly.from_pairs(nv, terms)
+        except ValueError as err:
+            raise CertificateParseError(str(err), f"{eloc}.eq") from err
+        entries.append((StdCoeff(b), eq))
     try:
         return LogLeaf(Wps(tuple(weights)), tuple(entries), strategy)
     except ValueError as err:
@@ -970,6 +934,10 @@ _MEMO_MAX_CHARS = 4096
 # at a position in a dense exponent vector: the run of zero entries and
 # commas there, then the next entry, which is empty at the closing bracket
 _ZEROS_THEN_ENTRY = re.compile(r"[0,]*([^,\]]*)")
+
+# between two pieces of a flat product: a "}" closing one, the "," to cut at,
+# and the head of a leaf or an elliptic leaf
+_PIECE_CUT = re.compile(r'\},\{"(?:entries|dim)":')
 
 
 def _scan_leaf(text: str) -> LogLeaf | None:
@@ -1063,24 +1031,17 @@ def _read_leaf_text(piece: str, digits: int) -> Certificate | None:
 def _flat_factors(text: str) -> list[Certificate] | None:
     """The factors of a product text written as the writer writes it, or None.
 
-    The text between _PRODUCT_HEAD and _PRODUCT_TAIL is cut before each
-    "," + _LEAF_HEAD or "," + _ELLIPTIC_HEAD that follows a "}". The next
-    place of each separator is looked for once and kept until a cut passes
-    it, so the search reads the text once. A leaf piece of at most
-    _MEMO_MAX_CHARS is read through _read_leaf_text, a bigger one and an
-    elliptic piece by _read_piece unheld; any other piece, and any piece
-    that reads as None, gives None.
+    The text between _PRODUCT_HEAD and _PRODUCT_TAIL is cut at the "," of
+    each match of _PIECE_CUT, all found in one pass of the pattern before
+    any piece is read. A leaf piece of at most _MEMO_MAX_CHARS is read
+    through _read_leaf_text, a bigger one and an elliptic piece by
+    _read_piece unheld; any other piece, and any piece that reads as None,
+    gives None.
     """
     digits = sys.get_int_max_str_digits()
     start, end = len(_PRODUCT_HEAD), len(text) - len(_PRODUCT_TAIL)
-    leaf_cut = dim_cut = -1  # the next cut before a leaf piece and before an elliptic one, or end
     factors = []
-    while True:
-        if leaf_cut < start:
-            leaf_cut = text.find("}," + _LEAF_HEAD, start, end) + 1 or end
-        if dim_cut < start:
-            dim_cut = text.find("}," + _ELLIPTIC_HEAD, start, end) + 1 or end
-        cut = min(leaf_cut, dim_cut)
+    for cut in [match.start() + 1 for match in _PIECE_CUT.finditer(text, start, end)] + [end]:
         piece = text[start:cut]
         if piece.startswith(_LEAF_HEAD):
             node = _read_leaf_text(piece, digits) if cut - start <= _MEMO_MAX_CHARS else _read_piece(piece)
@@ -1091,9 +1052,8 @@ def _flat_factors(text: str) -> list[Certificate] | None:
         if node is None:
             return None
         factors.append(node)
-        if cut == end:
-            return factors
         start = cut + 1
+    return factors
 
 
 def certificate_loads(text: str) -> Certificate:

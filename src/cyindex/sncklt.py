@@ -145,6 +145,14 @@ def _rank(rows: list[list[int]]) -> int:
 # benchmark corpus, 12 normals in 6 variables, needs 924 * 216 = 199,584.
 _HYPERPLANE_WORK_BUDGET = 10**7
 
+# Resultant and triple tests the plane check may spend, counting a curve of
+# degree d as d lines: C(D, 2) + C(D, 3) for total degree D. A pair test
+# takes about 12 us for two lines and 850 us for two cubics, a triple test
+# 8 to 90 us, so the budget is about 1 s whatever the degrees. In a
+# degree-zero arrangement sum d_i (1 - 1/b_i) = 3 with each term >= d_i / 2,
+# so D <= 6 and 35 tests; 84 lines are the most that fit.
+_PLANE_WORK_BUDGET = 10**5
+
 
 def hyperplane_arrangement_snc(normals) -> bool:
     """Is the arrangement of hyperplanes (given by their normal vectors)
@@ -359,7 +367,9 @@ def plane_arrangement_snc(curves) -> bool:
     Conservative by design: any uncertifiable situation returns False. A
     nonzero constant (degree 0, no curve at all) or a curve of degree > 3
     raises ValueError, and a non-homogeneous curve NotQuasiHomogeneous;
-    each message names the entry index.
+    each message names the entry index. The work is bounded: if the tests
+    counted by _PLANE_WORK_BUDGET exceed it, a ValueError naming the
+    resource budget is raised before any curve is sheared.
     """
     curves = list(curves)
     if not curves:
@@ -387,6 +397,10 @@ def plane_arrangement_snc(curves) -> bool:
         if d == 0:
             raise ValueError(f"entry {i} is a nonzero constant, which cuts out no curve")
         degrees.append(d)
+    total = sum(degrees)
+    if comb(total, 2) + comb(total, 3) > _PLANE_WORK_BUDGET:
+        raise ValueError(f"resource budget: {len(curves)} curves of total degree {total} need C({total}, 2) + "
+                         f"C({total}, 3) resultant and triple tests, over {_PLANE_WORK_BUDGET}")
     terms = [_integer_terms(c) for c in curves]
 
     # deterministic shear x -> x + k*y: smallest k making every leading

@@ -1314,12 +1314,42 @@ def test_malformed_weights_are_located(weights, location, message):
 
 def test_int_subclass_coefficients_load_as_their_values():
     # an object handed to certificate_from_obj may hold int subclasses; they
-    # take the walked path and give the same certificate as exact ints
+    # give the same certificate as exact ints
     class Int(int):
         pass
 
     obj = _with_h_edits((2, "c", [Int(1), Int(1)]))
     assert certificate_from_obj(obj) == certificate_from_obj(B_OBJ)
+
+
+def _reference_entry_fields(ent, loc: str) -> tuple[int, list]:
+    """b and the monomial list of an entry object, or the parse error of
+    its first fault."""
+    certify = cyindex.certify
+    b = certify._need_int(certify._need(ent, "b", loc), f"{loc}.b", minimum=2)
+    eq_obj = certify._need(ent, "eq", loc)
+    if not isinstance(eq_obj, list) or not eq_obj:
+        raise CertificateParseError("eq must be a nonempty monomial list", f"{loc}.eq")
+    return b, eq_obj
+
+
+def _reference_monomial_fields(mono, loc: str) -> tuple[int, int, list]:
+    """Numerator, denominator and exponent list of a monomial object, or the
+    parse error of its first fault."""
+    certify = cyindex.certify
+    c = certify._need(mono, "c", loc)
+    if not isinstance(c, list) or len(c) != 2:
+        raise CertificateParseError("c must be [numerator, denominator]", f"{loc}.c")
+    num = certify._need_int(c[0], f"{loc}.c[0]")
+    den = certify._need_int(c[1], f"{loc}.c[1]")
+    if den == 0:
+        raise CertificateParseError("zero denominator", f"{loc}.c")
+    if num == 0:
+        raise CertificateParseError("zero coefficient monomial", f"{loc}.c")
+    e = certify._need(mono, "e", loc)
+    if not isinstance(e, list):
+        raise CertificateParseError("e must be a list", f"{loc}.e")
+    return num, den, e
 
 
 def _reference_logleaf_from_obj(obj: dict, loc: str = "$") -> LogLeaf:
@@ -1346,14 +1376,14 @@ def _reference_logleaf_from_obj(obj: dict, loc: str = "$") -> LogLeaf:
     for i, ent in enumerate(entries_obj):
         if not (type(ent) is dict and type(b := ent.get("b")) is int and b >= 2
                 and type(eq_obj := ent.get("eq")) is list and eq_obj):
-            b, eq_obj = certify._entry_fields(ent, f"{loc}.entries[{i}]")
+            b, eq_obj = _reference_entry_fields(ent, f"{loc}.entries[{i}]")
         terms = []
         bad = None
         for j, mono in enumerate(eq_obj):
             if not (type(mono) is dict and type(c := mono.get("c")) is list and len(c) == 2
                     and type(num := c[0]) is int and type(den := c[1]) is int and num and den
                     and type(e := mono.get("e")) is list):
-                num, den, e = certify._monomial_fields(mono, f"{loc}.entries[{i}].eq[{j}]")
+                num, den, e = _reference_monomial_fields(mono, f"{loc}.entries[{i}].eq[{j}]")
             pairs = exponent_pairs(e, variables) if len(e) == nv else None
             if pairs is None and bad is None:
                 bad = j
@@ -1523,18 +1553,21 @@ assert all(isinstance(cert, Product) and len(cert.factors) >= 2 for cert in _EDI
 @st.composite
 def _one_edit(draw):
     """A realized product text and a copy with one edit: one character
-    replaced, inserted or deleted, two factors swapped, a space after a
-    comma, or one factor nested in a one-factor product."""
+    replaced, inserted or deleted, a false cut (the text between two pieces)
+    inserted, two factors swapped, a space after a comma, or one factor
+    nested in a one-factor product."""
     cert = draw(st.sampled_from(_EDIT_CERTS))
     text = certificate_dumps(cert)
     pieces = [cyindex.certify._node_text(f) for f in cert.factors]
-    edit = draw(st.sampled_from(["replace", "insert", "delete", "swap", "space", "nest"]))
+    edit = draw(st.sampled_from(["replace", "insert", "delete", "cut", "swap", "space", "nest"]))
     at = draw(st.integers(0, len(text) - 1))
     char = draw(st.sampled_from('0123456789{}[],:" ebnv'))
     if edit == "replace":
         return text, text[:at] + char + text[at + 1:]
     if edit == "insert":
         return text, text[:at] + char + text[at:]
+    if edit == "cut":
+        return text, text[:at] + draw(st.sampled_from(['},{"entries":[', '},{"dim":'])) + text[at:]
     if edit == "delete":
         return text, text[:at] + text[at + 1:]
     if edit == "space":

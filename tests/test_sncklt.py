@@ -13,6 +13,7 @@ from cyindex.selftest import _family_leaves, _not_klt_leaves
 import cyindex.sncklt
 from cyindex.sncklt import (
     _HYPERPLANE_WORK_BUDGET,
+    _PLANE_WORK_BUDGET,
     STEP_CHAINS,
     STEP_HYPERPLANES,
     STEP_KLT,
@@ -322,6 +323,34 @@ def test_non_homogeneous_curve_detail_names_the_entry():
     leaf = LogLeaf(Wps((1, 1, 1)), ((StdCoeff(2), x0), (StdCoeff(3), bad)), "plane_arrangement")
     assert [(s.description, s.passed, s.detail) for s in is_klt_leaf(leaf).steps] == [
         (STEP_PLANE, False, "entry 1: monomial degrees disagree: 2 distinct degrees from 1 to 2")]
+
+
+def _no_plane_work(*_):
+    raise AssertionError("a curve was sheared or a resultant computed")
+
+
+def test_plane_budget_fails_the_step_before_any_curve_is_sheared(monkeypatch):
+    monkeypatch.setattr(cyindex.sncklt, "_sheared", _no_plane_work)
+    monkeypatch.setattr(cyindex.sncklt, "_resultant_y", _no_plane_work)
+    # 85 lines need C(85, 2) + C(85, 3) = 102,340 tests, one more line than fits
+    assert comb(84, 2) + comb(84, 3) <= _PLANE_WORK_BUDGET < comb(85, 2) + comb(85, 3)
+    lines = [SparsePoly.linear_form((j, 1, j * j)) for j in range(85)]
+    leaf = LogLeaf(Wps((1, 1, 1)), tuple((StdCoeff(2), eq) for eq in lines), "plane_arrangement")
+    assert [(s.description, s.passed, s.detail) for s in is_klt_leaf(leaf).steps] == [
+        (STEP_PLANE, False, "resource budget: 85 curves of total degree 85 need C(85, 2) + C(85, 3) "
+                            f"resultant and triple tests, over {_PLANE_WORK_BUDGET}")]
+    # a cubic counts as three lines: 29 cubics are over budget although C(29, 3) is small
+    fermat3 = poly(3, (1, (3, 0, 0)), (1, (0, 3, 0)), (1, (0, 0, 3)))
+    with pytest.raises(ValueError, match="^resource budget: 29 curves of total degree 87 "):
+        plane_arrangement_snc([fermat3] * 29)
+
+
+def test_plane_budget_admits_the_largest_benchmark_arrangement():
+    # a degree-zero arrangement has total degree D <= 6, as sum d_i (1 - 1/b_i) = 3
+    # with each term >= d_i / 2: six lines, the benchmark's largest, need 35 tests
+    assert comb(6, 2) + comb(6, 3) == 35 <= _PLANE_WORK_BUDGET
+    lines = [SparsePoly.linear_form((-j, 1, -t)) for j, t in enumerate((0, 1, 3, 6, 10, 15))]
+    assert plane_arrangement_snc(lines) is True
 
 
 def test_smooth_cubic_accepted():

@@ -40,6 +40,8 @@ class Mutant:
 
 
 CERTIFY = "src/cyindex/certify.py"
+SNCKLT = "src/cyindex/sncklt.py"
+WPSPAIRS = "src/cyindex/wpspairs.py"
 
 MUTANTS = [
     # the verifier's checks of a leaf
@@ -93,8 +95,11 @@ MUTANTS = [
            'body = text[:-1] if text.endswith("\\n") else text',
            "body = text.rstrip()"),
     Mutant("reader-cut-not-advanced", CERTIFY,
-           "if leaf_cut < start:",
-           "if leaf_cut < 0:"),
+           "start = cut + 1",
+           "start = cut"),
+    Mutant("reader-cut-at-brace", CERTIFY,
+           "match.start() + 1",
+           "match.start()"),
     # the leaf scanner, whose leaf _read_piece keeps only after the write-back test
     Mutant("scan-nvars-from-vector", CERTIFY,
            "entries.append((coeff, SparsePoly.from_pairs(nv, terms)))",
@@ -108,6 +113,46 @@ MUTANTS = [
     Mutant("scan-elliptic-dim-zero", CERTIFY,
            "node = EllipticLeaf(dim) if dim >= 1 else None",
            "node = EllipticLeaf(dim)"),
+    # the general reader's walk
+    Mutant("walk-b-minimum-1", CERTIFY,
+           'b = _need_int(_need(ent, "b", eloc), f"{eloc}.b", minimum=2)',
+           'b = _need_int(_need(ent, "b", eloc), f"{eloc}.b", minimum=1)'),
+    Mutant("walk-exponents-before-c", CERTIFY,
+           "if pairs is None and bad is None:",
+           'if pairs is None and bad is None and [_need_int(x, f"{mloc}.e[{k}]", minimum=0) '
+           "for k, x in enumerate(e)]:"),
+    Mutant("walk-repeat-location", CERTIFY,
+           'raise CertificateParseError(str(err), f"{eloc}.eq") from err',
+           "raise CertificateParseError(str(err), eloc) from err"),
+    # the family klt criterion
+    Mutant("chains-head", SNCKLT,
+           "if inner:",
+           "if False:"),
+    Mutant("chains-tail-exponent", SNCKLT,
+           "if powers[tail] < 2:",
+           "if powers[tail] < 1:"),
+    Mutant("chains-branch", SNCKLT,
+           "if len(onward) > 1:",
+           "if len(onward) > 2:"),
+    Mutant("chains-base-twice", SNCKLT,
+           "if exponent != 1 or base in seen:",
+           "if exponent != 1:"),
+    Mutant("chains-two-powers", SNCKLT,
+           "if i in powers:",
+           "if False:"),
+    Mutant("chains-tag-family-b", SNCKLT,
+           'if leaf.klt_strategy == "family_B" and chain is None:',
+           "if False:"),
+    Mutant("chains-tag-fermat", SNCKLT,
+           'if leaf.klt_strategy != "family_B" and chain is not None:',
+           "if False:"),
+    # wpspairs
+    Mutant("well-formed-gcd", WPSPAIRS,
+           "if gcd(prefix, rest_gcd[len(w) - 1 - i]) != 1:",
+           "if gcd(prefix, rest_gcd[len(w) - 1 - i]) > 2:"),
+    Mutant("degree-one-pair", WPSPAIRS,
+           "degs.add(w[v] * x)",
+           "degs.add(x)"),
 ]
 
 

@@ -16,7 +16,15 @@ own text: `build_index_prime(M)` for every odd 5 <= M <= 401 and for 997,
 `build_sylvester(K)` for 2 <= K <= 5 and each leaf of the explicit table;
 REPORT is the sha256 of the strict report of
 `certificate_loads(certificate_dumps(leaf))` and REDUMP that of its
-`certificate_dumps`. Then
+`certificate_dumps`. Then the general reader, json.loads and the
+field-by-field walk, which the writer's own text never reaches:
+`general reload LABEL REPORT` for each leaf above, REPORT being the
+sha256 of the strict report of its text re-dumped with
+`json.dumps(obj, indent=1)`; and `general edit M KIND OUTCOME` for
+`build_index_prime(M)`, odd 5 <= M <= 61, and each one-field edit of
+`_EDITS`, the malformed and tampered files of the verify_corpus benchmark,
+OUTCOME being the `CertificateParseError` text (its location, then its
+message) or the sha256 of the strict report. Then
 `search D M K CERT REPORT` for each hit of search_plane_pair(D, M, K) with
 D in (1, 2), 2 <= M < 400 and K in (4, 7), the CLI default and the
 table's value, and `table 1,2 SHA` for the stdout of
@@ -52,6 +60,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from cyindex.certify import (  # noqa: E402
     _EXPLICIT,
     BASE_DIM1_INDICES,
+    CertificateParseError,
     WpsLeaf,
     base_leaf,
     build_index_prime,
@@ -91,9 +100,76 @@ def _line(label: str, cert) -> str:
     return f"{label} {_sha(certificate_dumps(cert))} {_report_sha(cert)}"
 
 
+def _reload_leaves() -> list:
+    """(label, leaf) for each bare builder leaf the `reload` lines read back."""
+    leaves = [(f"index_prime {m}", build_index_prime(m)) for m in [*range(5, 402, 2), 997, 1999, 2001]]
+    leaves += [(f"prime_power {m} {e}", build_prime_power(m, e)) for m in range(2, 12) for e in range(2, 7)]
+    leaves += [(f"sylvester {k}", build_sylvester(k)) for k in range(2, 6)]
+    return leaves + [(f"explicit {m}", cert.leaf) for m, cert in _EXPLICIT.items()]
+
+
 def _reload_line(label: str, leaf) -> str:
     back = certificate_loads(certificate_dumps(WpsLeaf(leaf)))
     return f"reload {label} {_report_sha(back)} {_sha(certificate_dumps(back))}"
+
+
+def _general_line(label: str, leaf) -> str:
+    text = json.dumps(json.loads(certificate_dumps(WpsLeaf(leaf))), indent=1)
+    return f"general reload {label} {_report_sha(certificate_loads(text))}"
+
+
+def _edited(text: str, kind: str) -> str:
+    """A leaf text with one edit, written as the verify_corpus benchmark
+    writes its malformed and tampered files."""
+    if kind == "truncated":
+        return text[: len(text) // 2]
+    obj = json.loads(text)
+    first = obj["entries"][0]
+    match kind:
+        case "missing-weights":
+            del obj["weights"]
+        case "version-2":
+            obj["v"] = 2
+        case "zero-denominator":
+            first["eq"][0]["c"] = [1, 0]
+        case "negative-exponent":
+            first["eq"][0]["e"][0] = -1
+        case "unknown-node":
+            obj["node"] = "mystery_leaf"
+        case "short-exponents":
+            first["eq"][0]["e"].pop()
+        case "b-one":
+            first["b"] = 1
+        case "weight-bump":
+            obj["weights"][0] += 1
+        case "b-change":
+            first["b"] += 2
+        case "entry-duplicated":
+            obj["entries"][1]["eq"] = first["eq"]
+        case "strategy-swap":
+            obj["strategy"] = "family_B" if obj["strategy"] == "family_A" else "family_A"
+        case "constant-equation":
+            first["eq"] = [{"c": [1, 1], "e": [0] * len(obj["weights"])}]
+        case "single-factor-product":
+            obj = {"v": 1, "node": "product", "factors": [obj]}
+        case "unformed-weights":
+            obj["weights"] = [2] * len(obj["weights"])
+        case _:
+            raise ValueError(f"unknown edit {kind!r}")
+    return json.dumps(obj, sort_keys=True)
+
+
+_EDITS = ("truncated", "missing-weights", "version-2", "zero-denominator", "negative-exponent", "unknown-node",
+          "short-exponents", "b-one", "weight-bump", "b-change", "entry-duplicated", "strategy-swap",
+          "constant-equation", "single-factor-product", "unformed-weights")
+
+
+def _edit_line(m: int, kind: str) -> str:
+    try:
+        outcome = _report_sha(certificate_loads(_edited(certificate_dumps(WpsLeaf(build_index_prime(m))), kind)))
+    except CertificateParseError as err:
+        outcome = str(err)  # the location, then the message
+    return f"general edit {m} {kind} {outcome}"
 
 
 def _outcome(fn, *args) -> str:
@@ -117,15 +193,14 @@ def main() -> int:
             print(f"{line} {_report_sha(certificate_loads(certificate_dumps(cert)))}")
     for m in BASE_DIM1_INDICES:
         print(_line(f"base 1 {m}", base_leaf(1, m)))
-    for m in [*range(5, 402, 2), 997, 1999, 2001]:
-        print(_reload_line(f"index_prime {m}", build_index_prime(m)))
-    for m in range(2, 12):
-        for e in range(2, 7):
-            print(_reload_line(f"prime_power {m} {e}", build_prime_power(m, e)))
-    for k in range(2, 6):
-        print(_reload_line(f"sylvester {k}", build_sylvester(k)))
-    for m, cert in _EXPLICIT.items():
-        print(_reload_line(f"explicit {m}", cert.leaf))
+    reloaded = _reload_leaves()
+    for label, leaf in reloaded:
+        print(_reload_line(label, leaf))
+    for label, leaf in reloaded:
+        print(_general_line(label, leaf))
+    for m in range(5, 62, 2):
+        for kind in _EDITS:
+            print(_edit_line(m, kind))
     hits = []
     for d in (1, 2):
         for m in range(2, 400):
