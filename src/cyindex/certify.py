@@ -53,7 +53,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import ceil, lcm
 
 from .numtheory import euler_phi, factorize, indices_with_phi_at_most
 from .sncklt import KltReport, is_klt_leaf
@@ -377,13 +377,6 @@ def _core(m: int) -> list[WpsLeaf]:
 # ---------------------------------------------------------------------------
 
 
-def _divisors(n: int) -> list[int]:
-    divs = [1]
-    for p, e in factorize(n):
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return sorted(divs)
-
-
 # P^1 points 0, 1, oo, 2, in that order, as linear forms in (x0, x1) with
 # affine coordinate t = x1/x0.
 _P1_POINTS = (
@@ -404,17 +397,16 @@ _P2_CONICS = (
 )
 
 
-# the catalogue curves of each degree, by dimension, and how many
-# _instantiate_plane can place
+# the catalogue curves of each degree, by dimension, in the order
+# _instantiate_plane places them
 _PLANE_CURVES = {1: {1: _P1_POINTS}, 2: {1: _P2_LINES, 2: _P2_CONICS}}
-_PLANE_CAPACITY = {dim: {d: len(c) for d, c in curves.items()} for dim, curves in _PLANE_CURVES.items()}
 
 
 def _instantiate_plane(dim: int, combo) -> LogLeaf:
     """Deterministic equations for a multiset of (b, curve degree): P^1
     points 0, 1, oo, 2 in order, P^2 lines and conics from the fixed
     general-position catalogue. A multiset with more curves of a degree
-    than the catalogue holds raises StopIteration; _plane_multisets yields
+    than the catalogue holds raises StopIteration; _PLANE_MULTISETS holds
     none."""
     curves = {d: iter(forms) for d, forms in _PLANE_CURVES[dim].items()}
     entries = [(StdCoeff(b), next(curves[d])) for b, d in combo]
@@ -422,100 +414,73 @@ def _instantiate_plane(dim: int, combo) -> LogLeaf:
                    "hyperplane_arrangement" if dim == 1 else "plane_arrangement")
 
 
-# On P^1 every term 1 - 1/b lies in [1/2, 1), so sum (1 - 1/b) = 2 needs 3
-# or 4 points. Four points force b = 2 each; three points need
-# 1/b1 + 1/b2 + 1/b3 = 1, whose only solutions are (3, 3, 3), (2, 4, 4) and
-# (2, 3, 6). So lcm(b) is one of these, whatever the catalogue holds.
-_P1_SEARCH_INDICES = frozenset({2, 3, 4, 6})
+def _degree_zero_multisets(dim: int) -> dict[int, list[tuple]]:
+    """Every multiset of (b, d) with b >= 2 that the catalogue of P^dim can
+    place and that has sum d(1 - 1/b) = dim + 1, keyed by lcm(b), each list
+    sorted by component count, then lexicographically.
 
-# On P^2, sum d_i (1 - 1/b_i) = 3 over curves of degree d_i with b_i >= 2, and
-# each term is at least d_i/2, so the total degree D = sum d_i is at most 6.
-# Counting a curve of degree d as d copies of 1/b_i gives D unit fractions,
-# each at most 1/2, that sum to D - 3, so D >= 4. D = 4: the 14 four-term
-# Egyptian fractions of 1, with lcm 4, 6, 8, 10, 12, 18, 20, 24, 30 or 42
-# (42 from 1/2 + 1/3 + 1/7 + 1/42). D = 5: five unit fractions summing to 2,
-# which are 1/b for b in {2, 2, 2, 4, 4}, {2, 2, 2, 3, 6} or {2, 2, 3, 3, 3},
-# with lcm 4 or 6. D = 6: six halves, lcm 2. So lcm(b) is one of these,
-# whatever the catalogue holds.
-_P2_SEARCH_INDICES = frozenset({2, 4, 6, 8, 10, 12, 18, 20, 24, 30, 42})
+    The table is finite: with D = sum d the parts give sum d/b = D - dim - 1,
+    and each d/b <= d/2, so dim + 2 <= D <= 2(dim + 1). Parts are taken in
+    non-decreasing (b, d). With `owed` the part of sum d/b still to reach and
+    `left` the degree still to place, a part needs d/b <= owed, so
+    b >= 1/owed, and b <= left/owed because every later part has b' >= b.
+    """
+    room = {d: len(curves) for d, curves in _PLANE_CURVES[dim].items()}
+    table: dict[int, list[tuple]] = {}
+    combo: list[tuple[int, int]] = []
 
-
-def _plane_multisets(candidates, weights, target, count, capacity):
-    """Multisets of `count` candidates (b, d) whose weights sum to `target` and
-    that hold at most capacity[d] curves of degree d, in lexicographic order of
-    their non-decreasing candidate positions (the order of
-    itertools.combinations_with_replacement)."""
-    n = len(candidates)
-    lo, hi = list(weights), list(weights)  # suffix min and max of the weights
-    for i in range(n - 2, -1, -1):
-        lo[i], hi[i] = min(lo[i], lo[i + 1]), max(hi[i], hi[i + 1])
-    combo = []
-    room = dict(capacity)
-
-    def extend(start, total):
-        left = count - len(combo)
-        if left == 0:
-            if total == target:
-                yield tuple(combo)
+    def extend(owed: Fraction, left: int) -> None:
+        if not owed or not left:
+            if owed == left == 0:
+                table.setdefault(lcm(*[b for b, _ in combo]), []).append(tuple(combo))
             return
-        for i in range(start, n):
-            # lo[i] only grows and hi[i] only shrinks with i, so once the
-            # remaining parts overshoot or fall short, every later i does too
-            if total + left * lo[i] > target or total + left * hi[i] < target:
-                return
-            d = candidates[i][1]
-            if not room[d]:
-                continue
-            room[d] -= 1
-            combo.append(candidates[i])
-            yield from extend(i, total + weights[i])
-            combo.pop()
-            room[d] += 1
+        prev = combo[-1] if combo else (2, 1)
+        for b in range(max(prev[0], ceil(1 / owed)), left // owed + 1):
+            for d in room:
+                if (b, d) >= prev and room[d] and d <= left and Fraction(d, b) <= owed:
+                    room[d] -= 1
+                    combo.append((b, d))
+                    extend(owed - Fraction(d, b), left - d)
+                    combo.pop()
+                    room[d] += 1
 
-    return extend(0, 0)
+    for total in range(dim + 2, 2 * (dim + 1) + 1):
+        extend(Fraction(total - dim - 1), total)
+    for combos in table.values():
+        combos.sort(key=lambda c: (len(c), c))
+    return table
+
+
+# dimension -> lcm(b) -> the degree-zero multisets of that lcm, in search order
+_PLANE_MULTISETS = {dim: _degree_zero_multisets(dim) for dim in _PLANE_CURVES}
 
 
 def search_plane_pair(dim: int, index: int, max_components: int = 4) -> LogLeaf | None:
     """Search for a pair of the requested index on P^1 (dim 1) or P^2 (dim 2)
     whose boundary is a verified general-position arrangement.
 
-    Enumerates multisets of (b, d) with b a divisor of the index (b >= 2),
-    d = 1 on P^1 and d in {1, 2} on P^2, subject to
-    sum (1 - 1/b) d = 2 resp. 3 and lcm(b) = index; candidates are tried by
-    component count, then lexicographically, each instantiated with the
-    deterministic catalogue equations and accepted only if is_klt_leaf,
+    The candidates are the multisets of (b, d) in _PLANE_MULTISETS, built
+    once at import: b >= 2, d = 1 on P^1 and d in {1, 2} on P^2, at most as
+    many curves of each degree as the catalogue holds (4 points on P^1; 6
+    lines and 1 conic on P^2), sum (1 - 1/b) d = 2 resp. 3, and
+    lcm(b) = index. They are tried by component count, then
+    lexicographically, up to max_components parts, each instantiated with
+    the deterministic catalogue equations and accepted only if is_klt_leaf,
     the verifier's own klt check, passes it (hyperplane ranks on P^1,
-    resultants on P^2). Absence is a value, not an error.
-
-    The degree condition is kept in integers: scaled by the index, a part
-    weighs d*(index - index//b) and the parts sum to (dim + 1)*index. A
-    depth-first search drops every subtree whose remaining parts cannot
-    reach that sum or must pass it (by suffix minima and maxima of the
-    weights), or that holds more curves of a degree than the catalogue has
-    (4 points on P^1; 6 lines and 1 conic on P^2), and the component count
-    stops at that capacity. An index that no pair on P^1 (2, 3, 4, 6) or
-    P^2 (2, 4, 6, 8, 10, 12, 18, 20, 24, 30, 42) can have is answered None
-    before it is factored. None of this changes which
-    multiset is found first; the lcm, the instantiation and the klt check
-    still decide every one that is tried.
+    resultants on P^2). Only 2, 3, 4 and 6 occur on P^1 and only 2, 4, 6,
+    8, 10, 12, 18, 20, 24, 30 and 42 on P^2, so any other index is one dict
+    lookup. Absence is a value, not an error.
     """
     if dim not in (1, 2):
         raise ValueError(f"search_plane_pair covers dimensions 1 and 2, got {dim!r}")
     if not isinstance(index, int) or index < 1:
         raise ValueError(f"index must be a positive integer, got {index!r}")
-    if index not in (_P1_SEARCH_INDICES if dim == 1 else _P2_SEARCH_INDICES):
-        return None
-    capacity = _PLANE_CAPACITY[dim]
-    candidates = sorted((b, d) for b in _divisors(index) if b >= 2 for d in capacity)
-    weights = [d * (index - index // b) for b, d in candidates]
-    target = (dim + 1) * index
-    for count in range(1, min(max_components, sum(capacity.values())) + 1):
-        for combo in _plane_multisets(candidates, weights, target, count, capacity):
-            if lcm(*[b for b, _ in combo]) != index:
-                continue
-            leaf = _instantiate_plane(dim, combo)
-            if is_klt_leaf(leaf).passed:
-                return leaf
+    for combo in _PLANE_MULTISETS[dim].get(index, ()):
+        if len(combo) > max_components:
+            break
+        leaf = _instantiate_plane(dim, combo)
+        if is_klt_leaf(leaf).passed:
+            return leaf
     return None
 
 

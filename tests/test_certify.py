@@ -1025,28 +1025,15 @@ def test_search_instantiates_only_admissible_multisets(monkeypatch):
         assert (leaf is None) == (first == []), (dim, m, k)
 
 
-def test_search_component_count_stops_at_catalogue_capacity(monkeypatch):
-    seen = []
-    multisets = cyindex.certify._plane_multisets
-
-    def counted(candidates, weights, target, count, capacity):
-        if count > sum(capacity.values()):
-            raise AssertionError(f"component count {count} exceeds the catalogue")
-        seen.append(count)
-        return multisets(candidates, weights, target, count, capacity)
-
-    monkeypatch.setattr(cyindex.certify, "_plane_multisets", counted)
-    assert search_plane_pair(2, 60, 10**9) is None and seen == []  # the P^2 guard answers 60
-    # open the guard for 60, so that the miss still enumerates every count
-    monkeypatch.setattr(cyindex.certify, "_P2_SEARCH_INDICES", cyindex.certify._P2_SEARCH_INDICES | {60})
-    for dim, m, cap in ((1, 6, 4), (2, 42, 7), (2, 60, 7)):
-        seen.clear()
-        want = _dumps_or_none(search_plane_pair(dim, m, cap))
-        calls = list(seen)
-        seen.clear()
+def test_search_component_count_stops_at_catalogue_capacity():
+    # no multiset holds more parts than the catalogue has curves, so any
+    # max_components from the catalogue's size on answers alike
+    for dim, capacity in ((1, 4), (2, 7)):
+        assert max(len(c) for combos in cyindex.certify._PLANE_MULTISETS[dim].values() for c in combos) <= capacity
+    for dim, m in ((1, 6), (2, 42), (2, 60)):
+        want = _dumps_or_none(search_plane_pair(dim, m, 7))
         assert _dumps_or_none(search_plane_pair(dim, m, 10**9)) == want, (dim, m)
-        assert seen == calls, (dim, m)
-    assert calls == list(range(1, 8))  # the miss at 60 tries every count up to 7
+    assert search_plane_pair(2, 60, 10**9) is None
 
 
 def test_instantiate_plane_raises_past_the_catalogue():
@@ -1074,21 +1061,27 @@ def _unit_fraction_multisets(count, total, smallest=2):
 def test_search_index_guards_match_the_unit_fraction_enumeration():
     # a curve of degree d carries d unit fractions 1/b; on P^dim the D of them
     # sum to D - (dim + 1), and as each is at most 1/2, D <= 2(dim + 1)
-    for dim, guard in ((1, cyindex.certify._P1_SEARCH_INDICES), (2, cyindex.certify._P2_SEARCH_INDICES)):
+    for dim, size in ((1, 4), (2, 33)):
+        table = cyindex.certify._PLANE_MULTISETS[dim]
         found = {}
         for count in range(1, 2 * (dim + 1) + 3):
             found[count] = list(_unit_fraction_multisets(count, Fraction(count - dim - 1)))
         assert not any(found[c] for c in found if c > 2 * (dim + 1)), dim
-        assert {lcm(*bs) for sols in found.values() for bs in sols} == guard, dim
+        assert set(table) == {lcm(*bs) for sols in found.values() for bs in sols}, dim
+        combos = [c for combos in table.values() for c in combos]
+        assert len(combos) == len(set(combos)) == size, dim
+        for m, combos in table.items():
+            assert combos == sorted(combos, key=lambda c: (len(c), c)), (dim, m)
+            for combo in combos:
+                assert sum(Fraction(b - 1, b) * d for b, d in combo) == dim + 1, (dim, combo)
+                assert lcm(*[b for b, _ in combo]) == m and _fits_catalogue(dim, combo), (dim, combo)
     assert len(found[4]) == 14 and (2, 3, 7, 42) in found[4]  # the Egyptian fractions of 1
 
 
-def test_search_p2_hits_below_400_equal_the_guard(monkeypatch):
-    # with the guard open for every index below 400, the search finds exactly the guard's indices
-    monkeypatch.setattr(cyindex.certify, "_P2_SEARCH_INDICES", frozenset(range(400)))
+def test_search_p2_hits_below_400_equal_the_guard():
+    # every index the table holds is a hit, and no other index below 400 is
     hits = {m for m in range(1, 400) if search_plane_pair(2, m, 7) is not None}
-    monkeypatch.undo()
-    assert hits == cyindex.certify._P2_SEARCH_INDICES
+    assert hits == set(cyindex.certify._PLANE_MULTISETS[2])
 
 
 # -- serialization -----------------------------------------------------------

@@ -124,6 +124,22 @@ MUTANTS = [
     Mutant("walk-repeat-location", CERTIFY,
            'raise CertificateParseError(str(err), f"{eloc}.eq") from err',
            "raise CertificateParseError(str(err), eloc) from err"),
+    # the plane search's table of degree-zero multisets
+    Mutant("table-b-upper-bound", CERTIFY,
+           "for b in range(max(prev[0], ceil(1 / owed)), left // owed + 1):",
+           "for b in range(max(prev[0], ceil(1 / owed)), left // owed):"),
+    Mutant("table-b-lower-bound", CERTIFY,
+           "for b in range(max(prev[0], ceil(1 / owed)), left // owed + 1):",
+           "for b in range(max(prev[0], ceil(1 / owed) + 1), left // owed + 1):"),
+    Mutant("table-parts-increasing", CERTIFY,
+           "if (b, d) >= prev and room[d]",
+           "if (b, d) > prev and room[d]"),
+    Mutant("table-order-no-count", CERTIFY,
+           "combos.sort(key=lambda c: (len(c), c))",
+           "combos.sort(key=lambda c: c)"),
+    Mutant("search-max-components", CERTIFY,
+           "if len(combo) > max_components:",
+           "if len(combo) >= max_components:"),
     # the family klt criterion
     Mutant("chains-head", SNCKLT,
            "if inner:",

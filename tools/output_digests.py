@@ -25,9 +25,9 @@ sha256 of the strict report of its text re-dumped with
 `_EDITS`, the malformed and tampered files of the verify_corpus benchmark,
 OUTCOME being the `CertificateParseError` text (its location, then its
 message) or the sha256 of the strict report. Then
-`search D M K CERT REPORT` for each hit of search_plane_pair(D, M, K) with
-D in (1, 2), 2 <= M < 400 and K in (4, 7), the CLI default and the
-table's value, and `table 1,2 SHA` for the stdout of
+`search D M K CERT REPORT` for search_plane_pair(D, M, K) with D in
+(1, 2), 1 <= M < 400 and 1 <= K <= 8, or `search D M K none` where it
+finds nothing, and `table 1,2 SHA` for the stdout of
 `cyindex table --dims 1,2`. CERT is the sha256 of `certificate_dumps`,
 REPORT the sha256 of the strict verification report as JSON with sorted
 keys, and SHA the sha256 of the table.
@@ -203,12 +203,15 @@ def main() -> int:
             print(_edit_line(m, kind))
     hits = []
     for d in (1, 2):
-        for m in range(2, 400):
-            for k in (4, 7):
+        for m in range(1, 400):
+            for k in range(1, 9):
+                label = f"search {d} {m} {k}"
                 leaf = search_plane_pair(d, m, k)
-                if leaf is not None:
-                    hits.append((f"search {d} {m} {k}", leaf))
-                    print(_line(f"search {d} {m} {k}", WpsLeaf(leaf)))
+                if leaf is None:
+                    print(f"{label} none")
+                else:
+                    hits.append((label, leaf))
+                    print(_line(label, WpsLeaf(leaf)))
     table = io.StringIO()
     with redirect_stdout(table):
         cli_main(["table", "--dims", "1,2"])
