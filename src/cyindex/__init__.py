@@ -33,26 +33,30 @@ from .sncklt import (
     is_klt_leaf,
     plane_arrangement_snc,
 )
-from .certify import (
+from .verify import (
     Certificate,
-    CertificateParseError,
     EllipticLeaf,
     Product,
     VerificationReport,
     WpsLeaf,
+    verify_certificate,
+)
+from .codec import (
+    CertificateParseError,
+    certificate_dumps,
+    certificate_from_obj,
+    certificate_loads,
+)
+from .certify import (
     base_leaf,
     build_index_prime,
     build_prime_power,
     build_sylvester,
     certificate_dim,
-    certificate_dumps,
-    certificate_from_obj,
     certificate_index,
-    certificate_loads,
     check_dim_inequality,
     realize,
     search_plane_pair,
-    verify_certificate,
 )
 
 __all__ = [

@@ -1,12 +1,6 @@
-"""Index certificates: constructors, the realizer, the independent verifier,
-and the plane-arrangement search.
-
-A certificate is a tree witnessing that an integer m is the index of a klt
-Calabi-Yau pair of a given dimension with standard coefficients:
-
-  wps_leaf        an explicit pair on a weighted projective space
-  elliptic_leaf   an abelian factor of dimension k (index 1, empty boundary)
-  product         combines factors; dimensions add, indices combine by lcm
+"""Index certificates: the constructors, the realizer and the
+plane-arrangement search. The certificate tree and its verifier are in
+verify, the text codec is in codec, and neither imports this module.
 
 The realizer turns any m with phi(m) <= 2n into a certificate of dimension
 n - 1: the core of m, a flat list of explicit leaves, padded by one
@@ -18,69 +12,28 @@ Every split is coprime, so product indices are exact. The dimension-2
 catalogue is realize(3, m). Every leaf is built by one constructor,
 coordinate hyperplanes plus one H, and passes one klt criterion, the chain
 test; arrangements come only from input files and the plane search.
-
-The verifier recomputes everything from raw data: well-formedness,
-quasi-homogeneity, exact degree zero, standard coefficients, the index, the
-klt report, and the tree arithmetic. Every leaf is explicit, so nothing
-is taken on trust and both verification modes run the same checks.
-
-A sweep over (n, m) meets the same few core leaves again and again, so the
-verifier keeps the verdicts of small leaves: a leaf of at most 64 monomials
-in all is checked once per process, and every later equal leaf gets a copy
-of the same checks and the same klt report (_leaf_verdict). The memo holds
-at most 128 leaves, least recently used first out. It is keyed on the leaf
-itself, which is everything the checks read, so a report is the same bytes
-whether it came from the memo or not. Bigger leaves are checked afresh.
-
-The reader reads the writer's own text without json.loads. A flat
-product is cut into its pieces by one compiled pattern (_flat_factors). A
-leaf text, bare or such a piece, is cut with str operations, and only the
-nonzero entries of its dense vectors are read (_scan_leaf); an elliptic
-text is read by its one number. A node is kept only if the writer writes
-exactly that text for it, so the general path reads the text as the same
-node (_read_piece). Each leaf factor text of at most 4,096 characters is
-also held, once per process and digit limit (_read_leaf_text): at most 128
-texts, least recently used first out. Every other text goes to the one
-general path, json.loads and one field-by-field walk, which makes every
-error and location (certificate_loads, logleaf_from_obj).
 """
 
 from __future__ import annotations
 
-import json
-import re
-import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from math import ceil, lcm
 
+from .codec import certificate_dumps, certificate_loads  # noqa: F401  (bound here for bench/tracing.py)
 from .numtheory import euler_phi, factorize, indices_with_phi_at_most
-from .sncklt import KltReport, is_klt_leaf
+from .sncklt import is_klt_leaf
+from .verify import Certificate, EllipticLeaf, Product, WpsLeaf
+from .verify import verify_certificate  # noqa: F401  (bound here for bench/tracing.py)
 from .wpspairs import (
-    KLT_STRATEGIES,
     LogLeaf,
-    NotQuasiHomogeneous,
     SparsePoly,
     StdCoeff,
     Wps,
     _ONE,
-    _bounded_fraction,
-    _bounded_int,
-    _distinct_up_to_scaling,
-    _listed,
-    _scaled_log_degree,
-    exponent_pairs,
-    is_well_formed,
     pair_index,
-    weighted_degree,
 )
 
 __all__ = [
-    "WpsLeaf",
-    "EllipticLeaf",
-    "Product",
-    "Certificate",
     "certificate_dim",
     "certificate_index",
     "build_index_prime",
@@ -90,43 +43,14 @@ __all__ = [
     "realize",
     "check_dim_inequality",
     "search_plane_pair",
-    "verify_certificate",
-    "NodeReport",
-    "VerificationReport",
-    "CertificateParseError",
-    "certificate_from_obj",
-    "certificate_dumps",
-    "certificate_loads",
-    "logleaf_from_obj",
     "BASE_DIM1_INDICES",
     "BASE_DIM2_INDICES",
 ]
 
 
 # ---------------------------------------------------------------------------
-# certificate tree
+# dimension and index of a certificate
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class WpsLeaf:
-    leaf: LogLeaf
-
-
-@dataclass(frozen=True)
-class EllipticLeaf:
-    dim: int
-
-
-@dataclass(frozen=True)
-class Product:
-    factors: tuple["Certificate", ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(self.factors))
-
-
-Certificate = WpsLeaf | EllipticLeaf | Product
 
 
 def certificate_dim(cert: Certificate) -> int:
@@ -483,583 +407,3 @@ def search_plane_pair(dim: int, index: int, max_components: int = 4) -> LogLeaf 
             return leaf
     return None
 
-
-# ---------------------------------------------------------------------------
-# independent verification
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class NodeReport:
-    path: str
-    kind: str
-    checks: list[tuple[str, bool, str]] = field(default_factory=list)
-    klt: KltReport | None = None
-
-    @property
-    def passed(self) -> bool:
-        return all(ok for _, ok, _ in self.checks)
-
-    def failing(self) -> list[str]:
-        return [name for name, ok, _ in self.checks if not ok]
-
-    def as_obj(self) -> dict:
-        return {
-            "path": self.path,
-            "kind": self.kind,
-            "passed": self.passed,
-            "checks": [
-                {"name": n, "passed": ok, "detail": d} for n, ok, d in self.checks
-            ],
-            "klt": self.klt.as_obj() if self.klt is not None else None,
-        }
-
-
-@dataclass
-class VerificationReport:
-    mode: str
-    dim: int | None
-    index: int | None
-    passed: bool
-    leaf_reports: list[NodeReport]
-
-    def failing_checks(self) -> list[tuple[str, str]]:
-        return [
-            (rep.path, name)
-            for rep in self.leaf_reports
-            for name in rep.failing()
-        ]
-
-    def as_obj(self) -> dict:
-        return {
-            "mode": self.mode,
-            "dim": self.dim,
-            "index": self.index,
-            "passed": self.passed,
-            "leaf_reports": [r.as_obj() for r in self.leaf_reports],
-        }
-
-
-def _check(rep: NodeReport, name: str, ok: bool, detail: str = "") -> bool:
-    rep.checks.append((name, bool(ok), detail))
-    return bool(ok)
-
-
-def _verify_wps_leaf(leaf: LogLeaf, rep: NodeReport) -> tuple[int | None, int | None]:
-    """The checks of one explicit leaf, each fact computed once, so the cost
-    is linear in the leaf's size: its weights plus the (variable, exponent)
-    pairs of its equations."""
-    space = leaf.space
-    w = space.weights
-    space_text = str(space)
-    _check(rep, "weights-valid", len(w) >= 2 and min(w) >= 1, space_text)
-
-    nv = len(w)
-    shape_ok = bool(leaf.entries)
-    shape_detail = ""
-    for coeff, eq in leaf.entries:
-        if not eq.terms:
-            shape_ok, shape_detail = False, "zero divisor equation"
-            break
-        if eq.nvars != nv:
-            shape_ok, shape_detail = False, f"equation in {_bounded_int(eq.nvars)} variables on {space_text}"
-            break
-        if not eq.terms[0][1]:  # the constant monomial sorts last, so it comes first only alone
-            shape_ok, shape_detail = False, "constant equation cuts out no divisor"
-            break
-    if not leaf.entries:
-        shape_detail = "no divisor entries"
-    _check(rep, "entry-shape", shape_ok, shape_detail)
-
-    # StdCoeff fixes the value at (b - 1)/b; only b itself can be wrong
-    std_ok = all(isinstance(coeff.b, int) and coeff.b >= 2 for coeff, _ in leaf.entries)
-    _check(rep, "standard-coefficients", std_ok,
-           _listed([coeff for coeff, _ in leaf.entries], str, " "))
-
-    qh_ok, qh_detail = shape_ok, "not evaluated (entry shape invalid)"
-    degs: list[int] = []
-    if shape_ok:
-        for i, (_, eq) in enumerate(leaf.entries):
-            try:
-                degs.append(weighted_degree(eq, space))
-            except NotQuasiHomogeneous as err:
-                qh_ok, qh_detail = False, f"entry {i}: {err}"
-                break
-        else:
-            qh_detail = f"degrees [{_listed(degs, _bounded_int, ', ')}]"
-    _check(rep, "quasi-homogeneous", qh_ok, qh_detail)
-
-    _check(rep, "entries-distinct", _distinct_up_to_scaling([eq for _, eq in leaf.entries]))
-
-    wf = is_well_formed(space)
-    _check(rep, "well-formed", wf, space_text)
-
-    deg_ok = False
-    deg_detail = ""
-    if shape_ok and qh_ok:
-        # log_degree from the degrees above; scale is lcm(b), set whenever deg_ok is
-        num, scale = _scaled_log_degree(space, leaf.entries, degs)
-        deg_ok = num == 0
-        deg_detail = f"log degree {_bounded_fraction(Fraction(num, scale))}"
-    _check(rep, "degree-zero", deg_ok, deg_detail)
-
-    # pair_index: on a well-formed space of degree zero, the lcm of the b values
-    index = scale if wf and deg_ok else None
-    _check(rep, "index-computed", index is not None,
-           _bounded_int(index) if index is not None else "preconditions failed")
-
-    klt_ok = False
-    try:
-        rep.klt = is_klt_leaf(leaf)
-        klt_ok = rep.klt.passed
-        klt_detail = rep.klt.strategy
-    except ValueError as err:
-        klt_detail = str(err)
-    _check(rep, "klt", klt_ok, klt_detail)
-
-    return (space.dim if len(w) >= 2 else None,
-            index if rep.passed else None)
-
-
-# A leaf of at most this many monomials in all takes its verdict from
-# _leaf_verdict. The leaves that repeat are small: in theorem_sweep (seed 1,
-# 16 passes) 2,393 of 2,500 leaf verifications cover 52 distinct leaves of at
-# most 64 monomials, and such a leaf's checks cost about 50 us against about
-# 5 us to hash it. Bigger leaves are rarely repeated, and holding them raised
-# verify_corpus's peak RSS from 28.1 to 33.8 MB in a sizing run.
-_MEMO_MAX_MONOMIALS = 64
-
-# The verdicts held. 128 is more than twice the 52 small leaves of that
-# sweep, and with the gate bounds the memo to 128 x 64 monomials.
-_MEMO_LEAVES = 128
-
-
-@lru_cache(maxsize=_MEMO_LEAVES)
-def _leaf_verdict(leaf: LogLeaf) -> tuple[tuple[tuple[str, bool, str], ...], KltReport | None,
-                                          tuple[int | None, int | None]]:
-    """The checks, klt report and (dim, index) that _verify_wps_leaf gives a
-    leaf, computed once per equal leaf and process.
-
-    Sound because the key is everything _verify_wps_leaf reads: the weights,
-    each entry's b and terms, and the strategy, which make up LogLeaf's
-    equality and hash. It reads no other state, so equal leaves get
-    identical checks. The loader and the public constructors build only
-    exact ints, Fractions and strs, whose equality is their value. The
-    checks come back as a tuple, so a caller copies them into its own
-    report, and the KltReport is frozen, so it is shared. A test that
-    patches a function the checks call clears the memo first
-    (`_leaf_verdict.cache_clear()`)."""
-    rep = NodeReport("", "wps_leaf")
-    result = _verify_wps_leaf(leaf, rep)
-    return tuple(rep.checks), rep.klt, result
-
-
-def _verify_node(cert: Certificate, path: str,
-                 reports: list[NodeReport]) -> tuple[int | None, int | None]:
-    match cert:
-        case WpsLeaf(leaf):
-            rep = NodeReport(path, "wps_leaf")
-            reports.append(rep)
-            # the same terms the entry-shape check reads
-            if sum([len(eq.terms) for _, eq in leaf.entries]) > _MEMO_MAX_MONOMIALS:
-                return _verify_wps_leaf(leaf, rep)
-            try:
-                checks, rep.klt, result = _leaf_verdict(leaf)
-            except TypeError:  # an unhashable leaf, which only a library caller can build
-                return _verify_wps_leaf(leaf, rep)
-            rep.checks = list(checks)
-            return result
-        case EllipticLeaf(dim):
-            rep = NodeReport(path, "elliptic_leaf")
-            reports.append(rep)
-            ok = _check(rep, "elliptic-dim", type(dim) is int and dim >= 1,  # exact int, so no bool
-                        _bounded_int(dim) if type(dim) is int else str(dim))
-            return (dim, 1) if ok else (None, None)
-        case Product(factors):
-            rep = NodeReport(path, "product")
-            reports.append(rep)
-            _check(rep, "product-arity", len(factors) >= 2, f"{len(factors)} factors")
-            dims: list[int | None] = []
-            idxs: list[int | None] = []
-            for i, f in enumerate(factors):
-                d, ix = _verify_node(f, f"{path}.factors[{i}]", reports)
-                dims.append(d)
-                idxs.append(ix)
-            if rep.passed and all(d is not None for d in dims) and all(ix is not None for ix in idxs):
-                return sum(dims), lcm(*idxs)
-            return (None, None)
-    raise TypeError(f"not a certificate node: {cert!r}")
-
-
-def verify_certificate(cert: Certificate, mode: str = "strict") -> VerificationReport:
-    """Recheck every claim a certificate makes, trusting nothing.
-
-    For each explicit leaf: weights, entry shapes, standard coefficients,
-    quasi-homogeneity, pairwise-distinct entries, well-formedness, exact
-    degree zero, the index, and the full klt report. For the tree: product
-    arity, dimension sums and index lcms. Check failures are recorded in
-    the report, never thrown. Every leaf is explicit, so "strict" and
-    "trusting" run the same checks; the mode is validated and echoed in the
-    report.
-    """
-    if mode not in ("strict", "trusting"):
-        raise ValueError(f"mode must be 'strict' or 'trusting', got {mode!r}")
-    reports: list[NodeReport] = []
-    dim, index = _verify_node(cert, "$", reports)
-    passed = all(r.passed for r in reports) and dim is not None and index is not None
-    return VerificationReport(mode, dim, index, passed, reports)
-
-
-# ---------------------------------------------------------------------------
-# serialization (schema v1)
-# ---------------------------------------------------------------------------
-# Dense exponent vectors exist only in the text. The writer makes the text in
-# one pass from the (variable, exponent) pairs, with the bytes of json.dumps
-# with sorted keys and compact separators. The general reader is one walk
-# over the object, field by field, that reports the first fault where it is;
-# it scans each vector once into pairs and builds each equation with
-# SparsePoly.from_pairs.
-
-
-class CertificateParseError(ValueError):
-    """Schema violation, with a JSON-path location."""
-
-    def __init__(self, message: str, location: str = "$"):
-        super().__init__(f"{location}: {message}")
-        self.location = location
-
-
-# json.dumps(value, sort_keys=True, separators=(",", ":")), for what the writer does not format itself
-_json_text = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-
-
-# The text of a leaf is _LEAF_HEAD, its entries joined by ",", _LEAF_STRATEGY,
-# its strategy as a JSON string, _LEAF_WEIGHTS, its weights joined by ",",
-# and "]}"; that of an elliptic leaf is its dim between _ELLIPTIC_HEAD and
-# _ELLIPTIC_TAIL; that of a product is its factors' texts, joined by ",",
-# between _PRODUCT_HEAD and _PRODUCT_TAIL.
-_LEAF_HEAD = '{"entries":['
-_LEAF_STRATEGY = '],"node":"wps_leaf","strategy":'
-_LEAF_WEIGHTS = ',"v":1,"weights":['
-_ELLIPTIC_HEAD, _ELLIPTIC_TAIL = '{"dim":', ',"node":"elliptic_leaf","v":1}'
-_PRODUCT_HEAD = '{"factors":['
-_PRODUCT_TAIL = '],"node":"product","v":1}'
-
-
-def _leaf_text(leaf: LogLeaf) -> str:
-    """The schema v1 text of a leaf, written from its (variable, exponent)
-    pairs. Keys come in sorted order, and every number is written as
-    json.dumps writes an int: weights, exponents and Fraction parts are
-    exact ints, and "%d" writes an int subclass b by its int value. A dense
-    exponent vector is its exponents with slices of one run of "0," between
-    them."""
-    zeros = ""
-    entries = []
-    for coeff, eq in leaf.entries:
-        nv = eq.nvars  # the space's weight count on every leaf that verifies
-        if len(zeros) != 2 * nv:
-            zeros = "0," * nv
-        monos = []
-        for c, pairs in eq.terms:
-            parts, at = [], 0
-            for v, x in pairs:
-                parts.append(zeros[: 2 * (v - at)])
-                parts.append(f"{x},")
-                at = v + 1
-            parts.append(zeros[: 2 * (nv - at)])
-            monos.append(f'{{"c":[{c.numerator},{c.denominator}],"e":[{"".join(parts)[:-1]}]}}')
-        entries.append('{"b":%d,"eq":[%s]}' % (coeff.b, ",".join(monos)))
-    return "".join((_LEAF_HEAD, ",".join(entries), _LEAF_STRATEGY, _json_text(leaf.klt_strategy),
-                    _LEAF_WEIGHTS, ",".join(map(str, leaf.space.weights)), "]}"))
-
-
-def _node_text(cert: Certificate) -> str:
-    match cert:
-        case WpsLeaf(leaf):
-            return _leaf_text(leaf)
-        case EllipticLeaf(dim):
-            return _ELLIPTIC_HEAD + _json_text(dim) + _ELLIPTIC_TAIL
-        case Product(factors):
-            return _PRODUCT_HEAD + ",".join(map(_node_text, factors)) + _PRODUCT_TAIL
-    raise TypeError(f"not a certificate node: {cert!r}")
-
-
-def certificate_dumps(cert: Certificate) -> str:
-    """The schema v1 text of a certificate: the bytes json.dumps writes with
-    sorted keys and compact separators, written in one pass. Products recurse
-    through _node_text, so a wrapper bound to this name (bench/tracing.py)
-    sees one call per certificate."""
-    return _node_text(cert)
-
-
-def _need(obj: dict, key: str, loc: str):
-    if not isinstance(obj, dict):
-        raise CertificateParseError("expected an object", loc)
-    if key not in obj:
-        raise CertificateParseError(f"missing field {key!r}", loc)
-    return obj[key]
-
-
-def _need_int(value, loc: str, minimum: int | None = None) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise CertificateParseError(f"expected an integer, got {value!r}", loc)
-    if minimum is not None and value < minimum:
-        raise CertificateParseError(f"integer {value} below minimum {minimum}", loc)
-    return value
-
-
-def logleaf_from_obj(obj: dict, loc: str = "$") -> LogLeaf:
-    weights = _need(obj, "weights", loc)
-    if not isinstance(weights, list) or len(weights) < 2:
-        raise CertificateParseError("weights must be a list of at least 2 integers", f"{loc}.weights")
-    weights = [_need_int(w, f"{loc}.weights[{i}]") for i, w in enumerate(weights)]
-    if min(weights) < 1:
-        raise CertificateParseError("weights must be positive", f"{loc}.weights")
-    strategy = _need(obj, "strategy", loc)
-    if strategy not in KLT_STRATEGIES:
-        raise CertificateParseError(f"unknown strategy {strategy!r}", f"{loc}.strategy")
-    entries_obj = _need(obj, "entries", loc)
-    if not isinstance(entries_obj, list):
-        raise CertificateParseError("entries must be a list", f"{loc}.entries")
-    nv = len(weights)
-    variables = tuple(range(nv))
-    entries = []
-    for i, ent in enumerate(entries_obj):
-        eloc = f"{loc}.entries[{i}]"
-        b = _need_int(_need(ent, "b", eloc), f"{eloc}.b", minimum=2)
-        eq_obj = _need(ent, "eq", eloc)
-        if not isinstance(eq_obj, list) or not eq_obj:
-            raise CertificateParseError("eq must be a nonempty monomial list", f"{eloc}.eq")
-        terms = []
-        bad = None  # the first monomial whose exponents break a rule, located after every c is checked
-        for j, mono in enumerate(eq_obj):
-            mloc = f"{eloc}.eq[{j}]"
-            c = _need(mono, "c", mloc)
-            if not isinstance(c, list) or len(c) != 2:
-                raise CertificateParseError("c must be [numerator, denominator]", f"{mloc}.c")
-            num, den = _need_int(c[0], f"{mloc}.c[0]"), _need_int(c[1], f"{mloc}.c[1]")
-            if den == 0:
-                raise CertificateParseError("zero denominator", f"{mloc}.c")
-            if num == 0:
-                raise CertificateParseError("zero coefficient monomial", f"{mloc}.c")
-            e = _need(mono, "e", mloc)
-            if not isinstance(e, list):
-                raise CertificateParseError("e must be a list", f"{mloc}.e")
-            pairs = exponent_pairs(e, variables) if len(e) == nv else None  # one scan into pairs
-            if pairs is None and bad is None:
-                bad = j
-            terms.append((_ONE if num == 1 == den else Fraction(num, den), pairs))
-        if bad is not None:
-            e, mloc = eq_obj[bad]["e"], f"{eloc}.eq[{bad}].e"
-            for k, x in enumerate(e):
-                _need_int(x, f"{mloc}[{k}]", minimum=0)
-            if len(e) != nv:
-                raise CertificateParseError(f"exponent vector of length {len(e)}, expected {nv}", mloc)
-            raise CertificateParseError(f"exponents must be nonnegative integers, got {tuple(e)}", f"{eloc}.eq")
-        try:  # the pairs are valid and no coefficient is zero, so only a repeated vector is left to raise
-            eq = SparsePoly.from_pairs(nv, terms)
-        except ValueError as err:
-            raise CertificateParseError(str(err), f"{eloc}.eq") from err
-        entries.append((StdCoeff(b), eq))
-    try:
-        return LogLeaf(Wps(tuple(weights)), tuple(entries), strategy)
-    except ValueError as err:
-        raise CertificateParseError(str(err), loc) from err
-
-
-def certificate_from_obj(obj, loc: str = "$") -> Certificate:
-    if not isinstance(obj, dict):
-        raise CertificateParseError("expected an object", loc)
-    v = _need(obj, "v", loc)
-    if type(v) is not int or v != 1:  # exact int, so neither true nor 1.0
-        raise CertificateParseError(f"unsupported schema version {v!r}", f"{loc}.v")
-    node = _need(obj, "node", loc)
-    if node == "wps_leaf":
-        return WpsLeaf(logleaf_from_obj(obj, loc))
-    if node == "elliptic_leaf":
-        return EllipticLeaf(_need_int(_need(obj, "dim", loc), f"{loc}.dim", minimum=1))
-    if node == "product":
-        factors_obj = _need(obj, "factors", loc)
-        if not isinstance(factors_obj, list):
-            raise CertificateParseError("factors must be a list", f"{loc}.factors")
-        factors = tuple(
-            certificate_from_obj(f, f"{loc}.factors[{i}]") for i, f in enumerate(factors_obj)
-        )
-        return Product(factors)
-    raise CertificateParseError(f"unknown node kind {node!r}", f"{loc}.node")
-
-
-# A leaf text of at most this many characters is held by the reader memo.
-# In theorem_sweep (seed 1, 16 passes) 2,363 of 2,500 leaf reads cover 46
-# distinct texts of at most 4,096 characters, about 45 KB in all; a 16 KB
-# gate would hold 253 KB and a 64 KB gate 851 KB, and held big leaves cost
-# peak RSS. build_index_prime(97), of 50 monomials, writes 4,023 characters.
-_MEMO_MAX_CHARS = 4096
-
-# at a position in a dense exponent vector: the run of zero entries and
-# commas there, then the next entry, which is empty at the closing bracket
-_ZEROS_THEN_ENTRY = re.compile(r"[0,]*([^,\]]*)")
-
-# between two pieces of a flat product: a "}" closing one, the "," to cut at,
-# and the head of a leaf or an elliptic leaf
-_PIECE_CUT = re.compile(r'\},\{"(?:entries|dim)":')
-
-
-def _scan_leaf(text: str) -> LogLeaf | None:
-    """The leaf a wps_leaf text cut like the writer's holds, read with str
-    operations instead of json.loads; None where the cuts are not found.
-    Only the nonzero entries of a dense vector are read: one compiled
-    pattern skips each run of zeros, and a variable's index is the running
-    count of commas before its entry.
-
-    The leaf is built by Wps, StdCoeff, SparsePoly.from_pairs in
-    len(weights) variables and LogLeaf, and every equation has a monomial,
-    so it is a leaf the general path can return. What only the text's form
-    decides (key order, number spelling, vector length, reduced
-    coefficients) is not checked here; _read_piece does that by writing the
-    leaf back. Raises only ValueError, an int over the int-to-str digit
-    limit included, and ZeroDivisionError, for a zero denominator."""
-    if not text.startswith(_LEAF_HEAD) or not text.endswith("]}"):
-        return None
-    tail = text.rfind(_LEAF_STRATEGY)
-    weights_at = text.find(_LEAF_WEIGHTS, tail)
-    if tail < 0 or weights_at < 0:
-        return None
-    strategy = text[tail + len(_LEAF_STRATEGY) + 1:weights_at - 1]  # inside its quotes
-    weights = tuple(map(int, text[weights_at + len(_LEAF_WEIGHTS):-2].split(",")))
-    nv = len(weights)
-    stds: dict[int, StdCoeff] = {}  # one StdCoeff per distinct b
-    entries = []
-    pos = len(_LEAF_HEAD)
-    while pos < tail:  # one entry: {"b":B,"eq":[monomial,...]}
-        at = text.find(',"eq":[', pos)
-        if at < 0 or not text.startswith('{"b":', pos):
-            return None
-        b = int(text[pos + 5:at])
-        coeff = stds.get(b)
-        if coeff is None:
-            coeff = stds[b] = StdCoeff(b)
-        pos, terms = at + 7, []
-        while True:  # one monomial: {"c":[N,D],"e":[vector]}
-            comma = text.find(",", pos)
-            at = text.find('],"e":[', comma)
-            if comma < 0 or at < 0 or not text.startswith('{"c":[', pos):
-                return None
-            num, den = int(text[pos + 6:comma]), int(text[comma + 1:at])
-            pos, pairs, var = at + 7, [], 0
-            while True:
-                at, end = _ZEROS_THEN_ENTRY.match(text, pos).span(1)
-                var += text.count(",", pos, at)
-                pos = end
-                if at == end:
-                    break
-                pairs.append((var, int(text[at:end])))
-            terms.append((_ONE if num == 1 == den else Fraction(num, den), pairs))
-            if not text.startswith("]},", pos):
-                break
-            pos += 3
-        entries.append((coeff, SparsePoly.from_pairs(nv, terms)))
-        pos += 5  # past ']}]},' to the next entry, or past the ']}]}' before the tail
-    return LogLeaf(Wps(weights), tuple(entries), strategy)
-
-
-def _read_piece(piece: str) -> Certificate | None:
-    """The node a leaf or elliptic leaf text reads as, if the text is
-    exactly what the writer writes for that node; otherwise None, for the
-    general path to read and report. No json.loads runs.
-
-    Sound because _scan_leaf and the elliptic test (an int dim >= 1) build
-    only nodes the general path can return, and the one proof obligation,
-    that such a node's writer text reads back as that node on the general
-    path, is the codec's round trip (test_writer_matches_the_reference_bytes
-    pins it). So when the writer's text of the node is `piece`, the general
-    path returns the same node for `piece`."""
-    try:
-        if piece.startswith(_ELLIPTIC_HEAD) and piece.endswith(_ELLIPTIC_TAIL):
-            dim = int(piece[len(_ELLIPTIC_HEAD):-len(_ELLIPTIC_TAIL)])
-            node = EllipticLeaf(dim) if dim >= 1 else None
-        else:
-            leaf = _scan_leaf(piece)
-            node = None if leaf is None else WpsLeaf(leaf)
-        return node if node is not None and _node_text(node) == piece else None
-    except (ValueError, ZeroDivisionError):
-        return None
-
-
-@lru_cache(maxsize=_MEMO_LEAVES)
-def _read_leaf_text(piece: str, digits: int) -> Certificate | None:
-    """_read_piece, held per piece text and int-to-str digit limit `digits`,
-    so that a hit returns only what was read under the same limit."""
-    return _read_piece(piece)
-
-
-def _flat_factors(text: str) -> list[Certificate] | None:
-    """The factors of a product text written as the writer writes it, or None.
-
-    The text between _PRODUCT_HEAD and _PRODUCT_TAIL is cut at the "," of
-    each match of _PIECE_CUT, all found in one pass of the pattern before
-    any piece is read. A leaf piece of at most _MEMO_MAX_CHARS is read
-    through _read_leaf_text, a bigger one and an elliptic piece by
-    _read_piece unheld; any other piece, and any piece that reads as None,
-    gives None.
-    """
-    digits = sys.get_int_max_str_digits()
-    start, end = len(_PRODUCT_HEAD), len(text) - len(_PRODUCT_TAIL)
-    factors = []
-    for cut in [match.start() + 1 for match in _PIECE_CUT.finditer(text, start, end)] + [end]:
-        piece = text[start:cut]
-        if piece.startswith(_LEAF_HEAD):
-            node = _read_leaf_text(piece, digits) if cut - start <= _MEMO_MAX_CHARS else _read_piece(piece)
-        elif piece.startswith(_ELLIPTIC_HEAD):
-            node = _read_piece(piece)  # up to hundreds of padding dimensions, which would push the leaves out
-        else:
-            return None
-        if node is None:
-            return None
-        factors.append(node)
-        start = cut + 1
-    return factors
-
-
-def certificate_loads(text: str) -> Certificate:
-    """The certificate a schema v1 text holds, or CertificateParseError with
-    the location of the first fault.
-
-    A str, less one trailing newline as `cyindex realize --out` writes it,
-    is read without json.loads when it is the writer's text: a flat product
-    factor by factor (_flat_factors, each leaf text of at most
-    _MEMO_MAX_CHARS through a memo of _MEMO_LEAVES texts), and any other
-    text as one piece (_read_piece). Sound: json.loads ignores trailing
-    whitespace; _read_piece returns a node only when its text is the
-    writer's text of that node, which the general path reads back as the
-    node; and if the text is _PRODUCT_HEAD + ",".join(p_i) + _PRODUCT_TAIL
-    with each p_i the writer's text of a leaf or elliptic leaf f_i, then
-    json.loads(text) is {"factors": [json.loads(p_i), ...], "node":
-    "product", "v": 1}, and the general path returns Product(f) too. Such a
-    p_i nests at most 6 levels, with no whitespace and no unknown keys, so
-    the general path meets no recursion limit that the piece did not; a
-    memo hit reuses a value read under the same digit limit. Every other
-    text, bytes included, is read whole, newline and all, by the general
-    path, which makes every error and location.
-    """
-    if type(text) is str:
-        body = text[:-1] if text.endswith("\n") else text  # as `cyindex realize --out` writes it
-        if body.startswith(_PRODUCT_HEAD) and body.endswith(_PRODUCT_TAIL):
-            factors = _flat_factors(body)
-            node = None if factors is None else Product(factors)
-        else:
-            node = _read_piece(body)
-        if node is not None:
-            return node
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise CertificateParseError(f"invalid JSON: {err.msg}", f"line {err.lineno} column {err.colno}") from err
-    except ValueError as err:  # the other ValueError json.loads raises: an int over the int-to-str digit limit
-        raise CertificateParseError(f"invalid JSON: an integer has more than {sys.get_int_max_str_digits()} digits") from err
-    except RecursionError as err:
-        raise CertificateParseError("nested too deeply to parse") from err
-    try:
-        return certificate_from_obj(obj)
-    except RecursionError as err:
-        raise CertificateParseError("nested too deeply to parse") from err

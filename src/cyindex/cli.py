@@ -32,22 +32,11 @@ import json
 import signal
 import sys
 
-from .certify import (
-    BASE_DIM1_INDICES,
-    BASE_DIM2_INDICES,
-    CertificateParseError,
-    EllipticLeaf,
-    Product,
-    WpsLeaf,
-    base_leaf,
-    certificate_dumps,
-    certificate_loads,
-    realize,
-    search_plane_pair,
-    verify_certificate,
-)
+from .certify import BASE_DIM1_INDICES, BASE_DIM2_INDICES, base_leaf, realize, search_plane_pair
+from .codec import CertificateParseError, certificate_dumps, certificate_loads
 from .numtheory import euler_phi, indices_with_phi_at_most
 from .selftest import CHECKS
+from .verify import EllipticLeaf, Product, WpsLeaf, verify_certificate
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1

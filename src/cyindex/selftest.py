@@ -12,22 +12,18 @@ from math import gcd, lcm, prod
 from .certify import (
     BASE_DIM1_INDICES,
     BASE_DIM2_INDICES,
-    CertificateParseError,
-    Product,
-    WpsLeaf,
     base_leaf,
     build_index_prime,
     build_prime_power,
-    certificate_dumps,
     certificate_index,
-    certificate_loads,
     check_dim_inequality,
     realize,
     search_plane_pair,
-    verify_certificate,
 )
+from .codec import CertificateParseError, certificate_dumps, certificate_loads
 from .numtheory import euler_phi, indices_with_phi_at_most, sylvester_bound
 from .sncklt import is_klt_leaf
+from .verify import Product, WpsLeaf, verify_certificate
 from .wpspairs import LogLeaf, SparsePoly, StdCoeff, Wps, log_degree, pair_index
 
 

@@ -15,29 +15,25 @@ from hypothesis import strategies as st
 from cyindex.certify import (
     BASE_DIM1_INDICES,
     BASE_DIM2_INDICES,
-    CertificateParseError,
-    EllipticLeaf,
-    Product,
-    WpsLeaf,
     base_leaf,
     build_index_prime,
     build_prime_power,
     build_sylvester,
     certificate_dim,
-    certificate_dumps,
-    certificate_from_obj,
     certificate_index,
-    certificate_loads,
     check_dim_inequality,
     realize,
     search_plane_pair,
-    verify_certificate,
 )
+from cyindex.codec import CertificateParseError, certificate_dumps, certificate_from_obj, certificate_loads
+from cyindex.verify import EllipticLeaf, Product, WpsLeaf, verify_certificate
 from cyindex.numtheory import euler_phi, indices_with_phi_at_most, sylvester_bound
 import cyindex
 import cyindex.certify
 import cyindex.cli
+import cyindex.codec
 import cyindex.sncklt
+import cyindex.verify
 import cyindex.wpspairs
 from cyindex.sncklt import STEP_CHAINS, KltReport, is_klt_leaf
 from cyindex.wpspairs import (
@@ -458,7 +454,7 @@ def _equation_lists(draw):
 @given(_equation_lists())
 def test_entries_distinct_agrees_with_the_projective_keys(eqs):
     want = len({eq.projective_key() for eq in eqs}) == len(eqs)
-    assert cyindex.certify._distinct_up_to_scaling(eqs) is want
+    assert cyindex.wpspairs._distinct_up_to_scaling(eqs) is want
 
 
 def test_verify_leaf_work_is_linear_by_call_counts(monkeypatch):
@@ -474,7 +470,7 @@ def test_verify_leaf_work_is_linear_by_call_counts(monkeypatch):
 
     for name in ("weighted_degree", "is_well_formed"):
         wrapper = counted(name, getattr(cyindex.wpspairs, name))
-        for module in (cyindex.wpspairs, cyindex.certify, cyindex.sncklt):
+        for module in (cyindex.wpspairs, cyindex.verify, cyindex.sncklt):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, wrapper)
     monkeypatch.setattr(SparsePoly, "proportional_to",
@@ -490,7 +486,7 @@ def test_verify_leaf_work_is_linear_by_call_counts(monkeypatch):
 
 
 def test_verify_reports_the_same_bytes_from_the_memo(monkeypatch):
-    verdicts = cyindex.certify._leaf_verdict
+    verdicts = cyindex.verify._leaf_verdict
     certs = [certificate_loads(certificate_dumps(realize(n, m)))
              for n in range(3, 11) for m in indices_with_phi_at_most(2 * n)]
     cold = []
@@ -500,7 +496,7 @@ def test_verify_reports_the_same_bytes_from_the_memo(monkeypatch):
     hits = verdicts.cache_info().hits
     warm = [[verify_certificate(cert) for _ in range(2)][-1].as_obj() for cert in certs]
     assert verdicts.cache_info().hits >= hits + len(certs)
-    monkeypatch.setattr(cyindex.certify, "_leaf_verdict", verdicts.__wrapped__)
+    monkeypatch.setattr(cyindex.verify, "_leaf_verdict", verdicts.__wrapped__)
     direct = [verify_certificate(cert).as_obj() for cert in certs]
     assert cold == warm == direct
 
@@ -549,7 +545,7 @@ def _leaf_and_one_field_changed(draw):
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(_leaf_and_one_field_changed())
 def test_the_memo_tells_apart_leaves_that_differ_in_one_field(pair):
-    verdicts = cyindex.certify._leaf_verdict
+    verdicts = cyindex.verify._leaf_verdict
     leaf, changed = pair
     assert changed != leaf
     verdicts.cache_clear()
@@ -560,7 +556,7 @@ def test_the_memo_tells_apart_leaves_that_differ_in_one_field(pair):
 
 
 def test_a_memo_hit_does_no_leaf_work(monkeypatch):
-    verdicts = cyindex.certify._leaf_verdict
+    verdicts = cyindex.verify._leaf_verdict
     verdicts.cache_clear()
     leaf = build_index_prime(13)
     want = verify_certificate(WpsLeaf(leaf)).as_obj()
@@ -574,7 +570,7 @@ def test_a_memo_hit_does_no_leaf_work(monkeypatch):
 
     for name, home in (("weighted_degree", cyindex.wpspairs), ("is_klt_leaf", cyindex.sncklt)):
         wrapper = counted(name, getattr(home, name))
-        for module in (cyindex.wpspairs, cyindex.certify, cyindex.sncklt):
+        for module in (cyindex.wpspairs, cyindex.verify, cyindex.sncklt):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, wrapper)
     copy = certificate_loads(certificate_dumps(WpsLeaf(leaf)))
@@ -587,7 +583,7 @@ def test_a_memo_hit_does_no_leaf_work(monkeypatch):
 
 
 def test_the_memo_holds_at_most_128_leaves_of_at_most_64_monomials():
-    verdicts = cyindex.certify._leaf_verdict
+    verdicts = cyindex.verify._leaf_verdict
     chain_leaf = cyindex.certify._chain_leaf
     verdicts.cache_clear()
     for b in range(2, 302):  # 300 distinct small leaves
@@ -602,7 +598,7 @@ def test_the_memo_holds_at_most_128_leaves_of_at_most_64_monomials():
 
 
 def test_an_unhashable_leaf_is_verified_without_the_memo():
-    cyindex.certify._leaf_verdict.cache_clear()
+    cyindex.verify._leaf_verdict.cache_clear()
     leaf = cyindex.certify._EXPLICIT[14].leaf
     listed = LogLeaf(leaf.space, tuple((c, SparsePoly._canonical(eq.nvars, [list(t) for t in eq.terms]))
                                        for c, eq in leaf.entries), leaf.klt_strategy)
@@ -1318,9 +1314,9 @@ def test_int_subclass_coefficients_load_as_their_values():
 def _reference_entry_fields(ent, loc: str) -> tuple[int, list]:
     """b and the monomial list of an entry object, or the parse error of
     its first fault."""
-    certify = cyindex.certify
-    b = certify._need_int(certify._need(ent, "b", loc), f"{loc}.b", minimum=2)
-    eq_obj = certify._need(ent, "eq", loc)
+    codec = cyindex.codec
+    b = codec._need_int(codec._need(ent, "b", loc), f"{loc}.b", minimum=2)
+    eq_obj = codec._need(ent, "eq", loc)
     if not isinstance(eq_obj, list) or not eq_obj:
         raise CertificateParseError("eq must be a nonempty monomial list", f"{loc}.eq")
     return b, eq_obj
@@ -1329,17 +1325,17 @@ def _reference_entry_fields(ent, loc: str) -> tuple[int, list]:
 def _reference_monomial_fields(mono, loc: str) -> tuple[int, int, list]:
     """Numerator, denominator and exponent list of a monomial object, or the
     parse error of its first fault."""
-    certify = cyindex.certify
-    c = certify._need(mono, "c", loc)
+    codec = cyindex.codec
+    c = codec._need(mono, "c", loc)
     if not isinstance(c, list) or len(c) != 2:
         raise CertificateParseError("c must be [numerator, denominator]", f"{loc}.c")
-    num = certify._need_int(c[0], f"{loc}.c[0]")
-    den = certify._need_int(c[1], f"{loc}.c[1]")
+    num = codec._need_int(c[0], f"{loc}.c[0]")
+    den = codec._need_int(c[1], f"{loc}.c[1]")
     if den == 0:
         raise CertificateParseError("zero denominator", f"{loc}.c")
     if num == 0:
         raise CertificateParseError("zero coefficient monomial", f"{loc}.c")
-    e = certify._need(mono, "e", loc)
+    e = codec._need(mono, "e", loc)
     if not isinstance(e, list):
         raise CertificateParseError("e must be a list", f"{loc}.e")
     return num, den, e
@@ -1349,18 +1345,18 @@ def _reference_logleaf_from_obj(obj: dict, loc: str = "$") -> LogLeaf:
     """The v1 leaf reader written plainly, with a new Fraction per monomial
     and a seen set and a StdCoeff per entry: the reference of the reader's
     results, error locations and messages."""
-    certify = cyindex.certify
-    weights = certify._need(obj, "weights", loc)
+    codec = cyindex.codec
+    weights = codec._need(obj, "weights", loc)
     if not isinstance(weights, list) or len(weights) < 2:
         raise CertificateParseError("weights must be a list of at least 2 integers", f"{loc}.weights")
     if not {int}.issuperset(map(type, weights)):
-        weights = [certify._need_int(w, f"{loc}.weights[{i}]") for i, w in enumerate(weights)]
+        weights = [codec._need_int(w, f"{loc}.weights[{i}]") for i, w in enumerate(weights)]
     if min(weights) < 1:
         raise CertificateParseError("weights must be positive", f"{loc}.weights")
-    strategy = certify._need(obj, "strategy", loc)
+    strategy = codec._need(obj, "strategy", loc)
     if strategy not in KLT_STRATEGIES:
         raise CertificateParseError(f"unknown strategy {strategy!r}", f"{loc}.strategy")
-    entries_obj = certify._need(obj, "entries", loc)
+    entries_obj = codec._need(obj, "entries", loc)
     if not isinstance(entries_obj, list):
         raise CertificateParseError("entries must be a list", f"{loc}.entries")
     nv = len(weights)
@@ -1385,7 +1381,7 @@ def _reference_logleaf_from_obj(obj: dict, loc: str = "$") -> LogLeaf:
             eloc = f"{loc}.entries[{i}]"
             e, mloc = eq_obj[bad]["e"], f"{eloc}.eq[{bad}].e"
             for k, x in enumerate(e):
-                certify._need_int(x, f"{mloc}[{k}]", minimum=0)
+                codec._need_int(x, f"{mloc}[{k}]", minimum=0)
             if len(e) != nv:
                 raise CertificateParseError(f"exponent vector of length {len(e)}, expected {nv}", mloc)
             raise CertificateParseError(f"exponents must be nonnegative integers, got {tuple(e)}", f"{eloc}.eq")
@@ -1462,7 +1458,7 @@ def _read(reader, obj):
 @settings(max_examples=500, derandomize=True, deadline=None)
 @given(_mutated_leaf_objs())
 def test_the_leaf_reader_matches_the_reference_reader(obj):
-    assert _read(cyindex.certify.logleaf_from_obj, obj) == _read(_reference_logleaf_from_obj, obj)
+    assert _read(cyindex.codec.logleaf_from_obj, obj) == _read(_reference_logleaf_from_obj, obj)
 
 
 def test_the_leaf_reader_matches_the_reference_on_realized_and_tampered_leaves():
@@ -1470,12 +1466,12 @@ def test_the_leaf_reader_matches_the_reference_on_realized_and_tampered_leaves()
                                               search_plane_pair(2, 10))]
     objs += [obj for obj in (case.values[0]() for case in TAMPER_CASES) if obj.get("node") == "wps_leaf"]
     for obj in objs:
-        assert _read(cyindex.certify.logleaf_from_obj, obj) == _read(_reference_logleaf_from_obj, obj)
+        assert _read(cyindex.codec.logleaf_from_obj, obj) == _read(_reference_logleaf_from_obj, obj)
 
 
 def test_the_removed_wrappers_are_not_exported():
     assert "certificate_to_obj" not in cyindex.__all__ and "Factorization" not in cyindex.__all__
-    assert not hasattr(cyindex.certify, "certificate_to_obj")
+    assert not any(hasattr(module, "certificate_to_obj") for module in (cyindex.certify, cyindex.codec))
     assert not hasattr(cyindex.numtheory, "Factorization")
 
 
@@ -1494,8 +1490,8 @@ def test_schema_shape_matches_contract():
 # -- the reader memo -----------------------------------------------------------
 # each test clears the memo first, so the order tests run in does not matter
 
-_read_leaf_text = cyindex.certify._read_leaf_text
-_HEAD, _TAIL = cyindex.certify._PRODUCT_HEAD, cyindex.certify._PRODUCT_TAIL
+_read_leaf_text = cyindex.codec._read_leaf_text
+_HEAD, _TAIL = cyindex.codec._PRODUCT_HEAD, cyindex.codec._PRODUCT_TAIL
 _EXPLICIT_2 = cyindex.certify._EXPLICIT[2]
 
 
@@ -1509,7 +1505,7 @@ def _outcome(text):
 
 
 def _general_outcome(text):
-    with mock.patch.object(cyindex.certify, "_flat_factors", lambda text: None):
+    with mock.patch.object(cyindex.codec, "_flat_factors", lambda text: None):
         return _outcome(text)
 
 
@@ -1532,7 +1528,7 @@ def test_the_reader_memo_reads_the_same_certificates_and_reports(monkeypatch):
     hits = _read_leaf_text.cache_info().hits
     warm = [[certificate_loads(text) for _ in range(2)][-1] for text in texts]
     assert _read_leaf_text.cache_info().hits >= hits + sum(isinstance(cert, Product) for cert in certs)
-    monkeypatch.setattr(cyindex.certify, "_flat_factors", lambda text: None)
+    monkeypatch.setattr(cyindex.codec, "_flat_factors", lambda text: None)
     general = [certificate_loads(text) for text in texts]
     assert cold == warm == general == certs
     reports = [[verify_certificate(cert).as_obj() for cert in side] for side in (cold, warm, general)]
@@ -1551,7 +1547,7 @@ def _one_edit(draw):
     nested in a one-factor product."""
     cert = draw(st.sampled_from(_EDIT_CERTS))
     text = certificate_dumps(cert)
-    pieces = [cyindex.certify._node_text(f) for f in cert.factors]
+    pieces = [cyindex.codec._node_text(f) for f in cert.factors]
     edit = draw(st.sampled_from(["replace", "insert", "delete", "cut", "swap", "space", "nest"]))
     at = draw(st.integers(0, len(text) - 1))
     char = draw(st.sampled_from('0123456789{}[],:" ebnv'))
@@ -1584,7 +1580,7 @@ def test_one_edit_reads_as_on_the_general_path(pair):
 
 
 def test_the_reader_memo_holds_only_the_writers_text():
-    text = cyindex.certify._node_text(_EXPLICIT_2)
+    text = cyindex.codec._node_text(_EXPLICIT_2)
     digits = sys.get_int_max_str_digits()
     _read_leaf_text.cache_clear()
     assert _read_leaf_text(text, digits) == _EXPLICIT_2
@@ -1599,7 +1595,7 @@ def test_the_reader_memo_holds_only_the_writers_text():
 @pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="no limit on int-to-str digits")
 def test_a_memo_hit_keeps_the_digit_limit():
     text = certificate_dumps(Product((WpsLeaf(_b_leaf(10**699 + 1)), EllipticLeaf(1))))
-    assert len(text) < cyindex.certify._MEMO_MAX_CHARS
+    assert len(text) < cyindex.codec._MEMO_MAX_CHARS
     _read_leaf_text.cache_clear()
     assert certificate_loads(text) == _general_outcome(text)
     limit = sys.get_int_max_str_digits()
@@ -1627,11 +1623,11 @@ def test_the_reader_memo_holds_at_most_128_leaf_texts():
 
 
 def test_the_reader_memo_holds_leaf_texts_of_at_most_4096_characters():
-    gate = cyindex.certify._MEMO_MAX_CHARS
-    base = len(cyindex.certify._leaf_text(_b_leaf(10))) - 2
+    gate = cyindex.codec._MEMO_MAX_CHARS
+    base = len(cyindex.codec._leaf_text(_b_leaf(10))) - 2
     for size, held in ((gate, 1), (gate + 1, 0)):
         leaf = WpsLeaf(_b_leaf(10 ** (size - base - 1)))
-        assert len(cyindex.certify._node_text(leaf)) == size
+        assert len(cyindex.codec._node_text(leaf)) == size
         cert = Product((leaf, EllipticLeaf(1)))
         _read_leaf_text.cache_clear()
         assert certificate_loads(certificate_dumps(cert)) == cert
@@ -1647,8 +1643,8 @@ def test_the_reader_memo_never_holds_an_elliptic_factor():
 
 def _counted(monkeypatch, name):
     calls = []
-    fn = getattr(cyindex.certify, name)
-    monkeypatch.setattr(cyindex.certify, name, lambda *args: calls.append(args) or fn(*args))
+    fn = getattr(cyindex.codec, name)
+    monkeypatch.setattr(cyindex.codec, name, lambda *args: calls.append(args) or fn(*args))
     return calls
 
 
@@ -1656,14 +1652,14 @@ def test_a_leading_oversize_leaf_is_read_unheld(monkeypatch):
     _read_leaf_text.cache_clear()
     cert = Product((WpsLeaf(build_index_prime(401)), _EXPLICIT_2, EllipticLeaf(3)))
     calls = _counted(monkeypatch, "_read_leaf_text")
-    with mock.patch.object(cyindex.certify.json, "loads", _no_json_loads):
+    with mock.patch.object(cyindex.codec.json, "loads", _no_json_loads):
         assert certificate_loads(certificate_dumps(cert)) == cert
-    assert [piece for piece, _ in calls] == [cyindex.certify._node_text(_EXPLICIT_2)]
+    assert [piece for piece, _ in calls] == [cyindex.codec._node_text(_EXPLICIT_2)]
 
 
 def test_a_nested_product_sends_the_text_to_the_general_path_unread(monkeypatch):
     _read_leaf_text.cache_clear()
-    pieces = [cyindex.certify._node_text(f) for f in (Product((_EXPLICIT_2,)), EllipticLeaf(2))]
+    pieces = [cyindex.codec._node_text(f) for f in (Product((_EXPLICIT_2,)), EllipticLeaf(2))]
     calls = _counted(monkeypatch, "_read_piece")
     assert certificate_loads(_product_text(*pieces)) == Product((Product((_EXPLICIT_2,)), EllipticLeaf(2)))
     assert calls == [] and _read_leaf_text.cache_info().currsize == 0
@@ -1679,8 +1675,8 @@ def _no_json_loads(*args, **kwargs):
 
 def _general_path_outcome(text):
     """What certificate_loads makes of a text with every fast path closed."""
-    with mock.patch.object(cyindex.certify, "_read_piece", lambda piece: None), \
-            mock.patch.object(cyindex.certify, "_flat_factors", lambda text: None):
+    with mock.patch.object(cyindex.codec, "_read_piece", lambda piece: None), \
+            mock.patch.object(cyindex.codec, "_flat_factors", lambda text: None):
         return _outcome(text)
 
 
@@ -1704,7 +1700,7 @@ _SCAN_LEAVES = [
         2, [(Fraction(-3, 2), ((0, 3),)), (Fraction(7, 10**9), ((1, 2),))])),), "family_C"),
     LogLeaf(Wps((1, 1)), (), "family_A"),
 ]
-assert any(len(cyindex.certify._leaf_text(leaf)) > 4096 for leaf in _SCAN_LEAVES)
+assert any(len(cyindex.codec._leaf_text(leaf)) > 4096 for leaf in _SCAN_LEAVES)
 assert any(sum(len(eq.terms) for _, eq in leaf.entries) > 64 for leaf in _SCAN_LEAVES)
 
 
@@ -1716,7 +1712,7 @@ def _one_leaf_edit(draw):
     monomials of an equation swapped; a monomial duplicated; or a vector
     one entry shorter or longer."""
     leaf = draw(st.sampled_from(_SCAN_LEAVES))
-    text = cyindex.certify._leaf_text(leaf)
+    text = cyindex.codec._leaf_text(leaf)
     edit = draw(st.sampled_from(["replace", "insert", "delete", "zero", "plus", "space", "unicode", "c22",
                                  "swap", "duplicate", "shorter", "longer"]))
     numbers = [m.start() for m in re.finditer(r"(?<![0-9])-?[0-9]", text)]
@@ -1766,9 +1762,9 @@ def test_one_leaf_edit_reads_as_on_the_general_path(pair):
 
 def test_the_scanner_reads_every_sample_leaf_without_json_loads():
     _read_leaf_text.cache_clear()
-    with mock.patch.object(cyindex.certify.json, "loads", _no_json_loads):
+    with mock.patch.object(cyindex.codec.json, "loads", _no_json_loads):
         for leaf in _SCAN_LEAVES:
-            assert certificate_loads(cyindex.certify._leaf_text(leaf)) == WpsLeaf(leaf)
+            assert certificate_loads(cyindex.codec._leaf_text(leaf)) == WpsLeaf(leaf)
 
 
 def test_builder_leaves_and_oversize_pieces_are_read_without_json_loads():
@@ -1776,9 +1772,9 @@ def test_builder_leaves_and_oversize_pieces_are_read_without_json_loads():
     ms = [5, 7, 9, 13, 15, 41, 97, 101, 399, 401, 1001, 1901, 1997, 1999, 2001]
     leaves = [WpsLeaf(build_index_prime(m)) for m in ms]
     cert = realize(400, 3 * 401)  # the index-3 leaf, build_index_prime(401) and padding
-    assert len(cyindex.certify._node_text(cert.factors[1])) > cyindex.certify._MEMO_MAX_CHARS
+    assert len(cyindex.codec._node_text(cert.factors[1])) > cyindex.codec._MEMO_MAX_CHARS
     texts = [certificate_dumps(c) for c in leaves + [cert]]
-    with mock.patch.object(cyindex.certify.json, "loads", _no_json_loads):
+    with mock.patch.object(cyindex.codec.json, "loads", _no_json_loads):
         assert [certificate_loads(text) for text in texts] == leaves + [cert]
 
 
@@ -1789,7 +1785,7 @@ def test_a_file_that_realize_writes_takes_the_fast_path(tmp_path, capsys):
     capsys.readouterr()
     text = path.read_text(encoding="utf-8")
     assert text == certificate_dumps(realize(30, 60)) + "\n"
-    with mock.patch.object(cyindex.certify.json, "loads", _no_json_loads):
+    with mock.patch.object(cyindex.codec.json, "loads", _no_json_loads):
         assert certificate_loads(text) == realize(30, 60)
         assert certificate_loads(certificate_dumps(_EXPLICIT_2) + "\n") == _EXPLICIT_2
 
@@ -1808,7 +1804,7 @@ def test_only_whitespace_json_allows_follows_a_text(suffix):
 def test_an_elliptic_piece_reads_as_on_the_general_path(dim):
     _read_leaf_text.cache_clear()
     piece = '{"dim":%s,"node":"elliptic_leaf","v":1}' % dim
-    for text in (piece, _product_text(cyindex.certify._node_text(_EXPLICIT_2), piece)):
+    for text in (piece, _product_text(cyindex.codec._node_text(_EXPLICIT_2), piece)):
         assert _outcome(text) == _general_path_outcome(text)
 
 
@@ -1817,7 +1813,7 @@ def test_the_scanner_keeps_the_digit_limit():
     wide = cyindex.certify._chain_leaf((1,) * 40, [(0, 10**699 + 1)], 2, [((i, 1),) for i in range(40)], "family_A")
     texts = [certificate_dumps(WpsLeaf(_b_leaf(10**699 + 1))),
              certificate_dumps(Product((WpsLeaf(wide), EllipticLeaf(1))))]
-    assert len(cyindex.certify._leaf_text(wide)) > cyindex.certify._MEMO_MAX_CHARS
+    assert len(cyindex.codec._leaf_text(wide)) > cyindex.codec._MEMO_MAX_CHARS
     limit = sys.get_int_max_str_digits()
     for text in texts:
         _read_leaf_text.cache_clear()

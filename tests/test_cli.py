@@ -12,14 +12,11 @@ import cyindex.cli
 import cyindex.numtheory
 from cyindex.certify import (
     BASE_DIM2_INDICES,
-    WpsLeaf,
     base_leaf,
     build_index_prime,
     build_prime_power,
-    certificate_dumps,
     realize,
     search_plane_pair,
-    verify_certificate,
 )
 from cyindex.cli import (
     EXIT_INTERNAL,
@@ -31,8 +28,10 @@ from cyindex.cli import (
     ENUMERATION_BUDGET,
     main,
 )
+from cyindex.codec import certificate_dumps
 from cyindex.numtheory import euler_phi, indices_with_phi_at_most
 from cyindex.selftest import CHECKS
+from cyindex.verify import WpsLeaf, verify_certificate
 from cyindex.wpspairs import LogLeaf, SparsePoly, StdCoeff, Wps
 
 

@@ -10,7 +10,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cyindex.certify import (
-    WpsLeaf,
     base_leaf,
     build_index_prime,
     build_prime_power,
@@ -18,6 +17,7 @@ from cyindex.certify import (
     search_plane_pair,
 )
 from cyindex.selftest import _family_leaves
+from cyindex.verify import WpsLeaf
 from cyindex.wpspairs import (
     LogLeaf,
     NotQuasiHomogeneous,

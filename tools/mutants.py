@@ -40,88 +40,90 @@ class Mutant:
 
 
 CERTIFY = "src/cyindex/certify.py"
+CODEC = "src/cyindex/codec.py"
 SNCKLT = "src/cyindex/sncklt.py"
+VERIFY = "src/cyindex/verify.py"
 WPSPAIRS = "src/cyindex/wpspairs.py"
 
 MUTANTS = [
     # the verifier's checks of a leaf
-    Mutant("weights-valid", CERTIFY,
+    Mutant("weights-valid", VERIFY,
            '_check(rep, "weights-valid", len(w) >= 2 and min(w) >= 1, space_text)',
            '_check(rep, "weights-valid", len(w) >= 2 and min(w) >= 0, space_text)',
            equivalent="Wps rejects a weight below 1 at construction, so no leaf has one"),
-    Mutant("standard-coefficients", CERTIFY,
+    Mutant("standard-coefficients", VERIFY,
            "std_ok = all(isinstance(coeff.b, int) and coeff.b >= 2 for coeff, _ in leaf.entries)",
            "std_ok = all(isinstance(coeff.b, int) and coeff.b >= 1 for coeff, _ in leaf.entries)",
            equivalent="StdCoeff rejects b below 2 at construction, so no entry has b = 1"),
-    Mutant("entries-distinct", CERTIFY,
+    Mutant("entries-distinct", VERIFY,
            '_check(rep, "entries-distinct", _distinct_up_to_scaling([eq for _, eq in leaf.entries]))',
            '_check(rep, "entries-distinct", True)'),
-    Mutant("index-computed", CERTIFY,
+    Mutant("index-computed", VERIFY,
            "index = scale if wf and deg_ok else None",
            "index = scale if deg_ok else None"),
     # the leaf-verdict memo's key, simulated by mapping each key to the first
     # leaf seen with it; the map outlives cache_clear
-    Mutant("verdict-key-space-strategy", CERTIFY,
+    Mutant("verdict-key-space-strategy", VERIFY,
            "checks, rep.klt, result = _leaf_verdict(leaf)",
            "checks, rep.klt, result = _leaf_verdict(_leaf_verdict.__dict__.setdefault("
            "(leaf.space, leaf.klt_strategy), leaf))"),
-    Mutant("verdict-key-no-strategy", CERTIFY,
+    Mutant("verdict-key-no-strategy", VERIFY,
            "checks, rep.klt, result = _leaf_verdict(leaf)",
            "checks, rep.klt, result = _leaf_verdict(_leaf_verdict.__dict__.setdefault("
            "(leaf.space, leaf.entries), leaf))"),
     # the reader's fast path and memo
-    Mutant("reader-text-test", CERTIFY,
+    Mutant("reader-text-test", CODEC,
            "return node if node is not None and _node_text(node) == piece else None",
            "return node"),
-    Mutant("reader-digits-key", CERTIFY,
+    Mutant("reader-digits-key", CODEC,
            "node = _read_leaf_text(piece, digits) if",
            "node = _read_leaf_text(piece, 0) if"),
-    Mutant("reader-accepts-product", CERTIFY,
+    Mutant("reader-accepts-product", CODEC,
            "if piece.startswith(_LEAF_HEAD):",
            "if piece.startswith((_LEAF_HEAD, _PRODUCT_HEAD)):"),
-    Mutant("reader-gate-ge", CERTIFY,
+    Mutant("reader-gate-ge", CODEC,
            "if cut - start <= _MEMO_MAX_CHARS else",
            "if cut - start < _MEMO_MAX_CHARS else"),
-    Mutant("reader-str-type", CERTIFY,
+    Mutant("reader-str-type", CODEC,
            "    if type(text) is str:",
            "    if True:"),
-    Mutant("reader-dim-prefix", CERTIFY,
+    Mutant("reader-dim-prefix", CODEC,
            "elif piece.startswith(_ELLIPTIC_HEAD):",
            "elif True:"),
-    Mutant("reader-holds-elliptic", CERTIFY,
+    Mutant("reader-holds-elliptic", CODEC,
            "node = _read_piece(piece)  # up to hundreds of padding dimensions, which would push the leaves out",
            "node = _read_leaf_text(piece, digits)"),
-    Mutant("reader-any-trailing-space", CERTIFY,
+    Mutant("reader-any-trailing-space", CODEC,
            'body = text[:-1] if text.endswith("\\n") else text',
            "body = text.rstrip()"),
-    Mutant("reader-cut-not-advanced", CERTIFY,
+    Mutant("reader-cut-not-advanced", CODEC,
            "start = cut + 1",
            "start = cut"),
-    Mutant("reader-cut-at-brace", CERTIFY,
+    Mutant("reader-cut-at-brace", CODEC,
            "match.start() + 1",
            "match.start()"),
     # the leaf scanner, whose leaf _read_piece keeps only after the write-back test
-    Mutant("scan-nvars-from-vector", CERTIFY,
+    Mutant("scan-nvars-from-vector", CODEC,
            "entries.append((coeff, SparsePoly.from_pairs(nv, terms)))",
            "entries.append((coeff, SparsePoly.from_pairs(var + 1, terms)))"),
-    Mutant("scan-canonical", CERTIFY,
+    Mutant("scan-canonical", CODEC,
            "entries.append((coeff, SparsePoly.from_pairs(nv, terms)))",
            "entries.append((coeff, SparsePoly._canonical(nv, terms)))"),
-    Mutant("scan-count-not-running", CERTIFY,
+    Mutant("scan-count-not-running", CODEC,
            'var += text.count(",", pos, at)',
            'var = text.count(",", pos, at)'),
-    Mutant("scan-elliptic-dim-zero", CERTIFY,
+    Mutant("scan-elliptic-dim-zero", CODEC,
            "node = EllipticLeaf(dim) if dim >= 1 else None",
            "node = EllipticLeaf(dim)"),
     # the general reader's walk
-    Mutant("walk-b-minimum-1", CERTIFY,
+    Mutant("walk-b-minimum-1", CODEC,
            'b = _need_int(_need(ent, "b", eloc), f"{eloc}.b", minimum=2)',
            'b = _need_int(_need(ent, "b", eloc), f"{eloc}.b", minimum=1)'),
-    Mutant("walk-exponents-before-c", CERTIFY,
+    Mutant("walk-exponents-before-c", CODEC,
            "if pairs is None and bad is None:",
            'if pairs is None and bad is None and [_need_int(x, f"{mloc}.e[{k}]", minimum=0) '
            "for k, x in enumerate(e)]:"),
-    Mutant("walk-repeat-location", CERTIFY,
+    Mutant("walk-repeat-location", CODEC,
            'raise CertificateParseError(str(err), f"{eloc}.eq") from err',
            "raise CertificateParseError(str(err), eloc) from err"),
     # the plane search's table of degree-zero multisets

@@ -57,10 +57,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from cyindex.certify import (  # noqa: E402
-    _EXPLICIT,
-    BASE_DIM1_INDICES,
+from cyindex import (  # noqa: E402
     CertificateParseError,
+    SparsePoly,
     WpsLeaf,
     base_leaf,
     build_index_prime,
@@ -68,15 +67,17 @@ from cyindex.certify import (  # noqa: E402
     build_sylvester,
     certificate_dumps,
     certificate_loads,
+    indices_with_phi_at_most,
+    log_degree,
+    pair_index,
+    plane_arrangement_snc,
     realize,
     search_plane_pair,
     verify_certificate,
 )
+from cyindex.certify import _EXPLICIT, BASE_DIM1_INDICES  # noqa: E402
 from cyindex.cli import main as cli_main  # noqa: E402
-from cyindex.numtheory import indices_with_phi_at_most  # noqa: E402
 from cyindex.selftest import _family_leaves  # noqa: E402
-from cyindex.sncklt import plane_arrangement_snc  # noqa: E402
-from cyindex.wpspairs import SparsePoly, log_degree, pair_index  # noqa: E402
 
 _P1_FORMS = {
     "x0": SparsePoly.linear_form((1, 0)),
