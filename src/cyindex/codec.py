@@ -6,11 +6,12 @@ leaf text, bare or such a piece, is cut with str operations, and only the
 nonzero entries of its dense vectors are read (_scan_leaf); an elliptic
 text is read by its one number. A node is kept only if the writer writes
 exactly that text for it, so the general path reads the text as the same
-node (_read_piece). Each leaf factor text of at most 4,096 characters is
-also held, once per process and digit limit (_read_leaf_text): at most 128
-texts, least recently used first out. Every other text goes to the one
-general path, json.loads and one field-by-field walk, which makes every
-error and location (certificate_loads, logleaf_from_obj).
+node (_read_piece). Each leaf text of at most 4,096 characters, bare or
+such a piece, is also held, once per process and digit limit
+(_read_leaf_text): at most 128 texts, least recently used first out.
+Every other text goes to the one general path, json.loads and one
+field-by-field walk, which makes every error and location
+(certificate_loads, logleaf_from_obj).
 """
 
 from __future__ import annotations
@@ -358,9 +359,10 @@ def certificate_loads(text: str) -> Certificate:
 
     A str, less one trailing newline as `cyindex realize --out` writes it,
     is read without json.loads when it is the writer's text: a flat product
-    factor by factor (_flat_factors, each leaf text of at most
-    _MEMO_MAX_CHARS through a memo of _MEMO_LEAVES texts), and any other
-    text as one piece (_read_piece). Sound: json.loads ignores trailing
+    factor by factor (_flat_factors), and any other text as one piece
+    (_read_piece). A leaf text of at most _MEMO_MAX_CHARS, bare or a
+    factor, is read through a memo of _MEMO_LEAVES texts (_read_leaf_text);
+    an elliptic text never is. Sound: json.loads ignores trailing
     whitespace; _read_piece returns a node only when its text is the
     writer's text of that node, which the general path reads back as the
     node; and if the text is _PRODUCT_HEAD + ",".join(p_i) + _PRODUCT_TAIL
@@ -378,6 +380,8 @@ def certificate_loads(text: str) -> Certificate:
         if body.startswith(_PRODUCT_HEAD) and body.endswith(_PRODUCT_TAIL):
             factors = _flat_factors(body)
             node = None if factors is None else Product(factors)
+        elif body.startswith(_LEAF_HEAD) and len(body) <= _MEMO_MAX_CHARS:
+            node = _read_leaf_text(body, sys.get_int_max_str_digits())
         else:
             node = _read_piece(body)
         if node is not None:

@@ -210,37 +210,31 @@ class SparsePoly:
     terms: tuple[tuple[Fraction, tuple[tuple[int, int], ...]], ...]
 
     def __init__(self, nvars: int, monomials):
-        _check_nvars(nvars)
-        variables = None
-        seen = set()
-        terms = []
-        for coeff, exps in monomials:
-            if type(coeff) is not Fraction:
-                coeff = Fraction(coeff)
-            exps = tuple(exps)
-            if len(exps) != nvars:
-                raise ValueError(f"exponent vector {exps} has length != {_bounded_int(nvars)}")
-            if variables is None:
-                # built once, and only after a vector of length nvars bounds its size by the
-                # input; a range makes a new int per index > 256
-                variables = tuple(range(nvars))
-            pairs = exponent_pairs(exps, variables)
-            if pairs is None:
-                raise ValueError(f"exponents must be nonnegative integers, got {exps}")
-            if coeff == 0:
-                raise ValueError("zero coefficient monomial not allowed")
-            if pairs in seen:
-                raise ValueError(f"repeated exponent vector {exps}")
-            seen.add(pairs)
-            terms.append((coeff, pairs))
-        _set_fields(self, nvars, _sorted(terms))
+        def checked_pairs():
+            """Each monomial's (coefficient, pairs), once its vector passes the
+            dense rules; from_pairs checks nvars before it asks for the first."""
+            variables = None
+            for coeff, exps in monomials:
+                exps = tuple(exps)
+                if len(exps) != nvars:
+                    raise ValueError(f"exponent vector {exps} has length != {_bounded_int(nvars)}")
+                if variables is None:
+                    # built once, and only after a vector of length nvars bounds its size by the
+                    # input; a range makes a new int per index > 256
+                    variables = tuple(range(nvars))
+                pairs = exponent_pairs(exps, variables)
+                if pairs is None:
+                    raise ValueError(f"exponents must be nonnegative integers, got {exps}")
+                yield coeff, pairs
+
+        _set_fields(self, nvars, SparsePoly.from_pairs(nvars, checked_pairs()).terms)
 
     @classmethod
     def from_pairs(cls, nvars: int, terms) -> "SparsePoly":
         """Build from (coefficient, pairs) terms, pairs being (variable,
         exponent) with increasing variables below nvars and exponents >= 1,
-        all exact ints. The same checks as the dense constructor, in the same
-        order, at O(support) per monomial."""
+        all exact ints, at O(support) per monomial. The dense constructor
+        passes its monomials through here, so both share these checks."""
         _check_nvars(nvars)
         seen = set()
         checked = []

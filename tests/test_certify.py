@@ -1628,15 +1628,16 @@ def test_the_reader_memo_holds_leaf_texts_of_at_most_4096_characters():
     for size, held in ((gate, 1), (gate + 1, 0)):
         leaf = WpsLeaf(_b_leaf(10 ** (size - base - 1)))
         assert len(cyindex.codec._node_text(leaf)) == size
-        cert = Product((leaf, EllipticLeaf(1)))
-        _read_leaf_text.cache_clear()
-        assert certificate_loads(certificate_dumps(cert)) == cert
-        assert _read_leaf_text.cache_info().currsize == held
+        for cert in (leaf, Product((leaf, EllipticLeaf(1)))):  # bare, and a factor
+            _read_leaf_text.cache_clear()
+            assert certificate_loads(certificate_dumps(cert)) == cert
+            assert _read_leaf_text.cache_info().currsize == held
 
 
 def test_the_reader_memo_never_holds_an_elliptic_factor():
     _read_leaf_text.cache_clear()
     certs = [realize(n, 2) for n in range(3, 41)]  # one leaf, 38 padding dimensions
+    certs += [EllipticLeaf(1), EllipticLeaf(38)]  # bare
     assert [certificate_loads(certificate_dumps(cert)) for cert in certs] == certs
     assert _read_leaf_text.cache_info().currsize == 1
 
@@ -1676,6 +1677,7 @@ def _no_json_loads(*args, **kwargs):
 def _general_path_outcome(text):
     """What certificate_loads makes of a text with every fast path closed."""
     with mock.patch.object(cyindex.codec, "_read_piece", lambda piece: None), \
+            mock.patch.object(cyindex.codec, "_read_leaf_text", lambda piece, digits: None), \
             mock.patch.object(cyindex.codec, "_flat_factors", lambda text: None):
         return _outcome(text)
 

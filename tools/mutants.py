@@ -93,6 +93,15 @@ MUTANTS = [
     Mutant("reader-holds-elliptic", CODEC,
            "node = _read_piece(piece)  # up to hundreds of padding dimensions, which would push the leaves out",
            "node = _read_leaf_text(piece, digits)"),
+    Mutant("reader-bare-gate-ge", CODEC,
+           "elif body.startswith(_LEAF_HEAD) and len(body) <= _MEMO_MAX_CHARS:",
+           "elif body.startswith(_LEAF_HEAD) and len(body) < _MEMO_MAX_CHARS:"),
+    Mutant("reader-bare-holds-elliptic", CODEC,
+           "elif body.startswith(_LEAF_HEAD) and len(body) <= _MEMO_MAX_CHARS:",
+           "elif len(body) <= _MEMO_MAX_CHARS:"),
+    Mutant("reader-bare-digits-key", CODEC,
+           "node = _read_leaf_text(body, sys.get_int_max_str_digits())",
+           "node = _read_leaf_text(body, 0)"),
     Mutant("reader-any-trailing-space", CODEC,
            'body = text[:-1] if text.endswith("\\n") else text',
            "body = text.rstrip()"),
