@@ -1,13 +1,13 @@
 """The schema v1 text codec of certificates: the writer and the reader.
 
-The reader reads the writer's own text without json.loads. A flat
-product is cut into its pieces by one compiled pattern (_flat_factors). A
-leaf text, bare or such a piece, is cut with str operations, and only the
-nonzero entries of its dense vectors are read (_scan_leaf); an elliptic
-text is read by its one number. A node is kept only if the writer writes
-exactly that text for it, so the general path reads the text as the same
-node (_read_piece). Each leaf text of at most 4,096 characters, bare or
-such a piece, is also held, once per process and digit limit
+The reader reads the writer's own text without json.loads
+(_read_writer_text). A flat product is cut into its pieces by one
+compiled pattern, and every piece, or the bare text, is read by one rule
+(_read_writer_piece). A leaf text is cut with str operations, and only
+the nonzero entries of its dense vectors are read (_scan_leaf); an
+elliptic text is read by its one number. A node is kept only if the
+writer writes exactly that text for it (_read_piece). Each leaf text of
+at most 4,096 characters is also held, once per process and digit limit
 (_read_leaf_text): at most 128 texts, least recently used first out.
 Every other text goes to the one general path, json.loads and one
 field-by-field walk, which makes every error and location
@@ -298,14 +298,10 @@ def _scan_leaf(text: str) -> LogLeaf | None:
 def _read_piece(piece: str) -> Certificate | None:
     """The node a leaf or elliptic leaf text reads as, if the text is
     exactly what the writer writes for that node; otherwise None, for the
-    general path to read and report. No json.loads runs.
-
-    Sound because _scan_leaf and the elliptic test (an int dim >= 1) build
-    only nodes the general path can return, and the one proof obligation,
-    that such a node's writer text reads back as that node on the general
-    path, is the codec's round trip (test_writer_matches_the_reference_bytes
-    pins it). So when the writer's text of the node is `piece`, the general
-    path returns the same node for `piece`."""
+    general path to read and report. No json.loads runs. _scan_leaf and the
+    elliptic test (an int dim >= 1) build only nodes the general path can
+    return, and the write-back test keeps one only for its writer's text
+    (why that is sound: _read_writer_text)."""
     try:
         if piece.startswith(_ELLIPTIC_HEAD) and piece.endswith(_ELLIPTIC_TAIL):
             dim = int(piece[len(_ELLIPTIC_HEAD):-len(_ELLIPTIC_TAIL)])
@@ -325,65 +321,65 @@ def _read_leaf_text(piece: str, digits: int) -> Certificate | None:
     return _read_piece(piece)
 
 
-def _flat_factors(text: str) -> list[Certificate] | None:
-    """The factors of a product text written as the writer writes it, or None.
+def _read_writer_piece(piece: str, digits: int) -> Certificate | None:
+    """How one piece, a bare text or a factor of a flat product, is read: a
+    leaf text of at most _MEMO_MAX_CHARS through _read_leaf_text under the
+    digit limit `digits`, a bigger leaf or an elliptic text by _read_piece
+    unheld, and anything else as None."""
+    if piece.startswith(_LEAF_HEAD):
+        return _read_leaf_text(piece, digits) if len(piece) <= _MEMO_MAX_CHARS else _read_piece(piece)
+    if piece.startswith(_ELLIPTIC_HEAD):
+        return _read_piece(piece)  # up to hundreds of padding dimensions, which would push the leaves out
+    return None
 
-    The text between _PRODUCT_HEAD and _PRODUCT_TAIL is cut at the "," of
-    each match of _PIECE_CUT, all found in one pass of the pattern before
-    any piece is read. A leaf piece of at most _MEMO_MAX_CHARS is read
-    through _read_leaf_text, a bigger one and an elliptic piece by
-    _read_piece unheld; any other piece, and any piece that reads as None,
-    gives None.
+
+def _read_writer_text(text: str) -> Certificate | None:
+    """The node a text reads as when it is the writer's text, or None.
+
+    A flat product, _PRODUCT_HEAD + ",".join(p_i) + _PRODUCT_TAIL, is cut at
+    the "," of each match of _PIECE_CUT between its head and tail, all found
+    in one pass before any piece is read, and each p_i is read by
+    _read_writer_piece; any other text is one piece. A piece that reads as
+    None makes the whole text None. The int-to-str digit limit is read once.
+
+    Sound: a piece reads as a node f only if the writer's text of f is the
+    piece, and the general path reads the writer's text of f back as f (the
+    codec's round trip; test_writer_matches_the_reference_bytes pins it).
+    For a product, json.loads(text) is then {"factors": [json.loads(p_i),
+    ...], "node": "product", "v": 1}, so the general path returns
+    Product(f) too. Such a p_i nests at most 6 levels, with no whitespace
+    and no unknown keys, so the general path meets no recursion limit that
+    the piece did not, and a memo hit reuses a value read under the same
+    digit limit.
     """
     digits = sys.get_int_max_str_digits()
+    if not (text.startswith(_PRODUCT_HEAD) and text.endswith(_PRODUCT_TAIL)):
+        return _read_writer_piece(text, digits)
     start, end = len(_PRODUCT_HEAD), len(text) - len(_PRODUCT_TAIL)
     factors = []
     for cut in [match.start() + 1 for match in _PIECE_CUT.finditer(text, start, end)] + [end]:
-        piece = text[start:cut]
-        if piece.startswith(_LEAF_HEAD):
-            node = _read_leaf_text(piece, digits) if cut - start <= _MEMO_MAX_CHARS else _read_piece(piece)
-        elif piece.startswith(_ELLIPTIC_HEAD):
-            node = _read_piece(piece)  # up to hundreds of padding dimensions, which would push the leaves out
-        else:
-            return None
+        node = _read_writer_piece(text[start:cut], digits)
         if node is None:
             return None
         factors.append(node)
         start = cut + 1
-    return factors
+    return Product(factors)
 
 
 def certificate_loads(text: str) -> Certificate:
     """The certificate a schema v1 text holds, or CertificateParseError with
     the location of the first fault.
 
-    A str, less one trailing newline as `cyindex realize --out` writes it,
-    is read without json.loads when it is the writer's text: a flat product
-    factor by factor (_flat_factors), and any other text as one piece
-    (_read_piece). A leaf text of at most _MEMO_MAX_CHARS, bare or a
-    factor, is read through a memo of _MEMO_LEAVES texts (_read_leaf_text);
-    an elliptic text never is. Sound: json.loads ignores trailing
-    whitespace; _read_piece returns a node only when its text is the
-    writer's text of that node, which the general path reads back as the
-    node; and if the text is _PRODUCT_HEAD + ",".join(p_i) + _PRODUCT_TAIL
-    with each p_i the writer's text of a leaf or elliptic leaf f_i, then
-    json.loads(text) is {"factors": [json.loads(p_i), ...], "node":
-    "product", "v": 1}, and the general path returns Product(f) too. Such a
-    p_i nests at most 6 levels, with no whitespace and no unknown keys, so
-    the general path meets no recursion limit that the piece did not; a
-    memo hit reuses a value read under the same digit limit. Every other
-    text, bytes included, is read whole, newline and all, by the general
-    path, which makes every error and location.
+    A str that is the writer's text, less one trailing newline as `cyindex
+    realize --out` writes it, is read without json.loads by
+    _read_writer_text; json.loads ignores trailing whitespace, so the
+    newline changes nothing. Every other text, bytes included, is read
+    whole, newline and all, by the general path, which makes every error and
+    location.
     """
     if type(text) is str:
         body = text[:-1] if text.endswith("\n") else text  # as `cyindex realize --out` writes it
-        if body.startswith(_PRODUCT_HEAD) and body.endswith(_PRODUCT_TAIL):
-            factors = _flat_factors(body)
-            node = None if factors is None else Product(factors)
-        elif body.startswith(_LEAF_HEAD) and len(body) <= _MEMO_MAX_CHARS:
-            node = _read_leaf_text(body, sys.get_int_max_str_digits())
-        else:
-            node = _read_piece(body)
+        node = _read_writer_text(body)
         if node is not None:
             return node
     try:

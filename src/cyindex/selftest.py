@@ -20,10 +20,10 @@ from .certify import (
     realize,
     search_plane_pair,
 )
-from .codec import CertificateParseError, certificate_dumps, certificate_loads
+from .codec import CertificateParseError, _read_leaf_text, certificate_dumps, certificate_loads
 from .numtheory import euler_phi, indices_with_phi_at_most, sylvester_bound
 from .sncklt import is_klt_leaf
-from .verify import Product, WpsLeaf, verify_certificate
+from .verify import EllipticLeaf, Product, WpsLeaf, verify_certificate
 from .wpspairs import LogLeaf, SparsePoly, StdCoeff, Wps, log_degree, pair_index
 
 
@@ -204,9 +204,14 @@ def check_search() -> None:
 
 
 def check_serialization() -> None:
-    """A product survives dumps and loads; a leaf with missing fields is a parse error."""
-    cert = realize(5, 15)
-    _require(certificate_loads(certificate_dumps(cert)) == cert, "realize(5, 15) changes in a round trip")
+    """A product, a bare leaf and a bare elliptic leaf survive dumps and loads, each read
+    twice, so a held leaf text is read cold and then from the reader memo. A leaf with
+    missing fields is a parse error."""
+    _read_leaf_text.cache_clear()
+    for call, cert in (("realize(5, 15)", realize(5, 15)), ("realize(4, 16)", realize(4, 16)),
+                       ("EllipticLeaf(2)", EllipticLeaf(2))):
+        text = certificate_dumps(cert)
+        _require(certificate_loads(text) == certificate_loads(text) == cert, f"{call} changes in a round trip")
     try:
         certificate_loads('{"v": 1, "node": "wps_leaf"}')
     except CertificateParseError:

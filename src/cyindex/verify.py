@@ -254,15 +254,14 @@ def _verify_node(cert: Certificate, path: str,
         case WpsLeaf(leaf):
             rep = NodeReport(path, "wps_leaf")
             reports.append(rep)
-            # the same terms the entry-shape check reads
-            if sum([len(eq.terms) for _, eq in leaf.entries]) > _MEMO_MAX_MONOMIALS:
-                return _verify_wps_leaf(leaf, rep)
-            try:
-                checks, rep.klt, result = _leaf_verdict(leaf)
+            try:  # the memo holds a leaf of few monomials, counted as the entry-shape check reads them
+                if sum([len(eq.terms) for _, eq in leaf.entries]) <= _MEMO_MAX_MONOMIALS:
+                    checks, rep.klt, result = _leaf_verdict(leaf)
+                    rep.checks = list(checks)
+                    return result
             except TypeError:  # an unhashable leaf, which only a library caller can build
-                return _verify_wps_leaf(leaf, rep)
-            rep.checks = list(checks)
-            return result
+                pass
+            return _verify_wps_leaf(leaf, rep)  # a leaf the memo does not hold, checked afresh
         case EllipticLeaf(dim):
             rep = NodeReport(path, "elliptic_leaf")
             reports.append(rep)

@@ -7,13 +7,13 @@ pairs with positive exponents, so that building, checking, hashing and
 reading an equation cost O(support) per monomial, however many variables
 the space has. Dense exponent vectors, one entry per variable, are made only
 at the edges: the dense constructor and the `monomials` view, the schema v1
-codec (`cyindex.certify` writes and scans its own text pair by pair, and its
+codec (`cyindex.codec` writes and scans its own text pair by pair, and its
 general reader turns each vector into pairs by `exponent_pairs`) and the
 3-variable plane check.
 
 All degree bookkeeping is exact: coefficients are `fractions.Fraction`,
 weighted degrees are integers, and the degree of K_X + B is computed in
-integers over lcm(b), by the one formula the verifier in `cyindex.certify`
+integers over lcm(b), by the one formula the verifier in `cyindex.verify`
 uses (`_scaled_log_degree`), with no rounding anywhere.
 
 The index of a degree-zero pair with standard coefficients 1 - 1/b is read

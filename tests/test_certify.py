@@ -835,6 +835,14 @@ def test_entry_shape_detail_bounds_the_variable_count():
     assert detail == "equation in <16610-bit integer> variables on P(1,1)"
 
 
+def test_entry_shape_names_an_equation_that_cancels_to_zero():
+    # x0 - x0, which from_terms keeps as the zero polynomial
+    eq = SparsePoly.from_terms(2, [(1, (1, 0)), (-1, (1, 0))])
+    assert eq.terms == ()
+    report = verify_certificate(WpsLeaf(LogLeaf(Wps((1, 1)), ((StdCoeff(2), eq),), "family_A")), "strict")
+    assert not report.passed and ("entry-shape", False, "zero divisor equation") in report.leaf_reports[0].checks
+
+
 def test_elliptic_dim_detail_is_bounded():
     report = verify_certificate(EllipticLeaf(2**20000), "strict")
     assert report.passed and report.leaf_reports[0].checks == [("elliptic-dim", True, "<20001-bit integer>")]
@@ -1285,17 +1293,34 @@ def test_malformed_exponents_are_located(edits, location, message):
     assert (info.value.location, str(info.value)) == (location, f"{location}: {message}")
 
 
-@pytest.mark.parametrize("weights,location,message", [
-    pytest.param([2, True, 1, 1, 1], "$.weights[1]", "expected an integer, got True", id="bool"),
-    pytest.param([2, 2, "1", 1, 1], "$.weights[2]", "expected an integer, got '1'", id="string"),
-    pytest.param([2, 2, 1, 1.0, 1], "$.weights[3]", "expected an integer, got 1.0", id="float"),
-    pytest.param([2, 2, 1, 1, 0], "$.weights", "weights must be positive", id="zero"),
-    pytest.param([2, 2, 1, 1, -1], "$.weights", "weights must be positive", id="negative"),
-    pytest.param([4], "$.weights", "weights must be a list of at least 2 integers", id="one"),
+def _with_field(obj, key, value):
+    """A copy of obj with its field key set to value."""
+    obj = copy.deepcopy(obj)
+    obj[key] = value
+    return obj
+
+
+@pytest.mark.parametrize("obj,location,message", [
+    pytest.param(_with_field(B_OBJ, "weights", [2, True, 1, 1, 1]), "$.weights[1]", "expected an integer, got True",
+                 id="bool"),
+    pytest.param(_with_field(B_OBJ, "weights", [2, 2, "1", 1, 1]), "$.weights[2]", "expected an integer, got '1'",
+                 id="string"),
+    pytest.param(_with_field(B_OBJ, "weights", [2, 2, 1, 1.0, 1]), "$.weights[3]", "expected an integer, got 1.0",
+                 id="float"),
+    pytest.param(_with_field(B_OBJ, "weights", [2, 2, 1, 1, 0]), "$.weights", "weights must be positive", id="zero"),
+    pytest.param(_with_field(B_OBJ, "weights", [2, 2, 1, 1, -1]), "$.weights", "weights must be positive",
+                 id="negative"),
+    pytest.param(_with_field(B_OBJ, "weights", [4]), "$.weights", "weights must be a list of at least 2 integers",
+                 id="one"),
+    # the other lists the walk reads besides the weights and a monomial's
+    pytest.param(_with_field(B_OBJ, "entries", {}), "$.entries", "entries must be a list", id="entries-not-a-list"),
+    pytest.param(_with_field(B_OBJ, "entries", [{"b": 2, "eq": []}]), "$.entries[0].eq",
+                 "eq must be a nonempty monomial list", id="eq-empty"),
+    pytest.param(_with_field(C_OBJ, "factors", [1, C_OBJ["factors"][1]]), "$.factors[0]", "expected an object",
+                 id="factor-not-an-object"),
+    pytest.param(_with_field(C_OBJ, "factors", {}), "$.factors", "factors must be a list", id="factors-not-a-list"),
 ])
-def test_malformed_weights_are_located(weights, location, message):
-    obj = copy.deepcopy(B_OBJ)
-    obj["weights"] = weights
+def test_malformed_weights_are_located(obj, location, message):
     with pytest.raises(CertificateParseError) as info:
         certificate_from_obj(obj)
     assert (info.value.location, str(info.value)) == (location, f"{location}: {message}")
@@ -1505,7 +1530,8 @@ def _outcome(text):
 
 
 def _general_outcome(text):
-    with mock.patch.object(cyindex.codec, "_flat_factors", lambda text: None):
+    """What certificate_loads makes of a text with the one fast-path entry closed."""
+    with mock.patch.object(cyindex.codec, "_read_writer_text", lambda text: None):
         return _outcome(text)
 
 
@@ -1528,7 +1554,7 @@ def test_the_reader_memo_reads_the_same_certificates_and_reports(monkeypatch):
     hits = _read_leaf_text.cache_info().hits
     warm = [[certificate_loads(text) for _ in range(2)][-1] for text in texts]
     assert _read_leaf_text.cache_info().hits >= hits + sum(isinstance(cert, Product) for cert in certs)
-    monkeypatch.setattr(cyindex.codec, "_flat_factors", lambda text: None)
+    monkeypatch.setattr(cyindex.codec, "_read_writer_text", lambda text: None)
     general = [certificate_loads(text) for text in texts]
     assert cold == warm == general == certs
     reports = [[verify_certificate(cert).as_obj() for cert in side] for side in (cold, warm, general)]
@@ -1537,18 +1563,20 @@ def test_the_reader_memo_reads_the_same_certificates_and_reports(monkeypatch):
 
 _EDIT_CERTS = [realize(n, m) for n, m in ((3, 6), (4, 10), (10, 30), (12, 35), (20, 66), (30, 210), (40, 120))]
 assert all(isinstance(cert, Product) and len(cert.factors) >= 2 for cert in _EDIT_CERTS)
+_EDIT_CERTS += [_EXPLICIT_2, WpsLeaf(build_index_prime(13)), WpsLeaf(build_index_prime(97))]  # bare leaves
 
 
 @st.composite
 def _one_edit(draw):
-    """A realized product text and a copy with one edit: one character
-    replaced, inserted or deleted, a false cut (the text between two pieces)
-    inserted, two factors swapped, a space after a comma, or one factor
-    nested in a one-factor product."""
+    """A realized product text or a bare leaf text, and a copy with one
+    edit: one character replaced, inserted or deleted, a false cut (the text
+    between two pieces) inserted, two factors swapped, a space after a
+    comma, or one factor, or the bare leaf, nested in a one-factor product."""
     cert = draw(st.sampled_from(_EDIT_CERTS))
     text = certificate_dumps(cert)
-    pieces = [cyindex.codec._node_text(f) for f in cert.factors]
-    edit = draw(st.sampled_from(["replace", "insert", "delete", "cut", "swap", "space", "nest"]))
+    pieces = [cyindex.codec._node_text(f) for f in cert.factors] if isinstance(cert, Product) else [text]
+    edits = ["replace", "insert", "delete", "cut", "space", "nest"]
+    edit = draw(st.sampled_from(edits + ["swap"] if isinstance(cert, Product) else edits))
     at = draw(st.integers(0, len(text) - 1))
     char = draw(st.sampled_from('0123456789{}[],:" ebnv'))
     if edit == "replace":
@@ -1562,12 +1590,13 @@ def _one_edit(draw):
     if edit == "space":
         at = draw(st.sampled_from([i for i, c in enumerate(text) if c == ","]))
         return text, text[:at + 1] + " " + text[at + 1:]
-    i, j = draw(st.lists(st.integers(0, len(pieces) - 1), min_size=2, max_size=2, unique=True))
     if edit == "swap":
+        i, j = draw(st.lists(st.integers(0, len(pieces) - 1), min_size=2, max_size=2, unique=True))
         pieces[i], pieces[j] = pieces[j], pieces[i]
     else:
+        i = draw(st.integers(0, len(pieces) - 1))
         pieces[i] = _product_text(pieces[i])
-    return text, _product_text(*pieces)
+    return text, _product_text(*pieces) if isinstance(cert, Product) else pieces[0]
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
@@ -1674,14 +1703,6 @@ def _no_json_loads(*args, **kwargs):
     raise AssertionError("json.loads ran")
 
 
-def _general_path_outcome(text):
-    """What certificate_loads makes of a text with every fast path closed."""
-    with mock.patch.object(cyindex.codec, "_read_piece", lambda piece: None), \
-            mock.patch.object(cyindex.codec, "_read_leaf_text", lambda piece, digits: None), \
-            mock.patch.object(cyindex.codec, "_flat_factors", lambda text: None):
-        return _outcome(text)
-
-
 def _vandermonde_leaf(nv, ts):
     """Linear forms with coefficients t^i, multi-digit and of both signs."""
     eqs = [SparsePoly.linear_form([(-t) ** i for i in range(nv)]) for t in ts]
@@ -1758,8 +1779,8 @@ def test_one_leaf_edit_reads_as_on_the_general_path(pair):
     text, edited = pair
     _read_leaf_text.cache_clear()
     assume(edited != text)
-    assert certificate_loads(text) == _general_path_outcome(text)
-    assert _outcome(edited) == _general_path_outcome(edited)
+    assert certificate_loads(text) == _general_outcome(text)
+    assert _outcome(edited) == _general_outcome(edited)
 
 
 def test_the_scanner_reads_every_sample_leaf_without_json_loads():
@@ -1797,7 +1818,7 @@ def test_only_whitespace_json_allows_follows_a_text(suffix):
     _read_leaf_text.cache_clear()
     for cert in (_EXPLICIT_2, realize(10, 30), EllipticLeaf(2)):
         text = certificate_dumps(cert) + suffix
-        want = _general_path_outcome(text)
+        want = _general_outcome(text)
         assert _outcome(text) == want
         assert (want == cert) == (suffix.strip(" \t\r\n") == "")
 
@@ -1807,7 +1828,7 @@ def test_an_elliptic_piece_reads_as_on_the_general_path(dim):
     _read_leaf_text.cache_clear()
     piece = '{"dim":%s,"node":"elliptic_leaf","v":1}' % dim
     for text in (piece, _product_text(cyindex.codec._node_text(_EXPLICIT_2), piece)):
-        assert _outcome(text) == _general_path_outcome(text)
+        assert _outcome(text) == _general_outcome(text)
 
 
 @pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="no limit on int-to-str digits")
@@ -1819,10 +1840,10 @@ def test_the_scanner_keeps_the_digit_limit():
     limit = sys.get_int_max_str_digits()
     for text in texts:
         _read_leaf_text.cache_clear()
-        assert certificate_loads(text) == _general_path_outcome(text)
+        assert certificate_loads(text) == _general_outcome(text)
         sys.set_int_max_str_digits(640)
         try:
-            want = _general_path_outcome(text)
+            want = _general_outcome(text)
             assert want[0] is CertificateParseError and "more than 640 digits" in want[1]
             assert _outcome(text) == want
         finally:

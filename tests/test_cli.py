@@ -369,6 +369,8 @@ def _tampered(kind, m=41):
         obj["strategy"] = "family_B" if obj["strategy"] == "family_A" else "family_A"
     elif kind == "constant-equation":
         entries[0]["eq"] = [{"c": [1, 1], "e": [0] * len(obj["weights"])}]
+    elif kind == "no-entries":
+        obj["entries"] = []
     elif kind == "single-factor-product":
         obj = {"v": 1, "node": "product", "factors": [obj]}
     else:
@@ -416,6 +418,8 @@ REPORT_SHA256 = {
         "82963103d1ff3f947dfbc4f77f97ce82e44c361f1183dda53cc78d3c892b3359"),
     "tamper-constant-equation": (1, "f8997d020e9cae2ce1ede88f398a01ef170f6e568efe1de3d849719d1c28f985",
         "1909b95929fd1786d66fdc79866766875187335dc1aabf2cb3a6dd456c553f2c"),
+    "tamper-no-entries": (1, "141b3982fd20d81715974fdb9e5fb84bb8c3dcb7afaa92cb1f9e21fca5bc3460",
+        "d02772f33919be85db04246e332e55f733e9909f6c3979b047b40d93c3528d1c"),
     "tamper-single-factor-product": (1, "357d916b31e89d3a86adf6957141e9e4123eab1ab245d3a7bebada2ba15ac52e",
         "256e316f975cd3b7f3599f575762910f6484bc03bf5342c61dcbf1c154a39c9c"),
     "tamper-unformed-weights": (1, "c26b542c40435c1a07ea40bbbb003fdc2d5685e3aed1583ea35aa8e9b745ce12",

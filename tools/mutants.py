@@ -71,37 +71,35 @@ MUTANTS = [
            "checks, rep.klt, result = _leaf_verdict(leaf)",
            "checks, rep.klt, result = _leaf_verdict(_leaf_verdict.__dict__.setdefault("
            "(leaf.space, leaf.entries), leaf))"),
+    # the one fallback for a leaf the memo does not hold, bigger or unhashable
+    Mutant("verdict-gate-ge", VERIFY,
+           "if sum([len(eq.terms) for _, eq in leaf.entries]) <= _MEMO_MAX_MONOMIALS:",
+           "if sum([len(eq.terms) for _, eq in leaf.entries]) < _MEMO_MAX_MONOMIALS:"),
+    Mutant("verdict-fallback-detached", VERIFY,
+           "return _verify_wps_leaf(leaf, rep)  # a leaf the memo does not hold, checked afresh",
+           'return _verify_wps_leaf(leaf, NodeReport(path, "wps_leaf"))'),
     # the reader's fast path and memo
     Mutant("reader-text-test", CODEC,
            "return node if node is not None and _node_text(node) == piece else None",
            "return node"),
     Mutant("reader-digits-key", CODEC,
-           "node = _read_leaf_text(piece, digits) if",
-           "node = _read_leaf_text(piece, 0) if"),
+           "return _read_leaf_text(piece, digits) if",
+           "return _read_leaf_text(piece, 0) if"),
     Mutant("reader-accepts-product", CODEC,
            "if piece.startswith(_LEAF_HEAD):",
            "if piece.startswith((_LEAF_HEAD, _PRODUCT_HEAD)):"),
     Mutant("reader-gate-ge", CODEC,
-           "if cut - start <= _MEMO_MAX_CHARS else",
-           "if cut - start < _MEMO_MAX_CHARS else"),
+           "if len(piece) <= _MEMO_MAX_CHARS else",
+           "if len(piece) < _MEMO_MAX_CHARS else"),
     Mutant("reader-str-type", CODEC,
            "    if type(text) is str:",
            "    if True:"),
     Mutant("reader-dim-prefix", CODEC,
-           "elif piece.startswith(_ELLIPTIC_HEAD):",
-           "elif True:"),
+           "if piece.startswith(_ELLIPTIC_HEAD):",
+           "if True:"),
     Mutant("reader-holds-elliptic", CODEC,
-           "node = _read_piece(piece)  # up to hundreds of padding dimensions, which would push the leaves out",
-           "node = _read_leaf_text(piece, digits)"),
-    Mutant("reader-bare-gate-ge", CODEC,
-           "elif body.startswith(_LEAF_HEAD) and len(body) <= _MEMO_MAX_CHARS:",
-           "elif body.startswith(_LEAF_HEAD) and len(body) < _MEMO_MAX_CHARS:"),
-    Mutant("reader-bare-holds-elliptic", CODEC,
-           "elif body.startswith(_LEAF_HEAD) and len(body) <= _MEMO_MAX_CHARS:",
-           "elif len(body) <= _MEMO_MAX_CHARS:"),
-    Mutant("reader-bare-digits-key", CODEC,
-           "node = _read_leaf_text(body, sys.get_int_max_str_digits())",
-           "node = _read_leaf_text(body, 0)"),
+           "return _read_piece(piece)  # up to hundreds of padding dimensions, which would push the leaves out",
+           "return _read_leaf_text(piece, digits)"),
     Mutant("reader-any-trailing-space", CODEC,
            'body = text[:-1] if text.endswith("\\n") else text',
            "body = text.rstrip()"),
