@@ -111,6 +111,7 @@ def _not_klt_leaves():
         "three concurrent lines": (p2, [(2, line((1, 0, 0))), (3, line((0, 1, 0))), (6, line((1, 1, 0)))]),
         "a line tangent to a conic with b = 3": (p2, [(2, line((1, 0, 0))), (3, conic)]),
         "a line tangent to a conic with b = 4": (p2, [(2, line((1, 0, 0))), (4, conic)]),
+        "a conic that is two lines": (p2, [(2, SparsePoly.from_terms(3, [(1, (1, 1, 0))]))]),  # x0*x1
         "a nodal cubic": (p2, [(2, nodal)]),
         # {x1 = 0} and {x1 + x2 = 0} are transversal to the conic and meet on it at [1:0:0]
         "two lines meeting on a conic": (p2, [(2, line((0, 1, 0))), (3, line((0, 1, 1))), (6, conic)]),

@@ -122,16 +122,8 @@ class StdCoeff:
         if not isinstance(self.b, int) or self.b < 2:
             raise ValueError(f"standard coefficient needs integer b >= 2, got {_shown(self.b)}")
 
-    def value(self) -> Fraction:
-        return Fraction(self.b - 1, self.b)
-
     def __str__(self) -> str:
         return f"{_bounded_int(self.b - 1)}/{_bounded_int(self.b)}"
-
-
-def _check_nvars(nvars) -> None:
-    if type(nvars) is not int or nvars < 1:  # exact int, so no bool
-        raise ValueError(f"nvars must be a positive integer, got {_shown(nvars)}")
 
 
 def exponent_pairs(exps, variables: tuple[int, ...]) -> tuple[tuple[int, int], ...] | None:
@@ -200,10 +192,11 @@ class SparsePoly:
     vectors (see `_dense_order`), the order certificates are written in.
 
     `SparsePoly(nvars, monomials)` takes dense (coefficient, exponent vector)
-    monomials and `from_pairs` takes pairs. Both check the same rules: nvars
-    (>= 1) and every exponent (>= 0) are exact `int`s, never a `bool`, every
-    vector has length nvars, and no vector repeats. `monomials` is the dense
-    form, derived on demand at O(nvars) per monomial.
+    monomials and `from_pairs` takes pairs. Every constructor, `scaled`
+    included, ends in `from_pairs`, the one place the rules are checked:
+    nvars (>= 1) and every exponent (>= 0) are exact `int`s, never a `bool`,
+    every vector has length nvars, and no vector repeats. `monomials` is the
+    dense form, derived on demand at O(nvars) per monomial.
     """
 
     nvars: int
@@ -233,9 +226,10 @@ class SparsePoly:
     def from_pairs(cls, nvars: int, terms) -> "SparsePoly":
         """Build from (coefficient, pairs) terms, pairs being (variable,
         exponent) with increasing variables below nvars and exponents >= 1,
-        all exact ints, at O(support) per monomial. The dense constructor
-        passes its monomials through here, so both share these checks."""
-        _check_nvars(nvars)
+        all exact ints, at O(support) per monomial. Every other constructor
+        ends here, so all share these checks."""
+        if type(nvars) is not int or nvars < 1:  # exact int, so no bool
+            raise ValueError(f"nvars must be a positive integer, got {_shown(nvars)}")
         seen = set()
         checked = []
         for coeff, pairs in terms:
@@ -287,17 +281,8 @@ class SparsePoly:
 
     @classmethod
     def variable(cls, nvars: int, j: int, coeff=_ONE) -> "SparsePoly":
-        """coeff * x_j: from_pairs of the one pair (j, 1), with its checks,
-        messages and order, made without the loop over terms."""
-        _check_nvars(nvars)
-        if type(coeff) is not Fraction:
-            coeff = Fraction(coeff)
-        if type(j) is not int or not -1 < j < nvars:
-            raise ValueError(f"bad exponent pair ({_shown(j)}, 1): pairs need increasing int "
-                             f"variables below {_bounded_int(nvars)} and int exponents >= 1")
-        if coeff == 0:
-            raise ValueError("zero coefficient monomial not allowed")
-        return cls._canonical(nvars, ((coeff, ((j, 1),)),))
+        """coeff * x_j: from_pairs of the one pair (j, 1)."""
+        return cls.from_pairs(nvars, ((coeff, ((j, 1),)),))
 
     @classmethod
     def linear_form(cls, coeffs) -> "SparsePoly":
@@ -326,8 +311,6 @@ class SparsePoly:
         if not self.terms:
             return (self.nvars, ())
         lead = self.terms[0][0]
-        if lead == 1:
-            return (self.nvars, self.terms)
         return (self.nvars, tuple((c / lead, p) for c, p in self.terms))
 
     def proportional_to(self, other: "SparsePoly") -> bool:
@@ -340,23 +323,7 @@ class SparsePoly:
         c = Fraction(c)
         if c == 0:
             raise ValueError("scaling a divisor equation by zero")
-        return SparsePoly._canonical(self.nvars, [(coeff * c, p) for coeff, p in self.terms])
-
-    def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for c, pairs in self.terms:
-            factors = [f"x{j}" if e == 1 else f"x{j}^{e}" for j, e in pairs]
-            mono = "*".join(factors) if factors else "1"
-            if c == 1 and factors:
-                parts.append(mono)
-            elif c == -1 and factors:
-                parts.append(f"-{mono}")
-            else:
-                parts.append(f"{c}*{mono}" if factors else f"{c}")
-        out = " + ".join(parts)
-        return out.replace("+ -", "- ")
+        return SparsePoly.from_pairs(self.nvars, [(coeff * c, p) for coeff, p in self.terms])
 
 
 KLT_STRATEGIES = (

@@ -4,6 +4,7 @@ import os
 import signal
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -26,6 +27,7 @@ from cyindex.cli import (
     EXIT_USAGE,
     EXIT_VERIFY_FAILED,
     ENUMERATION_BUDGET,
+    INPUT_BUDGET,
     main,
 )
 from cyindex.codec import certificate_dumps
@@ -264,6 +266,43 @@ def test_verify_degree_zero_detail_is_bounded_for_huge_b(capsys, tmp_path):
     assert not checks["degree-zero"]["passed"]
     assert checks["degree-zero"]["detail"] == "log degree -<13289-bit integer>/<26576-bit integer>"
     assert len(checks["degree-zero"]["detail"]) <= 100
+
+
+def _refuse_to_parse(text):
+    raise AssertionError(f"parsed {len(text)} characters")
+
+
+def _read_as_from_a_pipe(monkeypatch):
+    """fstat gives a pipe the size 0, so all of its text comes from the second read."""
+    monkeypatch.setattr(cyindex.cli, "os", SimpleNamespace(fstat=lambda fd: SimpleNamespace(st_size=0)))
+
+
+@pytest.mark.parametrize("pipe", [False, True], ids=["file", "pipe"])
+def test_verify_file_over_the_input_budget_is_a_usage_error(capsys, monkeypatch, tmp_path, pipe):
+    # the budget is tested by its arithmetic: a small budget, a file one character over it
+    text = certificate_dumps(realize(4, 16)) + "\n"
+    monkeypatch.setattr(cyindex.cli, "INPUT_BUDGET", len(text) - 1)
+    monkeypatch.setattr(cyindex.cli, "certificate_loads", _refuse_to_parse)
+    if pipe:
+        _read_as_from_a_pipe(monkeypatch)
+    out_file = tmp_path / "cert.json"
+    out_file.write_text(text)
+    code, out, err = run(capsys, "verify", str(out_file))
+    assert code == EXIT_USAGE and out == ""
+    assert err == f"usage error: {out_file} holds more than the input budget of {len(text) - 1} characters\n"
+
+
+@pytest.mark.parametrize("pipe", [False, True], ids=["file", "pipe"])
+def test_verify_file_at_the_input_budget_reads_as_before(capsys, monkeypatch, tmp_path, pipe):
+    out_file = tmp_path / "cert.json"
+    run(capsys, "realize", "--dim", "4", "--index", "16", "--out", str(out_file))
+    _, want, _ = run(capsys, "verify", str(out_file))
+    monkeypatch.setattr(cyindex.cli, "INPUT_BUDGET", len(out_file.read_text()))
+    if pipe:
+        _read_as_from_a_pipe(monkeypatch)
+    assert run(capsys, "verify", str(out_file)) == (EXIT_OK, want, "")
+    # the budget admits the 64.3 MB text of build_index_prime(16001)
+    assert INPUT_BUDGET == 2**27 > 64.3e6
 
 
 def test_verify_file_that_is_not_utf8(capsys, tmp_path):

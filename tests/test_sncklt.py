@@ -372,6 +372,13 @@ def test_selftest_corpus_reaches_the_cubic_and_triple_point_branches():
     assert not is_klt_leaf(nodal).passed and not is_klt_leaf(triple).passed
 
 
+def test_selftest_corpus_reaches_the_conic_branch():
+    two_lines = dict(_not_klt_leaves())["a conic that is two lines"]
+    (curve,) = two_lines.equations()
+    assert weighted_degree(curve, Wps((1, 1, 1))) == 2 and _conic_smooth(_integer_terms(curve)) is False
+    assert two_lines.klt_strategy == "plane_arrangement" and not is_klt_leaf(two_lines).passed
+
+
 def test_p1_mode_distinct_points():
     pts = [SparsePoly.linear_form((0, 1)), SparsePoly.linear_form((-1, 1)), SparsePoly.linear_form((1, 0))]
     assert plane_arrangement_snc(pts) is True

@@ -171,7 +171,26 @@ MUTANTS = [
     Mutant("chains-tag-fermat", SNCKLT,
            'if leaf.klt_strategy != "family_B" and chain is not None:',
            "if False:"),
+    # the arrangement checks
+    Mutant("hyperplane-rank", SNCKLT,
+           "if _rank([rows[i] for i in subset]) != t:",
+           "if _rank([rows[i] for i in subset]) < t - 1:"),
+    Mutant("plane-pair-squarefree", SNCKLT,
+           "return _gcd_degree(r, [i * c for i, c in enumerate(r)][1:]) <= 0",
+           "return _gcd_degree(r, [i * c for i, c in enumerate(r)][1:]) <= 1"),
+    Mutant("plane-triple-shared-root", SNCKLT,
+           "if _share_projective_root(r1, d1, r2, d2):",
+           "if False:"),
+    Mutant("plane-conic-smooth", SNCKLT,
+           "if d == 2 and not _conic_smooth(t):",
+           "if False:"),
+    Mutant("plane-cubic-smooth", SNCKLT,
+           "return not _share_projective_root(r1, d1, r2, d2)",
+           "return True"),
     # wpspairs
+    Mutant("variable-unchecked", WPSPAIRS,
+           "return cls.from_pairs(nvars, ((coeff, ((j, 1),)),))",
+           "return cls._canonical(nvars, ((coeff, ((j, 1),)),))"),
     Mutant("well-formed-gcd", WPSPAIRS,
            "if gcd(prefix, rest_gcd[len(w) - 1 - i]) != 1:",
            "if gcd(prefix, rest_gcd[len(w) - 1 - i]) > 2:"),
