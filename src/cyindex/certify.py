@@ -12,17 +12,25 @@ Every split is coprime, so product indices are exact. The dimension-2
 catalogue is realize(3, m). Every leaf is built by one constructor,
 coordinate hyperplanes plus one H, and passes one klt criterion, the chain
 test; arrangements come only from input files and the plane search.
+
+A sweep over (n, m) meets the same few parts again and again, so the family
+leaf of a part of at most 64 monomials, counted from p and e before it is
+built, is built once per process (_held_part): at most 128 parts, least
+recently used first out. Every later use gets the same WpsLeaf object, whose
+hash LogLeaf works out once, so the writer's and the verifier's memos find
+it at the cost of one lookup. Bigger parts are built afresh.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import ceil, lcm
 
 from .codec import certificate_dumps, certificate_loads  # noqa: F401  (bound here for bench/tracing.py)
 from .numtheory import euler_phi, factorize, indices_with_phi_at_most
 from .sncklt import is_klt_leaf
-from .verify import Certificate, EllipticLeaf, Product, WpsLeaf
+from .verify import _MEMO_LEAVES, _MEMO_MAX_MONOMIALS, Certificate, EllipticLeaf, Product, WpsLeaf
 from .verify import verify_certificate  # noqa: F401  (bound here for bench/tracing.py)
 from .wpspairs import (
     LogLeaf,
@@ -145,6 +153,13 @@ def build_sylvester(k: int) -> LogLeaf:
     {x_i = 0} for 2 <= i <= k, and 1 - 1/s_(k-1) on
     H = x0 x1 + x0^(2s-2) + x2 + ... + xk, the chain x1 -> x0 beside Fermat
     terms: family_B.
+
+    The leaf strict-verifies for k <= 16. From k = 17 on its b values have
+    more than verify.COEFF_BITS_BUDGET bits in all, so degree-zero fails with
+    a resource budget detail. From k = 15 on a b value has more than 4,300
+    decimal digits, Python's default int-to-str digit limit, so
+    certificate_dumps raises ValueError unless sys.set_int_max_str_digits
+    raises the limit.
     """
     if not isinstance(k, int) or k < 2:
         raise ValueError(f"build_sylvester requires an integer k >= 2, got {k!r}")
@@ -292,8 +307,29 @@ def _core(m: int) -> list[WpsLeaf]:
         # for 8 and 9; above, check_dim_inequality is the lemma behind its
         # bound: variant 1 for p^e alone, variant 2 for 2 * p^e with p >= 3,
         # whose one exception 18 is in _EXPLICIT.
-        return [WpsLeaf(build_index_prime(m) if e == 1 else build_prime_power(p, e))]
+        return [(_held_part if _part_monomials(p, e) <= _MEMO_MAX_MONOMIALS else _part)(p, e)]
     return _core(m // p**e) + _core(p**e)
+
+
+def _part_monomials(p: int, e: int) -> int:
+    """The monomials in all of the family leaf of p^e, worked out before it
+    is built: 2n for build_index_prime(p) of dimension n, so (p+3)/2 for
+    p = 1 (mod 4) and (p+1)/2 for p = 3 (mod 4), and e coordinate
+    hyperplanes plus p + e - 2 terms of H for build_prime_power(p, e)."""
+    if e == 1:
+        return (p + 3) // 2 if p % 4 == 1 else (p + 1) // 2
+    return p + 2 * e - 2
+
+
+def _part(p: int, e: int) -> WpsLeaf:
+    """The family leaf of the prime or prime power p^e."""
+    return WpsLeaf(build_index_prime(p) if e == 1 else build_prime_power(p, e))
+
+
+# The family leaves of at most _MEMO_MAX_MONOMIALS monomials, built once per
+# process: a sweep over (n, m) meets the same few parts again and again, and
+# the one object of each carries its hash to the writer and verifier memos.
+_held_part = lru_cache(maxsize=_MEMO_LEAVES)(_part)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ Exit codes, fixed for scriptability:
   2   precondition failure (for example phi(m) > 2n)
   3   selftest failure
   64  usage error (also enumerations whose bounds total more than 10^6,
-      a verify file of more than 2^27 characters, and a realize --out
+      a verify file of more than 2^27 bytes, and a realize --out
       file that cannot be written)
   65  parse error in an input file (reported with a location)
 
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import os
 import signal
@@ -53,9 +54,9 @@ EXIT_PARSE = 65
 # and the cost grows linearly with B
 ENUMERATION_BUDGET = 10**6
 
-# the most characters `verify` reads from one file: 2^27 = 134,217,728, about
-# twice the 64.3 MB text of build_index_prime(16001); a longer file is a usage
-# error before any parse, found by reading at most one character past the budget
+# the most bytes `verify` reads from one file: 2^27 = 134,217,728, about twice
+# the 64.3 MB text of build_index_prime(16001); a longer file is a usage error
+# before any decode or parse, found by reading at most one byte past the budget
 INPUT_BUDGET = 2**27
 
 
@@ -189,18 +190,20 @@ def _cmd_realize(args) -> int:
 
 def _cmd_verify(args) -> int:
     try:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            # a first read sized by the file's length in bytes (0 for a pipe), so that a
+        with open(args.file, "rb") as fh:
+            # a first read sized by the file's length (0 for a pipe), so that a
             # file under the budget allocates no buffer of the budget's size
             want = min(os.fstat(fh.fileno()).st_size, INPUT_BUDGET) + 1
-            text = fh.read(want)
-            if len(text) == want:
-                text += fh.read(INPUT_BUDGET + 1 - want)
+            data = fh.read(want)
+            if len(data) == want:
+                data += fh.read(INPUT_BUDGET + 1 - want)
+        if len(data) > INPUT_BUDGET:
+            raise _UsageError(f"{args.file} holds more than the input budget of {INPUT_BUDGET} bytes")
+        # decoded as a file opened in text mode reads it, universal newlines included
+        text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
     except (OSError, UnicodeDecodeError) as err:
         print(f"parse error: cannot read {args.file}: {err}", file=sys.stderr)
         return EXIT_PARSE
-    if len(text) > INPUT_BUDGET:
-        raise _UsageError(f"{args.file} holds more than the input budget of {INPUT_BUDGET} characters")
     try:
         cert = certificate_loads(text)
     except CertificateParseError as err:

@@ -12,6 +12,12 @@ at most 4,096 characters is also held, once per process and digit limit
 Every other text goes to the one general path, json.loads and one
 field-by-field walk, which makes every error and location
 (certificate_loads, logleaf_from_obj).
+
+The writer holds the text of each leaf that the verifier's memo would hold,
+one of at most 64 monomials, once per process and digit limit
+(_held_leaf_text): at most 128 texts, keyed on the leaf's value. The
+read-back test of _read_piece writes its leaf unheld, so reading a file
+that is met once costs no memo entry.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 
-from .verify import _MEMO_LEAVES, Certificate, EllipticLeaf, Product, WpsLeaf
+from .verify import _MEMO_LEAVES, Certificate, EllipticLeaf, Product, WpsLeaf, _memo_holds
 from .wpspairs import (
     KLT_STRATEGIES,
     LogLeaf,
@@ -105,9 +111,20 @@ def _leaf_text(leaf: LogLeaf) -> str:
                     _LEAF_WEIGHTS, ",".join(map(str, leaf.space.weights)), "]}"))
 
 
+@lru_cache(maxsize=_MEMO_LEAVES)
+def _held_leaf_text(leaf: LogLeaf, digits: int) -> str:
+    """_leaf_text, held per equal leaf and int-to-str digit limit `digits`,
+    so that a hit returns only what was written under the same limit."""
+    return _leaf_text(leaf)
+
+
 def _node_text(cert: Certificate) -> str:
+    """The text of a node. A leaf that the verdict memo holds (_memo_holds)
+    is written once per process and digit limit (_held_leaf_text)."""
     match cert:
         case WpsLeaf(leaf):
+            if _memo_holds(leaf):
+                return _held_leaf_text(leaf, sys.get_int_max_str_digits())
             return _leaf_text(leaf)
         case EllipticLeaf(dim):
             return _ELLIPTIC_HEAD + _json_text(dim) + _ELLIPTIC_TAIL
@@ -306,10 +323,11 @@ def _read_piece(piece: str) -> Certificate | None:
         if piece.startswith(_ELLIPTIC_HEAD) and piece.endswith(_ELLIPTIC_TAIL):
             dim = int(piece[len(_ELLIPTIC_HEAD):-len(_ELLIPTIC_TAIL)])
             node = EllipticLeaf(dim) if dim >= 1 else None
-        else:
-            leaf = _scan_leaf(piece)
-            node = None if leaf is None else WpsLeaf(leaf)
-        return node if node is not None and _node_text(node) == piece else None
+            return node if node is not None and _node_text(node) == piece else None
+        # written back unheld: a text read here is seldom read again, and the
+        # reader memo holds the node of one that is
+        leaf = _scan_leaf(piece)
+        return WpsLeaf(leaf) if leaf is not None and _leaf_text(leaf) == piece else None
     except (ValueError, ZeroDivisionError):
         return None
 

@@ -18,7 +18,13 @@ in all is checked once per process, and every later equal leaf gets a copy
 of the same checks and the same klt report (_leaf_verdict). The memo holds
 at most 128 leaves, least recently used first out. It is keyed on the leaf
 itself, which is everything the checks read, so a report is the same bytes
-whether it came from the memo or not. Bigger leaves are checked afresh.
+whether it came from the memo or not. Bigger leaves are checked afresh. The
+same bounds serve the writer's text memo in codec, through the same gate
+(_memo_holds), and the builder's memo in certify. A LogLeaf works out its
+hash once, so a leaf object met again costs each memo one lookup.
+
+The degree arithmetic of a leaf is bounded by the bits of its b values
+(COEFF_BITS_BUDGET); over the budget, degree-zero fails and names it.
 """
 
 from __future__ import annotations
@@ -134,6 +140,19 @@ class VerificationReport:
         }
 
 
+# The most bits that the b values of one leaf may have in all before its
+# degree arithmetic (lcm(b), the log degree and its reduced fraction) runs;
+# above it, degree-zero fails with a resource budget detail. That arithmetic
+# is at most quadratic in the sum: at the budget it took at most 0.22 s for b
+# values of 4 to 2^17 bits each (Python 3.11, 2 vCPUs), where without a
+# budget a 1.9 MB file of 400 distinct 4,000-digit b values took two
+# minutes. 2^17 bits admits every family leaf whose text fits the input
+# budget of `cyindex verify` (build_index_prime(16001) has 56,014),
+# build_sylvester(k) for k <= 16 (88,639 at k = 16) and 9 b values at the
+# default int-to-str digit limit of 4,300 digits.
+COEFF_BITS_BUDGET = 2**17
+
+
 def _check(rep: NodeReport, name: str, ok: bool, detail: str = "") -> bool:
     rep.checks.append((name, bool(ok), detail))
     return bool(ok)
@@ -191,10 +210,16 @@ def _verify_wps_leaf(leaf: LogLeaf, rep: NodeReport) -> tuple[int | None, int | 
     deg_ok = False
     deg_detail = ""
     if shape_ok and qh_ok:
-        # log_degree from the degrees above; scale is lcm(b), set whenever deg_ok is
-        num, scale = _scaled_log_degree(space, leaf.entries, degs)
-        deg_ok = num == 0
-        deg_detail = f"log degree {_bounded_fraction(Fraction(num, scale))}"
+        # lcm(b) has at most as many bits as the b values together, and each
+        # step below costs at most the product of two such sizes
+        bits = sum([coeff.b.bit_length() for coeff, _ in leaf.entries])
+        if bits > COEFF_BITS_BUDGET:
+            deg_detail = f"resource budget: the b values have {bits} bits in all, above {COEFF_BITS_BUDGET}"
+        else:
+            # log_degree from the degrees above; scale is lcm(b), set whenever deg_ok is
+            num, scale = _scaled_log_degree(space, leaf.entries, degs)
+            deg_ok = num == 0
+            deg_detail = f"log degree {_bounded_fraction(Fraction(num, scale))}"
     _check(rep, "degree-zero", deg_ok, deg_detail)
 
     # pair_index: on a well-formed space of degree zero, the lcm of the b values
@@ -228,6 +253,20 @@ _MEMO_MAX_MONOMIALS = 64
 _MEMO_LEAVES = 128
 
 
+def _memo_holds(leaf: LogLeaf) -> bool:
+    """Whether the leaf memos, of the verdict here and of the text in codec,
+    hold a leaf: one of at most _MEMO_MAX_MONOMIALS monomials in all,
+    counted as the entry-shape check reads them, that hashes. Only a library
+    caller can build a leaf that does not hash."""
+    if sum([len(eq.terms) for _, eq in leaf.entries]) > _MEMO_MAX_MONOMIALS:
+        return False
+    try:
+        hash(leaf)  # worked out once per leaf, so the memo's own lookup reuses it
+    except TypeError:
+        return False
+    return True
+
+
 @lru_cache(maxsize=_MEMO_LEAVES)
 def _leaf_verdict(leaf: LogLeaf) -> tuple[tuple[tuple[str, bool, str], ...], KltReport | None,
                                           tuple[int | None, int | None]]:
@@ -254,13 +293,10 @@ def _verify_node(cert: Certificate, path: str,
         case WpsLeaf(leaf):
             rep = NodeReport(path, "wps_leaf")
             reports.append(rep)
-            try:  # the memo holds a leaf of few monomials, counted as the entry-shape check reads them
-                if sum([len(eq.terms) for _, eq in leaf.entries]) <= _MEMO_MAX_MONOMIALS:
-                    checks, rep.klt, result = _leaf_verdict(leaf)
-                    rep.checks = list(checks)
-                    return result
-            except TypeError:  # an unhashable leaf, which only a library caller can build
-                pass
+            if _memo_holds(leaf):
+                checks, rep.klt, result = _leaf_verdict(leaf)
+                rep.checks = list(checks)
+                return result
             return _verify_wps_leaf(leaf, rep)  # a leaf the memo does not hold, checked afresh
         case EllipticLeaf(dim):
             rep = NodeReport(path, "elliptic_leaf")

@@ -192,11 +192,11 @@ class SparsePoly:
     vectors (see `_dense_order`), the order certificates are written in.
 
     `SparsePoly(nvars, monomials)` takes dense (coefficient, exponent vector)
-    monomials and `from_pairs` takes pairs. Every constructor, `scaled`
-    included, ends in `from_pairs`, the one place the rules are checked:
-    nvars (>= 1) and every exponent (>= 0) are exact `int`s, never a `bool`,
-    every vector has length nvars, and no vector repeats. `monomials` is the
-    dense form, derived on demand at O(nvars) per monomial.
+    monomials and `from_pairs` takes pairs. Every constructor ends in
+    `from_pairs`, the one place the rules are checked: nvars (>= 1) and
+    every exponent (>= 0) are exact `int`s, never a `bool`, every vector has
+    length nvars, and no vector repeats. `monomials` is the dense form,
+    derived on demand at O(nvars) per monomial.
     """
 
     nvars: int
@@ -317,14 +317,6 @@ class SparsePoly:
         """True iff self = c * other for a nonzero constant c."""
         return self.projective_key() == other.projective_key()
 
-    # -- algebra -----------------------------------------------------------
-
-    def scaled(self, c) -> "SparsePoly":
-        c = Fraction(c)
-        if c == 0:
-            raise ValueError("scaling a divisor equation by zero")
-        return SparsePoly.from_pairs(self.nvars, [(coeff * c, p) for coeff, p in self.terms])
-
 
 KLT_STRATEGIES = (
     "family_A",
@@ -349,6 +341,21 @@ class LogLeaf:
         object.__setattr__(self, "entries", tuple((c, e) for c, e in self.entries))
         if self.klt_strategy not in KLT_STRATEGIES:
             raise ValueError(f"unknown klt strategy {self.klt_strategy!r}")
+
+    def __hash__(self) -> int:
+        """The hash of the fields, as the dataclass would compute it, worked
+        out once per object: every Fraction of the leaf hashes in Python, and
+        each leaf memo hashes its key. Equality stays by value."""
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.space, self.entries, self.klt_strategy))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __getstate__(self) -> dict:
+        # a str hashes differently in another process, so a copy works its hash out afresh
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
     @property
     def dim(self) -> int:

@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import json
+import pickle
 import re
 import sys
 from collections import Counter
@@ -27,7 +28,7 @@ from cyindex.certify import (
 )
 from cyindex.codec import CertificateParseError, certificate_dumps, certificate_from_obj, certificate_loads
 from cyindex.verify import EllipticLeaf, Product, WpsLeaf, verify_certificate
-from cyindex.numtheory import euler_phi, indices_with_phi_at_most, sylvester_bound
+from cyindex.numtheory import euler_phi, factorize, indices_with_phi_at_most, sylvester_bound
 import cyindex
 import cyindex.certify
 import cyindex.cli
@@ -428,6 +429,11 @@ _SUPPORTS = [(), ((0, 1),), ((1, 1),), ((0, 2),), ((0, 1), (1, 1)), ((2, 3),), (
 _NONZERO = st.integers(-3, 3).filter(bool)
 
 
+def _scaled(f: SparsePoly, c) -> SparsePoly:
+    """c * f for a nonzero c, built by from_pairs."""
+    return SparsePoly.from_pairs(f.nvars, [(coeff * c, pairs) for coeff, pairs in f.terms])
+
+
 @st.composite
 def _equation_lists(draw):
     """Equations in 3 or 4 variables, some of them scaled copies of earlier
@@ -439,7 +445,7 @@ def _equation_lists(draw):
             support = draw(st.lists(st.sampled_from(_SUPPORTS), min_size=1, max_size=3, unique=True))
             eqs.append(SparsePoly.from_pairs(draw(st.integers(3, 4)), [(draw(_NONZERO), p) for p in support]))
         elif kind == "scaled":
-            eqs.append(draw(st.sampled_from(eqs)).scaled(Fraction(draw(_NONZERO), draw(st.integers(1, 3)))))
+            eqs.append(_scaled(draw(st.sampled_from(eqs)), Fraction(draw(_NONZERO), draw(st.integers(1, 3)))))
         else:
             base = draw(st.sampled_from(eqs))
             eqs.append(SparsePoly.from_pairs(base.nvars, [(draw(_NONZERO), p) for _, p in base.terms]))
@@ -601,6 +607,101 @@ def test_an_unhashable_leaf_is_verified_without_the_memo():
     with pytest.raises(TypeError):
         hash(listed)
     assert verify_certificate(WpsLeaf(listed)).as_obj() == verify_certificate(WpsLeaf(leaf)).as_obj()
+
+
+# -- the build and writer memos, and the leaf's hash --------------------------
+
+
+def test_a_small_part_is_built_once_and_a_bigger_one_afresh():
+    held = cyindex.certify._held_part
+    held.cache_clear()
+    leaf13 = realize(6, 13).factors[0]  # 8 monomials
+    assert realize(9, 13).factors[0] is leaf13 and realize(12, 26).factors[1] is leaf13
+    assert realize(63, 127).factors[0] is realize(64, 127).factors[0]  # 64 monomials: held
+    first, again = realize(65, 131).factors[0], realize(66, 131).factors[0]  # 66 monomials
+    assert first == again and first is not again
+    assert held.cache_info().currsize == 2
+
+
+def test_a_parts_monomials_are_counted_before_it_is_built():
+    for q in range(5, 400):
+        (p, e), *rest = factorize(q)
+        if not rest and q not in cyindex.certify._EXPLICIT:
+            leaf = cyindex.certify._part(p, e).leaf
+            assert cyindex.certify._part_monomials(p, e) == sum(len(eq.terms) for _, eq in leaf.entries), q
+
+
+def test_the_writer_holds_the_text_of_every_small_leaf():
+    held = cyindex.codec._held_leaf_text
+    held.cache_clear()
+    for n in range(3, 41):
+        for m in indices_with_phi_at_most(2 * n):
+            cert = realize(n, m)
+            for node in cert.factors if isinstance(cert, Product) else (cert,):
+                if isinstance(node, WpsLeaf):
+                    assert cyindex.codec._node_text(node) == cyindex.codec._leaf_text(node.leaf), (n, m)
+    assert held.cache_info().hits > 0 and held.cache_info().currsize <= 128
+
+
+def test_a_held_leaf_is_written_once_and_read_back_unheld(monkeypatch):
+    cyindex.codec._held_leaf_text.cache_clear()
+    _read_leaf_text.cache_clear()
+    calls = _counted(monkeypatch, "_leaf_text")
+    cert = realize(10, 30)  # the explicit leaf of 6, the family leaf of 5 and padding
+    text = certificate_dumps(cert)
+    assert len(calls) == 2
+    assert certificate_dumps(realize(11, 30)) == text.replace('"dim":6', '"dim":7') and len(calls) == 2
+    assert certificate_loads(text) == cert and len(calls) == 4  # the read-back test writes each leaf
+    assert cyindex.codec._held_leaf_text.cache_info().currsize == 2
+
+
+def test_a_leaf_hashes_as_its_value_once_per_object():
+    leaf, fresh = build_index_prime(13), build_index_prime(13)
+    assert leaf is not fresh and leaf == fresh
+    assert hash(leaf) == hash(fresh) == hash((leaf.space, leaf.entries, leaf.klt_strategy))
+    assert hash(WpsLeaf(leaf)) == hash(WpsLeaf(fresh))
+    unpickled = pickle.loads(pickle.dumps(leaf))  # another process hashes a str differently
+    assert "_hash" in vars(leaf) and "_hash" not in vars(unpickled)
+    assert unpickled == leaf and hash(unpickled) == hash(leaf)
+
+
+# -- the coefficient budget ----------------------------------------------------
+
+
+def test_the_coefficient_budget_fails_degree_zero_before_its_arithmetic(monkeypatch):
+    leaf = build_index_prime(13)
+    bits = sum(coeff.b.bit_length() for coeff, _ in leaf.entries)
+    cyindex.verify._leaf_verdict.cache_clear()  # it holds verdicts given under the real budget
+    monkeypatch.setattr(cyindex.verify, "COEFF_BITS_BUDGET", bits)
+    assert verify_certificate(WpsLeaf(leaf)).passed
+    cyindex.verify._leaf_verdict.cache_clear()
+    monkeypatch.setattr(cyindex.verify, "COEFF_BITS_BUDGET", bits - 1)
+    monkeypatch.setattr(cyindex.verify, "_scaled_log_degree", None)
+    report = verify_certificate(WpsLeaf(leaf))
+    cyindex.verify._leaf_verdict.cache_clear()
+    failed = {name: detail for name, ok, detail in report.leaf_reports[0].checks if not ok}
+    assert failed == {"degree-zero": f"resource budget: the b values have {bits} bits in all, above {bits - 1}",
+                      "index-computed": "preconditions failed"}
+
+
+def test_build_sylvester_verifies_to_16_and_writes_to_14():
+    for k, passed in ((16, True), (17, False)):
+        report = verify_certificate(WpsLeaf(build_sylvester(k)))
+        assert report.passed is passed and (passed or report.failing_checks() == [
+            ("$", "degree-zero"), ("$", "index-computed")])
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        certificate_dumps(WpsLeaf(build_sylvester(14)))
+        with pytest.raises(ValueError, match="4300 digits"):
+            certificate_dumps(WpsLeaf(build_sylvester(15)))
+        sys.set_int_max_str_digits(0)  # no limit: written, and held under this limit only
+        certificate_dumps(WpsLeaf(build_sylvester(15)))
+        sys.set_int_max_str_digits(4300)
+        with pytest.raises(ValueError, match="4300 digits"):
+            certificate_dumps(WpsLeaf(build_sylvester(15)))
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_verify_rejects_bad_mode():

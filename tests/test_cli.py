@@ -11,6 +11,7 @@ import pytest
 import cyindex.certify
 import cyindex.cli
 import cyindex.numtheory
+import cyindex.verify
 from cyindex.certify import (
     BASE_DIM2_INDICES,
     base_leaf,
@@ -268,6 +269,19 @@ def test_verify_degree_zero_detail_is_bounded_for_huge_b(capsys, tmp_path):
     assert len(checks["degree-zero"]["detail"]) <= 100
 
 
+def test_verify_over_the_coefficient_budget_exits_1(capsys, monkeypatch, tmp_path):
+    # the budget is tested by its arithmetic: the b values of realize(4, 16),
+    # a bare leaf with b 2, 4, 8, 16 and 16, have 19 bits in all
+    out_file = tmp_path / "cert.json"
+    out_file.write_text(certificate_dumps(realize(4, 16)) + "\n")
+    cyindex.verify._leaf_verdict.cache_clear()
+    monkeypatch.setattr(cyindex.verify, "COEFF_BITS_BUDGET", 18)
+    code, out, _ = run(capsys, "verify", str(out_file))
+    cyindex.verify._leaf_verdict.cache_clear()
+    assert code == EXIT_VERIFY_FAILED
+    assert "\n  FAIL $ [wps_leaf] degree-zero: resource budget: the b values have 19 bits in all, above 18\n" in out
+
+
 def _refuse_to_parse(text):
     raise AssertionError(f"parsed {len(text)} characters")
 
@@ -279,7 +293,7 @@ def _read_as_from_a_pipe(monkeypatch):
 
 @pytest.mark.parametrize("pipe", [False, True], ids=["file", "pipe"])
 def test_verify_file_over_the_input_budget_is_a_usage_error(capsys, monkeypatch, tmp_path, pipe):
-    # the budget is tested by its arithmetic: a small budget, a file one character over it
+    # the budget is tested by its arithmetic: a small budget, a file one byte over it
     text = certificate_dumps(realize(4, 16)) + "\n"
     monkeypatch.setattr(cyindex.cli, "INPUT_BUDGET", len(text) - 1)
     monkeypatch.setattr(cyindex.cli, "certificate_loads", _refuse_to_parse)
@@ -289,7 +303,30 @@ def test_verify_file_over_the_input_budget_is_a_usage_error(capsys, monkeypatch,
     out_file.write_text(text)
     code, out, err = run(capsys, "verify", str(out_file))
     assert code == EXIT_USAGE and out == ""
-    assert err == f"usage error: {out_file} holds more than the input budget of {len(text) - 1} characters\n"
+    assert err == f"usage error: {out_file} holds more than the input budget of {len(text) - 1} bytes\n"
+
+
+@pytest.mark.parametrize("pipe", [False, True], ids=["file", "pipe"])
+def test_verify_input_budget_counts_bytes(capsys, monkeypatch, tmp_path, pipe):
+    # 100 three-byte characters: within a budget of 299 in characters, but 300 bytes
+    text = "\u20ac" * 100
+    out_file = tmp_path / "cert.json"
+    out_file.write_bytes(text.encode("utf-8"))
+    read = []
+
+    def loads(text):
+        read.append(text)
+        raise cyindex.cli.CertificateParseError("not a certificate")
+
+    monkeypatch.setattr(cyindex.cli, "certificate_loads", loads)
+    if pipe:
+        _read_as_from_a_pipe(monkeypatch)
+    monkeypatch.setattr(cyindex.cli, "INPUT_BUDGET", 299)
+    code, out, err = run(capsys, "verify", str(out_file))
+    assert (code, out, read) == (EXIT_USAGE, "", [])
+    assert err == f"usage error: {out_file} holds more than the input budget of 299 bytes\n"
+    monkeypatch.setattr(cyindex.cli, "INPUT_BUDGET", 300)  # at the budget, decoded whole
+    assert run(capsys, "verify", str(out_file))[0] == EXIT_PARSE and read == [text]
 
 
 @pytest.mark.parametrize("pipe", [False, True], ids=["file", "pipe"])
@@ -297,7 +334,7 @@ def test_verify_file_at_the_input_budget_reads_as_before(capsys, monkeypatch, tm
     out_file = tmp_path / "cert.json"
     run(capsys, "realize", "--dim", "4", "--index", "16", "--out", str(out_file))
     _, want, _ = run(capsys, "verify", str(out_file))
-    monkeypatch.setattr(cyindex.cli, "INPUT_BUDGET", len(out_file.read_text()))
+    monkeypatch.setattr(cyindex.cli, "INPUT_BUDGET", len(out_file.read_bytes()))
     if pipe:
         _read_as_from_a_pipe(monkeypatch)
     assert run(capsys, "verify", str(out_file)) == (EXIT_OK, want, "")
@@ -311,6 +348,14 @@ def test_verify_file_that_is_not_utf8(capsys, tmp_path):
     code, out, err = run(capsys, "verify", str(out_file))
     assert code == EXIT_PARSE and out == ""
     assert err.startswith(f"parse error: cannot read {out_file}: 'utf-8' codec can't decode byte 0xff")
+
+
+def test_verify_reads_line_breaks_as_text_mode_does(capsys, tmp_path):
+    # "\r" and "\r\n" are line breaks, so the fault is on line 3
+    out_file = tmp_path / "cert.json"
+    out_file.write_bytes(b'{"v": 1,\r"node":\r\n}')
+    code, _, err = run(capsys, "verify", str(out_file))
+    assert code == EXIT_PARSE and "line 3 column 1" in err
 
 
 def test_verify_truncated_json(capsys, tmp_path):

@@ -37,7 +37,7 @@ from cyindex.sncklt import (
     plane_arrangement_snc,
 )
 from cyindex.wpspairs import LogLeaf, NotQuasiHomogeneous, SparsePoly, StdCoeff, Wps, weighted_degree
-from test_wpspairs import restrict_to, subs_zero
+from test_wpspairs import restrict_to, scaled, subs_zero
 
 
 def poly(nvars, *terms):
@@ -792,7 +792,7 @@ def _plane_arrangement(rng):
     curves = [_plane_curve(rng, homogeneous) for _ in range(rng.randint(1, 4))]
     kind = rng.randint(0, 5)
     if kind == 0:
-        curves.append(curves[0].scaled(rng.choice(_CURVE_COEFFS[4:])))
+        curves.append(scaled(curves[0], rng.choice(_CURVE_COEFFS[4:])))
     elif kind == 1:
         through = [_without_supports(c, [(2,)]) for c in curves]
         curves = [c for c in through if not c.is_zero()] + [SparsePoly.linear_form((1, rng.choice(_CURVE_COEFFS), 0))]
@@ -1043,7 +1043,7 @@ def _with_h(leaf, h):
     (_with_h(_P211, poly(3, (1, (1, 0, 0)), (1, (0, 2, 0)), (1, (0, 1, 0)), (1, (0, 0, 2)))),
      "two pure powers of x1"),
     (_with_h(_P211, poly(3, (1, (1, 0, 0)), (1, (0, 0, 2)))), "H has no term in x1"),
-    (LogLeaf(_P211.space, ((StdCoeff(3), _X0), (StdCoeff(9), _X0.scaled(2)), _P211.entries[-1]), "family_C"),
+    (LogLeaf(_P211.space, ((StdCoeff(3), _X0), (StdCoeff(9), scaled(_X0, 2)), _P211.entries[-1]), "family_C"),
      "coordinate hyperplane x0 appears twice"),
     (_retag(LogLeaf(Wps((1, 1, 1)), tuple((StdCoeff(3), SparsePoly.variable(3, j)) for j in range(3)),
                     "hyperplane_arrangement"), "family_C"),

@@ -37,6 +37,11 @@ def P(*weights) -> Wps:
     return Wps(tuple(weights))
 
 
+def scaled(f: SparsePoly, c) -> SparsePoly:
+    """c * f for a nonzero c, built by from_pairs."""
+    return SparsePoly.from_pairs(f.nvars, [(coeff * c, pairs) for coeff, pairs in f.terms])
+
+
 def subs_zero(f: SparsePoly, kill) -> SparsePoly:
     """f with the named variables set to 0: the monomials that avoid them."""
     kill = set(kill)
@@ -154,11 +159,11 @@ def _sparse_polys(draw, nvars=None):
 def test_supports_match_the_scan_after_every_derivation(f, data):
     nv = f.nvars
     _assert_supports(f)
-    _assert_supports(SparsePoly.from_terms(nv, list(f.monomials) + list(f.scaled(-1).monomials[:1])))
+    _assert_supports(SparsePoly.from_terms(nv, list(f.monomials) + list(scaled(f, -1).monomials[:1])))
     _assert_supports(SparsePoly.linear_form(data.draw(st.lists(_coeffs | st.just(0), min_size=1, max_size=5))))
     _assert_supports(SparsePoly.variable(nv, data.draw(st.integers(0, nv - 1)), 3))
     if not f.is_zero():
-        _assert_supports(f.scaled(Fraction(-2, 3)))
+        _assert_supports(scaled(f, Fraction(-2, 3)))
     kill = data.draw(st.sets(st.integers(0, nv - 1)))
     killed = subs_zero(f, kill)
     _assert_supports(killed)
@@ -439,10 +444,10 @@ def _poly_pairs(draw):
     f = draw(_polys(nvars))
     kind = draw(st.sampled_from(("scaled", "scaled", "tweaked", "dropped", "fresh", "other-nvars")))
     if kind == "scaled" and not f.is_zero():
-        return f, f.scaled(draw(_coeffs))
+        return f, scaled(f, draw(_coeffs))
     if kind == "tweaked" and not f.is_zero():
         (c, e), *rest = f.monomials
-        return f, SparsePoly(nvars, ((c + 1 if c != -1 else Fraction(2), e), *rest)).scaled(draw(_coeffs))
+        return f, scaled(SparsePoly(nvars, ((c + 1 if c != -1 else Fraction(2), e), *rest)), draw(_coeffs))
     if kind == "dropped" and not f.is_zero():
         return f, SparsePoly(nvars, f.monomials[1:])
     if kind == "other-nvars":
@@ -463,8 +468,8 @@ def test_projective_key_equality_is_proportionality(pair):
 
 def test_projective_key_examples():
     h = build_index_prime(13).entries[-1][1]
-    assert h.projective_key() == h.scaled(Fraction(-3, 2)).projective_key()
-    assert h.scaled(7).proportional_to(h.scaled(Fraction(1, 5)))
+    assert h.projective_key() == scaled(h, Fraction(-3, 2)).projective_key()
+    assert scaled(h, 7).proportional_to(scaled(h, Fraction(1, 5)))
     x0 = SparsePoly.variable(3, 0)
     assert x0.projective_key() == SparsePoly.variable(3, 0, coeff=2).projective_key() == (3, ((1, ((0, 1),)),))
     assert x0.projective_key() != SparsePoly.variable(4, 0).projective_key()
@@ -601,7 +606,7 @@ def test_pair_index_invariances():
         scale = Fraction(random.randint(1, 7), random.randint(1, 7))
         k = random.randrange(len(entries))
         coeff, eq = entries[k]
-        entries[k] = (coeff, eq.scaled(scale))
+        entries[k] = (coeff, scaled(eq, scale))
         other = LogLeaf(leaf.space, tuple(entries), leaf.klt_strategy)
         assert log_degree(other) == deg
         assert pair_index(other) == idx

@@ -73,13 +73,40 @@ MUTANTS = [
            "(leaf.space, leaf.entries), leaf))"),
     # the one fallback for a leaf the memo does not hold, bigger or unhashable
     Mutant("verdict-gate-ge", VERIFY,
-           "if sum([len(eq.terms) for _, eq in leaf.entries]) <= _MEMO_MAX_MONOMIALS:",
-           "if sum([len(eq.terms) for _, eq in leaf.entries]) < _MEMO_MAX_MONOMIALS:"),
+           "if sum([len(eq.terms) for _, eq in leaf.entries]) > _MEMO_MAX_MONOMIALS:",
+           "if sum([len(eq.terms) for _, eq in leaf.entries]) >= _MEMO_MAX_MONOMIALS:"),
     Mutant("verdict-fallback-detached", VERIFY,
            "return _verify_wps_leaf(leaf, rep)  # a leaf the memo does not hold, checked afresh",
            'return _verify_wps_leaf(leaf, NodeReport(path, "wps_leaf"))'),
+    # the coefficient budget, checked before the degree arithmetic
+    Mutant("coeff-budget-ge", VERIFY,
+           "if bits > COEFF_BITS_BUDGET:",
+           "if bits >= COEFF_BITS_BUDGET:"),
+    # the leaf's hash, worked out once per object
+    Mutant("leaf-hash-no-strategy", WPSPAIRS,
+           "h = hash((self.space, self.entries, self.klt_strategy))",
+           "h = hash((self.space, self.entries))"),
+    Mutant("leaf-hash-pickled", WPSPAIRS,
+           'return {k: v for k, v in self.__dict__.items() if k != "_hash"}',
+           "return dict(self.__dict__)"),
+    # the builder's and the writer's memos
+    Mutant("part-gate-ge", CERTIFY,
+           "if _part_monomials(p, e) <= _MEMO_MAX_MONOMIALS else",
+           "if _part_monomials(p, e) < _MEMO_MAX_MONOMIALS else"),
+    Mutant("part-count-prime", CERTIFY,
+           "return (p + 3) // 2 if p % 4 == 1 else (p + 1) // 2",
+           "return (p + 1) // 2"),
+    Mutant("writer-digits-key", CODEC,
+           "return _held_leaf_text(leaf, sys.get_int_max_str_digits())",
+           "return _held_leaf_text(leaf, 0)"),
+    Mutant("writer-read-back-held", CODEC,
+           "return WpsLeaf(leaf) if leaf is not None and _leaf_text(leaf) == piece else None",
+           "return WpsLeaf(leaf) if leaf is not None and _node_text(WpsLeaf(leaf)) == piece else None"),
     # the reader's fast path and memo
     Mutant("reader-text-test", CODEC,
+           "return WpsLeaf(leaf) if leaf is not None and _leaf_text(leaf) == piece else None",
+           "return WpsLeaf(leaf) if leaf is not None else None"),
+    Mutant("reader-elliptic-text-test", CODEC,
            "return node if node is not None and _node_text(node) == piece else None",
            "return node"),
     Mutant("reader-digits-key", CODEC,
