@@ -201,6 +201,7 @@ def _cmd_verify(args) -> int:
             raise _UsageError(f"{args.file} holds more than the input budget of {INPUT_BUDGET} bytes")
         # decoded as a file opened in text mode reads it, universal newlines included
         text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+        del data  # not held through the parse, which would add the file's size to peak memory
     except (OSError, UnicodeDecodeError) as err:
         print(f"parse error: cannot read {args.file}: {err}", file=sys.stderr)
         return EXIT_PARSE
