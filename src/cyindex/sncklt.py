@@ -14,13 +14,14 @@ coordinate the head of its chain. The tag names the shape: family_B leaves
 have a chain of length >= 2, family_A and family_C leaves only Fermat
 terms.
 
-Arrangement strategies are checked directly: hyperplanes by exact rank of
-normal-vector subsets, within a fixed work budget, and plane curves by
-resultants of sheared equations (squarefree tests for transversality, gcd
-tests against triple points). Both run exactly in integers after clearing
-each equation's denominators, which changes no zero set, rank, resultant
-root or gcd degree. The resultant route is conservative: a shared resultant
-root that cannot be certified harmless causes rejection, never acceptance.
+Arrangement strategies are checked directly: hyperplanes by one walk over
+the normal-vector subsets that eliminates each shared prefix once, within a
+fixed work budget, and plane curves by resultants of sheared equations
+(squarefree tests for transversality, gcd tests against triple points).
+Both run exactly in integers after clearing each equation's denominators,
+which changes no zero set, rank, resultant root or gcd degree. The
+resultant route is conservative: a shared resultant root that cannot be
+certified harmless causes rejection, never acceptance.
 """
 
 from __future__ import annotations
@@ -100,50 +101,115 @@ def _report(strategy: str, steps: list[KltStep]) -> KltReport:
 # ---------------------------------------------------------------------------
 
 
-def _integer_row(v: list[Fraction]) -> list[int]:
+def _integer_row(v) -> list[int]:
     """v times the lcm of its denominators: an integer vector spanning the same line."""
+    if all(type(x) is int for x in v):
+        return list(v)
+    v = [Fraction(x) for x in v]
     d = lcm(*[x.denominator for x in v])
     return [x.numerator * (d // x.denominator) for x in v]
 
 
-def _rank(rows: list[list[int]]) -> int:
-    """Rank of an integer matrix by fraction-free (Bareiss) elimination.
+def _primitive(p: list[int]) -> list[int]:
+    """p divided by its content; p itself when the content is 1 (or p is zero)."""
+    g = gcd(*p)
+    return [c // g for c in p] if g > 1 else p
 
-    After k pivots every entry below the pivot rows is, up to sign, a
-    (k+1)-minor of the input (Sylvester's identity), so the division by the
-    previous pivot is exact and the entries stay bounded by Hadamard's
-    inequality.
+
+def _quotient(u: list[int], p: int, v: list[int]) -> list[int]:
+    """v in coordinates of the quotient by u, u[p] != 0: u[p] v - v[p] u
+    without its coordinate p, which is zero, divided by its content."""
+    up, vp = u[p], v[p]
+    if not vp:
+        return v[:p] + v[p + 1 :]
+    return _primitive([up * x - vp * y for c, (x, y) in enumerate(zip(v, u)) if c != p])
+
+
+def _projective_key(a: int, b: int) -> tuple[int, int]:
+    """The same key for (a, b) and every nonzero multiple of it, (a, b) != 0."""
+    g = gcd(a, b)
+    if a < 0 or (a == 0 and b < 0):
+        g = -g
+    return a // g, b // g
+
+
+def _walk(rows: list[list[int]], t: int) -> bool:
+    """Is every t-subset of rows (integer vectors of one length nv) linearly
+    independent?
+
+    One depth-first walk over the subsets in lexicographic order. A node is
+    a prefix P, held as the images in V/span(P) of the rows after its last
+    one: their dot products with an integer basis of the annihilator of P,
+    the vectors orthogonal to P. A child appends one of those rows, u, and
+    takes every later image v to the quotient by u in one fraction-free
+    step, u[p] v - v[p] u without its coordinate p, so each prefix is
+    eliminated once for all the subsets that share it. An image is, up to
+    sign, the vector of (|P| + 1)-minors of P and its row on the pivot
+    columns and one more, divided by their gcd, so its entries stay within
+    Hadamard's bound. A row whose image is zero lies in span(P), and P plus
+    that row is a dependent subset of at most t rows, which extends to a
+    dependent t-subset as there are k >= t rows. A prefix is only extended
+    by rows that leave enough later rows to fill its remaining positions,
+    since a prefix without such a completion has none in lexicographic
+    order either.
+
+    P + S is independent iff P is and the images of S in V/span(P) are.
+    With one position left, each candidate's image must be nonzero. With two
+    left and t = nv the quotient is a plane, where two images are
+    independent iff both are nonzero and not proportional, so the
+    candidates are checked in one pass by their projective keys.
     """
-    mat = [row[:] for row in rows]
-    nrows = len(mat)
-    ncols = len(mat[0]) if mat else 0
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        pivot = None
-        for r in range(rank, nrows):
-            if mat[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        prow = mat[rank]
-        p = prow[col]
-        for r in range(rank + 1, nrows):
-            a = mat[r][col]
-            mat[r] = [(p * x - a * y) // prev for x, y in zip(mat[r], prow)]
-        prev = p
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+    nv = len(rows[0])
+    stack = [[_primitive(row) for row in rows]]
+    while stack:
+        images = stack.pop()
+        left = t - nv + len(images[0])
+        if left == 1:
+            if not all(map(any, images)):
+                return False
+        elif left == 2 and len(images[0]) == 2:
+            keys = set()
+            for a, b in images:
+                if not (a or b):
+                    return False
+                key = _projective_key(a, b)
+                if key in keys:
+                    return False
+                keys.add(key)
+        else:
+            for j in reversed(range(len(images) - left + 1)):
+                u = images[j]
+                p = next((c for c, x in enumerate(u) if x), None)
+                if p is None:
+                    return False
+                stack.append([_quotient(u, p, v) for v in images[j + 1 :]])
+    return True
 
 
-# Entry updates the hyperplane check may spend: C(k, t) subsets of t rows,
-# each ranked in about t * t * nv updates. The largest arrangement in the
-# benchmark corpus, 12 normals in 6 variables, needs 924 * 216 = 199,584.
+_MIXED_NORMALS = "normal vectors of mixed lengths"
+
+
+# Entry updates the hyperplane check may spend, counted as C(k, t) subsets
+# of t rows, each worth t * t * nv updates: the cost of ranking every subset
+# afresh. The formula is unchanged from that per-subset ranking, so the same
+# arrangements are refused, and it bounds the walk's work too: for t >= 2
+# the walk makes at most C(k - 1, t - 2) prefixes, and each takes at most k
+# images of at most nv entries to its quotient or checks them, so
+# C(k, t) t (t - 1) nv / (k - t + 1) updates in all. The largest
+# arrangement in the benchmark corpus, 12 normals in 6 variables, counts
+# 924 * 216 = 199,584, and the walk makes 329 of its prefixes.
 _HYPERPLANE_WORK_BUDGET = 10**7
+
+
+def _subset_size(k: int, nv: int) -> int:
+    """t = min(k, nv), once C(k, t) * t * t * nv is within _HYPERPLANE_WORK_BUDGET;
+    a ValueError naming the resource budget otherwise."""
+    t = min(k, nv)
+    if comb(k, t) * t * t * nv > _HYPERPLANE_WORK_BUDGET:
+        raise ValueError(f"resource budget: ranking C({k}, {t}) subsets in {nv} variables "
+                         f"exceeds {_HYPERPLANE_WORK_BUDGET} entry updates")
+    return t
+
 
 # Resultant and triple tests the plane check may spend, counting a curve of
 # degree d as d lines: C(D, 2) + C(D, 3) for total degree D. A pair test
@@ -163,31 +229,24 @@ def hyperplane_arrangement_snc(normals) -> bool:
     of size exactly t = min(#normals, #variables) suffices: a dependent
     subset of size <= t extends to a dependent subset of size t, and if all
     size-t subsets are independent then larger subsets cut out only the
-    origin. Each normal is cleared of denominators once, so every subset
-    is ranked in integer arithmetic.
+    origin. Each normal is cleared of denominators once, and _walk checks
+    the subsets in integer arithmetic.
 
     Deciding this is NP-hard in general (full spark), so the work is
     bounded: if C(k, t) * t * t * nv exceeds _HYPERPLANE_WORK_BUDGET, a
-    ValueError naming the resource budget is raised before any subset is
-    ranked.
+    ValueError naming the resource budget is raised before any normal is
+    converted.
     """
-    vecs = [[Fraction(x) for x in v] for v in normals]
-    if not vecs:
+    normals = list(normals)
+    if not normals:
         return True
-    nv = len(vecs[0])
-    if any(len(v) != nv for v in vecs):
-        raise ValueError("normal vectors of mixed lengths")
-    if any(all(x == 0 for x in v) for v in vecs):
+    nv = len(normals[0])
+    if any(len(v) != nv for v in normals):
+        raise ValueError(_MIXED_NORMALS)
+    if not all(any(v) for v in normals):
         raise ValueError("zero normal vector")
-    k, t = len(vecs), min(len(vecs), nv)
-    if comb(k, t) * t * t * nv > _HYPERPLANE_WORK_BUDGET:
-        raise ValueError(f"resource budget: ranking C({k}, {t}) subsets in {nv} variables "
-                         f"exceeds {_HYPERPLANE_WORK_BUDGET} entry updates")
-    rows = [_integer_row(v) for v in vecs]
-    for subset in combinations(range(k), t):
-        if _rank([rows[i] for i in subset]) != t:
-            return False
-    return True
+    t = _subset_size(len(normals), nv)
+    return _walk([_integer_row(v) for v in normals], t)
 
 
 # ---------------------------------------------------------------------------
@@ -233,11 +292,6 @@ def _det(mat: list[list[list[int]]]) -> list[int]:
             for i, c in enumerate(term):
                 acc[i] += -c if j % 2 else c
     return _trim(acc)
-
-
-def _primitive(p: list[int]) -> list[int]:
-    g = gcd(*p)
-    return [c // g for c in p]
 
 
 def _gcd_degree(a: list[int], b: list[int]) -> int:
@@ -611,6 +665,30 @@ def _first_nonlinear(eq: SparsePoly) -> str:
     return "zero polynomial"
 
 
+def _is_hyperplane(eq: SparsePoly) -> bool:
+    """Is eq a nonzero linear form, read from its sparse terms?"""
+    return bool(eq.terms) and all(len(pairs) == 1 and pairs[0][1] == 1 for _, pairs in eq.terms)
+
+
+def _integer_normals(eqs: list[SparsePoly]) -> list[list[int]]:
+    """The integer normal of each hyperplane, cleared of denominators and
+    built straight from its (variable, coefficient) pairs, once the number of
+    variables and the hyperplane check's budget are known to hold, so that
+    a refused arrangement builds nothing dense."""
+    nv = eqs[0].nvars if eqs else 0
+    if any(eq.nvars != nv for eq in eqs):
+        raise ValueError(_MIXED_NORMALS)
+    _subset_size(len(eqs), nv)
+    rows = []
+    for eq in eqs:
+        row = [0] * nv
+        d = lcm(*[c.denominator for c, _ in eq.terms])
+        for c, ((j, _),) in eq.terms:
+            row[j] = c.numerator * (d // c.denominator)
+        rows.append(row)
+    return rows
+
+
 def is_klt_leaf(leaf: LogLeaf) -> KltReport:
     """Certify kltness of a leaf according to its declared strategy.
 
@@ -626,14 +704,13 @@ def is_klt_leaf(leaf: LogLeaf) -> KltReport:
     steps: list[KltStep] = []
     if strategy == "hyperplane_arrangement":
         eqs = leaf.equations()
-        normals = [None if eq.is_zero() else eq.linear_coefficients() for eq in eqs]
-        if None in normals:
-            i = normals.index(None)
+        i = next((i for i, eq in enumerate(eqs) if not _is_hyperplane(eq)), None)
+        if i is not None:
             steps.append(KltStep(STEP_SHAPE, False, f"entry {i} is not a hyperplane: {_first_nonlinear(eqs[i])}"))
         else:
             steps.append(KltStep(STEP_SHAPE, True))
             try:
-                steps.append(KltStep(STEP_HYPERPLANES, hyperplane_arrangement_snc(normals)))
+                steps.append(KltStep(STEP_HYPERPLANES, hyperplane_arrangement_snc(_integer_normals(eqs))))
             except ValueError as err:
                 steps.append(KltStep(STEP_HYPERPLANES, False, str(err)))
         return _report(strategy, steps)

@@ -1,5 +1,6 @@
 import cmath
 import random
+import time
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import comb
@@ -26,10 +27,10 @@ from cyindex.sncklt import (
     _integer_row,
     _integer_terms,
     _mul,
-    _rank,
     _resultant_y,
     _sheared,
     _trim,
+    _walk,
     coordinate_chains,
     family_snc_check,
     hyperplane_arrangement_snc,
@@ -127,12 +128,17 @@ def _forty_normals_in_twenty_variables():
     return LogLeaf(Wps((1,) * 20), tuple((StdCoeff(3), eq) for eq in eqs), "hyperplane_arrangement")
 
 
-def test_hyperplane_budget_fails_the_step_before_ranking(monkeypatch):
-    def no_ranking(*_):
-        raise AssertionError("a subset was enumerated")
+def _refuse_work(monkeypatch):
+    """Make the walk, and the conversion of a normal, fail the test if they run."""
+    def no_work(*_):
+        raise AssertionError("a normal was converted or a subset walked")
 
-    monkeypatch.setattr(cyindex.sncklt, "combinations", no_ranking)
-    monkeypatch.setattr(cyindex.sncklt, "_rank", no_ranking)
+    monkeypatch.setattr(cyindex.sncklt, "_walk", no_work)
+    monkeypatch.setattr(cyindex.sncklt, "_integer_row", no_work)
+
+
+def test_hyperplane_budget_fails_the_step_before_ranking(monkeypatch):
+    _refuse_work(monkeypatch)
     report = is_klt_leaf(_forty_normals_in_twenty_variables())
     assert not report.passed
     assert [(s.description, s.passed, s.detail) for s in report.steps] == [
@@ -140,6 +146,27 @@ def test_hyperplane_budget_fails_the_step_before_ranking(monkeypatch):
         (STEP_HYPERPLANES, False,
          f"resource budget: ranking C(40, 20) subsets in 20 variables exceeds {_HYPERPLANE_WORK_BUDGET} entry updates"),
     ]
+
+
+def test_a_thousand_coordinate_hyperplanes_are_refused_before_any_dense_work(monkeypatch):
+    # C(1000, 1000) * 1000^3 entry updates are over the budget; the refusal reads
+    # only the sparse terms, so it builds no dense normal of 1,000 entries
+    leaf = LogLeaf(Wps((1,) * 1000), tuple((StdCoeff(2), SparsePoly.variable(1000, j)) for j in range(1000)),
+                   "hyperplane_arrangement")
+    want = [
+        (STEP_SHAPE, True, ""),
+        (STEP_HYPERPLANES, False,
+         f"resource budget: ranking C(1000, 1000) subsets in 1000 variables exceeds {_HYPERPLANE_WORK_BUDGET} "
+         "entry updates"),
+    ]
+    start = time.perf_counter()
+    report = is_klt_leaf(leaf)
+    elapsed = time.perf_counter() - start
+    assert [(s.description, s.passed, s.detail) for s in report.steps] == want
+    assert elapsed < 0.05, elapsed
+    _refuse_work(monkeypatch)
+    monkeypatch.setattr(SparsePoly, "linear_coefficients", lambda self: pytest.fail("a dense normal was built"))
+    assert [(s.description, s.passed, s.detail) for s in is_klt_leaf(leaf).steps] == want
 
 
 def test_hyperplane_budget_admits_the_largest_benchmark_arrangement():
@@ -220,22 +247,102 @@ def _rational_matrices(draw):
     return rows
 
 
+def _every_subset_independent(rows, t, rank) -> bool:
+    return all(rank([list(r) for r in subset]) == t for subset in combinations(rows, t))
+
+
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(_rational_matrices())
 @example([[Fraction(0), Fraction(0)]])
 @example([[Fraction(1, 2), Fraction(-1, 3)], [Fraction(3), Fraction(-2)], [Fraction(0), Fraction(5, 7)]])
-def test_bareiss_rank_matches_the_fraction_rank(rows):
+def test_the_walk_matches_the_fraction_rank(rows):
+    # every subset size the walk can be asked for, zero rows included
     ints = [_integer_row(row) for row in rows]
     assert all(type(x) is int for row in ints for x in row)
-    assert _rank(ints) == _fraction_rank(rows)
+    for t in range(1, min(len(rows), len(rows[0])) + 1):
+        assert _walk(ints, t) == _every_subset_independent(rows, t, _fraction_rank), t
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(_rational_matrices())
-def test_bareiss_rank_matches_sympy(rows):
+def test_the_walk_matches_sympy(rows):
     sympy = pytest.importorskip("sympy")
-    want = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in rows]).rank()
-    assert _rank([_integer_row(row) for row in rows]) == want
+
+    def rank(subset):
+        return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in subset]).rank()
+
+    t = min(len(rows), len(rows[0]))
+    assert _walk([_integer_row(row) for row in rows], t) == _every_subset_independent(rows, t, rank)
+
+
+@st.composite
+def _arrangements(draw):
+    """k nonzero normals in nv variables, 1 <= nv <= 6 and 1 <= k <= nv + 4,
+    with rational entries; a later row may be a multiple of an earlier one,
+    a combination of earlier rows (so proportional to one of them only in
+    the quotient by the others), or a combination of the two rows before it,
+    a dependency among the last rows only."""
+    nv = draw(st.integers(1, 6))
+    k = draw(st.integers(1, nv + 4))
+    rows: list[list[Fraction]] = []
+    for _ in range(k):
+        kind = draw(st.sampled_from(("fresh", "fresh", "fresh", "multiple", "combination", "last two")))
+        if kind == "multiple" and rows:
+            scale = draw(st.fractions(-5, 5, max_denominator=7).filter(bool))
+            row = [scale * x for x in draw(st.sampled_from(rows))]
+        elif kind == "combination" and len(rows) >= 2:
+            picked = draw(st.lists(st.sampled_from(rows), min_size=2, max_size=4))
+            coeffs = draw(st.lists(_entries, min_size=len(picked), max_size=len(picked)))
+            row = [sum((c * r[i] for c, r in zip(coeffs, picked)), Fraction(0)) for i in range(nv)]
+        elif kind == "last two" and len(rows) >= 2:
+            a, b = draw(_entries), draw(_entries)
+            row = [a * x + b * y for x, y in zip(rows[-2], rows[-1])]
+        else:
+            row = draw(st.lists(_entries, min_size=nv, max_size=nv))
+        if not any(row):  # a zero row would be refused: take a coordinate normal instead
+            row[draw(st.integers(0, nv - 1))] = Fraction(1)
+        rows.append(row)
+    return rows
+
+
+def _vandermonde(nv, ts):
+    return [[t**i for i in range(nv)] for t in ts]
+
+
+def _fraction_rows(rows):
+    return [[Fraction(x) for x in row] for row in rows]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_arrangements())
+@example(_fraction_rows([(1, 0), (0, 1), (1, 1), (2, 2)]))
+@example(_fraction_rows([(1, 0, 0), (0, 1, 0), (1, 1, 1), (1, 1, 3), (2, 2, 4)]))  # only rows 2, 3, 4 are dependent
+@example(_fraction_rows(_vandermonde(4, range(1, 7)) + [[1, 2, 3, Fraction(5, 2)]]))
+def test_hyperplane_agrees_with_the_naive_oracle_on_hypothesis_arrangements(rows):
+    assert hyperplane_arrangement_snc(rows) == naive_hyperplane_snc(rows), rows
+
+
+def test_the_benchmark_vandermonde_arrangement_and_a_late_dependency():
+    normals = _vandermonde(6, range(10, 22))
+    assert hyperplane_arrangement_snc(normals) is True
+    # the last normal replaced by the sum of normals 6 to 10: six normals in six variables are dependent
+    late = normals[:11] + [[sum(col) for col in zip(*normals[6:11])]]
+    assert hyperplane_arrangement_snc(late) is False
+    assert naive_hyperplane_snc(late[5:]) is False
+
+
+def test_the_walk_eliminates_each_prefix_once(monkeypatch):
+    # with t = nv = 6 and k = 12, a prefix of d rows is extended when it ends
+    # by row k - t + d - 1; the C(k - t + d, d) such prefixes of 1 to t - 2 rows
+    # are made once each, and the last two positions are checked in one pass
+    made = []
+    real = cyindex.sncklt._quotient
+    monkeypatch.setattr(cyindex.sncklt, "_quotient", lambda u, p, v: made.append(u) or real(u, p, v))
+    assert hyperplane_arrangement_snc(_vandermonde(6, range(10, 22))) is True
+    # each prefix takes every row after its last one to its quotient
+    prefixes = [subset for d in range(1, 5) for subset in combinations(range(6 + d), d)]
+    assert len(prefixes) == 329
+    assert len(made) == sum(11 - subset[-1] for subset in prefixes)
 
 
 def test_integer_row_spans_the_same_line():

@@ -200,8 +200,20 @@ MUTANTS = [
            "if False:"),
     # the arrangement checks
     Mutant("hyperplane-rank", SNCKLT,
-           "if _rank([rows[i] for i in subset]) != t:",
-           "if _rank([rows[i] for i in subset]) < t - 1:"),
+           "return _primitive([up * x - vp * y for c, (x, y) in enumerate(zip(v, u)) if c != p])",
+           "return _primitive([up * x + vp * y for c, (x, y) in enumerate(zip(v, u)) if c != p])"),
+    Mutant("hyperplane-projective-key", SNCKLT,
+           "if key in keys:",
+           "if False:"),
+    Mutant("hyperplane-pair-nonzero", SNCKLT,
+           "if not (a or b):",
+           "if False:"),
+    Mutant("hyperplane-last-nonzero", SNCKLT,
+           "if not all(map(any, images)):",
+           "if not any(map(any, images)):"),
+    Mutant("hyperplane-last-start", SNCKLT,
+           "for j in reversed(range(len(images) - left + 1)):",
+           "for j in reversed(range(len(images) - left + 2)):"),
     Mutant("plane-pair-squarefree", SNCKLT,
            "return _gcd_degree(r, [i * c for i, c in enumerate(r)][1:]) <= 0",
            "return _gcd_degree(r, [i * c for i, c in enumerate(r)][1:]) <= 1"),

@@ -38,9 +38,15 @@ Then the library functions that restate the verifier's leaf facts:
 (`explicit M`) and of the search hits above (`search D M K`). FACTS is the
 sha256 of `log_degree` and `pair_index` (or the exception each raises),
 TEXT that of the space and the coefficients as text; the text of a space
-is bounded, so it lists at most 16 weights. Last `plane P1 FORMS VERDICT`
+is bounded, so it lists at most 16 weights. Then `plane P1 FORMS VERDICT`
 for `plane_arrangement_snc` on each multiset of at most 4 of the forms
-on P^1 named in `_P1_FORMS`. The package is imported from the
+on P^1 named in `_P1_FORMS`. Last the hyperplane check:
+`hyperplane vandermonde NV K REPORT` for the leaf of K hyperplanes
+sum_i t^i x_i, t = 10, ..., 9 + K, on P^(NV-1), each with b = 2, for
+2 <= NV <= 6 and NV <= K <= 2 NV, REPORT the sha256 of its strict report;
+then `hyperplane VECTORS VERDICT` for `hyperplane_arrangement_snc` on each
+multiset of at most 4 of the 3-vectors of `_HYPERPLANE_VECTORS`, which
+holds proportional and dependent ones and a zero one. The package is imported from the
 `src` directory beside this file, so running the tool in two checkouts and
 diffing the outputs shows exactly which outputs a change alters.
 """
@@ -52,6 +58,7 @@ import io
 import json
 import sys
 from contextlib import redirect_stdout
+from fractions import Fraction
 from itertools import combinations_with_replacement
 from pathlib import Path
 
@@ -59,7 +66,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from cyindex import (  # noqa: E402
     CertificateParseError,
+    LogLeaf,
     SparsePoly,
+    StdCoeff,
+    Wps,
     WpsLeaf,
     base_leaf,
     build_index_prime,
@@ -67,6 +77,7 @@ from cyindex import (  # noqa: E402
     build_sylvester,
     certificate_dumps,
     certificate_loads,
+    hyperplane_arrangement_snc,
     indices_with_phi_at_most,
     log_degree,
     pair_index,
@@ -87,6 +98,9 @@ _P1_FORMS = {
     "2x0": SparsePoly.linear_form((2, 0)),
     "x0^2": SparsePoly.from_pairs(2, [(1, ((0, 2),))]),
 }
+
+_HYPERPLANE_VECTORS = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, -1, 0), (0, 1, 1), (1, 1, 1), (2, 2, 2),
+                       (1, 2, 3), (2, 4, 6), (Fraction(1, 2), 1, 0), (0, 0, 0))
 
 
 def _sha(text: str) -> str:
@@ -227,6 +241,15 @@ def main() -> int:
         for names in combinations_with_replacement(_P1_FORMS, k):
             verdict = _outcome(plane_arrangement_snc, [_P1_FORMS[n] for n in names])
             print(f"plane P1 {','.join(names) or '-'} {verdict}")
+    for nv in range(2, 7):
+        for k in range(nv, 2 * nv + 1):
+            eqs = [SparsePoly.linear_form([t**i for i in range(nv)]) for t in range(10, 10 + k)]
+            leaf = LogLeaf(Wps((1,) * nv), tuple((StdCoeff(2), eq) for eq in eqs), "hyperplane_arrangement")
+            print(f"hyperplane vandermonde {nv} {k} {_report_sha(WpsLeaf(leaf))}")
+    for k in range(5):
+        for vectors in combinations_with_replacement(_HYPERPLANE_VECTORS, k):
+            verdict = _outcome(hyperplane_arrangement_snc, vectors)
+            print(f"hyperplane {';'.join(','.join(map(str, v)) for v in vectors) or '-'} {verdict}")
     return 0
 
 
