@@ -3,7 +3,11 @@
 Commands: realize, verify, enumerate, table, search, selftest. Output is
 deterministic (byte-identical across identical invocations); JSON uses
 sorted keys and exact integer fractions; `realize` embeds the certificate
-as the compact text that --out writes.
+as the compact text that --out writes. The JSON report of `verify` and
+`realize` and the JSON list of `enumerate` are each written in one pass,
+with the bytes of json.dumps(sort_keys=True, indent=2) but without its
+pure-Python indenting encoder; test_report_text_is_the_bytes_of_json_dumps
+and test_enumerate_json_is_the_bytes_of_json_dumps pin them.
 
 `table` renders each row from the certificate the base catalogue or, for
 the other dimension-2 rows, the plane search builds, and calls it
@@ -34,6 +38,7 @@ import json
 import os
 import signal
 import sys
+from json.encoder import encode_basestring_ascii as _json_str
 
 from .certify import BASE_DIM1_INDICES, BASE_DIM2_INDICES, base_leaf, realize, search_plane_pair
 from .codec import CertificateParseError, certificate_dumps, certificate_loads
@@ -122,8 +127,61 @@ def _printable(x: int | None) -> int | str | None:
     return x
 
 
-def _report_obj(report) -> dict:
-    return {**report.as_obj(), "dim": _printable(report.dim), "index": _printable(report.index)}
+_BOOL = {True: "true", False: "false"}
+
+
+def _list_text(items: list[str], indent: str) -> str:
+    """Written items as json.dumps(indent=2) lays out a list that opens on
+    a line indented by `indent`: one item a line, two spaces deeper, or
+    `[]` when there is none."""
+    if not items:
+        return "[]"
+    sep = "\n  " + indent
+    return "[" + sep + ("," + sep).join(items) + "\n" + indent + "]"
+
+
+def _klt_text(klt) -> str:
+    """A KltReport, written as the value of a node report's "klt" key."""
+    steps = [f'{{\n'
+             f'            "description": {_json_str(step.description)},\n'
+             f'            "detail": {_json_str(step.detail)},\n'
+             f'            "passed": {_BOOL[step.passed]}\n'
+             f'          }}' for step in klt.steps]
+    return (f'{{\n'
+            f'        "passed": {_BOOL[klt.passed]},\n'
+            f'        "steps": {_list_text(steps, "        ")},\n'
+            f'        "strategy": {_json_str(klt.strategy)}\n'
+            f'      }}')
+
+
+def _report_text(report) -> str:
+    """The JSON report of `verify` and `realize`, written in one pass from
+    the report's fields. Its bytes are those of json.dumps({**report.as_obj(),
+    "dim": _printable(report.dim), "index": _printable(report.index)},
+    sort_keys=True, indent=2): each template below is one object of that
+    text at its depth, keys in sorted order, strings through json's own
+    escaper (test_report_text_is_the_bytes_of_json_dumps pins this)."""
+    leaves = []
+    for rep in report.leaf_reports:
+        checks = [f'{{\n'
+                  f'          "detail": {_json_str(detail)},\n'
+                  f'          "name": {_json_str(name)},\n'
+                  f'          "passed": {_BOOL[ok]}\n'
+                  f'        }}' for name, ok, detail in rep.checks]
+        leaves.append(f'{{\n'
+                      f'      "checks": {_list_text(checks, "      ")},\n'
+                      f'      "kind": {_json_str(rep.kind)},\n'
+                      f'      "klt": {"null" if rep.klt is None else _klt_text(rep.klt)},\n'
+                      f'      "passed": {_BOOL[rep.passed]},\n'
+                      f'      "path": {_json_str(rep.path)}\n'
+                      f'    }}')
+    return (f'{{\n'
+            f'  "dim": {json.dumps(_printable(report.dim))},\n'
+            f'  "index": {json.dumps(_printable(report.index))},\n'
+            f'  "leaf_reports": {_list_text(leaves, "  ")},\n'
+            f'  "mode": {_json_str(report.mode)},\n'
+            f'  "passed": {_BOOL[report.passed]}\n'
+            f'}}')
 
 
 def _print_report_table(report) -> None:
@@ -153,10 +211,6 @@ def _check_enumeration_budget(bounds: list[int], what: str) -> None:
                           f"above the enumeration budget of {ENUMERATION_BUDGET}")
 
 
-def _dump_json(obj) -> None:
-    print(json.dumps(obj, sort_keys=True, indent=2))
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -180,7 +234,7 @@ def _cmd_realize(args) -> int:
     if args.format == "json":
         # {"certificate": ..., "report": ...}: the text written above, and the
         # report as json.dumps(..., indent=2) indents it inside the payload
-        report_text = json.dumps(_report_obj(report), sort_keys=True, indent=2).replace("\n", "\n  ")
+        report_text = _report_text(report).replace("\n", "\n  ")
         print(f'{{\n  "certificate": {text},\n  "report": {report_text}\n}}')
     else:
         print(f"certificate: dimension {n - 1}, index {m}")
@@ -212,7 +266,7 @@ def _cmd_verify(args) -> int:
         return EXIT_PARSE
     report = verify_certificate(cert, args.mode)
     if args.format == "json":
-        _dump_json(_report_obj(report))
+        print(_report_text(report))
     else:
         _print_report_table(report)
     return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
@@ -223,8 +277,8 @@ def _cmd_enumerate(args) -> int:
         raise _UsageError(f"--phi-bound must be >= 1, got {args.phi_bound}")
     _check_enumeration_budget([args.phi_bound], f"--phi-bound {args.phi_bound}")
     members = indices_with_phi_at_most(args.phi_bound)
-    if args.format == "json":
-        _dump_json(members)
+    if args.format == "json":  # the bytes of json.dumps(members, indent=2)
+        print("[\n  " + ",\n  ".join(map(str, members)) + "\n]")
     else:
         print(" ".join(str(m) for m in members))
     return EXIT_OK

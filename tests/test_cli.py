@@ -7,6 +7,8 @@ import sys
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cyindex.certify
 import cyindex.cli
@@ -29,12 +31,15 @@ from cyindex.cli import (
     EXIT_VERIFY_FAILED,
     ENUMERATION_BUDGET,
     INPUT_BUDGET,
+    _printable,
+    _report_text,
     main,
 )
-from cyindex.codec import certificate_dumps
+from cyindex.codec import certificate_dumps, certificate_loads
 from cyindex.numtheory import euler_phi, indices_with_phi_at_most
 from cyindex.selftest import CHECKS
-from cyindex.verify import WpsLeaf, verify_certificate
+from cyindex.sncklt import KltReport, KltStep
+from cyindex.verify import NodeReport, VerificationReport, WpsLeaf, verify_certificate
 from cyindex.wpspairs import LogLeaf, SparsePoly, StdCoeff, Wps
 
 
@@ -522,6 +527,63 @@ def test_verify_report_bytes(capsys, tmp_path, name, mode):
     assert hashlib.sha256(out.encode()).hexdigest() == (strict_sha if mode == "strict" else trusting_sha)
 
 
+# -- the report writer ---------------------------------------------------------
+# _report_text writes the JSON report in one pass; its reference is json.dumps
+# of the library's object form, the way the report was written before.
+
+
+def _json_dumps_report(report):
+    return json.dumps({**report.as_obj(), "dim": _printable(report.dim), "index": _printable(report.index)},
+                      sort_keys=True, indent=2)
+
+
+# any code point, surrogates and control characters included, and the
+# characters json escapes
+_report_strs = st.text(st.characters(exclude_categories=()), max_size=8) | st.sampled_from(
+    ['', '"', "\\", '\\"', "\n\t\r\b\f\x00\x1f\x7f", "é ∞ 𝔽", "\ud800", "\u2028", "</script>"])
+_klt_steps = st.builds(KltStep, _report_strs, st.booleans(), _report_strs)
+_klt_reports = st.builds(KltReport, st.booleans(), _report_strs, st.lists(_klt_steps, max_size=3).map(tuple))
+_node_reports = st.builds(NodeReport, _report_strs, _report_strs,
+                          st.lists(st.tuples(_report_strs, st.booleans(), _report_strs), max_size=3),
+                          st.none() | _klt_reports)
+# None, small ints, and ints past the int-to-str digit limit (4300 digits)
+_report_ints = st.none() | st.integers(-10**6, 10**30) | st.sampled_from([10**4300, -(7**6000), 2**20000])
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.builds(VerificationReport, _report_strs, _report_ints, _report_ints, st.booleans(),
+                 st.lists(_node_reports, max_size=4)))
+def test_report_text_is_the_bytes_of_json_dumps(report):
+    assert _report_text(report) == _json_dumps_report(report)
+
+
+def _plane_leaf(*lines):
+    """Lines sum_i c_i x_i on P^2, each with coefficient 1 - 1/2, tagged plane_arrangement."""
+    return LogLeaf(Wps((1, 1, 1)), tuple((StdCoeff(2), SparsePoly.linear_form(c)) for c in lines),
+                   "plane_arrangement")
+
+
+_WRITER_CORPUS = {
+    **{f"realize {n} {m}": (lambda n=n, m=m: realize(n, m))
+       for n in (3, 4, 5) for m in indices_with_phi_at_most(2 * n)},
+    **{name: (lambda name=name: certificate_loads(_report_input(name))) for name in REPORT_SHA256},
+    "three concurrent lines": lambda: WpsLeaf(_plane_leaf((1, 0, 0), (0, 1, 0), (1, 1, 0))),
+    "nested 200 deep": lambda: certificate_loads(_nested_products(200)),
+}
+
+
+@pytest.mark.parametrize("name", list(_WRITER_CORPUS))
+def test_report_text_matches_json_dumps_on_the_corpus(name):
+    cert = _WRITER_CORPUS[name]()
+    for mode in ("strict", "trusting"):
+        report = verify_certificate(cert, mode)
+        assert _report_text(report) == _json_dumps_report(report)
+    if name == "three concurrent lines":
+        assert not report.passed and not report.leaf_reports[0].klt.passed
+    if name == "nested 200 deep":
+        assert len(report.leaf_reports) == 401 and report.passed
+
+
 # -- enumerate ---------------------------------------------------------------
 
 
@@ -570,6 +632,13 @@ def test_enumerate_json(capsys):
     code, out, _ = run(capsys, "enumerate", "--phi-bound", "4", "--format", "json")
     assert code == EXIT_OK
     assert json.loads(out) == [1, 2, 3, 4, 5, 6, 8, 10, 12]
+
+
+@pytest.mark.parametrize("bound", [1, 4, 5000])
+def test_enumerate_json_is_the_bytes_of_json_dumps(capsys, bound):
+    code, out, _ = run(capsys, "enumerate", "--phi-bound", str(bound), "--format", "json")
+    assert code == EXIT_OK
+    assert out == json.dumps(indices_with_phi_at_most(bound), indent=2) + "\n"
 
 
 def test_enumerate_large_bound_json(capsys):

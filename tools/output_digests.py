@@ -46,7 +46,15 @@ sum_i t^i x_i, t = 10, ..., 9 + K, on P^(NV-1), each with b = 2, for
 2 <= NV <= 6 and NV <= K <= 2 NV, REPORT the sha256 of its strict report;
 then `hyperplane VECTORS VERDICT` for `hyperplane_arrangement_snc` on each
 multiset of at most 4 of the 3-vectors of `_HYPERPLANE_VECTORS`, which
-holds proportional and dependent ones and a zero one. The package is imported from the
+holds proportional and dependent ones and a zero one.
+
+Last the command line's JSON bytes: `cli verify LABEL MODE SHA` for each
+reload file above (LABEL `reload` and its label) and each general edit
+file (LABEL `edit M KIND`), SHA being the sha256 of the stdout of
+`cyindex verify FILE --mode MODE --format json` for MODE strict and
+trusting; then `cli realize N M SHA` for the stdout of
+`cyindex realize --dim N --index M` (its JSON) for N in (3, 10) and each m
+with phi(m) <= 2N. The package is imported from the
 `src` directory beside this file, so running the tool in two checkouts and
 diffing the outputs shows exactly which outputs a change alters.
 """
@@ -57,7 +65,8 @@ import hashlib
 import io
 import json
 import sys
-from contextlib import redirect_stdout
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from pathlib import Path
@@ -187,6 +196,20 @@ def _edit_line(m: int, kind: str) -> str:
     return f"general edit {m} {kind} {outcome}"
 
 
+def _cli_sha(*argv: str) -> str:
+    """The sha256 of what `cyindex ARGV` writes to stdout; its stderr is dropped."""
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        cli_main(list(argv))
+    return _sha(out.getvalue())
+
+
+def _cli_verify_lines(label: str, text: str, path: Path) -> list[str]:
+    path.write_text(text, encoding="utf-8")
+    return [f"cli verify {label} {mode} {_cli_sha('verify', str(path), '--mode', mode, '--format', 'json')}"
+            for mode in ("strict", "trusting")]
+
+
 def _outcome(fn, *args) -> str:
     try:
         return str(fn(*args))
@@ -250,6 +273,17 @@ def main() -> int:
         for vectors in combinations_with_replacement(_HYPERPLANE_VECTORS, k):
             verdict = _outcome(hyperplane_arrangement_snc, vectors)
             print(f"hyperplane {';'.join(','.join(map(str, v)) for v in vectors) or '-'} {verdict}")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cert.json"
+        for label, leaf in reloaded:
+            print(*_cli_verify_lines(f"reload {label}", certificate_dumps(WpsLeaf(leaf)), path), sep="\n")
+        for m in range(5, 62, 2):
+            text = certificate_dumps(WpsLeaf(build_index_prime(m)))
+            for kind in _EDITS:
+                print(*_cli_verify_lines(f"edit {m} {kind}", _edited(text, kind), path), sep="\n")
+    for n in (3, 10):
+        for m in indices_with_phi_at_most(2 * n):
+            print(f"cli realize {n} {m} {_cli_sha('realize', '--dim', str(n), '--index', str(m))}")
     return 0
 
 
