@@ -205,6 +205,7 @@ def _cli_sha(*argv: str) -> str:
 
 
 def _cli_verify_lines(label: str, text: str, path: Path) -> list[str]:
+    """The `cli verify` lines of `text`, written to `path` and verified in both modes."""
     path.write_text(text, encoding="utf-8")
     return [f"cli verify {label} {mode} {_cli_sha('verify', str(path), '--mode', mode, '--format', 'json')}"
             for mode in ("strict", "trusting")]
