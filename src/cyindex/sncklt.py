@@ -18,6 +18,7 @@ Arrangement strategies are checked directly: hyperplanes by one walk over
 the normal-vector subsets that eliminates each shared prefix once, within a
 fixed work budget, and plane curves by resultants of sheared equations
 (squarefree tests for transversality, gcd tests against triple points).
+Points on P^1, two-variable plane arrangements, go through the same walk.
 Both run exactly in integers after clearing each equation's denominators,
 which changes no zero set, rank, resultant root or gcd degree. The
 resultant route is conservative: a shared resultant root that cannot be
@@ -37,7 +38,6 @@ from .wpspairs import (
     SparsePoly,
     Wps,
     _bounded_int,
-    _distinct_up_to_scaling,
     dense_exponents,
     weighted_degree,
 )
@@ -352,7 +352,8 @@ def _resultant_y(f, g) -> tuple[list[int], int]:
 
 
 def _binary_squarefree(r: list[int], d: int) -> bool:
-    """Is the binary form (r dehomogenized at z = 1, full degree d) squarefree?"""
+    """Is the binary form (r dehomogenized at z = 1, full degree d) squarefree?
+    A zero resultant, two curves sharing a component, is not."""
     if not r:
         return False
     if d - (len(r) - 1) > 1:
@@ -400,8 +401,6 @@ def _cubic_smooth_certified(rows: list[list[int]]) -> bool:
         return False  # cone over a binary cubic: singular
     r1, d1 = _resultant_y(fy, fx)
     r2, d2 = _resultant_y(fy, fz)
-    if not r1 or not r2:
-        return False
     return not _share_projective_root(r1, d1, r2, d2)
 
 
@@ -414,7 +413,8 @@ def plane_arrangement_snc(curves) -> bool:
     y-resultant after a deterministic shear is squarefree as a binary
     form), (c) no triple points (the two resultants through a pivot curve
     share no projective root). A 2-variable input is a point configuration
-    on P^1 and degenerates to a pairwise-distinct-points check.
+    on P^1: every entry must be a linear form, and the hyperplane walk on
+    their integer normals decides that no two are proportional.
 
     Each curve is cleared of denominators, sheared and split into
     y-coefficients once, so every test runs exactly in integers.
@@ -435,8 +435,10 @@ def plane_arrangement_snc(curves) -> bool:
         return False
 
     if nv == 2:
-        # points on P^1: all entries must be distinct linear forms
-        return all(c.linear_coefficients() is not None for c in curves) and _distinct_up_to_scaling(curves)
+        # points on P^1: linear forms, pairwise independent by the hyperplane walk
+        if any(map(_not_hyperplane, curves)):
+            return False
+        return _walk(_integer_normals(curves), min(len(curves), 2))
     if nv != 3:
         raise ValueError("plane arrangements live in 3 variables (or 2 for P^1)")
 
@@ -476,8 +478,6 @@ def plane_arrangement_snc(curves) -> bool:
     res: dict[tuple[int, int], tuple[list[int], int]] = {}
     for i, j in combinations(range(len(curves)), 2):
         r, dd = res[(i, j)] = _resultant_y(sheared[i], sheared[j])
-        if not r:
-            return False  # shared component
         if not _binary_squarefree(r, dd):
             return False
 
@@ -657,31 +657,23 @@ def family_snc_check(leaf: LogLeaf) -> KltReport:
 # ---------------------------------------------------------------------------
 
 
-def _first_nonlinear(eq: SparsePoly) -> str:
-    """Why eq is no hyperplane, by variable indices only, so it stays short."""
+def _not_hyperplane(eq: SparsePoly) -> str | None:
+    """Why eq is no hyperplane, a nonzero linear form, read from its sparse
+    terms by variable indices only, so it stays short; None if it is one."""
+    if not eq.terms:
+        return "zero polynomial"
     for _, pairs in eq.terms:
         if len(pairs) != 1 or pairs[0][1] != 1:
             return _monomial_on(pairs)
-    return "zero polynomial"
-
-
-def _is_hyperplane(eq: SparsePoly) -> bool:
-    """Is eq a nonzero linear form, read from its sparse terms?"""
-    return bool(eq.terms) and all(len(pairs) == 1 and pairs[0][1] == 1 for _, pairs in eq.terms)
+    return None
 
 
 def _integer_normals(eqs: list[SparsePoly]) -> list[list[int]]:
     """The integer normal of each hyperplane, cleared of denominators and
-    built straight from its (variable, coefficient) pairs, once the number of
-    variables and the hyperplane check's budget are known to hold, so that
-    a refused arrangement builds nothing dense."""
-    nv = eqs[0].nvars if eqs else 0
-    if any(eq.nvars != nv for eq in eqs):
-        raise ValueError(_MIXED_NORMALS)
-    _subset_size(len(eqs), nv)
+    built straight from its (variable, coefficient) pairs."""
     rows = []
     for eq in eqs:
-        row = [0] * nv
+        row = [0] * eq.nvars
         d = lcm(*[c.denominator for c, _ in eq.terms])
         for c, ((j, _),) in eq.terms:
             row[j] = c.numerator * (d // c.denominator)
@@ -704,12 +696,17 @@ def is_klt_leaf(leaf: LogLeaf) -> KltReport:
     steps: list[KltStep] = []
     if strategy == "hyperplane_arrangement":
         eqs = leaf.equations()
-        i = next((i for i, eq in enumerate(eqs) if not _is_hyperplane(eq)), None)
-        if i is not None:
-            steps.append(KltStep(STEP_SHAPE, False, f"entry {i} is not a hyperplane: {_first_nonlinear(eqs[i])}"))
+        i, why = next(((i, why) for i, why in enumerate(map(_not_hyperplane, eqs)) if why), (None, None))
+        if why:
+            steps.append(KltStep(STEP_SHAPE, False, f"entry {i} is not a hyperplane: {why}"))
         else:
             steps.append(KltStep(STEP_SHAPE, True))
+            nv = eqs[0].nvars if eqs else 0
             try:
+                # both checked before any row is built, so a refused arrangement builds nothing dense
+                if any(eq.nvars != nv for eq in eqs):
+                    raise ValueError(_MIXED_NORMALS)
+                _subset_size(len(eqs), nv)
                 steps.append(KltStep(STEP_HYPERPLANES, hyperplane_arrangement_snc(_integer_normals(eqs))))
             except ValueError as err:
                 steps.append(KltStep(STEP_HYPERPLANES, False, str(err)))
@@ -719,7 +716,7 @@ def is_klt_leaf(leaf: LogLeaf) -> KltReport:
         try:
             ok = plane_arrangement_snc(leaf.equations())
             steps.append(KltStep(STEP_PLANE, ok))
-        except (NotQuasiHomogeneous, ValueError) as err:
+        except ValueError as err:  # NotQuasiHomogeneous included
             steps.append(KltStep(STEP_PLANE, False, str(err)))
         return _report(strategy, steps)
 

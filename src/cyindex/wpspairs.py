@@ -295,15 +295,6 @@ class SparsePoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def linear_coefficients(self) -> list[Fraction] | None:
-        """Coefficient vector if every monomial has total degree 1, else None."""
-        coeffs = [Fraction(0)] * self.nvars
-        for c, pairs in self.terms:
-            if len(pairs) != 1 or pairs[0][1] != 1:
-                return None
-            coeffs[pairs[0][0]] = c
-        return coeffs
-
     def projective_key(self) -> tuple:
         """A hashable key that two polynomials share iff one is a nonzero
         constant multiple of the other: nvars and the terms divided by the

@@ -1,13 +1,18 @@
+import copy
 import hashlib
+import io
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
+import time
+from contextlib import redirect_stderr, redirect_stdout
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cyindex.certify
@@ -40,7 +45,7 @@ from cyindex.numtheory import euler_phi, indices_with_phi_at_most
 from cyindex.selftest import CHECKS
 from cyindex.sncklt import KltReport, KltStep
 from cyindex.verify import NodeReport, VerificationReport, WpsLeaf, verify_certificate
-from cyindex.wpspairs import LogLeaf, SparsePoly, StdCoeff, Wps
+from cyindex.wpspairs import KLT_STRATEGIES, LogLeaf, SparsePoly, StdCoeff, Wps
 
 
 def run(capsys, *argv):
@@ -525,6 +530,118 @@ def test_verify_report_bytes(capsys, tmp_path, name, mode):
     want_code, strict_sha, trusting_sha = REPORT_SHA256[name]
     assert code == want_code
     assert hashlib.sha256(out.encode()).hexdigest() == (strict_sha if mode == "strict" else trusting_sha)
+
+
+# -- verify on mutated files ---------------------------------------------------
+# Whatever the file holds, `verify FILE --format json` ends in a report (exit 0
+# or 1) or a parse error (exit 65), never a traceback, and within
+# _FUZZ_SECONDS. The plane check's work budget bounds the slowest leaf at
+# about 1.3 s; on a 2-vCPU x86_64 host the files below take a few ms each and
+# a thousand coordinate hyperplanes in a thousand variables (2 MB) about 30 ms.
+
+_FUZZ_SECONDS = 5.0
+
+# family leaves bare and padded by products of elliptic curves, and plane search hits
+_FUZZ_SEEDS = [certificate_dumps(cert) for cert in (
+    realize(3, 7), realize(4, 16), realize(5, 14), realize(6, 13), base_leaf(2, 14),
+    WpsLeaf(search_plane_pair(1, 6)), WpsLeaf(search_plane_pair(2, 10)))]
+
+# values of every JSON type, copied on each draw so that no edit reaches a shared one
+_FUZZ_VALUES = st.sampled_from(
+    [None, True, False, 0, -1, 2, 1.5, "", "x", [], {}, [1, 1], [0, 1, 0], {"v": 1}, 10**30]).map(copy.deepcopy)
+
+
+def _coordinate_hyperplanes(k, nv):
+    """A hyperplane_arrangement leaf of k coordinate hyperplanes x_(j mod nv) in nv variables."""
+    entries = ",".join('{"b":2,"eq":[{"c":[1,1],"e":[%s]}]}' % ",".join("1" if i == j % nv else "0" for i in range(nv))
+                       for j in range(k))
+    return ('{"entries":[%s],"node":"wps_leaf","strategy":"hyperplane_arrangement","v":1,"weights":[%s]}'
+            % (entries, ",".join(["1"] * nv)))
+
+
+@st.composite
+def _truncated(draw):
+    text = draw(st.sampled_from(_FUZZ_SEEDS))
+    return text[:draw(st.integers(0, len(text) - 1))]
+
+
+@st.composite
+def _past_the_digit_limit(draw):
+    """A seed with one of its integers replaced by one of more digits than int() reads."""
+    text = draw(st.sampled_from(_FUZZ_SEEDS))
+    start, end = draw(st.sampled_from([m.span() for m in re.finditer(r"\d+", text)]))
+    digits = max(sys.get_int_max_str_digits(), 4300) + draw(st.integers(1, 50))
+    return text[:start] + "9" * digits + text[end:]
+
+
+@st.composite
+def _huge_b_values(draw):
+    """About 50 lines x0 + j x1 through one point, under any tag, each b of about 4,000 digits."""
+    entries = [{"b": 10 ** draw(st.integers(3900, 4100)) + draw(st.integers(0, 99)),
+                "eq": [{"c": [1, 1], "e": [1, 0, 0]}, {"c": [j, 1], "e": [0, 1, 0]}]}
+               for j in range(1, draw(st.integers(45, 55)))]
+    return json.dumps({"entries": entries, "node": "wps_leaf", "strategy": draw(st.sampled_from(KLT_STRATEGIES)),
+                       "v": 1, "weights": [1, 1, 1]})
+
+
+@st.composite
+def _lying(draw):
+    """A seed whose first strategy tag is swapped for another, or whose first node is a citation."""
+    text = draw(st.sampled_from(_FUZZ_SEEDS))
+    if draw(st.booleans()):
+        return re.sub(r'"node":"\w+"', '"cite":"trust me","node":"cited_leaf"', text, count=1)
+    tag = re.search(r'"strategy":"(\w+)"', text).group(1)
+    other = draw(st.sampled_from([t for t in KLT_STRATEGIES if t != tag]))
+    return text.replace(f'"strategy":"{tag}"', f'"strategy":"{other}"', 1)
+
+
+@st.composite
+def _edited(draw):
+    """A seed with one to three fields, at any depth, deleted or swapped for a value of another type."""
+    obj = json.loads(draw(st.sampled_from(_FUZZ_SEEDS)))
+    for _ in range(draw(st.integers(1, 3))):
+        node = obj
+        while keys := list(node) if isinstance(node, dict) else list(range(len(node))):
+            key = draw(st.sampled_from(keys))
+            if isinstance(node[key], (dict, list)) and node[key] and draw(st.booleans()):
+                node = node[key]
+                continue
+            if draw(st.booleans()):
+                del node[key]
+            else:
+                node[key] = draw(_FUZZ_VALUES)
+            break
+    return json.dumps(obj)
+
+
+_mutated_files = st.one_of(
+    _truncated(),
+    st.integers(sys.getrecursionlimit(), 4 * sys.getrecursionlimit()).map(_nested_products),
+    _past_the_digit_limit(),
+    _huge_b_values(),
+    st.builds(_coordinate_hyperplanes, st.integers(1000, 3000), st.integers(2, 64)),
+    _lying(),
+    _edited(),
+)
+
+
+@settings(max_examples=250, derandomize=True, deadline=None)
+@given(_mutated_files)
+@example(_coordinate_hyperplanes(1000, 1000))
+def test_verify_ends_every_mutated_file_in_a_report_or_a_parse_error(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["verify", str(path), "--format", "json"])
+    elapsed = time.perf_counter() - start
+    assert elapsed < _FUZZ_SECONDS, (elapsed, text[:200])
+    if code == EXIT_PARSE:
+        assert out.getvalue() == "" and err.getvalue().startswith("parse error: "), text[:200]
+    else:
+        assert code in (EXIT_OK, EXIT_VERIFY_FAILED), (code, text[:200])
+        assert json.loads(out.getvalue())["passed"] is (code == EXIT_OK) and err.getvalue() == ""
 
 
 # -- the report writer ---------------------------------------------------------

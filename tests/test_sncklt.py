@@ -37,12 +37,31 @@ from cyindex.sncklt import (
     is_klt_leaf,
     plane_arrangement_snc,
 )
-from cyindex.wpspairs import LogLeaf, NotQuasiHomogeneous, SparsePoly, StdCoeff, Wps, weighted_degree
+from cyindex.wpspairs import (
+    LogLeaf,
+    NotQuasiHomogeneous,
+    SparsePoly,
+    StdCoeff,
+    Wps,
+    _distinct_up_to_scaling,
+    weighted_degree,
+)
 from test_wpspairs import restrict_to, scaled, subs_zero
 
 
 def poly(nvars, *terms):
     return SparsePoly.from_terms(nvars, [(c, e) for c, e in terms])
+
+
+def _dense_normal(eq):
+    """eq's coefficient vector, built from its sparse terms, if every monomial
+    is a single variable to the first power; None otherwise."""
+    normal = [Fraction(0)] * eq.nvars
+    for c, pairs in eq.terms:
+        if len(pairs) != 1 or pairs[0][1] != 1:
+            return None
+        normal[pairs[0][0]] = c
+    return normal
 
 
 def _without_supports(f, drop):
@@ -165,7 +184,7 @@ def test_a_thousand_coordinate_hyperplanes_are_refused_before_any_dense_work(mon
     assert [(s.description, s.passed, s.detail) for s in report.steps] == want
     assert elapsed < 0.05, elapsed
     _refuse_work(monkeypatch)
-    monkeypatch.setattr(SparsePoly, "linear_coefficients", lambda self: pytest.fail("a dense normal was built"))
+    monkeypatch.setattr(cyindex.sncklt, "_integer_normals", lambda eqs: pytest.fail("a dense normal was built"))
     assert [(s.description, s.passed, s.detail) for s in is_klt_leaf(leaf).steps] == want
 
 
@@ -501,11 +520,54 @@ def test_p1_mode_distinct_points():
                 str(c) for c in curves]
 
 
+def _p1_by_distinct_forms(curves):
+    """plane_arrangement_snc on two-variable curves as it was decided before the
+    hyperplane walk: no zero curve, every curve linear, no two proportional."""
+    if any(c.is_zero() for c in curves):
+        return False
+    return all(_dense_normal(c) is not None for c in curves) and _distinct_up_to_scaling(curves)
+
+
+_P1_COEFFS = st.sampled_from((0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)))
+_P1_MULTIPLES = st.sampled_from((1, -1, 2, Fraction(-1, 3), Fraction(5, 2)))
+_P1_NONLINEAR = (
+    SparsePoly.from_pairs(2, [(1, ((0, 2),))]),  # x0^2
+    SparsePoly.from_pairs(2, [(1, ((0, 1), (1, 1)))]),  # x0*x1
+    SparsePoly.from_pairs(2, [(1, ((0, 1),)), (-1, ((1, 2),))]),  # x0 - x1^2
+)
+
+
+@st.composite
+def _p1_curves(draw):
+    """1 to 6 curves in two variables: linear forms with zero, negative and
+    rational coefficients, rational and negative multiples of earlier curves
+    (repeated points) and nonlinear forms."""
+    curves = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.integers(0, 9))
+        if curves and kind < 4:
+            curves.append(scaled(draw(st.sampled_from(curves)), draw(_P1_MULTIPLES)))
+        elif kind == 4:
+            curves.append(draw(st.sampled_from(_P1_NONLINEAR)))
+        else:
+            curves.append(SparsePoly.linear_form((draw(_P1_COEFFS), draw(_P1_COEFFS))))
+    return curves
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(_p1_curves())
+@example([SparsePoly.linear_form((1, -1)), SparsePoly.linear_form((Fraction(-1, 2), Fraction(1, 2)))])
+@example([SparsePoly.linear_form((0, 3)), SparsePoly.linear_form((2, 0)), SparsePoly.linear_form((0, -1))])
+@example([SparsePoly.linear_form((1, 1)), _P1_NONLINEAR[1]])
+def test_p1_points_through_the_walk_match_the_distinct_forms_route(curves):
+    assert plane_arrangement_snc(curves) is _p1_by_distinct_forms(curves), curves
+
+
 # -- plane arrangements: floating point sampler oracle -----------------------
 
 
 def _line_vec(eq):
-    return [float(c) for c in eq.linear_coefficients()]
+    return [float(c) for c in _dense_normal(eq)]
 
 
 def _conic_matrix(eq):
@@ -557,7 +619,7 @@ def sampled_plane_snc(curves):
     smoothness, tangency, coincidence and triple points numerically."""
     kinds = []
     for eq in curves:
-        lin = eq.linear_coefficients()
+        lin = _dense_normal(eq)
         if lin is not None:
             kinds.append(("line", _line_vec(eq)))
         else:
@@ -835,7 +897,7 @@ def _reference_plane_snc(curves):
     if any(c.is_zero() for c in curves):
         return False
     if nv == 2:
-        if any(c.linear_coefficients() is None for c in curves):
+        if any(_dense_normal(c) is None for c in curves):
             return False
         return not any(a.proportional_to(b) for a, b in combinations(curves, 2))
     if nv != 3:
@@ -1051,7 +1113,7 @@ def _reference_family_ac(leaf):
         if e < 2 or sorted(coords) != list(range(e)):
             return False
         if e == nv:
-            normals = [eq.linear_coefficients() for _, eq in leaf.entries]
+            normals = [_dense_normal(eq) for _, eq in leaf.entries]
             return None not in normals and hyperplane_arrangement_snc(normals)
         if e > nv - 1:
             return False
@@ -1118,7 +1180,7 @@ def test_coordinate_diagonal_passes_what_the_reference_passes_on_small_leaves(le
     ok, _ = coordinate_chains(leaf)
     if _reference_family_ac(leaf):
         assert ok
-    normals = [eq.linear_coefficients() for _, eq in leaf.entries]
+    normals = [_dense_normal(eq) for _, eq in leaf.entries]
     if ok and None not in normals:  # all hyperplanes: the rank criterion agrees
         assert hyperplane_arrangement_snc(normals)
 

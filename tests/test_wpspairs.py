@@ -123,16 +123,6 @@ def _degree_reference(eq: SparsePoly, space: Wps) -> set[int]:
     return {sum(map(mul, space.weights, exps)) for _, exps in eq.monomials}
 
 
-def _linear_coefficients_by_sum(f: SparsePoly):
-    """linear_coefficients as it read total degrees before it read supports."""
-    coeffs = [Fraction(0)] * f.nvars
-    for c, exps in f.monomials:
-        if sum(exps) != 1:
-            return None
-        coeffs[exps.index(1)] = c
-    return coeffs
-
-
 def _assert_supports(f: SparsePoly):
     """f's pairs are the support scans of its dense vectors with their exponents,
     in the order the dense constructor gives, and f equals the dense build."""
@@ -140,7 +130,6 @@ def _assert_supports(f: SparsePoly):
     assert f.monomials == _reference_dense_poly(f.nvars, f.monomials), f
     dense = SparsePoly(f.nvars, f.monomials)
     assert (dense.terms, hash(dense)) == (f.terms, hash(f)), f
-    assert f.linear_coefficients() == _linear_coefficients_by_sum(f), f
 
 
 @st.composite

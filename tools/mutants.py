@@ -214,6 +214,12 @@ MUTANTS = [
     Mutant("hyperplane-last-start", SNCKLT,
            "for j in reversed(range(len(images) - left + 1)):",
            "for j in reversed(range(len(images) - left + 2)):"),
+    Mutant("hyperplane-shape", SNCKLT,
+           "if len(pairs) != 1 or pairs[0][1] != 1:",
+           "if len(pairs) != 1:"),
+    Mutant("p1-pairs", SNCKLT,
+           "return _walk(_integer_normals(curves), min(len(curves), 2))",
+           "return _walk(_integer_normals(curves), min(len(curves), 1))"),
     Mutant("plane-pair-squarefree", SNCKLT,
            "return _gcd_degree(r, [i * c for i, c in enumerate(r)][1:]) <= 0",
            "return _gcd_degree(r, [i * c for i, c in enumerate(r)][1:]) <= 1"),

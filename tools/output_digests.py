@@ -105,6 +105,8 @@ _P1_FORMS = {
     "x0+x1": SparsePoly.linear_form((1, 1)),
     "x0-x1": SparsePoly.linear_form((1, -1)),
     "2x0": SparsePoly.linear_form((2, 0)),
+    "x0/2": SparsePoly.linear_form((Fraction(1, 2), 0)),
+    "-x1": SparsePoly.linear_form((0, -1)),
     "x0^2": SparsePoly.from_pairs(2, [(1, ((0, 2),))]),
 }
 
