@@ -4,14 +4,16 @@ The reader reads the writer's own text without json.loads
 (_read_writer_text). A flat product is cut into its pieces by one
 compiled pattern, and every piece, or the bare text, is read by one rule
 (_read_writer_piece). A leaf text is cut with str operations, and only
-the nonzero entries of its dense vectors are read (_scan_leaf); an
-elliptic text is read by its one number. A node is kept only if the
-writer writes exactly that text for it (_read_piece). Each leaf text of
-at most 4,096 characters is also held, once per process and digit limit
-(_read_leaf_text): at most 128 texts, least recently used first out.
+the nonzero entries of its dense vectors are read, each found by one
+search of a copy of the text in which every nonzero digit is marked
+(_scan_leaf); an elliptic text is read by its one number. A node is kept
+only if the writer writes exactly that text for it (_read_piece). Each
+leaf text of at most 4,096 characters is also held, once per process and
+digit limit (_read_leaf_text): at most 128 texts, least recently used
+first out.
 Every other text goes to the one general path, json.loads and one
-field-by-field walk, which makes every error and location
-(certificate_loads, logleaf_from_obj).
+field-by-field walk, which makes every error and location and writes a
+location only where a check fails (certificate_loads, logleaf_from_obj).
 
 The writer holds the text of each leaf that the verifier's memo would hold,
 one of at most 64 monomials, once per process and digit limit
@@ -65,6 +67,14 @@ class CertificateParseError(ValueError):
     def __init__(self, message: str, location: str = "$"):
         super().__init__(f"{location}: {message}")
         self.location = location
+        self._message = message
+
+    def _place_under(self, loc: str) -> None:
+        """Prefix the location with loc. The general walk checks a weight,
+        an entry, a monomial or a factor at a location relative to it, and
+        writes the location of the part only as a fault passes up."""
+        self.location = loc + self.location
+        self.args = (f"{self.location}: {self._message}",)
 
 
 # json.dumps(value, sort_keys=True, separators=(",", ":")), for what the writer does not format itself
@@ -86,29 +96,40 @@ _PRODUCT_TAIL = '],"node":"product","v":1}'
 
 def _leaf_text(leaf: LogLeaf) -> str:
     """The schema v1 text of a leaf, written from its (variable, exponent)
-    pairs. Keys come in sorted order, and every number is written as
-    json.dumps writes an int: weights, exponents and Fraction parts are
-    exact ints, and "%d" writes an int subclass b by its int value. A dense
-    exponent vector is its exponents with slices of one run of "0," between
-    them."""
+    pairs into one flat list of pieces that is joined once. Keys come in
+    sorted order, and every number is written as json.dumps writes an int:
+    weights, exponents and Fraction parts are exact ints, and "%d" writes an
+    int subclass b by its int value. A dense exponent vector is its nonzero
+    exponents, each written with its comma, and slices of one run of "0,"
+    between them; the vector's last comma is left out by writing its last
+    run of zeros one character short, or by trimming its last exponent."""
+    out = [_LEAF_HEAD]
     zeros = ""
-    entries = []
     for coeff, eq in leaf.entries:
         nv = eq.nvars  # the space's weight count on every leaf that verifies
         if len(zeros) != 2 * nv:
             zeros = "0," * nv
-        monos = []
+        out.append('{"b":%d,"eq":[' % coeff.b)
         for c, pairs in eq.terms:
-            parts, at = [], 0
+            out.append('{"c":[%d,%d],"e":[' % (c.numerator, c.denominator))
+            at = 0
             for v, x in pairs:
-                parts.append(zeros[: 2 * (v - at)])
-                parts.append(f"{x},")
+                out.append(zeros[: 2 * (v - at)])
+                out.append("%d," % x)
                 at = v + 1
-            parts.append(zeros[: 2 * (nv - at)])
-            monos.append(f'{{"c":[{c.numerator},{c.denominator}],"e":[{"".join(parts)[:-1]}]}}')
-        entries.append('{"b":%d,"eq":[%s]}' % (coeff.b, ",".join(monos)))
-    return "".join((_LEAF_HEAD, ",".join(entries), _LEAF_STRATEGY, _json_text(leaf.klt_strategy),
-                    _LEAF_WEIGHTS, ",".join(map(str, leaf.space.weights)), "]}"))
+            if at < nv:
+                out.append(zeros[: 2 * (nv - at) - 1])
+            else:
+                out[-1] = out[-1][:-1]
+            out.append("]},")
+        if eq.terms:
+            out[-1] = "]}]},"
+        else:
+            out.append("]},")
+    if leaf.entries:
+        out[-1] = out[-1][:-1]
+    out += (_LEAF_STRATEGY, _json_text(leaf.klt_strategy), _LEAF_WEIGHTS, ",".join(map(str, leaf.space.weights)), "]}")
+    return "".join(out)
 
 
 @lru_cache(maxsize=_MEMO_LEAVES)
@@ -161,7 +182,12 @@ def logleaf_from_obj(obj: dict, loc: str = "$") -> LogLeaf:
     weights = _need(obj, "weights", loc)
     if not isinstance(weights, list) or len(weights) < 2:
         raise CertificateParseError("weights must be a list of at least 2 integers", f"{loc}.weights")
-    weights = [_need_int(w, f"{loc}.weights[{i}]") for i, w in enumerate(weights)]
+    try:
+        for i, w in enumerate(weights):
+            _need_int(w, "")
+    except CertificateParseError as err:
+        err._place_under(f"{loc}.weights[{i}]")
+        raise
     if min(weights) < 1:
         raise CertificateParseError("weights must be positive", f"{loc}.weights")
     strategy = _need(obj, "strategy", loc)
@@ -174,41 +200,47 @@ def logleaf_from_obj(obj: dict, loc: str = "$") -> LogLeaf:
     variables = tuple(range(nv))
     entries = []
     for i, ent in enumerate(entries_obj):
-        eloc = f"{loc}.entries[{i}]"
-        b = _need_int(_need(ent, "b", eloc), f"{eloc}.b", minimum=2)
-        eq_obj = _need(ent, "eq", eloc)
-        if not isinstance(eq_obj, list) or not eq_obj:
-            raise CertificateParseError("eq must be a nonempty monomial list", f"{eloc}.eq")
-        terms = []
-        bad = None  # the first monomial whose exponents break a rule, located after every c is checked
-        for j, mono in enumerate(eq_obj):
-            mloc = f"{eloc}.eq[{j}]"
-            c = _need(mono, "c", mloc)
-            if not isinstance(c, list) or len(c) != 2:
-                raise CertificateParseError("c must be [numerator, denominator]", f"{mloc}.c")
-            num, den = _need_int(c[0], f"{mloc}.c[0]"), _need_int(c[1], f"{mloc}.c[1]")
-            if den == 0:
-                raise CertificateParseError("zero denominator", f"{mloc}.c")
-            if num == 0:
-                raise CertificateParseError("zero coefficient monomial", f"{mloc}.c")
-            e = _need(mono, "e", mloc)
-            if not isinstance(e, list):
-                raise CertificateParseError("e must be a list", f"{mloc}.e")
-            pairs = exponent_pairs(e, variables) if len(e) == nv else None  # one scan into pairs
-            if pairs is None and bad is None:
-                bad = j
-            terms.append((_ONE if num == 1 == den else Fraction(num, den), pairs))
-        if bad is not None:
-            e, mloc = eq_obj[bad]["e"], f"{eloc}.eq[{bad}].e"
-            for k, x in enumerate(e):
-                _need_int(x, f"{mloc}[{k}]", minimum=0)
-            if len(e) != nv:
-                raise CertificateParseError(f"exponent vector of length {len(e)}, expected {nv}", mloc)
-            raise CertificateParseError(f"exponents must be nonnegative integers, got {tuple(e)}", f"{eloc}.eq")
-        try:  # the pairs are valid and no coefficient is zero, so only a repeated vector is left to raise
-            eq = SparsePoly.from_pairs(nv, terms)
-        except ValueError as err:
-            raise CertificateParseError(str(err), f"{eloc}.eq") from err
+        try:  # located relative to the entry
+            b = _need_int(_need(ent, "b", ""), ".b", minimum=2)
+            eq_obj = _need(ent, "eq", "")
+            if not isinstance(eq_obj, list) or not eq_obj:
+                raise CertificateParseError("eq must be a nonempty monomial list", ".eq")
+            terms = []
+            bad = None  # the first monomial whose exponents break a rule, located after every c is checked
+            for j, mono in enumerate(eq_obj):
+                try:  # located relative to the monomial
+                    c = _need(mono, "c", "")
+                    if not isinstance(c, list) or len(c) != 2:
+                        raise CertificateParseError("c must be [numerator, denominator]", ".c")
+                    num, den = _need_int(c[0], ".c[0]"), _need_int(c[1], ".c[1]")
+                    if den == 0:
+                        raise CertificateParseError("zero denominator", ".c")
+                    if num == 0:
+                        raise CertificateParseError("zero coefficient monomial", ".c")
+                    e = _need(mono, "e", "")
+                    if not isinstance(e, list):
+                        raise CertificateParseError("e must be a list", ".e")
+                except CertificateParseError as err:
+                    err._place_under(f".eq[{j}]")
+                    raise
+                pairs = exponent_pairs(e, variables) if len(e) == nv else None  # one scan into pairs
+                if pairs is None and bad is None:
+                    bad = j
+                terms.append((_ONE if num == 1 == den else Fraction(num, den), pairs))
+            if bad is not None:
+                e, mloc = eq_obj[bad]["e"], f".eq[{bad}].e"
+                for k, x in enumerate(e):
+                    _need_int(x, f"{mloc}[{k}]", minimum=0)
+                if len(e) != nv:
+                    raise CertificateParseError(f"exponent vector of length {len(e)}, expected {nv}", mloc)
+                raise CertificateParseError(f"exponents must be nonnegative integers, got {tuple(e)}", ".eq")
+            try:  # the pairs are valid and no coefficient is zero, so only a repeated vector is left to raise
+                eq = SparsePoly.from_pairs(nv, terms)
+            except ValueError as err:
+                raise CertificateParseError(str(err), ".eq") from err
+        except CertificateParseError as err:
+            err._place_under(f"{loc}.entries[{i}]")
+            raise
         entries.append((StdCoeff(b), eq))
     try:
         return LogLeaf(Wps(tuple(weights)), tuple(entries), strategy)
@@ -231,11 +263,20 @@ def certificate_from_obj(obj, loc: str = "$") -> Certificate:
         factors_obj = _need(obj, "factors", loc)
         if not isinstance(factors_obj, list):
             raise CertificateParseError("factors must be a list", f"{loc}.factors")
-        factors = tuple(
-            certificate_from_obj(f, f"{loc}.factors[{i}]") for i, f in enumerate(factors_obj)
-        )
-        return Product(factors)
+        return Product(tuple(_factors_from_obj(factors_obj, loc)))
     raise CertificateParseError(f"unknown node kind {node!r}", f"{loc}.node")
+
+
+def _factors_from_obj(factors_obj: list, loc: str):
+    """The factors of the product at loc, each read at a location relative
+    to it. A generator, so that a product level costs two frames, as a
+    generator expression would."""
+    for i, f in enumerate(factors_obj):
+        try:
+            yield certificate_from_obj(f, "")
+        except CertificateParseError as err:
+            err._place_under(f"{loc}.factors[{i}]")
+            raise
 
 
 # A leaf text of at most this many characters is held by the reader memo.
@@ -245,9 +286,9 @@ def certificate_from_obj(obj, loc: str = "$") -> Certificate:
 # peak RSS. build_index_prime(97), of 50 monomials, writes 4,023 characters.
 _MEMO_MAX_CHARS = 4096
 
-# at a position in a dense exponent vector: the run of zero entries and
-# commas there, then the next entry, which is empty at the closing bracket
-_ZEROS_THEN_ENTRY = re.compile(r"[0,]*([^,\]]*)")
+# a copy of a leaf text in which every nonzero digit is "#", so that one
+# find locates the next nonzero entry of a dense vector
+_NONZERO_DIGITS = str.maketrans("123456789", "#########")
 
 # between two pieces of a flat product: a "}" closing one, the "," to cut at,
 # and the head of a leaf or an elliptic leaf
@@ -257,9 +298,14 @@ _PIECE_CUT = re.compile(r'\},\{"(?:entries|dim)":')
 def _scan_leaf(text: str) -> LogLeaf | None:
     """The leaf a wps_leaf text cut like the writer's holds, read with str
     operations instead of json.loads; None where the cuts are not found.
-    Only the nonzero entries of a dense vector are read: one compiled
-    pattern skips each run of zeros, and a variable's index is the running
-    count of commas before its entry.
+    Only the nonzero entries of a dense vector are read. The text is copied
+    once with every nonzero digit made "#"; in each vector the closing "]"
+    is found once, and each nonzero entry by one find of "#" in the copy,
+    bounded by that "]". Every entry between two nonzero ones is "0," in
+    the writer's text, so an entry's index is half its offset from where
+    the last read entry ended, plus the entries read before it. A vector
+    spelt otherwise may be misread, and _read_piece keeps the leaf only if
+    it writes back to the same text.
 
     The leaf is built by Wps, StdCoeff, SparsePoly.from_pairs in
     len(weights) variables and LogLeaf, and every equation has a monomial,
@@ -277,6 +323,7 @@ def _scan_leaf(text: str) -> LogLeaf | None:
     strategy = text[tail + len(_LEAF_STRATEGY) + 1:weights_at - 1]  # inside its quotes
     weights = tuple(map(int, text[weights_at + len(_LEAF_WEIGHTS):-2].split(",")))
     nv = len(weights)
+    marked = text.translate(_NONZERO_DIGITS)
     stds: dict[int, StdCoeff] = {}  # one StdCoeff per distinct b
     entries = []
     pos = len(_LEAF_HEAD)
@@ -295,14 +342,16 @@ def _scan_leaf(text: str) -> LogLeaf | None:
             if comma < 0 or at < 0 or not text.startswith('{"c":[', pos):
                 return None
             num, den = int(text[pos + 6:comma]), int(text[comma + 1:at])
-            pos, pairs, var = at + 7, [], 0
-            while True:
-                at, end = _ZEROS_THEN_ENTRY.match(text, pos).span(1)
-                var += text.count(",", pos, at)
-                pos = end
-                if at == end:
-                    break
+            pos, pairs, var = at + 7, [], 0  # var: the index of the entry at pos
+            close = text.find("]", pos)  # found, as the text ends in "]}"
+            while (at := marked.find("#", pos, close)) >= 0:
+                var += (at - pos) >> 1  # the entries before it are "0,"
+                end = text.find(",", at, close)
+                if end < 0:
+                    end = close
                 pairs.append((var, int(text[at:end])))
+                pos, var = end + 1, var + 1
+            pos = close
             terms.append((_ONE if num == 1 == den else Fraction(num, den), pairs))
             if not text.startswith("]},", pos):
                 break

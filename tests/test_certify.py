@@ -1887,6 +1887,49 @@ def test_the_scanner_reads_every_sample_leaf_without_json_loads():
             assert certificate_loads(cyindex.codec._leaf_text(leaf)) == WpsLeaf(leaf)
 
 
+def _leaves_of(cert):
+    match cert:
+        case WpsLeaf():
+            yield cert
+        case Product(factors):
+            for factor in factors:
+                yield from _leaves_of(factor)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_CERTIFICATES)
+def test_every_loadable_generated_leaf_is_read_without_json_loads(cert):
+    _read_leaf_text.cache_clear()
+    elliptic = cyindex.codec._node_text(EllipticLeaf(1))
+    with mock.patch.object(cyindex.codec.json, "loads", _no_json_loads):
+        for leaf in filter(_loadable, _leaves_of(cert)):
+            text = cyindex.codec._node_text(leaf)
+            assert certificate_loads(text) == leaf
+            assert certificate_loads(_product_text(text, elliptic)) == Product((leaf, EllipticLeaf(1)))
+
+
+# A leaf whose first vector is 0,7,0,0 and whose second ends in a nonzero
+# entry; each spelling below replaces the first vector in its text.
+_OFFSET_LEAF = LogLeaf(Wps((1, 1, 1, 1)), ((StdCoeff(5), SparsePoly.from_pairs(
+    4, [(Fraction(1), ((1, 7),)), (Fraction(-2, 3), ((0, 1), (3, 2)))])),), "family_A")
+_OFFSET_VECTOR = '"e":[0,7,0,0]'
+_OFFSET_SPELLINGS = ["0,00,0,0", "0,07,0,0", "0,+7,0,0", "0,-7,0,0", "0, 7,0,0", "0,1_0,0,0", "0,\u0667,0,0",
+                     "0,#,0,0", "0,7,,0", "0,7,0", "0,7,0,0,0", "0,7,0,0,", "0,0,0,7", "7,0,0,0"]
+
+
+@pytest.mark.parametrize("spelling", _OFFSET_SPELLINGS)
+def test_a_vector_spelling_reads_as_on_the_general_path(spelling):
+    text = cyindex.codec._leaf_text(_OFFSET_LEAF)
+    assert text.count(_OFFSET_VECTOR) == 1 and text.count('"e":[1,0,0,2]') == 1  # a nonzero last entry
+    edited = text.replace(_OFFSET_VECTOR, '"e":[%s]' % spelling)
+    for whole in (edited, _product_text(edited, cyindex.codec._node_text(EllipticLeaf(1)))):
+        _read_leaf_text.cache_clear()
+        assert _outcome(whole) == _general_outcome(whole)
+    if spelling == "0,0,0,7":  # the writer's text of another leaf
+        with mock.patch.object(cyindex.codec.json, "loads", _no_json_loads):
+            assert isinstance(certificate_loads(edited), WpsLeaf)
+
+
 def test_builder_leaves_and_oversize_pieces_are_read_without_json_loads():
     _read_leaf_text.cache_clear()
     ms = [5, 7, 9, 13, 15, 41, 97, 101, 399, 401, 1001, 1901, 1997, 1999, 2001]
