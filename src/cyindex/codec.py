@@ -10,16 +10,16 @@ search of a copy of the text in which every nonzero digit is marked
 only if the writer writes exactly that text for it (_read_piece). Each
 leaf text of at most 4,096 characters is also held, once per process and
 digit limit (_read_leaf_text): at most 128 texts, least recently used
-first out.
+first out, so a text met again hands back the same node.
 Every other text goes to the one general path, json.loads and one
 field-by-field walk, which makes every error and location and writes a
 location only where a check fails (certificate_loads, logleaf_from_obj).
 
-The writer holds the text of each leaf that the verifier's memo would hold,
-one of at most 64 monomials, once per process and digit limit
-(_held_leaf_text): at most 128 texts, keyed on the leaf's value. The
-read-back test of _read_piece writes its leaf unheld, so reading a file
-that is met once costs no memo entry.
+The writer keeps the text of a leaf of at most 4,096 characters on its
+node, with the digit limit it was written under (_node_text), so a node
+met again, as the builder and the reader hand them back, is written once
+per digit limit. The read-back test of _read_piece writes its leaf on no
+node.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 
-from .verify import _MEMO_LEAVES, Certificate, EllipticLeaf, Product, WpsLeaf, _memo_holds
+from .verify import Certificate, EllipticLeaf, Product, WpsLeaf
 from .wpspairs import (
     KLT_STRATEGIES,
     LogLeaf,
@@ -76,6 +76,10 @@ class CertificateParseError(ValueError):
         self.location = loc + self.location
         self.args = (f"{self.location}: {self._message}",)
 
+    def __reduce__(self):
+        # pickle rebuilds an exception from its args, which hold the location already
+        return type(self), (self._message, self.location)
+
 
 # json.dumps(value, sort_keys=True, separators=(",", ":")), for what the writer does not format itself
 _json_text = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
@@ -92,6 +96,17 @@ _LEAF_WEIGHTS = ',"v":1,"weights":['
 _ELLIPTIC_HEAD, _ELLIPTIC_TAIL = '{"dim":', ',"node":"elliptic_leaf","v":1}'
 _PRODUCT_HEAD = '{"factors":['
 _PRODUCT_TAIL = '],"node":"product","v":1}'
+
+# A leaf text of at most this many characters is held by the reader memo,
+# and kept on its node by the writer. In theorem_sweep (seed 1, 16 passes)
+# 2,363 of 2,500 leaf reads cover 46 distinct texts of at most 4,096
+# characters, about 45 KB in all; a 16 KB gate would hold 253 KB and a 64 KB
+# gate 851 KB, and held big leaves cost peak RSS. build_index_prime(97), of
+# 50 monomials, writes 4,023 characters.
+_MEMO_MAX_CHARS = 4096
+
+# The leaf texts the reader memo holds: more than twice the 46 of that sweep.
+_MEMO_TEXTS = 128
 
 
 def _leaf_text(leaf: LogLeaf) -> str:
@@ -132,21 +147,20 @@ def _leaf_text(leaf: LogLeaf) -> str:
     return "".join(out)
 
 
-@lru_cache(maxsize=_MEMO_LEAVES)
-def _held_leaf_text(leaf: LogLeaf, digits: int) -> str:
-    """_leaf_text, held per equal leaf and int-to-str digit limit `digits`,
-    so that a hit returns only what was written under the same limit."""
-    return _leaf_text(leaf)
-
-
 def _node_text(cert: Certificate) -> str:
-    """The text of a node. A leaf that the verdict memo holds (_memo_holds)
-    is written once per process and digit limit (_held_leaf_text)."""
+    """The text of a node. A leaf text of at most _MEMO_MAX_CHARS is kept
+    in the node's __dict__ with the int-to-str digit limit it was written
+    under, and returned again only under that limit."""
     match cert:
         case WpsLeaf(leaf):
-            if _memo_holds(leaf):
-                return _held_leaf_text(leaf, sys.get_int_max_str_digits())
-            return _leaf_text(leaf)
+            digits = sys.get_int_max_str_digits()
+            kept = vars(cert).get("_text")
+            if kept is not None and kept[0] == digits:
+                return kept[1]
+            text = _leaf_text(leaf)
+            if len(text) <= _MEMO_MAX_CHARS:
+                vars(cert)["_text"] = (digits, text)
+            return text
         case EllipticLeaf(dim):
             return _ELLIPTIC_HEAD + _json_text(dim) + _ELLIPTIC_TAIL
         case Product(factors):
@@ -279,13 +293,6 @@ def _factors_from_obj(factors_obj: list, loc: str):
             raise
 
 
-# A leaf text of at most this many characters is held by the reader memo.
-# In theorem_sweep (seed 1, 16 passes) 2,363 of 2,500 leaf reads cover 46
-# distinct texts of at most 4,096 characters, about 45 KB in all; a 16 KB
-# gate would hold 253 KB and a 64 KB gate 851 KB, and held big leaves cost
-# peak RSS. build_index_prime(97), of 50 monomials, writes 4,023 characters.
-_MEMO_MAX_CHARS = 4096
-
 # a copy of a leaf text in which every nonzero digit is "#", so that one
 # find locates the next nonzero entry of a dense vector
 _NONZERO_DIGITS = str.maketrans("123456789", "#########")
@@ -373,15 +380,15 @@ def _read_piece(piece: str) -> Certificate | None:
             dim = int(piece[len(_ELLIPTIC_HEAD):-len(_ELLIPTIC_TAIL)])
             node = EllipticLeaf(dim) if dim >= 1 else None
             return node if node is not None and _node_text(node) == piece else None
-        # written back unheld: a text read here is seldom read again, and the
-        # reader memo holds the node of one that is
+        # written back on no node: a node read from text is seldom written
+        # again, and the text it kept would be a second copy of the piece
         leaf = _scan_leaf(piece)
         return WpsLeaf(leaf) if leaf is not None and _leaf_text(leaf) == piece else None
     except (ValueError, ZeroDivisionError):
         return None
 
 
-@lru_cache(maxsize=_MEMO_LEAVES)
+@lru_cache(maxsize=_MEMO_TEXTS)
 def _read_leaf_text(piece: str, digits: int) -> Certificate | None:
     """_read_piece, held per piece text and int-to-str digit limit `digits`,
     so that a hit returns only what was read under the same limit."""

@@ -180,28 +180,22 @@ def check_realize() -> int:
 def check_search() -> None:
     """On P^1 the plane search finds exactly the indices 2, 3, 4 and 6 among
     2 <= m <= 20. On P^2 with up to 7 components it finds exactly 2, 4, 6, 8,
-    10, 12, 18, 20, 24, 30 and 42 among 2 <= m < 400; each hit strict-verifies
-    with dimension 2 and index m."""
-    hits = set()
-    for m in range(2, 21):
-        leaf = search_plane_pair(1, m)
-        if leaf is not None:
+    10, 12, 18, 20, 24, 30 and 42 among 2 <= m < 400. Each hit strict-verifies
+    with its dimension and index m."""
+    grids = ((1, 4, 21, {2, 3, 4, 6}), (2, 7, 400, {2, 4, 6, 8, 10, 12, 18, 20, 24, 30, 42}))
+    for dim, k, stop, want in grids:
+        hits = set()
+        for m in range(2, stop):
+            call = f"search_plane_pair({dim}, {m}, {k})"
+            leaf = search_plane_pair(dim, m, k)
+            if leaf is None:
+                continue
             hits.add(m)
-            _require(pair_index(leaf) == m, f"search_plane_pair(1, {m}) has index {pair_index(leaf)}")
-    _require(hits == {2, 3, 4, 6}, f"search_plane_pair(1, m) finds m = {sorted(hits)}, expected 2, 3, 4, 6")
-    hits = set()
-    for m in range(2, 400):
-        call = f"search_plane_pair(2, {m}, 7)"
-        leaf = search_plane_pair(2, m, 7)
-        if leaf is None:
-            continue
-        hits.add(m)
-        report = verify_certificate(WpsLeaf(leaf), "strict")
-        _require(report.passed, f"{call} fails strict verification: {report.failing_checks()}")
-        _require((report.dim, report.index) == (2, m),
-                 f"{call} verifies as dimension {report.dim}, index {report.index}")
-    want = {2, 4, 6, 8, 10, 12, 18, 20, 24, 30, 42}
-    _require(hits == want, f"search_plane_pair(2, m, 7) finds m = {sorted(hits)}, expected {sorted(want)}")
+            report = verify_certificate(WpsLeaf(leaf), "strict")
+            _require(report.passed, f"{call} fails strict verification: {report.failing_checks()}")
+            _require((report.dim, report.index) == (dim, m),
+                     f"{call} verifies as dimension {report.dim}, index {report.index}")
+        _require(hits == want, f"search_plane_pair({dim}, m, {k}) finds m = {sorted(hits)}, expected {sorted(want)}")
 
 
 def check_serialization() -> None:

@@ -12,16 +12,13 @@ quasi-homogeneity, exact degree zero, standard coefficients, the index, the
 klt report, and the tree arithmetic. Every leaf is explicit, so nothing
 is taken on trust and both verification modes run the same checks.
 
-A sweep over (n, m) meets the same few core leaves again and again, so the
-verifier keeps the verdicts of small leaves: a leaf of at most 64 monomials
-in all is checked once per process, and every later equal leaf gets a copy
-of the same checks and the same klt report (_leaf_verdict). The memo holds
-at most 128 leaves, least recently used first out. It is keyed on the leaf
-itself, which is everything the checks read, so a report is the same bytes
-whether it came from the memo or not. Bigger leaves are checked afresh. The
-same bounds serve the writer's text memo in codec, through the same gate
-(_memo_holds), and the builder's memo in certify. A LogLeaf works out its
-hash once, so a leaf object met again costs each memo one lookup.
+A sweep over (n, m) meets the same few core leaves again and again, and
+the builder and the reader hand back the same node for each. A WpsLeaf
+keeps what its first verification found, the checks, the klt report and
+(dim, index), so every later verification of that node copies them
+(WpsLeaf._verdict). The node is frozen and the checks read only its leaf,
+so a report is the same bytes whether it was worked out or kept. Equal
+leaves in separate nodes are each checked once.
 
 The degree arithmetic of a leaf is bounded by the bits of its b values
 (COEFF_BITS_BUDGET); over the budget, degree-zero fails and names it.
@@ -31,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 from math import lcm
 
 from .sncklt import KltReport, is_klt_leaf
@@ -66,6 +63,22 @@ __all__ = [
 @dataclass(frozen=True)
 class WpsLeaf:
     leaf: LogLeaf
+
+    @cached_property
+    def _verdict(self) -> tuple[tuple[tuple[str, bool, str], ...], KltReport | None,
+                                tuple[int | None, int | None]]:
+        """The checks, klt report and (dim, index) that _verify_wps_leaf
+        gives the leaf, worked out once per node and kept in its __dict__.
+
+        Sound because the node is frozen and _verify_wps_leaf reads nothing
+        but its leaf, whose fields the loader and the public constructors
+        build only from tuples, exact ints, Fractions and strs. The checks
+        are a tuple, so a caller copies them into its own report, and the
+        KltReport is frozen, so it is shared. A test that patches a function
+        the checks call verifies a fresh node."""
+        rep = NodeReport("", "wps_leaf")
+        result = _verify_wps_leaf(self.leaf, rep)
+        return tuple(rep.checks), rep.klt, result
 
 
 @dataclass(frozen=True)
@@ -240,64 +253,13 @@ def _verify_wps_leaf(leaf: LogLeaf, rep: NodeReport) -> tuple[int | None, int | 
             index if rep.passed else None)
 
 
-# A leaf of at most this many monomials in all takes its verdict from
-# _leaf_verdict. The leaves that repeat are small: in theorem_sweep (seed 1,
-# 16 passes) 2,393 of 2,500 leaf verifications cover 52 distinct leaves of at
-# most 64 monomials, and such a leaf's checks cost about 50 us against about
-# 5 us to hash it. Bigger leaves are rarely repeated, and holding them raised
-# verify_corpus's peak RSS from 28.1 to 33.8 MB in a sizing run.
-_MEMO_MAX_MONOMIALS = 64
-
-# The verdicts held. 128 is more than twice the 52 small leaves of that
-# sweep, and with the gate bounds the memo to 128 x 64 monomials.
-_MEMO_LEAVES = 128
-
-
-def _memo_holds(leaf: LogLeaf) -> bool:
-    """Whether the leaf memos, of the verdict here and of the text in codec,
-    hold a leaf: one of at most _MEMO_MAX_MONOMIALS monomials in all,
-    counted as the entry-shape check reads them, that hashes. Only a library
-    caller can build a leaf that does not hash."""
-    if sum([len(eq.terms) for _, eq in leaf.entries]) > _MEMO_MAX_MONOMIALS:
-        return False
-    try:
-        hash(leaf)  # worked out once per leaf, so the memo's own lookup reuses it
-    except TypeError:
-        return False
-    return True
-
-
-@lru_cache(maxsize=_MEMO_LEAVES)
-def _leaf_verdict(leaf: LogLeaf) -> tuple[tuple[tuple[str, bool, str], ...], KltReport | None,
-                                          tuple[int | None, int | None]]:
-    """The checks, klt report and (dim, index) that _verify_wps_leaf gives a
-    leaf, computed once per equal leaf and process.
-
-    Sound because the key is everything _verify_wps_leaf reads: the weights,
-    each entry's b and terms, and the strategy, which make up LogLeaf's
-    equality and hash. It reads no other state, so equal leaves get
-    identical checks. The loader and the public constructors build only
-    exact ints, Fractions and strs, whose equality is their value. The
-    checks come back as a tuple, so a caller copies them into its own
-    report, and the KltReport is frozen, so it is shared. A test that
-    patches a function the checks call clears the memo first
-    (`_leaf_verdict.cache_clear()`)."""
-    rep = NodeReport("", "wps_leaf")
-    result = _verify_wps_leaf(leaf, rep)
-    return tuple(rep.checks), rep.klt, result
-
-
 def _verify_node(cert: Certificate, path: str,
                  reports: list[NodeReport]) -> tuple[int | None, int | None]:
     match cert:
-        case WpsLeaf(leaf):
-            rep = NodeReport(path, "wps_leaf")
-            reports.append(rep)
-            if _memo_holds(leaf):
-                checks, rep.klt, result = _leaf_verdict(leaf)
-                rep.checks = list(checks)
-                return result
-            return _verify_wps_leaf(leaf, rep)  # a leaf the memo does not hold, checked afresh
+        case WpsLeaf():
+            checks, klt, result = cert._verdict
+            reports.append(NodeReport(path, "wps_leaf", list(checks), klt))
+            return result
         case EllipticLeaf(dim):
             rep = NodeReport(path, "elliptic_leaf")
             reports.append(rep)

@@ -333,21 +333,6 @@ class LogLeaf:
         if self.klt_strategy not in KLT_STRATEGIES:
             raise ValueError(f"unknown klt strategy {self.klt_strategy!r}")
 
-    def __hash__(self) -> int:
-        """The hash of the fields, as the dataclass would compute it, worked
-        out once per object: every Fraction of the leaf hashes in Python, and
-        each leaf memo hashes its key. Equality stays by value."""
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.space, self.entries, self.klt_strategy))
-            object.__setattr__(self, "_hash", h)
-            return h
-
-    def __getstate__(self) -> dict:
-        # a str hashes differently in another process, so a copy works its hash out afresh
-        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
-
     @property
     def dim(self) -> int:
         return self.space.dim

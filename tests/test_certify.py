@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import hashlib
 import json
 import pickle
@@ -36,7 +37,7 @@ import cyindex.codec
 import cyindex.sncklt
 import cyindex.verify
 import cyindex.wpspairs
-from cyindex.sncklt import STEP_CHAINS, KltReport, is_klt_leaf
+from cyindex.sncklt import STEP_CHAINS, is_klt_leaf
 from cyindex.wpspairs import (
     KLT_STRATEGIES,
     LogLeaf,
@@ -483,24 +484,38 @@ def test_verify_leaf_work_is_linear_by_call_counts(monkeypatch):
     assert counts == {"weighted_degree": len(leaf.entries), "is_well_formed": 1}
 
 
-# -- the leaf-verdict memo ------------------------------------------------------
-# each test clears the memo first, so the order tests run in does not matter
+# -- the verdict kept on each leaf node -------------------------------------------
+# each test verifies nodes it builds itself, so the order tests run in does not matter
+
+
+def _counting_leaf_work(monkeypatch):
+    """A Counter of the calls of weighted_degree and is_klt_leaf, the leaf
+    work of a verification, in every module that binds them."""
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name, home in (("weighted_degree", cyindex.wpspairs), ("is_klt_leaf", cyindex.sncklt)):
+        wrapper = counted(name, getattr(home, name))
+        for module in (cyindex.wpspairs, cyindex.verify, cyindex.sncklt):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
+    return counts
 
 
 def test_verify_reports_the_same_bytes_from_the_memo(monkeypatch):
-    verdicts = cyindex.verify._leaf_verdict
-    certs = [certificate_loads(certificate_dumps(realize(n, m)))
-             for n in range(3, 11) for m in indices_with_phi_at_most(2 * n)]
-    cold = []
-    for cert in certs:
-        verdicts.cache_clear()
-        cold.append(verify_certificate(cert).as_obj())
-    hits = verdicts.cache_info().hits
+    texts = [certificate_dumps(realize(n, m)) for n in range(3, 11) for m in indices_with_phi_at_most(2 * n)]
+    certs = [certificate_loads(text) for text in texts]
     warm = [[verify_certificate(cert) for _ in range(2)][-1].as_obj() for cert in certs]
-    assert verdicts.cache_info().hits >= hits + len(certs)
-    monkeypatch.setattr(cyindex.verify, "_leaf_verdict", verdicts.__wrapped__)
-    direct = [verify_certificate(cert).as_obj() for cert in certs]
-    assert cold == warm == direct
+    counts = _counting_leaf_work(monkeypatch)
+    assert [verify_certificate(cert).as_obj() for cert in certs] == warm
+    assert counts == {}  # every leaf node kept its verdict
+    cold = [verify_certificate(certificate_from_obj(json.loads(text))).as_obj() for text in texts]  # fresh nodes
+    assert counts["is_klt_leaf"] > 0 and cold == warm
 
 
 _SMALL_LEAVES = [cert.leaf for cert in cyindex.certify._EXPLICIT.values()] + [
@@ -547,60 +562,39 @@ def _leaf_and_one_field_changed(draw):
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(_leaf_and_one_field_changed())
 def test_the_memo_tells_apart_leaves_that_differ_in_one_field(pair):
-    verdicts = cyindex.verify._leaf_verdict
     leaf, changed = pair
     assert changed != leaf
-    verdicts.cache_clear()
     cold = verify_certificate(WpsLeaf(changed)).as_obj()
-    verdicts.cache_clear()
-    verify_certificate(WpsLeaf(leaf))
-    assert verify_certificate(WpsLeaf(changed)).as_obj() == cold
+    node = WpsLeaf(leaf)
+    verify_certificate(node)
+    # a node made from a verified one is a new node, with no verdict kept
+    assert verify_certificate(dataclasses.replace(node, leaf=changed)).as_obj() == cold
 
 
 def test_a_memo_hit_does_no_leaf_work(monkeypatch):
-    verdicts = cyindex.verify._leaf_verdict
-    verdicts.cache_clear()
     leaf = build_index_prime(13)
+    node, equal = WpsLeaf(leaf), WpsLeaf(build_index_prime(13))
     want = verify_certificate(WpsLeaf(leaf)).as_obj()
-    counts = Counter()
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    for name, home in (("weighted_degree", cyindex.wpspairs), ("is_klt_leaf", cyindex.sncklt)):
-        wrapper = counted(name, getattr(home, name))
-        for module in (cyindex.wpspairs, cyindex.verify, cyindex.sncklt):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, wrapper)
-    copy = certificate_loads(certificate_dumps(WpsLeaf(leaf)))
-    assert copy.leaf == leaf and copy.leaf is not leaf
-    assert verify_certificate(copy).as_obj() == want
-    assert counts == {}
-    verdicts.cache_clear()
-    assert verify_certificate(copy).as_obj() == want
+    counts = _counting_leaf_work(monkeypatch)
+    assert verify_certificate(node).as_obj() == verify_certificate(node).as_obj() == want
     assert counts == {"weighted_degree": len(leaf.entries), "is_klt_leaf": 1}
+    # an equal leaf in a separate node is checked once too
+    assert verify_certificate(equal).as_obj() == verify_certificate(equal).as_obj() == want
+    assert counts == {"weighted_degree": 2 * len(leaf.entries), "is_klt_leaf": 2}
 
 
-def test_the_memo_holds_at_most_128_leaves_of_at_most_64_monomials():
-    verdicts = cyindex.verify._leaf_verdict
+def test_every_leaf_node_keeps_its_verdict(monkeypatch):
     chain_leaf = cyindex.certify._chain_leaf
-    verdicts.cache_clear()
-    for b in range(2, 302):  # 300 distinct small leaves
-        verify_certificate(WpsLeaf(chain_leaf((1, 1), [(0, b)], 2, [((0, 1),), ((1, 1),)], "family_A")))
-    assert verdicts.cache_info().currsize <= 128
     h = [((j, 1),) for j in range(33)]  # 33 monomials
-    verdicts.cache_clear()
-    verify_certificate(WpsLeaf(chain_leaf((1,) * 33, [(j, 2) for j in range(32)], 2, h, "family_A")))
-    assert verdicts.cache_info().currsize == 0  # 65 monomials in all: checked afresh
-    verify_certificate(WpsLeaf(chain_leaf((1,) * 33, [(j, 2) for j in range(31)], 2, h, "family_A")))
-    assert verdicts.cache_info().currsize == 1  # 64 in all: held
+    big = WpsLeaf(chain_leaf((1,) * 33, [(j, 2) for j in range(32)], 2, h, "family_A"))  # 65 in all
+    want = verify_certificate(big).leaf_reports[0].as_obj()
+    assert "_verdict" in vars(big)
+    counts = _counting_leaf_work(monkeypatch)
+    assert verify_certificate(Product((big, big))).leaf_reports[1].as_obj() == {**want, "path": "$.factors[0]"}
+    assert counts == {}
 
 
-def test_an_unhashable_leaf_is_verified_without_the_memo():
-    cyindex.verify._leaf_verdict.cache_clear()
+def test_an_unhashable_leaf_verifies_as_its_hashable_copy():
     leaf = cyindex.certify._EXPLICIT[14].leaf
     listed = LogLeaf(leaf.space, tuple((c, SparsePoly._canonical(eq.nvars, [list(t) for t in eq.terms]))
                                        for c, eq in leaf.entries), leaf.klt_strategy)
@@ -609,7 +603,7 @@ def test_an_unhashable_leaf_is_verified_without_the_memo():
     assert verify_certificate(WpsLeaf(listed)).as_obj() == verify_certificate(WpsLeaf(leaf)).as_obj()
 
 
-# -- the build and writer memos, and the leaf's hash --------------------------
+# -- the build memo and the text kept on each leaf node ----------------------------
 
 
 def test_a_small_part_is_built_once_and_a_bigger_one_afresh():
@@ -632,37 +626,56 @@ def test_a_parts_monomials_are_counted_before_it_is_built():
 
 
 def test_the_writer_holds_the_text_of_every_small_leaf():
-    held = cyindex.codec._held_leaf_text
-    held.cache_clear()
+    gate = cyindex.codec._MEMO_MAX_CHARS
     for n in range(3, 41):
         for m in indices_with_phi_at_most(2 * n):
             cert = realize(n, m)
             for node in cert.factors if isinstance(cert, Product) else (cert,):
                 if isinstance(node, WpsLeaf):
-                    assert cyindex.codec._node_text(node) == cyindex.codec._leaf_text(node.leaf), (n, m)
-    assert held.cache_info().hits > 0 and held.cache_info().currsize <= 128
+                    text = cyindex.codec._leaf_text(node.leaf)
+                    assert cyindex.codec._node_text(node) == text, (n, m)
+                    assert ("_text" in vars(node)) == (len(text) <= gate), (n, m)
 
 
 def test_a_held_leaf_is_written_once_and_read_back_unheld(monkeypatch):
-    cyindex.codec._held_leaf_text.cache_clear()
     _read_leaf_text.cache_clear()
     calls = _counted(monkeypatch, "_leaf_text")
-    cert = realize(10, 30)  # the explicit leaf of 6, the family leaf of 5 and padding
+    cert = Product((WpsLeaf(build_index_prime(5)), WpsLeaf(build_prime_power(2, 2)), EllipticLeaf(6)))
     text = certificate_dumps(cert)
     assert len(calls) == 2
-    assert certificate_dumps(realize(11, 30)) == text.replace('"dim":6', '"dim":7') and len(calls) == 2
-    assert certificate_loads(text) == cert and len(calls) == 4  # the read-back test writes each leaf
-    assert cyindex.codec._held_leaf_text.cache_info().currsize == 2
+    assert certificate_dumps(cert) == text and len(calls) == 2
+    back = certificate_loads(text)
+    assert back == cert and len(calls) == 4  # the read-back test writes each leaf
+    assert not any("_text" in vars(node) for node in back.factors)
 
 
-def test_a_leaf_hashes_as_its_value_once_per_object():
-    leaf, fresh = build_index_prime(13), build_index_prime(13)
-    assert leaf is not fresh and leaf == fresh
-    assert hash(leaf) == hash(fresh) == hash((leaf.space, leaf.entries, leaf.klt_strategy))
-    assert hash(WpsLeaf(leaf)) == hash(WpsLeaf(fresh))
-    unpickled = pickle.loads(pickle.dumps(leaf))  # another process hashes a str differently
-    assert "_hash" in vars(leaf) and "_hash" not in vars(unpickled)
-    assert unpickled == leaf and hash(unpickled) == hash(leaf)
+def test_a_text_written_under_another_digit_limit_is_written_afresh():
+    node = WpsLeaf(cyindex.certify._chain_leaf((1, 1), [(0, 10**700)], 2, [((0, 1),), ((1, 1),)], "family_A"))
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        text = certificate_dumps(node)
+        assert len(text) <= cyindex.codec._MEMO_MAX_CHARS and vars(node)["_text"] == (4300, text)
+        sys.set_int_max_str_digits(640)
+        with pytest.raises(ValueError, match="640 digits"):
+            certificate_dumps(node)
+        sys.set_int_max_str_digits(0)
+        assert certificate_dumps(node) == text and vars(node)["_text"] == (0, text)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_a_pickled_node_verifies_and_writes_identically():
+    cert = realize(12, 26)  # the explicit leaf of 2, the family leaf of 13 and padding
+    want, text = verify_certificate(cert).as_obj(), certificate_dumps(cert)
+    copied = pickle.loads(pickle.dumps(cert))  # its leaf nodes carry their verdicts and texts
+    assert copied == cert and copied.factors[0] is not cert.factors[0]
+    assert verify_certificate(copied).as_obj() == want and certificate_dumps(copied) == text
+    node = WpsLeaf(build_index_prime(13))
+    fresh = pickle.loads(pickle.dumps(node))  # pickled before any verdict or text was worked out
+    assert not vars(fresh).keys() & {"_verdict", "_text"}
+    assert verify_certificate(fresh).as_obj() == verify_certificate(node).as_obj()
+    assert certificate_dumps(fresh) == certificate_dumps(node)
 
 
 # -- the coefficient budget ----------------------------------------------------
@@ -671,14 +684,12 @@ def test_a_leaf_hashes_as_its_value_once_per_object():
 def test_the_coefficient_budget_fails_degree_zero_before_its_arithmetic(monkeypatch):
     leaf = build_index_prime(13)
     bits = sum(coeff.b.bit_length() for coeff, _ in leaf.entries)
-    cyindex.verify._leaf_verdict.cache_clear()  # it holds verdicts given under the real budget
+    # each verification below is of a fresh node, so none reads a verdict kept under another budget
     monkeypatch.setattr(cyindex.verify, "COEFF_BITS_BUDGET", bits)
     assert verify_certificate(WpsLeaf(leaf)).passed
-    cyindex.verify._leaf_verdict.cache_clear()
     monkeypatch.setattr(cyindex.verify, "COEFF_BITS_BUDGET", bits - 1)
     monkeypatch.setattr(cyindex.verify, "_scaled_log_degree", None)
     report = verify_certificate(WpsLeaf(leaf))
-    cyindex.verify._leaf_verdict.cache_clear()
     failed = {name: detail for name, ok, detail in report.leaf_reports[0].checks if not ok}
     assert failed == {"degree-zero": f"resource budget: the b values have {bits} bits in all, above {bits - 1}",
                       "index-computed": "preconditions failed"}
@@ -1099,12 +1110,16 @@ def test_search_p2_hits_match_the_oracle():
     assert admissible == found == {2, 4, 6, 8, 10, 12, 18, 20, 24, 30, 42}
 
 
-def test_search_accepts_nothing_the_snc_check_rejects(monkeypatch):
-    queries = [(1, m, 4) for m in (2, 3, 4, 6)] + [(2, m, 7) for m in (2, 4, 10, 18, 30, 42)]
-    assert all(search_plane_pair(*q) is not None for q in queries)
-    monkeypatch.setattr(cyindex.certify, "is_klt_leaf", lambda leaf: KltReport(False, leaf.klt_strategy, ()))
-    for q in queries:
-        assert search_plane_pair(*q) is None, q
+def test_every_plane_multiset_instantiates_to_a_leaf_that_strict_verifies():
+    # search_plane_pair runs no klt check of its own: it returns the first multiset of the table
+    table = cyindex.certify._PLANE_MULTISETS
+    assert [sum(map(len, table[dim].values())) for dim in (1, 2)] == [4, 33]
+    for dim, by_index in table.items():
+        for index, combos in by_index.items():
+            for combo in combos:
+                report = verify_certificate(WpsLeaf(cyindex.certify._instantiate_plane(dim, combo)), "strict")
+                assert report.passed, (dim, combo, report.failing_checks())
+                assert (report.dim, report.index) == (dim, index) == (dim, lcm(*[b for b, _ in combo])), combo
 
 
 def test_search_instantiates_only_admissible_multisets(monkeypatch):
@@ -1289,6 +1304,16 @@ def test_writer_matches_the_reference_on_realized_certificates():
 def test_serialization_deterministic():
     cert = realize(6, 36)
     assert certificate_dumps(cert) == certificate_dumps(realize(6, 36))
+
+
+def test_a_parse_error_keeps_its_location_and_text_through_pickle():
+    for err in (CertificateParseError("bad", "$.weights"), CertificateParseError("no location")):
+        back = pickle.loads(pickle.dumps(err))
+        assert (type(back), back.location, str(back)) == (type(err), err.location, str(err))
+    with pytest.raises(CertificateParseError) as caught:  # a location made as the fault passed up
+        certificate_loads('{"v": 1, "node": "product", "factors": [{"v": 1, "node": "elliptic_leaf", "dim": 0}]}')
+    back = pickle.loads(pickle.dumps(caught.value))
+    assert (back.location, str(back)) == ("$.factors[0].dim", "$.factors[0].dim: integer 0 below minimum 1")
 
 
 def test_parse_errors_carry_location():

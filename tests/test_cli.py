@@ -282,12 +282,12 @@ def test_verify_degree_zero_detail_is_bounded_for_huge_b(capsys, tmp_path):
 def test_verify_over_the_coefficient_budget_exits_1(capsys, monkeypatch, tmp_path):
     # the budget is tested by its arithmetic: the b values of realize(4, 16),
     # a bare leaf with b 2, 4, 8, 16 and 16, have 19 bits in all
+    # written with indent, so the general reader builds a fresh node, which has
+    # no verdict kept from the real budget
     out_file = tmp_path / "cert.json"
-    out_file.write_text(certificate_dumps(realize(4, 16)) + "\n")
-    cyindex.verify._leaf_verdict.cache_clear()
+    out_file.write_text(json.dumps(json.loads(certificate_dumps(realize(4, 16))), indent=1))
     monkeypatch.setattr(cyindex.verify, "COEFF_BITS_BUDGET", 18)
     code, out, _ = run(capsys, "verify", str(out_file))
-    cyindex.verify._leaf_verdict.cache_clear()
     assert code == EXIT_VERIFY_FAILED
     assert "\n  FAIL $ [wps_leaf] degree-zero: resource budget: the b values have 19 bits in all, above 18\n" in out
 
@@ -943,10 +943,12 @@ def test_selftest_green_under_O():
 @pytest.mark.parametrize("patch,fail", [
     ("phi = corpus.euler_phi; corpus.euler_phi = lambda m: phi(m) + (m == 12)",
      "FAIL: totients and enumeration: euler_phi(12) = 5, expected 4"),
-    # a P^1 leaf of log degree 2/5, on which pair_index raises ValueError
-    ("search = corpus.search_plane_pair; corpus.search_plane_pair = lambda d, m: "
-     "c._instantiate_plane(1, [(5, 1)] * 3) if (d, m) == (1, 5) else search(d, m)",
-     "FAIL: plane search ground truth: pair_index requires log degree 0, got 2/5"),
+    # a leaf whose one equation x0 + x1 on P(2, 1, 1) is not quasi-homogeneous,
+    # on which log_degree raises ValueError
+    ("build = corpus.build_index_prime; corpus.build_index_prime = lambda m: "
+     "c.LogLeaf(c.Wps((2, 1, 1)), ((c.StdCoeff(5), c.SparsePoly.linear_form((1, 1, 0))),), 'family_A') "
+     "if m == 5 else build(m)",
+     "FAIL: log degree zero on both families: monomial degrees disagree: 2 distinct degrees from 1 to 2"),
     # realize(n, 14) padded by a zero-dimensional elliptic factor: the realize
     # check names the first failing pair and its failing checks
     ("realize = corpus.realize; corpus.realize = lambda n, m: "

@@ -61,35 +61,15 @@ MUTANTS = [
     Mutant("index-computed", VERIFY,
            "index = scale if wf and deg_ok else None",
            "index = scale if deg_ok else None"),
-    # the leaf-verdict memo's key, simulated by mapping each key to the first
-    # leaf seen with it; the map outlives cache_clear
-    Mutant("verdict-key-space-strategy", VERIFY,
-           "checks, rep.klt, result = _leaf_verdict(leaf)",
-           "checks, rep.klt, result = _leaf_verdict(_leaf_verdict.__dict__.setdefault("
-           "(leaf.space, leaf.klt_strategy), leaf))"),
-    Mutant("verdict-key-no-strategy", VERIFY,
-           "checks, rep.klt, result = _leaf_verdict(leaf)",
-           "checks, rep.klt, result = _leaf_verdict(_leaf_verdict.__dict__.setdefault("
-           "(leaf.space, leaf.entries), leaf))"),
-    # the one fallback for a leaf the memo does not hold, bigger or unhashable
-    Mutant("verdict-gate-ge", VERIFY,
-           "if sum([len(eq.terms) for _, eq in leaf.entries]) > _MEMO_MAX_MONOMIALS:",
-           "if sum([len(eq.terms) for _, eq in leaf.entries]) >= _MEMO_MAX_MONOMIALS:"),
-    Mutant("verdict-fallback-detached", VERIFY,
-           "return _verify_wps_leaf(leaf, rep)  # a leaf the memo does not hold, checked afresh",
-           'return _verify_wps_leaf(leaf, NodeReport(path, "wps_leaf"))'),
+    # the verdict kept on a leaf node: all of it, the klt report included
+    Mutant("verdict-without-klt", VERIFY,
+           "return tuple(rep.checks), rep.klt, result",
+           "return tuple(rep.checks), None, result"),
     # the coefficient budget, checked before the degree arithmetic
     Mutant("coeff-budget-ge", VERIFY,
            "if bits > COEFF_BITS_BUDGET:",
            "if bits >= COEFF_BITS_BUDGET:"),
-    # the leaf's hash, worked out once per object
-    Mutant("leaf-hash-no-strategy", WPSPAIRS,
-           "h = hash((self.space, self.entries, self.klt_strategy))",
-           "h = hash((self.space, self.entries))"),
-    Mutant("leaf-hash-pickled", WPSPAIRS,
-           'return {k: v for k, v in self.__dict__.items() if k != "_hash"}',
-           "return dict(self.__dict__)"),
-    # the builder's and the writer's memos
+    # the builder's memo and the text kept on a leaf node
     Mutant("part-gate-ge", CERTIFY,
            "if _part_monomials(p, e) <= _MEMO_MAX_MONOMIALS else",
            "if _part_monomials(p, e) < _MEMO_MAX_MONOMIALS else"),
@@ -97,11 +77,12 @@ MUTANTS = [
            "return (p + 3) // 2 if p % 4 == 1 else (p + 1) // 2",
            "return (p + 1) // 2"),
     Mutant("writer-digits-key", CODEC,
-           "return _held_leaf_text(leaf, sys.get_int_max_str_digits())",
-           "return _held_leaf_text(leaf, 0)"),
+           "if kept is not None and kept[0] == digits:",
+           "if kept is not None:"),
+    # the read-back test keeps no text on the node it returns
     Mutant("writer-read-back-held", CODEC,
            "return WpsLeaf(leaf) if leaf is not None and _leaf_text(leaf) == piece else None",
-           "return WpsLeaf(leaf) if leaf is not None and _node_text(WpsLeaf(leaf)) == piece else None"),
+           "return node if leaf is not None and _node_text(node := WpsLeaf(leaf)) == piece else None"),
     # the reader's fast path and memo
     Mutant("reader-text-test", CODEC,
            "return WpsLeaf(leaf) if leaf is not None and _leaf_text(leaf) == piece else None",
@@ -180,8 +161,8 @@ MUTANTS = [
            "combos.sort(key=lambda c: (len(c), c))",
            "combos.sort(key=lambda c: c)"),
     Mutant("search-max-components", CERTIFY,
-           "if len(combo) > max_components:",
-           "if len(combo) >= max_components:"),
+           "if combos is None or len(combos[0]) > max_components:",
+           "if combos is None or len(combos[0]) >= max_components:"),
     # the family klt criterion
     Mutant("chains-head", SNCKLT,
            "if inner:",

@@ -7,7 +7,8 @@ line each.
 Lines are `realize N M CERT REPORT RELOADED` for each 3 <= n <= 60 and
 each m with phi(m) <= 2n, RELOADED being the sha256 of the strict report of
 `certificate_loads(certificate_dumps(cert))`, verified after the original,
-so that its small leaves come from the verifier's leaf-verdict memo; then
+so that a leaf node the reader memo hands back again reports the verdict
+it kept; then
 `base 1 M CERT REPORT` for each entry of the dimension-1 catalogue. The dimension-2 catalogue is realize(3, m) by
 definition, so the `realize 3 M` lines stand for it. Then
 `reload LABEL REPORT REDUMP` for bare builder leaves read back from their
