@@ -12,8 +12,8 @@ leaf text of at most 4,096 characters is also held, once per process and
 digit limit (_read_leaf_text): at most 128 texts, least recently used
 first out, so a text met again hands back the same node.
 Every other text goes to the one general path, json.loads and one
-field-by-field walk, which makes every error and location and writes a
-location only where a check fails (certificate_loads, logleaf_from_obj).
+field-by-field walk, which raises each error at its absolute JSON path,
+built as the walk descends (certificate_loads, logleaf_from_obj).
 
 The writer keeps the text of a leaf of at most 4,096 characters on its
 node, with the digit limit it was written under (_node_text), so a node
@@ -68,13 +68,6 @@ class CertificateParseError(ValueError):
         super().__init__(f"{location}: {message}")
         self.location = location
         self._message = message
-
-    def _place_under(self, loc: str) -> None:
-        """Prefix the location with loc. The general walk checks a weight,
-        an entry, a monomial or a factor at a location relative to it, and
-        writes the location of the part only as a fault passes up."""
-        self.location = loc + self.location
-        self.args = (f"{self.location}: {self._message}",)
 
     def __reduce__(self):
         # pickle rebuilds an exception from its args, which hold the location already
@@ -196,12 +189,8 @@ def logleaf_from_obj(obj: dict, loc: str = "$") -> LogLeaf:
     weights = _need(obj, "weights", loc)
     if not isinstance(weights, list) or len(weights) < 2:
         raise CertificateParseError("weights must be a list of at least 2 integers", f"{loc}.weights")
-    try:
-        for i, w in enumerate(weights):
-            _need_int(w, "")
-    except CertificateParseError as err:
-        err._place_under(f"{loc}.weights[{i}]")
-        raise
+    for i, w in enumerate(weights):
+        _need_int(w, f"{loc}.weights[{i}]")
     if min(weights) < 1:
         raise CertificateParseError("weights must be positive", f"{loc}.weights")
     strategy = _need(obj, "strategy", loc)
@@ -214,47 +203,41 @@ def logleaf_from_obj(obj: dict, loc: str = "$") -> LogLeaf:
     variables = tuple(range(nv))
     entries = []
     for i, ent in enumerate(entries_obj):
-        try:  # located relative to the entry
-            b = _need_int(_need(ent, "b", ""), ".b", minimum=2)
-            eq_obj = _need(ent, "eq", "")
-            if not isinstance(eq_obj, list) or not eq_obj:
-                raise CertificateParseError("eq must be a nonempty monomial list", ".eq")
-            terms = []
-            bad = None  # the first monomial whose exponents break a rule, located after every c is checked
-            for j, mono in enumerate(eq_obj):
-                try:  # located relative to the monomial
-                    c = _need(mono, "c", "")
-                    if not isinstance(c, list) or len(c) != 2:
-                        raise CertificateParseError("c must be [numerator, denominator]", ".c")
-                    num, den = _need_int(c[0], ".c[0]"), _need_int(c[1], ".c[1]")
-                    if den == 0:
-                        raise CertificateParseError("zero denominator", ".c")
-                    if num == 0:
-                        raise CertificateParseError("zero coefficient monomial", ".c")
-                    e = _need(mono, "e", "")
-                    if not isinstance(e, list):
-                        raise CertificateParseError("e must be a list", ".e")
-                except CertificateParseError as err:
-                    err._place_under(f".eq[{j}]")
-                    raise
-                pairs = exponent_pairs(e, variables) if len(e) == nv else None  # one scan into pairs
-                if pairs is None and bad is None:
-                    bad = j
-                terms.append((_ONE if num == 1 == den else Fraction(num, den), pairs))
-            if bad is not None:
-                e, mloc = eq_obj[bad]["e"], f".eq[{bad}].e"
-                for k, x in enumerate(e):
-                    _need_int(x, f"{mloc}[{k}]", minimum=0)
-                if len(e) != nv:
-                    raise CertificateParseError(f"exponent vector of length {len(e)}, expected {nv}", mloc)
-                raise CertificateParseError(f"exponents must be nonnegative integers, got {tuple(e)}", ".eq")
-            try:  # the pairs are valid and no coefficient is zero, so only a repeated vector is left to raise
-                eq = SparsePoly.from_pairs(nv, terms)
-            except ValueError as err:
-                raise CertificateParseError(str(err), ".eq") from err
-        except CertificateParseError as err:
-            err._place_under(f"{loc}.entries[{i}]")
-            raise
+        eloc = f"{loc}.entries[{i}]"
+        b = _need_int(_need(ent, "b", eloc), f"{eloc}.b", minimum=2)
+        eq_obj = _need(ent, "eq", eloc)
+        if not isinstance(eq_obj, list) or not eq_obj:
+            raise CertificateParseError("eq must be a nonempty monomial list", f"{eloc}.eq")
+        terms = []
+        bad = None  # the first monomial whose exponents break a rule, located after every c is checked
+        for j, mono in enumerate(eq_obj):
+            mloc = f"{eloc}.eq[{j}]"
+            c = _need(mono, "c", mloc)
+            if not isinstance(c, list) or len(c) != 2:
+                raise CertificateParseError("c must be [numerator, denominator]", f"{mloc}.c")
+            num, den = _need_int(c[0], f"{mloc}.c[0]"), _need_int(c[1], f"{mloc}.c[1]")
+            if den == 0:
+                raise CertificateParseError("zero denominator", f"{mloc}.c")
+            if num == 0:
+                raise CertificateParseError("zero coefficient monomial", f"{mloc}.c")
+            e = _need(mono, "e", mloc)
+            if not isinstance(e, list):
+                raise CertificateParseError("e must be a list", f"{mloc}.e")
+            pairs = exponent_pairs(e, variables) if len(e) == nv else None  # one scan into pairs
+            if pairs is None and bad is None:
+                bad = j
+            terms.append((_ONE if num == 1 == den else Fraction(num, den), pairs))
+        if bad is not None:
+            e, mloc = eq_obj[bad]["e"], f"{eloc}.eq[{bad}]"
+            for k, x in enumerate(e):
+                _need_int(x, f"{mloc}.e[{k}]", minimum=0)
+            if len(e) != nv:
+                raise CertificateParseError(f"exponent vector of length {len(e)}, expected {nv}", f"{mloc}.e")
+            raise CertificateParseError(f"exponents must be nonnegative integers, got {tuple(e)}", f"{eloc}.eq")
+        try:  # the pairs are valid and no coefficient is zero, so only a repeated vector is left to raise
+            eq = SparsePoly.from_pairs(nv, terms)
+        except ValueError as err:
+            raise CertificateParseError(str(err), f"{eloc}.eq") from err
         entries.append((StdCoeff(b), eq))
     try:
         return LogLeaf(Wps(tuple(weights)), tuple(entries), strategy)
@@ -277,20 +260,8 @@ def certificate_from_obj(obj, loc: str = "$") -> Certificate:
         factors_obj = _need(obj, "factors", loc)
         if not isinstance(factors_obj, list):
             raise CertificateParseError("factors must be a list", f"{loc}.factors")
-        return Product(tuple(_factors_from_obj(factors_obj, loc)))
+        return Product(tuple(certificate_from_obj(f, f"{loc}.factors[{i}]") for i, f in enumerate(factors_obj)))
     raise CertificateParseError(f"unknown node kind {node!r}", f"{loc}.node")
-
-
-def _factors_from_obj(factors_obj: list, loc: str):
-    """The factors of the product at loc, each read at a location relative
-    to it. A generator, so that a product level costs two frames, as a
-    generator expression would."""
-    for i, f in enumerate(factors_obj):
-        try:
-            yield certificate_from_obj(f, "")
-        except CertificateParseError as err:
-            err._place_under(f"{loc}.factors[{i}]")
-            raise
 
 
 # a copy of a leaf text in which every nonzero digit is "#", so that one

@@ -3,6 +3,7 @@ the builders, the CLI or the selftest corpus; and every polynomial is built
 through the one set of checks in `SparsePoly.from_pairs`."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -31,6 +32,13 @@ def _outside_imports(source: str, outside: tuple[str, ...] = OUTSIDE) -> list[st
 @pytest.mark.parametrize("module", TRUSTED)
 def test_the_trusted_base_imports_no_builder(module):
     assert _outside_imports((PACKAGE / module).read_text()) == []
+
+
+def test_the_readme_counts_the_trusted_base():
+    readme = (PACKAGE.parent.parent / "README.md").read_text()
+    stated = re.search(r"The trusted base is `wpspairs`, `sncklt`, `verify` and `codec`, ([\d,]+)\s+lines", readme)
+    counted = sum(len((PACKAGE / f"{m}.py").read_text().splitlines()) for m in ("wpspairs", "sncklt", "verify", "codec"))
+    assert stated and int(stated.group(1).replace(",", "")) == counted
 
 
 def test_the_builders_import_no_klt_check():

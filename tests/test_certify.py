@@ -1606,6 +1606,16 @@ def _read(reader, obj):
 @given(_mutated_leaf_objs())
 def test_the_leaf_reader_matches_the_reference_reader(obj):
     assert _read(cyindex.codec.logleaf_from_obj, obj) == _read(_reference_logleaf_from_obj, obj)
+    # the same leaf as factors[1] of factors[0]: a fault inside it gains that prefix, with the same message
+    inner = {"factors": [{"dim": 1, "node": "elliptic_leaf", "v": 1}, obj], "node": "product", "v": 1}
+    bare = _read(_reference_logleaf_from_obj, obj)
+    if isinstance(bare, LogLeaf):
+        expected = Product((Product((EllipticLeaf(1), WpsLeaf(bare))),))
+    else:
+        location, text = bare
+        nested = "$.factors[0].factors[1]" + location[1:]
+        expected = nested, nested + text[len(location):]
+    assert _read(certificate_from_obj, {"factors": [inner], "node": "product", "v": 1}) == expected
 
 
 def test_the_leaf_reader_matches_the_reference_on_realized_and_tampered_leaves():

@@ -135,18 +135,21 @@ MUTANTS = [
            "node = EllipticLeaf(dim)"),
     # the general reader's walk
     Mutant("walk-b-minimum-1", CODEC,
-           'b = _need_int(_need(ent, "b", ""), ".b", minimum=2)',
-           'b = _need_int(_need(ent, "b", ""), ".b", minimum=1)'),
+           'b = _need_int(_need(ent, "b", eloc), f"{eloc}.b", minimum=2)',
+           'b = _need_int(_need(ent, "b", eloc), f"{eloc}.b", minimum=1)'),
     Mutant("walk-exponents-before-c", CODEC,
            "if pairs is None and bad is None:",
-           'if pairs is None and bad is None and [_need_int(x, f".eq[{j}].e[{k}]", minimum=0) '
+           'if pairs is None and bad is None and [_need_int(x, f"{mloc}.e[{k}]", minimum=0) '
            "for k, x in enumerate(e)]:"),
     Mutant("walk-repeat-location", CODEC,
-           'raise CertificateParseError(str(err), ".eq") from err',
-           'raise CertificateParseError(str(err), "") from err'),
+           'raise CertificateParseError(str(err), f"{eloc}.eq") from err',
+           "raise CertificateParseError(str(err), eloc) from err"),
+    Mutant("walk-entry-location", CODEC,
+           'eloc = f"{loc}.entries[{i}]"',
+           "eloc = loc"),
     Mutant("walk-factor-location", CODEC,
-           'err._place_under(f"{loc}.factors[{i}]")',
-           "err._place_under(loc)"),
+           'certificate_from_obj(f, f"{loc}.factors[{i}]")',
+           "certificate_from_obj(f, loc)"),
     # the plane search's table of degree-zero multisets
     Mutant("table-b-upper-bound", CERTIFY,
            "for b in range(max(prev[0], ceil(1 / owed)), left // owed + 1):",
