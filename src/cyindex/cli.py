@@ -224,11 +224,13 @@ def _cmd_realize(args) -> int:
         print(f"precondition failed: {err}", file=sys.stderr)
         return EXIT_PRECONDITION
     report = verify_certificate(cert, args.mode)
-    text = certificate_dumps(cert)
+    # the text grows as n^2, so it is built only where it is saved or printed
+    text = certificate_dumps(cert) if args.out or args.format == "json" else None
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
+                fh.write(text)
+                fh.write("\n")  # not text + "\n", which would copy the text
         except OSError as err:
             raise _UsageError(f"cannot write {args.out}: {err.strerror or err}")
     if args.format == "json":

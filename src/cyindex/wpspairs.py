@@ -6,10 +6,10 @@ polynomials. A `SparsePoly` stores each monomial as its (variable, exponent)
 pairs with positive exponents, so that building, checking, hashing and
 reading an equation cost O(support) per monomial, however many variables
 the space has. Dense exponent vectors, one entry per variable, are made only
-at the edges: the dense constructor and the `monomials` view, the schema v1
-codec (`cyindex.codec` writes and scans its own text pair by pair, and its
-general reader turns each vector into pairs by `exponent_pairs`) and the
-3-variable plane check.
+at the edges: the dense constructor `from_terms` and the `monomials` view,
+the schema v1 codec (`cyindex.codec` writes and scans its own text pair by
+pair, and its general reader turns each vector into pairs by
+`exponent_pairs`) and the 3-variable plane check.
 
 All degree bookkeeping is exact: coefficients are `fractions.Fraction`,
 weighted degrees are integers, and the degree of K_X + B is computed in
@@ -174,11 +174,6 @@ def _sorted(terms: list) -> list:
     return terms
 
 
-def _set_fields(poly: "SparsePoly", nvars: int, terms) -> None:
-    object.__setattr__(poly, "nvars", nvars)
-    object.__setattr__(poly, "terms", tuple(terms))
-
-
 @dataclass(frozen=True, init=False, repr=False)
 class SparsePoly:
     """Sparse polynomial in nvars variables, stored as `terms`: one
@@ -191,36 +186,15 @@ class SparsePoly:
     are sorted in descending lexicographic order of the dense exponent
     vectors (see `_dense_order`), the order certificates are written in.
 
-    `SparsePoly(nvars, monomials)` takes dense (coefficient, exponent vector)
-    monomials and `from_pairs` takes pairs. Every constructor ends in
-    `from_pairs`, the one place the rules are checked: nvars (>= 1) and
-    every exponent (>= 0) are exact `int`s, never a `bool`, every vector has
-    length nvars, and no vector repeats. `monomials` is the dense form,
-    derived on demand at O(nvars) per monomial.
+    `from_terms` takes dense (coefficient, exponent vector) monomials and
+    `from_pairs` takes pairs. Every constructor ends in `from_pairs`, the
+    one place the term rules are checked: nvars (>= 1) and every exponent
+    are exact `int`s, never a `bool`, no coefficient is zero and no vector
+    repeats. `monomials` is the dense form, at O(nvars) per monomial.
     """
 
     nvars: int
     terms: tuple[tuple[Fraction, tuple[tuple[int, int], ...]], ...]
-
-    def __init__(self, nvars: int, monomials):
-        def checked_pairs():
-            """Each monomial's (coefficient, pairs), once its vector passes the
-            dense rules; from_pairs checks nvars before it asks for the first."""
-            variables = None
-            for coeff, exps in monomials:
-                exps = tuple(exps)
-                if len(exps) != nvars:
-                    raise ValueError(f"exponent vector {exps} has length != {_bounded_int(nvars)}")
-                if variables is None:
-                    # built once, and only after a vector of length nvars bounds its size by the
-                    # input; a range makes a new int per index > 256
-                    variables = tuple(range(nvars))
-                pairs = exponent_pairs(exps, variables)
-                if pairs is None:
-                    raise ValueError(f"exponents must be nonnegative integers, got {exps}")
-                yield coeff, pairs
-
-        _set_fields(self, nvars, SparsePoly.from_pairs(nvars, checked_pairs()).terms)
 
     @classmethod
     def from_pairs(cls, nvars: int, terms) -> "SparsePoly":
@@ -255,7 +229,8 @@ class SparsePoly:
     def _canonical(cls, nvars: int, terms) -> "SparsePoly":
         """From terms already checked and in canonical order."""
         poly = object.__new__(cls)
-        _set_fields(poly, nvars, terms)
+        object.__setattr__(poly, "nvars", nvars)
+        object.__setattr__(poly, "terms", tuple(terms))
         return poly
 
     @property
@@ -270,14 +245,26 @@ class SparsePoly:
 
     @classmethod
     def from_terms(cls, nvars: int, terms) -> "SparsePoly":
-        """Build from an iterable of (coefficient, dense exponent vector),
-        merging duplicates and dropping zero sums."""
-        acc: dict[tuple[int, ...], Fraction] = {}
+        """Build from (coefficient, dense exponent vector) terms. Each vector must
+        have length nvars and exact int entries >= 0, and is checked as it is read,
+        before it merges with an equal one; zero sums are dropped."""
+        if type(nvars) is not int or nvars < 1:  # exact int, so no bool
+            raise ValueError(f"nvars must be a positive integer, got {_shown(nvars)}")
+        variables = None
+        acc: dict[tuple[tuple[int, int], ...], Fraction] = {}
         for coeff, exps in terms:
             exps = tuple(exps)
-            acc[exps] = acc.get(exps, Fraction(0)) + Fraction(coeff)
-        mons = tuple((c, e) for e, c in acc.items() if c != 0)
-        return cls(nvars, mons)
+            if len(exps) != nvars:
+                raise ValueError(f"exponent vector {exps} has length != {_bounded_int(nvars)}")
+            if variables is None:
+                # built once, and only after a vector of length nvars bounds its size by the
+                # input; a range makes a new int per index > 256
+                variables = tuple(range(nvars))
+            pairs = exponent_pairs(exps, variables)
+            if pairs is None:
+                raise ValueError(f"exponents must be nonnegative integers, got {exps}")
+            acc[pairs] = acc.get(pairs, 0) + Fraction(coeff)
+        return cls.from_pairs(nvars, [(c, pairs) for pairs, c in acc.items() if c != 0])
 
     @classmethod
     def variable(cls, nvars: int, j: int, coeff=_ONE) -> "SparsePoly":

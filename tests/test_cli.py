@@ -82,6 +82,17 @@ def test_realize_json_embeds_the_certificate_text_it_writes(capsys, tmp_path):
     assert "\n".join(lines[2:]) == '  "report": ' + report.replace("\n", "\n  ") + "\n}\n"
 
 
+def test_realize_table_without_out_writes_no_text(capsys, monkeypatch):
+    code, want, _ = run(capsys, "realize", "--dim", "6", "--index", "42", "--format", "table")
+
+    def refuse(cert):
+        raise AssertionError("the certificate text is neither printed nor saved")
+
+    monkeypatch.setattr(cyindex.cli, "certificate_dumps", refuse)
+    assert run(capsys, "realize", "--dim", "6", "--index", "42", "--format", "table") == (code, want, "")
+    assert code == EXIT_OK
+
+
 def test_realize_json_output_grows_with_the_certificate(capsys):
     # one line per exponent made this 10.7 MB; the compact certificate is 1.04 MB
     code, out, _ = run(capsys, "realize", "--dim", "1000", "--index", "1999")

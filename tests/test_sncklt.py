@@ -432,7 +432,7 @@ def test_degree_zero_curve_rejected():
 
 def test_degree_cap_detail_is_bounded_on_a_large_curve():
     # a line and one degree-40 curve with all 861 monomials of degree 40
-    curve = SparsePoly(3, tuple((1, e) for e in [(a, b, 40 - a - b) for a in range(41) for b in range(41 - a)]))
+    curve = SparsePoly.from_terms(3, tuple((1, e) for e in [(a, b, 40 - a - b) for a in range(41) for b in range(41 - a)]))
     assert len(curve.terms) == 861
     leaf = LogLeaf(Wps((1, 1, 1)), ((StdCoeff(2), poly(3, (1, (1, 0, 0)))), (StdCoeff(3), curve)),
                    "plane_arrangement")
@@ -949,7 +949,7 @@ def _plane_curve(rng, homogeneous=True):
     if not homogeneous and rng.random() < 0.1:
         terms.append((1, rng.choice(_FORMS[(d + 1) % 4])))
     curve = SparsePoly.from_terms(3, [t for t in terms if t[0]])
-    return curve if not curve.is_zero() else SparsePoly(3, [(rng.choice(_CURVE_COEFFS[4:]), _FORMS[d][-1])])
+    return curve if not curve.is_zero() else SparsePoly.from_terms(3, [(rng.choice(_CURVE_COEFFS[4:]), _FORMS[d][-1])])
 
 
 def _plane_arrangement(rng):
@@ -1060,7 +1060,7 @@ def test_family_missing_last_variable_fails_the_diagonal_step():
     # no term in x_n, and {x_n = 0} and {H = 0} are tangent along the x_n-axis
     leaf = build_index_prime(13)
     coeff, h = leaf.entries[-1]
-    h_missing = SparsePoly(h.nvars, tuple(t for t in h.monomials if t[1] != (0, 0, 0, 0, 4)))
+    h_missing = SparsePoly.from_terms(h.nvars, tuple(t for t in h.monomials if t[1] != (0, 0, 0, 0, 4)))
     tampered = LogLeaf(leaf.space, leaf.entries[:-1] + ((coeff, h_missing),), leaf.klt_strategy)
     report = family_snc_check(tampered)
     assert not report.passed
@@ -1355,7 +1355,7 @@ def test_family_b_pattern_matches_the_reference_on_one_monomial_mutants():
         mutants += [h.monomials + ((Fraction(1), e),) for e in sorted(added - present)]
         passed = 0
         for monomials in mutants:
-            tampered = _with_h(leaf, SparsePoly(nv, monomials))
+            tampered = _with_h(leaf, SparsePoly.from_terms(nv, monomials))
             ok, _ = coordinate_chains(tampered)
             assert ok or not _reference_family_b(tampered), monomials
             passed += ok
@@ -1383,7 +1383,7 @@ def test_monomial_details_are_bounded_on_a_large_support(strategy, detail):
     # build_index_prime(4003) (n = 1001) with one more monomial in all 1002 variables
     leaf = build_index_prime(4003)
     h = leaf.entries[-1][1]
-    wide = SparsePoly(h.nvars, h.monomials + ((Fraction(1), (1,) * h.nvars),))
+    wide = SparsePoly.from_terms(h.nvars, h.monomials + ((Fraction(1), (1,) * h.nvars),))
     (step,) = is_klt_leaf(_retag(_with_h(leaf, wide), strategy)).steps
     assert (step.passed, step.detail) == (False, detail)
     assert len(step.detail) < 80
@@ -1404,7 +1404,7 @@ def _b15_with(drop=(), add=()):
     """_B15 with the H monomials of the listed supports dropped and the listed exponent vectors added."""
     h = _B15.entries[-1][1]
     kept = _without_supports(h, drop).monomials
-    return _with_h(_B15, SparsePoly(5, kept + tuple((Fraction(1), e) for e in add)))
+    return _with_h(_B15, SparsePoly.from_terms(5, kept + tuple((Fraction(1), e) for e in add)))
 
 
 @pytest.mark.parametrize("leaf,want,reference", [
@@ -1450,7 +1450,7 @@ def test_linear_block_mutants_against_the_reference_on_the_family_grids():
                 (((1, squared),), (True, f"{n - 1} coordinate hyperplanes and H a sum of {n} chains in {nv} variables")),
                 (((1, times),), (True, f"{n - 1} coordinate hyperplanes and H a sum of {n - 1} chains in {nv} variables")),
             ):
-                tampered = _with_h(leaf, SparsePoly(nv, kept + extra))
+                tampered = _with_h(leaf, SparsePoly.from_terms(nv, kept + extra))
                 assert coordinate_chains(tampered) == want, (m, i)
                 assert _reference_family_b(tampered) is False
                 if want[0] and m == 15:
@@ -1676,7 +1676,7 @@ def _support_polys(draw):
         st.tuples(*[st.integers(0, 2)] * nv),
     )
     exps = draw(st.lists(vectors, min_size=1, max_size=5, unique=True))
-    return SparsePoly(nv, tuple((draw(st.sampled_from((1, -1, 2, Fraction(1, 3)))), e) for e in exps))
+    return SparsePoly.from_terms(nv, tuple((draw(st.sampled_from((1, -1, 2, Fraction(1, 3)))), e) for e in exps))
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
@@ -1697,7 +1697,7 @@ _CONIC_MONOMIALS = ((2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1
 @example([0, -1, 0, 0, 1, 0])  # x*z - y^2
 @example([1, 1, 0, 2, 0, 0])  # (x + y)^2
 def test_conic_smooth_matches_the_scan(coeffs):
-    conic = SparsePoly(3, tuple((c, e) for c, e in zip(coeffs, _CONIC_MONOMIALS) if c))
+    conic = SparsePoly.from_terms(3, tuple((c, e) for c, e in zip(coeffs, _CONIC_MONOMIALS) if c))
     assert _conic_smooth(_integer_terms(conic)) == _conic_smooth_by_scan(conic)
 
 

@@ -226,6 +226,11 @@ MUTANTS = [
     Mutant("variable-unchecked", WPSPAIRS,
            "return cls.from_pairs(nvars, ((coeff, ((j, 1),)),))",
            "return cls._canonical(nvars, ((coeff, ((j, 1),)),))"),
+    # a dense vector equal to an earlier one merges into it unchecked, as from_terms once did
+    Mutant("terms-merge-before-check", WPSPAIRS,
+           "pairs = exponent_pairs(exps, variables)",
+           "pairs = next((p for p in acc if dense_exponents(nvars, p) == list(exps)), None) "
+           "or exponent_pairs(exps, variables)"),
     Mutant("well-formed-gcd", WPSPAIRS,
            "if gcd(prefix, rest_gcd[len(w) - 1 - i]) != 1:",
            "if gcd(prefix, rest_gcd[len(w) - 1 - i]) > 2:"),
