@@ -235,9 +235,12 @@ def _cmd_realize(args) -> int:
             raise _UsageError(f"cannot write {args.out}: {err.strerror or err}")
     if args.format == "json":
         # {"certificate": ..., "report": ...}: the text written above, and the
-        # report as json.dumps(..., indent=2) indents it inside the payload
+        # report as json.dumps(..., indent=2) indents it inside the payload,
+        # printed in pieces so the payload is never a second copy of the text
         report_text = _report_text(report).replace("\n", "\n  ")
-        print(f'{{\n  "certificate": {text},\n  "report": {report_text}\n}}')
+        print('{\n  "certificate": ', end="")
+        print(text, end="")
+        print(f',\n  "report": {report_text}\n}}')
     else:
         print(f"certificate: dimension {n - 1}, index {m}")
         _print_report_table(report)

@@ -16,13 +16,15 @@ terms.
 
 Arrangement strategies are checked directly: hyperplanes by one walk over
 the normal-vector subsets that eliminates each shared prefix once, within a
-fixed work budget, and plane curves by resultants of sheared equations
-(squarefree tests for transversality, gcd tests against triple points).
-Points on P^1, two-variable plane arrangements, go through the same walk.
-Both run exactly in integers after clearing each equation's denominators,
-which changes no zero set, rank, resultant root or gcd degree. The
-resultant route is conservative: a shared resultant root that cannot be
-certified harmless causes rejection, never acceptance.
+fixed work budget. Points on P^1 and lines on P^2, the plane arrangements
+of linear forms, go through the same walk. Plane arrangements with a conic
+or a cubic go by resultants of sheared equations (squarefree tests for
+transversality, gcd tests against triple points). Both run exactly in
+integers after clearing each equation's denominators, which changes no
+zero set, rank, resultant root or gcd degree. The resultant route is
+conservative: a curve the shear cannot make y-regular, or a shared
+resultant root that cannot be certified harmless, causes rejection, never
+acceptance.
 """
 
 from __future__ import annotations
@@ -105,7 +107,7 @@ def _integer_row(v) -> list[int]:
     """v times the lcm of its denominators: an integer vector spanning the same line."""
     if all(type(x) is int for x in v):
         return list(v)
-    v = [Fraction(x) for x in v]
+    v = [x if type(x) is Fraction else Fraction(x) for x in v]
     d = lcm(*[x.denominator for x in v])
     return [x.numerator * (d // x.denominator) for x in v]
 
@@ -213,10 +215,11 @@ def _subset_size(k: int, nv: int) -> int:
 
 # Resultant and triple tests the plane check may spend, counting a curve of
 # degree d as d lines: C(D, 2) + C(D, 3) for total degree D. A pair test
-# takes about 12 us for two lines and 850 us for two cubics, a triple test
-# 8 to 90 us, so the budget is about 1 s whatever the degrees. In a
-# degree-zero arrangement sum d_i (1 - 1/b_i) = 3 with each term >= d_i / 2,
-# so D <= 6 and 35 tests; 84 lines are the most that fit.
+# takes up to about 850 us for two cubics and a triple test 8 to 90 us, so
+# the budget is about 1 s whatever the degrees. Lines alone skip the tests
+# for the walk: the 84 that fit need at most C(84, 3) * 27 entry updates,
+# about 5 ms. In a degree-zero arrangement sum d_i (1 - 1/b_i) = 3 with
+# each term >= d_i / 2, so D <= 6 and 35 tests.
 _PLANE_WORK_BUDGET = 10**5
 
 
@@ -408,22 +411,28 @@ def plane_arrangement_snc(curves) -> bool:
     """Is an arrangement of plane curves (degree 1 to 3, homogeneous, in 3
     variables) simple normal crossing outside the origin of its cone?
 
-    Checks: (a) every curve smooth (lines trivially, conics by determinant,
-    cubics by the resultant gradient test), (b) every pair transversal (the
-    y-resultant after a deterministic shear is squarefree as a binary
-    form), (c) no triple points (the two resultants through a pivot curve
-    share no projective root). A 2-variable input is a point configuration
-    on P^1: every entry must be a linear form, and the hyperplane walk on
-    their integer normals decides that no two are proportional.
+    A 2-variable input is a point configuration on P^1: every entry must be
+    a linear form, and the hyperplane walk on their integer normals decides
+    that no two are proportional. Lines on P^2 go through the same walk:
+    they are planes through the origin of the cone, SNC outside it iff
+    every min(k, 3) of their normals are independent.
 
-    Each curve is cleared of denominators, sheared and split into
-    y-coefficients once, so every test runs exactly in integers.
-    Conservative by design: any uncertifiable situation returns False. A
-    nonzero constant (degree 0, no curve at all) or a curve of degree > 3
+    An arrangement with a conic or a cubic is checked for (a) every curve
+    smooth (lines trivially, conics by determinant, cubics by the resultant
+    gradient test), (b) every pair transversal (the y-resultant after a
+    deterministic shear is squarefree as a binary form), (c) no triple
+    points (the two resultants through a pivot curve share no projective
+    root). Each curve is cleared of denominators, sheared and split into
+    y-coefficients once, so every test runs exactly in integers. This route
+    is conservative by design: any uncertifiable situation returns False,
+    a curve containing the line {x2 = 0}, which no shear makes y-regular,
+    included.
+
+    A nonzero constant (degree 0, no curve at all) or a curve of degree > 3
     raises ValueError, and a non-homogeneous curve NotQuasiHomogeneous;
     each message names the entry index. The work is bounded: if the tests
     counted by _PLANE_WORK_BUDGET exceed it, a ValueError naming the
-    resource budget is raised before any curve is sheared.
+    resource budget is raised before any line is walked or curve sheared.
     """
     curves = list(curves)
     if not curves:
@@ -457,6 +466,10 @@ def plane_arrangement_snc(curves) -> bool:
     if comb(total, 2) + comb(total, 3) > _PLANE_WORK_BUDGET:
         raise ValueError(f"resource budget: {len(curves)} curves of total degree {total} need C({total}, 2) + "
                          f"C({total}, 3) resultant and triple tests, over {_PLANE_WORK_BUDGET}")
+    if all(d == 1 for d in degrees):
+        # lines: planes through the origin of the cone, SNC outside it iff
+        # every min(k, 3) of their normals are independent
+        return _walk(_integer_normals(curves), min(len(curves), 3))
     terms = [_integer_terms(c) for c in curves]
 
     # deterministic shear x -> x + k*y: smallest k making every leading

@@ -82,6 +82,16 @@ def test_realize_json_embeds_the_certificate_text_it_writes(capsys, tmp_path):
     assert "\n".join(lines[2:]) == '  "report": ' + report.replace("\n", "\n  ") + "\n}\n"
 
 
+def test_realize_json_bytes(capsys):
+    # the payload is printed in three pieces, head, certificate text and report,
+    # with the bytes it had as one string
+    code, out, _ = run(capsys, "realize", "--dim", "6", "--index", "42", "--format", "json")
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "fd3be920cdebc7f41b08ad92f23a693047bde215b61f42ca59b31f5981a3f338"
+    )
+
+
 def test_realize_table_without_out_writes_no_text(capsys, monkeypatch):
     code, want, _ = run(capsys, "realize", "--dim", "6", "--index", "42", "--format", "table")
 

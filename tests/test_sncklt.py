@@ -479,6 +479,71 @@ def test_plane_budget_admits_the_largest_benchmark_arrangement():
     assert plane_arrangement_snc(lines) is True
 
 
+def _random_lines(rng):
+    """1 to 7 nonzero normals in 3 variables with small entries; sometimes a
+    multiple of one, a combination of two (a concurrent triple) or the
+    normal of {x2 = 0} is added."""
+    rows, k = [], rng.randint(1, 5)
+    while len(rows) < k:
+        row = [rng.randint(-3, 3) for _ in range(3)]
+        if any(row):
+            rows.append(row)
+    for _ in range(rng.randint(0, 2)):
+        kind = rng.randint(0, 3)
+        if kind == 0:
+            c = rng.choice((2, -1, Fraction(1, 3)))
+            rows.append([c * x for x in rng.choice(rows)])
+        elif kind == 1 and len(rows) >= 2:
+            (u, v), a, b = rng.sample(rows, 2), rng.choice((1, 2, -3)), rng.choice((1, -1, Fraction(1, 2)))
+            w = [a * x + b * y for x, y in zip(u, v)]
+            if any(w):
+                rows.append(w)
+        elif kind == 2:
+            rows.append([0, 0, 1])
+    rng.shuffle(rows)
+    return rows
+
+
+def test_lines_are_decided_by_the_walk_without_a_shear_or_resultant(monkeypatch):
+    monkeypatch.setattr(cyindex.sncklt, "_sheared", _no_plane_work)
+    monkeypatch.setattr(cyindex.sncklt, "_resultant_y", _no_plane_work)
+    rng = random.Random(0)
+    verdicts = set()
+    for _ in range(1000):
+        rows = _random_lines(rng)
+        ok = plane_arrangement_snc([SparsePoly.linear_form(row) for row in rows])
+        assert ok is hyperplane_arrangement_snc(rows), rows
+        verdicts.add((ok, [0, 0, 1] in rows))
+    assert verdicts == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_lines_with_the_line_x2_zero_pass():
+    # the shear x0 -> x0 + k x1 maps {x2 = 0} to itself, so it never makes that
+    # line y-regular and such arrangements were once rejected; the walk decides
+    # them exactly
+    x2 = SparsePoly.linear_form((0, 0, 1))
+    assert plane_arrangement_snc([x2]) is True
+    assert plane_arrangement_snc([SparsePoly.linear_form((1, a, a * a)) for a in range(6)] + [x2]) is True
+
+
+def test_a_conic_with_the_line_x2_zero_is_still_rejected_by_the_shear(monkeypatch):
+    monkeypatch.setattr(cyindex.sncklt, "_sheared", _no_plane_work)
+    x2 = SparsePoly.linear_form((0, 0, 1))
+    # {x2 = 0} is tangent to x0 x2 - x1^2 at (1:0:0), and transversal to
+    # x0^2 + x1^2 - x2^2, which the shear's conservative rejection refuses too
+    assert plane_arrangement_snc([x2, CONIC]) is False
+    assert plane_arrangement_snc([x2, poly(3, (1, (2, 0, 0)), (1, (0, 2, 0)), (-1, (0, 0, 2)))]) is False
+
+
+def test_84_lines_are_decided_without_a_resultant(monkeypatch):
+    monkeypatch.setattr(cyindex.sncklt, "_sheared", _no_plane_work)
+    monkeypatch.setattr(cyindex.sncklt, "_resultant_y", _no_plane_work)
+    lines = [SparsePoly.linear_form((1, a, a * a)) for a in range(84)]
+    assert plane_arrangement_snc(lines) is True
+    # (2, 1, 1) is the sum of the normals for a = 0 and a = 1: a triple point
+    assert plane_arrangement_snc(lines[:-1] + [SparsePoly.linear_form((2, 1, 1))]) is False
+
+
 def test_smooth_cubic_accepted():
     fermat3 = poly(3, (1, (3, 0, 0)), (1, (0, 3, 0)), (1, (0, 0, 3)))
     assert plane_arrangement_snc([fermat3]) is True
@@ -969,15 +1034,31 @@ def _plane_arrangement(rng):
     return curves
 
 
+def _lines_snc(curves):
+    """The exact verdict on lines of P^2, in Fractions: no zero line, no two
+    proportional and every 3 x 3 minor of their normals nonzero."""
+    rows = [_dense_normal(c) for c in curves]
+    return (all(map(any, rows))
+            and all(any(_cross(u, v)) for u, v in combinations(rows, 2))
+            and all(sum(x * y for x, y in zip(u, _cross(v, w))) for u, v, w in combinations(rows, 3)))
+
+
+def _all_lines(curves):
+    """Is every curve a homogeneous form of degree 1 in 3 variables?"""
+    return all(c.nvars == 3 and _dense_normal(c) is not None for c in curves)
+
+
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(st.randoms(use_true_random=False))
 def test_plane_check_agrees_with_the_fraction_reference(rng):
     # 10 arrangements per example, 2,000 in all: drawing each one through
-    # hypothesis would cost more than both checks together
+    # hypothesis would cost more than both checks together. Lines are
+    # decided exactly, so an arrangement of lines through the line {x2 = 0}
+    # passes here although the reference's shear rejects it
     for _ in range(10):
         curves = _plane_arrangement(rng)
-        assert _outcome(plane_arrangement_snc, curves) == _outcome(_reference_plane_snc, curves), [
-            str(c) for c in curves]
+        oracle = _lines_snc if _all_lines(curves) else _reference_plane_snc
+        assert _outcome(plane_arrangement_snc, curves) == _outcome(oracle, curves), [str(c) for c in curves]
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)

@@ -210,6 +210,9 @@ MUTANTS = [
     Mutant("p1-pairs", SNCKLT,
            "return _walk(_integer_normals(curves), min(len(curves), 2))",
            "return _walk(_integer_normals(curves), min(len(curves), 1))"),
+    Mutant("plane-lines-triples", SNCKLT,
+           "return _walk(_integer_normals(curves), min(len(curves), 3))",
+           "return _walk(_integer_normals(curves), min(len(curves), 2))"),
     Mutant("plane-pair-squarefree", SNCKLT,
            "return _gcd_degree(r, [i * c for i, c in enumerate(r)][1:]) <= 0",
            "return _gcd_degree(r, [i * c for i, c in enumerate(r)][1:]) <= 1"),
