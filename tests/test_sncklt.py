@@ -1053,7 +1053,7 @@ def _all_lines(curves):
 def test_plane_check_agrees_with_the_fraction_reference(rng):
     # 10 arrangements per example, 2,000 in all: drawing each one through
     # hypothesis would cost more than both checks together. Lines are
-    # decided exactly, so an arrangement of lines through the line {x2 = 0}
+    # decided exactly, so an arrangement of lines with the line {x2 = 0}
     # passes here although the reference's shear rejects it
     for _ in range(10):
         curves = _plane_arrangement(rng)
