@@ -53,7 +53,6 @@ from .certify import (
     build_prime_power,
     build_sylvester,
     certificate_dim,
-    certificate_index,
     check_dim_inequality,
     realize,
     search_plane_pair,
@@ -93,7 +92,6 @@ __all__ = [
     "certificate_dim",
     "certificate_dumps",
     "certificate_from_obj",
-    "certificate_index",
     "certificate_loads",
     "check_dim_inequality",
     "realize",

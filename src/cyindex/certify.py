@@ -14,9 +14,8 @@ coordinate hyperplanes plus one H, and passes one klt criterion, the chain
 test; arrangements come only from input files and the plane search.
 
 A sweep over (n, m) meets the same few parts again and again, so the family
-leaf of a part of at most 64 monomials, counted from p and e before it is
-built, is built once per process (_held_part): at most 128 parts, least
-recently used first out. Every later use gets the same WpsLeaf node, which
+leaf of a part whose prime is below 128 is built once per process
+(_held_part): at most 128 parts, least recently used first out. Every later use gets the same WpsLeaf node, which
 keeps its verdict and its text once worked out (verify, codec). Bigger
 parts are built afresh.
 
@@ -41,12 +40,10 @@ from .wpspairs import (
     StdCoeff,
     Wps,
     _ONE,
-    pair_index,
 )
 
 __all__ = [
     "certificate_dim",
-    "certificate_index",
     "build_index_prime",
     "build_prime_power",
     "build_sylvester",
@@ -60,7 +57,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# dimension and index of a certificate
+# dimension of a certificate
 # ---------------------------------------------------------------------------
 
 
@@ -72,17 +69,6 @@ def certificate_dim(cert: Certificate) -> int:
             return dim
         case Product(factors):
             return sum(certificate_dim(f) for f in factors)
-    raise TypeError(f"not a certificate node: {cert!r}")
-
-
-def certificate_index(cert: Certificate) -> int:
-    match cert:
-        case WpsLeaf(leaf):
-            return pair_index(leaf)
-        case EllipticLeaf(_):
-            return 1
-        case Product(factors):
-            return lcm(*[certificate_index(f) for f in factors])
     raise TypeError(f"not a certificate node: {cert!r}")
 
 
@@ -310,18 +296,8 @@ def _core(m: int) -> list[WpsLeaf]:
         # for 8 and 9; above, check_dim_inequality is the lemma behind its
         # bound: variant 1 for p^e alone, variant 2 for 2 * p^e with p >= 3,
         # whose one exception 18 is in _EXPLICIT.
-        return [(_held_part if _part_monomials(p, e) <= _MEMO_MAX_MONOMIALS else _part)(p, e)]
+        return [(_held_part if p < _HELD_PRIMES else _part)(p, e)]
     return _core(m // p**e) + _core(p**e)
-
-
-def _part_monomials(p: int, e: int) -> int:
-    """The monomials in all of the family leaf of p^e, worked out before it
-    is built: 2n for build_index_prime(p) of dimension n, so (p+3)/2 for
-    p = 1 (mod 4) and (p+1)/2 for p = 3 (mod 4), and e coordinate
-    hyperplanes plus p + e - 2 terms of H for build_prime_power(p, e)."""
-    if e == 1:
-        return (p + 3) // 2 if p % 4 == 1 else (p + 1) // 2
-    return p + 2 * e - 2
 
 
 def _part(p: int, e: int) -> WpsLeaf:
@@ -329,17 +305,19 @@ def _part(p: int, e: int) -> WpsLeaf:
     return WpsLeaf(build_index_prime(p) if e == 1 else build_prime_power(p, e))
 
 
-# A part of at most this many monomials in all is built once per process. In
+# The family part of a prime below this is built once per process:
+# build_index_prime(p) has at most 64 monomials exactly when p < 128, and so
+# has every part of p^e with phi(p^e) <= 2000 (tests/test_certify.py). In
 # theorem_sweep (seed 1, 16 passes) 2,393 of 2,500 leaf uses cover 52
 # distinct leaves of at most 64 monomials; bigger parts are rarely met again.
-_MEMO_MAX_MONOMIALS = 64
+_HELD_PRIMES = 128
 
 # The parts held: more than twice the 52 small leaves of that sweep.
 _MEMO_LEAVES = 128
 
-# The family leaves of at most _MEMO_MAX_MONOMIALS monomials, built once per
-# process: a sweep over (n, m) meets the same few parts again and again, and
-# the one node of each keeps its verdict and its text.
+# The family parts of a prime below _HELD_PRIMES, built once per process: a
+# sweep over (n, m) meets the same few parts again and again, and the one
+# node of each keeps its verdict and its text.
 _held_part = lru_cache(maxsize=_MEMO_LEAVES)(_part)
 
 

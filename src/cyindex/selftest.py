@@ -15,7 +15,6 @@ from .certify import (
     base_leaf,
     build_index_prime,
     build_prime_power,
-    certificate_index,
     check_dim_inequality,
     realize,
     search_plane_pair,
@@ -170,7 +169,7 @@ def check_realize() -> int:
             _require((report.dim, report.index) == (n - 1, m),
                      f"{call} verifies as dimension {report.dim}, index {report.index}")
             if isinstance(cert, Product):
-                idxs = [certificate_index(f) for f in cert.factors]
+                idxs = [verify_certificate(f, "strict").index for f in cert.factors]
                 _require(prod(idxs) == lcm(*idxs), f"{call} has factor indices {idxs}, not pairwise coprime")
             pairs += 1
     _require(pairs >= 200, f"only {pairs} pairs with 3 <= n <= 10")

@@ -22,14 +22,13 @@ from cyindex.certify import (
     build_prime_power,
     build_sylvester,
     certificate_dim,
-    certificate_index,
     check_dim_inequality,
     realize,
     search_plane_pair,
 )
 from cyindex.codec import CertificateParseError, certificate_dumps, certificate_from_obj, certificate_loads
 from cyindex.verify import EllipticLeaf, Product, WpsLeaf, verify_certificate
-from cyindex.numtheory import euler_phi, factorize, indices_with_phi_at_most, sylvester_bound
+from cyindex.numtheory import euler_phi, indices_with_phi_at_most, sylvester_bound
 import cyindex
 import cyindex.certify
 import cyindex.cli
@@ -223,7 +222,7 @@ def test_base_dim1_catalogue():
     assert [c.b for c, _ in leaf.entries] == [2, 3, 6]
     for m in (2, 3, 4, 6):
         cert = base_leaf(1, m)
-        assert certificate_dim(cert) == 1 and certificate_index(cert) == m
+        assert certificate_dim(cert) == 1 and verify_certificate(cert).index == m
         assert verify_certificate(cert, "strict").passed
     with pytest.raises(ValueError):
         base_leaf(1, 5)
@@ -233,7 +232,7 @@ def test_base_dim2_catalogue():
     assert BASE_DIM2_INDICES == (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 18)
     for m in BASE_DIM2_INDICES:
         cert = base_leaf(2, m)
-        assert certificate_dim(cert) == 2 and certificate_index(cert) == m
+        assert certificate_dim(cert) == 2 and verify_certificate(cert).index == m
         report = verify_certificate(cert, "strict")
         assert report.passed, (m, report.failing_checks())
         assert (report.dim, report.index) == (2, m)
@@ -273,14 +272,14 @@ def test_inequality_examples():
 def test_realize_4_16_is_a_single_leaf():
     cert = realize(4, 16)
     assert isinstance(cert, WpsLeaf)
-    assert certificate_dim(cert) == 3 and certificate_index(cert) == 16
+    assert certificate_dim(cert) == 3 and verify_certificate(cert).index == 16
 
 
 def test_realize_4_15_splits_coprime():
     cert = realize(4, 15)
     assert isinstance(cert, Product) and len(cert.factors) == 2
-    assert sorted(certificate_index(f) for f in cert.factors) == [3, 5]
-    assert certificate_dim(cert) == 3 and certificate_index(cert) == 15
+    assert sorted(verify_certificate(f).index for f in cert.factors) == [3, 5]
+    assert certificate_dim(cert) == 3 and verify_certificate(cert).index == 15
 
 
 def test_realize_3_6_pads_the_p1_pair():
@@ -288,7 +287,7 @@ def test_realize_3_6_pads_the_p1_pair():
     assert isinstance(cert, Product)
     kinds = sorted(type(f).__name__ for f in cert.factors)
     assert kinds == ["EllipticLeaf", "WpsLeaf"]
-    assert certificate_dim(cert) == 2 and certificate_index(cert) == 6
+    assert certificate_dim(cert) == 2 and verify_certificate(cert).index == 6
 
 
 def test_realize_rejects_out_of_range():
@@ -318,7 +317,7 @@ def test_realize_far_cases():
             continue
         cert = realize(n, m)
         assert certificate_dim(cert) == n - 1
-        assert certificate_index(cert) == m
+        assert verify_certificate(cert).index == m
         assert verify_certificate(cert, "trusting").passed
 
 
@@ -326,7 +325,7 @@ def test_realize_is_flat_with_one_trailing_elliptic_leaf():
     for n in range(3, 41):
         for m in indices_with_phi_at_most(2 * n):
             cert = realize(n, m)
-            assert certificate_dim(cert) == n - 1 and certificate_index(cert) == m, (n, m)
+            assert certificate_dim(cert) == n - 1 and verify_certificate(cert).index == m, (n, m)
             if not isinstance(cert, Product):
                 continue
             factors = cert.factors
@@ -343,9 +342,9 @@ def test_padding_lemma_at_the_least_dimension_for_phi_up_to_1000():
     for m in indices:
         n0 = max(3, euler_phi(m) // 2)
         cert = realize(n0, m)
-        assert certificate_dim(cert) == n0 - 1 and certificate_index(cert) == m, (n0, m)
+        assert certificate_dim(cert) == n0 - 1 and verify_certificate(cert).index == m, (n0, m)
         factors = cert.factors if isinstance(cert, Product) else (cert,)
-        idxs = [certificate_index(f) for f in factors]
+        idxs = [verify_certificate(f).index for f in factors]
         assert lcm(*idxs) == prod(idxs), (n0, m, idxs)
         # every leaf is a chain leaf, checked by the one family criterion
         assert all(f.leaf.klt_strategy in ("family_A", "family_B", "family_C")
@@ -373,7 +372,7 @@ def test_realize_far_beyond_the_recursion_limit():
 def test_monotone_padding():
     inner = realize(3, 8)
     padded = Product((inner, EllipticLeaf(3)))
-    assert certificate_index(padded) == certificate_index(inner) == 8
+    assert verify_certificate(padded).index == verify_certificate(inner).index == 8
     assert certificate_dim(padded) == certificate_dim(inner) + 3
 
 
@@ -617,12 +616,14 @@ def test_a_small_part_is_built_once_and_a_bigger_one_afresh():
     assert held.cache_info().currsize == 2
 
 
-def test_a_parts_monomials_are_counted_before_it_is_built():
-    for q in range(5, 400):
-        (p, e), *rest = factorize(q)
-        if not rest and q not in cyindex.certify._EXPLICIT:
-            leaf = cyindex.certify._part(p, e).leaf
-            assert cyindex.certify._part_monomials(p, e) == sum(len(eq.terms) for _, eq in leaf.entries), q
+def test_a_family_part_is_held_iff_its_leaf_has_at_most_64_monomials():
+    cyindex.certify._held_part.cache_clear()
+    explicit = {id(node) for node in cyindex.certify._EXPLICIT.values()}
+    for m in indices_with_phi_at_most(2000):
+        for first, second in zip(cyindex.certify._core(m), cyindex.certify._core(m)):
+            if id(first) not in explicit:
+                monomials = sum(len(eq.terms) for _, eq in first.leaf.entries)
+                assert (first is second) == (monomials <= 64), (m, monomials)
 
 
 def test_the_writer_holds_the_text_of_every_small_leaf():
@@ -896,7 +897,7 @@ def test_quasi_homogeneous_detail_is_bounded_on_a_large_leaf():
 ], ids=["index-prime-4001", "sylvester-14", "sylvester-15"])
 def test_verifier_details_are_bounded(cert):
     report = verify_certificate(cert, "strict")
-    assert report.passed and report.index == certificate_index(cert)
+    assert report.passed and report.index == pair_index(cert.leaf)
     details = {name: d for name, _, d in report.leaf_reports[0].checks}
     assert max(map(len, details.values())) <= 500, {k: len(d) for k, d in details.items()}
     if cert.leaf.dim == 1001:

@@ -13,11 +13,9 @@ from cyindex.certify import (
     base_leaf,
     build_index_prime,
     build_prime_power,
-    certificate_index,
     search_plane_pair,
 )
 from cyindex.selftest import _family_leaves
-from cyindex.verify import WpsLeaf
 from cyindex.wpspairs import (
     LogLeaf,
     NotQuasiHomogeneous,
@@ -733,8 +731,7 @@ _HUGE = 10**5000  # more decimal digits than str() converts by default
 
 
 @pytest.mark.parametrize("call,message", [
-    (lambda: certificate_index(WpsLeaf(LogLeaf(
-        Wps((1, 1)), ((StdCoeff(2), SparsePoly.variable(_HUGE, 0)),), "family_A"))),
+    (lambda: pair_index(LogLeaf(Wps((1, 1)), ((StdCoeff(2), SparsePoly.variable(_HUGE, 0)),), "family_A")),
      "equation in <16610-bit integer> variables on a space with 2 weights"),
     (lambda: SparsePoly.variable(_HUGE, -1),
      "bad exponent pair (-1, 1): pairs need increasing int variables below <16610-bit integer>"),
@@ -752,7 +749,7 @@ _HUGE = 10**5000  # more decimal digits than str() converts by default
     (lambda: StdCoeff("3"), "got '3'"),
     (lambda: SparsePoly.variable(3, "1"), "bad exponent pair ('1', 1)"),
     (lambda: SparsePoly.from_pairs(2.0, ()), "got 2.0"),
-], ids=["certificate-index-arity", "variable-pair", "from-pairs-pair", "from-pairs-exponent", "dense-length", "nvars",
+], ids=["pair-index-arity", "variable-pair", "from-pairs-pair", "from-pairs-exponent", "dense-length", "nvars",
         "weight", "std-coeff", "float-weight", "bool-weight", "str-b", "str-variable", "float-nvars"])
 def test_library_messages_bound_huge_integers(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):

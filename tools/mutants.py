@@ -71,11 +71,8 @@ MUTANTS = [
            "if bits >= COEFF_BITS_BUDGET:"),
     # the builder's memo and the text kept on a leaf node
     Mutant("part-gate-ge", CERTIFY,
-           "if _part_monomials(p, e) <= _MEMO_MAX_MONOMIALS else",
-           "if _part_monomials(p, e) < _MEMO_MAX_MONOMIALS else"),
-    Mutant("part-count-prime", CERTIFY,
-           "return (p + 3) // 2 if p % 4 == 1 else (p + 1) // 2",
-           "return (p + 1) // 2"),
+           "if p < _HELD_PRIMES else",
+           "if p < _HELD_PRIMES + 4 else"),
     Mutant("writer-digits-key", CODEC,
            "if kept is not None and kept[0] == digits:",
            "if kept is not None:"),
