@@ -15,9 +15,9 @@ test; arrangements come only from input files and the plane search.
 
 A sweep over (n, m) meets the same few parts again and again, so the family
 leaf of a part whose prime is below 128 is built once per process
-(_held_part): at most 128 parts, least recently used first out. Every later use gets the same WpsLeaf node, which
-keeps its verdict and its text once worked out (verify, codec). Bigger
-parts are built afresh.
+(_held_part): at most 128 parts, least recently used first out. Every later
+use gets the same WpsLeaf node, which keeps its verdict and its text once
+worked out (verify, codec). Parts of bigger primes are built afresh.
 
 The plane search returns the first catalogue arrangement of the index and
 judges none: every multiset of its table instantiates to a leaf that
