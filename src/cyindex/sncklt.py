@@ -18,13 +18,13 @@ Arrangement strategies are checked directly: hyperplanes by one walk over
 the normal-vector subsets that eliminates each shared prefix once, within a
 fixed work budget. Points on P^1 and lines on P^2, the plane arrangements
 of linear forms, go through the same walk. Plane arrangements with a conic
-or a cubic go by resultants of sheared equations (squarefree tests for
-transversality, gcd tests against triple points). Both run exactly in
-integers after clearing each equation's denominators, which changes no
-zero set, rank, resultant root or gcd degree. The resultant route is
-conservative: a curve the shear cannot make y-regular, or a shared
-resultant root that cannot be certified harmless, causes rejection, never
-acceptance.
+or a cubic go by resultants of sheared equations (gradient tests for
+smoothness, squarefree tests for transversality, gcd tests against triple
+points). Both run exactly in integers after clearing each equation's
+denominators, which changes no zero set, rank, resultant root or gcd
+degree. The resultant route is conservative: a curve the shear cannot make
+y-regular, or a shared resultant root that cannot be certified harmless,
+causes rejection, never acceptance.
 """
 
 from __future__ import annotations
@@ -372,36 +372,28 @@ def _share_projective_root(r1, d1, r2, d2) -> bool:
     return _gcd_degree(r1, r2) >= 1
 
 
-def _conic_smooth(terms) -> bool:
-    """Smoothness of a plane conic with integer coefficients: its symmetric
-    matrix M is singular iff the integer matrix 2M is, det 2M = 8 det M."""
-    m = [[0] * 3 for _ in range(3)]
-    for c, e in terms:
-        i, j = [v for v in range(3) for _ in range(e[v])]
-        m[i][j] += c
-        m[j][i] += c
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    ) != 0
+def _smooth_certified(rows: list[list[int]], d: int) -> bool:
+    """Gradient common-zero test for a sheared conic or cubic (rows, d),
+    d = 2 or 3, via resultants.
 
-
-def _cubic_smooth_certified(rows: list[list[int]]) -> bool:
-    """Gradient common-zero test for a sheared plane cubic, via resultants.
-
-    The shear makes the y-partial y-regular of degree 2 with constant
-    leading coefficient, so the resultants of (F_y, F_x) and (F_y, F_z)
-    project every common gradient zero faithfully. Certifies smoothness
-    when those two resultants share no projective root; anything unclear is
-    rejected, never accepted. The partials are read off the rows: F_x, F_y
-    and F_z scale the coefficient of x^a y^b z^(3-a-b) by a, b and 3-a-b.
+    The shear makes F(k,1,0) != 0, so F_y has y-degree d - 1 with the
+    constant leading coefficient d F(k,1,0), and the resultants of (F_y, F_x)
+    and (F_y, F_z) project every common gradient zero faithfully. By Euler's
+    formula a common zero is a singular point. Smoothness is certified when
+    the two resultants share no projective root; a zero resultant counts as
+    shared, and F_x or F_z identically zero (a cone over a binary form) is
+    singular. Cubics are conservative: the two zeros may lie at different y
+    over one (x:z). Conics are exact: F_y is linear in y, so y is fixed by
+    (x:z), and the resultants are linear forms in (x:z), zero or not, that
+    share a root iff the partials have a common zero. The partials are read
+    off the rows: F_x, F_y and F_z scale the coefficient of x^a y^b z^(d-a-b)
+    by a, b and d-a-b.
     """
-    fy = _trim([[b * c for c in row] for b, row in enumerate(rows)][1:]), 2
-    fx = _trim([[a * c for a, c in enumerate(row)][1:] for row in rows]), 2
-    fz = _trim([_trim([(3 - a - b) * c for a, c in enumerate(row)]) for b, row in enumerate(rows)]), 2
+    fy = _trim([[b * c for c in row] for b, row in enumerate(rows)][1:]), d - 1
+    fx = _trim([[a * c for a, c in enumerate(row)][1:] for row in rows]), d - 1
+    fz = _trim([_trim([(d - a - b) * c for a, c in enumerate(row)]) for b, row in enumerate(rows)]), d - 1
     if not fx[0] or not fz[0]:
-        return False  # cone over a binary cubic: singular
+        return False  # cone over a binary form: singular
     r1, d1 = _resultant_y(fy, fx)
     r2, d2 = _resultant_y(fy, fz)
     return not _share_projective_root(r1, d1, r2, d2)
@@ -418,8 +410,8 @@ def plane_arrangement_snc(curves) -> bool:
     every min(k, 3) of their normals are independent.
 
     An arrangement with a conic or a cubic is checked for (a) every curve
-    smooth (lines trivially, conics by determinant, cubics by the resultant
-    gradient test), (b) every pair transversal (the y-resultant after a
+    smooth (lines trivially, conics and cubics by one gradient test, exact
+    for conics), (b) every pair transversal (the y-resultant after a
     deterministic shear is squarefree as a binary form), (c) no triple
     points (the two resultants through a pivot curve share no projective
     root). Each curve is cleared of denominators, sheared and split into
@@ -481,10 +473,8 @@ def plane_arrangement_snc(curves) -> bool:
     sheared = [_sheared(t, d, shear_k) for t, d in zip(terms, degrees)]
 
     # (a) smoothness
-    for t, (rows, d) in zip(terms, sheared):
-        if d == 2 and not _conic_smooth(t):
-            return False
-        if d == 3 and not _cubic_smooth_certified(rows):
+    for rows, d in sheared:
+        if d > 1 and not _smooth_certified(rows, d):
             return False
 
     # (b) pairwise transversality
@@ -682,14 +672,13 @@ def _not_hyperplane(eq: SparsePoly) -> str | None:
 
 
 def _integer_normals(eqs: list[SparsePoly]) -> list[list[int]]:
-    """The integer normal of each hyperplane, cleared of denominators and
-    built straight from its (variable, coefficient) pairs."""
+    """The integer normal of each hyperplane, built straight from its
+    (variable, coefficient) pairs with the coefficients cleared by _integer_row."""
     rows = []
     for eq in eqs:
         row = [0] * eq.nvars
-        d = lcm(*[c.denominator for c, _ in eq.terms])
-        for c, ((j, _),) in eq.terms:
-            row[j] = c.numerator * (d // c.denominator)
+        for c, (_, ((j, _),)) in zip(_integer_row([c for c, _ in eq.terms]), eq.terms):
+            row[j] = c
         rows.append(row)
     return rows
 

@@ -297,6 +297,14 @@ def test_realize_rejects_out_of_range():
         realize(2, 3)
 
 
+@pytest.mark.parametrize("n, m", [(3, 10**4000), (10**3000, 10**7000)], ids=["huge-m", "huge-n-and-m"])
+def test_realize_refuses_a_huge_index_with_a_short_message(n, m):
+    # the integers are written as bit lengths, within the int-to-str digit limit
+    with pytest.raises(ValueError, match="out of range") as err:
+        realize(n, m)
+    assert len(str(err.value)) < 200
+
+
 def test_realize_deterministic():
     assert certificate_dumps(realize(9, 27)) == certificate_dumps(realize(9, 27))
 

@@ -20,15 +20,14 @@ from cyindex.sncklt import (
     STEP_KLT,
     STEP_PLANE,
     STEP_SHAPE,
-    _conic_smooth,
     _coordinate_var,
-    _cubic_smooth_certified,
     _gcd_degree,
     _integer_row,
     _integer_terms,
     _mul,
     _resultant_y,
     _sheared,
+    _smooth_certified,
     _trim,
     _walk,
     coordinate_chains,
@@ -558,7 +557,7 @@ def test_selftest_corpus_reaches_the_cubic_and_triple_point_branches():
     cases = dict(_not_klt_leaves())
     nodal, triple = cases["a nodal cubic"], cases["two lines meeting on a conic"]
     (curve,) = nodal.equations()
-    assert _cubic_smooth_certified(_sheared(_integer_terms(curve), 3, 1)[0]) is False
+    assert _smooth_certified(_sheared(_integer_terms(curve), 3, 1)[0], 3) is False
     assert [plane_arrangement_snc(pair) for pair in combinations(triple.equations(), 2)] == [True] * 3
     assert not is_klt_leaf(nodal).passed and not is_klt_leaf(triple).passed
 
@@ -566,7 +565,9 @@ def test_selftest_corpus_reaches_the_cubic_and_triple_point_branches():
 def test_selftest_corpus_reaches_the_conic_branch():
     two_lines = dict(_not_klt_leaves())["a conic that is two lines"]
     (curve,) = two_lines.equations()
-    assert weighted_degree(curve, Wps((1, 1, 1))) == 2 and _conic_smooth(_integer_terms(curve)) is False
+    terms = _integer_terms(curve)
+    assert weighted_degree(curve, Wps((1, 1, 1))) == 2 and _least_shear(terms) == 1
+    assert _smooth_certified(_sheared(terms, 2, 1)[0], 2) is False
     assert two_lines.klt_strategy == "plane_arrangement" and not is_klt_leaf(two_lines).passed
 
 
@@ -1723,6 +1724,11 @@ def _h_support_ok_by_scan(h, block, residual, mixed):
     return True, ""
 
 
+def _least_shear(terms):
+    """The least k in 0..100 with F(k,1,0) != 0, as the plane route picks it, or None."""
+    return next((k for k in range(101) if sum(c * k**a for c, (a, _, z) in terms if z == 0)), None)
+
+
 def _conic_smooth_by_scan(curve):
     m = [[Fraction(0)] * 3 for _ in range(3)]
     for c, exps in curve.monomials:
@@ -1778,8 +1784,14 @@ _CONIC_MONOMIALS = ((2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1
 @example([0, -1, 0, 0, 1, 0])  # x*z - y^2
 @example([1, 1, 0, 2, 0, 0])  # (x + y)^2
 def test_conic_smooth_matches_the_scan(coeffs):
+    # the gradient test on the conic as the plane route shears it is exact
     conic = SparsePoly.from_terms(3, tuple((c, e) for c, e in zip(coeffs, _CONIC_MONOMIALS) if c))
-    assert _conic_smooth(_integer_terms(conic)) == _conic_smooth_by_scan(conic)
+    terms = _integer_terms(conic)
+    k = _least_shear(terms)
+    if k is None:  # the conic contains {x2 = 0}
+        assert not _conic_smooth_by_scan(conic)
+    else:
+        assert _smooth_certified(_sheared(terms, 2, k)[0], 2) == _conic_smooth_by_scan(conic)
 
 
 def test_family_shapes_match_the_scans_on_the_grids():

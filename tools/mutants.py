@@ -216,9 +216,16 @@ MUTANTS = [
     Mutant("plane-triple-shared-root", SNCKLT,
            "if _share_projective_root(r1, d1, r2, d2):",
            "if False:"),
+    # the one smoothness test: conics skipped, and F_z read with the cubic's degree
     Mutant("plane-conic-smooth", SNCKLT,
-           "if d == 2 and not _conic_smooth(t):",
-           "if False:"),
+           "if d > 1 and not _smooth_certified(rows, d):",
+           "if d > 2 and not _smooth_certified(rows, d):"),
+    Mutant("smooth-partial-degree", SNCKLT,
+           "(d - a - b) * c",
+           "(3 - a - b) * c",
+           equivalent="on a conic it reads F_z + F, which is 3/2 F_z where F_x = F_y = 0 off {z = 0} by "
+                      "Euler's formula, and a conic singular on {z = 0} has F_x, F_y proportional, a zero "
+                      "first resultant; on a cubic it is the same line"),
     Mutant("plane-cubic-smooth", SNCKLT,
            "return not _share_projective_root(r1, d1, r2, d2)",
            "return True"),

@@ -41,7 +41,10 @@ sha256 of `log_degree` and `pair_index` (or the exception each raises),
 TEXT that of the space and the coefficients as text; the text of a space
 is bounded, so it lists at most 16 weights. Then `plane P1 FORMS VERDICT`
 for `plane_arrangement_snc` on each multiset of at most 4 of the forms
-on P^1 named in `_P1_FORMS`. Last the hyperplane check:
+on P^1 named in `_P1_FORMS`, and `plane P2 FORMS VERDICT` on each
+multiset of at most 3 of the forms on P^2 named in `_P2_FORMS`: the six
+catalogue lines, a smooth and a singular conic, a tangent line, and a
+smooth and a nodal cubic. Last the hyperplane check:
 `hyperplane vandermonde NV K REPORT` for the leaf of K hyperplanes
 sum_i t^i x_i, t = 10, ..., 9 + K, on P^(NV-1), each with b = 2, for
 2 <= NV <= 6 and NV <= K <= 2 NV, REPORT the sha256 of its strict report;
@@ -96,7 +99,7 @@ from cyindex import (  # noqa: E402
     search_plane_pair,
     verify_certificate,
 )
-from cyindex.certify import _EXPLICIT, BASE_DIM1_INDICES  # noqa: E402
+from cyindex.certify import _EXPLICIT, _P2_LINES, BASE_DIM1_INDICES  # noqa: E402
 from cyindex.cli import main as cli_main  # noqa: E402
 from cyindex.selftest import _family_leaves  # noqa: E402
 
@@ -109,6 +112,15 @@ _P1_FORMS = {
     "x0/2": SparsePoly.linear_form((Fraction(1, 2), 0)),
     "-x1": SparsePoly.linear_form((0, -1)),
     "x0^2": SparsePoly.from_pairs(2, [(1, ((0, 2),))]),
+}
+
+_P2_FORMS = {
+    **{f"line{j}": line for j, line in enumerate(_P2_LINES)},
+    "x0x2-x1^2": SparsePoly.from_terms(3, [(1, (1, 0, 1)), (-1, (0, 2, 0))]),
+    "x0x1": SparsePoly.from_terms(3, [(1, (1, 1, 0))]),
+    "x0": SparsePoly.linear_form((1, 0, 0)),  # tangent to x0x2-x1^2 at [0:0:1]
+    "x0^3+x1^3+x2^3": SparsePoly.from_terms(3, [(1, (3, 0, 0)), (1, (0, 3, 0)), (1, (0, 0, 3))]),
+    "x1^2x2-x0^3-x0^2x2": SparsePoly.from_terms(3, [(1, (0, 2, 1)), (-1, (3, 0, 0)), (-1, (2, 0, 1))]),
 }
 
 _HYPERPLANE_VECTORS = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, -1, 0), (0, 1, 1), (1, 1, 1), (2, 2, 2),
@@ -268,6 +280,10 @@ def main() -> int:
         for names in combinations_with_replacement(_P1_FORMS, k):
             verdict = _outcome(plane_arrangement_snc, [_P1_FORMS[n] for n in names])
             print(f"plane P1 {','.join(names) or '-'} {verdict}")
+    for k in range(4):
+        for names in combinations_with_replacement(_P2_FORMS, k):
+            verdict = _outcome(plane_arrangement_snc, [_P2_FORMS[n] for n in names])
+            print(f"plane P2 {','.join(names) or '-'} {verdict}")
     for nv in range(2, 7):
         for k in range(nv, 2 * nv + 1):
             eqs = [SparsePoly.linear_form([t**i for i in range(nv)]) for t in range(10, 10 + k)]
