@@ -258,15 +258,15 @@ def realize(n: int, m: int) -> Certificate:
         raise ValueError(f"realize requires n >= 3, got {_shown(n)}")
     if not isinstance(m, int) or m < 1:
         raise ValueError(f"realize requires a positive index, got {_shown(m)}")
-    # every integer in a message is bounded, so a huge n or m gives a short one
-    shown_m, two_n = _bounded_int(m), _bounded_int(2 * n)
     if m > 8 * n * n:
         # phi(m) >= sqrt(m/2) > 2n, decided without factoring a huge m
-        raise ValueError(f"{shown_m} > 8n^2 = {_bounded_int(8 * n * n)}, so phi({shown_m}) > 2n = {two_n}: "
-                         "index out of range")
+        shown = _bounded_int(m)
+        raise ValueError(f"{shown} > 8n^2 = {_bounded_int(8 * n * n)}, so phi({shown}) > 2n = "
+                         f"{_bounded_int(2 * n)}: index out of range")
     phi = euler_phi(m)
     if phi > 2 * n:
-        raise ValueError(f"phi({shown_m}) = {_bounded_int(phi)} > 2n = {two_n}: index out of range")
+        raise ValueError(f"phi({_bounded_int(m)}) = {_bounded_int(phi)} > 2n = {_bounded_int(2 * n)}: "
+                         "index out of range")
 
     factors = _core(m)
     pad = n - 1 - sum(certificate_dim(f) for f in factors)
