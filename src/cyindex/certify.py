@@ -84,10 +84,11 @@ def _chain_leaf(weights, coords, h_b: int, h_terms, strategy: str) -> LogLeaf:
     (j, b) in coords, then (h_b-1)/h_b on H: the sum, with coefficient 1, of
     the monomials prod x_v^p given by h_terms as tuples of (v, p) pairs with
     increasing v. Every leaf that realize and base_leaf emit is built here:
-    coordinate hyperplanes plus one H, which the chain criterion checks."""
-    nv = len(weights)
-    entries = [(StdCoeff(b), SparsePoly.variable(nv, j)) for j, b in coords]
-    entries.append((StdCoeff(h_b), SparsePoly.from_pairs(nv, [(_ONE, pairs) for pairs in h_terms])))
+    coordinate hyperplanes, each held as its index j, plus one H, which the
+    chain criterion checks. Entries of one b share one StdCoeff."""
+    coeffs = {b: StdCoeff(b) for b in {h_b, *[b for _, b in coords]}}
+    entries = [(coeffs[b], j) for j, b in coords]
+    entries.append((coeffs[h_b], SparsePoly.from_pairs(len(weights), [(_ONE, pairs) for pairs in h_terms])))
     return LogLeaf(Wps(tuple(weights)), tuple(entries), strategy)
 
 

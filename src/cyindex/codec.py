@@ -15,6 +15,10 @@ Every other text goes to the one general path, json.loads and one
 field-by-field walk, which raises each error at its absolute JSON path,
 built as the walk descends (certificate_loads, logleaf_from_obj).
 
+A family leaf's int entry j is written as the dense vector of x_j with
+coefficient [1,1], the text of SparsePoly.variable(nv, j), which the
+scanner reads back as j.
+
 The writer keeps the text of a leaf of at most 4,096 characters on its
 node, with the digit limit it was written under (_node_text), so a node
 met again, as the builder and the reader hand them back, is written once
@@ -110,13 +114,20 @@ def _leaf_text(leaf: LogLeaf) -> str:
     int subclass b by its int value. A dense exponent vector is its nonzero
     exponents, each written with its comma, and slices of one run of "0,"
     between them; the vector's last comma is left out by writing its last
-    run of zeros one character short, or by trimming its last exponent."""
+    run of zeros one character short, or by trimming its last exponent. An
+    int entry j is written as the one monomial 1 * x_j in len(weights)
+    variables: its dense vector is j zeros, 1, then the rest of the zeros."""
     out = [_LEAF_HEAD]
     zeros = ""
+    weights = leaf.space.weights
     for coeff, eq in leaf.entries:
-        nv = eq.nvars  # the space's weight count on every leaf that verifies
+        nv = len(weights) if type(eq) is int else eq.nvars  # the weight count on every leaf that verifies
         if len(zeros) != 2 * nv:
             zeros = "0," * nv
+        if type(eq) is int:  # zeros[2j + 1:2nv - 1] is "," + "0," * (nv - j - 1) less its last comma
+            out.append('{"b":%d,"eq":[{"c":[1,1],"e":[%s1%s]}]},'
+                       % (coeff.b, zeros[:2 * eq], zeros[2 * eq + 1:2 * nv - 1]))
+            continue
         out.append('{"b":%d,"eq":[' % coeff.b)
         for c, pairs in eq.terms:
             out.append('{"c":[%d,%d],"e":[' % (c.numerator, c.denominator))
@@ -136,7 +147,7 @@ def _leaf_text(leaf: LogLeaf) -> str:
             out.append("]},")
     if leaf.entries:
         out[-1] = out[-1][:-1]
-    out += (_LEAF_STRATEGY, _json_text(leaf.klt_strategy), _LEAF_WEIGHTS, ",".join(map(str, leaf.space.weights)), "]}")
+    out += (_LEAF_STRATEGY, _json_text(leaf.klt_strategy), _LEAF_WEIGHTS, ",".join(map(str, weights)), "]}")
     return "".join(out)
 
 
@@ -287,8 +298,9 @@ def _scan_leaf(text: str) -> LogLeaf | None:
 
     The leaf is built by Wps, StdCoeff, SparsePoly.from_pairs in
     len(weights) variables and LogLeaf, and every equation has a monomial,
-    so it is a leaf the general path can return. What only the text's form
-    decides (key order, number spelling, vector length, reduced
+    so it is a leaf the general path can return; the one monomial 1 * x_j
+    is handed to LogLeaf as j, the form LogLeaf holds it in. What only the
+    text's form decides (key order, number spelling, vector length, reduced
     coefficients) is not checked here; _read_piece does that by writing the
     leaf back. Raises only ValueError, an int over the int-to-str digit
     limit included, and ZeroDivisionError, for a zero denominator."""
@@ -334,7 +346,10 @@ def _scan_leaf(text: str) -> LogLeaf | None:
             if not text.startswith("]},", pos):
                 break
             pos += 3
-        entries.append((coeff, SparsePoly.from_pairs(nv, terms)))
+        if len(terms) == 1 and terms[0][0] is _ONE and len(pairs) == 1 and pairs[0][1] == 1:
+            entries.append((coeff, pairs[0][0]))  # 1 * x_j, held as j
+        else:
+            entries.append((coeff, SparsePoly.from_pairs(nv, terms)))
         pos += 5  # past ']}]},' to the next entry, or past the ']}]}' before the tail
     return LogLeaf(Wps(weights), tuple(entries), strategy)
 

@@ -97,6 +97,10 @@ def check_dim_inequalities() -> None:
         raise AssertionError(f"check_dim_inequality({m}, {e}, {variant}) accepts an excluded pair")
 
 
+# x0, which a family leaf holds as the index 0, and 2 * x0, which it keeps as a polynomial
+_DOUBLED = "a coordinate hyperplane beside its double"
+
+
 def _not_klt_leaves():
     """(name, leaf) for leaves the klt checker must reject: boundaries that are not simple
     normal crossing, an SNC leaf whose tag names another shape, and a constant entry."""
@@ -124,6 +128,7 @@ def _not_klt_leaves():
     no_x2 = SparsePoly.from_terms(3, [(1, (1, 0, 0)), (1, (0, 2, 0))])  # tangent to {x0 = 0} at [0:0:1]
     yield "a repeated coordinate hyperplane", LogLeaf(
         Wps((2, 1, 1)), ((StdCoeff(3), x0), (StdCoeff(9), x0), h), "family_C")
+    yield _DOUBLED, LogLeaf(Wps((2, 1, 1)), ((StdCoeff(3), x0), (StdCoeff(9), SparsePoly.variable(3, 0, 2)), h), "family_C")
     yield "a diagonal H missing a variable", LogLeaf(
         Wps((2, 1, 1)), ((StdCoeff(2), x0), (StdCoeff(3), no_x2)), "family_A")
     # x0 + x1*x3 + x2^2 + x3^4 on P(4,3,2,1) without one monomial stays quasi-homogeneous, but
@@ -143,7 +148,9 @@ def _not_klt_leaves():
 
 def check_klt() -> None:
     """The klt checker passes every family leaf and every wps leaf of both catalogues, and fails
-    the non-SNC boundaries."""
+    the non-SNC boundaries; a coordinate hyperplane beside its double fails entries-distinct too.
+    The P^1 leaf of index 3 tagged hyperplane_arrangement holds its points as polynomials and
+    strict-verifies as three points, with dimension 1 and index 3."""
     for call, leaf, _ in _family_leaves():
         _require(is_klt_leaf(leaf).passed, f"is_klt_leaf({call}) fails")
     for dim, indices in ((1, BASE_DIM1_INDICES), (2, BASE_DIM2_INDICES)):
@@ -154,6 +161,15 @@ def check_klt() -> None:
                     _require(is_klt_leaf(f.leaf).passed, f"is_klt_leaf fails on factor {i} of base_leaf({dim}, {m})")
     for name, leaf in _not_klt_leaves():
         _require(not is_klt_leaf(leaf).passed, f"is_klt_leaf passes {name}")
+        if name == _DOUBLED:
+            failing = verify_certificate(WpsLeaf(leaf), "strict").failing_checks()
+            _require(("$", "entries-distinct") in failing, f"{name} fails only {failing}")
+    three = base_leaf(1, 3).leaf
+    points = LogLeaf(three.space, three.entries, "hyperplane_arrangement")
+    report = verify_certificate(WpsLeaf(points), "strict")
+    _require(all(isinstance(eq, SparsePoly) for eq in points.equations()), "an arrangement leaf holds an index")
+    _require(report.passed and (report.dim, report.index) == (1, 3),
+             f"the P^1 leaf of index 3 as points verifies as {report.dim}, {report.index}: {report.failing_checks()}")
 
 
 def check_realize() -> int:

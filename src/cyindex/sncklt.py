@@ -39,7 +39,9 @@ from .wpspairs import (
     NotQuasiHomogeneous,
     SparsePoly,
     Wps,
+    _FAMILY_TAGS,
     _bounded_int,
+    _coordinate_var,
     dense_exponents,
     weighted_degree,
 )
@@ -502,24 +504,15 @@ def plane_arrangement_snc(curves) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _coordinate_var(eq: SparsePoly) -> int | None:
-    """Index j if eq is c * x_j (a coordinate hyperplane), else None."""
-    if len(eq.terms) != 1:
-        return None
-    _, pairs = eq.terms[0]
-    if len(pairs) == 1 and pairs[0][1] == 1:
-        return pairs[0][0]
-    return None
-
-
 def _frame(leaf: LogLeaf) -> tuple[list[int], SparsePoly | None, str]:
     """(coords, H, "") if the leaf is distinct coordinate hyperplanes
-    {x_j = 0} plus exactly one other entry H, all in one number of
-    variables; (coords, None, why) otherwise. coords is sorted."""
+    {x_j = 0}, each an index j or c * x_j, plus exactly one other entry H,
+    all in one number of variables; (coords, None, why) otherwise. coords is
+    sorted."""
     eqs = leaf.equations()
     coords, others = [], []
     for eq in eqs:
-        j = _coordinate_var(eq)
+        j = eq if type(eq) is int else _coordinate_var(eq)
         if j is None:
             others.append(eq)
         else:
@@ -528,7 +521,8 @@ def _frame(leaf: LogLeaf) -> tuple[list[int], SparsePoly | None, str]:
     if len(others) != 1:
         return coords, None, f"expected exactly one non-coordinate entry, found {len(others)}"
     h = others[0]
-    if any(eq.nvars != h.nvars for eq in eqs):
+    nv = len(leaf.space.weights)  # that of every index j
+    if any((nv if type(eq) is int else eq.nvars) != h.nvars for eq in eqs):
         return coords, None, "entries in different numbers of variables"
     repeated = next((a for a, b in zip(coords, coords[1:]) if a == b), None)
     if repeated is not None:
@@ -641,9 +635,6 @@ def coordinate_chains(leaf: LogLeaf) -> tuple[bool, str]:
     if leaf.klt_strategy != "family_B" and chain is not None:
         return False, f"{leaf.klt_strategy} needs a Fermat sum H, but x{chain[0]} ends a chain of length {chain[1]}"
     return True, f"{len(coords)} coordinate hyperplanes and H a sum of {len(powers)} chains in {h.nvars} variables"
-
-
-_FAMILY_TAGS = ("family_A", "family_B", "family_C")
 
 
 def family_snc_check(leaf: LogLeaf) -> KltReport:

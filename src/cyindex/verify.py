@@ -184,6 +184,8 @@ def _verify_wps_leaf(leaf: LogLeaf, rep: NodeReport) -> tuple[int | None, int | 
     shape_ok = bool(leaf.entries)
     shape_detail = ""
     for coeff, eq in leaf.entries:
+        if type(eq) is int:  # x_j in nv variables, j below nv as LogLeaf checks
+            continue
         if not eq.terms:
             shape_ok, shape_detail = False, "zero divisor equation"
             break
@@ -215,7 +217,7 @@ def _verify_wps_leaf(leaf: LogLeaf, rep: NodeReport) -> tuple[int | None, int | 
             qh_detail = f"degrees [{_listed(degs, _bounded_int, ', ')}]"
     _check(rep, "quasi-homogeneous", qh_ok, qh_detail)
 
-    _check(rep, "entries-distinct", _distinct_up_to_scaling([eq for _, eq in leaf.entries]))
+    _check(rep, "entries-distinct", _distinct_up_to_scaling([eq for _, eq in leaf.entries], nv))
 
     wf = is_well_formed(space)
     _check(rep, "well-formed", wf, space_text)

@@ -11,6 +11,12 @@ the schema v1 codec (`cyindex.codec` writes and scans its own text pair by
 pair, and its general reader turns each vector into pairs by
 `exponent_pairs`) and the 3-variable plane check.
 
+An entry's equation takes one of two forms, fixed by `LogLeaf`: a family
+leaf holds each coordinate hyperplane 1 * x_j in len(weights) variables as
+the int j, which costs O(1) to build, write, read and check however many
+variables there are, and every other equation as a `SparsePoly`; an
+arrangement leaf holds only `SparsePoly`s.
+
 All degree bookkeeping is exact: coefficients are `fractions.Fraction`,
 weighted degrees are integers, and the degree of K_X + B is computed in
 integers over lcm(b), by the one formula the verifier in `cyindex.verify`
@@ -296,27 +302,52 @@ class SparsePoly:
         return self.projective_key() == other.projective_key()
 
 
-KLT_STRATEGIES = (
-    "family_A",
-    "family_B",
-    "family_C",
-    "hyperplane_arrangement",
-    "plane_arrangement",
-)
+_FAMILY_TAGS = ("family_A", "family_B", "family_C")
+
+KLT_STRATEGIES = (*_FAMILY_TAGS, "hyperplane_arrangement", "plane_arrangement")
+
+
+def _coordinate_var(eq: SparsePoly) -> int | None:
+    """Index j if eq is c * x_j (a coordinate hyperplane), else None."""
+    if len(eq.terms) != 1:
+        return None
+    _, pairs = eq.terms[0]
+    if len(pairs) == 1 and pairs[0][1] == 1:
+        return pairs[0][0]
+    return None
 
 
 @dataclass(frozen=True)
 class LogLeaf:
     """One explicit pair (X, B): a weighted projective space plus divisor
     entries (standard coefficient, quasi-homogeneous equation), tagged with
-    the strategy its klt verification follows."""
+    the strategy its klt verification follows.
+
+    An equation is an int j, x_j in nv = len(weights) variables, or a
+    `SparsePoly`, in one canonical form: a family leaf holds 1 * x_j in nv
+    variables as j, an arrangement leaf holds j as SparsePoly.variable(nv, j),
+    and any other `SparsePoly` (c * x_j with c != 1 included) is kept as it
+    is. An int entry that is a bool, negative or >= nv is a ValueError."""
 
     space: Wps
-    entries: tuple[tuple[StdCoeff, SparsePoly], ...]
+    entries: tuple[tuple[StdCoeff, int | SparsePoly], ...]
     klt_strategy: str
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", tuple((c, e) for c, e in self.entries))
+        nv = len(self.space.weights)
+        family = self.klt_strategy in _FAMILY_TAGS
+        entries = []
+        for c, eq in self.entries:
+            if isinstance(eq, int):
+                if type(eq) is not int or not 0 <= eq < nv:  # exact int, so no bool
+                    raise ValueError(f"a coordinate index must be an int from 0 to {nv - 1}, got {_shown(eq)}")
+                if not family:
+                    eq = SparsePoly.variable(nv, eq)
+            elif (family and isinstance(eq, SparsePoly) and eq.nvars == nv
+                  and (j := _coordinate_var(eq)) is not None and eq.terms[0][0] == 1):
+                eq = j
+            entries.append((c, eq))
+        object.__setattr__(self, "entries", tuple(entries))
         if self.klt_strategy not in KLT_STRATEGIES:
             raise ValueError(f"unknown klt strategy {self.klt_strategy!r}")
 
@@ -324,7 +355,7 @@ class LogLeaf:
     def dim(self) -> int:
         return self.space.dim
 
-    def equations(self) -> list[SparsePoly]:
+    def equations(self) -> list[int | SparsePoly]:
         return [eq for _, eq in self.entries]
 
 
@@ -345,13 +376,16 @@ def is_well_formed(space: Wps) -> bool:
     return True
 
 
-def weighted_degree(eq: SparsePoly, space: Wps) -> int:
-    """The common weighted degree sum_j a_j e_j of eq's monomials.
+def weighted_degree(eq: int | SparsePoly, space: Wps) -> int:
+    """The common weighted degree sum_j a_j e_j of eq's monomials, and a_j
+    for the index j of x_j.
 
     Raises NotQuasiHomogeneous if two monomials disagree, naming the least
     and greatest monomial degree and how many distinct degrees there are;
     ValueError on the zero polynomial or an arity mismatch.
     """
+    if type(eq) is int:
+        return space.weights[eq]
     if eq.is_zero():
         raise ValueError("the zero polynomial has no weighted degree")
     if eq.nvars != len(space.weights):
@@ -381,16 +415,23 @@ def canonical_degree(space: Wps) -> int:
     return -sum(space.weights)
 
 
-def _distinct_up_to_scaling(equations: list[SparsePoly]) -> bool:
-    """True iff no two equations are proportional. Proportional equations
-    have the same monomials, so they are keyed first on their variable
-    count and pairs, int tuples that hash in C; only equations sharing that
-    key compare projective keys, whose Fractions hash in Python."""
+def _distinct_up_to_scaling(equations: list[int | SparsePoly], nvars: int) -> bool:
+    """True iff no two equations are proportional, an int j standing for x_j
+    in nvars variables. A coordinate hyperplane, j or c * x_j in nvars
+    variables, is keyed by j. Other proportional equations have the same
+    monomials, so they are keyed first on their variable count and pairs,
+    int tuples that hash in C; only equations sharing that key compare
+    projective keys, whose Fractions hash in Python."""
+    coords: list[int] = []
     by_support: dict[tuple, list[SparsePoly]] = {}
     for eq in equations:
-        by_support.setdefault((eq.nvars, tuple([pairs for _, pairs in eq.terms])), []).append(eq)
-    return all(len(same) == 1 or len({eq.projective_key() for eq in same}) == len(same)
-               for same in by_support.values())
+        j = eq if type(eq) is int else _coordinate_var(eq) if eq.nvars == nvars else None
+        if j is None:
+            by_support.setdefault((eq.nvars, tuple([pairs for _, pairs in eq.terms])), []).append(eq)
+        else:
+            coords.append(j)
+    return len(set(coords)) == len(coords) and all(
+        len(same) == 1 or len({eq.projective_key() for eq in same}) == len(same) for same in by_support.values())
 
 
 def _scaled_log_degree(space: Wps, entries, degrees) -> tuple[int, int]:

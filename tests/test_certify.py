@@ -29,6 +29,7 @@ from cyindex.certify import (
 from cyindex.codec import CertificateParseError, certificate_dumps, certificate_from_obj, certificate_loads
 from cyindex.verify import EllipticLeaf, Product, WpsLeaf, verify_certificate
 from cyindex.numtheory import euler_phi, indices_with_phi_at_most, sylvester_bound
+from conftest import entry_poly
 import cyindex
 import cyindex.certify
 import cyindex.cli
@@ -58,8 +59,9 @@ def test_build_index_prime_5():
     leaf = build_index_prime(5)
     assert leaf.space.weights == (2, 1, 1)
     assert leaf.dim == 2 and pair_index(leaf) == 5
-    # x2 and x0^2 + x1^4 + x2^4
-    assert {eq.terms for _, eq in leaf.entries} == {((1, ((2, 1),)),),
+    # x2 and x0^2 + x1^4 + x2^4, x2 held as its index
+    assert [type(eq) for _, eq in leaf.entries] == [int, SparsePoly]
+    assert {entry_poly(eq, 3).terms for _, eq in leaf.entries} == {((1, ((2, 1),)),),
                                                     ((1, ((0, 2),)), (1, ((1, 4),)), (1, ((2, 4),)))}
     assert all(c.b == 5 for c, _ in leaf.entries)
 
@@ -68,8 +70,9 @@ def test_build_index_prime_7():
     leaf = build_index_prime(7)
     assert leaf.space.weights == (3, 2, 1)
     assert leaf.dim == 2 and pair_index(leaf) == 7
-    # x0 and x0*x2 + x1^2 + x2^4
-    assert {eq.terms for _, eq in leaf.entries} == {((1, ((0, 1),)),),
+    # x0 and x0*x2 + x1^2 + x2^4, x0 held as its index
+    assert [type(eq) for _, eq in leaf.entries] == [int, SparsePoly]
+    assert {entry_poly(eq, 3).terms for _, eq in leaf.entries} == {((1, ((0, 1),)),),
                                                     ((1, ((0, 1), (2, 1))), (1, ((1, 2),)), (1, ((2, 4),)))}
 
 
@@ -95,7 +98,7 @@ def test_build_and_strict_verify_never_read_dense_vectors(monkeypatch):
     leaf = build_index_prime(16001)
     report = verify_certificate(WpsLeaf(leaf), "strict")
     assert report.passed and (report.dim, report.index) == (4001, 16001)
-    assert sum(len(pairs) for _, eq in leaf.entries for _, pairs in eq.terms) < 16001
+    assert sum(len(pairs) for _, eq in leaf.entries for _, pairs in entry_poly(eq, 4003).terms) < 16001
 
 
 def test_build_prime_power_23():
@@ -240,7 +243,7 @@ def test_base_dim2_catalogue():
     leaf = base_leaf(2, 14).leaf
     assert leaf.space.weights == (3, 1, 1) and leaf.klt_strategy == "family_C"
     assert [c.b for c, _ in leaf.entries] == [7, 14, 2]
-    assert [sorted(eq.monomials) for _, eq in leaf.entries] == [
+    assert [sorted(entry_poly(eq, 3).monomials) for _, eq in leaf.entries] == [
         [(1, (1, 0, 0))], [(1, (0, 1, 0))], [(1, (0, 0, 3)), (1, (0, 3, 0)), (1, (1, 0, 0))]]
     assert log_degree(leaf) == 0 and is_klt_leaf(leaf).passed
     with pytest.raises(ValueError):
@@ -444,27 +447,34 @@ def _scaled(f: SparsePoly, c) -> SparsePoly:
 
 @st.composite
 def _equation_lists(draw):
-    """Equations in 3 or 4 variables, some of them scaled copies of earlier
-    ones and some with an earlier support and fresh coefficients."""
+    """(nv, equations) with nv 3 or 4: equations in 3 or 4 variables, some of
+    them scaled copies of earlier ones, some with an earlier support and
+    fresh coefficients, and some an index j below nv, which stands for x_j
+    in nv variables."""
+    nv = draw(st.integers(3, 4))
     eqs = []
     for _ in range(draw(st.integers(1, 6))):
-        kind = draw(st.sampled_from(["new", "scaled", "same-support"])) if eqs else "new"
-        if kind == "new":
+        kind = draw(st.sampled_from(["new", "index", "scaled", "same-support"])) if eqs else "new"
+        if kind == "index":
+            eqs.append(draw(st.integers(0, nv - 1)))
+        elif kind == "new":
             support = draw(st.lists(st.sampled_from(_SUPPORTS), min_size=1, max_size=3, unique=True))
             eqs.append(SparsePoly.from_pairs(draw(st.integers(3, 4)), [(draw(_NONZERO), p) for p in support]))
         elif kind == "scaled":
-            eqs.append(_scaled(draw(st.sampled_from(eqs)), Fraction(draw(_NONZERO), draw(st.integers(1, 3)))))
+            base = entry_poly(draw(st.sampled_from(eqs)), nv)
+            eqs.append(_scaled(base, Fraction(draw(_NONZERO), draw(st.integers(1, 3)))))
         else:
-            base = draw(st.sampled_from(eqs))
+            base = entry_poly(draw(st.sampled_from(eqs)), nv)
             eqs.append(SparsePoly.from_pairs(base.nvars, [(draw(_NONZERO), p) for _, p in base.terms]))
-    return draw(st.permutations(eqs))
+    return nv, draw(st.permutations(eqs))
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(_equation_lists())
-def test_entries_distinct_agrees_with_the_projective_keys(eqs):
-    want = len({eq.projective_key() for eq in eqs}) == len(eqs)
-    assert cyindex.wpspairs._distinct_up_to_scaling(eqs) is want
+def test_entries_distinct_agrees_with_the_projective_keys(drawn):
+    nv, eqs = drawn
+    want = len({entry_poly(eq, nv).projective_key() for eq in eqs}) == len(eqs)
+    assert cyindex.wpspairs._distinct_up_to_scaling(eqs, nv) is want
 
 
 def test_verify_leaf_work_is_linear_by_call_counts(monkeypatch):
@@ -550,6 +560,7 @@ def _leaf_and_one_field_changed(draw):
         return leaf, LogLeaf(leaf.space, leaf.entries, strategy)
     i = draw(st.integers(0, len(leaf.entries) - 1))
     coeff, eq = leaf.entries[i]
+    eq = entry_poly(eq, len(leaf.space.weights))
     if changed == "b":
         return leaf, _with_entry(leaf, i, StdCoeff(coeff.b + draw(st.integers(1, 3))), eq)
     terms = list(eq.terms)
@@ -603,8 +614,9 @@ def test_every_leaf_node_keeps_its_verdict(monkeypatch):
 
 def test_an_unhashable_leaf_verifies_as_its_hashable_copy():
     leaf = cyindex.certify._EXPLICIT[14].leaf
+    polys = [(c, entry_poly(eq, len(leaf.space.weights))) for c, eq in leaf.entries]
     listed = LogLeaf(leaf.space, tuple((c, SparsePoly._canonical(eq.nvars, [list(t) for t in eq.terms]))
-                                       for c, eq in leaf.entries), leaf.klt_strategy)
+                                       for c, eq in polys), leaf.klt_strategy)
     with pytest.raises(TypeError):
         hash(listed)
     assert verify_certificate(WpsLeaf(listed)).as_obj() == verify_certificate(WpsLeaf(leaf)).as_obj()
@@ -630,7 +642,8 @@ def test_a_family_part_is_held_iff_its_leaf_has_at_most_64_monomials():
     for m in indices_with_phi_at_most(2000):
         for first, second in zip(cyindex.certify._core(m), cyindex.certify._core(m)):
             if id(first) not in explicit:
-                monomials = sum(len(eq.terms) for _, eq in first.leaf.entries)
+                nv = len(first.leaf.space.weights)
+                monomials = sum(len(entry_poly(eq, nv).terms) for _, eq in first.leaf.entries)
                 assert (first is second) == (monomials <= 64), (m, monomials)
 
 
@@ -1234,7 +1247,7 @@ def _reference_to_obj(cert):
                         "eq": [{"c": [c.numerator, c.denominator], "e": dense_exponents(eq.nvars, pairs)}
                                for c, pairs in eq.terms],
                     }
-                    for coeff, eq in leaf.entries
+                    for coeff, eq in [(c, entry_poly(e, len(leaf.space.weights))) for c, e in leaf.entries]
                 ],
             }
         case EllipticLeaf(dim):
@@ -1263,12 +1276,12 @@ def _equations(draw, nvars):
 @st.composite
 def _wps_leaves(draw):
     """Leaves whose equations have 1 to 60 variables, one per weight about
-    half the time: a certificate that fails its entry-shape check can still
-    be written."""
+    half the time, or are an index j, x_j in one variable per weight: a
+    certificate that fails its entry-shape check can still be written."""
     nvars = draw(st.integers(1, 60))
     arity = nvars if nvars >= 2 and draw(st.booleans()) else draw(st.integers(2, 5))
     weights = draw(st.lists(st.integers(1, 10**4), min_size=arity, max_size=arity))
-    entries = [(StdCoeff(draw(st.integers(2, 10**9))), draw(_equations(nvars)))
+    entries = [(StdCoeff(draw(st.integers(2, 10**9))), draw(_equations(nvars) | st.integers(0, arity - 1)))
                for _ in range(draw(st.integers(0, 4)))]
     return WpsLeaf(LogLeaf(Wps(tuple(weights)), tuple(entries), draw(st.sampled_from(KLT_STRATEGIES))))
 
@@ -1283,7 +1296,7 @@ _CERTIFICATES = st.recursive(
 def _loadable(cert):
     match cert:
         case WpsLeaf(leaf):
-            return all(eq.nvars == len(leaf.space.weights) for _, eq in leaf.entries)
+            return all(type(eq) is int or eq.nvars == len(leaf.space.weights) for _, eq in leaf.entries)
         case EllipticLeaf(dim):
             return type(dim) is int and dim >= 1
         case Product(factors):
@@ -1865,7 +1878,8 @@ _SCAN_LEAVES = [
     LogLeaf(Wps((1, 1)), (), "family_A"),
 ]
 assert any(len(cyindex.codec._leaf_text(leaf)) > 4096 for leaf in _SCAN_LEAVES)
-assert any(sum(len(eq.terms) for _, eq in leaf.entries) > 64 for leaf in _SCAN_LEAVES)
+assert any(sum(len(entry_poly(eq, len(leaf.space.weights)).terms) for _, eq in leaf.entries) > 64
+           for leaf in _SCAN_LEAVES)
 
 
 @st.composite
@@ -2032,3 +2046,112 @@ def test_the_scanner_keeps_the_digit_limit():
             assert _outcome(text) == want
         finally:
             sys.set_int_max_str_digits(limit)
+
+
+# -- coordinate hyperplanes held as indices -------------------------------------
+
+
+def _as_given(space, entries, strategy):
+    """A LogLeaf that holds its entries as given, past the canonical form,
+    with every int j made SparsePoly.variable(nv, j): each coordinate a
+    polynomial, as leaves were held before family leaves held indices, so
+    the writer and the verifier read it on their polynomial paths alone."""
+    nv = len(space.weights)
+    leaf = object.__new__(LogLeaf)
+    object.__setattr__(leaf, "space", space)
+    object.__setattr__(leaf, "entries", tuple((c, entry_poly(eq, nv)) for c, eq in entries))
+    object.__setattr__(leaf, "klt_strategy", strategy)
+    return leaf
+
+
+_COORDINATE_BASES = [cyindex.certify._EXPLICIT[m].leaf for m in (3, 10, 14)] + [
+    build_index_prime(m) for m in (5, 7, 13, 15)] + [build_prime_power(2, 3), build_prime_power(3, 2)]
+
+
+@st.composite
+def _coordinate_forms(draw):
+    """(space, entries, strategy): a builder's family leaf with each of its
+    coordinate hyperplanes drawn as the int j, as SparsePoly.variable(nv, j)
+    or as c * x_j with c != 1; sometimes one index again in a form of its
+    own, one equation moved into nv + 1 variables, or another family tag."""
+    base = draw(st.sampled_from(_COORDINATE_BASES))
+    nv = len(base.space.weights)
+
+    def form(j):
+        kind = draw(st.sampled_from(["index", "variable", "scaled"]))
+        if kind == "index":
+            return j
+        return SparsePoly.variable(nv, j, 1 if kind == "variable" else draw(st.sampled_from((2, -1, Fraction(1, 2)))))
+
+    entries = [(c, form(eq) if type(eq) is int else eq) for c, eq in base.entries]
+    if draw(st.booleans()):
+        j = draw(st.sampled_from([eq for _, eq in base.entries if type(eq) is int]))
+        entries.insert(draw(st.integers(0, len(entries))), (StdCoeff(draw(st.integers(2, 9))), form(j)))
+    if draw(st.integers(0, 3)) == 0:
+        i = draw(st.integers(0, len(entries) - 1))
+        entries[i] = (entries[i][0], SparsePoly.from_pairs(nv + 1, entry_poly(entries[i][1], nv).terms))
+    return base.space, entries, draw(st.sampled_from([base.klt_strategy] * 3 + list(KLT_STRATEGIES[:3])))
+
+
+def _is_unit_vector_monomial(eq, nv):
+    """Is eq the one monomial 1 * x_j in nv variables, read off its dense form?"""
+    (c, exps), *rest = eq.monomials
+    return eq.nvars == nv and not rest and c == 1 and sorted(exps) == [0] * (nv - 1) + [1]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_coordinate_forms())
+def test_a_coordinate_in_any_form_writes_verifies_and_reads_as_its_polynomial(drawn):
+    space, entries, strategy = drawn
+    nv = len(space.weights)
+    leaf, reference = LogLeaf(space, tuple(entries), strategy), _as_given(space, entries, strategy)
+    # one canonical form: exactly the equations 1 * x_j in nv variables are held as j
+    for (_, held), (_, eq) in zip(leaf.entries, reference.entries):
+        assert (type(held) is int) == _is_unit_vector_monomial(eq, nv) and entry_poly(held, nv) == eq
+    text = certificate_dumps(WpsLeaf(leaf))
+    assert text == certificate_dumps(WpsLeaf(reference)) == _reference_dumps(WpsLeaf(reference))
+    assert verify_certificate(WpsLeaf(leaf)).as_obj() == verify_certificate(WpsLeaf(reference)).as_obj()
+    if all(eq.nvars == nv for _, eq in reference.entries):
+        assert cyindex.codec._scan_leaf(text) == leaf and certificate_loads(text) == WpsLeaf(leaf)
+        assert certificate_loads(json.dumps(json.loads(text), indent=1)) == WpsLeaf(leaf)
+    else:  # a vector of another length, refused where it is
+        with pytest.raises(CertificateParseError, match=r"exponent vector of length"):
+            certificate_loads(text)
+
+
+def test_a_family_leaf_retagged_to_an_arrangement_holds_polynomials():
+    for base in _COORDINATE_BASES:
+        for strategy in ("hyperplane_arrangement", "plane_arrangement"):
+            retagged = LogLeaf(base.space, base.entries, strategy)
+            reference = _as_given(base.space, base.entries, strategy)
+            assert all(isinstance(eq, SparsePoly) for eq in retagged.equations()) and retagged == reference
+            assert verify_certificate(WpsLeaf(retagged)).as_obj() == verify_certificate(WpsLeaf(reference)).as_obj()
+            assert certificate_loads(certificate_dumps(WpsLeaf(retagged))) == WpsLeaf(retagged)
+    # the points x0, x1 and x0 + x1 of the P^1 leaf of index 3 are an arrangement that verifies
+    three = cyindex.certify._EXPLICIT[3].leaf
+    report = verify_certificate(WpsLeaf(LogLeaf(three.space, three.entries, "hyperplane_arrangement")))
+    assert report.passed and (report.dim, report.index) == (1, 3)
+    report = verify_certificate(WpsLeaf(LogLeaf(build_index_prime(5).space, build_index_prime(5).entries,
+                                                "hyperplane_arrangement")))
+    assert report.failing_checks() == [("$", "klt")]
+    assert report.leaf_reports[0].klt.steps[0].detail == "entry 1 is not a hyperplane: monomial on variables [0]"
+
+
+@pytest.mark.parametrize("strategy", ["family_A", "hyperplane_arrangement"])
+@pytest.mark.parametrize("j,shown", [(True, "True"), (False, "False"), (-1, "-1"), (3, "3"),
+                                     (10**100, "<333-bit integer>"), (-(10**100), "-<333-bit integer>")])
+def test_an_int_entry_is_a_coordinate_index_below_the_weight_count(j, shown, strategy):
+    with pytest.raises(ValueError) as err:
+        LogLeaf(Wps((1, 1, 1)), ((StdCoeff(2), 0), (StdCoeff(2), j)), strategy)
+    assert str(err.value) == f"a coordinate index must be an int from 0 to 2, got {shown}"
+
+
+def test_arrangement_leaves_hold_only_polynomials():
+    table = cyindex.certify._PLANE_MULTISETS
+    leaves = [cyindex.certify._instantiate_plane(dim, combo)
+              for dim, by_index in table.items() for combos in by_index.values() for combo in combos]
+    hits = [search_plane_pair(dim, m, k) for dim in (1, 2) for m in range(1, 400) for k in range(1, 9)]
+    leaves += [leaf for leaf in hits if leaf is not None]
+    leaves += [certificate_loads(certificate_dumps(WpsLeaf(leaf))).leaf for leaf in leaves]
+    assert len(leaves) > 2 * 37
+    assert all(isinstance(eq, SparsePoly) for leaf in leaves for eq in leaf.equations())

@@ -45,6 +45,7 @@ from cyindex.wpspairs import (
     _distinct_up_to_scaling,
     weighted_degree,
 )
+from conftest import entry_poly
 from test_wpspairs import restrict_to, scaled, subs_zero
 
 
@@ -591,7 +592,7 @@ def _p1_by_distinct_forms(curves):
     hyperplane walk: no zero curve, every curve linear, no two proportional."""
     if any(c.is_zero() for c in curves):
         return False
-    return all(_dense_normal(c) is not None for c in curves) and _distinct_up_to_scaling(curves)
+    return all(_dense_normal(c) is not None for c in curves) and _distinct_up_to_scaling(curves, 2)
 
 
 _P1_COEFFS = st.sampled_from((0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)))
@@ -1176,6 +1177,7 @@ def _reference_family_ac(leaf):
     True iff every step passed."""
     coords, others = [], []
     for _, eq in leaf.entries:
+        eq = entry_poly(eq, len(leaf.space.weights))
         j = _coordinate_var_by_scan(eq)
         if j is None:
             others.append(eq)
@@ -1195,7 +1197,7 @@ def _reference_family_ac(leaf):
         if e < 2 or sorted(coords) != list(range(e)):
             return False
         if e == nv:
-            normals = [_dense_normal(eq) for _, eq in leaf.entries]
+            normals = [_dense_normal(entry_poly(eq, nv)) for _, eq in leaf.entries]
             return None not in normals and hyperplane_arrangement_snc(normals)
         if e > nv - 1:
             return False
@@ -1262,7 +1264,7 @@ def test_coordinate_diagonal_passes_what_the_reference_passes_on_small_leaves(le
     ok, _ = coordinate_chains(leaf)
     if _reference_family_ac(leaf):
         assert ok
-    normals = [_dense_normal(eq) for _, eq in leaf.entries]
+    normals = [_dense_normal(entry_poly(eq, len(leaf.space.weights))) for _, eq in leaf.entries]
     if ok and None not in normals:  # all hyperplanes: the rank criterion agrees
         assert hyperplane_arrangement_snc(normals)
 
@@ -1342,6 +1344,7 @@ def _reference_family_b(leaf):
     passed."""
     coords, others = [], []
     for _, eq in leaf.entries:
+        eq = entry_poly(eq, len(leaf.space.weights))
         j = _coordinate_var_by_scan(eq)
         if j is None:
             others.append(eq)
@@ -1419,7 +1422,7 @@ def test_family_b_chains_cover_the_reference_on_small_leaves(leaf):
     ok, _ = coordinate_chains(leaf)
     if _reference_family_b(leaf):
         assert ok
-    elif ok and leaf.entries[0][1].nvars <= 4:
+    elif ok and entry_poly(leaf.entries[0][1], len(leaf.space.weights)).nvars <= 4:
         assert _snc_by_groebner(leaf)  # a leaf only the chain criterion accepts is SNC
 
 
@@ -1565,8 +1568,9 @@ def _snc_by_groebner(leaf):
     iff for every set U of boundary coordinates, x_U, H and the partials of
     H in the variables outside U vanish together only at 0."""
     sympy = pytest.importorskip("sympy")
-    coords = [j for _, eq in leaf.entries if (j := _coordinate_var_by_scan(eq)) is not None]
-    (h,) = [eq for _, eq in leaf.entries if _coordinate_var_by_scan(eq) is None]
+    eqs = [entry_poly(eq, len(leaf.space.weights)) for _, eq in leaf.entries]
+    coords = [j for eq in eqs if (j := _coordinate_var_by_scan(eq)) is not None]
+    (h,) = [eq for eq in eqs if _coordinate_var_by_scan(eq) is None]
     xs = sympy.symbols(f"x0:{h.nvars}")
     expr = sum(sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*[x**e for x, e in zip(xs, exps)])
                for c, exps in h.monomials)
@@ -1799,7 +1803,10 @@ def test_family_shapes_match_the_scans_on_the_grids():
     leaves += [build_prime_power(b, e) for b in range(3, 7) for e in range(2, 6)]
     for leaf in leaves:
         for _, eq in leaf.entries:
-            assert _coordinate_var(eq) == _coordinate_var_by_scan(eq)
+            polynomial = entry_poly(eq, len(leaf.space.weights))
+            assert _coordinate_var(polynomial) == _coordinate_var_by_scan(polynomial)
+            if type(eq) is int:  # a coordinate held as its index
+                assert eq == _coordinate_var_by_scan(polynomial)
 
 
 # -- dispatch ----------------------------------------------------------------

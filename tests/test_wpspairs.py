@@ -16,6 +16,7 @@ from cyindex.certify import (
     search_plane_pair,
 )
 from cyindex.selftest import _family_leaves
+from conftest import entry_poly
 from cyindex.wpspairs import (
     LogLeaf,
     NotQuasiHomogeneous,
@@ -186,8 +187,9 @@ def test_weighted_degree_matches_the_reference(case):
 def test_weighted_degree_of_the_family_leaves_matches_the_reference():
     for leaf in (build_index_prime(401), build_index_prime(403), build_prime_power(5, 4)):
         for _, eq in leaf.entries:
-            assert {weighted_degree(eq, leaf.space)} == _degree_reference(eq, leaf.space)
-            _assert_supports(eq)
+            polynomial = entry_poly(eq, len(leaf.space.weights))
+            assert {weighted_degree(eq, leaf.space)} == _degree_reference(polynomial, leaf.space)
+            _assert_supports(polynomial)
 
 
 _exponent_values = st.one_of(
@@ -398,7 +400,7 @@ def test_builders_make_the_polynomials_the_dense_constructor_makes():
     leaves = [build_index_prime(m) for m in (5, 7, 13, 15, 401, 403)]
     leaves += [build_prime_power(m, e) for m, e in ((2, 2), (2, 12), (3, 2), (5, 4), (12, 12))]
     leaves += [search_plane_pair(1, 6), search_plane_pair(2, 10), base_leaf(2, 14).leaf]
-    eqs = [eq for leaf in leaves for _, eq in leaf.entries]
+    eqs = [entry_poly(eq, len(leaf.space.weights)) for leaf in leaves for _, eq in leaf.entries]
     eqs += [SparsePoly.linear_form((0, 3, Fraction(-1, 2), 0)), SparsePoly.variable(5, 4, coeff=-2)]
     for eq in eqs:
         dense = SparsePoly.from_terms(eq.nvars, eq.monomials)
@@ -609,7 +611,7 @@ def test_pair_index_invariances():
         scale = Fraction(random.randint(1, 7), random.randint(1, 7))
         k = random.randrange(len(entries))
         coeff, eq = entries[k]
-        entries[k] = (coeff, scaled(eq, scale))
+        entries[k] = (coeff, scaled(entry_poly(eq, len(leaf.space.weights)), scale))
         other = LogLeaf(leaf.space, tuple(entries), leaf.klt_strategy)
         assert log_degree(other) == deg
         assert pair_index(other) == idx

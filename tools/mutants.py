@@ -56,7 +56,7 @@ MUTANTS = [
            "std_ok = all(isinstance(coeff.b, int) and coeff.b >= 1 for coeff, _ in leaf.entries)",
            equivalent="StdCoeff rejects b below 2 at construction, so no entry has b = 1"),
     Mutant("entries-distinct", VERIFY,
-           '_check(rep, "entries-distinct", _distinct_up_to_scaling([eq for _, eq in leaf.entries]))',
+           '_check(rep, "entries-distinct", _distinct_up_to_scaling([eq for _, eq in leaf.entries], nv))',
            '_check(rep, "entries-distinct", True)'),
     Mutant("index-computed", VERIFY,
            "index = scale if wf and deg_ok else None",
@@ -116,11 +116,18 @@ MUTANTS = [
            "match.start()"),
     # the leaf scanner, whose leaf _read_piece keeps only after the write-back test
     Mutant("scan-nvars-from-vector", CODEC,
-           "entries.append((coeff, SparsePoly.from_pairs(nv, terms)))",
-           "entries.append((coeff, SparsePoly.from_pairs(var + 1, terms)))"),
+           "            entries.append((coeff, SparsePoly.from_pairs(nv, terms)))",
+           "            entries.append((coeff, SparsePoly.from_pairs(var + 1, terms)))"),
     Mutant("scan-canonical", CODEC,
-           "entries.append((coeff, SparsePoly.from_pairs(nv, terms)))",
-           "entries.append((coeff, SparsePoly._canonical(nv, terms)))"),
+           "            entries.append((coeff, SparsePoly.from_pairs(nv, terms)))",
+           "            entries.append((coeff, SparsePoly._canonical(nv, terms)))"),
+    # a coordinate hyperplane held as its index j: written, read, weighed, told apart, canonicalized
+    Mutant("writer-index-one-slot-late", CODEC,
+           "% (coeff.b, zeros[:2 * eq], zeros[2 * eq + 1:2 * nv - 1]))",
+           "% (coeff.b, zeros[:2 * eq + 2], zeros[2 * eq + 3:2 * nv - 1]))"),
+    Mutant("scan-index-any-coefficient", CODEC,
+           "if len(terms) == 1 and terms[0][0] is _ONE and len(pairs) == 1 and pairs[0][1] == 1:",
+           "if len(terms) == 1 and len(pairs) == 1 and pairs[0][1] == 1:"),
     Mutant("scan-offset-not-running", CODEC,
            "var += (at - pos) >> 1",
            "var = (at - pos) >> 1"),
@@ -244,6 +251,21 @@ MUTANTS = [
     Mutant("degree-one-pair", WPSPAIRS,
            "degs.add(w[v] * x)",
            "degs.add(x)"),
+    Mutant("degree-index-wrong-weight", WPSPAIRS,
+           "return space.weights[eq]",
+           "return space.weights[eq - 1]"),
+    Mutant("distinct-blind-to-repeated-index", WPSPAIRS,
+           "return len(set(coords)) == len(coords) and all(",
+           "return all("),
+    Mutant("canonical-any-coefficient", WPSPAIRS,
+           "and (j := _coordinate_var(eq)) is not None and eq.terms[0][0] == 1):",
+           "and (j := _coordinate_var(eq)) is not None):"),
+    Mutant("canonical-any-nvars", WPSPAIRS,
+           "elif (family and isinstance(eq, SparsePoly) and eq.nvars == nv",
+           "elif (family and isinstance(eq, SparsePoly)"),
+    Mutant("index-range-unchecked", WPSPAIRS,
+           "if type(eq) is not int or not 0 <= eq < nv:  # exact int, so no bool",
+           "if type(eq) is not int:"),
 ]
 
 
