@@ -3,15 +3,12 @@ plane-arrangement search. The certificate tree and its verifier are in
 verify, the text codec is in codec, and neither imports this module.
 
 The realizer turns any m with phi(m) <= 2n into a certificate of dimension
-n - 1: the core of m, a flat list of explicit leaves, padded by one
-trailing elliptic leaf. The core is empty for 1, one leaf of the table
-_EXPLICIT for 2, 3, 4, 6, 10, 14 and 18, the odd-index or prime-power
-family leaf for every other prime or prime power, and otherwise the cores
-of the power of the largest prime and of its coprime cofactor, joined.
-Every split is coprime, so product indices are exact. The dimension-2
-catalogue is realize(3, m). Every leaf is built by one constructor,
-coordinate hyperplanes plus one H, and passes one klt criterion, the chain
-test; arrangements come only from input files and the plane search.
+n - 1: the core of m, one explicit leaf for each of the pairwise coprime
+parts that _parts splits m into, padded by one trailing elliptic leaf, so
+product indices are exact. The dimension-2 catalogue is realize(3, m).
+Every leaf is built by one constructor, coordinate hyperplanes plus one H,
+and passes one klt criterion, the chain test; arrangements come only from
+input files and the plane search.
 
 A sweep over (n, m) meets the same few parts again and again, so the family
 leaf of a part whose prime is below 128 is built once per process
@@ -223,8 +220,8 @@ def check_dim_inequality(m: int, e: int, variant: int) -> bool:
       variant 1:  m + e - 3 <= n - 1   for (m, e) not in {(2,2), (2,3)}
       variant 2:  m + e - 3 <= n - 3   for m >= 3 and (m, e) != (3, 2)
 
-    True on the whole precondition domain: the lemma behind _core's
-    dimension bound, which realize's padding check guards. Excluded pairs
+    True on the whole precondition domain: the lemma behind the dimension
+    bound of _parts, which realize's padding check guards. Excluded pairs
     are rejected with the reason.
     """
     if not isinstance(m, int) or not isinstance(e, int) or m < 2 or e < 2:
@@ -279,31 +276,33 @@ def realize(n: int, m: int) -> Certificate:
 
 
 def _core(m: int) -> list[WpsLeaf]:
-    """The leaves of index m, with pairwise coprime indices whose lcm is m.
-    Their dimensions sum to at most 2 when phi(m) <= 6 and to at most
-    phi(m)/2 - 1 otherwise, so realize pads them for every n with
-    phi(m) <= 2n and n >= 3.
+    """The leaf of each part of m: explicit, held below _HELD_PRIMES, or built."""
+    return [_EXPLICIT[p**e] if p**e in _EXPLICIT else (_held_part if p < _HELD_PRIMES else _part)(p, e)
+            for p, e in _parts(m)]
 
-    No leaf for 1; the explicit leaf of _EXPLICIT for 2, 3, 4, 6, 10, 14 and
-    18; the explicit families for every other prime and prime power;
-    otherwise split m = m1 * m2 with m2 the power of the largest prime and
-    join the leaves of the coprime parts. The recursion is as deep as m has
-    prime factors.
+
+def _parts(m: int) -> list[tuple[int, int]]:
+    """The pairwise coprime parts of m as pairs (p, e), the part being p^e,
+    from one factorization: the power of the largest prime is peeled off
+    while the rest is neither 1 nor in _EXPLICIT. An explicit rest q comes
+    first, as (q, 1), then the peeled prime powers by ascending prime; one
+    of them in _EXPLICIT (2, 3 or 4) stays explicit.
+
+    Their leaves' dimensions sum to at most 2 when phi(m) <= 6 and to at
+    most phi(m)/2 - 1 otherwise, so realize pads them for every n with
+    phi(m) <= 2n and n >= 3. A prime p >= 5 has dimension (p+3)/4 <= 2 for
+    p <= 7 and at most (p-3)/2 = phi(p)/2 - 1 from 11 on. A prime power has
+    dimension 2 for 8 and 9; above, check_dim_inequality is the lemma behind
+    its bound: variant 1 for p^e alone, variant 2 for 2 * p^e with p >= 3,
+    whose one exception 18 is in _EXPLICIT.
     """
-    if m == 1:
-        return []
-    if m in _EXPLICIT:
-        return [_EXPLICIT[m]]
     fac = factorize(m)
-    p, e = fac[-1]
-    if len(fac) == 1:
-        # A prime m >= 5 has dimension (m+3)/4 <= 2 for m <= 7 and at most
-        # (m-3)/2 = phi(m)/2 - 1 from 11 on. A prime power has dimension 2
-        # for 8 and 9; above, check_dim_inequality is the lemma behind its
-        # bound: variant 1 for p^e alone, variant 2 for 2 * p^e with p >= 3,
-        # whose one exception 18 is in _EXPLICIT.
-        return [(_held_part if p < _HELD_PRIMES else _part)(p, e)]
-    return _core(m // p**e) + _core(p**e)
+    k = len(fac)
+    while m != 1 and m not in _EXPLICIT:
+        k -= 1
+        p, e = fac[k]
+        m //= p**e
+    return ([(m, 1)] if m != 1 else []) + list(fac[k:])
 
 
 def _part(p: int, e: int) -> WpsLeaf:

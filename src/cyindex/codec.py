@@ -8,7 +8,7 @@ the nonzero entries of its dense vectors are read, each found by one
 search of a copy of the text in which every nonzero digit is marked
 (_scan_leaf); an elliptic text is read by its one number. A node is kept
 only if the writer writes exactly that text for it (_read_piece). Each
-leaf text of at most 4,096 characters is also held, once per process and
+leaf text of at most 8,192 characters is also held, once per process and
 digit limit (_read_leaf_text): at most 128 texts, least recently used
 first out, so a text met again hands back the same node.
 Every other text goes to the one general path, json.loads and one
@@ -19,7 +19,7 @@ A family leaf's int entry j is written as the dense vector of x_j with
 coefficient [1,1], the text of SparsePoly.variable(nv, j), which the
 scanner reads back as j.
 
-The writer keeps the text of a leaf of at most 4,096 characters on its
+The writer keeps the text of a leaf of at most 8,192 characters on its
 node, with the digit limit it was written under (_node_text), so a node
 met again, as the builder and the reader hand them back, is written once
 per digit limit. The read-back test of _read_piece writes its leaf on no
@@ -95,14 +95,14 @@ _PRODUCT_HEAD = '{"factors":['
 _PRODUCT_TAIL = '],"node":"product","v":1}'
 
 # A leaf text of at most this many characters is held by the reader memo,
-# and kept on its node by the writer. In theorem_sweep (seed 1, 16 passes)
-# 2,363 of 2,500 leaf reads cover 46 distinct texts of at most 4,096
-# characters, about 45 KB in all; a 16 KB gate would hold 253 KB and a 64 KB
-# gate 851 KB, and held big leaves cost peak RSS. build_index_prime(97), of
-# 50 monomials, writes 4,023 characters.
-_MEMO_MAX_CHARS = 4096
+# and kept on its node by the writer; every part certify._held_part holds
+# writes less (build_index_prime(127): 6,057). In theorem_sweep (seed 1, 16
+# passes) 2,414 of 2,500 leaf reads cover 57 distinct texts of at most
+# 8,192 characters, about 111 KB; a 16 KB gate would hold 253 KB and a
+# 64 KB gate 851 KB, and held big leaves cost peak RSS.
+_MEMO_MAX_CHARS = 8192
 
-# The leaf texts the reader memo holds: more than twice the 46 of that sweep.
+# The leaf texts the reader memo holds: more than twice the 57 of that sweep.
 _MEMO_TEXTS = 128
 
 

@@ -28,7 +28,7 @@ from cyindex.certify import (
 )
 from cyindex.codec import CertificateParseError, certificate_dumps, certificate_from_obj, certificate_loads
 from cyindex.verify import EllipticLeaf, Product, WpsLeaf, verify_certificate
-from cyindex.numtheory import euler_phi, indices_with_phi_at_most, sylvester_bound
+from cyindex.numtheory import euler_phi, factorize, indices_with_phi_at_most, sylvester_bound
 from conftest import entry_poly
 import cyindex
 import cyindex.certify
@@ -362,6 +362,35 @@ def test_padding_lemma_at_the_least_dimension_for_phi_up_to_1000():
                    for f in factors if isinstance(f, WpsLeaf)), (n0, m)
 
 
+def _reference_split(m):
+    """The recursive split, restated on indices: no part for 1, one part for
+    an index of the explicit table or a prime power, and otherwise the parts
+    of the cofactor, then those of the power of the largest prime."""
+    if m == 1:
+        return []
+    fac = factorize(m)
+    if m in cyindex.certify._EXPLICIT or len(fac) == 1:
+        return [m]
+    p, e = fac[-1]
+    return _reference_split(m // p**e) + _reference_split(p**e)
+
+
+def test_parts_split_as_the_recursive_rule_and_factor_m_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cyindex.certify, "factorize", lambda m: calls.append(m) or factorize(m))
+    explicit = cyindex.certify._EXPLICIT
+    for m in indices_with_phi_at_most(4000):
+        calls.clear()
+        parts = cyindex.certify._parts(m)
+        assert calls == [m]
+        qs = [p**e for p, e in parts]
+        assert qs == _reference_split(m), m
+        assert prod(qs) == m and lcm(*qs) == m, m  # pairwise coprime
+        assert all(q in explicit or factorize(q) == ((p, e),) for q, (p, e) in zip(qs, parts)), m
+        tops = [factorize(q)[-1][0] for q in qs]
+        assert tops == sorted(set(tops)), m
+
+
 def test_realize_refuses_a_core_wider_than_the_padding(monkeypatch):
     # realize's pad check is the one guard of the padding lemma: a core of
     # two dimension-2 leaves cannot fit in dimension n - 1 = 2
@@ -645,6 +674,20 @@ def test_a_family_part_is_held_iff_its_leaf_has_at_most_64_monomials():
                 nv = len(first.leaf.space.weights)
                 monomials = sum(len(entry_poly(eq, nv).terms) for _, eq in first.leaf.entries)
                 assert (first is second) == (monomials <= 64), (m, monomials)
+
+
+def test_every_held_part_keeps_its_text_and_reads_back_as_one_node():
+    # held means the node, its text and its read-back together
+    certify = cyindex.certify
+    certify._held_part.cache_clear()
+    parts = {(p, e) for m in indices_with_phi_at_most(2000) for p, e in certify._parts(m)
+             if p < certify._HELD_PRIMES and p**e not in certify._EXPLICIT}
+    for p, e in sorted(parts):
+        node = certify._held_part(p, e)
+        text = certificate_dumps(node)
+        assert len(text) <= cyindex.codec._MEMO_MAX_CHARS, (p, e, len(text))
+        assert vars(node)["_text"][1] == text
+        assert certificate_loads(text) is certificate_loads(text), (p, e)
 
 
 def test_the_writer_holds_the_text_of_every_small_leaf():
@@ -1805,11 +1848,16 @@ def test_the_reader_memo_holds_at_most_128_leaf_texts():
     assert _read_leaf_text.cache_info().currsize <= 128
 
 
-def test_the_reader_memo_holds_leaf_texts_of_at_most_4096_characters():
+def test_the_reader_memo_holds_leaf_texts_up_to_the_gate():
+    # the digits are spread over two b values, each within the default int-to-str limit
+    def leaf_of(digits):
+        return WpsLeaf(cyindex.certify._chain_leaf((1, 1), [(0, 10 ** (digits // 2 - 1)), (1, 10 ** (
+            digits - digits // 2 - 1))], 2, [((0, 1),), ((1, 1),)], "family_A"))
+
     gate = cyindex.codec._MEMO_MAX_CHARS
-    base = len(cyindex.codec._leaf_text(_b_leaf(10))) - 2
+    base = len(cyindex.codec._node_text(leaf_of(4))) - 4
     for size, held in ((gate, 1), (gate + 1, 0)):
-        leaf = WpsLeaf(_b_leaf(10 ** (size - base - 1)))
+        leaf = leaf_of(size - base)
         assert len(cyindex.codec._node_text(leaf)) == size
         for cert in (leaf, Product((leaf, EllipticLeaf(1)))):  # bare, and a factor
             _read_leaf_text.cache_clear()
@@ -1877,7 +1925,7 @@ _SCAN_LEAVES = [
         2, [(Fraction(-3, 2), ((0, 3),)), (Fraction(7, 10**9), ((1, 2),))])),), "family_C"),
     LogLeaf(Wps((1, 1)), (), "family_A"),
 ]
-assert any(len(cyindex.codec._leaf_text(leaf)) > 4096 for leaf in _SCAN_LEAVES)
+assert any(len(cyindex.codec._leaf_text(leaf)) > cyindex.codec._MEMO_MAX_CHARS for leaf in _SCAN_LEAVES)
 assert any(sum(len(entry_poly(eq, len(leaf.space.weights)).terms) for _, eq in leaf.entries) > 64
            for leaf in _SCAN_LEAVES)
 
@@ -2031,7 +2079,7 @@ def test_an_elliptic_piece_reads_as_on_the_general_path(dim):
 
 @pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="no limit on int-to-str digits")
 def test_the_scanner_keeps_the_digit_limit():
-    wide = cyindex.certify._chain_leaf((1,) * 40, [(0, 10**699 + 1)], 2, [((i, 1),) for i in range(40)], "family_A")
+    wide = cyindex.certify._chain_leaf((1,) * 60, [(0, 10**699 + 1)], 2, [((i, 1),) for i in range(60)], "family_A")
     texts = [certificate_dumps(WpsLeaf(_b_leaf(10**699 + 1))),
              certificate_dumps(Product((WpsLeaf(wide), EllipticLeaf(1))))]
     assert len(cyindex.codec._leaf_text(wide)) > cyindex.codec._MEMO_MAX_CHARS

@@ -73,6 +73,9 @@ MUTANTS = [
     Mutant("part-gate-ge", CERTIFY,
            "if p < _HELD_PRIMES else",
            "if p < _HELD_PRIMES + 4 else"),
+    Mutant("memo-gate-4096", CODEC,
+           "_MEMO_MAX_CHARS = 8192",
+           "_MEMO_MAX_CHARS = 4096"),
     Mutant("writer-digits-key", CODEC,
            "if kept is not None and kept[0] == digits:",
            "if kept is not None:"),
@@ -154,6 +157,13 @@ MUTANTS = [
     Mutant("walk-factor-location", CODEC,
            'certificate_from_obj(f, f"{loc}.factors[{i}]")',
            "certificate_from_obj(f, loc)"),
+    # the one split of m into parts
+    Mutant("split-smallest-prime", CERTIFY,
+           "        p, e = fac[k]",
+           "        p, e = fac[len(fac) - 1 - k]"),
+    Mutant("split-no-explicit-stop", CERTIFY,
+           "while m != 1 and m not in _EXPLICIT:",
+           "while m != 1:"),
     # the plane search's table of degree-zero multisets
     Mutant("table-b-upper-bound", CERTIFY,
            "for b in range(max(prev[0], ceil(1 / owed)), left // owed + 1):",
