@@ -28,7 +28,7 @@ from functools import lru_cache
 from math import ceil, lcm
 
 from .codec import certificate_dumps, certificate_loads  # noqa: F401  (bound here for bench/tracing.py)
-from .numtheory import euler_phi, factorize, indices_with_phi_at_most
+from .numtheory import euler_phi, factorize, indices_with_phi_at_most, totient_floor
 from .verify import Certificate, EllipticLeaf, Product, WpsLeaf
 from .verify import verify_certificate  # noqa: F401  (bound here for bench/tracing.py)
 from .wpspairs import (
@@ -247,10 +247,21 @@ def check_dim_inequality(m: int, e: int, variant: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
+# realize factors m by trial division only up to this limit: the prime
+# 99999999999973 just below it takes about 0.6 s (2-vCPU x86_64 host).
+# Above it, phi(m) is bounded below by totient_floor, and an m in range
+# needs n of about 7e12 or more, so refusing what the bound leaves open is
+# conservative.
+_FACTOR_LIMIT = 10**14
+
+
 def realize(n: int, m: int) -> Certificate:
     """Certificate of dimension n - 1 and index m, for any m with
     phi(m) <= 2n and n >= 3: the leaves of the core of m, padded by one
     trailing elliptic leaf, or a bare leaf when only one factor is left.
+    An m above _FACTOR_LIMIT is never factored: it is out of range when
+    totient_floor shows phi(m) > 2n, and a resource budget ValueError
+    otherwise.
     """
     if not isinstance(n, int) or n < 3:
         raise ValueError(f"realize requires n >= 3, got {_shown(n)}")
@@ -261,6 +272,14 @@ def realize(n: int, m: int) -> Certificate:
         shown = _bounded_int(m)
         raise ValueError(f"{shown} > 8n^2 = {_bounded_int(8 * n * n)}, so phi({shown}) > 2n = "
                          f"{_bounded_int(2 * n)}: index out of range")
+    if m > _FACTOR_LIMIT:
+        shown = _bounded_int(m)
+        k, a, b = totient_floor(m)
+        if m * a > 2 * n * b:
+            raise ValueError(f"{shown} has at most {k} distinct prime factors, so phi({shown}) > 2n = "
+                             f"{_bounded_int(2 * n)}: index out of range")
+        raise ValueError(f"resource budget: {shown} is over the factoring limit {_FACTOR_LIMIT}, and without "
+                         f"factoring it phi({shown}) > 2n = {_bounded_int(2 * n)} is not decided")
     phi = euler_phi(m)
     if phi > 2 * n:
         raise ValueError(f"phi({_bounded_int(m)}) = {_bounded_int(phi)} > 2n = {_bounded_int(2 * n)}: "

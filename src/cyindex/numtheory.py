@@ -12,6 +12,7 @@ from __future__ import annotations
 __all__ = [
     "factorize",
     "euler_phi",
+    "totient_floor",
     "indices_with_phi_at_most",
     "sylvester_bound",
 ]
@@ -46,6 +47,27 @@ def euler_phi(m: int) -> int:
     for p, e in factorize(m):
         result *= p**e - p ** (e - 1)
     return result
+
+
+def totient_floor(m: int) -> tuple[int, int, int]:
+    """(k, a, b) with phi(m) >= m * a / b, found without factoring m: k is
+    the number of primes p_1 < ... < p_k whose product is at most m, and
+    a / b = prod (p_i - 1) / p_i over them.
+
+    m has some w distinct prime factors q_1 < ... < q_w, and q_i >= p_i, so
+    p_1 ... p_w <= q_1 ... q_w <= m gives w <= k, and phi(m) / m =
+    prod (1 - 1/q_i) >= prod_{i <= w} (1 - 1/p_i) >= prod_{i <= k} (1 - 1/p_i).
+    The primes come from sieves of doubling length, so the work grows with
+    the bit length of m, not with m.
+    """
+    limit = 2
+    while True:
+        k, a, b = 0, 1, 1
+        for p in _primes_upto(limit):
+            if b * p > m:
+                return k, a, b
+            k, a, b = k + 1, a * (p - 1), b * p
+        limit *= 2
 
 
 def _primes_upto(limit: int) -> list[int]:

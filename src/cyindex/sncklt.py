@@ -14,17 +14,18 @@ coordinate the head of its chain. The tag names the shape: family_B leaves
 have a chain of length >= 2, family_A and family_C leaves only Fermat
 terms.
 
-Arrangement strategies are checked directly: hyperplanes by one walk over
-the normal-vector subsets that eliminates each shared prefix once, within a
-fixed work budget. Points on P^1 and lines on P^2, the plane arrangements
-of linear forms, go through the same walk. Plane arrangements with a conic
-or a cubic go by resultants of sheared equations (gradient tests for
-smoothness, squarefree tests for transversality, gcd tests against triple
-points). Both run exactly in integers after clearing each equation's
-denominators, which changes no zero set, rank, resultant root or gcd
-degree. The resultant route is conservative: a curve the shear cannot make
-y-regular, or a shared resultant root that cannot be certified harmless,
-causes rejection, never acceptance.
+Arrangement strategies are checked directly, and the entries, not the
+tag, pick the route; the tag picks only the report's step names. Linear
+forms (hyperplanes, points on P^1, lines on P^2) go by one walk over the
+normal-vector subsets that eliminates each shared prefix once, within one
+work budget. Plane arrangements with a conic or a cubic go by resultants
+of sheared equations (gradient tests for smoothness, squarefree tests for
+transversality, gcd tests against triple points). Both run exactly in
+integers after clearing each equation's denominators, which changes no
+zero set, rank, resultant root or gcd degree. The resultant route is
+conservative: a curve the shear cannot make y-regular, or a shared
+resultant root that cannot be certified harmless, causes rejection, never
+acceptance.
 """
 
 from __future__ import annotations
@@ -218,10 +219,10 @@ def _subset_size(k: int, nv: int) -> int:
 # Resultant and triple tests the plane check may spend, counting a curve of
 # degree d as d lines: C(D, 2) + C(D, 3) for total degree D. A pair test
 # takes up to about 850 us for two cubics and a triple test 8 to 90 us, so
-# the budget is about 1 s whatever the degrees. Lines alone skip the tests
-# for the walk: the 84 that fit need at most C(84, 3) * 27 entry updates,
-# about 5 ms. In a degree-zero arrangement sum d_i (1 - 1/b_i) = 3 with
-# each term >= d_i / 2, so D <= 6 and 35 tests.
+# the budget is about 1 s whatever the degrees. It is charged only when a
+# conic or a cubic is present; lines alone take the hyperplane walk and its
+# budget. In a degree-zero arrangement sum d_i (1 - 1/b_i) = 3 with each
+# term >= d_i / 2, so D <= 6 and 35 tests.
 _PLANE_WORK_BUDGET = 10**5
 
 
@@ -405,28 +406,24 @@ def plane_arrangement_snc(curves) -> bool:
     """Is an arrangement of plane curves (degree 1 to 3, homogeneous, in 3
     variables) simple normal crossing outside the origin of its cone?
 
-    A 2-variable input is a point configuration on P^1: every entry must be
-    a linear form, and the hyperplane walk on their integer normals decides
-    that no two are proportional. Lines on P^2 go through the same walk:
-    they are planes through the origin of the cone, SNC outside it iff
-    every min(k, 3) of their normals are independent.
-
-    An arrangement with a conic or a cubic is checked for (a) every curve
-    smooth (lines trivially, conics and cubics by one gradient test, exact
-    for conics), (b) every pair transversal (the y-resultant after a
-    deterministic shear is squarefree as a binary form), (c) no triple
-    points (the two resultants through a pivot curve share no projective
-    root). Each curve is cleared of denominators, sheared and split into
-    y-coefficients once, so every test runs exactly in integers. This route
-    is conservative by design: any uncertifiable situation returns False,
-    a curve containing the line {x2 = 0}, which no shear makes y-regular,
-    included.
+    Linear forms, points on P^1 (where every entry must be one) or lines on
+    P^2, are hyperplanes of the cone and go through _linear_forms_snc, its
+    walk and its budget. An arrangement with a conic or a cubic is checked
+    for (a) every curve smooth (lines trivially, conics and cubics by one
+    gradient test, exact for conics), (b) every pair transversal (the
+    y-resultant after a deterministic shear is squarefree as a binary form),
+    (c) no triple points (the two resultants through a pivot curve share no
+    projective root). Each curve is cleared of denominators, sheared and
+    split into y-coefficients once, so every test runs exactly in integers.
+    This route is conservative by design: any uncertifiable situation
+    returns False, a curve containing the line {x2 = 0}, which no shear
+    makes y-regular, included.
 
     A nonzero constant (degree 0, no curve at all) or a curve of degree > 3
     raises ValueError, and a non-homogeneous curve NotQuasiHomogeneous;
     each message names the entry index. The work is bounded: if the tests
     counted by _PLANE_WORK_BUDGET exceed it, a ValueError naming the
-    resource budget is raised before any line is walked or curve sheared.
+    resource budget is raised before any curve is sheared.
     """
     curves = list(curves)
     if not curves:
@@ -437,11 +434,9 @@ def plane_arrangement_snc(curves) -> bool:
     if any(c.is_zero() for c in curves):
         return False
 
-    if nv == 2:
-        # points on P^1: linear forms, pairwise independent by the hyperplane walk
-        if any(map(_not_hyperplane, curves)):
-            return False
-        return _walk(_integer_normals(curves), min(len(curves), 2))
+    linear = not any(map(_not_hyperplane, curves))
+    if nv == 2 or (nv == 3 and linear):
+        return linear and _linear_forms_snc(curves)
     if nv != 3:
         raise ValueError("plane arrangements live in 3 variables (or 2 for P^1)")
 
@@ -460,10 +455,6 @@ def plane_arrangement_snc(curves) -> bool:
     if comb(total, 2) + comb(total, 3) > _PLANE_WORK_BUDGET:
         raise ValueError(f"resource budget: {len(curves)} curves of total degree {total} need C({total}, 2) + "
                          f"C({total}, 3) resultant and triple tests, over {_PLANE_WORK_BUDGET}")
-    if all(d == 1 for d in degrees):
-        # lines: planes through the origin of the cone, SNC outside it iff
-        # every min(k, 3) of their normals are independent
-        return _walk(_integer_normals(curves), min(len(curves), 3))
     terms = [_integer_terms(c) for c in curves]
 
     # deterministic shear x -> x + k*y: smallest k making every leading
@@ -674,43 +665,43 @@ def _integer_normals(eqs: list[SparsePoly]) -> list[list[int]]:
     return rows
 
 
+def _linear_forms_snc(eqs: list[SparsePoly]) -> bool:
+    """hyperplane_arrangement_snc on the normals of nonzero linear forms,
+    their arity and the work budget read from the sparse terms first, so a
+    refused arrangement builds no dense row."""
+    nv = eqs[0].nvars if eqs else 0
+    if any(eq.nvars != nv for eq in eqs):
+        raise ValueError(_MIXED_NORMALS)
+    _subset_size(len(eqs), nv)
+    return hyperplane_arrangement_snc(_integer_normals(eqs))
+
+
 def is_klt_leaf(leaf: LogLeaf) -> KltReport:
     """Certify kltness of a leaf according to its declared strategy.
 
     Families go through family_snc_check; arrangement strategies are
-    checked directly on the entry equations. In every passing case the
-    final recorded step is the singularity-theoretic implication actually
-    used: SNC support with coefficients < 1 outside the origin implies klt.
+    checked directly on the entry equations, linear forms under either tag
+    by _linear_forms_snc, so the tag picks only the step names. In every
+    passing case the final recorded step is the singularity-theoretic
+    implication actually used: SNC support with coefficients < 1 outside
+    the origin implies klt.
     """
     strategy = leaf.klt_strategy
     if strategy in _FAMILY_TAGS:
         return family_snc_check(leaf)
 
-    steps: list[KltStep] = []
+    eqs = leaf.equations()
     if strategy == "hyperplane_arrangement":
-        eqs = leaf.equations()
         i, why = next(((i, why) for i, why in enumerate(map(_not_hyperplane, eqs)) if why), (None, None))
         if why:
-            steps.append(KltStep(STEP_SHAPE, False, f"entry {i} is not a hyperplane: {why}"))
-        else:
-            steps.append(KltStep(STEP_SHAPE, True))
-            nv = eqs[0].nvars if eqs else 0
-            try:
-                # both checked before any row is built, so a refused arrangement builds nothing dense
-                if any(eq.nvars != nv for eq in eqs):
-                    raise ValueError(_MIXED_NORMALS)
-                _subset_size(len(eqs), nv)
-                steps.append(KltStep(STEP_HYPERPLANES, hyperplane_arrangement_snc(_integer_normals(eqs))))
-            except ValueError as err:
-                steps.append(KltStep(STEP_HYPERPLANES, False, str(err)))
-        return _report(strategy, steps)
-
-    if strategy == "plane_arrangement":
-        try:
-            ok = plane_arrangement_snc(leaf.equations())
-            steps.append(KltStep(STEP_PLANE, ok))
-        except ValueError as err:  # NotQuasiHomogeneous included
-            steps.append(KltStep(STEP_PLANE, False, str(err)))
-        return _report(strategy, steps)
-
-    raise ValueError(f"unknown klt strategy {strategy!r}")
+            return _report(strategy, [KltStep(STEP_SHAPE, False, f"entry {i} is not a hyperplane: {why}")])
+        steps, check, step = [KltStep(STEP_SHAPE, True)], _linear_forms_snc, STEP_HYPERPLANES
+    elif strategy == "plane_arrangement":
+        steps, check, step = [], plane_arrangement_snc, STEP_PLANE
+    else:
+        raise ValueError(f"unknown klt strategy {strategy!r}")
+    try:
+        steps.append(KltStep(step, check(eqs)))
+    except ValueError as err:  # NotQuasiHomogeneous included
+        steps.append(KltStep(step, False, str(err)))
+    return _report(strategy, steps)

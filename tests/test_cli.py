@@ -161,6 +161,35 @@ def test_realize_huge_index_is_a_precondition_failure(capsys, monkeypatch):
     assert err.startswith("precondition failed: ") and "out of range" in err
 
 
+def test_realize_decides_an_index_over_the_factoring_limit_without_factoring(capsys, monkeypatch):
+    # m = 1000000007 * 1000000009 needs trial division up to 10^9; at most 15
+    # distinct primes give phi(m) >= 0.138 m, far over 2n
+    monkeypatch.setattr(cyindex.certify, "euler_phi", None)
+    monkeypatch.setattr(cyindex.certify, "factorize", None)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "realize", "--dim", "1000000000", "--index", "1000000016000000063")
+    assert time.perf_counter() - start < 1
+    assert code == EXIT_PRECONDITION and out == ""
+    assert err == ("precondition failed: 1000000016000000063 has at most 15 distinct prime factors, so "
+                   "phi(1000000016000000063) > 2n = 2000000000: index out of range\n")
+
+
+def test_realize_refuses_what_the_bound_cannot_decide_over_the_factoring_limit(capsys, monkeypatch):
+    # phi(10^14 + 1) >= 0.1487 (10^14 + 1), which does not exceed 2n = 2 * 10^13
+    monkeypatch.setattr(cyindex.certify, "euler_phi", None)
+    with pytest.raises(ValueError, match=r"^resource budget: 100000000000001 is over the factoring limit "
+                                         r"100000000000000, and without factoring it phi\(100000000000001\) > "
+                                         r"2n = 20000000000000 is not decided$"):
+        realize(10**13, 10**14 + 1)
+    code, out, err = run(capsys, "realize", "--dim", str(10**13), "--index", str(10**14 + 1))
+    assert code == EXIT_PRECONDITION and out == "" and "factoring limit" in err
+    monkeypatch.undo()
+    # at the limit m is factored, as before
+    with pytest.raises(ValueError, match=r"^phi\(100000000000000\) = 40000000000000 > 2n = 20000000000000: "
+                                         "index out of range$"):
+        realize(10**13, 10**14)
+
+
 def test_realize_high_dimension(capsys):
     code, out, _ = run(capsys, "realize", "--dim", "600", "--index", "1")
     assert code == EXIT_OK

@@ -9,6 +9,7 @@ from cyindex.numtheory import (
     factorize,
     indices_with_phi_at_most,
     sylvester_bound,
+    totient_floor,
 )
 
 
@@ -75,6 +76,24 @@ def test_phi_one_or_even_up_to_1e4():
 def test_phi_multiplicative_on_coprime(a, b):
     if gcd(a, b) == 1:
         assert euler_phi(a * b) == euler_phi(a) * euler_phi(b)
+
+
+def test_totient_floor_bounds_phi_from_below():
+    # the primorials 2, 6, 30, 210 and 2310 are exactly where k grows
+    assert [totient_floor(m)[0] for m in (1, 2, 5, 6, 29, 30, 209, 210, 2309, 2310)] == [0, 1, 1, 2, 2, 3, 3, 4, 4, 5]
+    assert totient_floor(30) == (3, 8, 30)
+    for m in range(1, 20_001):
+        k, a, b = totient_floor(m)
+        assert euler_phi(m) * b >= m * a and len(factorize(m)) <= k, m
+        if m in (1, 2, 6, 30, 210, 2310):  # a primorial meets its bound
+            assert euler_phi(m) * b == m * a
+
+
+@settings(max_examples=200, derandomize=True)
+@given(st.integers(1, 10**12))
+def test_totient_floor_bounds_phi_on_large_m(m):
+    k, a, b = totient_floor(m)
+    assert euler_phi(m) * b >= m * a and len(factorize(m)) <= k
 
 
 # -- enumeration -------------------------------------------------------------

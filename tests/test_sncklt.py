@@ -458,12 +458,13 @@ def _no_plane_work(*_):
 def test_plane_budget_fails_the_step_before_any_curve_is_sheared(monkeypatch):
     monkeypatch.setattr(cyindex.sncklt, "_sheared", _no_plane_work)
     monkeypatch.setattr(cyindex.sncklt, "_resultant_y", _no_plane_work)
-    # 85 lines need C(85, 2) + C(85, 3) = 102,340 tests, one more line than fits
+    # a conic and 83 lines, total degree 85, need C(85, 2) + C(85, 3) = 102,340
+    # tests, one degree more than fits; lines alone take the walk and are not charged here
     assert comb(84, 2) + comb(84, 3) <= _PLANE_WORK_BUDGET < comb(85, 2) + comb(85, 3)
-    lines = [SparsePoly.linear_form((j, 1, j * j)) for j in range(85)]
-    leaf = LogLeaf(Wps((1, 1, 1)), tuple((StdCoeff(2), eq) for eq in lines), "plane_arrangement")
+    curves = [CONIC] + [SparsePoly.linear_form((j, 1, j * j)) for j in range(83)]
+    leaf = LogLeaf(Wps((1, 1, 1)), tuple((StdCoeff(2), eq) for eq in curves), "plane_arrangement")
     assert [(s.description, s.passed, s.detail) for s in is_klt_leaf(leaf).steps] == [
-        (STEP_PLANE, False, "resource budget: 85 curves of total degree 85 need C(85, 2) + C(85, 3) "
+        (STEP_PLANE, False, "resource budget: 84 curves of total degree 85 need C(85, 2) + C(85, 3) "
                             f"resultant and triple tests, over {_PLANE_WORK_BUDGET}")]
     # a cubic counts as three lines: 29 cubics are over budget although C(29, 3) is small
     fermat3 = poly(3, (1, (3, 0, 0)), (1, (0, 3, 0)), (1, (0, 0, 3)))
@@ -628,6 +629,58 @@ def _p1_curves(draw):
 @example([SparsePoly.linear_form((1, 1)), _P1_NONLINEAR[1]])
 def test_p1_points_through_the_walk_match_the_distinct_forms_route(curves):
     assert plane_arrangement_snc(curves) is _p1_by_distinct_forms(curves), curves
+
+
+# -- linear forms: one route and one budget, whatever the tag ----------------
+
+
+def _snc_step(nv, rows, tag):
+    """(passed, detail) of is_klt_leaf's SNC step on the linear forms rows
+    on P^(nv-1), each with b = 2, under tag; the report passes iff the step does."""
+    eqs = [SparsePoly.linear_form(row) for row in rows]
+    report = is_klt_leaf(LogLeaf(Wps((1,) * nv), tuple((StdCoeff(2), eq) for eq in eqs), tag))
+    (step,) = [s for s in report.steps if s.description in (STEP_HYPERPLANES, STEP_PLANE)]
+    assert report.passed is step.passed
+    return step.passed, step.detail
+
+
+@st.composite
+def _small_linear_arrangements(draw):
+    """(nv, rows): 1 to 7 nonzero integer normals with entries in [-3, 3] in
+    nv = 2 or 3 variables, repeats and proportional rows included."""
+    nv = draw(st.sampled_from((2, 3)))
+    row = st.lists(st.integers(-3, 3), min_size=nv, max_size=nv).filter(any)
+    return nv, draw(st.lists(row, min_size=1, max_size=7))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_small_linear_arrangements())
+@example((2, [[1, 0], [0, 1], [1, 1], [2, 2]]))
+@example((3, [[1, 0, 0], [0, 1, 0], [1, 1, 0]]))
+@example((3, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]))
+def test_linear_arrangements_get_one_snc_verdict_under_both_tags(arrangement):
+    nv, rows = arrangement
+    hyperplane = _snc_step(nv, rows, "hyperplane_arrangement")
+    assert _snc_step(nv, rows, "plane_arrangement") == hyperplane
+    assert hyperplane[0] is hyperplane_arrangement_snc(rows)
+
+
+def _over_the_walk_budget(k, nv):
+    return (f"resource budget: ranking C({k}, {nv}) subsets in {nv} variables exceeds {_HYPERPLANE_WORK_BUDGET} "
+            "entry updates")
+
+
+@pytest.mark.parametrize("nv, rows, want", [
+    # 1,600 points on P^1: C(1600, 2) pairs are over the walk's budget
+    (2, [(1, t) for t in range(1600)], (False, _over_the_walk_budget(1600, 2))),
+    # 85 general lines on P^2: within the walk's budget, and no plane budget is charged
+    (3, [(1, a, a * a + 7) for a in range(85)], (True, "")),
+    # 140 such lines: C(140, 3) triples are over the walk's budget
+    (3, [(1, a, a * a + 7) for a in range(140)], (False, _over_the_walk_budget(140, 3))),
+], ids=["1600-points-on-P1", "85-lines-on-P2", "140-lines-on-P2"])
+def test_the_walk_budget_gives_one_verdict_under_both_tags(nv, rows, want):
+    assert _snc_step(nv, rows, "hyperplane_arrangement") == want
+    assert _snc_step(nv, rows, "plane_arrangement") == want
 
 
 # -- plane arrangements: floating point sampler oracle -----------------------

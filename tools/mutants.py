@@ -164,6 +164,13 @@ MUTANTS = [
     Mutant("split-no-explicit-stop", CERTIFY,
            "while m != 1 and m not in _EXPLICIT:",
            "while m != 1:"),
+    # an index over the factoring limit: never factored, and out of range only where the bound shows it
+    Mutant("factor-limit-ge", CERTIFY,
+           "if m > _FACTOR_LIMIT:",
+           "if m >= _FACTOR_LIMIT:"),
+    Mutant("factor-bound-unchecked", CERTIFY,
+           "if m * a > 2 * n * b:",
+           "if True:"),
     # the plane search's table of degree-zero multisets
     Mutant("table-b-upper-bound", CERTIFY,
            "for b in range(max(prev[0], ceil(1 / owed)), left // owed + 1):",
@@ -221,12 +228,16 @@ MUTANTS = [
     Mutant("hyperplane-shape", SNCKLT,
            "if len(pairs) != 1 or pairs[0][1] != 1:",
            "if len(pairs) != 1:"),
+    # the one route of linear forms: its subset size on P^1 and P^2, and its budget on the plane tag
     Mutant("p1-pairs", SNCKLT,
-           "return _walk(_integer_normals(curves), min(len(curves), 2))",
-           "return _walk(_integer_normals(curves), min(len(curves), 1))"),
+           "t = min(k, nv)\n",
+           "t = min(k, 1 if nv == 2 else nv)\n"),
     Mutant("plane-lines-triples", SNCKLT,
-           "return _walk(_integer_normals(curves), min(len(curves), 3))",
-           "return _walk(_integer_normals(curves), min(len(curves), 2))"),
+           "t = min(k, nv)\n",
+           "t = min(k, 2 if nv == 3 else nv)\n"),
+    Mutant("plane-linear-budget-skipped", SNCKLT,
+           "return linear and _linear_forms_snc(curves)",
+           "return linear and _walk(_integer_normals(curves), min(len(curves), nv))"),
     Mutant("plane-pair-squarefree", SNCKLT,
            "return _gcd_degree(r, [i * c for i, c in enumerate(r)][1:]) <= 0",
            "return _gcd_degree(r, [i * c for i, c in enumerate(r)][1:]) <= 1"),
