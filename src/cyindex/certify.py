@@ -143,12 +143,12 @@ def build_sylvester(k: int) -> LogLeaf:
     H = x0 x1 + x0^(2s-2) + x2 + ... + xk, the chain x1 -> x0 beside Fermat
     terms: family_B.
 
-    The leaf strict-verifies for k <= 16. From k = 17 on its b values have
-    more than verify.COEFF_BITS_BUDGET bits in all, so degree-zero fails with
-    a resource budget detail. From k = 15 on a b value has more than 4,300
-    decimal digits, Python's default int-to-str digit limit, so
-    certificate_dumps raises ValueError unless sys.set_int_max_str_digits
-    raises the limit.
+    The leaf strict-verifies for k <= 16. From k = 17 on its b values, all
+    distinct, have more than verify.COEFF_BITS_BUDGET bits in all, so
+    degree-zero fails with a resource budget detail. From k = 15 on a b
+    value has more than 4,300 decimal digits, Python's default int-to-str
+    digit limit, so certificate_dumps raises ValueError unless
+    sys.set_int_max_str_digits raises the limit.
     """
     if not isinstance(k, int) or k < 2:
         raise ValueError(f"build_sylvester requires an integer k >= 2, got {k!r}")

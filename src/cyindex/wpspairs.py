@@ -436,11 +436,14 @@ def _distinct_up_to_scaling(equations: list[int | SparsePoly], nvars: int) -> bo
 
 def _scaled_log_degree(space: Wps, entries, degrees) -> tuple[int, int]:
     """(L deg(K_X + B), L) with L = lcm(b), in integers, given the weighted
-    degree of each entry's equation: with coefficients 1 - 1/b_i,
-    L deg(K_X + B) = L deg K_X + sum deg_i (L - L/b_i)."""
-    scale = lcm(*[coeff.b for coeff, _ in entries])
-    return scale * canonical_degree(space) + sum(
-        deg * (scale - scale // coeff.b) for (coeff, _), deg in zip(entries, degrees)), scale
+    degree of each entry's equation. With D_b the sum of the degrees of the
+    entries of coefficient 1 - 1/b, L deg(K_X + B) = L deg K_X +
+    sum_b (L - L/b) D_b: one big-integer step per distinct b, not per entry."""
+    sums = {}  # b: D_b
+    for (coeff, _), deg in zip(entries, degrees):
+        sums[coeff.b] = sums.get(coeff.b, 0) + deg
+    scale = lcm(*sums)
+    return scale * canonical_degree(space) + sum([(scale - scale // b) * d for b, d in sums.items()]), scale
 
 
 def log_degree(leaf: LogLeaf) -> Fraction:
@@ -459,7 +462,7 @@ def pair_index(leaf: LogLeaf) -> int:
     """
     if not is_well_formed(leaf.space):
         raise ValueError(f"pair_index requires a well-formed space, got {leaf.space}")
-    d = log_degree(leaf)
-    if d != 0:
-        raise ValueError(f"pair_index requires log degree 0, got {_bounded_fraction(d)}")
-    return lcm(*[c.b for c, _ in leaf.entries])
+    num, scale = _scaled_log_degree(leaf.space, leaf.entries, [weighted_degree(eq, leaf.space) for _, eq in leaf.entries])
+    if num != 0:
+        raise ValueError(f"pair_index requires log degree 0, got {_bounded_fraction(Fraction(num, scale))}")
+    return scale

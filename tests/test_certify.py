@@ -747,8 +747,8 @@ def test_a_pickled_node_verifies_and_writes_identically():
 
 
 def test_the_coefficient_budget_fails_degree_zero_before_its_arithmetic(monkeypatch):
-    leaf = build_index_prime(13)
-    bits = sum(coeff.b.bit_length() for coeff, _ in leaf.entries)
+    leaf = build_index_prime(13)  # b = 13 on all four entries: charged once, 4 bits
+    bits = 4
     # each verification below is of a fresh node, so none reads a verdict kept under another budget
     monkeypatch.setattr(cyindex.verify, "COEFF_BITS_BUDGET", bits)
     assert verify_certificate(WpsLeaf(leaf)).passed
@@ -756,8 +756,32 @@ def test_the_coefficient_budget_fails_degree_zero_before_its_arithmetic(monkeypa
     monkeypatch.setattr(cyindex.verify, "_scaled_log_degree", None)
     report = verify_certificate(WpsLeaf(leaf))
     failed = {name: detail for name, ok, detail in report.leaf_reports[0].checks if not ok}
-    assert failed == {"degree-zero": f"resource budget: the b values have {bits} bits in all, above {bits - 1}",
+    assert failed == {"degree-zero": f"resource budget: the distinct b values have {bits} bits in all, "
+                                     f"above {bits - 1}",
                       "index-computed": "preconditions failed"}
+
+
+def test_the_coefficient_budget_charges_each_distinct_b_once():
+    # four entries of one 39,625-bit b: 158,500 bits counted per entry, over
+    # the budget, but 39,625 counted once, so the log degree is worked out
+    b = 3**25000
+    leaf = LogLeaf(Wps((1, 1, 1, 1)), tuple((StdCoeff(b), j) for j in range(4)), "family_A")
+    assert 4 * b.bit_length() > cyindex.verify.COEFF_BITS_BUDGET >= b.bit_length()
+    details = {name: detail for name, _, detail in verify_certificate(WpsLeaf(leaf)).leaf_reports[0].checks}
+    assert log_degree(leaf) == Fraction(-4, b)
+    assert details["degree-zero"] == f"log degree -4/<{b.bit_length()}-bit integer>"
+    # 400 distinct 4,000-digit b values are each charged, and refused before any arithmetic
+    bs = [10**3999 + i for i in range(400)]
+    leaf = LogLeaf(Wps((1,) * 400), tuple((StdCoeff(b), j) for j, b in enumerate(bs)), "family_A")
+    details = {name: detail for name, _, detail in verify_certificate(WpsLeaf(leaf)).leaf_reports[0].checks}
+    assert details["degree-zero"] == (f"resource budget: the distinct b values have {sum(b.bit_length() for b in bs)}"
+                                      f" bits in all, above {cyindex.verify.COEFF_BITS_BUDGET}")
+
+
+def test_realize_verifies_the_prime_32771_whose_8193_entries_share_one_b():
+    cert = realize(16386, 32771)
+    report = verify_certificate(cert, "strict")
+    assert report.passed and (report.dim, report.index) == (16385, 32771)
 
 
 def test_build_sylvester_verifies_to_16_and_writes_to_14():

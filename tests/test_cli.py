@@ -331,15 +331,21 @@ def test_verify_degree_zero_detail_is_bounded_for_huge_b(capsys, tmp_path):
 
 def test_verify_over_the_coefficient_budget_exits_1(capsys, monkeypatch, tmp_path):
     # the budget is tested by its arithmetic: the b values of realize(4, 16),
-    # a bare leaf with b 2, 4, 8, 16 and 16, have 19 bits in all
+    # a bare leaf with b 2, 4, 8, 16 and 16, are charged once per distinct value, 14 bits in all
     # written with indent, so the general reader builds a fresh node, which has
     # no verdict kept from the real budget
     out_file = tmp_path / "cert.json"
     out_file.write_text(json.dumps(json.loads(certificate_dumps(realize(4, 16))), indent=1))
-    monkeypatch.setattr(cyindex.verify, "COEFF_BITS_BUDGET", 18)
+    monkeypatch.setattr(cyindex.verify, "COEFF_BITS_BUDGET", 13)
     code, out, _ = run(capsys, "verify", str(out_file))
     assert code == EXIT_VERIFY_FAILED
-    assert "\n  FAIL $ [wps_leaf] degree-zero: resource budget: the b values have 19 bits in all, above 18\n" in out
+    assert "\n  FAIL $ [wps_leaf] degree-zero: resource budget: the distinct b values have 14 bits in all, above 13\n" in out
+
+
+def test_realize_of_the_prime_32771_passes_its_own_verifier(capsys):
+    code, out, _ = run(capsys, "realize", "--dim", "16386", "--index", "32771", "--format", "table")
+    assert code == EXIT_OK
+    assert "verification: PASSED" in out
 
 
 def _refuse_to_parse(text):

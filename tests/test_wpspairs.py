@@ -685,14 +685,19 @@ def _changed_leaves(draw):
 @st.composite
 def _random_leaves(draw):
     """Small weights and a few monomial entries: mostly of nonzero degree,
-    sometimes of degree zero, sometimes on a space that is not well-formed."""
+    sometimes of degree zero, sometimes on a space that is not well-formed.
+    The b values come from a pool of at most three, so they often repeat,
+    and repeated ones may be one shared StdCoeff or equal ones."""
     weights = tuple(draw(st.lists(st.integers(1, 6), min_size=2, max_size=4)))
     nv = len(weights)
+    pool = [StdCoeff(b) for b in draw(st.lists(st.integers(2, 12), min_size=1, max_size=3))]
     entries = []
-    for _ in range(draw(st.integers(0, 4))):
+    for _ in range(draw(st.integers(0, 5))):
         exps = draw(st.lists(st.integers(0, 3), min_size=nv, max_size=nv))
         pairs = tuple((v, x) for v, x in enumerate(exps) if x) or ((0, 1),)
-        entries.append((StdCoeff(draw(st.integers(2, 12))), SparsePoly.from_pairs(nv, [(draw(_coeffs), pairs)])))
+        coeff = draw(st.sampled_from(pool))
+        coeff = coeff if draw(st.booleans()) else StdCoeff(coeff.b)
+        entries.append((coeff, SparsePoly.from_pairs(nv, [(draw(_coeffs), pairs)])))
     return LogLeaf(Wps(weights), tuple(entries), "family_A")
 
 

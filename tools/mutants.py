@@ -52,8 +52,8 @@ MUTANTS = [
            '_check(rep, "weights-valid", len(w) >= 2 and min(w) >= 0, space_text)',
            equivalent="Wps rejects a weight below 1 at construction, so no leaf has one"),
     Mutant("standard-coefficients", VERIFY,
-           "std_ok = all(isinstance(coeff.b, int) and coeff.b >= 2 for coeff, _ in leaf.entries)",
-           "std_ok = all(isinstance(coeff.b, int) and coeff.b >= 1 for coeff, _ in leaf.entries)",
+           "std_ok = all([isinstance(b, int) and b >= 2 for b in distinct_b])",
+           "std_ok = all([isinstance(b, int) and b >= 1 for b in distinct_b])",
            equivalent="StdCoeff rejects b below 2 at construction, so no entry has b = 1"),
     Mutant("entries-distinct", VERIFY,
            '_check(rep, "entries-distinct", _distinct_up_to_scaling([eq for _, eq in leaf.entries], nv))',
@@ -69,6 +69,10 @@ MUTANTS = [
     Mutant("coeff-budget-ge", VERIFY,
            "if bits > COEFF_BITS_BUDGET:",
            "if bits >= COEFF_BITS_BUDGET:"),
+    # the budget charges each distinct b once, not each entry
+    Mutant("coeff-budget-per-entry", VERIFY,
+           "bits = sum([b.bit_length() for b in distinct_b])",
+           "bits = sum([coeff.b.bit_length() for coeff, _ in leaf.entries])"),
     # the builder's memo and the text kept on a leaf node
     Mutant("part-gate-ge", CERTIFY,
            "if p < _HELD_PRIMES else",
@@ -287,6 +291,10 @@ MUTANTS = [
     Mutant("index-range-unchecked", WPSPAIRS,
            "if type(eq) is not int or not 0 <= eq < nv:  # exact int, so no bool",
            "if type(eq) is not int:"),
+    # the log degree sums the entry degrees of each distinct b
+    Mutant("log-degree-sum-overwritten", WPSPAIRS,
+           "sums[coeff.b] = sums.get(coeff.b, 0) + deg",
+           "sums[coeff.b] = deg"),
 ]
 
 

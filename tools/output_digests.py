@@ -58,7 +58,14 @@ file (LABEL `edit M KIND`), SHA being the sha256 of the stdout of
 `cyindex verify FILE --mode MODE --format json` for MODE strict and
 trusting; then `cli realize N M SHA` for the stdout of
 `cyindex realize --dim N --index M` (its JSON) for N in (3, 10) and each m
-with phi(m) <= 2N. The package is imported from the
+with phi(m) <= 2N.
+
+Last the coefficient budget: `budget LABEL REPORT` for leaves whose b
+values are over `COEFF_BITS_BUDGET` counted once per entry, REPORT being
+the sha256 of the strict report: `realize 16386 32771`, whose 8,193
+entries share one 16-bit b; `repeated 4`, four coordinate hyperplanes on
+P^3 sharing b = 3^25000; and `distinct 400`, 400 coordinate hyperplanes
+on P^399 with the distinct b values 10^3999 + i. The package is imported from the
 `src` directory beside this file, so running the tool in two checkouts and
 diffing the outputs shows exactly which outputs a change alters.
 """
@@ -304,6 +311,10 @@ def main() -> int:
     for n in (3, 10):
         for m in indices_with_phi_at_most(2 * n):
             print(f"cli realize {n} {m} {_cli_sha('realize', '--dim', str(n), '--index', str(m))}")
+    print(f"budget realize 16386 32771 {_report_sha(realize(16386, 32771))}")
+    for label, bs in (("repeated 4", [3**25000] * 4), ("distinct 400", [10**3999 + i for i in range(400)])):
+        leaf = LogLeaf(Wps((1,) * len(bs)), tuple((StdCoeff(b), j) for j, b in enumerate(bs)), "family_A")
+        print(f"budget {label} {_report_sha(WpsLeaf(leaf))}")
     return 0
 
 
