@@ -203,7 +203,7 @@ def _verify_wps_leaf(leaf: LogLeaf, rep: NodeReport) -> tuple[int | None, int | 
     distinct_b = {coeff.b for coeff, _ in leaf.entries}
     std_ok = all([isinstance(b, int) and b >= 2 for b in distinct_b])
     _check(rep, "standard-coefficients", std_ok,
-           _listed([coeff for coeff, _ in leaf.entries], str, " "))
+           _listed(leaf.entries, lambda entry: str(entry[0]), " "))
 
     qh_ok, qh_detail = shape_ok, "not evaluated (entry shape invalid)"
     degs: list[int] = []
