@@ -52,7 +52,7 @@ then `hyperplane VECTORS VERDICT` for `hyperplane_arrangement_snc` on each
 multiset of at most 4 of the 3-vectors of `_HYPERPLANE_VECTORS`, which
 holds proportional and dependent ones and a zero one.
 
-Last the command line's JSON bytes: `cli verify LABEL MODE SHA` for each
+Then the command line's JSON bytes: `cli verify LABEL MODE SHA` for each
 reload file above (LABEL `reload` and its label) and each general edit
 file (LABEL `edit M KIND`), SHA being the sha256 of the stdout of
 `cyindex verify FILE --mode MODE --format json` for MODE strict and
