@@ -13,7 +13,7 @@ input files and the plane search.
 A sweep over (n, m) meets the same few parts again and again, so the family
 leaf of a part whose prime is below 128 is built once per process
 (_held_part): at most 128 parts, least recently used first out. Every later
-use gets the same WpsLeaf node, which keeps its verdict and its text once
+use gets the same leaf object, which keeps its verdict and its text once
 worked out (verify, codec). Parts of bigger primes are built afresh.
 
 The plane search returns the first catalogue arrangement of the index and
@@ -25,11 +25,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, lcm
+from itertools import islice
+from math import ceil, lcm, prod
 
 from .codec import certificate_dumps, certificate_loads  # noqa: F401  (bound here for bench/tracing.py)
-from .numtheory import euler_phi, factorize, indices_with_phi_at_most, totient_floor
-from .verify import Certificate, EllipticLeaf, Product, WpsLeaf
+from .numtheory import factorize, indices_with_phi_at_most, sylvester_sequence, totient_floor
+from .verify import Certificate, EllipticLeaf, Product
 from .verify import verify_certificate  # noqa: F401  (bound here for bench/tracing.py)
 from .wpspairs import (
     LogLeaf,
@@ -62,8 +63,8 @@ __all__ = [
 
 def certificate_dim(cert: Certificate) -> int:
     match cert:
-        case WpsLeaf(leaf):
-            return leaf.dim
+        case LogLeaf():
+            return cert.dim
         case EllipticLeaf(dim):
             return dim
         case Product(factors):
@@ -152,9 +153,7 @@ def build_sylvester(k: int) -> LogLeaf:
     """
     if not isinstance(k, int) or k < 2:
         raise ValueError(f"build_sylvester requires an integer k >= 2, got {k!r}")
-    seq = [2]
-    while len(seq) <= k:
-        seq.append(seq[-1] * (seq[-1] - 1) + 1)
+    seq = list(islice(sylvester_sequence(), k + 1))
     s = seq[k]
     h_terms = [((0, 1), (1, 1)), ((0, 2 * s - 2),)] + [((i, 1),) for i in range(2, k + 1)]
     return _chain_leaf((1, 2 * s - 3) + (2 * s - 2,) * (k - 1),
@@ -169,7 +168,7 @@ def build_sylvester(k: int) -> LogLeaf:
 # The explicit leaves of the core as _chain_leaf arguments (weights, (j, b)
 # coordinates, H's b, H): on P^1 and P^2 the coordinate hyperplanes plus the
 # sum of the variables, or plus x0^2 + x1^2 (two points) for index 2.
-_EXPLICIT = {m: WpsLeaf(_chain_leaf(*row)) for m, row in {
+_EXPLICIT = {m: _chain_leaf(*row) for m, row in {
     2: ((1, 1), [(0, 2), (1, 2)], 2, [((0, 2),), ((1, 2),)], "family_A"),
     3: ((1, 1), [(0, 3), (1, 3)], 3, [((0, 1),), ((1, 1),)], "family_A"),
     4: ((1, 1), [(0, 2), (1, 4)], 4, [((0, 1),), ((1, 1),)], "family_A"),
@@ -183,7 +182,7 @@ _EXPLICIT = {m: WpsLeaf(_chain_leaf(*row)) for m, row in {
     14: ((3, 1, 1), [(0, 7), (1, 14)], 2, [((0, 1),), ((1, 3),), ((2, 3),)], "family_C"),
 }.items()}
 
-BASE_DIM1_INDICES = (1, *(m for m, cert in _EXPLICIT.items() if cert.leaf.dim == 1))
+BASE_DIM1_INDICES = (1, *(m for m, leaf in _EXPLICIT.items() if leaf.dim == 1))
 BASE_DIM2_INDICES = tuple(indices_with_phi_at_most(6))
 
 
@@ -280,12 +279,13 @@ def realize(n: int, m: int) -> Certificate:
                              f"{_bounded_int(2 * n)}: index out of range")
         raise ValueError(f"resource budget: {shown} is over the factoring limit {_FACTOR_LIMIT}, and without "
                          f"factoring it phi({shown}) > 2n = {_bounded_int(2 * n)} is not decided")
-    phi = euler_phi(m)
+    fac = factorize(m)
+    phi = prod([p**e - p ** (e - 1) for p, e in fac])  # as euler_phi, from the one factorization
     if phi > 2 * n:
         raise ValueError(f"phi({_bounded_int(m)}) = {_bounded_int(phi)} > 2n = {_bounded_int(2 * n)}: "
                          "index out of range")
 
-    factors = _core(m)
+    factors = _core(_parts(m, fac))
     pad = n - 1 - sum(certificate_dim(f) for f in factors)
     if pad < 0:
         raise RuntimeError(f"realize({n}, {m}): the core has dimension {n - 1 - pad} > {n - 1}")
@@ -294,15 +294,15 @@ def realize(n: int, m: int) -> Certificate:
     return factors[0] if len(factors) == 1 else Product(tuple(factors))
 
 
-def _core(m: int) -> list[WpsLeaf]:
-    """The leaf of each part of m: explicit, held below _HELD_PRIMES, or built."""
+def _core(parts: list[tuple[int, int]]) -> list[LogLeaf]:
+    """The leaf of each part (p, e): explicit, held below _HELD_PRIMES, or built."""
     return [_EXPLICIT[p**e] if p**e in _EXPLICIT else (_held_part if p < _HELD_PRIMES else _part)(p, e)
-            for p, e in _parts(m)]
+            for p, e in parts]
 
 
-def _parts(m: int) -> list[tuple[int, int]]:
+def _parts(m: int, fac: tuple[tuple[int, int], ...]) -> list[tuple[int, int]]:
     """The pairwise coprime parts of m as pairs (p, e), the part being p^e,
-    from one factorization: the power of the largest prime is peeled off
+    from its factorization fac: the power of the largest prime is peeled off
     while the rest is neither 1 nor in _EXPLICIT. An explicit rest q comes
     first, as (q, 1), then the peeled prime powers by ascending prime; one
     of them in _EXPLICIT (2, 3 or 4) stays explicit.
@@ -315,7 +315,6 @@ def _parts(m: int) -> list[tuple[int, int]]:
     its bound: variant 1 for p^e alone, variant 2 for 2 * p^e with p >= 3,
     whose one exception 18 is in _EXPLICIT.
     """
-    fac = factorize(m)
     k = len(fac)
     while m != 1 and m not in _EXPLICIT:
         k -= 1
@@ -324,9 +323,9 @@ def _parts(m: int) -> list[tuple[int, int]]:
     return ([(m, 1)] if m != 1 else []) + list(fac[k:])
 
 
-def _part(p: int, e: int) -> WpsLeaf:
+def _part(p: int, e: int) -> LogLeaf:
     """The family leaf of the prime or prime power p^e."""
-    return WpsLeaf(build_index_prime(p) if e == 1 else build_prime_power(p, e))
+    return build_index_prime(p) if e == 1 else build_prime_power(p, e)
 
 
 # The family part of a prime below this is built once per process:
@@ -341,7 +340,7 @@ _MEMO_LEAVES = 128
 
 # The family parts of a prime below _HELD_PRIMES, built once per process: a
 # sweep over (n, m) meets the same few parts again and again, and the one
-# node of each keeps its verdict and its text.
+# leaf of each keeps its verdict and its text.
 _held_part = lru_cache(maxsize=_MEMO_LEAVES)(_part)
 
 

@@ -44,7 +44,8 @@ from .certify import BASE_DIM1_INDICES, BASE_DIM2_INDICES, base_leaf, realize, s
 from .codec import CertificateParseError, certificate_dumps, certificate_loads
 from .numtheory import euler_phi, indices_with_phi_at_most
 from .selftest import CHECKS
-from .verify import EllipticLeaf, Product, WpsLeaf, verify_certificate
+from .verify import EllipticLeaf, Product, verify_certificate
+from .wpspairs import LogLeaf
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -293,9 +294,9 @@ def _describe(cert) -> str:
     """The node kinds of a certificate in one line, with the space, klt
     strategy and coefficients of each explicit leaf."""
     match cert:
-        case WpsLeaf(leaf):
-            coeffs = " ".join(str(c) for c, _ in leaf.entries)
-            return f"wps_leaf {leaf.space} {leaf.klt_strategy} [{coeffs}]"
+        case LogLeaf():
+            coeffs = " ".join(str(c) for c, _ in cert.entries)
+            return f"wps_leaf {cert.space} {cert.klt_strategy} [{coeffs}]"
         case EllipticLeaf(dim):
             return f"elliptic_leaf dim {dim}"
         case Product(factors):
@@ -311,10 +312,9 @@ def _realization(d: int, m: int) -> str:
     if d == 1 or m in BASE_DIM2_INDICES:
         cert = base_leaf(d, m)
     else:
-        leaf = search_plane_pair(2, m, 7)
-        if leaf is None:
+        cert = search_plane_pair(2, m, 7)
+        if cert is None:
             return "cited: K3 quotient (Machida-Oguiso, Main Theorem 3)"
-        cert = WpsLeaf(leaf)
     report = verify_certificate(cert, "strict")
     checked = report.passed and (report.dim, report.index) == (d, m)
     return f"{'constructed' if checked else 'unverified'}: {_describe(cert)}"
@@ -364,7 +364,7 @@ def _cmd_search(args) -> int:
     if leaf is None:
         print("none")
         return EXIT_OK
-    print(certificate_dumps(WpsLeaf(leaf)))
+    print(certificate_dumps(leaf))
     return EXIT_OK
 
 

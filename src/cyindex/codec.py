@@ -15,15 +15,15 @@ Every other text goes to the one general path, json.loads and one
 field-by-field walk, which raises each error at its absolute JSON path,
 built as the walk descends (certificate_loads, logleaf_from_obj).
 
-A family leaf's int entry j is written as the dense vector of x_j with
-coefficient [1,1], the text of SparsePoly.variable(nv, j), which the
-scanner reads back as j.
+A wps_leaf node is a LogLeaf. A family leaf's int entry j is written as
+the dense vector of x_j with coefficient [1,1], the text of
+SparsePoly.variable(nv, j), which the scanner reads back as j.
 
-The writer keeps the text of a leaf of at most 8,192 characters on its
-node, with the digit limit it was written under (_node_text), so a node
-met again, as the builder and the reader hand them back, is written once
-per digit limit. The read-back test of _read_piece writes its leaf on no
-node.
+The writer keeps the text of a leaf of at most 8,192 characters in the
+leaf's __dict__, with the digit limit it was written under (_node_text),
+so a leaf met again, as the builder and the reader hand them back, is
+written once per digit limit. The read-back test of _read_piece keeps no
+text on its leaf.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 
-from .verify import Certificate, EllipticLeaf, Product, WpsLeaf
+from .verify import Certificate, EllipticLeaf, Product
 from .wpspairs import (
     KLT_STRATEGIES,
     LogLeaf,
@@ -156,12 +156,12 @@ def _node_text(cert: Certificate) -> str:
     in the node's __dict__ with the int-to-str digit limit it was written
     under, and returned again only under that limit."""
     match cert:
-        case WpsLeaf(leaf):
+        case LogLeaf():
             digits = sys.get_int_max_str_digits()
             kept = vars(cert).get("_text")
             if kept is not None and kept[0] == digits:
                 return kept[1]
-            text = _leaf_text(leaf)
+            text = _leaf_text(cert)
             if len(text) <= _MEMO_MAX_CHARS:
                 vars(cert)["_text"] = (digits, text)
             return text
@@ -264,7 +264,7 @@ def certificate_from_obj(obj, loc: str = "$") -> Certificate:
         raise CertificateParseError(f"unsupported schema version {v!r}", f"{loc}.v")
     node = _need(obj, "node", loc)
     if node == "wps_leaf":
-        return WpsLeaf(logleaf_from_obj(obj, loc))
+        return logleaf_from_obj(obj, loc)
     if node == "elliptic_leaf":
         return EllipticLeaf(_need_int(_need(obj, "dim", loc), f"{loc}.dim", minimum=1))
     if node == "product":
@@ -366,10 +366,10 @@ def _read_piece(piece: str) -> Certificate | None:
             dim = int(piece[len(_ELLIPTIC_HEAD):-len(_ELLIPTIC_TAIL)])
             node = EllipticLeaf(dim) if dim >= 1 else None
             return node if node is not None and _node_text(node) == piece else None
-        # written back on no node: a node read from text is seldom written
-        # again, and the text it kept would be a second copy of the piece
+        # written back keeping no text: a leaf read from text is seldom
+        # written again, and the text it kept would be a second copy of the piece
         leaf = _scan_leaf(piece)
-        return WpsLeaf(leaf) if leaf is not None and _leaf_text(leaf) == piece else None
+        return leaf if leaf is not None and _leaf_text(leaf) == piece else None
     except (ValueError, ZeroDivisionError):
         return None
 

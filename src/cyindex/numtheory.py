@@ -9,12 +9,16 @@ module is to be auditable by inspection.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+from itertools import islice
+
 __all__ = [
     "factorize",
     "euler_phi",
     "totient_floor",
     "indices_with_phi_at_most",
     "sylvester_bound",
+    "sylvester_sequence",
 ]
 
 
@@ -114,9 +118,16 @@ def indices_with_phi_at_most(bound: int) -> list[int]:
     return members
 
 
+def sylvester_sequence() -> Iterator[int]:
+    """Sylvester's sequence s_0 = 2, s_k = s_{k-1}(s_{k-1} - 1) + 1: 2, 3, 7, 43, ..."""
+    s = 2
+    while True:
+        yield s
+        s = s * (s - 1) + 1
+
+
 def sylvester_bound(n: int) -> int:
-    """(s_{n-1} - 1)(2 s_{n-1} - 3) for Sylvester's sequence s_0 = 2,
-    s_k = s_{k-1}(s_{k-1} - 1) + 1.
+    """(s_{n-1} - 1)(2 s_{n-1} - 3) for s_k in sylvester_sequence.
 
     This is the Esser-Totaro-Wang candidate for the largest index of a klt
     Calabi-Yau pair of dimension n - 1 with standard coefficients; for
@@ -124,7 +135,5 @@ def sylvester_bound(n: int) -> int:
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"sylvester_bound requires n >= 1, got {n!r}")
-    s = 2
-    for _ in range(n - 1):
-        s = s * (s - 1) + 1
+    s = next(islice(sylvester_sequence(), n - 1, None))
     return (s - 1) * (2 * s - 3)

@@ -22,7 +22,7 @@ from .certify import (
 from .codec import CertificateParseError, _read_leaf_text, certificate_dumps, certificate_loads
 from .numtheory import euler_phi, indices_with_phi_at_most, sylvester_bound
 from .sncklt import is_klt_leaf
-from .verify import EllipticLeaf, Product, WpsLeaf, verify_certificate
+from .verify import EllipticLeaf, Product, verify_certificate
 from .wpspairs import LogLeaf, SparsePoly, StdCoeff, Wps, log_degree, pair_index
 
 
@@ -157,16 +157,16 @@ def check_klt() -> None:
         for m in indices:
             cert = base_leaf(dim, m)  # a leaf or a flat product of leaves
             for i, f in enumerate(cert.factors if isinstance(cert, Product) else (cert,)):
-                if isinstance(f, WpsLeaf):
-                    _require(is_klt_leaf(f.leaf).passed, f"is_klt_leaf fails on factor {i} of base_leaf({dim}, {m})")
+                if isinstance(f, LogLeaf):
+                    _require(is_klt_leaf(f).passed, f"is_klt_leaf fails on factor {i} of base_leaf({dim}, {m})")
     for name, leaf in _not_klt_leaves():
         _require(not is_klt_leaf(leaf).passed, f"is_klt_leaf passes {name}")
         if name == _DOUBLED:
-            failing = verify_certificate(WpsLeaf(leaf), "strict").failing_checks()
+            failing = verify_certificate(leaf, "strict").failing_checks()
             _require(("$", "entries-distinct") in failing, f"{name} fails only {failing}")
-    three = base_leaf(1, 3).leaf
+    three = base_leaf(1, 3)
     points = LogLeaf(three.space, three.entries, "hyperplane_arrangement")
-    report = verify_certificate(WpsLeaf(points), "strict")
+    report = verify_certificate(points, "strict")
     _require(all(isinstance(eq, SparsePoly) for eq in points.equations()), "an arrangement leaf holds an index")
     _require(report.passed and (report.dim, report.index) == (1, 3),
              f"the P^1 leaf of index 3 as points verifies as {report.dim}, {report.index}: {report.failing_checks()}")
@@ -206,7 +206,7 @@ def check_search() -> None:
             if leaf is None:
                 continue
             hits.add(m)
-            report = verify_certificate(WpsLeaf(leaf), "strict")
+            report = verify_certificate(leaf, "strict")
             _require(report.passed, f"{call} fails strict verification: {report.failing_checks()}")
             _require((report.dim, report.index) == (dim, m),
                      f"{call} verifies as dimension {report.dim}, index {report.index}")

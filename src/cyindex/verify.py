@@ -12,13 +12,13 @@ quasi-homogeneity, exact degree zero, standard coefficients, the index, the
 klt report, and the tree arithmetic. Every leaf is explicit, so nothing
 is taken on trust and both verification modes run the same checks.
 
-A sweep over (n, m) meets the same few core leaves again and again, and
-the builder and the reader hand back the same node for each. A WpsLeaf
-keeps what its first verification found, the checks, the klt report and
-(dim, index), so every later verification of that node copies them
-(WpsLeaf._verdict). The node is frozen and the checks read only its leaf,
-so a report is the same bytes whether it was worked out or kept. Equal
-leaves in separate nodes are each checked once.
+A wps_leaf node is a LogLeaf. A sweep over (n, m) meets the same few core
+leaves again and again, and the builder and the reader hand back the same
+leaf object for each. A leaf keeps what its first verification found, the
+checks, the klt report and (dim, index), in its __dict__, so every later
+verification of that object copies them (_verify_node). A report is the
+same bytes whether it was worked out or kept, and equal leaves in separate
+objects are each checked once.
 
 The degree arithmetic of a leaf is bounded by the bits of its distinct b
 values (COEFF_BITS_BUDGET); over the budget, degree-zero fails and names it.
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
 
 from .sncklt import KltReport, is_klt_leaf
@@ -45,7 +44,6 @@ from .wpspairs import (
 )
 
 __all__ = [
-    "WpsLeaf",
     "EllipticLeaf",
     "Product",
     "Certificate",
@@ -61,27 +59,6 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class WpsLeaf:
-    leaf: LogLeaf
-
-    @cached_property
-    def _verdict(self) -> tuple[tuple[tuple[str, bool, str], ...], KltReport | None,
-                                tuple[int | None, int | None]]:
-        """The checks, klt report and (dim, index) that _verify_wps_leaf
-        gives the leaf, worked out once per node and kept in its __dict__.
-
-        Sound because the node is frozen and _verify_wps_leaf reads nothing
-        but its leaf, whose fields the loader and the public constructors
-        build only from tuples, exact ints, Fractions and strs. The checks
-        are a tuple, so a caller copies them into its own report, and the
-        KltReport is frozen, so it is shared. A test that patches a function
-        the checks call verifies a fresh node."""
-        rep = NodeReport("", "wps_leaf")
-        result = _verify_wps_leaf(self.leaf, rep)
-        return tuple(rep.checks), rep.klt, result
-
-
-@dataclass(frozen=True)
 class EllipticLeaf:
     dim: int
 
@@ -94,7 +71,7 @@ class Product:
         object.__setattr__(self, "factors", tuple(self.factors))
 
 
-Certificate = WpsLeaf | EllipticLeaf | Product
+Certificate = LogLeaf | EllipticLeaf | Product
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +236,18 @@ def _verify_wps_leaf(leaf: LogLeaf, rep: NodeReport) -> tuple[int | None, int | 
 def _verify_node(cert: Certificate, path: str,
                  reports: list[NodeReport]) -> tuple[int | None, int | None]:
     match cert:
-        case WpsLeaf():
-            checks, klt, result = cert._verdict
+        case LogLeaf():
+            # The verdict is kept in the leaf's own __dict__: sound because the leaf
+            # is frozen and _verify_wps_leaf reads only its fields, which the loader
+            # and the public constructors build from tuples, exact ints, Fractions
+            # and strs. Each report copies the kept checks and shares the frozen
+            # KltReport. A test that patches what the checks call uses a fresh leaf.
+            kept = vars(cert)
+            if "_verdict" not in kept:
+                rep = NodeReport(path, "wps_leaf")
+                result = _verify_wps_leaf(cert, rep)
+                kept["_verdict"] = (tuple(rep.checks), rep.klt, result)
+            checks, klt, result = kept["_verdict"]
             reports.append(NodeReport(path, "wps_leaf", list(checks), klt))
             return result
         case EllipticLeaf(dim):

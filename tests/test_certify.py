@@ -27,7 +27,7 @@ from cyindex.certify import (
     search_plane_pair,
 )
 from cyindex.codec import CertificateParseError, certificate_dumps, certificate_from_obj, certificate_loads
-from cyindex.verify import EllipticLeaf, Product, WpsLeaf, verify_certificate
+from cyindex.verify import EllipticLeaf, Product, verify_certificate
 from cyindex.numtheory import euler_phi, factorize, indices_with_phi_at_most, sylvester_bound
 from conftest import entry_poly
 import cyindex
@@ -96,7 +96,7 @@ def test_build_and_strict_verify_never_read_dense_vectors(monkeypatch):
 
     monkeypatch.setattr(SparsePoly, "monomials", property(dense_view))
     leaf = build_index_prime(16001)
-    report = verify_certificate(WpsLeaf(leaf), "strict")
+    report = verify_certificate(leaf, "strict")
     assert report.passed and (report.dim, report.index) == (4001, 16001)
     assert sum(len(pairs) for _, eq in leaf.entries for _, pairs in entry_poly(eq, 4003).terms) < 16001
 
@@ -127,7 +127,7 @@ def test_build_prime_power_22_matches_p1_pair():
 
 @pytest.mark.parametrize("k", range(2, 8))
 def test_sylvester_extremal_leaf_is_a_chain_leaf(k):
-    report = verify_certificate(WpsLeaf(build_sylvester(k)), "strict")
+    report = verify_certificate(build_sylvester(k), "strict")
     assert report.passed, report.failing_checks()
     assert (report.dim, report.index) == (k, sylvester_bound(k + 1))
     if k <= 4:
@@ -196,11 +196,11 @@ GOLDEN_SHA256 = {
 def _golden_cert(key):
     kind, *args = key
     if kind == "index_prime":
-        return WpsLeaf(build_index_prime(*args))
+        return build_index_prime(*args)
     if kind == "prime_power":
-        return WpsLeaf(build_prime_power(*args))
+        return build_prime_power(*args)
     if kind == "search":
-        return WpsLeaf(search_plane_pair(*args))
+        return search_plane_pair(*args)
     return base_leaf(*args)
 
 
@@ -221,7 +221,7 @@ def test_golden_leaf_bytes(key):
 
 def test_base_dim1_catalogue():
     assert base_leaf(1, 1) == EllipticLeaf(1)
-    leaf = base_leaf(1, 6).leaf
+    leaf = base_leaf(1, 6)
     assert [c.b for c, _ in leaf.entries] == [2, 3, 6]
     for m in (2, 3, 4, 6):
         cert = base_leaf(1, m)
@@ -240,7 +240,7 @@ def test_base_dim2_catalogue():
         assert report.passed, (m, report.failing_checks())
         assert (report.dim, report.index) == (2, m)
     # index 14: 6/7 {x0 = 0} + 13/14 {x1 = 0} + 1/2 {x0 + x1^3 + x2^3 = 0} on P(3,1,1)
-    leaf = base_leaf(2, 14).leaf
+    leaf = base_leaf(2, 14)
     assert leaf.space.weights == (3, 1, 1) and leaf.klt_strategy == "family_C"
     assert [c.b for c, _ in leaf.entries] == [7, 14, 2]
     assert [sorted(entry_poly(eq, 3).monomials) for _, eq in leaf.entries] == [
@@ -274,7 +274,7 @@ def test_inequality_examples():
 
 def test_realize_4_16_is_a_single_leaf():
     cert = realize(4, 16)
-    assert isinstance(cert, WpsLeaf)
+    assert isinstance(cert, LogLeaf)
     assert certificate_dim(cert) == 3 and verify_certificate(cert).index == 16
 
 
@@ -289,7 +289,7 @@ def test_realize_3_6_pads_the_p1_pair():
     cert = realize(3, 6)
     assert isinstance(cert, Product)
     kinds = sorted(type(f).__name__ for f in cert.factors)
-    assert kinds == ["EllipticLeaf", "WpsLeaf"]
+    assert kinds == ["EllipticLeaf", "LogLeaf"]
     assert certificate_dim(cert) == 2 and verify_certificate(cert).index == 6
 
 
@@ -358,8 +358,8 @@ def test_padding_lemma_at_the_least_dimension_for_phi_up_to_1000():
         idxs = [verify_certificate(f).index for f in factors]
         assert lcm(*idxs) == prod(idxs), (n0, m, idxs)
         # every leaf is a chain leaf, checked by the one family criterion
-        assert all(f.leaf.klt_strategy in ("family_A", "family_B", "family_C")
-                   for f in factors if isinstance(f, WpsLeaf)), (n0, m)
+        assert all(f.klt_strategy in ("family_A", "family_B", "family_C")
+                   for f in factors if isinstance(f, LogLeaf)), (n0, m)
 
 
 def _reference_split(m):
@@ -376,13 +376,17 @@ def _reference_split(m):
 
 
 def test_parts_split_as_the_recursive_rule_and_factor_m_once(monkeypatch):
-    calls = []
+    calls, splits = [], []
     monkeypatch.setattr(cyindex.certify, "factorize", lambda m: calls.append(m) or factorize(m))
+    # the split realize hands to _core; an empty core is padded whole
+    monkeypatch.setattr(cyindex.certify, "_core", lambda parts: splits.append(parts) or [])
     explicit = cyindex.certify._EXPLICIT
     for m in indices_with_phi_at_most(4000):
         calls.clear()
-        parts = cyindex.certify._parts(m)
-        assert calls == [m]
+        splits.clear()
+        realize(2000, m)  # phi(m) and the split both read the one factorization
+        assert calls == [m] and len(splits) == 1
+        parts = splits[0]
         qs = [p**e for p, e in parts]
         assert qs == _reference_split(m), m
         assert prod(qs) == m and lcm(*qs) == m, m  # pairwise coprime
@@ -396,7 +400,7 @@ def test_realize_refuses_a_core_wider_than_the_padding(monkeypatch):
     # two dimension-2 leaves cannot fit in dimension n - 1 = 2
     leaves = [base_leaf(2, 10), base_leaf(2, 18)]
     assert [certificate_dim(leaf) for leaf in leaves] == [2, 2]
-    monkeypatch.setattr(cyindex.certify, "_core", lambda m: list(leaves))
+    monkeypatch.setattr(cyindex.certify, "_core", lambda parts: list(leaves))
     with pytest.raises(RuntimeError, match="dimension 4 > 2"):
         realize(3, 10)
 
@@ -525,7 +529,7 @@ def test_verify_leaf_work_is_linear_by_call_counts(monkeypatch):
     monkeypatch.setattr(SparsePoly, "proportional_to",
                         counted("proportional_to", SparsePoly.proportional_to))
     leaf = build_index_prime(401)
-    report = verify_certificate(WpsLeaf(leaf), "strict")
+    report = verify_certificate(leaf, "strict")
     assert report.passed and report.index == 401
     assert counts == {"weighted_degree": len(leaf.entries), "is_well_formed": 1}
 
@@ -564,7 +568,7 @@ def test_verify_reports_the_same_bytes_from_the_memo(monkeypatch):
     assert counts["is_klt_leaf"] > 0 and cold == warm
 
 
-_SMALL_LEAVES = [cert.leaf for cert in cyindex.certify._EXPLICIT.values()] + [
+_SMALL_LEAVES = list(cyindex.certify._EXPLICIT.values()) + [
     build_index_prime(m) for m in (5, 7, 13, 15)] + [build_prime_power(2, 3), build_prime_power(3, 2)]
 
 
@@ -611,21 +615,21 @@ def _leaf_and_one_field_changed(draw):
 def test_the_memo_tells_apart_leaves_that_differ_in_one_field(pair):
     leaf, changed = pair
     assert changed != leaf
-    cold = verify_certificate(WpsLeaf(changed)).as_obj()
-    node = WpsLeaf(leaf)
-    verify_certificate(node)
-    # a node made from a verified one is a new node, with no verdict kept
-    assert verify_certificate(dataclasses.replace(node, leaf=changed)).as_obj() == cold
+    cold = verify_certificate(changed).as_obj()
+    verify_certificate(leaf)
+    # a leaf made from a verified one is a new object, with no verdict kept
+    fields = {name: getattr(changed, name) for name in ("space", "entries", "klt_strategy")}
+    assert verify_certificate(dataclasses.replace(leaf, **fields)).as_obj() == cold
 
 
 def test_a_memo_hit_does_no_leaf_work(monkeypatch):
     leaf = build_index_prime(13)
-    node, equal = WpsLeaf(leaf), WpsLeaf(build_index_prime(13))
-    want = verify_certificate(WpsLeaf(leaf)).as_obj()
+    want = verify_certificate(leaf).as_obj()
+    node, equal = dataclasses.replace(leaf), build_index_prime(13)  # fresh copies, no verdict kept
     counts = _counting_leaf_work(monkeypatch)
     assert verify_certificate(node).as_obj() == verify_certificate(node).as_obj() == want
     assert counts == {"weighted_degree": len(leaf.entries), "is_klt_leaf": 1}
-    # an equal leaf in a separate node is checked once too
+    # an equal leaf in a separate object is checked once too
     assert verify_certificate(equal).as_obj() == verify_certificate(equal).as_obj() == want
     assert counts == {"weighted_degree": 2 * len(leaf.entries), "is_klt_leaf": 2}
 
@@ -633,7 +637,7 @@ def test_a_memo_hit_does_no_leaf_work(monkeypatch):
 def test_every_leaf_node_keeps_its_verdict(monkeypatch):
     chain_leaf = cyindex.certify._chain_leaf
     h = [((j, 1),) for j in range(33)]  # 33 monomials
-    big = WpsLeaf(chain_leaf((1,) * 33, [(j, 2) for j in range(32)], 2, h, "family_A"))  # 65 in all
+    big = chain_leaf((1,) * 33, [(j, 2) for j in range(32)], 2, h, "family_A")  # 65 in all
     want = verify_certificate(big).leaf_reports[0].as_obj()
     assert "_verdict" in vars(big)
     counts = _counting_leaf_work(monkeypatch)
@@ -642,13 +646,85 @@ def test_every_leaf_node_keeps_its_verdict(monkeypatch):
 
 
 def test_an_unhashable_leaf_verifies_as_its_hashable_copy():
-    leaf = cyindex.certify._EXPLICIT[14].leaf
+    leaf = cyindex.certify._EXPLICIT[14]
     polys = [(c, entry_poly(eq, len(leaf.space.weights))) for c, eq in leaf.entries]
     listed = LogLeaf(leaf.space, tuple((c, SparsePoly._canonical(eq.nvars, [list(t) for t in eq.terms]))
                                        for c, eq in polys), leaf.klt_strategy)
     with pytest.raises(TypeError):
         hash(listed)
-    assert verify_certificate(WpsLeaf(listed)).as_obj() == verify_certificate(WpsLeaf(leaf)).as_obj()
+    assert verify_certificate(listed).as_obj() == verify_certificate(leaf).as_obj()
+
+
+# -- a leaf is its own certificate node -----------------------------------------
+
+# name -> (sha256 of the strict report, sha256 of certificate_dumps), recorded
+# when a wps_leaf node was a wrapper holding its LogLeaf; the bare leaf keeps
+# both byte for byte
+_BARE_LEAF_SHA256 = {
+    "realize-4-16": ("f551e2d7191239ccbe8a2665d2f5d0903614261753d4635f03da7ad2ddb443ac",
+                     "18bac619a98dd8dcf9a778f6fde95c6179ba34caa9cc72e62fe083409f9d0cdf"),
+    "index_prime-13": ("516cccc510042d9e67c8876a29686e1c9034b4c9ac9bcfbc3f45e4424ef34dd9",
+                       "9962a0d7e11e4573723c6cc0a667bdb94526e0cde7761fc68b93323f7f76a5c0"),
+    "prime_power-3-2": ("1abfc3bd7658fdf186fc5ba8c48ce8b624d84e1c33d4ac825aabfe5379a0ba08",
+                        "86b0b9fd8e1bb25702bf7475769e564d302c4ac5916132d084efd8082c2513b8"),
+    "search-1-3": ("c7ebb4714e03b88fa5a953af749abf71c60f95f019dbe6bfc2db93177337b12f",
+                   "74b8db5376e5f71bed17d3b0a2fb6c5301b68f4dd40dcbba82ca6705f13834d2"),
+    "search-2-10": ("57d4ce3dfc593aa733c276108370fa5ad600df0351260f95a7f8619d74bda061",
+                    "5601032b94f9bade9927b4159ed99abab4cc3e9a5b6dfc7d3bd28770881604b8"),
+    "one-point": ("6fe46c15d3e91c219917b2b8e4151124dc1943736be56a54a6f28ce5fd04418d",  # fails degree-zero
+                  "ef4e6c7f83a8bb7203a88a61a14d4a18177835daee5c6e9a0e733dc31ae2113c"),
+}
+
+_BARE_LEAVES = {
+    "realize-4-16": lambda: realize(4, 16),
+    "index_prime-13": lambda: build_index_prime(13),
+    "prime_power-3-2": lambda: build_prime_power(3, 2),
+    "search-1-3": lambda: search_plane_pair(1, 3),
+    "search-2-10": lambda: search_plane_pair(2, 10),
+    "one-point": lambda: LogLeaf(Wps((1, 1)), ((StdCoeff(2), 0),), "family_A"),
+}
+
+
+@pytest.mark.parametrize("name", list(_BARE_LEAF_SHA256))
+def test_a_bare_leaf_reports_and_writes_the_pinned_bytes(name):
+    leaf = _BARE_LEAVES[name]()
+    assert type(leaf) is LogLeaf
+    report_sha, text_sha = _BARE_LEAF_SHA256[name]
+    for _ in range(2):  # worked out, then kept
+        report = json.dumps(verify_certificate(leaf, "strict").as_obj(), sort_keys=True)
+        assert hashlib.sha256(report.encode()).hexdigest() == report_sha
+        assert hashlib.sha256(certificate_dumps(leaf).encode()).hexdigest() == text_sha
+
+
+def test_a_leaf_keeps_its_verdict_and_a_replaced_copy_is_checked_afresh(monkeypatch):
+    leaf = build_index_prime(13)
+    want = verify_certificate(leaf).as_obj()
+    counts = _counting_leaf_work(monkeypatch)
+    assert verify_certificate(leaf).as_obj() == want
+    assert counts == {}
+    copy = dataclasses.replace(leaf)
+    assert copy == leaf and copy is not leaf and "_verdict" not in vars(copy)
+    assert verify_certificate(copy).as_obj() == want
+    assert counts == {"weighted_degree": len(leaf.entries), "is_klt_leaf": 1}
+
+
+def test_a_kept_verdict_belongs_to_its_own_leaf():
+    five, seven = build_index_prime(5), build_index_prime(7)
+    assert [verify_certificate(leaf).index for leaf in (five, seven, five, seven)] == [5, 7, 5, 7]
+    assert vars(five)["_verdict"] != vars(seven)["_verdict"]
+
+
+def test_the_wps_leaf_alias_returns_its_argument():
+    leaf = build_index_prime(13)
+    assert cyindex.WpsLeaf(leaf) is leaf
+
+
+def test_realize_and_the_reader_hand_back_a_bare_log_leaf():
+    leaf = realize(4, 16)
+    assert type(leaf) is LogLeaf
+    text = certificate_dumps(leaf)
+    for back in (certificate_loads(text), certificate_loads(json.dumps(json.loads(text), indent=1))):
+        assert type(back) is LogLeaf and back == leaf
 
 
 # -- the build memo and the text kept on each leaf node ----------------------------
@@ -669,10 +745,11 @@ def test_a_family_part_is_held_iff_its_leaf_has_at_most_64_monomials():
     cyindex.certify._held_part.cache_clear()
     explicit = {id(node) for node in cyindex.certify._EXPLICIT.values()}
     for m in indices_with_phi_at_most(2000):
-        for first, second in zip(cyindex.certify._core(m), cyindex.certify._core(m)):
+        parts = cyindex.certify._parts(m, factorize(m))
+        for first, second in zip(cyindex.certify._core(parts), cyindex.certify._core(parts)):
             if id(first) not in explicit:
-                nv = len(first.leaf.space.weights)
-                monomials = sum(len(entry_poly(eq, nv).terms) for _, eq in first.leaf.entries)
+                nv = len(first.space.weights)
+                monomials = sum(len(entry_poly(eq, nv).terms) for _, eq in first.entries)
                 assert (first is second) == (monomials <= 64), (m, monomials)
 
 
@@ -680,7 +757,7 @@ def test_every_held_part_keeps_its_text_and_reads_back_as_one_node():
     # held means the node, its text and its read-back together
     certify = cyindex.certify
     certify._held_part.cache_clear()
-    parts = {(p, e) for m in indices_with_phi_at_most(2000) for p, e in certify._parts(m)
+    parts = {(p, e) for m in indices_with_phi_at_most(2000) for p, e in certify._parts(m, factorize(m))
              if p < certify._HELD_PRIMES and p**e not in certify._EXPLICIT}
     for p, e in sorted(parts):
         node = certify._held_part(p, e)
@@ -696,8 +773,8 @@ def test_the_writer_holds_the_text_of_every_small_leaf():
         for m in indices_with_phi_at_most(2 * n):
             cert = realize(n, m)
             for node in cert.factors if isinstance(cert, Product) else (cert,):
-                if isinstance(node, WpsLeaf):
-                    text = cyindex.codec._leaf_text(node.leaf)
+                if isinstance(node, LogLeaf):
+                    text = cyindex.codec._leaf_text(node)
                     assert cyindex.codec._node_text(node) == text, (n, m)
                     assert ("_text" in vars(node)) == (len(text) <= gate), (n, m)
 
@@ -705,7 +782,7 @@ def test_the_writer_holds_the_text_of_every_small_leaf():
 def test_a_held_leaf_is_written_once_and_read_back_unheld(monkeypatch):
     _read_leaf_text.cache_clear()
     calls = _counted(monkeypatch, "_leaf_text")
-    cert = Product((WpsLeaf(build_index_prime(5)), WpsLeaf(build_prime_power(2, 2)), EllipticLeaf(6)))
+    cert = Product((build_index_prime(5), build_prime_power(2, 2), EllipticLeaf(6)))
     text = certificate_dumps(cert)
     assert len(calls) == 2
     assert certificate_dumps(cert) == text and len(calls) == 2
@@ -715,7 +792,7 @@ def test_a_held_leaf_is_written_once_and_read_back_unheld(monkeypatch):
 
 
 def test_a_text_written_under_another_digit_limit_is_written_afresh():
-    node = WpsLeaf(cyindex.certify._chain_leaf((1, 1), [(0, 10**700)], 2, [((0, 1),), ((1, 1),)], "family_A"))
+    node = cyindex.certify._chain_leaf((1, 1), [(0, 10**700)], 2, [((0, 1),), ((1, 1),)], "family_A")
     limit = sys.get_int_max_str_digits()
     try:
         sys.set_int_max_str_digits(4300)
@@ -736,7 +813,7 @@ def test_a_pickled_node_verifies_and_writes_identically():
     copied = pickle.loads(pickle.dumps(cert))  # its leaf nodes carry their verdicts and texts
     assert copied == cert and copied.factors[0] is not cert.factors[0]
     assert verify_certificate(copied).as_obj() == want and certificate_dumps(copied) == text
-    node = WpsLeaf(build_index_prime(13))
+    node = build_index_prime(13)
     fresh = pickle.loads(pickle.dumps(node))  # pickled before any verdict or text was worked out
     assert not vars(fresh).keys() & {"_verdict", "_text"}
     assert verify_certificate(fresh).as_obj() == verify_certificate(node).as_obj()
@@ -749,12 +826,12 @@ def test_a_pickled_node_verifies_and_writes_identically():
 def test_the_coefficient_budget_fails_degree_zero_before_its_arithmetic(monkeypatch):
     leaf = build_index_prime(13)  # b = 13 on all four entries: charged once, 4 bits
     bits = 4
-    # each verification below is of a fresh node, so none reads a verdict kept under another budget
+    # each verification below is of a fresh leaf, so none reads a verdict kept under another budget
     monkeypatch.setattr(cyindex.verify, "COEFF_BITS_BUDGET", bits)
-    assert verify_certificate(WpsLeaf(leaf)).passed
+    assert verify_certificate(leaf).passed
     monkeypatch.setattr(cyindex.verify, "COEFF_BITS_BUDGET", bits - 1)
     monkeypatch.setattr(cyindex.verify, "_scaled_log_degree", None)
-    report = verify_certificate(WpsLeaf(leaf))
+    report = verify_certificate(dataclasses.replace(leaf))
     failed = {name: detail for name, ok, detail in report.leaf_reports[0].checks if not ok}
     assert failed == {"degree-zero": f"resource budget: the distinct b values have {bits} bits in all, "
                                      f"above {bits - 1}",
@@ -767,13 +844,13 @@ def test_the_coefficient_budget_charges_each_distinct_b_once():
     b = 3**25000
     leaf = LogLeaf(Wps((1, 1, 1, 1)), tuple((StdCoeff(b), j) for j in range(4)), "family_A")
     assert 4 * b.bit_length() > cyindex.verify.COEFF_BITS_BUDGET >= b.bit_length()
-    details = {name: detail for name, _, detail in verify_certificate(WpsLeaf(leaf)).leaf_reports[0].checks}
+    details = {name: detail for name, _, detail in verify_certificate(leaf).leaf_reports[0].checks}
     assert log_degree(leaf) == Fraction(-4, b)
     assert details["degree-zero"] == f"log degree -4/<{b.bit_length()}-bit integer>"
     # 400 distinct 4,000-digit b values are each charged, and refused before any arithmetic
     bs = [10**3999 + i for i in range(400)]
     leaf = LogLeaf(Wps((1,) * 400), tuple((StdCoeff(b), j) for j, b in enumerate(bs)), "family_A")
-    details = {name: detail for name, _, detail in verify_certificate(WpsLeaf(leaf)).leaf_reports[0].checks}
+    details = {name: detail for name, _, detail in verify_certificate(leaf).leaf_reports[0].checks}
     assert details["degree-zero"] == (f"resource budget: the distinct b values have {sum(b.bit_length() for b in bs)}"
                                       f" bits in all, above {cyindex.verify.COEFF_BITS_BUDGET}")
 
@@ -786,20 +863,20 @@ def test_realize_verifies_the_prime_32771_whose_8193_entries_share_one_b():
 
 def test_build_sylvester_verifies_to_16_and_writes_to_14():
     for k, passed in ((16, True), (17, False)):
-        report = verify_certificate(WpsLeaf(build_sylvester(k)))
+        report = verify_certificate(build_sylvester(k))
         assert report.passed is passed and (passed or report.failing_checks() == [
             ("$", "degree-zero"), ("$", "index-computed")])
     limit = sys.get_int_max_str_digits()
     try:
         sys.set_int_max_str_digits(4300)
-        certificate_dumps(WpsLeaf(build_sylvester(14)))
+        certificate_dumps(build_sylvester(14))
         with pytest.raises(ValueError, match="4300 digits"):
-            certificate_dumps(WpsLeaf(build_sylvester(15)))
+            certificate_dumps(build_sylvester(15))
         sys.set_int_max_str_digits(0)  # no limit: written, and held under this limit only
-        certificate_dumps(WpsLeaf(build_sylvester(15)))
+        certificate_dumps(build_sylvester(15))
         sys.set_int_max_str_digits(4300)
         with pytest.raises(ValueError, match="4300 digits"):
-            certificate_dumps(WpsLeaf(build_sylvester(15)))
+            certificate_dumps(build_sylvester(15))
     finally:
         sys.set_int_max_str_digits(limit)
 
@@ -846,14 +923,14 @@ def _obj(cert):
 
 
 A_OBJ = _obj(realize(4, 16))  # family_C on P(1,1,1,1): four coordinates plus their sum
-B_OBJ = _obj(WpsLeaf(build_index_prime(13)))  # family_A
+B_OBJ = _obj(build_index_prime(13))  # family_A
 # a nested product of a P^1 point arrangement and the index-5 leaf, in the
 # shape realize emitted before it padded once
-C_OBJ = _obj(Product((Product((WpsLeaf(search_plane_pair(1, 3)), WpsLeaf(build_index_prime(5)))),
+C_OBJ = _obj(Product((Product((search_plane_pair(1, 3), build_index_prime(5))),
                       EllipticLeaf(1))))
-D_OBJ = _obj(WpsLeaf(search_plane_pair(2, 10)))  # plane arrangement
-E_OBJ = _obj(WpsLeaf(search_plane_pair(1, 3)))  # P^1 point arrangement
-F_OBJ = _obj(WpsLeaf(build_prime_power(3, 2)))  # family_C
+D_OBJ = _obj(search_plane_pair(2, 10))  # plane arrangement
+E_OBJ = _obj(search_plane_pair(1, 3))  # P^1 point arrangement
+F_OBJ = _obj(build_prime_power(3, 2))  # family_C
 
 
 def _h_entry_index(obj):
@@ -970,7 +1047,7 @@ def test_a_constant_monomial_beside_another_is_shaped_but_not_quasi_homogeneous(
 
 def test_quasi_homogeneous_detail_is_bounded_on_a_large_leaf():
     # a weight bump on the dimension-1001 index-prime leaf breaks only H, entry 1000
-    obj = _obj(WpsLeaf(build_index_prime(4001)))
+    obj = _obj(build_index_prime(4001))
     obj["weights"][0] += 1
     report = _verify_obj(obj, "strict")
     [detail] = [d for name, ok, d in report.leaf_reports[0].checks if name == "quasi-homogeneous" and not ok]
@@ -979,16 +1056,16 @@ def test_quasi_homogeneous_detail_is_bounded_on_a_large_leaf():
 
 
 @pytest.mark.parametrize("cert", [
-    WpsLeaf(build_index_prime(4001)),  # 1,002 weights and 1,001 entries
-    WpsLeaf(build_sylvester(14)),  # weights of 11,080 bits, index of 22,159
-    WpsLeaf(build_sylvester(15)),  # past the int-to-str digit limit in every integer it names
+    build_index_prime(4001),  # 1,002 weights and 1,001 entries
+    build_sylvester(14),  # weights of 11,080 bits, index of 22,159
+    build_sylvester(15),  # past the int-to-str digit limit in every integer it names
 ], ids=["index-prime-4001", "sylvester-14", "sylvester-15"])
 def test_verifier_details_are_bounded(cert):
     report = verify_certificate(cert, "strict")
-    assert report.passed and report.index == pair_index(cert.leaf)
+    assert report.passed and report.index == pair_index(cert)
     details = {name: d for name, _, d in report.leaf_reports[0].checks}
     assert max(map(len, details.values())) <= 500, {k: len(d) for k, d in details.items()}
-    if cert.leaf.dim == 1001:
+    if cert.dim == 1001:
         assert details["weights-valid"] == details["well-formed"] == "P(" + "4," * 16 + "... (1002 in all))"
         assert details["standard-coefficients"] == "4000/4001 " * 16 + "... (1001 in all)"
         assert details["quasi-homogeneous"] == "degrees [" + "4, " * 16 + "... (1001 in all)]"
@@ -1002,7 +1079,7 @@ def test_verify_prints_an_index_past_the_digit_limit_by_its_bit_length(capsys, t
     # the k = 14 Sylvester leaf passes, and its 22,159-bit index has more
     # decimal digits than Python converts by default
     path = tmp_path / "sylvester14.json"
-    path.write_text(certificate_dumps(WpsLeaf(build_sylvester(14))) + "\n")
+    path.write_text(certificate_dumps(build_sylvester(14)) + "\n")
     code = cyindex.cli.main(["verify", str(path), "--format", fmt])
     out = capsys.readouterr().out
     assert code == 0
@@ -1017,7 +1094,7 @@ def test_non_homogeneous_detail_is_bounded_for_huge_weights():
     # larger has more decimal digits than str() converts by default
     leaf = LogLeaf(Wps((1, 2**20000)), ((StdCoeff(2), SparsePoly.variable(2, 0)),
                                         (StdCoeff(2), SparsePoly.linear_form((1, 1)))), "family_A")
-    report = verify_certificate(WpsLeaf(leaf), "strict")
+    report = verify_certificate(leaf, "strict")
     [detail] = [d for name, ok, d in report.leaf_reports[0].checks if name == "quasi-homogeneous" and not ok]
     assert detail == "entry 1: monomial degrees disagree: 2 distinct degrees from 1 to <20001-bit integer>"
 
@@ -1026,7 +1103,7 @@ def test_entry_shape_detail_bounds_the_variable_count():
     # x0 on P(1, 1), but in 10^5000 variables: more decimal digits than str()
     # converts by default
     leaf = LogLeaf(Wps((1, 1)), ((StdCoeff(2), SparsePoly.variable(10**5000, 0)),), "family_A")
-    report = verify_certificate(WpsLeaf(leaf), "strict")
+    report = verify_certificate(leaf, "strict")
     assert not report.passed
     [detail] = [d for name, ok, d in report.leaf_reports[0].checks if name == "entry-shape" and not ok]
     assert detail == "equation in <16610-bit integer> variables on P(1,1)"
@@ -1036,7 +1113,7 @@ def test_entry_shape_names_an_equation_that_cancels_to_zero():
     # x0 - x0, which from_terms keeps as the zero polynomial
     eq = SparsePoly.from_terms(2, [(1, (1, 0)), (-1, (1, 0))])
     assert eq.terms == ()
-    report = verify_certificate(WpsLeaf(LogLeaf(Wps((1, 1)), ((StdCoeff(2), eq),), "family_A")), "strict")
+    report = verify_certificate(LogLeaf(Wps((1, 1)), ((StdCoeff(2), eq),), "family_A"), "strict")
     assert not report.passed and ("entry-shape", False, "zero divisor equation") in report.leaf_reports[0].checks
 
 
@@ -1058,7 +1135,7 @@ def test_tamper_originals_all_pass():
 def test_tamper_h_monomial_removed_names_the_pattern_step():
     # without the pure power x_{n-1}^2, H no longer involves x_{n-1} and is
     # tangent to the coordinate hyperplanes along the x_{n-1}-axis
-    obj = _obj(WpsLeaf(build_index_prime(15)))
+    obj = _obj(build_index_prime(15))
     h = obj["entries"][_h_entry_index(obj)]["eq"]
     h[:] = [mono for mono in h if mono["e"] != [0, 0, 0, 2, 0]]
     report = _verify_obj(obj)
@@ -1164,7 +1241,7 @@ def reference_search(dim, index, max_components=4):
 
 
 def _dumps_or_none(leaf):
-    return None if leaf is None else certificate_dumps(WpsLeaf(leaf))
+    return None if leaf is None else certificate_dumps(leaf)
 
 
 # (dim, indices, component counts): hits and misses, about 3 s of reference work
@@ -1206,7 +1283,7 @@ def test_every_plane_multiset_instantiates_to_a_leaf_that_strict_verifies():
     for dim, by_index in table.items():
         for index, combos in by_index.items():
             for combo in combos:
-                report = verify_certificate(WpsLeaf(cyindex.certify._instantiate_plane(dim, combo)), "strict")
+                report = verify_certificate(cyindex.certify._instantiate_plane(dim, combo), "strict")
                 assert report.passed, (dim, combo, report.failing_checks())
                 assert (report.dim, report.index) == (dim, index) == (dim, lcm(*[b for b, _ in combo])), combo
 
@@ -1294,7 +1371,7 @@ def test_search_p2_hits_below_400_equal_the_guard():
 
 def test_serialization_roundtrip():
     for cert in (realize(4, 16), realize(5, 15), realize(3, 14), base_leaf(2, 18),
-                 WpsLeaf(search_plane_pair(2, 10))):
+                 search_plane_pair(2, 10)):
         assert certificate_loads(certificate_dumps(cert)) == cert
 
 
@@ -1302,7 +1379,7 @@ def _reference_to_obj(cert):
     """The schema v1 object of a certificate, built as dicts and dense
     exponent lists: the byte-identity reference of the one-pass writer."""
     match cert:
-        case WpsLeaf(leaf):
+        case LogLeaf() as leaf:
             return {
                 "v": 1,
                 "node": "wps_leaf",
@@ -1350,7 +1427,7 @@ def _wps_leaves(draw):
     weights = draw(st.lists(st.integers(1, 10**4), min_size=arity, max_size=arity))
     entries = [(StdCoeff(draw(st.integers(2, 10**9))), draw(_equations(nvars) | st.integers(0, arity - 1)))
                for _ in range(draw(st.integers(0, 4)))]
-    return WpsLeaf(LogLeaf(Wps(tuple(weights)), tuple(entries), draw(st.sampled_from(KLT_STRATEGIES))))
+    return LogLeaf(Wps(tuple(weights)), tuple(entries), draw(st.sampled_from(KLT_STRATEGIES)))
 
 
 _CERTIFICATES = st.recursive(
@@ -1362,7 +1439,7 @@ _CERTIFICATES = st.recursive(
 
 def _loadable(cert):
     match cert:
-        case WpsLeaf(leaf):
+        case LogLeaf() as leaf:
             return all(type(eq) is int or eq.nvars == len(leaf.space.weights) for _, eq in leaf.entries)
         case EllipticLeaf(dim):
             return type(dim) is int and dim >= 1
@@ -1385,7 +1462,7 @@ def test_writer_matches_the_reference_bytes(cert):
 
 def test_writer_matches_the_reference_on_realized_certificates():
     certs = [realize(n, m) for n in range(3, 21) for m in indices_with_phi_at_most(2 * n)]
-    certs += [WpsLeaf(build_index_prime(1999)), WpsLeaf(build_prime_power(7, 4))]
+    certs += [build_index_prime(1999), build_prime_power(7, 4)]
     for cert in certs:
         assert certificate_dumps(cert) == _reference_dumps(cert)
 
@@ -1651,7 +1728,7 @@ def _mutated_leaf_objs(draw):
     entries = [(StdCoeff(draw(st.integers(2, 30))), draw(_equations(nvars))) for _ in range(draw(st.integers(0, 4)))]
     leaf = LogLeaf(Wps(tuple(draw(st.lists(st.integers(1, 9), min_size=nvars, max_size=nvars)))), tuple(entries),
                    draw(st.sampled_from(KLT_STRATEGIES)))
-    obj = json.loads(certificate_dumps(WpsLeaf(leaf) if draw(st.integers(0, 3)) else draw(_wps_leaves())))
+    obj = json.loads(certificate_dumps(leaf if draw(st.integers(0, 3)) else draw(_wps_leaves())))
     kind = draw(st.sampled_from(["none", "exp-true", "exp-false", "exp-float", "exp-negative", "exp-int",
                                  "exp-short", "exp-long", "repeat", "c-1-1", "c-2-2", "c-minus-3-6",
                                  "c-int", "b-int", "b-true", "weight-int"]))
@@ -1699,7 +1776,7 @@ def test_the_leaf_reader_matches_the_reference_reader(obj):
     inner = {"factors": [{"dim": 1, "node": "elliptic_leaf", "v": 1}, obj], "node": "product", "v": 1}
     bare = _read(_reference_logleaf_from_obj, obj)
     if isinstance(bare, LogLeaf):
-        expected = Product((Product((EllipticLeaf(1), WpsLeaf(bare))),))
+        expected = Product((Product((EllipticLeaf(1), bare)),))
     else:
         location, text = bare
         nested = "$.factors[0].factors[1]" + location[1:]
@@ -1708,7 +1785,7 @@ def test_the_leaf_reader_matches_the_reference_reader(obj):
 
 
 def test_the_leaf_reader_matches_the_reference_on_realized_and_tampered_leaves():
-    objs = [_obj(WpsLeaf(leaf)) for leaf in (build_index_prime(401), build_prime_power(7, 3), base_leaf(2, 14).leaf,
+    objs = [_obj(leaf) for leaf in (build_index_prime(401), build_prime_power(7, 3), base_leaf(2, 14),
                                               search_plane_pair(2, 10))]
     objs += [obj for obj in (case.values[0]() for case in TAMPER_CASES) if obj.get("node") == "wps_leaf"]
     for obj in objs:
@@ -1784,7 +1861,7 @@ def test_the_reader_memo_reads_the_same_certificates_and_reports(monkeypatch):
 
 _EDIT_CERTS = [realize(n, m) for n, m in ((3, 6), (4, 10), (10, 30), (12, 35), (20, 66), (30, 210), (40, 120))]
 assert all(isinstance(cert, Product) and len(cert.factors) >= 2 for cert in _EDIT_CERTS)
-_EDIT_CERTS += [_EXPLICIT_2, WpsLeaf(build_index_prime(13)), WpsLeaf(build_index_prime(97))]  # bare leaves
+_EDIT_CERTS += [_EXPLICIT_2, build_index_prime(13), build_index_prime(97)]  # bare leaves
 
 
 @st.composite
@@ -1844,7 +1921,7 @@ def test_the_reader_memo_holds_only_the_writers_text():
 
 @pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="no limit on int-to-str digits")
 def test_a_memo_hit_keeps_the_digit_limit():
-    text = certificate_dumps(Product((WpsLeaf(_b_leaf(10**699 + 1)), EllipticLeaf(1))))
+    text = certificate_dumps(Product((_b_leaf(10**699 + 1), EllipticLeaf(1))))
     assert len(text) < cyindex.codec._MEMO_MAX_CHARS
     _read_leaf_text.cache_clear()
     assert certificate_loads(text) == _general_outcome(text)
@@ -1868,15 +1945,15 @@ def test_the_reader_reads_bytes_on_the_general_path():
 def test_the_reader_memo_holds_at_most_128_leaf_texts():
     _read_leaf_text.cache_clear()
     for b in range(2, 302):  # 300 distinct small leaf texts
-        certificate_loads(certificate_dumps(Product((WpsLeaf(_b_leaf(b)), EllipticLeaf(1)))))
+        certificate_loads(certificate_dumps(Product((_b_leaf(b), EllipticLeaf(1)))))
     assert _read_leaf_text.cache_info().currsize <= 128
 
 
 def test_the_reader_memo_holds_leaf_texts_up_to_the_gate():
     # the digits are spread over two b values, each within the default int-to-str limit
     def leaf_of(digits):
-        return WpsLeaf(cyindex.certify._chain_leaf((1, 1), [(0, 10 ** (digits // 2 - 1)), (1, 10 ** (
-            digits - digits // 2 - 1))], 2, [((0, 1),), ((1, 1),)], "family_A"))
+        return cyindex.certify._chain_leaf((1, 1), [(0, 10 ** (digits // 2 - 1)), (1, 10 ** (
+            digits - digits // 2 - 1))], 2, [((0, 1),), ((1, 1),)], "family_A")
 
     gate = cyindex.codec._MEMO_MAX_CHARS
     base = len(cyindex.codec._node_text(leaf_of(4))) - 4
@@ -1906,7 +1983,7 @@ def _counted(monkeypatch, name):
 
 def test_a_leading_oversize_leaf_is_read_unheld(monkeypatch):
     _read_leaf_text.cache_clear()
-    cert = Product((WpsLeaf(build_index_prime(401)), _EXPLICIT_2, EllipticLeaf(3)))
+    cert = Product((build_index_prime(401), _EXPLICIT_2, EllipticLeaf(3)))
     calls = _counted(monkeypatch, "_read_leaf_text")
     with mock.patch.object(cyindex.codec.json, "loads", _no_json_loads):
         assert certificate_loads(certificate_dumps(cert)) == cert
@@ -1936,8 +2013,8 @@ def _vandermonde_leaf(nv, ts):
 
 
 _SCAN_LEAVES = [
-    _EXPLICIT_2.leaf,
-    base_leaf(2, 14).leaf,
+    _EXPLICIT_2,
+    base_leaf(2, 14),
     build_index_prime(13),
     build_index_prime(97),
     build_index_prime(401),
@@ -2014,12 +2091,12 @@ def test_the_scanner_reads_every_sample_leaf_without_json_loads():
     _read_leaf_text.cache_clear()
     with mock.patch.object(cyindex.codec.json, "loads", _no_json_loads):
         for leaf in _SCAN_LEAVES:
-            assert certificate_loads(cyindex.codec._leaf_text(leaf)) == WpsLeaf(leaf)
+            assert certificate_loads(cyindex.codec._leaf_text(leaf)) == leaf
 
 
 def _leaves_of(cert):
     match cert:
-        case WpsLeaf():
+        case LogLeaf():
             yield cert
         case Product(factors):
             for factor in factors:
@@ -2057,13 +2134,13 @@ def test_a_vector_spelling_reads_as_on_the_general_path(spelling):
         assert _outcome(whole) == _general_outcome(whole)
     if spelling == "0,0,0,7":  # the writer's text of another leaf
         with mock.patch.object(cyindex.codec.json, "loads", _no_json_loads):
-            assert isinstance(certificate_loads(edited), WpsLeaf)
+            assert isinstance(certificate_loads(edited), LogLeaf)
 
 
 def test_builder_leaves_and_oversize_pieces_are_read_without_json_loads():
     _read_leaf_text.cache_clear()
     ms = [5, 7, 9, 13, 15, 41, 97, 101, 399, 401, 1001, 1901, 1997, 1999, 2001]
-    leaves = [WpsLeaf(build_index_prime(m)) for m in ms]
+    leaves = [build_index_prime(m) for m in ms]
     cert = realize(400, 3 * 401)  # the index-3 leaf, build_index_prime(401) and padding
     assert len(cyindex.codec._node_text(cert.factors[1])) > cyindex.codec._MEMO_MAX_CHARS
     texts = [certificate_dumps(c) for c in leaves + [cert]]
@@ -2104,8 +2181,8 @@ def test_an_elliptic_piece_reads_as_on_the_general_path(dim):
 @pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="no limit on int-to-str digits")
 def test_the_scanner_keeps_the_digit_limit():
     wide = cyindex.certify._chain_leaf((1,) * 60, [(0, 10**699 + 1)], 2, [((i, 1),) for i in range(60)], "family_A")
-    texts = [certificate_dumps(WpsLeaf(_b_leaf(10**699 + 1))),
-             certificate_dumps(Product((WpsLeaf(wide), EllipticLeaf(1))))]
+    texts = [certificate_dumps(_b_leaf(10**699 + 1)),
+             certificate_dumps(Product((wide, EllipticLeaf(1))))]
     assert len(cyindex.codec._leaf_text(wide)) > cyindex.codec._MEMO_MAX_CHARS
     limit = sys.get_int_max_str_digits()
     for text in texts:
@@ -2136,7 +2213,7 @@ def _as_given(space, entries, strategy):
     return leaf
 
 
-_COORDINATE_BASES = [cyindex.certify._EXPLICIT[m].leaf for m in (3, 10, 14)] + [
+_COORDINATE_BASES = [cyindex.certify._EXPLICIT[m] for m in (3, 10, 14)] + [
     build_index_prime(m) for m in (5, 7, 13, 15)] + [build_prime_power(2, 3), build_prime_power(3, 2)]
 
 
@@ -2180,12 +2257,12 @@ def test_a_coordinate_in_any_form_writes_verifies_and_reads_as_its_polynomial(dr
     # one canonical form: exactly the equations 1 * x_j in nv variables are held as j
     for (_, held), (_, eq) in zip(leaf.entries, reference.entries):
         assert (type(held) is int) == _is_unit_vector_monomial(eq, nv) and entry_poly(held, nv) == eq
-    text = certificate_dumps(WpsLeaf(leaf))
-    assert text == certificate_dumps(WpsLeaf(reference)) == _reference_dumps(WpsLeaf(reference))
-    assert verify_certificate(WpsLeaf(leaf)).as_obj() == verify_certificate(WpsLeaf(reference)).as_obj()
+    text = certificate_dumps(leaf)
+    assert text == certificate_dumps(reference) == _reference_dumps(reference)
+    assert verify_certificate(leaf).as_obj() == verify_certificate(reference).as_obj()
     if all(eq.nvars == nv for _, eq in reference.entries):
-        assert cyindex.codec._scan_leaf(text) == leaf and certificate_loads(text) == WpsLeaf(leaf)
-        assert certificate_loads(json.dumps(json.loads(text), indent=1)) == WpsLeaf(leaf)
+        assert cyindex.codec._scan_leaf(text) == leaf and certificate_loads(text) == leaf
+        assert certificate_loads(json.dumps(json.loads(text), indent=1)) == leaf
     else:  # a vector of another length, refused where it is
         with pytest.raises(CertificateParseError, match=r"exponent vector of length"):
             certificate_loads(text)
@@ -2197,14 +2274,14 @@ def test_a_family_leaf_retagged_to_an_arrangement_holds_polynomials():
             retagged = LogLeaf(base.space, base.entries, strategy)
             reference = _as_given(base.space, base.entries, strategy)
             assert all(isinstance(eq, SparsePoly) for eq in retagged.equations()) and retagged == reference
-            assert verify_certificate(WpsLeaf(retagged)).as_obj() == verify_certificate(WpsLeaf(reference)).as_obj()
-            assert certificate_loads(certificate_dumps(WpsLeaf(retagged))) == WpsLeaf(retagged)
+            assert verify_certificate(retagged).as_obj() == verify_certificate(reference).as_obj()
+            assert certificate_loads(certificate_dumps(retagged)) == retagged
     # the points x0, x1 and x0 + x1 of the P^1 leaf of index 3 are an arrangement that verifies
-    three = cyindex.certify._EXPLICIT[3].leaf
-    report = verify_certificate(WpsLeaf(LogLeaf(three.space, three.entries, "hyperplane_arrangement")))
+    three = cyindex.certify._EXPLICIT[3]
+    report = verify_certificate(LogLeaf(three.space, three.entries, "hyperplane_arrangement"))
     assert report.passed and (report.dim, report.index) == (1, 3)
-    report = verify_certificate(WpsLeaf(LogLeaf(build_index_prime(5).space, build_index_prime(5).entries,
-                                                "hyperplane_arrangement")))
+    report = verify_certificate(LogLeaf(build_index_prime(5).space, build_index_prime(5).entries,
+                                        "hyperplane_arrangement"))
     assert report.failing_checks() == [("$", "klt")]
     assert report.leaf_reports[0].klt.steps[0].detail == "entry 1 is not a hyperplane: monomial on variables [0]"
 
@@ -2224,6 +2301,6 @@ def test_arrangement_leaves_hold_only_polynomials():
               for dim, by_index in table.items() for combos in by_index.values() for combo in combos]
     hits = [search_plane_pair(dim, m, k) for dim in (1, 2) for m in range(1, 400) for k in range(1, 9)]
     leaves += [leaf for leaf in hits if leaf is not None]
-    leaves += [certificate_loads(certificate_dumps(WpsLeaf(leaf))).leaf for leaf in leaves]
+    leaves += [certificate_loads(certificate_dumps(leaf)) for leaf in leaves]
     assert len(leaves) > 2 * 37
     assert all(isinstance(eq, SparsePoly) for leaf in leaves for eq in leaf.equations())

@@ -44,7 +44,7 @@ from cyindex.codec import certificate_dumps, certificate_loads
 from cyindex.numtheory import euler_phi, indices_with_phi_at_most
 from cyindex.selftest import CHECKS
 from cyindex.sncklt import KltReport, KltStep
-from cyindex.verify import NodeReport, VerificationReport, WpsLeaf, verify_certificate
+from cyindex.verify import NodeReport, VerificationReport, verify_certificate
 from cyindex.wpspairs import KLT_STRATEGIES, LogLeaf, SparsePoly, StdCoeff, Wps
 
 
@@ -152,8 +152,8 @@ def test_realize_precondition(capsys):
 
 
 def test_realize_huge_index_is_a_precondition_failure(capsys, monkeypatch):
-    # factoring 2^89 - 1 would take days, so realize must reject it without euler_phi
-    monkeypatch.setattr(cyindex.certify, "euler_phi", None)
+    # factoring 2^89 - 1 would take days, so realize must reject it without factorize
+    monkeypatch.setattr(cyindex.certify, "factorize", None)
     with pytest.raises(ValueError, match="out of range"):
         realize(3, 2**89 - 1)
     code, out, err = run(capsys, "realize", "--dim", "3", "--index", str(2**89 - 1))
@@ -164,7 +164,6 @@ def test_realize_huge_index_is_a_precondition_failure(capsys, monkeypatch):
 def test_realize_decides_an_index_over_the_factoring_limit_without_factoring(capsys, monkeypatch):
     # m = 1000000007 * 1000000009 needs trial division up to 10^9; at most 15
     # distinct primes give phi(m) >= 0.138 m, far over 2n
-    monkeypatch.setattr(cyindex.certify, "euler_phi", None)
     monkeypatch.setattr(cyindex.certify, "factorize", None)
     start = time.perf_counter()
     code, out, err = run(capsys, "realize", "--dim", "1000000000", "--index", "1000000016000000063")
@@ -176,7 +175,7 @@ def test_realize_decides_an_index_over_the_factoring_limit_without_factoring(cap
 
 def test_realize_refuses_what_the_bound_cannot_decide_over_the_factoring_limit(capsys, monkeypatch):
     # phi(10^14 + 1) >= 0.1487 (10^14 + 1), which does not exceed 2n = 2 * 10^13
-    monkeypatch.setattr(cyindex.certify, "euler_phi", None)
+    monkeypatch.setattr(cyindex.certify, "factorize", None)
     with pytest.raises(ValueError, match=r"^resource budget: 100000000000001 is over the factoring limit "
                                          r"100000000000000, and without factoring it phi\(100000000000001\) > "
                                          r"2n = 20000000000000 is not decided$"):
@@ -499,7 +498,7 @@ def _tampered(kind, m=41):
         obj = json.loads(certificate_dumps(base_leaf(1, 2)))
         obj["weights"] = [2, 2]
         return obj
-    obj = json.loads(certificate_dumps(WpsLeaf(build_index_prime(m))))
+    obj = json.loads(certificate_dumps(build_index_prime(m)))
     entries = obj["entries"]
     if kind == "weight-bump":
         obj["weights"][0] += 1
@@ -536,11 +535,11 @@ def _vandermonde(ts, nv):
 
 def _report_input(name):
     if name == "index_prime-41":
-        return certificate_dumps(WpsLeaf(build_index_prime(41)))
+        return certificate_dumps(build_index_prime(41))
     if name == "prime_power-3-5":
-        return certificate_dumps(WpsLeaf(build_prime_power(3, 5)))
+        return certificate_dumps(build_prime_power(3, 5))
     if name == "vandermonde-6-in-4":
-        return certificate_dumps(WpsLeaf(_vandermonde((10, 13, 17, 22, 28, 35), 4)))
+        return certificate_dumps(_vandermonde((10, 13, 17, 22, 28, 35), 4))
     return json.dumps(_tampered(name.removeprefix("tamper-")), sort_keys=True)
 
 
@@ -600,7 +599,7 @@ _FUZZ_SECONDS = 5.0
 # family leaves bare and padded by products of elliptic curves, and plane search hits
 _FUZZ_SEEDS = [certificate_dumps(cert) for cert in (
     realize(3, 7), realize(4, 16), realize(5, 14), realize(6, 13), base_leaf(2, 14),
-    WpsLeaf(search_plane_pair(1, 6)), WpsLeaf(search_plane_pair(2, 10)))]
+    search_plane_pair(1, 6), search_plane_pair(2, 10))]
 
 # values of every JSON type, copied on each draw so that no edit reaches a shared one
 _FUZZ_VALUES = st.sampled_from(
@@ -740,7 +739,7 @@ _WRITER_CORPUS = {
     **{f"realize {n} {m}": (lambda n=n, m=m: realize(n, m))
        for n in (3, 4, 5) for m in indices_with_phi_at_most(2 * n)},
     **{name: (lambda name=name: certificate_loads(_report_input(name))) for name in REPORT_SHA256},
-    "three concurrent lines": lambda: WpsLeaf(_plane_leaf((1, 0, 0), (0, 1, 0), (1, 1, 0))),
+    "three concurrent lines": lambda: _plane_leaf((1, 0, 0), (0, 1, 0), (1, 1, 0)),
     "nested 200 deep": lambda: certificate_loads(_nested_products(200)),
 }
 
@@ -858,7 +857,7 @@ def test_table_constructed_rows_are_the_strictly_verified_base_leaves(capsys):
     for m in _members_line(out, "I(2) members"):
         leaf = None if m in BASE_DIM2_INDICES else search_plane_pair(2, m, 7)
         if leaf is not None:
-            reports[m] = verify_certificate(WpsLeaf(leaf), "strict")
+            reports[m] = verify_certificate(leaf, "strict")
     verified = {m for m, r in reports.items() if r.passed and (r.dim, r.index) == (2, m)}
     assert constructed == verified == set(BASE_DIM2_INDICES) | {20, 24, 30, 42}
     assert BASE_DIM2_INDICES == (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 18)
@@ -898,7 +897,7 @@ def test_search_found(capsys):
     assert code == EXIT_OK
     leaf = json.loads(out)
     assert leaf["node"] == "wps_leaf" and leaf["strategy"] == "plane_arrangement"
-    assert out == certificate_dumps(WpsLeaf(search_plane_pair(2, 10))) + "\n"
+    assert out == certificate_dumps(search_plane_pair(2, 10)) + "\n"
 
 
 def test_search_none(capsys):

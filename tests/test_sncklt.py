@@ -1269,7 +1269,7 @@ def _reference_family_ac(leaf):
 
 
 def test_coordinate_diagonal_passes_what_the_reference_passes_on_the_grids():
-    leaves = [leaf for _, leaf, _ in _family_leaves()] + [base_leaf(2, 14).leaf]
+    leaves = [leaf for _, leaf, _ in _family_leaves()] + [base_leaf(2, 14)]
     for leaf in leaves:
         for strategy in ("family_A", "family_C"):
             retagged = _retag(leaf, strategy)
@@ -1326,7 +1326,7 @@ def _retag(leaf, strategy):
     return LogLeaf(leaf.space, leaf.entries, strategy)
 
 
-@pytest.mark.parametrize("leaf", [realize(4, 16).leaf, build_prime_power(3, 2)],
+@pytest.mark.parametrize("leaf", [realize(4, 16), build_prime_power(3, 2)],
                          ids=["realize-4-16", "prime-power-3-2"])
 def test_coordinate_diagonal_widens_the_reference(leaf):
     # the family_A frame wanted coordinates x_0..x_{n-3}, x_n; these shapes
@@ -1423,7 +1423,7 @@ def _reference_family_b(leaf):
 
 
 def test_family_b_pattern_matches_the_reference_on_the_grids():
-    leaves = [leaf for _, leaf, _ in _family_leaves()] + [base_leaf(2, 14).leaf]
+    leaves = [leaf for _, leaf, _ in _family_leaves()] + [base_leaf(2, 14)]
     passed = 0
     for leaf in leaves:
         report = family_snc_check(_retag(leaf, "family_B"))

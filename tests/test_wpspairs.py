@@ -399,7 +399,7 @@ def test_variable_matches_from_pairs_on_any_values(nvars, j, coeff):
 def test_builders_make_the_polynomials_the_dense_constructor_makes():
     leaves = [build_index_prime(m) for m in (5, 7, 13, 15, 401, 403)]
     leaves += [build_prime_power(m, e) for m, e in ((2, 2), (2, 12), (3, 2), (5, 4), (12, 12))]
-    leaves += [search_plane_pair(1, 6), search_plane_pair(2, 10), base_leaf(2, 14).leaf]
+    leaves += [search_plane_pair(1, 6), search_plane_pair(2, 10), base_leaf(2, 14)]
     eqs = [entry_poly(eq, len(leaf.space.weights)) for leaf in leaves for _, eq in leaf.entries]
     eqs += [SparsePoly.linear_form((0, 3, Fraction(-1, 2), 0)), SparsePoly.variable(5, 4, coeff=-2)]
     for eq in eqs:

@@ -61,10 +61,14 @@ MUTANTS = [
     Mutant("index-computed", VERIFY,
            "index = scale if wf and deg_ok else None",
            "index = scale if deg_ok else None"),
-    # the verdict kept on a leaf node: all of it, the klt report included
+    # the verdict kept on a leaf: all of it, the klt report included
     Mutant("verdict-without-klt", VERIFY,
-           "return tuple(rep.checks), rep.klt, result",
-           "return tuple(rep.checks), None, result"),
+           'kept["_verdict"] = (tuple(rep.checks), rep.klt, result)',
+           'kept["_verdict"] = (tuple(rep.checks), None, result)'),
+    # and on that leaf alone, not on one object every leaf shares
+    Mutant("verdict-shared-by-all-leaves", VERIFY,
+           "kept = vars(cert)\n",
+           "kept = vars(_verify_node)\n"),
     # the coefficient budget, checked before the degree arithmetic
     Mutant("coeff-budget-ge", VERIFY,
            "if bits > COEFF_BITS_BUDGET:",
@@ -73,7 +77,7 @@ MUTANTS = [
     Mutant("coeff-budget-per-entry", VERIFY,
            "bits = sum([b.bit_length() for b in distinct_b])",
            "bits = sum([coeff.b.bit_length() for coeff, _ in leaf.entries])"),
-    # the builder's memo and the text kept on a leaf node
+    # the builder's memo and the text kept on a leaf
     Mutant("part-gate-ge", CERTIFY,
            "if p < _HELD_PRIMES else",
            "if p < _HELD_PRIMES + 4 else"),
@@ -83,14 +87,14 @@ MUTANTS = [
     Mutant("writer-digits-key", CODEC,
            "if kept is not None and kept[0] == digits:",
            "if kept is not None:"),
-    # the read-back test keeps no text on the node it returns
+    # the read-back test keeps no text on the leaf it returns
     Mutant("writer-read-back-held", CODEC,
-           "return WpsLeaf(leaf) if leaf is not None and _leaf_text(leaf) == piece else None",
-           "return node if leaf is not None and _node_text(node := WpsLeaf(leaf)) == piece else None"),
+           "return leaf if leaf is not None and _leaf_text(leaf) == piece else None",
+           "return leaf if leaf is not None and _node_text(leaf) == piece else None"),
     # the reader's fast path and memo
     Mutant("reader-text-test", CODEC,
-           "return WpsLeaf(leaf) if leaf is not None and _leaf_text(leaf) == piece else None",
-           "return WpsLeaf(leaf) if leaf is not None else None"),
+           "return leaf if leaf is not None and _leaf_text(leaf) == piece else None",
+           "return leaf"),
     Mutant("reader-elliptic-text-test", CODEC,
            "return node if node is not None and _node_text(node) == piece else None",
            "return node"),

@@ -7,8 +7,8 @@ line each.
 Lines are `realize N M CERT REPORT RELOADED` for each 3 <= n <= 60 and
 each m with phi(m) <= 2n, RELOADED being the sha256 of the strict report of
 `certificate_loads(certificate_dumps(cert))`, verified after the original,
-so that a leaf node the reader memo hands back again reports the verdict
-it kept; then
+so that a leaf the reader memo hands back again reports the verdict it
+kept; then
 `base 1 M CERT REPORT` for each entry of the dimension-1 catalogue. The dimension-2 catalogue is realize(3, m) by
 definition, so the `realize 3 M` lines stand for it. Then
 `reload LABEL REPORT REDUMP` for bare builder leaves read back from their
@@ -90,7 +90,6 @@ from cyindex import (  # noqa: E402
     SparsePoly,
     StdCoeff,
     Wps,
-    WpsLeaf,
     base_leaf,
     build_index_prime,
     build_prime_power,
@@ -151,16 +150,16 @@ def _reload_leaves() -> list:
     leaves = [(f"index_prime {m}", build_index_prime(m)) for m in [*range(5, 402, 2), 997, 1999, 2001]]
     leaves += [(f"prime_power {m} {e}", build_prime_power(m, e)) for m in range(2, 12) for e in range(2, 7)]
     leaves += [(f"sylvester {k}", build_sylvester(k)) for k in range(2, 6)]
-    return leaves + [(f"explicit {m}", cert.leaf) for m, cert in _EXPLICIT.items()]
+    return leaves + [(f"explicit {m}", leaf) for m, leaf in _EXPLICIT.items()]
 
 
 def _reload_line(label: str, leaf) -> str:
-    back = certificate_loads(certificate_dumps(WpsLeaf(leaf)))
+    back = certificate_loads(certificate_dumps(leaf))
     return f"reload {label} {_report_sha(back)} {_sha(certificate_dumps(back))}"
 
 
 def _general_line(label: str, leaf) -> str:
-    text = json.dumps(json.loads(certificate_dumps(WpsLeaf(leaf))), indent=1)
+    text = json.dumps(json.loads(certificate_dumps(leaf)), indent=1)
     return f"general reload {label} {_report_sha(certificate_loads(text))}"
 
 
@@ -212,7 +211,7 @@ _EDITS = ("truncated", "missing-weights", "version-2", "zero-denominator", "nega
 
 def _edit_line(m: int, kind: str) -> str:
     try:
-        outcome = _report_sha(certificate_loads(_edited(certificate_dumps(WpsLeaf(build_index_prime(m))), kind)))
+        outcome = _report_sha(certificate_loads(_edited(certificate_dumps(build_index_prime(m)), kind)))
     except CertificateParseError as err:
         outcome = str(err)  # the location, then the message
     return f"general edit {m} {kind} {outcome}"
@@ -272,15 +271,15 @@ def main() -> int:
                     print(f"{label} none")
                 else:
                     hits.append((label, leaf))
-                    print(_line(label, WpsLeaf(leaf)))
+                    print(_line(label, leaf))
     table = io.StringIO()
     with redirect_stdout(table):
         cli_main(["table", "--dims", "1,2"])
     print(f"table 1,2 {_sha(table.getvalue())}")
     for call, leaf, _ in _family_leaves():
         print(_lib_line(call.replace(" ", ""), leaf))
-    for m, cert in _EXPLICIT.items():
-        print(_lib_line(f"explicit {m}", cert.leaf))
+    for m, leaf in _EXPLICIT.items():
+        print(_lib_line(f"explicit {m}", leaf))
     for label, leaf in hits:
         print(_lib_line(label, leaf))
     for k in range(5):
@@ -295,7 +294,7 @@ def main() -> int:
         for k in range(nv, 2 * nv + 1):
             eqs = [SparsePoly.linear_form([t**i for i in range(nv)]) for t in range(10, 10 + k)]
             leaf = LogLeaf(Wps((1,) * nv), tuple((StdCoeff(2), eq) for eq in eqs), "hyperplane_arrangement")
-            print(f"hyperplane vandermonde {nv} {k} {_report_sha(WpsLeaf(leaf))}")
+            print(f"hyperplane vandermonde {nv} {k} {_report_sha(leaf)}")
     for k in range(5):
         for vectors in combinations_with_replacement(_HYPERPLANE_VECTORS, k):
             verdict = _outcome(hyperplane_arrangement_snc, vectors)
@@ -303,9 +302,9 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cert.json"
         for label, leaf in reloaded:
-            print(*_cli_verify_lines(f"reload {label}", certificate_dumps(WpsLeaf(leaf)), path), sep="\n")
+            print(*_cli_verify_lines(f"reload {label}", certificate_dumps(leaf), path), sep="\n")
         for m in range(5, 62, 2):
-            text = certificate_dumps(WpsLeaf(build_index_prime(m)))
+            text = certificate_dumps(build_index_prime(m))
             for kind in _EDITS:
                 print(*_cli_verify_lines(f"edit {m} {kind}", _edited(text, kind), path), sep="\n")
     for n in (3, 10):
@@ -314,7 +313,7 @@ def main() -> int:
     print(f"budget realize 16386 32771 {_report_sha(realize(16386, 32771))}")
     for label, bs in (("repeated 4", [3**25000] * 4), ("distinct 400", [10**3999 + i for i in range(400)])):
         leaf = LogLeaf(Wps((1,) * len(bs)), tuple((StdCoeff(b), j) for j, b in enumerate(bs)), "family_A")
-        print(f"budget {label} {_report_sha(WpsLeaf(leaf))}")
+        print(f"budget {label} {_report_sha(leaf)}")
     return 0
 
 

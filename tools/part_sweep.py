@@ -17,7 +17,7 @@ import sys
 import time
 
 from cyindex.certify import _EXPLICIT, _part, _parts
-from cyindex.numtheory import indices_with_phi_at_most
+from cyindex.numtheory import factorize, indices_with_phi_at_most
 from cyindex.verify import verify_certificate
 
 
@@ -25,16 +25,16 @@ def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     n = int(args[0]) if args else 4000
     start = time.perf_counter()
-    distinct = sorted({(p, e) for m in indices_with_phi_at_most(2 * n) for p, e in _parts(m)
+    distinct = sorted({(p, e) for m in indices_with_phi_at_most(2 * n) for p, e in _parts(m, factorize(m))
                        if p**e not in _EXPLICIT})
     variables = 0
     for p, e in distinct:
-        node = _part(p, e)
-        report = verify_certificate(node, "strict")
+        leaf = _part(p, e)
+        report = verify_certificate(leaf, "strict")
         if not report.passed or report.index != p**e:
             print(f"part {p}^{e} fails: {report.failing_checks()}")
             return 1
-        variables += len(node.leaf.space.weights)
+        variables += len(leaf.space.weights)
     print(f"N = {n}: {len(distinct)} parts, {variables} variables, {time.perf_counter() - start:.2f} s")
     return 0
 
