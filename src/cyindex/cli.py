@@ -55,9 +55,10 @@ EXIT_USAGE = 64
 EXIT_PARSE = 65
 
 # the largest total of the bounds B for which one `enumerate` or `table` lists
-# {m : phi(m) <= B}; at B = 10^6 the list has 1,943,930 members and takes
-# 1.9 s and 105 MB peak RSS (Python 3.11, one core of a shared Intel Xeon),
-# and the cost grows linearly with B
+# {m : phi(m) <= B}; at B = 10^6 the list has 1,943,930 members, built in
+# 0.55-0.66 s with 102 MB peak RSS, and `enumerate --phi-bound 1000000` takes
+# 1.0-1.1 s wall and 247 MB peak RSS, process start and printing included
+# (Python 3.11, one core of a shared Intel Xeon); the cost grows linearly with B
 ENUMERATION_BUDGET = 10**6
 
 # the most bytes `verify` reads from one file: 2^27 = 134,217,728, about twice
