@@ -56,8 +56,8 @@ EXIT_PARSE = 65
 
 # the largest total of the bounds B for which one `enumerate` or `table` lists
 # {m : phi(m) <= B}; at B = 10^6 the list has 1,943,930 members, built in
-# 0.55-0.66 s with 102 MB peak RSS, and `enumerate --phi-bound 1000000` takes
-# 1.0-1.1 s wall and 247 MB peak RSS, process start and printing included
+# 0.43-0.48 s with 102 MB peak RSS, and `enumerate --phi-bound 1000000` takes
+# 0.9-1.0 s wall and 248 MB peak RSS, process start and printing included
 # (Python 3.11, one core of a shared Intel Xeon); the cost grows linearly with B
 ENUMERATION_BUDGET = 10**6
 

@@ -150,6 +150,63 @@ def test_enumeration_monotone_in_bound():
         prev = members
 
 
+def sieve_primes(limit: int) -> list[int]:
+    """The primes p <= limit (limit >= 1), by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * (limit + 1)
+    sieve[0] = sieve[1] = 0
+    p = 2
+    while p * p <= limit:
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
+        p += 1
+    return [p for p in range(2, limit + 1) if sieve[p]]
+
+
+def stack_search_members(bound: int) -> list[int]:
+    """Reference enumeration: the depth-first search over prime powers that
+    pushes a stack entry for every member, as the library did before it
+    emitted the members that cannot grow in bulk, on its own sieve."""
+    primes = sieve_primes(bound + 1)
+    members = [1]
+    stack = [(0, 1, 1)]  # (index of the first prime still allowed, m, phi(m))
+    while stack:
+        start, m, phi = stack.pop()
+        for i in range(start, len(primes)):
+            p = primes[i]
+            f = phi * (p - 1)
+            if f > bound:
+                break  # primes increase, so every later one overshoots too
+            q = p
+            while f <= bound:
+                members.append(m * q)
+                stack.append((i + 1, m * q, f))
+                q *= p
+                f *= p
+    members.sort()
+    return members
+
+
+def test_enumeration_matches_the_stack_search():
+    for bound in [*range(1, 1001), 4000, 16_000]:
+        assert indices_with_phi_at_most(bound) == stack_search_members(bound), bound
+
+
+@pytest.mark.parametrize(("bound", "edge"), [(2, [4]), (6, [9, 18]), (20, [25, 50]), (42, [49])])
+def test_enumeration_keeps_the_members_at_the_dead_end_edge(bound, edge):
+    # each member of `edge` is m p^2 with phi(m) (p - 1) p == bound, so m p
+    # sits right at the dead-end edge: it still has a child, m p^2
+    members = indices_with_phi_at_most(bound)
+    assert all(euler_phi(m) == bound and m in members for m in edge)
+    assert not any(m in indices_with_phi_at_most(bound - 1) for m in edge)
+    assert members == stack_search_members(bound)
+
+
+def test_enumeration_bound_16000_pinned():
+    members = indices_with_phi_at_most(16_000)
+    assert len(members) == 31_136 and members[-1] == 78_540
+    assert all(a < b for a, b in zip(members, members[1:]))
+
+
 def test_enumeration_rejects_zero():
     with pytest.raises(ValueError):
         indices_with_phi_at_most(0)

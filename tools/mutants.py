@@ -41,6 +41,7 @@ class Mutant:
 
 CERTIFY = "src/cyindex/certify.py"
 CODEC = "src/cyindex/codec.py"
+NUMTHEORY = "src/cyindex/numtheory.py"
 SNCKLT = "src/cyindex/sncklt.py"
 VERIFY = "src/cyindex/verify.py"
 WPSPAIRS = "src/cyindex/wpspairs.py"
@@ -179,6 +180,13 @@ MUTANTS = [
     Mutant("factor-bound-unchecked", CERTIFY,
            "if m * a > 2 * n * b:",
            "if True:"),
+    # the enumeration of {m : phi(m) <= B}: the dead-end test and the cap on the allowed primes
+    Mutant("enumerate-dead-end-ge", NUMTHEORY,
+           "if f * p > bound:",
+           "if f * p >= bound:"),
+    Mutant("enumerate-prime-cap", NUMTHEORY,
+           "bound // phi + 1",
+           "bound // phi"),
     # the plane search's table of degree-zero multisets
     Mutant("table-b-upper-bound", CERTIFY,
            "for b in range(max(prev[0], ceil(1 / owed)), left // owed + 1):",

@@ -4,7 +4,9 @@ line each.
 
     python3 tools/output_digests.py > digests.txt
 
-Lines are `realize N M CERT REPORT RELOADED` for each 3 <= n <= 60 and
+Lines are `enumerate B SHA` for each 1 <= B <= 2000, SHA being the
+sha256 of `indices_with_phi_at_most(B)` joined by spaces; then
+`realize N M CERT REPORT RELOADED` for each 3 <= n <= 60 and
 each m with phi(m) <= 2n, RELOADED being the sha256 of the strict report of
 `certificate_loads(certificate_dumps(cert))`, verified after the original,
 so that a leaf the reader memo hands back again reports the verdict it
@@ -58,7 +60,8 @@ file (LABEL `edit M KIND`), SHA being the sha256 of the stdout of
 `cyindex verify FILE --mode MODE --format json` for MODE strict and
 trusting; then `cli realize N M SHA` for the stdout of
 `cyindex realize --dim N --index M` (its JSON) for N in (3, 10) and each m
-with phi(m) <= 2N.
+with phi(m) <= 2N; then `cli enumerate B SHA` for the stdout of
+`cyindex enumerate --phi-bound B --format json` for B in (1, 2, 444, 100000).
 
 Last the coefficient budget: `budget LABEL REPORT` for leaves whose b
 values are over `COEFF_BITS_BUDGET` counted once per entry, REPORT being
@@ -246,6 +249,8 @@ def _lib_line(label: str, leaf) -> str:
 
 
 def main() -> int:
+    for bound in range(1, 2001):
+        print(f"enumerate {bound} {_sha(' '.join(map(str, indices_with_phi_at_most(bound))))}")
     for n in range(3, 61):
         for m in indices_with_phi_at_most(2 * n):
             cert = realize(n, m)
@@ -310,6 +315,8 @@ def main() -> int:
     for n in (3, 10):
         for m in indices_with_phi_at_most(2 * n):
             print(f"cli realize {n} {m} {_cli_sha('realize', '--dim', str(n), '--index', str(m))}")
+    for bound in (1, 2, 444, 100_000):
+        print(f"cli enumerate {bound} {_cli_sha('enumerate', '--phi-bound', str(bound), '--format', 'json')}")
     print(f"budget realize 16386 32771 {_report_sha(realize(16386, 32771))}")
     for label, bs in (("repeated 4", [3**25000] * 4), ("distinct 400", [10**3999 + i for i in range(400)])):
         leaf = LogLeaf(Wps((1,) * len(bs)), tuple((StdCoeff(b), j) for j, b in enumerate(bs)), "family_A")
