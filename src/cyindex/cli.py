@@ -89,13 +89,13 @@ def _parser() -> _Parser:
     p.add_argument("--dim", type=int, required=True, metavar="N",
                    help="N >= 3 (the certificate has dimension N-1)")
     p.add_argument("--index", type=int, required=True, metavar="M")
-    p.add_argument("--mode", choices=("strict", "trusting"), default="trusting")
     p.add_argument("--out", metavar="FILE", help="also write the certificate JSON to FILE")
     p.add_argument("--format", choices=("json", "table"), default="json")
 
     p = sub.add_parser("verify", help="verify a certificate file (schema v1)")
     p.add_argument("file", metavar="FILE")
-    p.add_argument("--mode", choices=("strict", "trusting"), default="trusting")
+    # selects nothing; kept for the `--mode` that bench/workloads.py:388 passes, until ROADMAP item 4
+    p.add_argument("--mode", choices=("strict", "trusting"), help="ignored: every verification runs every check")
     p.add_argument("--format", choices=("json", "table"), default="table")
 
     p = sub.add_parser("enumerate", help="print {m : phi(m) <= B}")
@@ -181,13 +181,12 @@ def _report_text(report) -> str:
             f'  "dim": {json.dumps(_printable(report.dim))},\n'
             f'  "index": {json.dumps(_printable(report.index))},\n'
             f'  "leaf_reports": {_list_text(leaves, "  ")},\n'
-            f'  "mode": {_json_str(report.mode)},\n'
             f'  "passed": {_BOOL[report.passed]}\n'
             f'}}')
 
 
 def _print_report_table(report) -> None:
-    print(f"verification: {'PASSED' if report.passed else 'FAILED'} (mode {report.mode})")
+    print(f"verification: {'PASSED' if report.passed else 'FAILED'}")
     print(f"dim: {_printable(report.dim)}")
     print(f"index: {_printable(report.index)}")
     total = sum(len(r.checks) for r in report.leaf_reports)
@@ -225,7 +224,7 @@ def _cmd_realize(args) -> int:
     except ValueError as err:
         print(f"precondition failed: {err}", file=sys.stderr)
         return EXIT_PRECONDITION
-    report = verify_certificate(cert, args.mode)
+    report = verify_certificate(cert)
     # the text grows as n^2, so it is built only where it is saved or printed
     text = certificate_dumps(cert) if args.out or args.format == "json" else None
     if args.out:
@@ -271,7 +270,7 @@ def _cmd_verify(args) -> int:
     except CertificateParseError as err:
         print(f"parse error: {err}", file=sys.stderr)
         return EXIT_PARSE
-    report = verify_certificate(cert, args.mode)
+    report = verify_certificate(cert)
     if args.format == "json":
         print(_report_text(report))
     else:
@@ -316,7 +315,7 @@ def _realization(d: int, m: int) -> str:
         cert = search_plane_pair(2, m, 7)
         if cert is None:
             return "cited: K3 quotient (Machida-Oguiso, Main Theorem 3)"
-    report = verify_certificate(cert, "strict")
+    report = verify_certificate(cert)
     checked = report.passed and (report.dim, report.index) == (d, m)
     return f"{'constructed' if checked else 'unverified'}: {_describe(cert)}"
 

@@ -162,11 +162,11 @@ def check_klt() -> None:
     for name, leaf in _not_klt_leaves():
         _require(not is_klt_leaf(leaf).passed, f"is_klt_leaf passes {name}")
         if name == _DOUBLED:
-            failing = verify_certificate(leaf, "strict").failing_checks()
+            failing = verify_certificate(leaf).failing_checks()
             _require(("$", "entries-distinct") in failing, f"{name} fails only {failing}")
     three = base_leaf(1, 3)
     points = LogLeaf(three.space, three.entries, "hyperplane_arrangement")
-    report = verify_certificate(points, "strict")
+    report = verify_certificate(points)
     _require(all(isinstance(eq, SparsePoly) for eq in points.equations()), "an arrangement leaf holds an index")
     _require(report.passed and (report.dim, report.index) == (1, 3),
              f"the P^1 leaf of index 3 as points verifies as {report.dim}, {report.index}: {report.failing_checks()}")
@@ -180,12 +180,12 @@ def check_realize() -> int:
         for m in indices_with_phi_at_most(2 * n):
             call = f"realize({n}, {m})"
             cert = realize(n, m)
-            report = verify_certificate(cert, "strict")
+            report = verify_certificate(cert)
             _require(report.passed, f"{call} fails strict verification: {report.failing_checks()}")
             _require((report.dim, report.index) == (n - 1, m),
                      f"{call} verifies as dimension {report.dim}, index {report.index}")
             if isinstance(cert, Product):
-                idxs = [verify_certificate(f, "strict").index for f in cert.factors]
+                idxs = [verify_certificate(f).index for f in cert.factors]
                 _require(prod(idxs) == lcm(*idxs), f"{call} has factor indices {idxs}, not pairwise coprime")
             pairs += 1
     _require(pairs >= 200, f"only {pairs} pairs with 3 <= n <= 10")
@@ -206,7 +206,7 @@ def check_search() -> None:
             if leaf is None:
                 continue
             hits.add(m)
-            report = verify_certificate(leaf, "strict")
+            report = verify_certificate(leaf)
             _require(report.passed, f"{call} fails strict verification: {report.failing_checks()}")
             _require((report.dim, report.index) == (dim, m),
                      f"{call} verifies as dimension {report.dim}, index {report.index}")

@@ -406,8 +406,8 @@ def plane_arrangement_snc(curves) -> bool:
     """Is an arrangement of plane curves (degree 1 to 3, homogeneous, in 3
     variables) simple normal crossing outside the origin of its cone?
 
-    Linear forms, points on P^1 (where every entry must be one) or lines on
-    P^2, are hyperplanes of the cone and go through _linear_forms_snc, its
+    Linear forms, in any number of variables (on P^1 every entry must be
+    one), are hyperplanes of the cone and go through _linear_forms_snc, its
     walk and its budget. An arrangement with a conic or a cubic is checked
     for (a) every curve smooth (lines trivially, conics and cubics by one
     gradient test, exact for conics), (b) every pair transversal (the
@@ -435,7 +435,7 @@ def plane_arrangement_snc(curves) -> bool:
         return False
 
     linear = not any(map(_not_hyperplane, curves))
-    if nv == 2 or (nv == 3 and linear):
+    if linear or nv == 2:
         return linear and _linear_forms_snc(curves)
     if nv != 3:
         raise ValueError("plane arrangements live in 3 variables (or 2 for P^1)")

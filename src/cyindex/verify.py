@@ -10,7 +10,7 @@ Calabi-Yau pair of a given dimension with standard coefficients:
 The verifier recomputes everything from raw data: well-formedness,
 quasi-homogeneity, exact degree zero, standard coefficients, the index, the
 klt report, and the tree arithmetic. Every leaf is explicit, so nothing
-is taken on trust and both verification modes run the same checks.
+is taken on trust and there is one set of checks.
 
 A wps_leaf node is a LogLeaf. A sweep over (n, m) meets the same few core
 leaves again and again, and the builder and the reader hand back the same
@@ -107,7 +107,6 @@ class NodeReport:
 
 @dataclass
 class VerificationReport:
-    mode: str
     dim: int | None
     index: int | None
     passed: bool
@@ -122,7 +121,6 @@ class VerificationReport:
 
     def as_obj(self) -> dict:
         return {
-            "mode": self.mode,
             "dim": self.dim,
             "index": self.index,
             "passed": self.passed,
@@ -279,13 +277,13 @@ def verify_certificate(cert: Certificate, mode: str = "strict") -> VerificationR
     quasi-homogeneity, pairwise-distinct entries, well-formedness, exact
     degree zero, the index, and the full klt report. For the tree: product
     arity, dimension sums and index lcms. Check failures are recorded in
-    the report, never thrown. Every leaf is explicit, so "strict" and
-    "trusting" run the same checks; the mode is validated and echoed in the
-    report.
+    the report, never thrown. `mode` selects nothing; it is validated only
+    for the benchmark's calls (bench/workloads.py:177 and :548), which
+    ROADMAP item 4 drops.
     """
     if mode not in ("strict", "trusting"):
         raise ValueError(f"mode must be 'strict' or 'trusting', got {mode!r}")
     reports: list[NodeReport] = []
     dim, index = _verify_node(cert, "$", reports)
     passed = all(r.passed for r in reports) and dim is not None and index is not None
-    return VerificationReport(mode, dim, index, passed, reports)
+    return VerificationReport(dim, index, passed, reports)

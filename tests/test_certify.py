@@ -424,14 +424,14 @@ def test_monotone_padding():
 
 
 def test_verify_cited_leaf_reporting():
-    # index 14 is an explicit leaf: both modes pass it with the same checks,
-    # and a report has no field for cited leaves
+    # index 14 is an explicit leaf: either mode passes it with the same report,
+    # which has no field for cited leaves and none for the mode
     strict = verify_certificate(realize(3, 14), "strict")
     trusting = verify_certificate(realize(3, 14), "trusting")
     assert strict.passed and (strict.dim, strict.index) == (2, 14)
     assert [r.kind for r in strict.leaf_reports] == ["wps_leaf"]
-    assert {**strict.as_obj(), "mode": "trusting"} == trusting.as_obj()
-    assert set(strict.as_obj()) == {"mode", "dim", "index", "passed", "leaf_reports"}
+    assert strict.as_obj() == trusting.as_obj() == verify_certificate(realize(3, 14)).as_obj()
+    assert set(strict.as_obj()) == {"dim", "index", "passed", "leaf_reports"}
 
 
 @pytest.mark.parametrize("leaf", [
@@ -657,21 +657,22 @@ def test_an_unhashable_leaf_verifies_as_its_hashable_copy():
 
 # -- a leaf is its own certificate node -----------------------------------------
 
-# name -> (sha256 of the strict report, sha256 of certificate_dumps), recorded
-# when a wps_leaf node was a wrapper holding its LogLeaf; the bare leaf keeps
-# both byte for byte
+# name -> (sha256 of the report, sha256 of certificate_dumps), recorded when a
+# wps_leaf node was a wrapper holding its LogLeaf; the bare leaf keeps both
+# byte for byte. The report hashes were re-recorded when the report lost its
+# mode key: each is the old report with `"mode": "strict", ` deleted.
 _BARE_LEAF_SHA256 = {
-    "realize-4-16": ("f551e2d7191239ccbe8a2665d2f5d0903614261753d4635f03da7ad2ddb443ac",
+    "realize-4-16": ("0e08de0da90674a736fb76cb976194f8c11f72c0f61d15a27cd939d3f035c646",
                      "18bac619a98dd8dcf9a778f6fde95c6179ba34caa9cc72e62fe083409f9d0cdf"),
-    "index_prime-13": ("516cccc510042d9e67c8876a29686e1c9034b4c9ac9bcfbc3f45e4424ef34dd9",
+    "index_prime-13": ("b1be621041edca3bd3d143af6cad3d614ddcc3e22caf196a06115cb213735f71",
                        "9962a0d7e11e4573723c6cc0a667bdb94526e0cde7761fc68b93323f7f76a5c0"),
-    "prime_power-3-2": ("1abfc3bd7658fdf186fc5ba8c48ce8b624d84e1c33d4ac825aabfe5379a0ba08",
+    "prime_power-3-2": ("33bd671c2c25bce599ad277f7af189cdf7015dd34ee872e984e3147a34321a0a",
                         "86b0b9fd8e1bb25702bf7475769e564d302c4ac5916132d084efd8082c2513b8"),
-    "search-1-3": ("c7ebb4714e03b88fa5a953af749abf71c60f95f019dbe6bfc2db93177337b12f",
+    "search-1-3": ("505c5d1fb263b4d0acec592b3cb4715d207892f58c89a58d4b2be61eca12786b",
                    "74b8db5376e5f71bed17d3b0a2fb6c5301b68f4dd40dcbba82ca6705f13834d2"),
-    "search-2-10": ("57d4ce3dfc593aa733c276108370fa5ad600df0351260f95a7f8619d74bda061",
+    "search-2-10": ("9f24d64e28812fbea56250c90611c8a53f9d5b4eda214c17084cd2de0cb64bf5",
                     "5601032b94f9bade9927b4159ed99abab4cc3e9a5b6dfc7d3bd28770881604b8"),
-    "one-point": ("6fe46c15d3e91c219917b2b8e4151124dc1943736be56a54a6f28ce5fd04418d",  # fails degree-zero
+    "one-point": ("cfd8a590a5d9f844cd052aa65991db4e602fc83b721180beb5a87bc4e7d6ea12",  # fails degree-zero
                   "ef4e6c7f83a8bb7203a88a61a14d4a18177835daee5c6e9a0e733dc31ae2113c"),
 }
 
@@ -884,6 +885,8 @@ def test_build_sylvester_verifies_to_16_and_writes_to_14():
 def test_verify_rejects_bad_mode():
     with pytest.raises(ValueError):
         verify_certificate(EllipticLeaf(1), "lenient")
+    with pytest.raises(ValueError, match="mode must be 'strict' or 'trusting', got 'bogus'"):
+        verify_certificate(realize(3, 14), "bogus")
 
 
 # -- tamper suite ------------------------------------------------------------

@@ -84,11 +84,12 @@ def test_realize_json_embeds_the_certificate_text_it_writes(capsys, tmp_path):
 
 def test_realize_json_bytes(capsys):
     # the payload is printed in three pieces, head, certificate text and report,
-    # with the bytes it had as one string
+    # with the bytes it had as one string; re-recorded when the report lost its
+    # mode key, as the old bytes with the line `    "mode": "trusting",` deleted
     code, out, _ = run(capsys, "realize", "--dim", "6", "--index", "42", "--format", "json")
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "fd3be920cdebc7f41b08ad92f23a693047bde215b61f42ca59b31f5981a3f338"
+        "56a2fcaa05dd22679ce82e18855e32ce7ec6dcaabef496475e8cfe685db48d75"
     )
 
 
@@ -112,7 +113,10 @@ def test_realize_json_output_grows_with_the_certificate(capsys):
 
 
 def test_realize_strict_14(capsys):
-    code, out, _ = run(capsys, "realize", "--dim", "3", "--index", "14", "--mode", "strict")
+    # realize takes no --mode: there is one verification, and it is strict
+    code, out, err = run(capsys, "realize", "--dim", "3", "--index", "14", "--mode", "strict")
+    assert (code, out) == (EXIT_USAGE, "") and "--mode" in err
+    code, out, _ = run(capsys, "realize", "--dim", "3", "--index", "14")
     assert code == EXIT_OK
     payload = json.loads(out)
     assert payload["report"]["passed"] is True
@@ -121,23 +125,19 @@ def test_realize_strict_14(capsys):
     assert "cited_leaves" not in payload["report"]
 
 
-@pytest.mark.parametrize("argv", [
-    ("realize", "--dim", "4", "--index", "14", "--format", "json"),
-    ("realize", "--dim", "6", "--index", "42", "--format", "table"),
-    ("verify", "TAMPERED", "--format", "json"),
-    ("verify", "TAMPERED", "--format", "table"),
-], ids=["realize-json", "realize-table", "verify-failing-json", "verify-failing-table"])
-def test_strict_and_trusting_reports_differ_only_in_mode(capsys, tmp_path, argv):
-    path = tmp_path / "tampered.json"
-    path.write_text(json.dumps(_tampered("b-change")))
-    argv = [str(path) if a == "TAMPERED" else a for a in argv]
-    code_s, strict, _ = run(capsys, *argv, "--mode", "strict")
-    code_t, trusting, _ = run(capsys, *argv, "--mode", "trusting")
-    assert code_s == code_t == (EXIT_OK if argv[0] == "realize" else EXIT_VERIFY_FAILED)
-    mode_s, mode_t = (('"mode": "strict"', '"mode": "trusting"') if argv[-1] == "json"
-                      else ("(mode strict)", "(mode trusting)"))
-    assert strict.count(mode_s) == trusting.count(mode_t) == 1
-    assert strict.replace(mode_s, mode_t) == trusting
+@pytest.mark.parametrize("fmt", ["json", "table"])
+@pytest.mark.parametrize("name", ["passing", "failing"])
+def test_verify_prints_one_report_whatever_the_mode(capsys, tmp_path, name, fmt):
+    path = tmp_path / "cert.json"
+    path.write_text(certificate_dumps(realize(4, 14)) if name == "passing"
+                    else json.dumps(_tampered("b-change")))
+    code, out, err = run(capsys, "verify", str(path), "--format", fmt)
+    assert code == (EXIT_OK if name == "passing" else EXIT_VERIFY_FAILED) and err == ""
+    for mode in ("strict", "trusting"):
+        assert run(capsys, "verify", str(path), "--mode", mode, "--format", fmt) == (code, out, err)
+    assert "mode" not in out
+    if fmt == "table":
+        assert out.startswith("verification: PASSED\n" if name == "passing" else "verification: FAILED\n")
 
 
 def test_realize_trusting_14(capsys):
@@ -268,7 +268,8 @@ def test_verify_lying_citation_fails_in_trusting_mode(capsys, tmp_path):
 
 def test_verify_index_14_report_bytes(capsys, tmp_path):
     # index 14 is the explicit P(3,1,1) family_C leaf padded by one elliptic
-    # curve; re-recorded when the klt report lost its unchecked_hypotheses key
+    # curve; re-recorded when the klt report lost its unchecked_hypotheses key,
+    # and when it lost its mode key (the old bytes without `  "mode": "trusting",`)
     out_file = tmp_path / "cert.json"
     run(capsys, "realize", "--dim", "4", "--index", "14", "--out", str(out_file))
     code, out, _ = run(capsys, "verify", str(out_file), "--format", "json")
@@ -276,7 +277,7 @@ def test_verify_index_14_report_bytes(capsys, tmp_path):
     report = json.loads(out)
     assert [r["kind"] for r in report["leaf_reports"]] == ["product", "wps_leaf", "elliptic_leaf"]
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "e737fea7e7f5556709babac546a76ad8473a4eb16c1ce8f1812c077d71949e43"
+        "20366d9aa9ec410c46e366057f6584340e5e13535f017c60ea9eeacb234cc308"
     )
 
 
@@ -489,7 +490,9 @@ def test_verify_json_format(capsys, tmp_path):
 # key: against the parent, each report kept its exit code and equals the old
 # report with that key deleted, except tamper-unformed-weights, whose input
 # base_leaf(1, 2) became the chain leaf x0, x1, x0^2 + x1^2 (it still fails
-# well-formed and index-computed only).
+# well-formed and index-computed only). Every entry was re-recorded again,
+# with one hash for both modes, when the report lost its mode key: each is
+# the parent's stdout in either mode with the line `  "mode": "...",` deleted.
 
 
 def _tampered(kind, m=41):
@@ -543,36 +546,22 @@ def _report_input(name):
     return json.dumps(_tampered(name.removeprefix("tamper-")), sort_keys=True)
 
 
-# name -> (exit code, sha256 in strict mode, sha256 in trusting mode)
+# name -> (exit code, sha256)
 REPORT_SHA256 = {
-    "index_prime-41": (0, "5a368343941091a30e54149b6c6ae0689c02b027bfe2b2c7d0b602d83c2ddcca",
-        "f13acaec69ecbe6c4b3b88afbc38bf4a6d29558124fa52a0dd848f4d6c154411"),
-    "prime_power-3-5": (0, "0a4ba1abbaae6f4163ce164d88194352f767d3242e01e955329e685a92e4f33d",
-        "d165d7c019cc6cf9f3a51b906faef34553daf19636e51ba3e2a6e9a903e1bfcc"),
-    "vandermonde-6-in-4": (0, "b7fc6a31cef6f3031f4e0d0fe0ec609cfd356c6d7087e2b33de724deceb6e091",
-        "26ca4d9fcd08fc130ba64afb74e770a2a288e6086cbd722aff9922a8c1cdc808"),
-    "tamper-weight-bump": (1, "2650d39c9213518bcc868201d64f8b567e2c6c9028ac2e14cb22af95fd25f34e",
-        "c577da9950e294450a0eb7dc7481f2273f8ec4cd83c8890dd3093d2121c36138"),
-    "tamper-b-change": (1, "dd92f2227d1146d8a8e26f92d75f49a0b68d6178eb4eed3b05a6691149a827f1",
-        "a3ce360be73a55784828ecf17d0cbec121a1559aede79fdef4c3978da5278439"),
-    "tamper-entry-duplicated": (1, "7cfa6e869dfbccd40be5b7ed9ab60e4e95290622b11a9427cde48cb15e076fbe",
-        "55babe02546d8706b3f35928d0b77f6d35d94c417e7638656acc617a2de8dbb3"),
-    "tamper-entry-scaled-copy": (1, "7cfa6e869dfbccd40be5b7ed9ab60e4e95290622b11a9427cde48cb15e076fbe",
-        "55babe02546d8706b3f35928d0b77f6d35d94c417e7638656acc617a2de8dbb3"),
-    "tamper-h-scaled-copy": (1, "be0bd7115d12469a130bb90e05647dece70aecfc440a86bf9b3835700bce3fd8",
-        "ec94a4ac7f2ba055d9830942a2e9a00f2882ef9c69adf6ff41a7f6a4817b21ea"),
-    "tamper-h-linear-term-removed": (1, "f60cee3a789b88485b0d3ed6a40ecdd981a8c597739f86719fc2712a91d0d41a",
-        "d80e42d6db88598f0dd759c682933fe3c316f5e5ca79def17c1002f5a983c1df"),
-    "tamper-strategy-swap": (1, "b0ba425ac4829e993436305b42ea5fb695a2cc3373e64e5c6d6f944297b35e52",
-        "82963103d1ff3f947dfbc4f77f97ce82e44c361f1183dda53cc78d3c892b3359"),
-    "tamper-constant-equation": (1, "f8997d020e9cae2ce1ede88f398a01ef170f6e568efe1de3d849719d1c28f985",
-        "1909b95929fd1786d66fdc79866766875187335dc1aabf2cb3a6dd456c553f2c"),
-    "tamper-no-entries": (1, "141b3982fd20d81715974fdb9e5fb84bb8c3dcb7afaa92cb1f9e21fca5bc3460",
-        "d02772f33919be85db04246e332e55f733e9909f6c3979b047b40d93c3528d1c"),
-    "tamper-single-factor-product": (1, "357d916b31e89d3a86adf6957141e9e4123eab1ab245d3a7bebada2ba15ac52e",
-        "256e316f975cd3b7f3599f575762910f6484bc03bf5342c61dcbf1c154a39c9c"),
-    "tamper-unformed-weights": (1, "c26b542c40435c1a07ea40bbbb003fdc2d5685e3aed1583ea35aa8e9b745ce12",
-        "edb22c0d090127dffd8b5357016861b97d271ba583cb3dfa9da5d5d11b0e4759"),
+    "index_prime-41": (0, "f9f7180d4aa75b122419a7451366d3c183faa677a53e79fce7b3e8e1a1254510"),
+    "prime_power-3-5": (0, "3d64441fed4e0917d55e31e8119b6e8fd231221c1dc17c0457d4306c5b9946cc"),
+    "vandermonde-6-in-4": (0, "dd8fca6433808d8459ce54e30a3cf50be26d092e610690c4266209bfeb54eb43"),
+    "tamper-weight-bump": (1, "f9ab8a8189b52aa8bae6781632f685e2ced6eb088cf5f8613885ec83ac33d8bf"),
+    "tamper-b-change": (1, "976cd93d47d1c1d937494f4af2d88fee7e480f67833ad24493711a6e6f368b67"),
+    "tamper-entry-duplicated": (1, "36c4334d373f39e35a970da896c9868fdb45853c148c6b48b069d3df1ca4cadf"),
+    "tamper-entry-scaled-copy": (1, "36c4334d373f39e35a970da896c9868fdb45853c148c6b48b069d3df1ca4cadf"),
+    "tamper-h-scaled-copy": (1, "1e14400f5739d1439a4090618db8d3b654f589fc1da950d28b820d22d3f205f4"),
+    "tamper-h-linear-term-removed": (1, "8c6be840ab0cb9adb45be88e2c1be2a33aecfb7ad4124c8d2d19b3aa50e63c4b"),
+    "tamper-strategy-swap": (1, "fcd29e449cd37be87d045d1d72cd69a6c34b2d74e34cd9d49a9bc8256daa9a5b"),
+    "tamper-constant-equation": (1, "f303f64d0d02478af60ef81086212592606bb575133a898100c9eb36584b7daa"),
+    "tamper-no-entries": (1, "5b2e0ef325106e458fe7dbc8fe68f846cff82d2c211e0033ac1b26dd3d265cce"),
+    "tamper-single-factor-product": (1, "6954e9a3a130bfd8c23312c2205182ef42077c5082db746b23fd40ec31fa7849"),
+    "tamper-unformed-weights": (1, "2cabb4de64bf76473804cd0a5aac22d25b1e3863ad7e77339fb8f4bbc53e20e4"),
 }
 
 
@@ -582,9 +571,13 @@ def test_verify_report_bytes(capsys, tmp_path, name, mode):
     path = tmp_path / "cert.json"
     path.write_text(_report_input(name))
     code, out, _ = run(capsys, "verify", str(path), "--mode", mode, "--format", "json")
-    want_code, strict_sha, trusting_sha = REPORT_SHA256[name]
+    want_code, sha = REPORT_SHA256[name]
     assert code == want_code
-    assert hashlib.sha256(out.encode()).hexdigest() == (strict_sha if mode == "strict" else trusting_sha)
+    assert hashlib.sha256(out.encode()).hexdigest() == sha
+    # the mode selects nothing: without it, and in the table, the bytes are the same
+    assert run(capsys, "verify", str(path), "--format", "json")[:2] == (code, out)
+    assert (run(capsys, "verify", str(path), "--mode", mode)
+            == run(capsys, "verify", str(path)))
 
 
 # -- verify on mutated files ---------------------------------------------------
@@ -723,7 +716,7 @@ _report_ints = st.none() | st.integers(-10**6, 10**30) | st.sampled_from([10**43
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
-@given(st.builds(VerificationReport, _report_strs, _report_ints, _report_ints, st.booleans(),
+@given(st.builds(VerificationReport, _report_ints, _report_ints, st.booleans(),
                  st.lists(_node_reports, max_size=4)))
 def test_report_text_is_the_bytes_of_json_dumps(report):
     assert _report_text(report) == _json_dumps_report(report)

@@ -647,8 +647,8 @@ def _snc_step(nv, rows, tag):
 @st.composite
 def _small_linear_arrangements(draw):
     """(nv, rows): 1 to 7 nonzero integer normals with entries in [-3, 3] in
-    nv = 2 or 3 variables, repeats and proportional rows included."""
-    nv = draw(st.sampled_from((2, 3)))
+    nv = 2 to 5 variables, repeats and proportional rows included."""
+    nv = draw(st.sampled_from((2, 3, 4, 5)))
     row = st.lists(st.integers(-3, 3), min_size=nv, max_size=nv).filter(any)
     return nv, draw(st.lists(row, min_size=1, max_size=7))
 
@@ -658,6 +658,11 @@ def _small_linear_arrangements(draw):
 @example((2, [[1, 0], [0, 1], [1, 1], [2, 2]]))
 @example((3, [[1, 0, 0], [0, 1, 0], [1, 1, 0]]))
 @example((3, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]))
+# planes on P^3 and hyperplanes on P^4, which the plane tag once refused
+@example((4, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 1, 1, 1]]))
+@example((4, [[1, 0, 0, 0], [0, 1, 0, 0], [1, 1, 0, 0]]))
+@example((5, [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1],
+              [1, 1, 1, 1, 1]]))
 def test_linear_arrangements_get_one_snc_verdict_under_both_tags(arrangement):
     nv, rows = arrangement
     hyperplane = _snc_step(nv, rows, "hyperplane_arrangement")

@@ -254,6 +254,10 @@ MUTANTS = [
     Mutant("plane-linear-budget-skipped", SNCKLT,
            "return linear and _linear_forms_snc(curves)",
            "return linear and _walk(_integer_normals(curves), min(len(curves), nv))"),
+    # and on every P^N, not only on P^1 and P^2
+    Mutant("plane-linear-arity", SNCKLT,
+           "if linear or nv == 2:",
+           "if nv == 2 or (nv == 3 and linear):"),
     Mutant("plane-pair-squarefree", SNCKLT,
            "return _gcd_degree(r, [i * c for i, c in enumerate(r)][1:]) <= 0",
            "return _gcd_degree(r, [i * c for i, c in enumerate(r)][1:]) <= 1"),

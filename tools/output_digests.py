@@ -54,11 +54,10 @@ then `hyperplane VECTORS VERDICT` for `hyperplane_arrangement_snc` on each
 multiset of at most 4 of the 3-vectors of `_HYPERPLANE_VECTORS`, which
 holds proportional and dependent ones and a zero one.
 
-Then the command line's JSON bytes: `cli verify LABEL MODE SHA` for each
+Then the command line's JSON bytes: `cli verify LABEL SHA` for each
 reload file above (LABEL `reload` and its label) and each general edit
 file (LABEL `edit M KIND`), SHA being the sha256 of the stdout of
-`cyindex verify FILE --mode MODE --format json` for MODE strict and
-trusting; then `cli realize N M SHA` for the stdout of
+`cyindex verify FILE --format json`; then `cli realize N M SHA` for the stdout of
 `cyindex realize --dim N --index M` (its JSON) for N in (3, 10) and each m
 with phi(m) <= 2N; then `cli enumerate B SHA` for the stdout of
 `cyindex enumerate --phi-bound B --format json` for B in (1, 2, 444, 100000).
@@ -141,7 +140,7 @@ def _sha(text: str) -> str:
 
 
 def _report_sha(cert) -> str:
-    return _sha(json.dumps(verify_certificate(cert, "strict").as_obj(), sort_keys=True))
+    return _sha(json.dumps(verify_certificate(cert).as_obj(), sort_keys=True))
 
 
 def _line(label: str, cert) -> str:
@@ -228,11 +227,10 @@ def _cli_sha(*argv: str) -> str:
     return _sha(out.getvalue())
 
 
-def _cli_verify_lines(label: str, text: str, path: Path) -> list[str]:
-    """The `cli verify` lines of `text`, written to `path` and verified in both modes."""
+def _cli_verify_line(label: str, text: str, path: Path) -> str:
+    """The `cli verify` line of `text`, written to `path` and verified."""
     path.write_text(text, encoding="utf-8")
-    return [f"cli verify {label} {mode} {_cli_sha('verify', str(path), '--mode', mode, '--format', 'json')}"
-            for mode in ("strict", "trusting")]
+    return f"cli verify {label} {_cli_sha('verify', str(path), '--format', 'json')}"
 
 
 def _outcome(fn, *args) -> str:
@@ -307,11 +305,11 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cert.json"
         for label, leaf in reloaded:
-            print(*_cli_verify_lines(f"reload {label}", certificate_dumps(leaf), path), sep="\n")
+            print(_cli_verify_line(f"reload {label}", certificate_dumps(leaf), path))
         for m in range(5, 62, 2):
             text = certificate_dumps(build_index_prime(m))
             for kind in _EDITS:
-                print(*_cli_verify_lines(f"edit {m} {kind}", _edited(text, kind), path), sep="\n")
+                print(_cli_verify_line(f"edit {m} {kind}", _edited(text, kind), path))
     for n in (3, 10):
         for m in indices_with_phi_at_most(2 * n):
             print(f"cli realize {n} {m} {_cli_sha('realize', '--dim', str(n), '--index', str(m))}")

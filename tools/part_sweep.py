@@ -7,7 +7,7 @@ The key step covers every m with phi(m) <= 2N. Each m is split by
 built by `certify._part`, never the held copy, and strict-verified once;
 the script prints the part count, the variables they hold and the seconds
 from the enumeration to the last verdict, and exits 1 if a part fails. It is the
-yardstick of ROADMAP items 2, 8 and 19; run it on two checkouts, one
+yardstick of ROADMAP items 2 and 19; run it on two checkouts, one
 after the other in one session, to compare them.
 """
 
@@ -30,7 +30,7 @@ def main(argv=None) -> int:
     variables = 0
     for p, e in distinct:
         leaf = _part(p, e)
-        report = verify_certificate(leaf, "strict")
+        report = verify_certificate(leaf)
         if not report.passed or report.index != p**e:
             print(f"part {p}^{e} fails: {report.failing_checks()}")
             return 1
