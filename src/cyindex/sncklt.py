@@ -31,9 +31,8 @@ acceptance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
-from math import comb, gcd, lcm
+from math import comb, gcd
 
 from .wpspairs import (
     LogLeaf,
@@ -43,6 +42,7 @@ from .wpspairs import (
     _FAMILY_TAGS,
     _bounded_int,
     _coordinate_var,
+    _integer_row,
     dense_exponents,
     weighted_degree,
 )
@@ -104,15 +104,6 @@ def _report(strategy: str, steps: list[KltStep]) -> KltReport:
 # ---------------------------------------------------------------------------
 # hyperplane arrangements
 # ---------------------------------------------------------------------------
-
-
-def _integer_row(v) -> list[int]:
-    """v times the lcm of its denominators: an integer vector spanning the same line."""
-    if all(type(x) is int for x in v):
-        return list(v)
-    v = [x if type(x) is Fraction else Fraction(x) for x in v]
-    d = lcm(*[x.denominator for x in v])
-    return [x.numerator * (d // x.denominator) for x in v]
 
 
 def _primitive(p: list[int]) -> list[int]:
@@ -406,20 +397,20 @@ def plane_arrangement_snc(curves) -> bool:
     """Is an arrangement of plane curves (degree 1 to 3, homogeneous, in 3
     variables) simple normal crossing outside the origin of its cone?
 
-    Linear forms, in any number of variables (on P^1 every entry must be
-    one), are hyperplanes of the cone and go through _linear_forms_snc, its
-    walk and its budget. An arrangement with a conic or a cubic is checked
-    for (a) every curve smooth (lines trivially, conics and cubics by one
-    gradient test, exact for conics), (b) every pair transversal (the
-    y-resultant after a deterministic shear is squarefree as a binary form),
-    (c) no triple points (the two resultants through a pivot curve share no
-    projective root). Each curve is cleared of denominators, sheared and
-    split into y-coefficients once, so every test runs exactly in integers.
-    This route is conservative by design: any uncertifiable situation
-    returns False, a curve containing the line {x2 = 0}, which no shear
-    makes y-regular, included.
+    Linear forms, in any number of variables, are hyperplanes of the cone
+    and go through _linear_forms_snc, its walk and its budget. An
+    arrangement with a conic or a cubic is checked for (a) every curve
+    smooth (lines trivially, conics and cubics by one gradient test, exact
+    for conics), (b) every pair transversal (the y-resultant after a
+    deterministic shear is squarefree as a binary form), (c) no triple
+    points (the two resultants through a pivot curve share no projective
+    root). Each curve is cleared of denominators, sheared and split into
+    y-coefficients once, so every test runs exactly in integers. This route
+    is conservative by design: any uncertifiable situation returns False, a
+    curve containing the line {x2 = 0}, which no shear makes y-regular,
+    included.
 
-    A nonzero constant (degree 0, no curve at all) or a curve of degree > 3
+    A nonlinear entry off P^2, a nonzero constant or a curve of degree > 3
     raises ValueError, and a non-homogeneous curve NotQuasiHomogeneous;
     each message names the entry index. The work is bounded: if the tests
     counted by _PLANE_WORK_BUDGET exceed it, a ValueError naming the
@@ -434,11 +425,13 @@ def plane_arrangement_snc(curves) -> bool:
     if any(c.is_zero() for c in curves):
         return False
 
-    linear = not any(map(_not_hyperplane, curves))
-    if linear or nv == 2:
-        return linear and _linear_forms_snc(curves)
+    i = next((i for i, c in enumerate(curves) if _not_hyperplane(c)), None)
+    if i is None:
+        return _linear_forms_snc(curves)
     if nv != 3:
-        raise ValueError("plane arrangements live in 3 variables (or 2 for P^1)")
+        d = max([sum([x for _, x in pairs]) for _, pairs in curves[i].terms])
+        raise ValueError(f"entry {i} is not a linear form (degree {_bounded_int(d)}); "
+                         f"in {_bounded_int(nv)} variables only linear forms are checked")
 
     degrees = []
     for i, c in enumerate(curves):

@@ -17,10 +17,10 @@ the int j, which costs O(1) to build, write, read and check however many
 variables there are, and every other equation as a `SparsePoly`; an
 arrangement leaf holds only `SparsePoly`s.
 
-All degree bookkeeping is exact: coefficients are `fractions.Fraction`,
-weighted degrees are integers, and the degree of K_X + B is computed in
-integers over lcm(b), by the one formula the verifier in `cyindex.verify`
-uses (`_scaled_log_degree`), with no rounding anywhere.
+All degree bookkeeping is exact: a coefficient is an int, or a Fraction
+whose denominator is not 1, weighted degrees are integers, and the degree
+of K_X + B is computed in integers over lcm(b), by the one formula the
+verifier in `cyindex.verify` uses (`_scaled_log_degree`), with no rounding.
 
 The index of a degree-zero pair with standard coefficients 1 - 1/b is read
 off as the lcm of the b values. This is valid because the divisor class
@@ -61,7 +61,7 @@ __all__ = [
 
 
 _INT = frozenset({int})
-_ONE = Fraction(1)  # shared: Fraction is immutable, and most coefficients are 1
+_ONE = 1  # an int, as every integral coefficient is held, so keys and rows need no Fraction arithmetic
 
 
 def _bounded_int(x: int) -> str:
@@ -184,8 +184,9 @@ def _sorted(terms: list) -> list:
 class SparsePoly:
     """Sparse polynomial in nvars variables, stored as `terms`: one
     (coefficient, pairs) per monomial, where pairs lists its (variable,
-    exponent) with increasing variables and every exponent >= 1. No
-    coefficient is zero and no monomial repeats.
+    exponent) with increasing variables and every exponent >= 1. Each
+    coefficient is an int, or a Fraction whose denominator is not 1; none
+    is zero, and no monomial repeats.
 
     Equality, hashing and the canonical order are defined on this form, so
     every reader costs O(support) per monomial, whatever nvars is. The terms
@@ -194,13 +195,14 @@ class SparsePoly:
 
     `from_terms` takes dense (coefficient, exponent vector) monomials and
     `from_pairs` takes pairs. Every constructor ends in `from_pairs`, the
-    one place the term rules are checked: nvars (>= 1) and every exponent
-    are exact `int`s, never a `bool`, no coefficient is zero and no vector
-    repeats. `monomials` is the dense form, at O(nvars) per monomial.
+    one place coefficients are normalized and the term rules checked: nvars
+    (>= 1) and every exponent are exact `int`s, never a `bool`, no
+    coefficient is zero and no vector repeats. `monomials` is the dense
+    form, at O(nvars) per monomial.
     """
 
     nvars: int
-    terms: tuple[tuple[Fraction, tuple[tuple[int, int], ...]], ...]
+    terms: tuple[tuple[int | Fraction, tuple[tuple[int, int], ...]], ...]
 
     @classmethod
     def from_pairs(cls, nvars: int, terms) -> "SparsePoly":
@@ -213,8 +215,8 @@ class SparsePoly:
         seen = set()
         checked = []
         for coeff, pairs in terms:
-            if type(coeff) is not Fraction:
-                coeff = Fraction(coeff)
+            if type(coeff) is not int:  # exact ints stay; anything else becomes a Fraction, an int if integral
+                coeff = q.numerator if (q := Fraction(coeff)).denominator == 1 else q
             mono, prev = [], -1
             for v, x in pairs:
                 if type(v) is not int or type(x) is not int or not prev < v < nvars or x < 1:
@@ -240,7 +242,7 @@ class SparsePoly:
         return poly
 
     @property
-    def monomials(self) -> tuple[tuple[Fraction, tuple[int, ...]], ...]:
+    def monomials(self) -> tuple[tuple[int | Fraction, tuple[int, ...]], ...]:
         """The monomials as (coefficient, dense exponent vector), in canonical order."""
         return tuple([(c, tuple(dense_exponents(self.nvars, pairs))) for c, pairs in self.terms])
 
@@ -290,12 +292,11 @@ class SparsePoly:
 
     def projective_key(self) -> tuple:
         """A hashable key that two polynomials share iff one is a nonzero
-        constant multiple of the other: nvars and the terms divided by the
-        leading coefficient (the terms are kept in canonical order)."""
-        if not self.terms:
-            return (self.nvars, ())
-        lead = self.terms[0][0]
-        return (self.nvars, tuple((c / lead, p) for c, p in self.terms))
+        constant multiple of the other: nvars and the terms, in canonical
+        order, with their coefficients made primitive integers, the first positive."""
+        row = _integer_row([c for c, _ in self.terms])
+        g = -gcd(*row) if row and row[0] < 0 else gcd(*row)
+        return (self.nvars, tuple([(c // g, p) for c, (_, p) in zip(row, self.terms)]))
 
     def proportional_to(self, other: "SparsePoly") -> bool:
         """True iff self = c * other for a nonzero constant c."""
@@ -305,6 +306,16 @@ class SparsePoly:
 _FAMILY_TAGS = ("family_A", "family_B", "family_C")
 
 KLT_STRATEGIES = (*_FAMILY_TAGS, "hyperplane_arrangement", "plane_arrangement")
+
+
+def _integer_row(v) -> list[int]:
+    """v times the lcm of its denominators, cleared only if some entry is
+    not an int: an integer vector spanning the same line."""
+    if _INT.issuperset(map(type, v)):
+        return list(v)
+    v = [x if type(x) is Fraction else Fraction(x) for x in v]
+    d = lcm(*[x.denominator for x in v])
+    return [x.numerator * (d // x.denominator) for x in v]
 
 
 def _coordinate_var(eq: SparsePoly) -> int | None:
@@ -421,7 +432,8 @@ def _distinct_up_to_scaling(equations: list[int | SparsePoly], nvars: int) -> bo
     variables, is keyed by j. Other proportional equations have the same
     monomials, so they are keyed first on their variable count and pairs,
     int tuples that hash in C; only equations sharing that key compare
-    projective keys, whose Fractions hash in Python."""
+    projective keys, made of ints from coefficients that are ints, or
+    Fractions whose denominator is not 1."""
     coords: list[int] = []
     by_support: dict[tuple, list[SparsePoly]] = {}
     for eq in equations:

@@ -451,6 +451,16 @@ def test_non_homogeneous_curve_detail_names_the_entry():
         (STEP_PLANE, False, "entry 1: monomial degrees disagree: 2 distinct degrees from 1 to 2")]
 
 
+@pytest.mark.parametrize("nv", [2, 4], ids=["P1", "P3"])
+def test_curve_off_p2_detail_names_the_entry_and_its_degree(nv):
+    # x1 and x0^2 with b = 2: one refusal on P^1 and on P^3, naming entry 1 and its degree
+    x1, square = SparsePoly.variable(nv, 1), SparsePoly.from_pairs(nv, [(1, ((0, 2),))])
+    detail = f"entry 1 is not a linear form (degree 2); in {nv} variables only linear forms are checked"
+    assert _outcome(plane_arrangement_snc, [x1, square]) == ("ValueError", detail)
+    leaf = LogLeaf(Wps((1,) * nv), ((StdCoeff(2), x1), (StdCoeff(2), square)), "plane_arrangement")
+    assert [(s.description, s.passed, s.detail) for s in is_klt_leaf(leaf).steps] == [(STEP_PLANE, False, detail)]
+
+
 def _no_plane_work(*_):
     raise AssertionError("a curve was sheared or a resultant computed")
 
@@ -628,7 +638,12 @@ def _p1_curves(draw):
 @example([SparsePoly.linear_form((0, 3)), SparsePoly.linear_form((2, 0)), SparsePoly.linear_form((0, -1))])
 @example([SparsePoly.linear_form((1, 1)), _P1_NONLINEAR[1]])
 def test_p1_points_through_the_walk_match_the_distinct_forms_route(curves):
-    assert plane_arrangement_snc(curves) is _p1_by_distinct_forms(curves), curves
+    if any(c.is_zero() for c in curves) or all(_dense_normal(c) is not None for c in curves):
+        assert plane_arrangement_snc(curves) is _p1_by_distinct_forms(curves), curves
+    else:  # a nonzero entry that is no linear form is refused by its index and degree
+        assert _p1_by_distinct_forms(curves) is False
+        with pytest.raises(ValueError, match=r"^entry \d+ is not a linear form \(degree \d+\); in 2 variables "):
+            plane_arrangement_snc(curves)
 
 
 # -- linear forms: one route and one budget, whatever the tag ----------------
@@ -1012,7 +1027,8 @@ def _q_cubic_smooth_certified(sheared):
 
 def _reference_plane_snc(curves):
     """plane_arrangement_snc as it was, in Fraction arithmetic, with its
-    rejection of a constant entry."""
+    rejection of a constant entry and, off P^2, of the first entry that is
+    no linear form, by its index and degree."""
     curves = list(curves)
     if not curves:
         return True
@@ -1021,9 +1037,10 @@ def _reference_plane_snc(curves):
         raise ValueError("curves in a mixed number of variables")
     if any(c.is_zero() for c in curves):
         return False
+    if nv != 3 and (i := next((i for i, c in enumerate(curves) if _dense_normal(c) is None), None)) is not None:
+        d = max(sum(x for _, x in pairs) for _, pairs in curves[i].terms)
+        raise ValueError(f"entry {i} is not a linear form (degree {d}); in {nv} variables only linear forms are checked")
     if nv == 2:
-        if any(_dense_normal(c) is None for c in curves):
-            return False
         return not any(a.proportional_to(b) for a, b in combinations(curves, 2))
     if nv != 3:
         raise ValueError("plane arrangements live in 3 variables (or 2 for P^1)")

@@ -1,3 +1,4 @@
+import json
 import random
 import re
 from dataclasses import FrozenInstanceError
@@ -15,6 +16,7 @@ from cyindex.certify import (
     build_prime_power,
     search_plane_pair,
 )
+from cyindex.codec import certificate_dumps, certificate_from_obj, certificate_loads
 from cyindex.selftest import _family_leaves
 from conftest import entry_poly
 from cyindex.wpspairs import (
@@ -101,6 +103,42 @@ def test_sparse_poly_invariants():
         SparsePoly.from_terms(2, ((Fraction(1), (1, 0, 0)),))  # arity
     merged = SparsePoly.from_terms(2, [(1, (1, 0)), (2, (1, 0)), (-3, (1, 0))])
     assert merged.is_zero()
+
+
+# -- the coefficient form: an int, or a Fraction whose denominator is not 1 ----
+
+
+def _held_exactly(eq) -> bool:
+    """Every coefficient of eq (an int entry has none) is an int or a Fraction with denominator > 1."""
+    return type(eq) is int or all(
+        type(c) is int or (type(c) is Fraction and c.denominator > 1) for c, _ in eq.terms)
+
+
+@pytest.mark.parametrize("coeff, held", [
+    (3, 3), (-1, -1), (True, 1), (Fraction(6, 2), 3), (Fraction(-5), -5), (Fraction(1, 2), Fraction(1, 2)),
+], ids=["int", "negative-int", "bool", "integral-fraction", "negative-integral-fraction", "proper-fraction"])
+def test_every_constructor_holds_an_integral_coefficient_as_an_int(coeff, held):
+    polys = [SparsePoly.from_terms(2, [(coeff, (1, 0))]), SparsePoly.from_pairs(2, [(coeff, ((0, 1),))]),
+             SparsePoly.linear_form((coeff, 0)), SparsePoly.variable(2, 0, coeff=coeff)]
+    for poly in polys:
+        (c, _), = poly.terms
+        assert c == held and type(c) is type(held), poly
+    # from_terms sums equal vectors in Fractions; an integral sum is held as an int too
+    halves = SparsePoly.from_terms(2, [(Fraction(1, 2), (1, 0)), (Fraction(1, 2), (1, 0)), (coeff, (0, 1))])
+    assert [type(c) for c, _ in halves.terms] == [int, type(held)]
+
+
+def test_no_leaf_holds_an_integral_fraction():
+    # the builder leaves of the selftest grids and every hit of its plane search grids,
+    # each as built and as both codec readers read its text
+    leaves = [(call, leaf) for call, leaf, _ in _family_leaves()]
+    leaves += [(f"search_plane_pair({dim}, {m}, {k})", leaf) for dim, k, stop in ((1, 4, 21), (2, 7, 400))
+               for m in range(2, stop) if (leaf := search_plane_pair(dim, m, k)) is not None]
+    assert len(leaves) == len(_family_leaves()) + 4 + 11
+    for call, leaf in leaves:
+        text = certificate_dumps(leaf)
+        for read in (leaf, certificate_loads(text), certificate_from_obj(json.loads(text))):
+            assert all(map(_held_exactly, read.equations())), call
 
 
 # -- exponent validation and the stored pairs ---------------------------------
@@ -424,7 +462,7 @@ def _proportional_pairwise(f: SparsePoly, g: SparsePoly) -> bool:
         return False
     ratio = None
     for e, c in mine.items():
-        r = c / theirs[e]
+        r = Fraction(c) / theirs[e]  # exact: two int coefficients would divide to a float
         if ratio is None:
             ratio = r
         elif r != ratio:
@@ -462,6 +500,8 @@ def _poly_pairs(draw):
 
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(_poly_pairs())
+@example((SparsePoly.from_terms(3, ((Fraction(1, 2), (0, 0, 1)), (1, (0, 0, 0)))),  # x2/2 + 1
+          SparsePoly.from_terms(3, ((Fraction(3, 2), (0, 0, 1)), (3, (0, 0, 0))))))  # 3x2/2 + 3
 def test_projective_key_equality_is_proportionality(pair):
     f, g = pair
     want = _proportional_pairwise(f, g)

@@ -252,12 +252,12 @@ MUTANTS = [
            "t = min(k, nv)\n",
            "t = min(k, 2 if nv == 3 else nv)\n"),
     Mutant("plane-linear-budget-skipped", SNCKLT,
-           "return linear and _linear_forms_snc(curves)",
-           "return linear and _walk(_integer_normals(curves), min(len(curves), nv))"),
+           "return _linear_forms_snc(curves)",
+           "return _walk(_integer_normals(curves), min(len(curves), nv))"),
     # and on every P^N, not only on P^1 and P^2
     Mutant("plane-linear-arity", SNCKLT,
-           "if linear or nv == 2:",
-           "if nv == 2 or (nv == 3 and linear):"),
+           "i = next((i for i, c in enumerate(curves) if _not_hyperplane(c)), None)",
+           "i = next((i for i, c in enumerate(curves) if _not_hyperplane(c) or nv > 3), None)"),
     Mutant("plane-pair-squarefree", SNCKLT,
            "return _gcd_degree(r, [i * c for i, c in enumerate(r)][1:]) <= 0",
            "return _gcd_degree(r, [i * c for i, c in enumerate(r)][1:]) <= 1"),
@@ -278,6 +278,13 @@ MUTANTS = [
            "return not _share_projective_root(r1, d1, r2, d2)",
            "return True"),
     # wpspairs
+    # an integral coefficient is held as an int, and a projective key has a positive lead
+    Mutant("from-pairs-keeps-integral-fraction", WPSPAIRS,
+           "coeff = q.numerator if (q := Fraction(coeff)).denominator == 1 else q",
+           "coeff = Fraction(coeff)"),
+    Mutant("projective-key-sign", WPSPAIRS,
+           "g = -gcd(*row) if row and row[0] < 0 else gcd(*row)",
+           "g = gcd(*row)"),
     Mutant("variable-unchecked", WPSPAIRS,
            "return cls.from_pairs(nvars, ((coeff, ((j, 1),)),))",
            "return cls._canonical(nvars, ((coeff, ((j, 1),)),))"),
