@@ -21,8 +21,8 @@ normal-vector subsets that eliminates each shared prefix once, within one
 work budget. Plane arrangements with a conic or a cubic go by resultants
 of sheared equations (gradient tests for smoothness, squarefree tests for
 transversality, gcd tests against triple points). Both run exactly in
-integers after clearing each equation's denominators, which changes no
-zero set, rank, resultant root or gcd degree. The resultant route is
+integers on each equation's primitive integer multiple, as `SparsePoly`
+holds it, which changes no zero set, rank, resultant root or gcd degree. The resultant route is
 conservative: a curve the shear cannot make y-regular, or a shared
 resultant root that cannot be certified harmless, causes rejection, never
 acceptance.
@@ -42,7 +42,6 @@ from .wpspairs import (
     _FAMILY_TAGS,
     _bounded_int,
     _coordinate_var,
-    _integer_row,
     dense_exponents,
     weighted_degree,
 )
@@ -112,13 +111,14 @@ def _primitive(p: list[int]) -> list[int]:
     return [c // g for c in p] if g > 1 else p
 
 
-def _quotient(u: list[int], p: int, v: list[int]) -> list[int]:
-    """v in coordinates of the quotient by u, u[p] != 0: u[p] v - v[p] u
-    without its coordinate p, which is zero, divided by its content."""
+def _quotient(u: list[int], p: int, v: list[int], d: int) -> list[int]:
+    """v in coordinates of the quotient by u, u[p] != 0: (u[p] v - v[p] u) / d
+    without its coordinate p, which is zero, d the pivot of the step before,
+    exactly (see _walk); every v alike, v[p] = 0 included."""
     up, vp = u[p], v[p]
-    if not vp:
-        return v[:p] + v[p + 1 :]
-    return _primitive([up * x - vp * y for c, (x, y) in enumerate(zip(v, u)) if c != p])
+    w = [(up * x - vp * y) // d for x, y in zip(v, u)]
+    del w[p]
+    return w
 
 
 def _projective_key(a: int, b: int) -> tuple[int, int]:
@@ -135,14 +135,15 @@ def _walk(rows: list[list[int]], t: int) -> bool:
 
     One depth-first walk over the subsets in lexicographic order. A node is
     a prefix P, held as the images in V/span(P) of the rows after its last
-    one: their dot products with an integer basis of the annihilator of P,
-    the vectors orthogonal to P. A child appends one of those rows, u, and
-    takes every later image v to the quotient by u in one fraction-free
-    step, u[p] v - v[p] u without its coordinate p, so each prefix is
-    eliminated once for all the subsets that share it. An image is, up to
-    sign, the vector of (|P| + 1)-minors of P and its row on the pivot
-    columns and one more, divided by their gcd, so its entries stay within
-    Hadamard's bound. A row whose image is zero lies in span(P), and P plus
+    one, and the pivot d that made it, 1 at the root. A child appends one of
+    those rows, u, and takes every later image v to the quotient by u in one
+    step of Bareiss's fraction-free elimination, _quotient(u, p, v, d), so
+    each prefix is eliminated once for all the subsets that share it. An
+    image is the vector of (|P| + 1)-minors of P and its row on P's pivot
+    columns and one more, and d the |P|-minor of P on them, so by
+    Sylvester's identity each division is exact and every entry stays
+    within Hadamard's bound. An image is d != 0 times the coordinates of its
+    row in V/span(P). A row whose image is zero lies in span(P), and P plus
     that row is a dependent subset of at most t rows, which extends to a
     dependent t-subset as there are k >= t rows. A prefix is only extended
     by rows that leave enough later rows to fill its remaining positions,
@@ -156,9 +157,9 @@ def _walk(rows: list[list[int]], t: int) -> bool:
     candidates are checked in one pass by their projective keys.
     """
     nv = len(rows[0])
-    stack = [[_primitive(row) for row in rows]]
+    stack = [(rows, 1)]
     while stack:
-        images = stack.pop()
+        images, d = stack.pop()
         left = t - nv + len(images[0])
         if left == 1:
             if not all(map(any, images)):
@@ -178,7 +179,7 @@ def _walk(rows: list[list[int]], t: int) -> bool:
                 p = next((c for c, x in enumerate(u) if x), None)
                 if p is None:
                     return False
-                stack.append([_quotient(u, p, v) for v in images[j + 1 :]])
+                stack.append(([_quotient(u, p, v, d) for v in images[j + 1 :]], u[p]))
     return True
 
 
@@ -226,8 +227,8 @@ def hyperplane_arrangement_snc(normals) -> bool:
     of size exactly t = min(#normals, #variables) suffices: a dependent
     subset of size <= t extends to a dependent subset of size t, and if all
     size-t subsets are independent then larger subsets cut out only the
-    origin. Each normal is cleared of denominators once, and _walk checks
-    the subsets in integer arithmetic.
+    origin. Each normal is made a primitive integer vector once, by
+    SparsePoly.linear_form, and _walk checks the subsets in integers.
 
     Deciding this is NP-hard in general (full spark), so the work is
     bounded: if C(k, t) * t * t * nv exceeds _HYPERPLANE_WORK_BUDGET, a
@@ -243,7 +244,7 @@ def hyperplane_arrangement_snc(normals) -> bool:
     if not all(any(v) for v in normals):
         raise ValueError("zero normal vector")
     t = _subset_size(len(normals), nv)
-    return _walk([_integer_row(v) for v in normals], t)
+    return _walk(_integer_normals([SparsePoly.linear_form(v) for v in normals]), t)
 
 
 # ---------------------------------------------------------------------------
@@ -316,12 +317,11 @@ def _gcd_degree(a: list[int], b: list[int]) -> int:
 
 
 def _integer_terms(curve: SparsePoly) -> list[tuple[int, list[int]]]:
-    """curve times the lcm of its denominators, as (int coefficient, dense
-    exponent vector) pairs. A nonzero constant multiple has the same zero
-    set, singular points, tangents and intersections, and it scales every
-    resultant below by a nonzero constant: Res_y(c f, d g) = c^q d^p Res_y(f, g)."""
-    coeffs = _integer_row([c for c, _ in curve.terms])
-    return [(c, dense_exponents(curve.nvars, pairs)) for c, (_, pairs) in zip(coeffs, curve.terms)]
+    """curve as (int coefficient, dense exponent vector) pairs. Its primitive
+    coefficients have the same zero set, singular points, tangents and
+    intersections as any nonzero multiple, and they scale every resultant
+    below by a nonzero constant: Res_y(c f, d g) = c^q d^p Res_y(f, g)."""
+    return [(c, dense_exponents(curve.nvars, pairs)) for c, pairs in curve.terms]
 
 
 def _sheared(terms, d: int, k: int) -> tuple[list[list[int]], int]:
@@ -404,8 +404,8 @@ def plane_arrangement_snc(curves) -> bool:
     for conics), (b) every pair transversal (the y-resultant after a
     deterministic shear is squarefree as a binary form), (c) no triple
     points (the two resultants through a pivot curve share no projective
-    root). Each curve is cleared of denominators, sheared and split into
-    y-coefficients once, so every test runs exactly in integers. This route
+    root). Each curve is sheared and split into y-coefficients once, from
+    its integer coefficients, so every test runs exactly in integers. This route
     is conservative by design: any uncertifiable situation returns False, a
     curve containing the line {x2 = 0}, which no shear makes y-regular,
     included.
@@ -647,26 +647,28 @@ def _not_hyperplane(eq: SparsePoly) -> str | None:
 
 
 def _integer_normals(eqs: list[SparsePoly]) -> list[list[int]]:
-    """The integer normal of each hyperplane, built straight from its
-    (variable, coefficient) pairs with the coefficients cleared by _integer_row."""
+    """The normal of each hyperplane, built straight from its (variable,
+    coefficient) terms, whose coefficients are primitive integers."""
     rows = []
     for eq in eqs:
         row = [0] * eq.nvars
-        for c, (_, ((j, _),)) in zip(_integer_row([c for c, _ in eq.terms]), eq.terms):
+        for c, ((j, _),) in eq.terms:
             row[j] = c
         rows.append(row)
     return rows
 
 
 def _linear_forms_snc(eqs: list[SparsePoly]) -> bool:
-    """hyperplane_arrangement_snc on the normals of nonzero linear forms,
-    their arity and the work budget read from the sparse terms first, so a
-    refused arrangement builds no dense row."""
-    nv = eqs[0].nvars if eqs else 0
+    """hyperplane_arrangement_snc on nonzero linear forms, each check once:
+    the arity and the work budget read from the sparse terms first, so a
+    refused arrangement builds no dense row, then each normal built once."""
+    if not eqs:
+        return True
+    nv = eqs[0].nvars
     if any(eq.nvars != nv for eq in eqs):
         raise ValueError(_MIXED_NORMALS)
-    _subset_size(len(eqs), nv)
-    return hyperplane_arrangement_snc(_integer_normals(eqs))
+    t = _subset_size(len(eqs), nv)
+    return _walk(_integer_normals(eqs), t)
 
 
 def is_klt_leaf(leaf: LogLeaf) -> KltReport:

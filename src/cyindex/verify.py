@@ -27,7 +27,6 @@ values (COEFF_BITS_BUDGET); over the budget, degree-zero fails and names it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import lcm
 
 from .sncklt import KltReport, is_klt_leaf
@@ -210,7 +209,7 @@ def _verify_wps_leaf(leaf: LogLeaf, rep: NodeReport) -> tuple[int | None, int | 
             # log_degree from the degrees above; scale is lcm(b), set whenever deg_ok is
             num, scale = _scaled_log_degree(space, leaf.entries, degs)
             deg_ok = num == 0
-            deg_detail = f"log degree {_bounded_fraction(Fraction(num, scale))}"
+            deg_detail = f"log degree {_bounded_fraction(num, scale)}"
     _check(rep, "degree-zero", deg_ok, deg_detail)
 
     # pair_index: on a well-formed space of degree zero, the lcm of the b values
@@ -237,8 +236,8 @@ def _verify_node(cert: Certificate, path: str,
         case LogLeaf():
             # The verdict is kept in the leaf's own __dict__: sound because the leaf
             # is frozen and _verify_wps_leaf reads only its fields, which the loader
-            # and the public constructors build from tuples, exact ints, Fractions
-            # and strs. Each report copies the kept checks and shares the frozen
+            # and the public constructors build from tuples, exact ints and strs.
+            # Each report copies the kept checks and shares the frozen
             # KltReport. A test that patches what the checks call uses a fresh leaf.
             kept = vars(cert)
             if "_verdict" not in kept:

@@ -17,8 +17,10 @@ the int j, which costs O(1) to build, write, read and check however many
 variables there are, and every other equation as a `SparsePoly`; an
 arrangement leaf holds only `SparsePoly`s.
 
-All degree bookkeeping is exact: a coefficient is an int, or a Fraction
-whose denominator is not 1, weighted degrees are integers, and the degree
+Every check reads an equation up to a nonzero scalar, so `from_pairs`
+holds each as its primitive integer multiple, its first term's sign kept
+(2 * x0 is x0), and the checks read the coefficients as they are. All
+degree bookkeeping is exact: weighted degrees are integers, and the degree
 of K_X + B is computed in integers over lcm(b), by the one formula the
 verifier in `cyindex.verify` uses (`_scaled_log_degree`), with no rounding.
 
@@ -42,6 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress
 from math import gcd, lcm
+from operator import gt
 
 __all__ = [
     "NotQuasiHomogeneous",
@@ -61,7 +64,7 @@ __all__ = [
 
 
 _INT = frozenset({int})
-_ONE = 1  # an int, as every integral coefficient is held, so keys and rows need no Fraction arithmetic
+_ONE = 1  # the coefficient of a monomial on its own: every coefficient is held as a primitive int
 
 
 def _bounded_int(x: int) -> str:
@@ -75,10 +78,11 @@ def _shown(x) -> str:
     return _bounded_int(x) if type(x) is int else repr(x)
 
 
-def _bounded_fraction(q: Fraction) -> str:
-    """str(q), each part through _bounded_int."""
-    text = _bounded_int(q.numerator)
-    return text if q.denominator == 1 else f"{text}/{_bounded_int(q.denominator)}"
+def _bounded_fraction(num: int, den: int) -> str:
+    """str(Fraction(num, den)) for den > 0, each part through _bounded_int."""
+    g = gcd(num, den)
+    text = _bounded_int(num // g)
+    return text if den == g else f"{text}/{_bounded_int(den // g)}"
 
 
 def _listed(items, fmt, sep: str, most: int = 16) -> str:
@@ -173,20 +177,13 @@ def _dense_order(term) -> list[tuple[int, int]]:
     return [(-v, x) for v, x in term[1]]
 
 
-def _sorted(terms: list) -> list:
-    """terms in canonical order, sorted in place."""
-    if len(terms) > 1:
-        terms.sort(key=_dense_order, reverse=True)
-    return terms
-
-
 @dataclass(frozen=True, init=False, repr=False)
 class SparsePoly:
-    """Sparse polynomial in nvars variables, stored as `terms`: one
-    (coefficient, pairs) per monomial, where pairs lists its (variable,
-    exponent) with increasing variables and every exponent >= 1. Each
-    coefficient is an int, or a Fraction whose denominator is not 1; none
-    is zero, and no monomial repeats.
+    """A divisor equation in nvars variables, up to a positive scalar, as
+    `terms`: one (coefficient, pairs) per monomial, where pairs lists its
+    (variable, exponent) with increasing variables and every exponent >= 1.
+    The coefficients are nonzero ints with gcd 1, the first term's sign
+    kept as given, and no monomial repeats.
 
     Equality, hashing and the canonical order are defined on this form, so
     every reader costs O(support) per monomial, whatever nvars is. The terms
@@ -195,34 +192,36 @@ class SparsePoly:
 
     `from_terms` takes dense (coefficient, exponent vector) monomials and
     `from_pairs` takes pairs. Every constructor ends in `from_pairs`, the
-    one place coefficients are normalized and the term rules checked: nvars
-    (>= 1) and every exponent are exact `int`s, never a `bool`, no
-    coefficient is zero and no vector repeats. `monomials` is the dense
-    form, at O(nvars) per monomial.
+    one place coefficients are made primitive and the term rules checked:
+    nvars (>= 1) and every exponent are exact `int`s, never a `bool`, no
+    coefficient, any rational that `Fraction` takes, is zero and no vector
+    repeats. `monomials` is the dense form, at O(nvars) per monomial.
     """
 
     nvars: int
-    terms: tuple[tuple[int | Fraction, tuple[tuple[int, int], ...]], ...]
+    terms: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
 
     @classmethod
     def from_pairs(cls, nvars: int, terms) -> "SparsePoly":
         """Build from (coefficient, pairs) terms, pairs being (variable,
         exponent) with increasing variables below nvars and exponents >= 1,
         all exact ints, at O(support) per monomial. Every other constructor
-        ends here, so all share these checks."""
+        ends here, so all share these checks and the primitive form. The
+        terms are sorted only if their keys are not already descending."""
         if type(nvars) is not int or nvars < 1:  # exact int, so no bool
             raise ValueError(f"nvars must be a positive integer, got {_shown(nvars)}")
         seen = set()
-        checked = []
+        checked, keys = [], []
         for coeff, pairs in terms:
-            if type(coeff) is not int:  # exact ints stay; anything else becomes a Fraction, an int if integral
-                coeff = q.numerator if (q := Fraction(coeff)).denominator == 1 else q
-            mono, prev = [], -1
+            if type(coeff) is not int:  # exact ints stay; anything else becomes a Fraction, cleared below
+                coeff = Fraction(coeff)
+            mono, key, prev = [], [], -1
             for v, x in pairs:
                 if type(v) is not int or type(x) is not int or not prev < v < nvars or x < 1:
                     raise ValueError(f"bad exponent pair ({_shown(v)}, {_shown(x)}): pairs need increasing "
                                      f"int variables below {_bounded_int(nvars)} and int exponents >= 1")
                 mono.append((v, x))
+                key.append((-v, x))  # _dense_order
                 prev = v
             pairs = tuple(mono)
             if coeff == 0:
@@ -231,7 +230,16 @@ class SparsePoly:
                 raise ValueError(f"repeated exponent vector {tuple(dense_exponents(nvars, pairs))}")
             seen.add(pairs)
             checked.append((coeff, pairs))
-        return cls._canonical(nvars, _sorted(checked))
+            keys.append(key)
+        if not all(map(gt, keys, keys[1:])):  # no two keys are equal, as no vector repeats
+            checked.sort(key=_dense_order, reverse=True)
+        coeffs = [c for c, _ in checked]
+        if not _INT.issuperset(map(type, coeffs)) or gcd(*coeffs) > 1:  # made primitive, signs kept
+            d = lcm(*[c.denominator for c in coeffs])  # an int is its own numerator, over 1
+            coeffs = [c.numerator * (d // c.denominator) for c in coeffs]
+            g = gcd(*coeffs)
+            checked = [(c // g, pairs) for c, (_, pairs) in zip(coeffs, checked)]
+        return cls._canonical(nvars, checked)
 
     @classmethod
     def _canonical(cls, nvars: int, terms) -> "SparsePoly":
@@ -242,7 +250,7 @@ class SparsePoly:
         return poly
 
     @property
-    def monomials(self) -> tuple[tuple[int | Fraction, tuple[int, ...]], ...]:
+    def monomials(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
         """The monomials as (coefficient, dense exponent vector), in canonical order."""
         return tuple([(c, tuple(dense_exponents(self.nvars, pairs))) for c, pairs in self.terms])
 
@@ -291,12 +299,12 @@ class SparsePoly:
         return not self.terms
 
     def projective_key(self) -> tuple:
-        """A hashable key that two polynomials share iff one is a nonzero
+        """A hashable key that two equations share iff one is a nonzero
         constant multiple of the other: nvars and the terms, in canonical
-        order, with their coefficients made primitive integers, the first positive."""
-        row = _integer_row([c for c, _ in self.terms])
-        g = -gcd(*row) if row and row[0] < 0 else gcd(*row)
-        return (self.nvars, tuple([(c // g, p) for c, (_, p) in zip(row, self.terms)]))
+        order, negated if the first coefficient is negative. The
+        coefficients are primitive integers, so that is all it takes."""
+        sign = -1 if self.terms and self.terms[0][0] < 0 else 1
+        return (self.nvars, tuple([(sign * c, p) for c, p in self.terms]))
 
     def proportional_to(self, other: "SparsePoly") -> bool:
         """True iff self = c * other for a nonzero constant c."""
@@ -308,18 +316,8 @@ _FAMILY_TAGS = ("family_A", "family_B", "family_C")
 KLT_STRATEGIES = (*_FAMILY_TAGS, "hyperplane_arrangement", "plane_arrangement")
 
 
-def _integer_row(v) -> list[int]:
-    """v times the lcm of its denominators, cleared only if some entry is
-    not an int: an integer vector spanning the same line."""
-    if _INT.issuperset(map(type, v)):
-        return list(v)
-    v = [x if type(x) is Fraction else Fraction(x) for x in v]
-    d = lcm(*[x.denominator for x in v])
-    return [x.numerator * (d // x.denominator) for x in v]
-
-
 def _coordinate_var(eq: SparsePoly) -> int | None:
-    """Index j if eq is c * x_j (a coordinate hyperplane), else None."""
+    """Index j if eq is x_j or -x_j (a coordinate hyperplane), else None."""
     if len(eq.terms) != 1:
         return None
     _, pairs = eq.terms[0]
@@ -335,10 +333,11 @@ class LogLeaf:
     the strategy its klt verification follows.
 
     An equation is an int j, x_j in nv = len(weights) variables, or a
-    `SparsePoly`, in one canonical form: a family leaf holds 1 * x_j in nv
-    variables as j, an arrangement leaf holds j as SparsePoly.variable(nv, j),
-    and any other `SparsePoly` (c * x_j with c != 1 included) is kept as it
-    is. An int entry that is a bool, negative or >= nv is a ValueError."""
+    `SparsePoly`, in one canonical form: a family leaf holds x_j in nv
+    variables (c * x_j for any c > 0, as from_pairs makes it primitive) as
+    j, an arrangement leaf holds j as SparsePoly.variable(nv, j), and any
+    other `SparsePoly` (-x_j included) is kept as it is. An int entry that
+    is a bool, negative or >= nv is a ValueError."""
 
     space: Wps
     entries: tuple[tuple[StdCoeff, int | SparsePoly], ...]
@@ -428,22 +427,14 @@ def canonical_degree(space: Wps) -> int:
 
 def _distinct_up_to_scaling(equations: list[int | SparsePoly], nvars: int) -> bool:
     """True iff no two equations are proportional, an int j standing for x_j
-    in nvars variables. A coordinate hyperplane, j or c * x_j in nvars
-    variables, is keyed by j. Other proportional equations have the same
-    monomials, so they are keyed first on their variable count and pairs,
-    int tuples that hash in C; only equations sharing that key compare
-    projective keys, made of ints from coefficients that are ints, or
-    Fractions whose denominator is not 1."""
-    coords: list[int] = []
-    by_support: dict[tuple, list[SparsePoly]] = {}
+    in nvars variables. Each equation is keyed once: a coordinate
+    hyperplane, j or +-x_j in nvars variables, by the int j, and any other
+    by its projective key, a tuple."""
+    keys = set()
     for eq in equations:
         j = eq if type(eq) is int else _coordinate_var(eq) if eq.nvars == nvars else None
-        if j is None:
-            by_support.setdefault((eq.nvars, tuple([pairs for _, pairs in eq.terms])), []).append(eq)
-        else:
-            coords.append(j)
-    return len(set(coords)) == len(coords) and all(
-        len(same) == 1 or len({eq.projective_key() for eq in same}) == len(same) for same in by_support.values())
+        keys.add(eq.projective_key() if j is None else j)
+    return len(keys) == len(equations)
 
 
 def _scaled_log_degree(space: Wps, entries, degrees) -> tuple[int, int]:
@@ -476,5 +467,5 @@ def pair_index(leaf: LogLeaf) -> int:
         raise ValueError(f"pair_index requires a well-formed space, got {leaf.space}")
     num, scale = _scaled_log_degree(leaf.space, leaf.entries, [weighted_degree(eq, leaf.space) for _, eq in leaf.entries])
     if num != 0:
-        raise ValueError(f"pair_index requires log degree 0, got {_bounded_fraction(Fraction(num, scale))}")
+        raise ValueError(f"pair_index requires log degree 0, got {_bounded_fraction(num, scale)}")
     return scale

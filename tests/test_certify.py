@@ -30,6 +30,7 @@ from cyindex.codec import CertificateParseError, certificate_dumps, certificate_
 from cyindex.verify import EllipticLeaf, Product, verify_certificate
 from cyindex.numtheory import euler_phi, factorize, indices_with_phi_at_most, sylvester_bound
 from conftest import entry_poly
+from test_wpspairs import primitive_terms
 import cyindex
 import cyindex.certify
 import cyindex.cli
@@ -600,8 +601,9 @@ def _leaf_and_one_field_changed(draw):
     k = draw(st.integers(0, len(terms) - 1))
     c, pairs = terms[k]
     if changed == "coefficient":
+        # an equation is held up to a positive scalar: 2 * x_j is x_j, so one monomial turns to -1
         assert c == 1
-        terms[k] = (2 * c, pairs)
+        terms[k] = (2 * c if len(terms) > 1 else -c, pairs)
     else:
         v = draw(st.integers(0, len(pairs) - 1))
         pairs = pairs[:v] + ((pairs[v][0], pairs[v][1] + 1),) + pairs[v + 1:]
@@ -1707,7 +1709,8 @@ def _reference_logleaf_from_obj(obj: dict, loc: str = "$") -> LogLeaf:
                 raise CertificateParseError(f"repeated exponent vector {tuple(dense_exponents(nv, pairs))}",
                                             f"{loc}.entries[{i}].eq")
             seen.add(pairs)
-        eq = SparsePoly._canonical(nv, cyindex.wpspairs._sorted(terms))
+        terms.sort(key=cyindex.wpspairs._dense_order, reverse=True)
+        eq = SparsePoly._canonical(nv, primitive_terms(terms))
         entries.append((StdCoeff(b), eq))
     try:
         return LogLeaf(Wps(tuple(weights)), tuple(entries), strategy)

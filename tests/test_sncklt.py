@@ -3,7 +3,7 @@ import random
 import time
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from math import comb
+from math import comb, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -22,7 +22,7 @@ from cyindex.sncklt import (
     STEP_SHAPE,
     _coordinate_var,
     _gcd_degree,
-    _integer_row,
+    _integer_normals,
     _integer_terms,
     _mul,
     _resultant_y,
@@ -153,7 +153,7 @@ def _refuse_work(monkeypatch):
         raise AssertionError("a normal was converted or a subset walked")
 
     monkeypatch.setattr(cyindex.sncklt, "_walk", no_work)
-    monkeypatch.setattr(cyindex.sncklt, "_integer_row", no_work)
+    monkeypatch.setattr(cyindex.sncklt, "_integer_normals", no_work)
 
 
 def test_hyperplane_budget_fails_the_step_before_ranking(monkeypatch):
@@ -247,23 +247,43 @@ _entries = st.one_of(
 )
 
 
+_huge = st.integers(2**64, 2**72).flatmap(lambda x: st.sampled_from((x, -x))).map(Fraction)
+
+
 @st.composite
 def _rational_matrices(draw):
     """Rows over a few columns, with zero rows, repeated rows and rows that
-    are rational multiples of earlier ones; often more rows than columns."""
+    are rational multiples of earlier ones; often more rows than columns.
+    Some rows lead with zeros, so that a pivot sits in a later column,
+    some lead with a negative entry, a negative pivot, and some hold
+    entries above 2^64."""
     ncols = draw(st.integers(1, 5))
     rows = []
     for _ in range(draw(st.integers(1, 8))):
-        kind = draw(st.sampled_from(("fresh", "fresh", "zero", "repeat", "multiple")))
+        kind = draw(st.sampled_from(("fresh", "fresh", "zero", "repeat", "multiple", "late", "negative", "huge")))
         if kind == "zero":
             rows.append([Fraction(0)] * ncols)
-        elif kind != "fresh" and rows:
+        elif kind in ("repeat", "multiple") and rows:
             row = draw(st.sampled_from(rows))
             scale = Fraction(1) if kind == "repeat" else draw(st.fractions(-5, 5, max_denominator=7))
             rows.append([scale * x for x in row])
+        elif kind == "huge":
+            rows.append(draw(st.lists(st.one_of(_entries, _huge), min_size=ncols, max_size=ncols)))
         else:
-            rows.append(draw(st.lists(_entries, min_size=ncols, max_size=ncols)))
+            row = draw(st.lists(_entries, min_size=ncols, max_size=ncols))
+            if kind == "late":
+                zeros = draw(st.integers(1, ncols))
+                row = [Fraction(0)] * zeros + row[zeros:]
+            elif kind == "negative":
+                row = [-abs(x) for x in row]
+            rows.append(row)
     return rows
+
+
+def _cleared(row) -> list[int]:
+    """row times the lcm of its denominators: an integer row on the same line."""
+    d = lcm(*[x.denominator for x in row])
+    return [x.numerator * (d // x.denominator) for x in row]
 
 
 def _every_subset_independent(rows, t, rank) -> bool:
@@ -274,9 +294,12 @@ def _every_subset_independent(rows, t, rank) -> bool:
 @given(_rational_matrices())
 @example([[Fraction(0), Fraction(0)]])
 @example([[Fraction(1, 2), Fraction(-1, 3)], [Fraction(3), Fraction(-2)], [Fraction(0), Fraction(5, 7)]])
+@example([[Fraction(x) for x in row] for row in ((0, -2, 3, 1), (0, 0, -5, 7), (-3, 1, 0, 2), (0, 4, -6, -2),
+                                                 (2**65, -(2**70), 3, 0), (0, 0, 0, -(2**66)))])
+@example([[Fraction(x) for x in row] for row in ((-2, 3, 0), (-4, 1, 5), (0, -3, 7), (-6, 4, 5))])
 def test_the_walk_matches_the_fraction_rank(rows):
     # every subset size the walk can be asked for, zero rows included
-    ints = [_integer_row(row) for row in rows]
+    ints = [_cleared(row) for row in rows]
     assert all(type(x) is int for row in ints for x in row)
     for t in range(1, min(len(rows), len(rows[0])) + 1):
         assert _walk(ints, t) == _every_subset_independent(rows, t, _fraction_rank), t
@@ -291,7 +314,7 @@ def test_the_walk_matches_sympy(rows):
         return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in subset]).rank()
 
     t = min(len(rows), len(rows[0]))
-    assert _walk([_integer_row(row) for row in rows], t) == _every_subset_independent(rows, t, rank)
+    assert _walk([_cleared(row) for row in rows], t) == _every_subset_independent(rows, t, rank)
 
 
 @st.composite
@@ -356,7 +379,7 @@ def test_the_walk_eliminates_each_prefix_once(monkeypatch):
     # are made once each, and the last two positions are checked in one pass
     made = []
     real = cyindex.sncklt._quotient
-    monkeypatch.setattr(cyindex.sncklt, "_quotient", lambda u, p, v: made.append(u) or real(u, p, v))
+    monkeypatch.setattr(cyindex.sncklt, "_quotient", lambda u, p, v, d: made.append(u) or real(u, p, v, d))
     assert hyperplane_arrangement_snc(_vandermonde(6, range(10, 22))) is True
     # each prefix takes every row after its last one to its quotient
     prefixes = [subset for d in range(1, 5) for subset in combinations(range(6 + d), d)]
@@ -365,9 +388,11 @@ def test_the_walk_eliminates_each_prefix_once(monkeypatch):
 
 
 def test_integer_row_spans_the_same_line():
+    # the row the walk takes for a rational normal: its primitive integer multiple, the sign kept
     row = [Fraction(1, 2), Fraction(-2, 3), Fraction(0), Fraction(5, 4)]
-    assert _integer_row(row) == [6, -8, 0, 15]
-    assert _integer_row([Fraction(3), Fraction(-6)]) == [3, -6]
+    assert _integer_normals([SparsePoly.linear_form(row)]) == [[6, -8, 0, 15]]
+    assert _integer_normals([SparsePoly.linear_form([Fraction(3), Fraction(-6)])]) == [[1, -2]]
+    assert _integer_normals([SparsePoly.linear_form([0, -4, 6])]) == [[0, -2, 3]]
 
 
 def test_prime_power_base2_arrangements():

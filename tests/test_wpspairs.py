@@ -49,6 +49,17 @@ def subs_zero(f: SparsePoly, kill) -> SparsePoly:
     return SparsePoly.from_pairs(f.nvars, [t for t in f.terms if kill.isdisjoint([v for v, _ in t[1]])])
 
 
+def primitive_terms(terms) -> tuple:
+    """(coefficient, anything) terms with their coefficients made primitive
+    integers of the same signs, computed in Fractions: the reference for
+    the form from_pairs stores."""
+    coeffs = [Fraction(c) for c, _ in terms]
+    d = lcm(*[c.denominator for c in coeffs])
+    ints = [c.numerator * (d // c.denominator) for c in coeffs]
+    g = gcd(*ints) or 1
+    return tuple((c // g, rest) for c, (_, rest) in zip(ints, terms))
+
+
 def restrict_to(f: SparsePoly, keep) -> SparsePoly:
     """f projected onto the listed variables, in that order; a monomial in
     any other variable raises ValueError."""
@@ -105,7 +116,7 @@ def test_sparse_poly_invariants():
     assert merged.is_zero()
 
 
-# -- the coefficient form: an int, or a Fraction whose denominator is not 1 ----
+# -- the coefficient form: primitive ints, the first term's sign kept ----------
 
 
 def _held_exactly(eq) -> bool:
@@ -115,17 +126,20 @@ def _held_exactly(eq) -> bool:
 
 
 @pytest.mark.parametrize("coeff, held", [
-    (3, 3), (-1, -1), (True, 1), (Fraction(6, 2), 3), (Fraction(-5), -5), (Fraction(1, 2), Fraction(1, 2)),
+    (3, 1), (-1, -1), (True, 1), (Fraction(6, 2), 1), (Fraction(-5), -1), (Fraction(1, 2), 1),
 ], ids=["int", "negative-int", "bool", "integral-fraction", "negative-integral-fraction", "proper-fraction"])
 def test_every_constructor_holds_an_integral_coefficient_as_an_int(coeff, held):
+    # one monomial is held with coefficient 1 or -1, the sign of coeff
     polys = [SparsePoly.from_terms(2, [(coeff, (1, 0))]), SparsePoly.from_pairs(2, [(coeff, ((0, 1),))]),
              SparsePoly.linear_form((coeff, 0)), SparsePoly.variable(2, 0, coeff=coeff)]
     for poly in polys:
         (c, _), = poly.terms
-        assert c == held and type(c) is type(held), poly
-    # from_terms sums equal vectors in Fractions; an integral sum is held as an int too
+        assert c == held and type(c) is int, poly
+    # from_terms sums equal vectors in Fractions; the sum x0 and coeff * x1 are held as their
+    # primitive integer multiple, ints in the ratio 1 : coeff
     halves = SparsePoly.from_terms(2, [(Fraction(1, 2), (1, 0)), (Fraction(1, 2), (1, 0)), (coeff, (0, 1))])
-    assert [type(c) for c, _ in halves.terms] == [int, type(held)]
+    (a, _), (b, _) = halves.terms
+    assert type(a) is int and type(b) is int and a > 0 and gcd(a, b) == 1 and Fraction(b, a) == coeff
 
 
 def test_no_leaf_holds_an_integral_fraction():
@@ -193,7 +207,8 @@ def test_supports_match_the_scan_after_every_derivation(f, data):
     kill = data.draw(st.sets(st.integers(0, nv - 1)))
     killed = subs_zero(f, kill)
     _assert_supports(killed)
-    assert killed.monomials == tuple(t for t in f.monomials if all(t[1][j] == 0 for j in kill))
+    # the monomials that avoid the killed variables, made primitive again
+    assert killed.monomials == primitive_terms([t for t in f.monomials if all(t[1][j] == 0 for j in kill)])
     keep = [j for j in range(nv) if j not in kill]
     if keep:
         restricted = restrict_to(killed, keep)
@@ -355,6 +370,7 @@ def test_constructor_matches_the_dense_reference(first, second):
         want = _outcome(_reference_from_terms, nvars, mons)
         got = _outcome(SparsePoly.from_terms, nvars, mons)
         if isinstance(got, SparsePoly):
+            want = primitive_terms(want)  # the reference keeps the scale, which from_pairs drops
             assert got.monomials == want, (nvars, mons)
             backwards = SparsePoly.from_terms(nvars, list(reversed(mons)))
             assert got == backwards and hash(got) == hash(backwards)
@@ -385,6 +401,50 @@ def test_pairs_build_the_polynomial_the_dense_vectors_build(case):
     dense = SparsePoly.from_terms(nvars, [(c, dense_exponents(nvars, p)) for c, p in terms])
     assert f == dense and hash(f) == hash(dense) and f.terms == dense.terms
     _assert_supports(f)
+
+
+def _cross_proportional(f_vars, f_terms, g_vars, g_terms) -> bool:
+    """Is g = c f for a nonzero c, read off the raw coefficients by
+    cross-multiplying them in Fractions: the reference for proportional_to."""
+    mine, theirs = {p: Fraction(c) for c, p in f_terms}, {p: Fraction(c) for c, p in g_terms}
+    if f_vars != g_vars or mine.keys() != theirs.keys():
+        return False
+    first = next(iter(mine), None)
+    return all(mine[p] * theirs[first] == theirs[p] * mine[first] for p in mine)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_pair_terms(), st.data())
+@example((2, [(Fraction(-4, 3), ((0, 1),)), (2, ((1, 1),))]), None)
+@example((3, [(6, ((2, 2),)), (-4, ((0, 1), (1, 1)))]), None)
+def test_from_pairs_holds_the_primitive_integer_multiple(case, data):
+    nvars, terms = case
+    f = SparsePoly.from_pairs(nvars, terms)
+    coeffs = [c for c, _ in f.terms]
+    assert all(type(c) is int for c in coeffs) and gcd(*coeffs) == (1 if coeffs else 0), f
+    if terms:  # a positive multiple of the input: the first term in canonical order keeps its sign
+        raw = {p: Fraction(c) for c, p in terms}
+        ratio = f.terms[0][0] / raw[f.terms[0][1]]
+        assert ratio > 0 and all(c == ratio * raw[p] for c, p in f.terms), f
+    if data is None:
+        return
+    # proportional_to against cross-multiplication on the raw terms, scaled by a Fraction or a negative
+    scalar = data.draw(_coeffs)
+    kind = data.draw(st.sampled_from(("scaled", "scaled", "tweaked", "dropped", "fresh", "other-nvars")))
+    g_vars, g_terms = nvars, [(c * scalar, p) for c, p in terms]
+    if kind == "tweaked" and g_terms:
+        k = data.draw(st.integers(0, len(g_terms) - 1))
+        g_terms[k] = (g_terms[k][0] * data.draw(st.sampled_from((2, -1, Fraction(1, 3)))), g_terms[k][1])
+    elif kind == "dropped" and g_terms:
+        g_terms = g_terms[1:]
+    elif kind == "fresh":
+        g_vars, g_terms = data.draw(_pair_terms())
+    elif kind == "other-nvars":
+        g_vars += 1
+    g = SparsePoly.from_pairs(g_vars, g_terms)
+    want = _cross_proportional(nvars, terms, g_vars, g_terms)
+    assert f.proportional_to(g) is want and g.proportional_to(f) is want
+    assert (f.projective_key() == g.projective_key()) is want
 
 
 @pytest.mark.parametrize("pairs", [((1, 1), (0, 1)), ((0, 1), (0, 2)), ((3, 1),), ((-1, 1),), ((0, 0),),

@@ -3,6 +3,10 @@ the base catalogue and the plane search emit, and of the index table, one
 line each.
 
     python3 tools/output_digests.py > digests.txt
+    python3 tools/output_digests.py --short > tests/data/output_digests.txt
+
+With --short each sha256 is cut to its first 16 hex digits, the form
+tests/test_output_digests.py compares, in-process, with the committed file.
 
 Lines are `enumerate B SHA` for each 1 <= B <= 2000, SHA being the
 sha256 of `indices_with_phi_at_most(B)` joined by spaces; then
@@ -74,9 +78,11 @@ diffing the outputs shows exactly which outputs a change alters.
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import io
 import json
+import re
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -246,24 +252,25 @@ def _lib_line(label: str, leaf) -> str:
     return f"lib {label} {_sha(facts)} {_sha(text)}"
 
 
-def main() -> int:
+def lines():
+    """Every digest line, in the order the module docstring gives."""
     for bound in range(1, 2001):
-        print(f"enumerate {bound} {_sha(' '.join(map(str, indices_with_phi_at_most(bound))))}")
+        yield f"enumerate {bound} {_sha(' '.join(map(str, indices_with_phi_at_most(bound))))}"
     for n in range(3, 61):
         for m in indices_with_phi_at_most(2 * n):
             cert = realize(n, m)
             line = _line(f"realize {n} {m}", cert)  # the original first, then its reloaded copy
-            print(f"{line} {_report_sha(certificate_loads(certificate_dumps(cert)))}")
+            yield f"{line} {_report_sha(certificate_loads(certificate_dumps(cert)))}"
     for m in BASE_DIM1_INDICES:
-        print(_line(f"base 1 {m}", base_leaf(1, m)))
+        yield _line(f"base 1 {m}", base_leaf(1, m))
     reloaded = _reload_leaves()
     for label, leaf in reloaded:
-        print(_reload_line(label, leaf))
+        yield _reload_line(label, leaf)
     for label, leaf in reloaded:
-        print(_general_line(label, leaf))
+        yield _general_line(label, leaf)
     for m in range(5, 62, 2):
         for kind in _EDITS:
-            print(_edit_line(m, kind))
+            yield _edit_line(m, kind)
     hits = []
     for d in (1, 2):
         for m in range(1, 400):
@@ -271,54 +278,70 @@ def main() -> int:
                 label = f"search {d} {m} {k}"
                 leaf = search_plane_pair(d, m, k)
                 if leaf is None:
-                    print(f"{label} none")
+                    yield f"{label} none"
                 else:
                     hits.append((label, leaf))
-                    print(_line(label, leaf))
+                    yield _line(label, leaf)
     table = io.StringIO()
     with redirect_stdout(table):
         cli_main(["table", "--dims", "1,2"])
-    print(f"table 1,2 {_sha(table.getvalue())}")
+    yield f"table 1,2 {_sha(table.getvalue())}"
     for call, leaf, _ in _family_leaves():
-        print(_lib_line(call.replace(" ", ""), leaf))
+        yield _lib_line(call.replace(" ", ""), leaf)
     for m, leaf in _EXPLICIT.items():
-        print(_lib_line(f"explicit {m}", leaf))
+        yield _lib_line(f"explicit {m}", leaf)
     for label, leaf in hits:
-        print(_lib_line(label, leaf))
+        yield _lib_line(label, leaf)
     for k in range(5):
         for names in combinations_with_replacement(_P1_FORMS, k):
             verdict = _outcome(plane_arrangement_snc, [_P1_FORMS[n] for n in names])
-            print(f"plane P1 {','.join(names) or '-'} {verdict}")
+            yield f"plane P1 {','.join(names) or '-'} {verdict}"
     for k in range(4):
         for names in combinations_with_replacement(_P2_FORMS, k):
             verdict = _outcome(plane_arrangement_snc, [_P2_FORMS[n] for n in names])
-            print(f"plane P2 {','.join(names) or '-'} {verdict}")
+            yield f"plane P2 {','.join(names) or '-'} {verdict}"
     for nv in range(2, 7):
         for k in range(nv, 2 * nv + 1):
             eqs = [SparsePoly.linear_form([t**i for i in range(nv)]) for t in range(10, 10 + k)]
             leaf = LogLeaf(Wps((1,) * nv), tuple((StdCoeff(2), eq) for eq in eqs), "hyperplane_arrangement")
-            print(f"hyperplane vandermonde {nv} {k} {_report_sha(leaf)}")
+            yield f"hyperplane vandermonde {nv} {k} {_report_sha(leaf)}"
     for k in range(5):
         for vectors in combinations_with_replacement(_HYPERPLANE_VECTORS, k):
             verdict = _outcome(hyperplane_arrangement_snc, vectors)
-            print(f"hyperplane {';'.join(','.join(map(str, v)) for v in vectors) or '-'} {verdict}")
+            yield f"hyperplane {';'.join(','.join(map(str, v)) for v in vectors) or '-'} {verdict}"
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cert.json"
         for label, leaf in reloaded:
-            print(_cli_verify_line(f"reload {label}", certificate_dumps(leaf), path))
+            yield _cli_verify_line(f"reload {label}", certificate_dumps(leaf), path)
         for m in range(5, 62, 2):
             text = certificate_dumps(build_index_prime(m))
             for kind in _EDITS:
-                print(_cli_verify_line(f"edit {m} {kind}", _edited(text, kind), path))
+                yield _cli_verify_line(f"edit {m} {kind}", _edited(text, kind), path)
     for n in (3, 10):
         for m in indices_with_phi_at_most(2 * n):
-            print(f"cli realize {n} {m} {_cli_sha('realize', '--dim', str(n), '--index', str(m))}")
+            yield f"cli realize {n} {m} {_cli_sha('realize', '--dim', str(n), '--index', str(m))}"
     for bound in (1, 2, 444, 100_000):
-        print(f"cli enumerate {bound} {_cli_sha('enumerate', '--phi-bound', str(bound), '--format', 'json')}")
-    print(f"budget realize 16386 32771 {_report_sha(realize(16386, 32771))}")
+        yield f"cli enumerate {bound} {_cli_sha('enumerate', '--phi-bound', str(bound), '--format', 'json')}"
+    yield f"budget realize 16386 32771 {_report_sha(realize(16386, 32771))}"
     for label, bs in (("repeated 4", [3**25000] * 4), ("distinct 400", [10**3999 + i for i in range(400)])):
         leaf = LogLeaf(Wps((1,) * len(bs)), tuple((StdCoeff(b), j) for j, b in enumerate(bs)), "family_A")
-        print(f"budget {label} {_report_sha(leaf)}")
+        yield f"budget {label} {_report_sha(leaf)}"
+
+
+_SHA256 = re.compile(r"\b[0-9a-f]{64}\b")
+
+
+def shortened(line: str) -> str:
+    """line with each sha256 in it cut to its first 16 hex digits."""
+    return _SHA256.sub(lambda m: m[0][:16], line)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--short", action="store_true", help="cut each sha256 to its first 16 hex digits")
+    args = parser.parse_args(argv)
+    for line in lines():
+        print(shortened(line) if args.short else line)
     return 0
 
 
