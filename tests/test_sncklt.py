@@ -297,6 +297,8 @@ def _every_subset_independent(rows, t, rank) -> bool:
 @example([[Fraction(x) for x in row] for row in ((0, -2, 3, 1), (0, 0, -5, 7), (-3, 1, 0, 2), (0, 4, -6, -2),
                                                  (2**65, -(2**70), 3, 0), (0, 0, 0, -(2**66)))])
 @example([[Fraction(x) for x in row] for row in ((-2, 3, 0), (-4, 1, 5), (0, -3, 7), (-6, 4, 5))])
+# independent, but called dependent by a step that divides by its own pivot rather than its parent's
+@example([[Fraction(x) for x in row] for row in ((0, 5, -1), (5, -1, 0), (0, -1, 1))])
 def test_the_walk_matches_the_fraction_rank(rows):
     # every subset size the walk can be asked for, zero rows included
     ints = [_cleared(row) for row in rows]

@@ -227,8 +227,17 @@ MUTANTS = [
            "if False:"),
     # the arrangement checks
     Mutant("hyperplane-rank", SNCKLT,
-           "return _primitive([up * x - vp * y for c, (x, y) in enumerate(zip(v, u)) if c != p])",
-           "return _primitive([up * x + vp * y for c, (x, y) in enumerate(zip(v, u)) if c != p])"),
+           "w = [(up * x - vp * y) // d for x, y in zip(v, u)]",
+           "w = [(up * x + vp * y) // d for x, y in zip(v, u)]"),
+    # the Bareiss step divides by the pivot of the step before, exactly
+    Mutant("walk-divides-by-current-pivot", SNCKLT,
+           "stack.append(([_quotient(u, p, v, d) for v in images[j + 1 :]], u[p]))",
+           "stack.append(([_quotient(u, p, v, u[p]) for v in images[j + 1 :]], u[p]))"),
+    Mutant("walk-skips-division", SNCKLT,
+           "w = [(up * x - vp * y) // d for x, y in zip(v, u)]",
+           "w = [up * x - vp * y for x, y in zip(v, u)]",
+           equivalent="each image is then a nonzero multiple of the exact one, the product of the pivots "
+                      "before it, so every zero and proportionality test reads the same; only the entries grow"),
     Mutant("hyperplane-projective-key", SNCKLT,
            "if key in keys:",
            "if False:"),
@@ -278,13 +287,19 @@ MUTANTS = [
            "return not _share_projective_root(r1, d1, r2, d2)",
            "return True"),
     # wpspairs
-    # an integral coefficient is held as an int, and a projective key has a positive lead
-    Mutant("from-pairs-keeps-integral-fraction", WPSPAIRS,
-           "coeff = q.numerator if (q := Fraction(coeff)).denominator == 1 else q",
-           "coeff = Fraction(coeff)"),
+    # every equation is held as its primitive integer multiple, and a projective key has a positive lead
+    Mutant("from-pairs-skips-gcd", WPSPAIRS,
+           "            g = gcd(*coeffs)",
+           "            g = 1"),
+    Mutant("from-pairs-skips-clearing", WPSPAIRS,
+           "d = lcm(*[c.denominator for c in coeffs])",
+           "d = 1"),
+    Mutant("from-pairs-never-sorts", WPSPAIRS,
+           "if not all(map(gt, keys, keys[1:])):",
+           "if False:"),
     Mutant("projective-key-sign", WPSPAIRS,
-           "g = -gcd(*row) if row and row[0] < 0 else gcd(*row)",
-           "g = gcd(*row)"),
+           "sign = -1 if self.terms and self.terms[0][0] < 0 else 1",
+           "sign = 1"),
     Mutant("variable-unchecked", WPSPAIRS,
            "return cls.from_pairs(nvars, ((coeff, ((j, 1),)),))",
            "return cls._canonical(nvars, ((coeff, ((j, 1),)),))"),
@@ -303,8 +318,8 @@ MUTANTS = [
            "return space.weights[eq]",
            "return space.weights[eq - 1]"),
     Mutant("distinct-blind-to-repeated-index", WPSPAIRS,
-           "return len(set(coords)) == len(coords) and all(",
-           "return all("),
+           "keys.add(eq.projective_key() if j is None else j)",
+           "keys.add(eq.projective_key() if j is None else (j, len(keys)))"),
     Mutant("canonical-any-coefficient", WPSPAIRS,
            "and (j := _coordinate_var(eq)) is not None and eq.terms[0][0] == 1):",
            "and (j := _coordinate_var(eq)) is not None):"),
