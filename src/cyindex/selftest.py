@@ -97,8 +97,8 @@ def check_dim_inequalities() -> None:
         raise AssertionError(f"check_dim_inequality({m}, {e}, {variant}) accepts an excluded pair")
 
 
-# x0, which a family leaf holds as the index 0, and 2 * x0, which it keeps as a polynomial
-_DOUBLED = "a coordinate hyperplane beside its double"
+# x0, which a family leaf holds as the index 0, and -x0, which it keeps as a polynomial
+_NEGATED = "a coordinate hyperplane beside its negative"
 
 
 def _not_klt_leaves():
@@ -128,7 +128,7 @@ def _not_klt_leaves():
     no_x2 = SparsePoly.from_terms(3, [(1, (1, 0, 0)), (1, (0, 2, 0))])  # tangent to {x0 = 0} at [0:0:1]
     yield "a repeated coordinate hyperplane", LogLeaf(
         Wps((2, 1, 1)), ((StdCoeff(3), x0), (StdCoeff(9), x0), h), "family_C")
-    yield _DOUBLED, LogLeaf(Wps((2, 1, 1)), ((StdCoeff(3), x0), (StdCoeff(9), SparsePoly.variable(3, 0, 2)), h), "family_C")
+    yield _NEGATED, LogLeaf(Wps((2, 1, 1)), ((StdCoeff(3), x0), (StdCoeff(9), SparsePoly.variable(3, 0, -1)), h), "family_C")
     yield "a diagonal H missing a variable", LogLeaf(
         Wps((2, 1, 1)), ((StdCoeff(2), x0), (StdCoeff(3), no_x2)), "family_A")
     # x0 + x1*x3 + x2^2 + x3^4 on P(4,3,2,1) without one monomial stays quasi-homogeneous, but
@@ -148,7 +148,7 @@ def _not_klt_leaves():
 
 def check_klt() -> None:
     """The klt checker passes every family leaf and every wps leaf of both catalogues, and fails
-    the non-SNC boundaries; a coordinate hyperplane beside its double fails entries-distinct too.
+    the non-SNC boundaries; a coordinate hyperplane beside its negative fails entries-distinct too.
     The P^1 leaf of index 3 tagged hyperplane_arrangement holds its points as polynomials and
     strict-verifies as three points, with dimension 1 and index 3."""
     for call, leaf, _ in _family_leaves():
@@ -161,7 +161,7 @@ def check_klt() -> None:
                     _require(is_klt_leaf(f).passed, f"is_klt_leaf fails on factor {i} of base_leaf({dim}, {m})")
     for name, leaf in _not_klt_leaves():
         _require(not is_klt_leaf(leaf).passed, f"is_klt_leaf passes {name}")
-        if name == _DOUBLED:
+        if name == _NEGATED:
             failing = verify_certificate(leaf).failing_checks()
             _require(("$", "entries-distinct") in failing, f"{name} fails only {failing}")
     three = base_leaf(1, 3)

@@ -227,24 +227,21 @@ def hyperplane_arrangement_snc(normals) -> bool:
     of size exactly t = min(#normals, #variables) suffices: a dependent
     subset of size <= t extends to a dependent subset of size t, and if all
     size-t subsets are independent then larger subsets cut out only the
-    origin. Each normal is made a primitive integer vector once, by
-    SparsePoly.linear_form, and _walk checks the subsets in integers.
+    origin. Each normal is made a primitive integer linear form once, by
+    SparsePoly.linear_form, and _linear_forms_snc checks the subsets in
+    integers.
 
     Deciding this is NP-hard in general (full spark), so the work is
     bounded: if C(k, t) * t * t * nv exceeds _HYPERPLANE_WORK_BUDGET, a
-    ValueError naming the resource budget is raised before any normal is
-    converted.
+    ValueError naming the resource budget is raised before any subset is
+    walked.
     """
     normals = list(normals)
-    if not normals:
-        return True
-    nv = len(normals[0])
-    if any(len(v) != nv for v in normals):
+    if normals and any(len(v) != len(normals[0]) for v in normals):
         raise ValueError(_MIXED_NORMALS)
     if not all(any(v) for v in normals):
         raise ValueError("zero normal vector")
-    t = _subset_size(len(normals), nv)
-    return _walk(_integer_normals([SparsePoly.linear_form(v) for v in normals]), t)
+    return _linear_forms_snc([SparsePoly.linear_form(v) for v in normals])
 
 
 # ---------------------------------------------------------------------------

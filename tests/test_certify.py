@@ -29,8 +29,7 @@ from cyindex.certify import (
 from cyindex.codec import CertificateParseError, certificate_dumps, certificate_from_obj, certificate_loads
 from cyindex.verify import EllipticLeaf, Product, verify_certificate
 from cyindex.numtheory import euler_phi, factorize, indices_with_phi_at_most, sylvester_bound
-from conftest import entry_poly
-from test_wpspairs import primitive_terms
+from conftest import entry_poly, primitive_terms
 import cyindex
 import cyindex.certify
 import cyindex.cli

@@ -3,7 +3,7 @@ sha256 cut to 16 hex digits, match the committed tests/data/output_digests.txt.
 
 A change that moves output bytes on purpose re-records the file with
 
-    python3 tools/output_digests.py --short > tests/data/output_digests.txt
+    python3 tools/output_digests.py > tests/data/output_digests.txt
 
 and names the sections and the count of lines that moved.
 """

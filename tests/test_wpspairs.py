@@ -18,7 +18,7 @@ from cyindex.certify import (
 )
 from cyindex.codec import certificate_dumps, certificate_from_obj, certificate_loads
 from cyindex.selftest import _family_leaves
-from conftest import entry_poly
+from conftest import entry_poly, primitive_terms
 from cyindex.wpspairs import (
     LogLeaf,
     NotQuasiHomogeneous,
@@ -47,17 +47,6 @@ def subs_zero(f: SparsePoly, kill) -> SparsePoly:
     """f with the named variables set to 0: the monomials that avoid them."""
     kill = set(kill)
     return SparsePoly.from_pairs(f.nvars, [t for t in f.terms if kill.isdisjoint([v for v, _ in t[1]])])
-
-
-def primitive_terms(terms) -> tuple:
-    """(coefficient, anything) terms with their coefficients made primitive
-    integers of the same signs, computed in Fractions: the reference for
-    the form from_pairs stores."""
-    coeffs = [Fraction(c) for c, _ in terms]
-    d = lcm(*[c.denominator for c in coeffs])
-    ints = [c.numerator * (d // c.denominator) for c in coeffs]
-    g = gcd(*ints) or 1
-    return tuple((c // g, rest) for c, (_, rest) in zip(ints, terms))
 
 
 def restrict_to(f: SparsePoly, keep) -> SparsePoly:

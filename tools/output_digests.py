@@ -1,12 +1,11 @@
-"""Print the sha256 of every certificate and strict report the realizer,
-the base catalogue and the plane search emit, and of the index table, one
-line each.
+"""Print the sha256, cut to its first 16 hex digits, of every certificate
+and strict report the realizer, the base catalogue and the plane search
+emit, and of the index table, one line each.
 
-    python3 tools/output_digests.py > digests.txt
-    python3 tools/output_digests.py --short > tests/data/output_digests.txt
+    python3 tools/output_digests.py > tests/data/output_digests.txt
 
-With --short each sha256 is cut to its first 16 hex digits, the form
-tests/test_output_digests.py compares, in-process, with the committed file.
+tests/test_output_digests.py compares these lines, in-process, with the
+committed file.
 
 Lines are `enumerate B SHA` for each 1 <= B <= 2000, SHA being the
 sha256 of `indices_with_phi_at_most(B)` joined by spaces; then
@@ -78,7 +77,6 @@ diffing the outputs shows exactly which outputs a change alters.
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import io
 import json
@@ -336,12 +334,9 @@ def shortened(line: str) -> str:
     return _SHA256.sub(lambda m: m[0][:16], line)
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--short", action="store_true", help="cut each sha256 to its first 16 hex digits")
-    args = parser.parse_args(argv)
+def main() -> int:
     for line in lines():
-        print(shortened(line) if args.short else line)
+        print(shortened(line))
     return 0
 
 
