@@ -15,10 +15,11 @@ is taken on trust and there is one set of checks.
 A wps_leaf node is a LogLeaf. A sweep over (n, m) meets the same few core
 leaves again and again, and the builder and the reader hand back the same
 leaf object for each. A leaf keeps what its first verification found, the
-checks, the klt report and (dim, index), in its __dict__, so every later
-verification of that object copies them (_verify_node). A report is the
-same bytes whether it was worked out or kept, and equal leaves in separate
-objects are each checked once.
+checks, the klt report and (dim, index, passed), in its __dict__, so a later
+verification of that object runs no check. Each node hands its (dim, index,
+passed) up to its parent, and no report is read back (_verify_node). A
+report is the same bytes whether worked out or kept, and equal leaves in
+separate objects are each checked once.
 
 The degree arithmetic of a leaf is bounded by the bits of its distinct b
 values (COEFF_BITS_BUDGET); over the budget, degree-zero fails and names it.
@@ -145,7 +146,7 @@ def _check(rep: NodeReport, name: str, ok: bool, detail: str = "") -> bool:
     return bool(ok)
 
 
-def _verify_wps_leaf(leaf: LogLeaf, rep: NodeReport) -> tuple[int | None, int | None]:
+def _verify_wps_leaf(leaf: LogLeaf, rep: NodeReport) -> tuple[int | None, int | None, bool]:
     """The checks of one explicit leaf, each fact computed once, so the cost
     is linear in the leaf's size: its weights plus the (variable, exponent)
     pairs of its equations."""
@@ -226,46 +227,46 @@ def _verify_wps_leaf(leaf: LogLeaf, rep: NodeReport) -> tuple[int | None, int | 
         klt_detail = str(err)
     _check(rep, "klt", klt_ok, klt_detail)
 
-    return (space.dim if len(w) >= 2 else None,
-            index if rep.passed else None)
+    passed = rep.passed
+    return (space.dim if len(w) >= 2 else None, index if passed else None, passed)
 
 
 def _verify_node(cert: Certificate, path: str,
-                 reports: list[NodeReport]) -> tuple[int | None, int | None]:
-    match cert:
-        case LogLeaf():
-            # The verdict is kept in the leaf's own __dict__: sound because the leaf
-            # is frozen and _verify_wps_leaf reads only its fields, which the loader
-            # and the public constructors build from tuples, exact ints and strs.
-            # Each report copies the kept checks and shares the frozen
-            # KltReport. A test that patches what the checks call uses a fresh leaf.
-            kept = vars(cert)
-            if "_verdict" not in kept:
-                rep = NodeReport(path, "wps_leaf")
-                result = _verify_wps_leaf(cert, rep)
-                kept["_verdict"] = (tuple(rep.checks), rep.klt, result)
-            checks, klt, result = kept["_verdict"]
-            reports.append(NodeReport(path, "wps_leaf", list(checks), klt))
-            return result
-        case EllipticLeaf(dim):
-            rep = NodeReport(path, "elliptic_leaf")
-            reports.append(rep)
-            ok = _check(rep, "elliptic-dim", type(dim) is int and dim >= 1,  # exact int, so no bool
-                        _bounded_int(dim) if type(dim) is int else str(dim))
-            return (dim, 1) if ok else (None, None)
-        case Product(factors):
-            rep = NodeReport(path, "product")
-            reports.append(rep)
-            _check(rep, "product-arity", len(factors) >= 2, f"{len(factors)} factors")
-            dims: list[int | None] = []
-            idxs: list[int | None] = []
-            for i, f in enumerate(factors):
-                d, ix = _verify_node(f, f"{path}.factors[{i}]", reports)
-                dims.append(d)
-                idxs.append(ix)
-            if rep.passed and all(d is not None for d in dims) and all(ix is not None for ix in idxs):
-                return sum(dims), lcm(*idxs)
-            return (None, None)
+                 reports: list[NodeReport]) -> tuple[int | None, int | None, bool]:
+    """(dim, index, passed) of the subtree at cert: passed is its own checks and
+    its factors' passed, carried up, so no report is read back."""
+    kind = type(cert)
+    if kind is LogLeaf:
+        # The checks, the klt report and the (dim, index, passed) handed up are kept
+        # in the leaf's own __dict__: sound because the leaf is frozen and the checks
+        # read only its fields, which the loader and the public constructors build
+        # from tuples, exact ints and strs. Tests that patch the checks use fresh leaves.
+        kept = vars(cert)
+        verdict = kept.get("_verdict")
+        if verdict is not None:
+            reports.append(NodeReport(path, "wps_leaf", list(verdict[0]), verdict[1]))
+            return verdict[2]
+        reports.append(rep := NodeReport(path, "wps_leaf"))
+        result = _verify_wps_leaf(cert, rep)
+        kept["_verdict"] = (tuple(rep.checks), rep.klt, result)
+        return result
+    if kind is EllipticLeaf:
+        dim = cert.dim
+        ok = type(dim) is int and dim >= 1  # exact int, so no bool
+        reports.append(NodeReport(path, "elliptic_leaf", [
+            ("elliptic-dim", ok, _bounded_int(dim) if type(dim) is int else str(dim))]))
+        return (dim, 1, True) if ok else (None, None, False)
+    if kind is Product:
+        factors = cert.factors
+        passed = len(factors) >= 2
+        reports.append(NodeReport(path, "product", [("product-arity", passed, f"{len(factors)} factors")]))
+        dims, idxs = [], []
+        for i, f in enumerate(factors):
+            d, ix, ok = _verify_node(f, f"{path}.factors[{i}]", reports)
+            passed = passed and ok
+            dims.append(d)
+            idxs.append(ix)
+        return (sum(dims), lcm(*idxs), True) if passed else (None, None, False)
     raise TypeError(f"not a certificate node: {cert!r}")
 
 
@@ -283,6 +284,5 @@ def verify_certificate(cert: Certificate, mode: str = "strict") -> VerificationR
     if mode not in ("strict", "trusting"):
         raise ValueError(f"mode must be 'strict' or 'trusting', got {mode!r}")
     reports: list[NodeReport] = []
-    dim, index = _verify_node(cert, "$", reports)
-    passed = all(r.passed for r in reports) and dim is not None and index is not None
-    return VerificationReport(dim, index, passed, reports)
+    dim, index, passed = _verify_node(cert, "$", reports)
+    return VerificationReport(dim, index, passed and dim is not None and index is not None, reports)

@@ -11,6 +11,12 @@ side goes first; ten pairs are what a claimed gain needs. Each record is
 the run's last JSON line plus its output digest; the summary holds the
 median and quartiles of every end-to-end metric per side. Runs are sequential, one process at a time. The host is
 recorded as the processor (or machine) type and the CPU count.
+
+Each metric's summary also states the claim rule's two parts: the pairs the
+change won in the metric's `better` direction (a tie counts for neither
+side), and whether the change's median is better than the parent's by more
+than the parent's interquartile distance. A gain is claimed when both hold
+and the change won at least nine pairs of ten.
 """
 
 from __future__ import annotations
@@ -47,6 +53,17 @@ def _quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def summarize(pairs: list[dict], metric: str, better: str) -> dict:
+    """The quartiles of one metric per side, the pairs the change won and
+    whether its median gain exceeds the parent's interquartile distance."""
+    sign = 1 if better == "higher" else -1
+    summary = {side: _quartiles([p[side][metric] for p in pairs]) for side in ("parent", "change")}
+    parent, change = summary["parent"], summary["change"]
+    summary["change_won"] = sum(sign * (p["change"][metric] - p["parent"][metric]) > 0 for p in pairs)
+    summary["gain_above_parent_iqr"] = sign * (change["median"] - parent["median"]) > parent["q3"] - parent["q1"]
+    return summary
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, type=Path, help="checkout of the parent")
@@ -59,7 +76,7 @@ def main(argv=None) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
     workloads = [w["name"] for w in bench["workloads"]]
-    metrics = [m["name"] for m in bench["end_to_end"]]
+    metrics = {m["name"]: m["better"] for m in bench["end_to_end"]}
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     result = {
         "what": "end-to-end metrics of bench/run.py for the parent and this change, run pair by pair",
@@ -88,8 +105,7 @@ def main(argv=None) -> int:
                 print(f"{workload} seed {seed} {side}: ops_per_s {rec['metrics']['ops_per_s']:.1f}"
                       f" failed {rec['failed']}", file=sys.stderr, flush=True)
             pairs.append(pair)
-        summary = {name: {side: _quartiles([p[side][name] for p in pairs]) for side in sides}
-                   for name in metrics}
+        summary = {name: summarize(pairs, name, better) for name, better in metrics.items()}
         result["workloads"][workload] = {"pairs": pairs, "summary": summary}
         args.out.write_text(json.dumps(result, indent=1) + "\n")  # keep what is done so far
     return 0
