@@ -172,6 +172,21 @@ def check_klt() -> None:
              f"the P^1 leaf of index 3 as points verifies as {report.dim}, {report.index}: {report.failing_checks()}")
 
 
+def check_tree_arithmetic() -> None:
+    """The P^1 leaves of index 4 and 6 make a product of dimension 2 and index
+    lcm(4, 6) = 12. A product with a failing factor has no dimension or index,
+    and a product of one factor fails product-arity alone."""
+    four, six = base_leaf(1, 4), base_leaf(1, 6)
+    report = verify_certificate(Product((four, six)))
+    _require(report.passed and (report.dim, report.index) == (2, 12),
+             f"the product of the index-4 and index-6 leaves verifies as {report.dim}, {report.index}")
+    report = verify_certificate(Product((four, EllipticLeaf(0))))
+    _require(not report.passed and (report.dim, report.index) == (None, None),
+             f"a product with EllipticLeaf(0) verifies as {report.dim}, {report.index}")
+    failing = verify_certificate(Product((four,))).failing_checks()
+    _require(failing == [("$", "product-arity")], f"a one-factor product fails {failing}")
+
+
 def check_realize() -> int:
     """realize(n, m) for 3 <= n <= 10 and phi(m) <= 2n strict-verifies for every pair, with
     dimension n - 1, index m and pairwise coprime factor indices. Returns the number of pairs."""
@@ -235,6 +250,7 @@ CHECKS = (
     ("pair index on both families", check_pair_indices),
     ("dimension inequality", check_dim_inequalities),
     ("klt corpus", check_klt),
+    ("certificate tree arithmetic", check_tree_arithmetic),
     ("realize round-trip (n <= 10)", check_realize),
     ("plane search ground truth", check_search),
     ("certificate serialization", check_serialization),

@@ -11,7 +11,7 @@ from math import lcm, prod
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cyindex.certify import (
@@ -27,7 +27,7 @@ from cyindex.certify import (
     search_plane_pair,
 )
 from cyindex.codec import CertificateParseError, certificate_dumps, certificate_from_obj, certificate_loads
-from cyindex.verify import EllipticLeaf, Product, verify_certificate
+from cyindex.verify import EllipticLeaf, NodeReport, Product, verify_certificate
 from cyindex.numtheory import euler_phi, factorize, indices_with_phi_at_most, sylvester_bound
 from conftest import entry_poly, primitive_terms
 import cyindex
@@ -644,6 +644,58 @@ def test_every_leaf_node_keeps_its_verdict(monkeypatch):
     counts = _counting_leaf_work(monkeypatch)
     assert verify_certificate(Product((big, big))).leaf_reports[1].as_obj() == {**want, "path": "$.factors[0]"}
     assert counts == {}
+
+
+def test_a_tree_of_kept_leaves_reads_no_report_back(monkeypatch):
+    # each node hands its verdict up, so no report's passed is read back
+    kept = dataclasses.replace(base_leaf(1, 4))
+    assert verify_certificate(kept).passed and "_verdict" in vars(kept)
+    reads = Counter()
+    passed = NodeReport.passed.fget
+    monkeypatch.setattr(NodeReport, "passed", property(lambda rep: reads.update(["passed"]) or passed(rep)))
+    report = verify_certificate(Product((kept, kept, EllipticLeaf(1))))
+    assert report.passed and (report.dim, report.index) == (3, 4)
+    assert reads == {}
+
+
+# -- the tree's verdict against the definition ------------------------------------
+
+
+def _failing_leaves() -> list[LogLeaf]:
+    """A P^1 leaf that fails degree-zero and three concurrent lines on P^2, which fail klt."""
+    line = SparsePoly.linear_form
+    lines = ((2, line((1, 0, 0))), (3, line((0, 1, 0))), (6, line((1, 1, 0))))
+    return [LogLeaf(Wps((1, 1)), ((StdCoeff(2), 0),), "family_A"),
+            LogLeaf(Wps((1, 1, 1)), tuple((StdCoeff(b), eq) for b, eq in lines), "plane_arrangement")]
+
+
+_TREE_LEAVES = st.sampled_from([base_leaf(1, m) for m in (2, 4, 6)] + _failing_leaves()) | st.builds(
+    EllipticLeaf, st.sampled_from([1, 2, 3, True, 0]))
+_TREES = _TREE_LEAVES
+for _ in range(4):  # products of 1 to 3 factors, nested up to depth 4
+    _TREES = _TREE_LEAVES | st.lists(_TREES, min_size=1, max_size=3).map(lambda fs: Product(tuple(fs)))
+
+
+def _tree_leaves(cert):
+    return [leaf for f in cert.factors for leaf in _tree_leaves(f)] if type(cert) is Product else [cert]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_TREES)
+@example(Product((base_leaf(1, 4), base_leaf(1, 6))))
+def test_the_tree_verdict_matches_its_definition(cert):
+    report = verify_certificate(cert)
+    got = (report.passed, report.dim, report.index)
+    alone = [verify_certificate(leaf) for leaf in _tree_leaves(cert)]
+    if type(cert) is not Product:
+        want = (alone[0].passed, alone[0].dim, alone[0].index)
+    elif all(r.passed for r in report.leaf_reports):
+        want = (True, sum(r.dim for r in alone), lcm(*(r.index for r in alone)))
+    else:
+        want = (False, None, None)
+    assert got == want
+    if cert == Product((base_leaf(1, 4), base_leaf(1, 6))):
+        assert got == (True, 2, 12)
 
 
 def test_an_unhashable_leaf_verifies_as_its_hashable_copy():

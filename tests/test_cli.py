@@ -973,7 +973,7 @@ def test_selftest_green(capsys):
     assert code == EXIT_OK
     lines = [l for l in out.splitlines() if l.strip()]
     assert all(l.startswith("ok: ") for l in lines)
-    assert len(lines) == 8
+    assert len(lines) == 9
     assert "ok: realize round-trip (n <= 10)" in lines
 
 

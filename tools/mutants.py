@@ -70,6 +70,20 @@ MUTANTS = [
     Mutant("verdict-shared-by-all-leaves", VERIFY,
            "kept = vars(cert)\n",
            "kept = vars(_verify_node)\n"),
+    # the tree arithmetic: a product's verdict is its arity and its factors', carried up,
+    # its dimension the sum and its index the lcm of theirs
+    Mutant("product-arity-one", VERIFY,
+           "passed = len(factors) >= 2",
+           "passed = len(factors) >= 1"),
+    Mutant("product-drops-factor-verdict", VERIFY,
+           "passed = passed and ok",
+           "passed = passed"),
+    Mutant("product-dim-max", VERIFY,
+           "return (sum(dims), lcm(*idxs), True)",
+           "return (max(dims), lcm(*idxs), True)"),
+    Mutant("product-index-multiplies", VERIFY,
+           "return (sum(dims), lcm(*idxs), True)",
+           "return (sum(dims), __import__('math').prod(idxs), True)"),
     # the coefficient budget, checked before the degree arithmetic
     Mutant("coeff-budget-ge", VERIFY,
            "if bits > COEFF_BITS_BUDGET:",
