@@ -1,5 +1,4 @@
 import copy
-import hashlib
 import io
 import json
 import os
@@ -46,6 +45,7 @@ from cyindex.selftest import CHECKS
 from cyindex.sncklt import KltReport, KltStep
 from cyindex.verify import NodeReport, VerificationReport, verify_certificate
 from cyindex.wpspairs import KLT_STRATEGIES, LogLeaf, SparsePoly, StdCoeff, Wps
+from conftest import recorded, sha16
 
 
 def run(capsys, *argv):
@@ -78,19 +78,16 @@ def test_realize_json_embeds_the_certificate_text_it_writes(capsys, tmp_path):
     assert lines[:2] == ["{", f'  "certificate": {text},']
     assert out_file.read_text() == text + "\n"
     # the report block is the report as json.dumps indents it inside the payload
-    report = json.dumps(verify_certificate(realize(6, 42), "trusting").as_obj(), sort_keys=True, indent=2)
+    report = json.dumps(verify_certificate(realize(6, 42)).as_obj(), sort_keys=True, indent=2)
     assert "\n".join(lines[2:]) == '  "report": ' + report.replace("\n", "\n  ") + "\n}\n"
 
 
 def test_realize_json_bytes(capsys):
     # the payload is printed in three pieces, head, certificate text and report,
-    # with the bytes it had as one string; re-recorded when the report lost its
-    # mode key, as the old bytes with the line `    "mode": "trusting",` deleted
+    # with the bytes it had as one string
     code, out, _ = run(capsys, "realize", "--dim", "6", "--index", "42", "--format", "json")
     assert code == EXIT_OK
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "56a2fcaa05dd22679ce82e18855e32ce7ec6dcaabef496475e8cfe685db48d75"
-    )
+    assert recorded("cli realize 6 42") == [sha16(out), str(EXIT_OK)]
 
 
 def test_realize_table_without_out_writes_no_text(capsys, monkeypatch):
@@ -257,28 +254,25 @@ def test_verify_tampered_b(capsys, tmp_path):
 
 
 def test_verify_lying_citation_fails_in_trusting_mode(capsys, tmp_path):
-    # 5 is not an index in dimension 1: I(1) = {1, 2, 3, 4, 6}. No node kind
-    # takes a citation, so trusting mode rejects the file before any report
+    # 5 is not an index in dimension 1: I(1) = {1, 2, 3, 4, 6}. The trusting
+    # mode once took citations; now no node kind does, so the file is rejected
+    # before any report
     out_file = tmp_path / "lie.json"
     out_file.write_text('{"v":1,"node":"cited_leaf","dim":1,"index":5,"cite":"trust me"}')
-    code, out, err = run(capsys, "verify", str(out_file), "--mode", "trusting", "--format", "json")
+    code, out, err = run(capsys, "verify", str(out_file), "--format", "json")
     assert code == EXIT_PARSE
     assert (out, err) == ("", "parse error: $.node: unknown node kind 'cited_leaf'\n")
 
 
 def test_verify_index_14_report_bytes(capsys, tmp_path):
-    # index 14 is the explicit P(3,1,1) family_C leaf padded by one elliptic
-    # curve; re-recorded when the klt report lost its unchecked_hypotheses key,
-    # and when it lost its mode key (the old bytes without `  "mode": "trusting",`)
+    # index 14 is the explicit P(3,1,1) family_C leaf padded by one elliptic curve
     out_file = tmp_path / "cert.json"
     run(capsys, "realize", "--dim", "4", "--index", "14", "--out", str(out_file))
     code, out, _ = run(capsys, "verify", str(out_file), "--format", "json")
     assert code == EXIT_OK
     report = json.loads(out)
     assert [r["kind"] for r in report["leaf_reports"]] == ["product", "wps_leaf", "elliptic_leaf"]
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "20366d9aa9ec410c46e366057f6584340e5e13535f017c60ea9eeacb234cc308"
-    )
+    assert recorded("cli verify out 4 14") == [sha16(out), str(EXIT_OK)]
 
 
 @pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="no limit on int-to-str digits")
@@ -478,21 +472,8 @@ def test_verify_json_format(capsys, tmp_path):
 
 
 # -- verify report bytes -------------------------------------------------------
-# sha256 of `verify FILE --mode M --format json` stdout. Re-recorded when
-# family_A and family_C leaves moved to the one coordinate-diagonal klt step,
-# tamper-strategy-swap again when family_B moved to its one pattern step, and
-# every family report when all three tags moved to the one chain step:
-# against the checks they replaced, each report kept its exit code and
-# changed only in its klt steps. tamper-weight-bump was re-recorded when the
-# quasi-homogeneous detail became bounded: it names the entry and the range
-# and count of its monomial degrees instead of printing the equation. Every
-# entry was re-recorded when the klt report lost its unchecked_hypotheses
-# key: against the parent, each report kept its exit code and equals the old
-# report with that key deleted, except tamper-unformed-weights, whose input
-# base_leaf(1, 2) became the chain leaf x0, x1, x0^2 + x1^2 (it still fails
-# well-formed and index-computed only). Every entry was re-recorded again,
-# with one hash for both modes, when the report lost its mode key: each is
-# the parent's stdout in either mode with the line `  "mode": "...",` deleted.
+# The stdout of `verify FILE --format json` and its exit code, for each file
+# below, are held on its `cli verify` line of the recorded output digests.
 
 
 def _tampered(kind, m=41):
@@ -546,36 +527,29 @@ def _report_input(name):
     return json.dumps(_tampered(name.removeprefix("tamper-")), sort_keys=True)
 
 
-# name -> (exit code, sha256)
-REPORT_SHA256 = {
-    "index_prime-41": (0, "f9f7180d4aa75b122419a7451366d3c183faa677a53e79fce7b3e8e1a1254510"),
-    "prime_power-3-5": (0, "3d64441fed4e0917d55e31e8119b6e8fd231221c1dc17c0457d4306c5b9946cc"),
-    "vandermonde-6-in-4": (0, "dd8fca6433808d8459ce54e30a3cf50be26d092e610690c4266209bfeb54eb43"),
-    "tamper-weight-bump": (1, "f9ab8a8189b52aa8bae6781632f685e2ced6eb088cf5f8613885ec83ac33d8bf"),
-    "tamper-b-change": (1, "976cd93d47d1c1d937494f4af2d88fee7e480f67833ad24493711a6e6f368b67"),
-    "tamper-entry-duplicated": (1, "36c4334d373f39e35a970da896c9868fdb45853c148c6b48b069d3df1ca4cadf"),
-    "tamper-entry-scaled-copy": (1, "36c4334d373f39e35a970da896c9868fdb45853c148c6b48b069d3df1ca4cadf"),
-    "tamper-h-scaled-copy": (1, "1e14400f5739d1439a4090618db8d3b654f589fc1da950d28b820d22d3f205f4"),
-    "tamper-h-linear-term-removed": (1, "8c6be840ab0cb9adb45be88e2c1be2a33aecfb7ad4124c8d2d19b3aa50e63c4b"),
-    "tamper-strategy-swap": (1, "fcd29e449cd37be87d045d1d72cd69a6c34b2d74e34cd9d49a9bc8256daa9a5b"),
-    "tamper-constant-equation": (1, "f303f64d0d02478af60ef81086212592606bb575133a898100c9eb36584b7daa"),
-    "tamper-no-entries": (1, "5b2e0ef325106e458fe7dbc8fe68f846cff82d2c211e0033ac1b26dd3d265cce"),
-    "tamper-single-factor-product": (1, "6954e9a3a130bfd8c23312c2205182ef42077c5082db746b23fd40ec31fa7849"),
-    "tamper-unformed-weights": (1, "2cabb4de64bf76473804cd0a5aac22d25b1e3863ad7e77339fb8f4bbc53e20e4"),
+# name -> (exit code, the label of its `cli verify` line in the recorded output digests)
+REPORT_INPUTS = {
+    "index_prime-41": (EXIT_OK, "reload index_prime 41"),
+    "prime_power-3-5": (EXIT_OK, "reload prime_power 3 5"),
+    "vandermonde-6-in-4": (EXIT_OK, "reload vandermonde-6-in-4"),
+    **{f"tamper-{kind}": (EXIT_VERIFY_FAILED, f"edit 41 {kind}") for kind in (
+        "weight-bump", "b-change", "entry-duplicated", "entry-scaled-copy", "h-scaled-copy",
+        "h-linear-term-removed", "strategy-swap", "constant-equation", "no-entries", "single-factor-product")},
+    "tamper-unformed-weights": (EXIT_VERIFY_FAILED, "edit base 1 2 unformed-weights"),
 }
 
 
 @pytest.mark.parametrize("mode", ["strict", "trusting"])
-@pytest.mark.parametrize("name", list(REPORT_SHA256))
+@pytest.mark.parametrize("name", list(REPORT_INPUTS))
 def test_verify_report_bytes(capsys, tmp_path, name, mode):
     path = tmp_path / "cert.json"
     path.write_text(_report_input(name))
-    code, out, _ = run(capsys, "verify", str(path), "--mode", mode, "--format", "json")
-    want_code, sha = REPORT_SHA256[name]
+    code, out, _ = run(capsys, "verify", str(path), "--format", "json")
+    want_code, label = REPORT_INPUTS[name]
     assert code == want_code
-    assert hashlib.sha256(out.encode()).hexdigest() == sha
-    # the mode selects nothing: without it, and in the table, the bytes are the same
-    assert run(capsys, "verify", str(path), "--format", "json")[:2] == (code, out)
+    assert recorded(f"cli verify {label}") == [sha16(out), str(code)]
+    # --mode selects nothing: with it, in the JSON and in the table, the bytes are the same
+    assert run(capsys, "verify", str(path), "--mode", mode, "--format", "json")[:2] == (code, out)
     assert (run(capsys, "verify", str(path), "--mode", mode)
             == run(capsys, "verify", str(path)))
 
@@ -731,7 +705,7 @@ def _plane_leaf(*lines):
 _WRITER_CORPUS = {
     **{f"realize {n} {m}": (lambda n=n, m=m: realize(n, m))
        for n in (3, 4, 5) for m in indices_with_phi_at_most(2 * n)},
-    **{name: (lambda name=name: certificate_loads(_report_input(name))) for name in REPORT_SHA256},
+    **{name: (lambda name=name: certificate_loads(_report_input(name))) for name in REPORT_INPUTS},
     "three concurrent lines": lambda: _plane_leaf((1, 0, 0), (0, 1, 0), (1, 1, 0)),
     "nested 200 deep": lambda: certificate_loads(_nested_products(200)),
 }
@@ -740,9 +714,8 @@ _WRITER_CORPUS = {
 @pytest.mark.parametrize("name", list(_WRITER_CORPUS))
 def test_report_text_matches_json_dumps_on_the_corpus(name):
     cert = _WRITER_CORPUS[name]()
-    for mode in ("strict", "trusting"):
-        report = verify_certificate(cert, mode)
-        assert _report_text(report) == _json_dumps_report(report)
+    report = verify_certificate(cert)
+    assert _report_text(report) == _json_dumps_report(report)
     if name == "three concurrent lines":
         assert not report.passed and not report.leaf_reports[0].klt.passed
     if name == "nested 200 deep":
@@ -833,24 +806,19 @@ def test_table_dim1_and_dim2(capsys):
     assert i2 == expected
     assert 66 in i2 and 60 not in i2 and 64 not in i2
     assert "Machida-Oguiso" in out
-    # the rows are rendered from the base catalogue and the plane search; row 8
-    # names family_C since base-2 prime powers took the family path, and the
-    # rows 2, 3, 4 and 6 of both tables and 10, 12 and 18 of dimension 2 name
-    # family_A since the P^1 pairs and the plane leaves became chain leaves
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "c3bc6438d3cf84b7007b6b4b2fe061d04995fe67752accbf3372ba85dfbec129"
-    )
+    # the rows are rendered from the base catalogue and the plane search
+    assert recorded("table 1,2") == [sha16(out)]
 
 
 def test_table_constructed_rows_are_the_strictly_verified_base_leaves(capsys):
     code, out, _ = run(capsys, "table", "--dims", "2")
     assert code == EXIT_OK
     constructed = {int(line.split()[0]) for line in out.splitlines() if "  constructed: " in line}
-    reports = {m: verify_certificate(base_leaf(2, m), "strict") for m in BASE_DIM2_INDICES}
+    reports = {m: verify_certificate(base_leaf(2, m)) for m in BASE_DIM2_INDICES}
     for m in _members_line(out, "I(2) members"):
         leaf = None if m in BASE_DIM2_INDICES else search_plane_pair(2, m, 7)
         if leaf is not None:
-            reports[m] = verify_certificate(leaf, "strict")
+            reports[m] = verify_certificate(leaf)
     verified = {m for m, r in reports.items() if r.passed and (r.dim, r.index) == (2, m)}
     assert constructed == verified == set(BASE_DIM2_INDICES) | {20, 24, 30, 42}
     assert BASE_DIM2_INDICES == (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 18)

@@ -1,6 +1,10 @@
 """The byte contract: the digest lines of tools/output_digests.py, each
 sha256 cut to 16 hex digits, match the committed tests/data/output_digests.txt.
 
+This is the one place output bytes are pinned: no other test holds a hash.
+A test that pins the bytes of an input it builds reads that input's line of
+the file through `recorded` in conftest.py.
+
 A change that moves output bytes on purpose re-records the file with
 
     python3 tools/output_digests.py > tests/data/output_digests.txt
@@ -12,8 +16,9 @@ import difflib
 import importlib.util
 from pathlib import Path
 
+from conftest import RECORDED_DIGESTS
+
 ROOT = Path(__file__).resolve().parent.parent
-RECORDED = ROOT / "tests" / "data" / "output_digests.txt"
 
 
 def _tool():
@@ -41,7 +46,7 @@ def _mismatch(name: str, want: list[str], got: list[str], most: int = 5) -> str:
 def test_every_output_digest_matches_the_recorded_file():
     tool = _tool()
     got = _sections(tool.shortened(line) for line in tool.lines())
-    want = _sections(RECORDED.read_text().splitlines())
+    want = _sections(RECORDED_DIGESTS.read_text().splitlines())
     problems = [_mismatch(name, want.get(name, []), got.get(name, []))
                 for name in sorted(want.keys() | got.keys()) if want.get(name) != got.get(name)]
     assert not problems, "\n".join(problems)

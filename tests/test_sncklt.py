@@ -45,7 +45,7 @@ from cyindex.wpspairs import (
     _distinct_up_to_scaling,
     weighted_degree,
 )
-from conftest import entry_poly
+from conftest import dense_terms, entry_poly
 from test_wpspairs import restrict_to, scaled, subs_zero
 
 
@@ -739,7 +739,7 @@ def _line_vec(eq):
 
 def _conic_matrix(eq):
     m = [[0.0] * 3 for _ in range(3)]
-    for c, exps in eq.monomials:
+    for c, exps in dense_terms(eq):
         nz = [j for j, e in enumerate(exps) if e > 0]
         if len(nz) == 1:
             m[nz[0]][nz[0]] = float(c)
@@ -960,7 +960,7 @@ def _q_det(mat):
 
 def _q_partial(curve, j):
     terms = []
-    for coeff, exps in curve.monomials:
+    for coeff, exps in dense_terms(curve):
         if exps[j] > 0:
             new = list(exps)
             new[j] -= 1
@@ -971,7 +971,7 @@ def _q_partial(curve, j):
 def _q_evaluate(curve, point):
     point = [Fraction(p) for p in point]
     total = Fraction(0)
-    for c, exps in curve.monomials:
+    for c, exps in dense_terms(curve):
         term = c
         for x, e in zip(point, exps):
             term *= x**e
@@ -983,19 +983,19 @@ def _q_shear_x(curve, k):
     if k == 0:
         return curve
     terms = []
-    for coeff, (a, b, c) in curve.monomials:
+    for coeff, (a, b, c) in dense_terms(curve):
         for i in range(a + 1):
             terms.append((coeff * comb(a, i) * k ** (a - i), (i, b + a - i, c)))
     return SparsePoly.from_terms(3, terms)
 
 
 def _q_y_coeff_polys(curve):
-    dy = max((e[1] for _, e in curve.monomials), default=-1)
+    dy = max((e[1] for _, e in dense_terms(curve)), default=-1)
     if dy < 0:
         return []
-    dx = max(e[0] for _, e in curve.monomials)
+    dx = max(e[0] for _, e in dense_terms(curve))
     coeffs = [[Fraction(0)] * (dx + 1) for _ in range(dy + 1)]
-    for c, (a, b, _) in curve.monomials:
+    for c, (a, b, _) in dense_terms(curve):
         coeffs[b][a] += c
     return [_q_trim(p) for p in coeffs]
 
@@ -1174,8 +1174,8 @@ def test_integer_resultants_and_gcd_degrees_match_sympy(rng, k):
     x, y = sympy.symbols("x y")
     curves = [_plane_curve(rng) for _ in range(2)]
     r, _ = _resultant_y(*[_sheared(_integer_terms(c), weighted_degree(c, Wps((1, 1, 1))), k) for c in curves])
-    sym = [sum(sympy.Rational(c.numerator, c.denominator) * (x + k * y) ** a * y**b for c, (a, b, _) in curve.monomials)
-           for curve in curves]
+    sym = [sum(sympy.Rational(c.numerator, c.denominator) * (x + k * y) ** a * y**b
+               for c, (a, b, _) in dense_terms(curve)) for curve in curves]
     want = sympy.Poly(sympy.resultant(*sym, y), x)
     if want.is_zero:
         assert r == []
@@ -1245,7 +1245,7 @@ def test_family_missing_last_variable_fails_the_diagonal_step():
     # no term in x_n, and {x_n = 0} and {H = 0} are tangent along the x_n-axis
     leaf = build_index_prime(13)
     coeff, h = leaf.entries[-1]
-    h_missing = SparsePoly.from_terms(h.nvars, tuple(t for t in h.monomials if t[1] != (0, 0, 0, 0, 4)))
+    h_missing = SparsePoly.from_terms(h.nvars, tuple(t for t in dense_terms(h) if t[1] != (0, 0, 0, 0, 4)))
     tampered = LogLeaf(leaf.space, leaf.entries[:-1] + ((coeff, h_missing),), leaf.klt_strategy)
     report = family_snc_check(tampered)
     assert not report.passed
@@ -1259,7 +1259,7 @@ def test_family_exponent_change_still_evaluates():
     # passes
     leaf = build_index_prime(13)
     coeff, h = leaf.entries[-1]
-    terms = [(c, e if e != (0, 0, 0, 4, 0) else (0, 0, 0, 5, 0)) for c, e in h.monomials]
+    terms = [(c, e if e != (0, 0, 0, 4, 0) else (0, 0, 0, 5, 0)) for c, e in dense_terms(h)]
     h_mod = SparsePoly.from_terms(h.nvars, terms)
     tampered = LogLeaf(leaf.space, leaf.entries[:-1] + ((coeff, h_mod),), leaf.klt_strategy)
     report = family_snc_check(tampered)
@@ -1425,7 +1425,7 @@ def _linear_partials_per_variable(h, block):
         unit = tuple(1 if j == i else 0 for j in range(h.nvars))
         if all(pairs != ((i, 1),) for _, pairs in h.terms):
             return False, f"x{i} does not appear linearly in H"
-        for _, exps in h.monomials:
+        for _, exps in dense_terms(h):
             if exps[i] > 0 and exps != unit:
                 return False, f"partial of H in x{i} is not constant"
     return True, "" if block else "no linear block (deep stratum is everything)"
@@ -1466,7 +1466,7 @@ def _reference_family_b(leaf):
     residual = restrict_to(subs_zero(h, block), [n - 2, n - 1, n])
     if all(pairs != ((0, 1), (2, 1)) for _, pairs in residual.terms):
         return False
-    if not any(ey >= 2 and ex == ez == 0 for _, (ex, ey, ez) in residual.monomials):
+    if not any(ey >= 2 and ex == ez == 0 for _, (ex, ey, ez) in dense_terms(residual)):
         return False
     return _diagonal_by_scan(restrict_to(subs_zero(residual, [0]), [1, 2]))
 
@@ -1534,12 +1534,12 @@ def test_family_b_pattern_matches_the_reference_on_one_monomial_mutants():
     for leaf in (build_index_prime(7), build_index_prime(15)):
         h = leaf.entries[-1][1]
         nv = h.nvars
-        mons = h.monomials  # one view, so that `is` picks out one monomial
+        mons = dense_terms(h)  # one tuple, so that `is` picks out one monomial
         mutants = [tuple(t for t in mons if t is not drop) for drop in mons]
         added = {tuple(e * (i == j) for i in range(nv)) for j in range(nv) for e in (1, 2, 3)}
         added |= {tuple(int(i in (j, k)) for i in range(nv)) for j, k in combinations(range(nv), 2)}
-        present = {e for _, e in h.monomials}
-        mutants += [h.monomials + ((Fraction(1), e),) for e in sorted(added - present)]
+        present = {e for _, e in dense_terms(h)}
+        mutants += [dense_terms(h) + ((Fraction(1), e),) for e in sorted(added - present)]
         passed = 0
         for monomials in mutants:
             tampered = _with_h(leaf, SparsePoly.from_terms(nv, monomials))
@@ -1570,7 +1570,7 @@ def test_monomial_details_are_bounded_on_a_large_support(strategy, detail):
     # build_index_prime(4003) (n = 1001) with one more monomial in all 1002 variables
     leaf = build_index_prime(4003)
     h = leaf.entries[-1][1]
-    wide = SparsePoly.from_terms(h.nvars, h.monomials + ((Fraction(1), (1,) * h.nvars),))
+    wide = SparsePoly.from_terms(h.nvars, dense_terms(h) + ((Fraction(1), (1,) * h.nvars),))
     (step,) = is_klt_leaf(_retag(_with_h(leaf, wide), strategy)).steps
     assert (step.passed, step.detail) == (False, detail)
     assert len(step.detail) < 80
@@ -1590,7 +1590,7 @@ _B15 = build_index_prime(15)  # x0, x1, x2 and H = x0 + x1 + x2*x4 + x3^2 + x4^4
 def _b15_with(drop=(), add=()):
     """_B15 with the H monomials of the listed supports dropped and the listed exponent vectors added."""
     h = _B15.entries[-1][1]
-    kept = _without_supports(h, drop).monomials
+    kept = dense_terms(_without_supports(h, drop))
     return _with_h(_B15, SparsePoly.from_terms(5, kept + tuple((Fraction(1), e) for e in add)))
 
 
@@ -1629,7 +1629,7 @@ def test_linear_block_mutants_against_the_reference_on_the_family_grids():
         nv = h.nvars
         n = nv - 1
         for i in (0, n - 3):
-            kept = _without_supports(h, [(i,)]).monomials
+            kept = dense_terms(_without_supports(h, [(i,)]))
             squared = tuple(2 * (j == i) for j in range(nv))
             times = tuple(int(j in (i, n - 1)) for j in range(nv))
             for extra, want in (
@@ -1675,7 +1675,7 @@ def _snc_by_groebner(leaf):
     (h,) = [eq for eq in eqs if _coordinate_var_by_scan(eq) is None]
     xs = sympy.symbols(f"x0:{h.nvars}")
     expr = sum(sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*[x**e for x, e in zip(xs, exps)])
-               for c, exps in h.monomials)
+               for c, exps in dense_terms(h))
     for size in range(len(coords) + 1):
         for u in combinations(coords, size):
             rest = [sympy.diff(expr, xs[j]) for j in range(h.nvars) if j not in u]
@@ -1789,7 +1789,7 @@ def _nonzero(exps):
 
 def _diagonal_by_scan(eq):
     seen = set()
-    for _, exps in eq.monomials:
+    for _, exps in dense_terms(eq):
         nz = _nonzero(exps)
         if len(nz) != 1:
             shown = f"on variables {nz}" if len(nz) <= 2 else f"on {len(nz)} variables [{nz[0]}, {nz[1]}, ...]"
@@ -1801,16 +1801,16 @@ def _diagonal_by_scan(eq):
 
 
 def _coordinate_var_by_scan(eq):
-    if len(eq.monomials) != 1:
+    if len(eq.terms) != 1:
         return None
-    exps = eq.monomials[0][1]
+    exps = dense_terms(eq)[0][1]
     nz = _nonzero(exps)
     return nz[0] if len(nz) == 1 and exps[nz[0]] == 1 else None
 
 
 def _h_support_ok_by_scan(h, block, residual, mixed):
     powers_seen = set()
-    for _, exps in h.monomials:
+    for _, exps in dense_terms(h):
         nz = _nonzero(exps)
         if mixed is not None and len(nz) == 2:
             if tuple(nz) == tuple(sorted(mixed)) and all(exps[j] == 1 for j in nz):
@@ -1837,7 +1837,7 @@ def _least_shear(terms):
 
 def _conic_smooth_by_scan(curve):
     m = [[Fraction(0)] * 3 for _ in range(3)]
-    for c, exps in curve.monomials:
+    for c, exps in dense_terms(curve):
         nz = _nonzero(exps)
         if len(nz) == 1:
             m[nz[0]][nz[0]] = c

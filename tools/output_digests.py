@@ -1,11 +1,13 @@
 """Print the sha256, cut to its first 16 hex digits, of every certificate
 and strict report the realizer, the base catalogue and the plane search
-emit, and of the index table, one line each.
+emit, of the index table and of what the command line prints, with its
+exit code, one line each.
 
     python3 tools/output_digests.py > tests/data/output_digests.txt
 
 tests/test_output_digests.py compares these lines, in-process, with the
-committed file.
+committed file, the one record of output bytes: a test that pins the bytes
+of an input it builds reads that input's line there.
 
 Lines are `enumerate B SHA` for each 1 <= B <= 2000, SHA being the
 sha256 of `indices_with_phi_at_most(B)` joined by spaces; then
@@ -16,10 +18,13 @@ so that a leaf the reader memo hands back again reports the verdict it
 kept; then
 `base 1 M CERT REPORT` for each entry of the dimension-1 catalogue. The dimension-2 catalogue is realize(3, m) by
 definition, so the `realize 3 M` lines stand for it. Then
-`reload LABEL REPORT REDUMP` for bare builder leaves read back from their
-own text: `build_index_prime(M)` for every odd 5 <= M <= 401 and for 997,
-1999 and 2001, `build_prime_power(M, E)` for 2 <= M <= 11 and 2 <= E <= 6,
-`build_sylvester(K)` for 2 <= K <= 5 and each leaf of the explicit table;
+`reload LABEL REPORT REDUMP` for bare leaves read back from their own
+text: `build_index_prime(M)` for every odd 5 <= M <= 401 and for 403, 997,
+1999 and 2001, `build_prime_power(M, E)` for 2 <= M <= 11 and 2 <= E <= 6
+and for (2, 12), `build_sylvester(K)` for 2 <= K <= 5, each leaf of the
+explicit table, and two leaves built by hand: `one-point`, x0 with b = 2 on
+P^1, which fails degree-zero, and `vandermonde-6-in-4`, the hyperplanes
+sum_i t^i x_i, t = 10, 13, 17, 22, 28, 35, on P^3, each with b = 3;
 REPORT is the sha256 of the strict report of
 `certificate_loads(certificate_dumps(leaf))` and REDUMP that of its
 `certificate_dumps`. Then the general reader, json.loads and the
@@ -28,9 +33,10 @@ field-by-field walk, which the writer's own text never reaches:
 sha256 of the strict report of its text re-dumped with
 `json.dumps(obj, indent=1)`; and `general edit M KIND OUTCOME` for
 `build_index_prime(M)`, odd 5 <= M <= 61, and each one-field edit of
-`_EDITS`, the malformed and tampered files of the verify_corpus benchmark,
-OUTCOME being the `CertificateParseError` text (its location, then its
-message) or the sha256 of the strict report. Then
+`_EDITS`: the malformed and tampered files of the verify_corpus benchmark
+and the tampers of the CLI tests, OUTCOME being the `CertificateParseError`
+text (its location, then its message) or the sha256 of the strict report.
+Then
 `search D M K CERT REPORT` for search_plane_pair(D, M, K) with D in
 (1, 2), 1 <= M < 400 and 1 <= K <= 8, or `search D M K none` where it
 finds nothing, and `table 1,2 SHA` for the stdout of
@@ -57,13 +63,17 @@ then `hyperplane VECTORS VERDICT` for `hyperplane_arrangement_snc` on each
 multiset of at most 4 of the 3-vectors of `_HYPERPLANE_VECTORS`, which
 holds proportional and dependent ones and a zero one.
 
-Then the command line's JSON bytes: `cli verify LABEL SHA` for each
-reload file above (LABEL `reload` and its label) and each general edit
-file (LABEL `edit M KIND`), SHA being the sha256 of the stdout of
-`cyindex verify FILE --format json`; then `cli realize N M SHA` for the stdout of
-`cyindex realize --dim N --index M` (its JSON) for N in (3, 10) and each m
-with phi(m) <= 2N; then `cli enumerate B SHA` for the stdout of
-`cyindex enumerate --phi-bound B --format json` for B in (1, 2, 444, 100000).
+Then the command line's JSON bytes and exit codes: `cli verify LABEL SHA
+CODE` for each reload file above (LABEL `reload` and its label), each
+general edit file (LABEL `edit M KIND`) and `unformed-weights` on
+`base_leaf(1, 2)` as the verify_corpus benchmark writes it (LABEL
+`edit base 1 2 unformed-weights`), SHA being the sha256 of the stdout of
+`cyindex verify FILE --format json` and CODE its exit code; then
+`cli realize N M SHA CODE` for `cyindex realize --dim N --index M --out
+FILE` (its JSON) and `cli verify out N M SHA CODE` for the verify of the
+FILE it writes, for N in (3, 4, 6, 10) and each m with phi(m) <= 2N; then
+`cli enumerate B SHA CODE` for `cyindex enumerate --phi-bound B --format
+json` for B in (1, 2, 444, 100000).
 
 Last the coefficient budget: `budget LABEL REPORT` for leaves whose b
 values are over `COEFF_BITS_BUDGET` counted once per entry, REPORT being
@@ -85,7 +95,7 @@ import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -151,12 +161,21 @@ def _line(label: str, cert) -> str:
     return f"{label} {_sha(certificate_dumps(cert))} {_report_sha(cert)}"
 
 
+def _vandermonde(ts, nv: int, b: int) -> LogLeaf:
+    """The hyperplanes sum_i t^i x_i on P^(nv-1), one for each t, each with b."""
+    eqs = [SparsePoly.linear_form([t**i for i in range(nv)]) for t in ts]
+    return LogLeaf(Wps((1,) * nv), tuple((StdCoeff(b), eq) for eq in eqs), "hyperplane_arrangement")
+
+
 def _reload_leaves() -> list:
-    """(label, leaf) for each bare builder leaf the `reload` lines read back."""
-    leaves = [(f"index_prime {m}", build_index_prime(m)) for m in [*range(5, 402, 2), 997, 1999, 2001]]
-    leaves += [(f"prime_power {m} {e}", build_prime_power(m, e)) for m in range(2, 12) for e in range(2, 7)]
+    """(label, leaf) for each bare leaf the `reload` lines read back."""
+    leaves = [(f"index_prime {m}", build_index_prime(m)) for m in [*range(5, 402, 2), 403, 997, 1999, 2001]]
+    leaves += [(f"prime_power {m} {e}", build_prime_power(m, e))
+               for m, e in [*product(range(2, 12), range(2, 7)), (2, 12)]]
     leaves += [(f"sylvester {k}", build_sylvester(k)) for k in range(2, 6)]
-    return leaves + [(f"explicit {m}", leaf) for m, leaf in _EXPLICIT.items()]
+    leaves += [(f"explicit {m}", leaf) for m, leaf in _EXPLICIT.items()]
+    return leaves + [("one-point", LogLeaf(Wps((1, 1)), ((StdCoeff(2), 0),), "family_A")),
+                     ("vandermonde-6-in-4", _vandermonde((10, 13, 17, 22, 28, 35), 4, 3))]
 
 
 def _reload_line(label: str, leaf) -> str:
@@ -197,6 +216,16 @@ def _edited(text: str, kind: str) -> str:
             first["b"] += 2
         case "entry-duplicated":
             obj["entries"][1]["eq"] = first["eq"]
+        case "entry-scaled-copy":  # 2 x_0 beside x_0
+            obj["entries"][1]["eq"] = [{"c": [2 * mono["c"][0], mono["c"][1]], "e": mono["e"]}
+                                       for mono in first["eq"]]
+        case "h-scaled-copy":  # -3/2 H beside H
+            first["eq"] = [{"c": [-3 * mono["c"][0], 2 * mono["c"][1]], "e": mono["e"]}
+                           for mono in obj["entries"][-1]["eq"]]
+        case "h-linear-term-removed":  # H loses x_0, its leading monomial
+            obj["entries"][-1]["eq"] = obj["entries"][-1]["eq"][1:]
+        case "no-entries":
+            obj["entries"] = []
         case "strategy-swap":
             obj["strategy"] = "family_B" if obj["strategy"] == "family_A" else "family_A"
         case "constant-equation":
@@ -212,7 +241,8 @@ def _edited(text: str, kind: str) -> str:
 
 _EDITS = ("truncated", "missing-weights", "version-2", "zero-denominator", "negative-exponent", "unknown-node",
           "short-exponents", "b-one", "weight-bump", "b-change", "entry-duplicated", "strategy-swap",
-          "constant-equation", "single-factor-product", "unformed-weights")
+          "constant-equation", "single-factor-product", "unformed-weights", "entry-scaled-copy", "h-scaled-copy",
+          "h-linear-term-removed", "no-entries")
 
 
 def _edit_line(m: int, kind: str) -> str:
@@ -223,18 +253,19 @@ def _edit_line(m: int, kind: str) -> str:
     return f"general edit {m} {kind} {outcome}"
 
 
-def _cli_sha(*argv: str) -> str:
-    """The sha256 of what `cyindex ARGV` writes to stdout; its stderr is dropped."""
+def _cli_digest(*argv: str) -> str:
+    """The sha256 of what `cyindex ARGV` writes to stdout, then its exit code; its stderr is dropped."""
     out = io.StringIO()
     with redirect_stdout(out), redirect_stderr(io.StringIO()):
-        cli_main(list(argv))
-    return _sha(out.getvalue())
+        code = cli_main(list(argv))
+    return f"{_sha(out.getvalue())} {code}"
 
 
-def _cli_verify_line(label: str, text: str, path: Path) -> str:
-    """The `cli verify` line of `text`, written to `path` and verified."""
-    path.write_text(text, encoding="utf-8")
-    return f"cli verify {label} {_cli_sha('verify', str(path), '--format', 'json')}"
+def _cli_verify_line(label: str, path: Path, text: str | None = None) -> str:
+    """The `cli verify` line of the file at `path`, once `text`, if given, is written there."""
+    if text is not None:
+        path.write_text(text, encoding="utf-8")
+    return f"cli verify {label} {_cli_digest('verify', str(path), '--format', 'json')}"
 
 
 def _outcome(fn, *args) -> str:
@@ -300,9 +331,7 @@ def lines():
             yield f"plane P2 {','.join(names) or '-'} {verdict}"
     for nv in range(2, 7):
         for k in range(nv, 2 * nv + 1):
-            eqs = [SparsePoly.linear_form([t**i for i in range(nv)]) for t in range(10, 10 + k)]
-            leaf = LogLeaf(Wps((1,) * nv), tuple((StdCoeff(2), eq) for eq in eqs), "hyperplane_arrangement")
-            yield f"hyperplane vandermonde {nv} {k} {_report_sha(leaf)}"
+            yield f"hyperplane vandermonde {nv} {k} {_report_sha(_vandermonde(range(10, 10 + k), nv, 2))}"
     for k in range(5):
         for vectors in combinations_with_replacement(_HYPERPLANE_VECTORS, k):
             verdict = _outcome(hyperplane_arrangement_snc, vectors)
@@ -310,16 +339,20 @@ def lines():
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cert.json"
         for label, leaf in reloaded:
-            yield _cli_verify_line(f"reload {label}", certificate_dumps(leaf), path)
+            yield _cli_verify_line(f"reload {label}", path, certificate_dumps(leaf))
         for m in range(5, 62, 2):
             text = certificate_dumps(build_index_prime(m))
             for kind in _EDITS:
-                yield _cli_verify_line(f"edit {m} {kind}", _edited(text, kind), path)
-    for n in (3, 10):
-        for m in indices_with_phi_at_most(2 * n):
-            yield f"cli realize {n} {m} {_cli_sha('realize', '--dim', str(n), '--index', str(m))}"
+                yield _cli_verify_line(f"edit {m} {kind}", path, _edited(text, kind))
+        text = _edited(certificate_dumps(base_leaf(1, 2)), "unformed-weights")
+        yield _cli_verify_line("edit base 1 2 unformed-weights", path, text)
+        for n in (3, 4, 6, 10):
+            for m in indices_with_phi_at_most(2 * n):
+                argv = ("realize", "--dim", str(n), "--index", str(m), "--out", str(path))
+                yield f"cli realize {n} {m} {_cli_digest(*argv)}"
+                yield _cli_verify_line(f"out {n} {m}", path)
     for bound in (1, 2, 444, 100_000):
-        yield f"cli enumerate {bound} {_cli_sha('enumerate', '--phi-bound', str(bound), '--format', 'json')}"
+        yield f"cli enumerate {bound} {_cli_digest('enumerate', '--phi-bound', str(bound), '--format', 'json')}"
     yield f"budget realize 16386 32771 {_report_sha(realize(16386, 32771))}"
     for label, bs in (("repeated 4", [3**25000] * 4), ("distinct 400", [10**3999 + i for i in range(400)])):
         leaf = LogLeaf(Wps((1,) * len(bs)), tuple((StdCoeff(b), j) for j, b in enumerate(bs)), "family_A")
